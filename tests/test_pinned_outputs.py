@@ -1,0 +1,400 @@
+"""Pinned digit strings and preset outcomes.
+
+The digit table gives, for fixed points of each system, the first digits
+in nudge mode, whether the point is a face point (its orbit lands on a
+digit-cell face, so the error mode raises), and how many digits
+certified_digits certifies for a ball of radius RADIUS.  Uniform points
+expand the same way in both modes.  Orbits of an expanding map depend on
+last-bit rounding after enough steps, so at most 12 digits are pinned.
+Two face points of the quaternion base land on faces again at steps 4, 7
+and 10; at step 10 the rounding residual carried from the earlier landings
+has grown past eps_floor, so the digit there depends on how a snapped
+remainder is rounded, and those rows stop at nine digits.
+
+The preset table pins (verdict, status, rounds_played) of run_setup, or the
+exception a setup raises, at default parameters and just outside each
+preset's alpha bound.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from beta_arena.complexexp import ComplexBase
+from beta_arena.game import StrategyError, certified_digits
+from beta_arena.numeric import AmbiguousValueError, Quaternion
+from beta_arena.presets import build_preset, run_setup
+from beta_arena.quatexp import (hurwitz_box, lipschitz, q_expand,
+                                symmetric_domain, zeta_lattice)
+from beta_arena.realexp import RealBase
+from beta_arena.systems import (ComplexSystem, QuatSystem, RealSystem,
+                                expand_digits)
+
+RADIUS = 1e-6
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+Q = Quaternion(3.0, 3.0, 3.0, 3.0)
+
+# system name -> rows of (point, digits, face point, certified count)
+PINNED = {
+    "golden": [
+        (0.280492,
+         [0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0],
+         False, 12),
+        (0.437852,
+         [0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+         False, 12),
+        (0.663477,
+         [1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0],
+         False, 12),
+        (0.484507,
+         [0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1],
+         False, 12),
+        (0.6180339887498948,
+         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         True, 0),
+        (0.3819660112501051,
+         [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         True, 1),
+        (0.8541019662496845,
+         [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         True, 2),
+    ],
+    "three": [
+        (0.793144,
+         [2, 1, 0, 1, 0, 2, 0, 1, 2, 1, 1, 0],
+         False, 10),
+        (0.939346,
+         [2, 2, 1, 1, 0, 0, 2, 1, 0, 0, 1, 0],
+         False, 11),
+        (0.521566,
+         [1, 1, 2, 0, 0, 2, 0, 1, 2, 2, 2, 2],
+         False, 7),
+        (0.555098,
+         [1, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2],
+         False, 6),
+        (0.3333333333333333,
+         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         True, 0),
+        (0.7777777777777778,
+         [2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         True, 1),
+        (0.07407407407407407,
+         [0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+         True, 2),
+    ],
+    "complex": [
+        ((0.05339875709739095, -0.1701944426661438),
+         [(0, -1), (1, 1), (1, 1), (-1, -1), (1, 1), (2, -1), (-2, 1), (2, -1), (1, 1),
+          (0, 0), (1, 2), (-1, 1)],
+         False, 6),
+        ((-0.32368854077445597, 0.4252406953178458),
+         [(-2, 2), (2, -1), (0, 2), (1, -1), (-1, -1), (2, -2), (-1, -1), (-2, 2),
+          (0, 1), (2, -1), (1, -1), (0, 2)],
+         False, 6),
+        ((0.01299054471301564, 0.04995380016750939),
+         [(0, 0), (0, 1), (1, 0), (-1, 1), (-1, -1), (-2, -1), (1, 1), (1, 1),
+          (-1, -1), (0, -2), (1, 2), (0, -1)],
+         False, 8),
+        ((-0.41360793874851876, 0.20904303480157294),
+         [(-2, 1), (0, -1), (2, 2), (0, -2), (0, 1), (0, -1), (0, -1), (1, -1),
+          (-1, 2), (0, 0), (-2, 0), (2, -1)],
+         False, 7),
+        ((-0.3429946824307341, -0.3165863945969277),
+         [(-1, -1), (-2, -2), (0, -2), (0, 2), (1, -1), (0, 2), (1, 1), (1, 0),
+          (-2, -1), (0, 1), (1, 2), (0, 0)],
+         True, 0),
+        ((0.09348766237023676, -0.354953558332317),
+         [(1, -2), (-2, 2), (-1, -1), (-2, 0), (-1, 0), (0, 0), (-1, 0), (-2, 1),
+          (-1, -2), (0, 0), (-1, 1), (-1, -1)],
+         True, 0),
+        ((-0.34941601205335093, -0.3130504151916904),
+         [(-1, -1), (-2, -2), (-1, -1), (2, -1), (0, -2), (2, -1), (1, 1), (1, -1),
+          (0, -2), (-2, -1), (2, -1), (0, 1)],
+         True, 0),
+    ],
+    "lipschitz": [
+        ((0.5550722933135851, 0.7818055626789369, 0.32333033071157014,
+          0.5087153713592285),
+         [(-4, 4, 3, 1), (-4, 5, 3, 4), (0, 5, 2, 4), (-1, 0, 0, 0), (-7, 1, 2, 3),
+          (-2, 4, 4, 1), (-5, 5, 3, 1), (0, 3, 2, 3), (-2, 5, 1, 3), (-2, 0, 1, 0),
+          (-5, 6, 3, 3), (-4, 6, 3, 3)],
+         False, 6),
+        ((0.4950654201196979, 0.9702571360705473, 0.7675958735058802,
+          0.24062899729691523),
+         [(-5, 2, 5, 1), (-6, 2, 5, 3), (-5, 6, 2, 2), (-2, 0, 1, -1), (-7, 2, 4, 2),
+          (-6, 1, 1, 3), (-4, 2, 3, 6), (-6, 2, 3, 2), (-2, 0, 1, 1), (-2, 2, 2, -1),
+          (-3, 2, -1, 3), (-4, 0, 3, 1)],
+         False, 6),
+        ((0.32261745149495835, 0.4008930534074756, 0.3209818857102634,
+          0.30234983836096785),
+         [(-3, 2, 2, 1), (-1, 4, 1, 4), (-4, 3, 2, 6), (-5, 2, 2, 3), (-2, 4, 0, 3),
+          (-5, 5, 2, 3), (-4, -1, 1, 3), (-2, 3, 1, 1), (-6, 0, 1, 5), (-2, 3, 2, 0),
+          (-6, -1, 3, 2), (-3, 3, 6, 1)],
+         False, 5),
+        ((0.07044084473319612, 0.7744840367969786, 0.5722174955441987,
+          0.8412166056629858),
+         [(-7, 3, 1, 2), (-2, 1, 4, 3), (-4, 0, 2, 4), (-2, 4, 4, 2), (-4, -1, 2, 3),
+          (-2, 2, 3, 1), (-4, 3, 1, 4), (0, 4, 5, 1), (-4, 1, 2, 0), (-2, 4, 0, 3),
+          (-4, 3, 4, 0), (-3, -1, 1, 2)],
+         False, 6),
+        ((0.7148650973438129, 0.9256473678219083, 0.41020280313417234,
+          0.3840486016332271),
+         [(-4, 4, 5, 1), (-2, 7, 3, 2), (-5, 4, 1, 1), (0, 0, 3, 2), (-5, 6, 0, 0),
+          (-5, 2, 1, 5), (0, 1, 3, 4), (-1, 2, 2, -1), (-6, 5, 4, 4)],
+         True, 0),
+        ((0.5572786859221288, 0.37590013716639936, 0.23564858529387783,
+          0.916306199283726),
+         [(-3, 4, 0, 4), (-5, 0, 5, 0), (-1, 2, 3, 0), (-2, 4, 4, 0), (0, 2, 4, 3),
+          (-1, 2, 5, 4), (-4, 3, 4, 0), (-3, -1, 5, 2), (-5, 3, 2, -1), (-3, 5, 3, 3),
+          (-1, 4, 5, -1), (-6, 3, 2, -1)],
+         True, 0),
+        ((0.10931792574882174, 0.026816494262064547, 0.5541881737351877,
+          0.0847204203909681),
+         [(-2, -1, 1, 2), (-2, -1, 2, 3), (-6, 0, 0, 5), (-3, 3, 0, 3), (-2, 1, 1, 4),
+          (-6, 3, 2, 4), (-3, 3, -1, 3), (-2, 0, 4, 6), (-1, 3, 4, 1), (-3, 3, 1, 0),
+          (0, 2, 2, 3), (0, 4, 2, 3)],
+         True, 0),
+    ],
+    "hurwitz_box": [
+        ((0.620041098422703, 0.9211761649405869, 0.971079842403048,
+          0.023825151385002685),
+         [(-4, 1, 7, 4), (-4, 1, 3, -1), (-4, 0, 4, 4), (-4, 2, 4, 6), (-1, 2, 2, 9),
+          (-5, 1, 5, 6), (-4, 2, 3, -3), (-2, 3, 5, 3), (-5, 3, 6, 7), (0, 3, 1, 6),
+          (-4, 2, 6, 6), (-3, 1, 2, 3)],
+         False, 6),
+        ((0.07298587160441539, 0.5507149844578337, 0.07521226919970703,
+          0.08887659926793329),
+         [(-2, 1, 1, -2), (-6, 0, 5, 0), (-1, 4, 4, 3), (-3, -1, 2, 7), (-2, 2, 2, 2),
+          (-3, 2, 5, 1), (-1, 1, 1, 1), (-1, 3, 1, 4), (-2, 1, 1, 5), (-3, 2, 5, 3),
+          (-5, 0, 3, -1), (-3, 4, 6, 3)],
+         False, 6),
+        ((0.6889034166682863, 0.5099410941988076, 0.11184404211840626,
+          0.3776893237324436),
+         [(-1, 4, 2, 4), (-4, -1, 3, 2), (-2, 0, 2, 10), (-6, 1, 4, 3), (-5, 3, 3, 0),
+          (-1, 1, 4, 10), (-4, 4, 3, 2), (0, 4, 5, 1), (-3, 6, 4, 2), (-2, 1, 1, 4),
+          (-1, 3, 4, 1), (-2, 2, 2, 5)],
+         False, 5),
+        ((0.8681793258553627, 0.29642240563099465, 0.501513000830038,
+          0.4474573844328536),
+         [(-2, 3, 3, 9), (-1, 1, 5, 7), (-4, 3, 4, 1), (-1, 4, 3, 6), (-3, 3, 7, 5),
+          (-2, 1, 3, 8), (-1, 1, 2, 0), (-3, 3, 2, -4), (-6, 1, 4, 5), (0, 1, 3, 6),
+          (-2, -1, 3, 6), (0, 3, 4, 3)],
+         False, 6),
+        ((0.8699405081833407, 0.6349542409763265, 0.22083103361078527,
+          0.014155233596228944),
+         [(0, 3, 5, 2), (-5, 3, 1, -3), (-4, 2, 4, 8), (-3, 1, 3, 8), (-7, 0, 3, 3),
+          (-4, 3, 5, 3), (-5, 3, 4, 3), (-3, 1, 4, 3), (-5, 2, 5, 4)],
+         True, 0),
+        ((0.4782437860066793, 0.902164436326646, 0.4310895785144134,
+          0.14483113418107207),
+         [(-3, 3, 5, 0), (-3, 2, -1, 1), (0, 1, 4, 6), (-4, 1, 3, 1), (-1, 5, 5, -1),
+          (-3, 2, 5, 5), (-4, 3, 4, 1), (-2, 2, 4, 5), (-1, 2, 4, 6), (-6, 0, 3, 3),
+          (0, 4, 3, 4), (-3, 3, 5, 1)],
+         True, 0),
+        ((0.6140891205557074, 0.06534489592439383, 0.5009933999349644,
+          0.18042741641506563),
+         [(-1, 1, 3, 7), (1, 2, 1, 4), (-4, 0, 2, 0), (-5, 1, 6, 1), (0, 5, 3, 5),
+          (-1, 2, 2, 3), (-2, -1, 4, 6), (-4, 0, 2, 1), (-4, 2, 4, -1), (-4, 1, 1, 1),
+          (-3, 2, 5, 2), (0, 5, 3, 5)],
+         True, 0),
+    ],
+    "symmetric": [
+        ((-0.2404941844155405, 0.04343244451674272, -0.22974110855218877,
+          0.1267191607211684),
+         [(-1, 1, -3, -2), (2, 0, 0, -2), (2, -1, -3, -1), (-3, 0, 0, 0),
+          (-2, 3, 2, 3), (-1, -3, 0, -2), (-2, -1, -1, 3), (-2, 2, 2, 1),
+          (2, -1, 1, 3), (-1, -3, 0, -2), (0, 1, 4, -1), (-1, 0, -4, -1)],
+         False, 5),
+        ((0.05397740955865998, 0.11047947197336577, -0.23635101954346283,
+          0.1205180453222151),
+         [(0, 3, -1, -1), (1, 2, 1, 0), (1, 0, 0, 2), (-2, -1, 0, -2), (-3, 1, 1, 1),
+          (-3, 1, 2, 2), (1, 0, -1, -3), (0, 0, -2, 0), (-4, -1, -1, 0), (1, -2, 3, 1),
+          (1, -3, -1, -1), (3, 2, -1, 0)],
+         False, 6),
+        ((-0.04949971363129296, -0.23738302754567692, -0.17956588767290527,
+          -0.059214701398611125),
+         [(3, -1, -2, 0), (1, -1, -2, -4), (-3, 1, 0, 2), (5, 0, 0, 0), (1, 0, -1, 0),
+          (1, 1, 2, 1), (0, -1, 4, -1), (1, 0, -3, -2), (0, -2, -3, 0), (2, -1, 1, -1),
+          (0, 0, 4, 0), (1, 0, 1, 2)],
+         False, 5),
+        ((0.021595952501825, -0.01260821572390286, -0.13376220101211422,
+          -0.15168370129180808),
+         [(2, 0, 0, -2), (-2, 1, -1, 2), (3, -1, -2, 0), (0, 0, 1, -4), (1, -4, -1, 0),
+          (-1, 0, 4, 0), (1, -2, 0, 3), (-2, 1, -3, -1), (-2, -3, -1, 1),
+          (2, 2, -4, 2), (-1, -4, -1, 1), (3, 2, 0, 0)],
+         False, 5),
+        ((-0.005352416942025956, 0.1500589308976871, -0.0889771869248285,
+          -0.0056114652354584404),
+         [(0, 1, 0, -1), (-2, -3, 3, -3), (-1, 4, -1, -1), (-2, 1, 2, 3),
+          (0, 2, -1, -3), (-1, -2, 1, -2), (-4, 0, -1, 0), (-2, -4, -1, 1),
+          (0, 1, 0, 1), (-2, 2, 1, 0), (0, 0, -1, -1), (-1, -2, 0, -1)],
+         True, 0),
+        ((-0.058157673649636976, 0.0009999148107400213, -0.048175531397397775,
+          0.023999786524441454),
+         [(0, 0, -1, 0), (0, -3, 2, -2), (-2, 3, 0, -1), (3, -1, 0, 0), (4, 1, -2, 1),
+          (-3, -3, -1, 1), (-1, 4, -1, 0), (1, 1, 1, 1), (1, 0, -1, 1), (-1, 1, 0, -3),
+          (3, 1, -1, 1), (3, 2, 0, -1)],
+         True, 0),
+        ((0.20300493852922966, 0.07964429391084937, -0.024678878016773154,
+          -0.015348433268273814),
+         [(1, 2, 2, 1), (3, -1, 0, -2), (2, 2, -1, 1), (4, 0, 0, 0), (3, 0, -1, 1),
+          (-2, 1, -2, -1), (0, -2, 0, 0), (2, 0, -1, 1), (2, 2, 0, 0), (-1, -3, 2, 0),
+          (-1, 1, 2, -1), (-2, 1, 0, -2)],
+         True, 0),
+    ],
+    "zeta": [
+        ((0.27028428769963797, 1.1760483613738646, 0.03688798578772334,
+          -0.9782842835279797),
+         [(0, 0, 7, -1), (-6, 0, 4, 0), (-11, 1, 16, -3), (-14, 3, 10, -1),
+          (1, 0, -2, 0), (1, -1, -4, 1), (-14, 2, 3, 0), (-9, 2, 13, -2),
+          (1, 0, -4, 1), (-5, 1, 8, -1), (4, -1, 1, 0), (2, -1, 1, -1)],
+         False, 6),
+        ((0.32264610956044226, 1.6191130352566723, 0.10355135268254656,
+          0.655195164781293),
+         [(-6, 1, 4, -1), (-19, 3, -9, 1), (-4, 0, -11, 2), (-21, 3, 8, -1),
+          (-16, 2, -7, 1), (-4, 0, 4, 0), (-18, 3, 9, -1), (-6, 0, 2, 0),
+          (-4, 1, 3, 0), (-8, 2, -14, 3), (2, -1, 1, -1), (-23, 4, 2, -1)],
+         False, 6),
+        ((0.1160590261074026, 1.1457121755959419, 0.1399724525898195,
+          0.7635858682149543),
+         [(-6, 1, 2, 0), (3, 0, 0, 0), (2, -1, -3, 1), (-5, 1, 3, -1), (1, 0, -1, 1),
+          (-9, 1, -4, 0), (-15, 2, -10, 2), (4, -1, -1, 1), (-1, 0, -3, 0),
+          (-8, 1, -7, 1), (-21, 3, -1, 1), (-12, 1, 10, -1)],
+         False, 6),
+        ((0.23360459037607784, 3.6333550171777915, -0.13009008827396762,
+          -0.683497180829381),
+         [(-8, 1, 13, -2), (-10, 1, 15, -2), (-12, 1, 13, -2), (-13, 2, 12, -2),
+          (-24, 3, 3, 0), (0, 0, 5, -1), (-21, 3, -1, 1), (3, -1, 4, -1),
+          (-9, 1, 11, -1), (-12, 1, 0, 0), (-15, 2, 8, -1), (-11, 2, -3, 1)],
+         False, 6),
+        ((0.49756079316821095, 0.37289516670731176, -0.17188241237285456,
+          1.5472167859119552),
+         [(-4, 1, -3, 1), (-2, 0, 12, -2), (-12, 2, -11, 2), (-15, 3, 7, -1),
+          (-5, 1, -11, 2), (-6, 1, 2, 0), (-16, 2, 11, -1), (-2, 0, 4, 0),
+          (-7, 1, 14, -2), (-5, 0, 10, -1), (-23, 3, 6, 0), (-4, 1, 8, -1)],
+         True, 0),
+        ((0.0896508185917923, -0.2859695635182265, -0.07005983653998721,
+          1.1944394544299684),
+         [(-2, 0, -5, 1), (-8, 0, 15, -2), (-5, 1, 12, -2), (-4, 1, -11, 2),
+          (-13, 1, -4, 1), (-21, 4, 4, -1), (-4, 1, -9, 2), (-8, 2, -6, 2),
+          (6, -1, -3, 0), (-9, 1, -3, 1), (-12, 1, -7, 1), (-15, 2, 6, -1)],
+         True, 0),
+        ((0.05553251135481224, 1.4874762663317656, 0.2349284753788483,
+          2.697015279598105),
+         [(-13, 2, -3, 1), (3, -1, 5, -1), (-6, 1, -3, 1), (-7, 1, 10, -2),
+          (-11, 1, -9, 2), (5, -1, 5, 0), (-11, 2, 10, -2), (2, -1, 0, 1),
+          (-8, 1, 14, -2), (-1, 0, 3, 0), (-2, 0, 2, -1), (-20, 3, 1, 0)],
+         True, 0),
+    ],
+}
+
+LATTICES = {
+    "lipschitz": lipschitz,
+    "hurwitz_box": hurwitz_box,
+    "symmetric": lambda: symmetric_domain(0.25),
+    "zeta": lambda: zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0),
+                                 Quaternion(0.0, 0.0, 1.0, 0.0), 0.25),
+}
+
+
+def _real(b):
+    base = RealBase(b)
+    return RealSystem(base), lambda x, n, mode: base.digits(x, n, mode)
+
+
+def _complex():
+    base = ComplexBase(4.5, 0.05)
+    return (ComplexSystem(base),
+            lambda p, n, mode: base.expand(Quaternion.complex2(*p), n, mode))
+
+
+def _quat(name):
+    lattice = LATTICES[name]()
+    return (QuatSystem(Q, lattice),
+            lambda p, n, mode: q_expand(Q, lattice, Quaternion(*p), n, on_ambiguous=mode))
+
+
+SYSTEMS = {"golden": lambda: _real(PHI), "three": lambda: _real(3.0),
+           "complex": _complex, **{name: (lambda n=name: _quat(n)) for name in LATTICES}}
+
+ROWS = [pytest.param(name, *row, id=f"{name}-{i}")
+        for name, rows in PINNED.items() for i, row in enumerate(rows)]
+
+
+def _point(p):
+    return np.array(p if isinstance(p, tuple) else (p,), dtype=float)
+
+
+@pytest.mark.parametrize("name, point, digits, face, certified", ROWS)
+def test_base_level_map(name, point, digits, face, certified):
+    _, base_map = SYSTEMS[name]()
+    assert base_map(point, len(digits), "nudge") == digits
+    if face:
+        with pytest.raises(AmbiguousValueError):
+            base_map(point, len(digits), "error")
+    else:
+        assert base_map(point, len(digits), "error") == digits
+
+
+@pytest.mark.parametrize("name, point, digits, face, certified", ROWS)
+def test_expand_digits(name, point, digits, face, certified):
+    system, _ = SYSTEMS[name]()
+    n = len(digits)
+    assert expand_digits(system, _point(point), n) == digits
+    if face:
+        with pytest.raises(AmbiguousValueError):
+            expand_digits(system, _point(point), n, "error")
+    else:
+        assert expand_digits(system, _point(point), n, "error") == digits
+
+
+@pytest.mark.parametrize("name, point, digits, face, certified", ROWS)
+def test_certified_digits(name, point, digits, face, certified):
+    system, _ = SYSTEMS[name]()
+    got, cert = certified_digits(system, _point(point), RADIUS, len(digits))
+    assert cert == certified
+    assert got[:cert] == digits[:cert]
+
+
+OUTCOMES = {
+    "dwinning-golden": ("verified", "resolution-exhausted", 7),
+    "dwinning-silver": ("verified", "resolution-exhausted", 7),
+    "cwinning-nine-halves": ("verified", "resolution-exhausted", 35),
+    "qwinning-componentwise": ("verified", "resolution-exhausted", 6),
+    "notwinning-lipschitz": ("verified", "resolution-exhausted", 14),
+    "notwinning-hurwitz": ("verified", "resolution-exhausted", 16),
+    "notwinning-symmetric": ("verified", "resolution-exhausted", 10),
+    "notwinning-zeta": ("verified", "resolution-exhausted", 7),
+}
+
+# preset -> (alpha just outside its bound, pinned outcome at seed 0)
+OUTSIDE = {
+    "dwinning-golden": (0.645, StrategyError),
+    "dwinning-silver": (0.475, ("verified", "resolution-exhausted", 21)),
+    "cwinning-nine-halves": (0.7, ("verified", "resolution-exhausted", 43)),
+    "qwinning-componentwise": (0.24, StrategyError),
+    "notwinning-lipschitz": (0.83, ("verified", "resolution-exhausted", 14)),
+    "notwinning-hurwitz": (0.92, ("verified", "resolution-exhausted", 16)),
+    "notwinning-symmetric": (0.79, ("verified", "resolution-exhausted", 10)),
+    "notwinning-zeta": (0.27, ("verified", "resolution-exhausted", 7)),
+}
+
+
+def _outcome(preset, seed, **overrides):
+    try:
+        trace, result = run_setup(build_preset(preset, **overrides), seed=seed)
+    except StrategyError:
+        return StrategyError
+    return result.verdict, trace.status, trace.rounds_played
+
+
+@pytest.mark.parametrize("preset", sorted(OUTCOMES))
+def test_preset_outcomes(preset):
+    assert [_outcome(preset, seed) for seed in range(4)] == [OUTCOMES[preset]] * 4
+
+
+@pytest.mark.parametrize("preset", sorted(OUTSIDE))
+def test_preset_outcome_outside_bound(preset):
+    alpha, want = OUTSIDE[preset]
+    assert _outcome(preset, 0, alpha=alpha) == want
