@@ -1,15 +1,14 @@
 """Digit expansions in real, complex and quaternionic bases, the digit-region
 geometry they induce, and a radius-ratio game played on top of them."""
 
-from .numeric import (AmbiguousValueError, DEFAULT_TOL, MetallicMean,
-                      Quaternion, Tolerance, metallic_mean, safe_floor,
-                      tol_floor)
-from .realexp import CylinderInterval, RealBase, compute_iK, quasi_greedy_of_one
+from .numeric import (AmbiguousValueError, DEFAULT_TOL, Quaternion, Tolerance,
+                      metallic_mean, safe_floor, tol_floor)
+from .realexp import CylinderInterval, RealBase
 from .complexexp import ComplexBase
 from .quatexp import (COmegaResult, DomainConstants, LatticeDomain,
                       LosingParameters, avoid_constant, C_Omega,
                       domain_constants, hurwitz_box, isoclinic_matrix,
-                      lipschitz, losing_parameters, q_digit, q_expand, q_step,
+                      lipschitz, losing_parameters, q_expand, q_step,
                       rot_balanced_rho, rot_constants, symmetric_constants,
                       symmetric_domain, zeta_lattice)
 from .systems import ComplexSystem, QuatSystem, RealSystem, expand_digits
@@ -26,15 +25,15 @@ from .presets import GameSetup, PRESETS, build_preset, run_setup
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousValueError", "DEFAULT_TOL", "MetallicMean", "Quaternion",
-    "Tolerance", "metallic_mean", "safe_floor", "tol_floor",
-    "CylinderInterval", "RealBase", "compute_iK", "quasi_greedy_of_one",
+    "AmbiguousValueError", "DEFAULT_TOL", "Quaternion", "Tolerance",
+    "metallic_mean", "safe_floor", "tol_floor",
+    "CylinderInterval", "RealBase",
     "ComplexBase",
     "COmegaResult", "DomainConstants", "LatticeDomain", "LosingParameters",
     "avoid_constant", "C_Omega", "domain_constants", "hurwitz_box",
-    "isoclinic_matrix", "lipschitz", "losing_parameters", "q_digit",
-    "q_expand", "q_step", "rot_balanced_rho", "rot_constants",
-    "symmetric_constants", "symmetric_domain", "zeta_lattice",
+    "isoclinic_matrix", "lipschitz", "losing_parameters", "q_expand",
+    "q_step", "rot_balanced_rho", "rot_constants", "symmetric_constants",
+    "symmetric_domain", "zeta_lattice",
     "ComplexSystem", "QuatSystem", "RealSystem", "expand_digits",
     "A_threshold", "Claim", "F_threshold", "GameParams", "GameTrace",
     "IllegalMoveError", "Move", "StrategyError", "VerifyResult",

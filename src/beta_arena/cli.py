@@ -140,10 +140,7 @@ def cmd_expand(args, tol: Tolerance) -> int:
             raise SystemExit("expand --complex needs --z RE IM")
         z = Quaternion.complex2(args.z[0], args.z[1])
         digits = base.expand(z, args.n, on_ambiguous=on_ambiguous)
-        approx = Quaternion.real(0.0)
-        for j, (a, b) in enumerate(digits):
-            approx = approx + base.xi.powi(-(j + 1)) * Quaternion.complex2(a, b)
-        err = abs(z - approx)
+        err = math.dist((z.a, z.b), base.kernel.reconstruct(digits))
         rendered = [_format_complex_digit(d) for d in digits]
         payload = {"digits": [list(d) for d in digits], "reconstruction_error": err}
     elif args.quat is not None:
@@ -155,10 +152,7 @@ def cmd_expand(args, tol: Tolerance) -> int:
         z = Quaternion(*args.z)
         digits = q_expand(q, lattice, z, args.n, tol=tol,
                           on_ambiguous=on_ambiguous)
-        approx = Quaternion.real(0.0)
-        for j, d in enumerate(digits):
-            approx = approx + q.powi(-(j + 1)) * lattice.point(d)
-        err = abs(z - approx)
+        err = abs(z - lattice.point(lattice.digit_map(q, tol).reconstruct(digits)))
         rendered = [_format_quat_digit(d) for d in digits]
         payload = {"digits": [list(d) for d in digits], "reconstruction_error": err}
     else:
@@ -250,7 +244,7 @@ def cmd_game(args, tol: Tolerance) -> int:
     except StrategyError as exc:
         print(f"strategy gave up: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except TypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -365,11 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = _tolerance()
     try:
-        return args.func(args, tol)
+        return args.func(args, _tolerance())
     except AmbiguousValueError as exc:
         print(f"ambiguous input: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

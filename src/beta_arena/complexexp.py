@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import (DEFAULT_TOL, AmbiguousValueError, Quaternion, Tolerance,
-                      safe_floor, tol_floor)
+from .numeric import (DEFAULT_TOL, AmbiguousValueError, DigitKernel, Quaternion,
+                      Tolerance)
 
 QUARTER = math.pi / 4.0
 GaussInt = tuple[int, int]
@@ -84,6 +84,8 @@ class ComplexBase:
         self.c = math.cos(self.theta_folded)
         self.s = math.sin(self.theta_folded)
         self.xi = Quaternion.complex2(r * math.cos(self.theta), r * math.sin(self.theta))
+        self.kernel = DigitKernel(((self.xi.a, -self.xi.b), (self.xi.b, self.xi.a)),
+                                  self.lo, (1.0, 1.0), tol)
         self.N: int | None = None
         if self.is_centered:
             try:
@@ -106,21 +108,13 @@ class ComplexBase:
 
     def step(self, z: Quaternion, on_ambiguous: str = "error") -> tuple[GaussInt, Quaternion]:
         """One application of z -> xi z - d, returning (digit, remainder)."""
-        nudge = on_ambiguous == "nudge"
-        w = self.xi * z
-        da = tol_floor(w.a - self.lo[0], self.tol, nudge=nudge)
-        db = tol_floor(w.b - self.lo[1], self.tol, nudge=nudge)
-        return (da, db), Quaternion.complex2(w.a - da, w.b - db)
+        d, u, _ = self.kernel.step([z.a, z.b], on_ambiguous == "nudge")
+        return d, Quaternion.complex2(*u)
 
     def expand(self, z: Quaternion, n: int, on_ambiguous: str = "error") -> list[GaussInt]:
         if not self.contains(z):
             raise ValueError("point outside the fundamental square")
-        out: list[GaussInt] = []
-        cur = z
-        for _ in range(n):
-            d, cur = self.step(cur, on_ambiguous)
-            out.append(d)
-        return out
+        return self.kernel.expand([z.a, z.b], n, on_ambiguous == "nudge")
 
 
 def classify_digit_set(r: float, theta: float, tol: Tolerance = DEFAULT_TOL) -> Classification:

@@ -502,6 +502,7 @@ def bob_avoid_block(q: Quaternion, lattice: LatticeDomain, xi: Quaternion,
     if win == 0:
         raise ValueError("avoided block must be nonempty")
     omega_coords = [tuple(int(c) for c in w) for w in omega]
+    kernel = lattice.digit_map(q)
 
     def f(s: GameState) -> np.ndarray:
         y = s.alice_ball().center
@@ -509,14 +510,7 @@ def bob_avoid_block(q: Quaternion, lattice: LatticeDomain, xi: Quaternion,
         prefix = s.scratch.get("avoid_prefix", Quaternion())
         # local coordinates of Alice's center inside the pinned cylinder
         t = q.powi((kk - 1) * win) * (Quaternion.from_components(y) - prefix)
-        block = []
-        cur = t
-        for _ in range(win):
-            tc = lattice.to_coords(q * cur)
-            coords = tuple(int(math.floor(ti - lo + s.params.eps))
-                           for ti, lo in zip(tc, lattice.offsets))
-            block.append(coords)
-            cur = q * cur - lattice.point(coords)
+        block = kernel.expand(lattice.to_coords(t).tolist(), win, nudge=True)
         if tuple(block) == tuple(omega_coords):
             s.note(f"round {kk}: pinned window equals the avoided block")
         new_prefix = prefix

@@ -1,15 +1,18 @@
-"""Quaternion arithmetic and tolerance-aware rounding.
+"""Quaternion arithmetic, tolerance-aware rounding and the digit kernel.
 
-Real and complex quantities are carried as quaternions with trailing zero
-components, so the digit maps in one, two and four dimensions share a single
-arithmetic path.  Every floor taken near an integer is flagged, and callers
-decide whether to abort or to snap to the boundary.
+The digit maps in one, two and four dimensions are one affine map in
+lattice coordinates, DigitKernel, so they share a single arithmetic path.
+Every floor taken near an integer is flagged, and callers decide whether to
+abort or to snap to the boundary.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class AmbiguousValueError(ValueError):
@@ -58,6 +61,71 @@ def tol_floor(x: float, tol: Tolerance = DEFAULT_TOL, nudge: bool = False) -> in
     if ambiguous and not nudge:
         raise AmbiguousValueError(f"{x!r} is within {tol.eps_floor} of an integer")
     return n
+
+
+class DigitKernel:
+    """The digit map u -> A u - d, d = floor(A u - offsets), in lattice coordinates.
+
+    A point u lies in the half-open box [offsets, offsets + 1) and its
+    remainder A u - d lands back in it.  The real, complex and quaternion
+    expansions are all this map: A is the radix b, the rotation-dilation
+    matrix of xi, or left multiplication by q written in the lattice basis.
+    row_norms[i] turns a distance to a face {u_i = c} into a Euclidean
+    distance in the ambient space.
+
+    Snap policy in nudge mode: a coordinate of A u - offsets within
+    eps_floor of an integer takes that integer as its digit, unless no point
+    of the box has that digit, and its remainder is put exactly on the
+    lower face.
+    """
+
+    def __init__(self, A, offsets, row_norms, tol: Tolerance = DEFAULT_TOL):
+        self.A = tuple(map(tuple, A))
+        self.tol = tol
+        # digits per coordinate: the cells [d, d + 1) that the image of the box
+        # meets, up to eps_cmp; the box is open above, so the image reaches
+        # its top only when no entry of the row is positive
+        self.lo, self.hi = [], []
+        for row, off in zip(self.A, offsets):
+            corner = sum(map(operator.mul, row, offsets)) - off
+            top = corner + sum(a for a in row if a > 0.0)
+            self.lo.append(math.floor(corner + sum(a for a in row if a < 0.0)))
+            self.hi.append(math.ceil(top - tol.eps_cmp) - 1 if top > corner + tol.eps_cmp
+                           else math.floor(top + tol.eps_cmp))
+        self._rows = tuple(zip(self.A, offsets, row_norms, self.lo, self.hi))
+
+    def step(self, u, nudge: bool = False):
+        """One step from u: (digit, remainder, margin), the margin being the
+        Euclidean distance from A u to the boundary of its digit cell."""
+        eps = self.tol.eps_floor
+        digit, nxt, margin = [], [], math.inf
+        for row, off, norm, lo, hi in self._rows:
+            w = sum(map(operator.mul, row, u))
+            t = w - off
+            d = tol_floor(t, self.tol, nudge)
+            if not lo <= d <= hi:  # a snap may not leave the digit range
+                d = math.floor(t)
+            digit.append(d)
+            nxt.append(off if abs(t - d) <= eps else w - d)
+            frac = t - math.floor(t)
+            margin = min(margin, frac / norm, (1.0 - frac) / norm)
+        return tuple(digit), tuple(nxt), margin
+
+    def expand(self, u, n: int, nudge: bool = False) -> list[tuple[int, ...]]:
+        """First n digits of u."""
+        out = []
+        for _ in range(n):
+            d, u, _ = self.step(u, nudge)
+            out.append(d)
+        return out
+
+    def reconstruct(self, digits) -> np.ndarray:
+        """Lattice coordinates of sum_j A^-j d_j, the point these digits
+        describe up to A^-n times the box."""
+        acc = np.zeros(len(self.A))
+        for d in reversed(digits):
+            acc = np.linalg.solve(self.A, acc + d)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -156,21 +224,8 @@ def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     )
 
 
-@dataclass(frozen=True)
-class MetallicMean:
-    """Positive root of x^2 = j x + 1."""
-
-    j: int
-    value: float
-
-    @staticmethod
-    def of(j: int) -> "MetallicMean":
-        if j == 0:
-            raise ValueError("index must be a positive integer")
-        if j < 0:
-            raise ValueError("index must be a positive integer")
-        return MetallicMean(j, (j + math.sqrt(j * j + 4.0)) / 2.0)
-
-
 def metallic_mean(j: int) -> float:
-    return MetallicMean.of(j).value
+    """Positive root of x^2 = j x + 1."""
+    if j <= 0:
+        raise ValueError("index must be a positive integer")
+    return (j + math.sqrt(j * j + 4.0)) / 2.0

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, Quaternion, Tolerance, quat_mul, tol_floor
+from .numeric import DEFAULT_TOL, DigitKernel, Quaternion, Tolerance, quat_mul
 
 Coords = tuple[int, int, int, int]
 
@@ -49,6 +49,11 @@ class LatticeDomain:
     def point(self, coords: Sequence[float]) -> Quaternion:
         v = self.B @ np.array(coords, dtype=float)
         return Quaternion.from_components(v)
+
+    def digit_map(self, q: Quaternion, tol: Tolerance = DEFAULT_TOL) -> DigitKernel:
+        """The map z -> q z - d written in this lattice's coordinates."""
+        A = self.Binv @ (abs(q) * isoclinic_matrix(q)) @ self.B
+        return DigitKernel(A.tolist(), self.offsets, self.row_norms.tolist(), tol)
 
     def contains(self, z: Quaternion, slack: float = 0.0) -> bool:
         t = self.to_coords(z)
@@ -88,29 +93,17 @@ def q_step(q: Quaternion, lattice: LatticeDomain, z: Quaternion,
            ) -> tuple[Coords, Quaternion]:
     """One application of z -> q z - d, with d the lattice point returning
     q z to the box.  Returns the digit as basis coordinates plus the remainder."""
-    nudge = on_ambiguous == "nudge"
-    w = quat_mul(q, z)
-    t = lattice.to_coords(w)
-    coords = tuple(tol_floor(ti - lo, tol, nudge=nudge)
-                   for ti, lo in zip(t, lattice.offsets))
-    return coords, w - lattice.point(coords)
-
-
-def q_digit(q: Quaternion, lattice: LatticeDomain, z: Quaternion,
-            tol: Tolerance = DEFAULT_TOL, on_ambiguous: str = "error") -> Coords:
-    return q_step(q, lattice, z, tol, on_ambiguous)[0]
+    d, u, _ = lattice.digit_map(q, tol).step(lattice.to_coords(z).tolist(),
+                                             on_ambiguous == "nudge")
+    return d, lattice.point(u)
 
 
 def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
              tol: Tolerance = DEFAULT_TOL, on_ambiguous: str = "error") -> list[Coords]:
     if not lattice.contains(z):
         raise ValueError("point outside the fundamental box")
-    out: list[Coords] = []
-    cur = z
-    for _ in range(n):
-        d, cur = q_step(q, lattice, cur, tol, on_ambiguous)
-        out.append(d)
-    return out
+    return lattice.digit_map(q, tol).expand(lattice.to_coords(z).tolist(), n,
+                                            on_ambiguous == "nudge")
 
 
 def isoclinic_matrix(q: Quaternion) -> np.ndarray:

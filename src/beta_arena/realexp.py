@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .numeric import DEFAULT_TOL, AmbiguousValueError, Tolerance, tol_floor
+from .numeric import DEFAULT_TOL, DigitKernel, Tolerance, tol_floor
 
 Block = tuple[int, ...]
 
@@ -50,8 +50,9 @@ class RealBase:
         self.depth = int(depth)
         self.tol = tol
         self.is_integer = abs(self.b - round(self.b)) <= tol.eps_cmp
-        # digit alphabet is {0, ..., s_b}
-        self.s_b = int(round(self.b)) - 1 if self.is_integer else int(self.b)
+        self.kernel = DigitKernel(((self.b,),), (0.0,), (1.0,), tol)
+        # digit alphabet is {0, ..., s_b}, the digits the kernel can produce
+        self.s_b = self.kernel.hi[0]
         self._one = self._greedy_orbit(1.0, depth, allow_first_overflow=True)
         self.c_digits = self._quasi_greedy_from_one()
         self.d_prime = min(self.c_digits)
@@ -119,23 +120,7 @@ class RealBase:
             raise ValueError("x must lie in [0,1)")
         if on_ambiguous not in ("error", "nudge"):
             raise ValueError("on_ambiguous must be 'error' or 'nudge'")
-        nudge = on_ambiguous == "nudge"
-        out: list[int] = []
-        y = float(x)
-        for _ in range(n):
-            t = self.b * y
-            d = tol_floor(t, self.tol, nudge=nudge)
-            if nudge:
-                y = t - d
-                if abs(y) <= self.tol.eps_floor:
-                    y = 0.0
-            else:
-                y = t - d
-            if d < 0 or d > self.s_b or y < -self.tol.eps_floor:
-                raise ValueError("orbit left [0,1); input outside the domain?")
-            y = max(y, 0.0)
-            out.append(d)
-        return out
+        return [d for (d,) in self.kernel.expand([float(x)], n, on_ambiguous == "nudge")]
 
     def value(self, block: Sequence[int]) -> float:
         """Value of a digit block: sum of block[i] * b**-(i+1), by Horner."""
@@ -246,18 +231,3 @@ class RealBase:
             out.append(CylinderInterval(w, lo, hi, full))
         return out
 
-
-def quasi_greedy_of_one(b: float, depth: int = 64) -> list[int]:
-    """Quasi-greedy expansion of 1 in base b, to the requested depth."""
-    return RealBase(b, depth=max(depth, 8)).quasi_greedy(depth)
-
-
-def compute_iK(b: float, depth: int = 256) -> tuple[int | None, int, bool]:
-    """(i, K, determined) for the expansion of b - floor(b).
-
-    i is the index of the last nonzero digit (None when the expansion did not
-    terminate within depth), K the longest zero run among the first i digits
-    (among all inspected digits when undetermined).
-    """
-    base = RealBase(b, depth=depth)
-    return base.i_b, base.K_b, base.iK_determined

@@ -4,17 +4,16 @@ The game engine and the outcome verifier only need a handful of operations:
 ambient dimension, the scaling factor of one digit step, membership in the
 fundamental domain, and a single expansion step that also reports how far the
 pre-floor image sits from its digit-cell boundary.  Points travel as numpy
-arrays of the ambient dimension regardless of the underlying system.
+arrays of the ambient dimension regardless of the underlying system; each
+adapter converts them to the lattice coordinates of its digit kernel.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .complexexp import ComplexBase
-from .numeric import DEFAULT_TOL, Quaternion, Tolerance, quat_mul, tol_floor
+from .numeric import DEFAULT_TOL, Quaternion, Tolerance
 from .quatexp import LatticeDomain
 from .realexp import RealBase
 
@@ -24,22 +23,19 @@ class RealSystem:
 
     def __init__(self, base: RealBase):
         self.base = base
+        self.kernel = base.kernel
         self.radix_norm = base.b
         self.tol = base.tol
+
+    def coords(self, p) -> list[float]:
+        return [float(p[0])]
 
     def contains(self, p: np.ndarray) -> bool:
         return 0.0 <= p[0] < 1.0
 
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        w = self.base.b * float(p[0])
-        d = tol_floor(w, self.tol, nudge=on_ambiguous == "nudge")
-        d = min(d, self.base.s_b)
-        y = w - d
-        if abs(y) <= self.tol.eps_floor:
-            y = 0.0
-        frac = w - math.floor(w)
-        margin = min(frac, 1.0 - frac)
-        return d, np.array([y]), margin
+        (d,), u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
+        return d, np.array(u), margin
 
     def digit_matches(self, a, b) -> bool:
         return a == b
@@ -50,25 +46,20 @@ class ComplexSystem:
 
     def __init__(self, base: ComplexBase):
         self.base = base
+        self.kernel = base.kernel
         self.radix_norm = base.r
         self.tol = base.tol
+
+    def coords(self, p) -> list[float]:
+        return [float(p[0]), float(p[1])]
 
     def contains(self, p: np.ndarray) -> bool:
         return (self.base.lo[0] <= p[0] < self.base.lo[0] + 1.0
                 and self.base.lo[1] <= p[1] < self.base.lo[1] + 1.0)
 
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        z = Quaternion.complex2(float(p[0]), float(p[1]))
-        w = quat_mul(self.base.xi, z)
-        nudge = on_ambiguous == "nudge"
-        n1 = tol_floor(w.a - self.base.lo[0], self.tol, nudge=nudge)
-        n2 = tol_floor(w.b - self.base.lo[1], self.tol, nudge=nudge)
-        nxt = np.array([w.a - self.base.lo[0] - n1 + self.base.lo[0],
-                        w.b - self.base.lo[1] - n2 + self.base.lo[1]])
-        f1 = (w.a - self.base.lo[0]) - math.floor(w.a - self.base.lo[0])
-        f2 = (w.b - self.base.lo[1]) - math.floor(w.b - self.base.lo[1])
-        margin = min(f1, 1.0 - f1, f2, 1.0 - f2)
-        return (n1, n2), nxt, margin
+        d, u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
+        return d, np.array(u), margin
 
     def digit_matches(self, a, b) -> bool:
         return tuple(a) == tuple(b)
@@ -81,22 +72,19 @@ class QuatSystem:
                  tol: Tolerance = DEFAULT_TOL):
         self.q = q
         self.lattice = lattice
+        self.kernel = lattice.digit_map(q, tol)
         self.radix_norm = abs(q)
         self.tol = tol
+
+    def coords(self, p) -> list[float]:
+        return (self.lattice.Binv @ np.asarray(p, dtype=float)).tolist()
 
     def contains(self, p: np.ndarray) -> bool:
         return self.lattice.contains(Quaternion.from_components(p))
 
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        z = Quaternion.from_components(p)
-        w = quat_mul(self.q, z)
-        t = self.lattice.to_coords(w)
-        nudge = on_ambiguous == "nudge"
-        coords = tuple(tol_floor(ti - lo, self.tol, nudge=nudge)
-                       for ti, lo in zip(t, self.lattice.offsets))
-        nxt = w - self.lattice.point(coords)
-        margin = self.lattice.cell_margin(w)
-        return coords, np.array(nxt.components), margin
+        d, u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
+        return d, self.lattice.B @ u, margin
 
     def digit_matches(self, a, b) -> bool:
         return tuple(a) == tuple(b)
@@ -104,9 +92,5 @@ class QuatSystem:
 
 def expand_digits(system, p: np.ndarray, n: int, on_ambiguous: str = "nudge") -> list:
     """First n digits of p under the system's expansion map."""
-    out = []
-    cur = np.array(p, dtype=float)
-    for _ in range(n):
-        d, cur, _ = system.step(cur, on_ambiguous)
-        out.append(d)
-    return out
+    digits = system.kernel.expand(system.coords(p), n, on_ambiguous == "nudge")
+    return [d for (d,) in digits] if system.dim == 1 else digits

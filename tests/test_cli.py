@@ -158,6 +158,21 @@ def test_eps_env_override(capsys, monkeypatch):
     assert "ambiguous" in err
 
 
+@pytest.mark.parametrize("env, argv", [
+    (None, ("expand", "--real", "golden", "--x", "1.5")),
+    (None, ("expand", "--real", "1.0", "--x", "0.5")),
+    (None, ("admissible", "--real", "golden", "--n", "-1")),
+    ("abc", ("expand", "--real", "golden", "--x", "0.5")),
+], ids=["x-outside-domain", "base-not-above-1", "negative-length", "eps-not-a-number"])
+def test_invalid_input_exits_3(capsys, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("BETA_ARENA_EPS", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_grid_parse():
     assert cli.parse_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):

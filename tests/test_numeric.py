@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from beta_arena.numeric import (AmbiguousValueError, DEFAULT_TOL, Quaternion,
-                                Tolerance, metallic_mean, safe_floor,
-                                tol_floor)
+from beta_arena.numeric import (AmbiguousValueError, DEFAULT_TOL, DigitKernel,
+                                Quaternion, Tolerance, metallic_mean,
+                                safe_floor, tol_floor)
 
 # Hamilton multiplication table, frozen by hand: rows q, columns p, entry q*p.
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -112,3 +112,25 @@ def test_safe_floor_flags():
     assert safe_floor(1.999999999999) == (2, True)  # inside the snap band
     assert safe_floor(-1e-20) == (0, True)
     assert safe_floor(-0.4) == (-1, False)
+
+
+def test_digit_kernel_range():
+    # the box [0, 1) is open above, so base 3 has digits 0..2 only
+    k = DigitKernel(((3.0,),), (0.0,), (1.0,))
+    assert (k.lo, k.hi) == ([0], [2])
+    # a row with no positive entry reaches its top on the closed lower face
+    k = DigitKernel(((0.0, -1.5), (1.5, 0.0)), (0.0, 0.0), (1.0, 1.0))
+    assert (k.lo, k.hi) == ([-2, 0], [0, 1])
+
+
+def test_digit_kernel_snap_policy():
+    k = DigitKernel(((3.0,),), (0.0,), (1.0,))
+    # 3 u lands just above the integer 1: the remainder goes onto the face
+    assert k.step((1.0 / 3.0 + 1e-12,), nudge=True)[:2] == ((1,), (0.0,))
+    with pytest.raises(AmbiguousValueError):
+        k.step((1.0 / 3.0 + 1e-12,))
+    # a snap to 3 would leave the digit range, so the floor stands
+    (d,), (r,), margin = k.step((1.0 - 1e-10,), nudge=True)
+    assert d == 2 and 0.0 < r < 1.0 and margin < 1e-9
+    assert k.expand((0.5,), 4) == [(1,), (1,), (1,), (1,)]
+    assert k.reconstruct([(1,), (1,)]) == pytest.approx([4.0 / 9.0])

@@ -11,6 +11,7 @@ from beta_arena.quatexp import (C_Omega, avoid_constant, domain_constants,
                                 rot_balanced_rho, rot_constants,
                                 symmetric_constants, symmetric_domain,
                                 zeta_lattice)
+from beta_arena.systems import QuatSystem
 
 PHI = metallic_mean(1)
 SQ13 = math.sqrt(13.0)
@@ -113,6 +114,20 @@ def test_worked_example_digits_and_periodicity():
     assert digs[:6] == [(0, 0, 0, 0), (-2, 0, -2, 0), (0, 1, 0, 1),
                         (-1, 0, -1, 0), (0, 1, 0, 1), (-1, 0, -1, 0)]
     assert digs[6:12] == digs[:6]
+
+
+def test_snapped_remainder_lands_on_the_face():
+    # q p lies on the face {coordinate 0 = 0}; with the remainder put
+    # exactly on it, the orbit's later landings on faces are exact as well
+    system = QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz())
+    p = np.array([0.7148650973438129, 0.9256473678219083,
+                  0.41020280313417234, 0.3840486016332271])
+    on_face = []
+    for j in range(1, 11):
+        _, p, margin = system.step(p)
+        if margin == 0.0:
+            on_face.append(j)
+    assert on_face == [4, 7, 10]
 
 
 def test_zeta_lattice_digit_containment():

@@ -1,11 +1,13 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_arena.numeric import AmbiguousValueError, metallic_mean
 from beta_arena.realexp import RealBase
+from beta_arena.systems import RealSystem, expand_digits
 
 PHI1 = metallic_mean(1)
 PHI2 = metallic_mean(2)
@@ -72,6 +74,14 @@ def test_digits_reconstruction_error_bound():
             x = i / 40.0 + 3e-5
             digs = base.digits(x, 12, on_ambiguous="nudge")
             assert abs(x - base.value(digs)) <= b ** -12 + 1e-12
+
+
+def test_digits_near_one_stay_in_the_alphabet():
+    # 3 x is within the snap band of 3, a digit base 3 does not have
+    base = RealBase(3.0)
+    x = 1.0 - 1e-10
+    assert base.digits(x, 3, on_ambiguous="nudge") == [2, 2, 2]
+    assert expand_digits(RealSystem(base), np.array([x]), 3) == [2, 2, 2]
 
 
 def test_value_is_plain_power_sum():
