@@ -70,8 +70,8 @@ class DigitKernel:
     remainder A u - d lands back in it.  The real, complex and quaternion
     expansions are all this map: A is the radix b, the rotation-dilation
     matrix of xi, or left multiplication by q written in the lattice basis.
-    row_norms[i] turns a distance to a face {u_i = c} into a Euclidean
-    distance in the ambient space.
+    Dividing by row_norms[i] turns a distance to a face {u_i = c} into a
+    Euclidean distance in the ambient space.
 
     Snap policy in nudge mode: a coordinate of A u - offsets within
     eps_floor of an integer takes that integer as its digit, unless no point
@@ -103,11 +103,12 @@ class DigitKernel:
             w = sum(map(operator.mul, row, u))
             t = w - off
             d = tol_floor(t, self.tol, nudge)
+            f = math.floor(t)
             if not lo <= d <= hi:  # a snap may not leave the digit range
-                d = math.floor(t)
+                d = f
             digit.append(d)
             nxt.append(off if abs(t - d) <= eps else w - d)
-            frac = t - math.floor(t)
+            frac = t - f
             margin = min(margin, frac / norm, (1.0 - frac) / norm)
         return tuple(digit), tuple(nxt), margin
 

@@ -117,8 +117,8 @@ def test_worked_example_digits_and_periodicity():
 
 
 def test_snapped_remainder_lands_on_the_face():
-    # q p lies on the face {coordinate 0 = 0}; with the remainder put
-    # exactly on it, the orbit's later landings on faces are exact as well
+    # q p lies on a cell face; with the snapped remainder put exactly on
+    # it, the orbit's later landings on faces are exact as well
     system = QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz())
     p = np.array([0.7148650973438129, 0.9256473678219083,
                   0.41020280313417234, 0.3840486016332271])
