@@ -457,13 +457,14 @@ def alice_quaternion_componentwise(b: float, digits: Sequence[int],
     if len(digits) != 4:
         raise ValueError("need one target digit per coordinate")
     base = RealBase(b)
-    per_axis = []
-    for d in digits:
+    targets = {}
+    for d in dict.fromkeys(digits):  # one decomposition per distinct digit
         centers = [0.5 * (iv.lo + iv.hi) for iv in base.cylinder_intervals(d, k)
                    if iv.full_length]
         if not centers:
             raise StrategyError(f"no full-length interval for digit {d}")
-        per_axis.append(np.array(centers))
+        targets[d] = np.array(centers)
+    per_axis = [targets[d] for d in digits]
 
     def f(s: GameState) -> np.ndarray:
         x = s.bob_ball().center

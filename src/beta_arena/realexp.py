@@ -1,8 +1,11 @@
 """Greedy expansions in a real base b > 1 and their cylinder structure.
 
 A point x in [0,1) has greedy digits d_j = floor(b T^(j-1) x) under the map
-T x = b x - floor(b x).  Admissibility of digit blocks is decided
-lexicographically against the quasi-greedy expansion of 1, and the set of
+T x = b x - floor(b x).  A digit block is admissible when every suffix is
+lexicographically at most the quasi-greedy expansion c of 1; Parry's
+automaton decides this with one integer of state, the length of the tight
+prefix of c, so a depth-first walk lists the admissible blocks of length n
+with one table lookup per node, carrying cylinder endpoints along.  The set of
 points whose first k digits form a given block is an interval whose exact
 endpoints this module computes.  Orbits of algebraic bases routinely hit cell
 boundaries head on, so every internal expansion snaps floors inside the
@@ -11,8 +14,9 @@ tolerance band instead of trusting the last bits of a double.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .numeric import DEFAULT_TOL, DigitKernel, Tolerance, tol_floor
 
@@ -70,7 +74,9 @@ class RealBase:
             t = self.b * y
             d = tol_floor(t, self.tol, nudge=True)
             hi = self.s_b if not (step == 0 and allow_first_overflow) else int(self.b) + 1
-            if d < 0 or d > hi:
+            if not 0 <= d <= hi:  # a snap may not leave the digit range
+                d = math.floor(t)
+            if not 0 <= d <= hi:
                 raise ValueError(f"digit {d} out of range; orbit left [0,1)")
             y = t - d
             if abs(y) <= self.tol.eps_floor:
@@ -137,39 +143,68 @@ class RealBase:
 
     # -- admissibility --------------------------------------------------------
 
+    def _automaton(self, n: int) -> list[list[int]]:
+        """Parry's automaton for blocks of length at most n, built in O(n s_b).
+
+        State s is the length of the longest suffix read so far that is a
+        prefix of c = c_digits; digit d may follow iff d < len(nxt[s]), and
+        leads to state nxt[s][d].  Each link t of the KMP failure chain
+        s, f(s), ..., 0 bounds d by c[t]: for a shift-maximal c only t = s
+        binds (Parry's rule), and the chain keeps the test exact for any c.
+        """
+        if n > self.depth:
+            raise ValueError("block longer than the precomputed expansion depth")
+        c = self.c_digits
+        fail = [0] * (n + 1)  # fail[s]: longest proper border of c[:s]
+        for s in range(1, n):
+            t = fail[s]
+            while t and c[t] != c[s]:
+                t = fail[t]
+            fail[s + 1] = t + (c[t] == c[s])
+        nxt: list[list[int]] = []
+        for s in range(n):
+            row = (nxt[fail[s]] if s else [0] * (self.s_b + 1))[: c[s] + 1]
+            if c[s] < len(row):
+                row[c[s]] = s + 1
+            nxt.append(row)
+        return nxt
+
+    def _walk(self, n: int) -> list[tuple[Block, float, float, float]]:
+        """Admissible blocks of length n in increasing lexicographic order,
+        found depth first, each with the state (prefix, scale, hi) that
+        cylinder_interval reaches after it by the same float operations."""
+        nxt = self._automaton(n)
+        out: list[tuple[Block, float, float, float]] = []
+
+        def extend(w: Block, s: int, prefix: float, scale: float, hi: float) -> None:
+            if len(w) == n:
+                out.append((w, prefix, scale, hi))
+                return
+            scale /= self.b
+            for d, t in enumerate(nxt[s]):
+                p = prefix + d * scale
+                extend(w + (d,), t, p, scale, min(hi, p + scale))
+
+        extend((), 0, 0.0, 1.0, 1.0)
+        return out
+
     def is_admissible(self, block: Sequence[int]) -> bool:
         """True when every suffix of the block is lexicographically at most
-        the quasi-greedy expansion of 1 truncated to the suffix length."""
-        w = tuple(block)
-        if len(w) > self.depth:
-            raise ValueError("block longer than the precomputed expansion depth")
-        if any(d < 0 or d > self.s_b for d in w):
-            return False
-        c = self.c_digits
-        for j in range(len(w)):
-            suffix = w[j:]
-            if list(suffix) > c[: len(suffix)]:
+        the quasi-greedy expansion of 1 truncated to the suffix length; one
+        O(n) pass of the automaton."""
+        nxt = self._automaton(len(block))
+        s = 0
+        for d in block:
+            if not 0 <= d < len(nxt[s]):
                 return False
+            s = nxt[s][d]
         return True
 
     def enumerate_admissible(self, n: int) -> list[Block]:
         """All admissible blocks of length n, in increasing lexicographic order."""
         if n < 0:
             raise ValueError("length must be nonnegative")
-        out: list[Block] = []
-
-        def extend(prefix: list[int]) -> None:
-            if len(prefix) == n:
-                out.append(tuple(prefix))
-                return
-            for d in range(self.s_b + 1):
-                prefix.append(d)
-                if self.is_admissible(prefix):
-                    extend(prefix)
-                prefix.pop()
-
-        extend([])
-        return out
+        return [w for w, *_ in self._walk(n)]
 
     def in_E(self, block: Sequence[int], d: int) -> bool:
         """Whether appending d to the block yields a shortened cylinder.
@@ -224,10 +259,10 @@ class RealBase:
             raise ValueError(f"digit {d} exceeds the minimal quasi-greedy digit {self.d_prime}")
         bk = self.b ** (-k)
         out: list[CylinderInterval] = []
-        for blk in self.enumerate_admissible(k - 1):
-            w = blk + (d,)
-            lo, hi = self.cylinder_interval(w)
-            full = hi - lo >= bk - self.tol.eps_cmp
-            out.append(CylinderInterval(w, lo, hi, full))
+        for blk, prefix, scale, hi in self._walk(k - 1):
+            # the last step of cylinder_interval, for the appended digit d
+            w, scale = blk + (d,), scale / self.b
+            lo, hi = self.value(w), min(hi, prefix + d * scale + scale)
+            out.append(CylinderInterval(w, lo, hi, hi - lo >= bk - self.tol.eps_cmp))
         return out
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from beta_arena.complexexp import ComplexBase
 from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams,
                              IllegalMoveError, StrategyError, alice_center_hold,
-                             alice_random, alice_real_winning, audit_trace,
+                             alice_quaternion_componentwise, alice_random,
+                             alice_real_winning, audit_trace,
                              bob_avoid_block, bob_center_hold,
                              bob_optimal_drift, bob_random, certified_digits,
                              find_n_complex, find_nk_real, play,
@@ -255,6 +256,18 @@ def test_winning_strategy_survives_all_seeds():
                      system=RealSystem(base), seed=seed)
         res = verify_outcome(trace, RealSystem(base), Claim("contains", (0,), k), k)
         assert res.verdict == "verified", seed
+
+
+def test_componentwise_decomposes_each_distinct_digit_once(monkeypatch):
+    calls = []
+    orig = RealBase.cylinder_intervals
+
+    def counted(self, d, k):
+        calls.append(d)
+        return orig(self, d, k)
+    monkeypatch.setattr(RealBase, "cylinder_intervals", counted)
+    alice_quaternion_componentwise(3.0, (1, 0, 1, 0), 1, 3)
+    assert calls == [1, 0]
 
 
 # -- avoidance strategy ---------------------------------------------------------

@@ -133,6 +133,31 @@ def test_tail_data():
     assert base.K_b == 6
 
 
+C_2_5 = ("2101110000110121000111112100010020001001201001111100011001200012"
+         "0012011110002010020010101101100020100010201002012100000021001120"
+         "1100001210101010201111110111100120010100012100010001202010002012"
+         "0020201110102021011002100100000210002000202011101001012000111010")
+
+
+def test_expansion_data_pinned_at_full_depth():
+    want = {PHI1: ("10" * 128, (1, 0, True)), PHI2: ("20" * 128, (1, 0, True)),
+            2.5: (C_2_5, (None, 6, False)), 3.0: ("2" * 256, (0, 0, True))}
+    for b, (c, tail) in want.items():
+        base = RealBase(b)
+        assert "".join(map(str, base.c_digits)) == c, b
+        assert (base.i_b, base.K_b, base.iK_determined) == tail, b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_base_just_below_an_integer_constructs(n):
+    # b * frac(b) lands in the snap band of n, a digit the base does not have
+    for gap in (1e-10, 1e-11):
+        base = RealBase(n - gap)
+        assert base.s_b == n - 1
+        assert base.c_digits[:4] == [n - 1] * 4
+        assert all(0 <= d <= base.s_b for d in base.c_digits)
+
+
 def test_d_prime_is_min_of_c():
     for b in BASES:
         base = RealBase(b)
@@ -167,6 +192,21 @@ def test_enumerate_admissible_is_sorted_and_complete():
         brute = [w for w in itertools.product(digits, repeat=4)
                  if oracle_admissible(w, base.c_digits)]
         assert blocks == brute
+
+
+def test_enumerate_admissible_error_contract():
+    base = RealBase(PHI1, depth=8)
+    assert base.enumerate_admissible(0) == [()]
+    with pytest.raises(ValueError, match="length must be nonnegative"):
+        base.enumerate_admissible(-1)
+    with pytest.raises(ValueError, match="block longer than the precomputed expansion depth"):
+        base.enumerate_admissible(9)
+    with pytest.raises(ValueError, match="block longer than the precomputed expansion depth"):
+        base.is_admissible((0,) * 9)
+
+
+def test_golden_count_is_fibonacci_at_length_18():
+    assert len(RealBase(PHI1).enumerate_admissible(18)) == 6765
 
 
 def test_observed_blocks_are_admissible():
@@ -298,3 +338,74 @@ def test_value_of_digits_never_exceeds_x(b, x, n):
     v = base.value(digs)
     assert v <= x + 1e-9
     assert x - v <= b ** -n + 1e-9
+
+
+# -- automaton against the suffix oracle ----------------------------------------
+
+SPECIAL_BASES = [PHI1, PHI2, 2.0, 3.0, 4.0, 5.0]
+any_base = st.one_of(st.sampled_from(SPECIAL_BASES), st.floats(min_value=1.01, max_value=6.0))
+
+
+def oracle_blocks(base, n, top=4000):
+    """Oracle-admissible words of length n over the alphabet, or None when
+    the product alphabet is too large to list."""
+    if (base.s_b + 1) ** n > top:
+        return None
+    return [w for w in itertools.product(range(base.s_b + 1), repeat=n)
+            if oracle_admissible(w, base.c_digits)]
+
+
+def c_pieces(base):
+    """Words glued from pieces of c, which keep the automaton in tight
+    states far more often than uniform digits do."""
+    piece = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, base.s_b))
+    return st.lists(piece, max_size=4).map(lambda ps: [
+        d for i, m, e in ps for d in base.c_digits[i:i + m] + [e]][:10])
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_base, st.data())
+def test_is_admissible_matches_oracle(b, data):
+    base = RealBase(b)
+    word = data.draw(st.one_of(
+        st.lists(st.integers(0, base.s_b), max_size=10), c_pieces(base)))
+    for j in range(len(word) + 1):
+        assert base.is_admissible(word[:j]) == oracle_admissible(word[:j], base.c_digits), (b, word[:j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_base, st.integers(min_value=0, max_value=10))
+def test_enumerate_admissible_matches_oracle(b, n):
+    base = RealBase(b)
+    want = oracle_blocks(base, n)
+    if want is not None:
+        assert base.enumerate_admissible(n) == want, (b, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_base, st.integers(min_value=2, max_value=10), st.data())
+def test_cylinder_intervals_match_direct_computation(b, k, data):
+    base = RealBase(b)
+    d = data.draw(st.integers(0, base.d_prime))
+    want = oracle_blocks(base, k - 1)
+    if want is None:
+        return
+    got = base.cylinder_intervals(d, k)
+    assert [ci.block for ci in got] == [w + (d,) for w in want]
+    for ci in got:
+        lo, hi = base.cylinder_interval(ci.block)
+        full = hi - lo >= b ** -k - base.tol.eps_cmp
+        assert (ci.lo, ci.hi, ci.full_length) == (base.value(ci.block), hi, full), ci.block
+
+
+def test_automaton_is_exact_for_any_c():
+    # an expansion of 1 computed in floats need not be shift-maximal; the
+    # failure links keep the automaton equal to the suffix test regardless
+    base = RealBase(2.5, depth=8)
+    for c in itertools.product(range(3), repeat=5):
+        base.c_digits = list(c) + [0, 0, 0]
+        want = oracle_blocks(base, 5)
+        assert base.enumerate_admissible(5) == want, c
+        admissible = set(want)
+        for w in itertools.product(range(3), repeat=5):
+            assert base.is_admissible(w) == (w in admissible), (c, w)
