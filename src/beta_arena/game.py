@@ -14,6 +14,8 @@ target, then pull toward it) and the losing digit-pinning play (Bob re-reads
 the digits of Alice's center and recenters on the avoided-block-free
 cylinder shifted by xi).  Double precision runs out near radius 1e-12, so
 games stop there rather than pretending to resolve further digits.
+Per-round invariants (radix powers, digit points, a fixed drift direction)
+are cached per strategy, so a round only computes what changes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ from .realexp import RealBase
 RADIUS_FLOOR = 1e-12
 
 Strategy = Callable[["GameState"], np.ndarray]
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean length of a 1-D float vector.
+
+    np.linalg.norm computes exactly sqrt(v.dot(v)) for such a vector, so this
+    gives the same bits without the wrapper's argument handling.  math.hypot
+    and a Python sum of squares round differently in the last bit.
+    """
+    return math.sqrt(v.dot(v))
 
 
 class IllegalMoveError(RuntimeError):
@@ -194,7 +206,7 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
 
 def _checked_center(c, dim: int, player: str, round_no: int) -> np.ndarray:
     arr = np.asarray(c, dtype=float).reshape(-1)
-    if arr.shape != (dim,) or not np.all(np.isfinite(arr)):
+    if arr.shape != (dim,) or not all(map(math.isfinite, arr.tolist())):
         raise IllegalMoveError(player, round_no, "malformed center")
     return arr
 
@@ -202,7 +214,7 @@ def _checked_center(c, dim: int, player: str, round_no: int) -> np.ndarray:
 def _check_legal(player: str, round_no: int, outer_center: np.ndarray,
                  center: np.ndarray, radius: float, outer_radius: float,
                  eps: float, system) -> None:
-    gap = float(np.linalg.norm(center - outer_center)) + radius - outer_radius
+    gap = _norm(center - outer_center) + radius - outer_radius
     if gap > eps:
         raise IllegalMoveError(player, round_no,
                                f"ball escapes the previous one by {gap:.3e}")
@@ -228,7 +240,7 @@ def audit_trace(trace: GameTrace, eps: float | None = None) -> list[str]:
         expected = p.alpha * p.rho_n(n - 1) if mv.player == "alice" else p.rho_n(n)
         if abs(mv.radius - expected) > 1e-9 * max(expected, 1e-300):
             problems.append(f"round {n} {mv.player}: radius off schedule")
-        gap = float(np.linalg.norm(mv.center - prev.center)) + mv.radius - prev.radius
+        gap = _norm(mv.center - prev.center) + mv.radius - prev.radius
         if gap > slack:
             problems.append(f"round {n} {mv.player}: containment violated by {gap:.3e}")
         prev = mv
@@ -284,11 +296,17 @@ def find_nk_real(b: float, K: int, alpha: float, beta: float, rho: float,
         return None
     ab = alpha * beta
     for n in range(1, n_max + 1):
-        base_mid = (K + 2.0) / (rho * ab ** n)
+        reach = rho * ab ** n
+        base_mid = (K + 2.0) / reach if reach else math.inf
+        if math.isinf(base_mid / upper):
+            return None  # rho (ab)^n underflowed; later n only shrink it
         km1 = max(1, math.ceil(math.log(base_mid / upper, b) + 1e-12))
         if km1 + 1 > k_max:
             continue
-        mid = base_mid / b ** km1
+        try:
+            mid = base_mid / b ** km1
+        except OverflowError:  # b^(k-1) beyond double range
+            return None
         if lower + margin < mid < upper - margin:
             return n, km1 + 1
     return None
@@ -324,7 +342,7 @@ def find_n_complex(r: float, alpha: float, beta: float, rho: float, k: int,
 
 def _ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim)
-    norm = float(np.linalg.norm(v))
+    norm = _norm(v)
     if norm == 0.0:
         return np.zeros(dim)
     return v / norm * rng.random() ** (1.0 / dim)
@@ -333,12 +351,15 @@ def _ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _max_step_inside(system, start: np.ndarray, direction: np.ndarray,
                      step: float) -> float:
     """Largest t <= step with start + t * direction still in the domain."""
-    if system is None or system.contains(start + step * direction):
+    if system is None:
+        return step
+    pairs = list(zip(start.tolist(), direction.tolist()))
+    if system.contains([a + step * b for a, b in pairs]):
         return step
     lo, hi = 0.0, step
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if system.contains(start + mid * direction):
+        if system.contains([a + mid * b for a, b in pairs]):
             lo = mid
         else:
             hi = mid
@@ -380,14 +401,18 @@ def bob_random() -> Strategy:
 def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
     """Move maximally away from Alice's center along a fixed unit vector,
     clipped at the domain boundary when a domain is attached."""
+    fixed = None
+    if direction is not None:
+        fixed = np.asarray(direction, dtype=float)
+        fixed = fixed / _norm(fixed)
+
     def f(s: GameState) -> np.ndarray:
         y = s.alice_ball().center
-        if direction is None:
+        if fixed is None:
             v = np.zeros(s.params.dimension)
             v[0] = 1.0
         else:
-            v = np.asarray(direction, dtype=float)
-            v = v / np.linalg.norm(v)
+            v = fixed
         a_rad = s.params.alpha * s.params.rho_n(s.round_no - 1)
         step = a_rad * (1.0 - s.params.beta)
         t = _max_step_inside(s.system, y, v, step)
@@ -400,7 +425,7 @@ def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
 
 def _pull_toward(x: np.ndarray, target: np.ndarray, budget: float) -> np.ndarray:
     delta = target - x
-    dist = float(np.linalg.norm(delta))
+    dist = _norm(delta)
     if dist <= budget or dist == 0.0:
         return target.copy()
     return x + delta * (budget / dist)
@@ -475,7 +500,7 @@ def alice_quaternion_componentwise(b: float, digits: Sequence[int],
         if "target" not in s.scratch:
             tgt = np.array([axis[int(np.argmin(np.abs(axis - x[j])))]
                             for j, axis in enumerate(per_axis)])
-            dist = float(np.linalg.norm(tgt - x))
+            dist = _norm(tgt - x)
             if dist > budget * (1.0 + 1e-9):
                 raise StrategyError(
                     f"componentwise target at {dist:.3e} exceeds reach {budget:.3e}")
@@ -504,25 +529,34 @@ def bob_avoid_block(q: Quaternion, lattice: LatticeDomain, xi: Quaternion,
         raise ValueError("avoided block must be nonempty")
     omega_coords = [tuple(int(c) for c in w) for w in omega]
     kernel = lattice.digit_map(q)
+    powers: dict[int, Quaternion] = {}
+    points: dict[tuple, Quaternion] = {}
+
+    def power(n: int) -> Quaternion:
+        if n not in powers:
+            powers[n] = q.powi(n)
+        return powers[n]
 
     def f(s: GameState) -> np.ndarray:
         y = s.alice_ball().center
         kk = s.round_no
         prefix = s.scratch.get("avoid_prefix", Quaternion())
         # local coordinates of Alice's center inside the pinned cylinder
-        t = q.powi((kk - 1) * win) * (Quaternion.from_components(y) - prefix)
+        t = power((kk - 1) * win) * (Quaternion.from_components(y) - prefix)
         block = kernel.expand(lattice.to_coords(t).tolist(), win, nudge=True)
         if tuple(block) == tuple(omega_coords):
             s.note(f"round {kk}: pinned window equals the avoided block")
         new_prefix = prefix
         for i, coords in enumerate(block, start=1):
-            new_prefix = new_prefix + q.powi(-((kk - 1) * win + i)) * lattice.point(coords)
-        center = new_prefix + q.powi(-kk * win) * xi
+            if coords not in points:
+                points[coords] = lattice.point(coords)
+            new_prefix = new_prefix + power(-((kk - 1) * win + i)) * points[coords]
+        center = new_prefix + power(-kk * win) * xi
         proposal = np.array(center.components)
         a_rad = s.params.alpha * s.params.rho_n(kk - 1)
         b_rad = s.params.beta * a_rad
         max_step = (a_rad - b_rad) * (1.0 - 1e-12)
-        gap = float(np.linalg.norm(proposal - y))
+        gap = _norm(proposal - y)
         if gap > max_step:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")
             proposal = y + (proposal - y) * (max_step / gap)

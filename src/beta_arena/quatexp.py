@@ -56,7 +56,10 @@ class LatticeDomain:
         return DigitKernel(A.tolist(), self.offsets, self.row_norms.tolist(), tol)
 
     def contains(self, z: Quaternion, slack: float = 0.0) -> bool:
-        t = self.to_coords(z)
+        return self.box_contains(self.to_coords(z), slack)
+
+    def box_contains(self, t: Sequence[float], slack: float = 0.0) -> bool:
+        """Whether lattice coordinates t lie in the half-open unit box."""
         for ti, lo in zip(t, self.offsets):
             if not (lo - slack <= ti < lo + 1.0 + slack):
                 return False

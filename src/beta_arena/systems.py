@@ -80,7 +80,7 @@ class QuatSystem:
         return (self.lattice.Binv @ np.asarray(p, dtype=float)).tolist()
 
     def contains(self, p: np.ndarray) -> bool:
-        return self.lattice.contains(Quaternion.from_components(p))
+        return self.lattice.box_contains(self.coords(p))
 
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
         d, u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")

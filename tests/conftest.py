@@ -1,4 +1,16 @@
+import os
 import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def pytest_configure(config):
+    """Put src/ on PYTHONPATH for child interpreters (the CLI gate runs
+    `python -m beta_arena.cli`); the ini option `pythonpath` only reaches
+    this process's sys.path."""
+    parts = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if SRC not in map(os.path.abspath, parts):
+        os.environ["PYTHONPATH"] = os.pathsep.join([SRC, *parts])
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -109,6 +109,17 @@ def test_game_losing_preset_exit_0(capsys):
     assert doc["verdict"] == "verified"
 
 
+def test_game_silver_near_bound_falls_back(capsys):
+    # the (n, k) search underflows here; the preset takes its (1, 3) fallback
+    code, out, _ = run_cli(capsys, "game", "--preset", "dwinning-silver",
+                           "--alpha", "0.4706")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["setup_notes"] == [
+        "no (n, k) satisfies the strategy window; using fallback (1, 3)"]
+    assert doc["claim"]["position"] == 3
+
+
 def test_game_broken_alpha_never_crashes(capsys):
     # beta = 1/(alpha |q|) leaves (0, 1): reported as an error, exit 3
     code, _, err = run_cli(capsys, "game", "--preset", "notwinning-lipschitz",

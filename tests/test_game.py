@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from beta_arena.complexexp import ComplexBase
 from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams,
-                             IllegalMoveError, StrategyError, alice_center_hold,
+                             IllegalMoveError, StrategyError, _max_step_inside,
+                             _norm, alice_center_hold,
                              alice_quaternion_componentwise, alice_random,
                              alice_real_winning, audit_trace,
                              bob_avoid_block, bob_center_hold,
@@ -14,9 +15,10 @@ from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams,
                              find_n_complex, find_nk_real, play,
                              verify_outcome, winning_gap)
 from beta_arena.numeric import Quaternion, metallic_mean
-from beta_arena.quatexp import lipschitz
+from beta_arena.presets import build_preset, run_setup
+from beta_arena.quatexp import lipschitz, zeta_lattice
 from beta_arena.realexp import RealBase
-from beta_arena.systems import QuatSystem, RealSystem
+from beta_arena.systems import ComplexSystem, QuatSystem, RealSystem
 
 PHI = metallic_mean(1)
 
@@ -181,6 +183,22 @@ def test_find_nk_real_postconditions():
         assert b * (K + 2.0) * winning_gap(alpha, beta) < mid < 1.0 - alpha
 
 
+def test_find_nk_real_never_raises():
+    # rho (ab)^n underflows, or b^(k-1) overflows, long before n_max: the
+    # search must report exhaustion instead of raising
+    for b in (PHI, metallic_mean(2), 2.5, 3.0):
+        K = RealBase(b).K_b
+        for factor in (1.0, 0.5):
+            for i in range(1, 2000):
+                for beta in (0.3, 0.5, 0.6, 0.7, 0.9):
+                    res = find_nk_real(b, K, i / 2000, beta, 0.4, upper_factor=factor)
+                    assert res is None or (res[0] >= 1 and res[1] >= 2)
+    # the two reported cases: the dwinning-silver preset at alpha 0.4706
+    # (underflow) and dwinning-golden at alpha 0.5005, beta 0.6 (overflow)
+    for b, alpha in ((metallic_mean(2), 0.4706), (PHI, 0.5005)):
+        assert find_nk_real(b, RealBase(b).K_b, alpha, 0.6, 0.4) is None
+
+
 def test_find_nk_real_none_when_below_threshold():
     # beta below A leaves no window
     b, K, alpha = 2.5, 6, 0.4
@@ -268,6 +286,25 @@ def test_componentwise_decomposes_each_distinct_digit_once(monkeypatch):
     monkeypatch.setattr(RealBase, "cylinder_intervals", counted)
     alice_quaternion_componentwise(3.0, (1, 0, 1, 0), 1, 3)
     assert calls == [1, 0]
+
+
+def test_avoidance_computes_each_radix_power_once(monkeypatch):
+    setup = build_preset("notwinning-zeta")
+    q = setup.system.q
+    calls = []
+    orig = Quaternion.powi
+
+    def counted(self, n):
+        calls.append((self, n))
+        return orig(self, n)
+    monkeypatch.setattr(Quaternion, "powi", counted)
+    trace, _ = run_setup(setup, seed=0)
+    assert setup.max_rounds == 64
+    assert len(calls) == len(set(calls))  # recursive calls included
+    rounds, win = trace.rounds_played, len(setup.claim.block)
+    on_q = {n for p, n in calls if p is q}
+    assert on_q == ({win * (k - 1) for k in range(1, rounds + 1)}
+                    | set(range(-win * rounds, 0)))
 
 
 # -- avoidance strategy ---------------------------------------------------------
@@ -360,3 +397,70 @@ def test_trace_json_round_trip_fields():
     assert len(doc["moves"]) == 1 + 2 * 3
     assert all(mv["legal"] for mv in doc["moves"])
     assert trace.to_json() == trace.to_json()
+
+
+# -- fast paths against their numpy originals -------------------------------------
+
+def test_norm_matches_numpy_bitwise_on_random_vectors():
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 4):
+        vs = rng.normal(size=(4000, dim)) * 10.0 ** rng.uniform(-13, 1, size=(4000, 1))
+        for v in vs:
+            assert _norm(v).hex() == float(np.linalg.norm(v)).hex(), v
+
+
+_signed = st.tuples(st.booleans(), st.floats(1e-13, 10.0)).map(
+    lambda t: -t[1] if t[0] else t[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2, 4)).flatmap(
+    lambda dim: st.lists(_signed, min_size=dim, max_size=dim)))
+def test_norm_matches_numpy_bitwise(components):
+    v = np.array(components)
+    assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
+
+
+def _array_max_step_inside(system, start, direction, step):
+    """The array bisection _max_step_inside replaced, kept as its oracle."""
+    if system is None or system.contains(start + step * direction):
+        return step
+    lo, hi = 0.0, step
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if system.contains(start + mid * direction):
+            lo = mid
+        else:
+            hi = mid
+    return lo * (1.0 - 1e-9)
+
+
+_ZETA = zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.0, 0.0), 0.25)
+STEP_SYSTEMS = (
+    RealSystem(RealBase(PHI)),
+    ComplexSystem(ComplexBase(4.5, 0.05)),
+    QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz()),
+    QuatSystem(Quaternion(0.0, 6.0, 0.0, 0.0), _ZETA),
+)
+
+
+def _inside_point(system, u):
+    if system.dim == 1:
+        return np.array(u[:1])
+    if system.dim == 2:
+        return np.array([lo + x for lo, x in zip(system.base.lo, u)])
+    lat = system.lattice
+    return lat.B @ np.array([lo + x for lo, x in zip(lat.offsets, u)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STEP_SYSTEMS),
+       st.lists(st.floats(0.0, 0.999), min_size=4, max_size=4),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.floats(1e-12, 3.0))
+def test_max_step_inside_matches_array_bisection(system, u, d, step):
+    start = _inside_point(system, u)
+    direction = np.array(d[:system.dim])
+    want = _array_max_step_inside(system, start, direction, step)
+    assert _max_step_inside(system, start, direction, step).hex() == want.hex()
+    assert _max_step_inside(None, start, direction, step) == step

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beta_arena.complexexp import ComplexBase
 from beta_arena.numeric import Quaternion, metallic_mean
-from beta_arena.quatexp import lipschitz, q_expand
+from beta_arena.quatexp import (hurwitz_box, lipschitz, q_expand,
+                                symmetric_domain, zeta_lattice)
 from beta_arena.realexp import RealBase
 from beta_arena.systems import (ComplexSystem, QuatSystem, RealSystem,
                                 expand_digits)
@@ -71,3 +73,38 @@ def test_contains():
     qs = QuatSystem(Quaternion.real(3.0), lipschitz())
     assert qs.contains(np.array([0.0, 0.5, 0.99, 0.2]))
     assert not qs.contains(np.array([0.0, 0.5, 1.0, 0.2]))
+
+
+# -- QuatSystem.contains tests coordinates directly --------------------------
+
+STOCK_LATTICES = (
+    lipschitz(), lipschitz(centered=True), hurwitz_box(), symmetric_domain(0.25),
+    zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.0, 0.0), 0.25),
+)
+
+
+def _ambient(lattice, coords):
+    return lattice.B @ np.array(coords, dtype=float)
+
+
+def _agrees(lattice, p):
+    got = QuatSystem(Quaternion.real(3.0), lattice).contains(p)
+    assert got == lattice.contains(Quaternion.from_components(p)), (lattice.name, p)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(STOCK_LATTICES),
+       st.lists(st.floats(-0.5, 1.5), min_size=4, max_size=4))
+def test_quat_contains_matches_lattice_domain(lattice, u):
+    _agrees(lattice, _ambient(lattice, [lo + x for lo, x in zip(lattice.offsets, u)]))
+
+
+@pytest.mark.parametrize("lattice", STOCK_LATTICES, ids=lambda L: L.name)
+def test_quat_contains_half_open_faces(lattice):
+    for axis in range(4):
+        coords = [lo + 0.5 for lo in lattice.offsets]
+        coords[axis] = lattice.offsets[axis]
+        assert _agrees(lattice, _ambient(lattice, coords))  # lower face: inside
+        coords[axis] = lattice.offsets[axis] + 1.0
+        assert not _agrees(lattice, _ambient(lattice, coords))  # upper face: outside
