@@ -8,7 +8,7 @@ from .complexexp import ComplexBase
 from .quatexp import (COmegaResult, DomainConstants, LatticeDomain,
                       LosingParameters, avoid_constant, C_Omega,
                       domain_constants, hurwitz_box, isoclinic_matrix,
-                      lipschitz, losing_parameters, q_expand, q_step,
+                      lipschitz, losing_parameters, q_expand,
                       rot_balanced_rho, rot_constants, symmetric_constants,
                       symmetric_domain, zeta_lattice)
 from .systems import ComplexSystem, QuatSystem, RealSystem, expand_digits
@@ -32,7 +32,7 @@ __all__ = [
     "COmegaResult", "DomainConstants", "LatticeDomain", "LosingParameters",
     "avoid_constant", "C_Omega", "domain_constants", "hurwitz_box",
     "isoclinic_matrix", "lipschitz", "losing_parameters", "q_expand",
-    "q_step", "rot_balanced_rho", "rot_constants", "symmetric_constants",
+    "rot_balanced_rho", "rot_constants", "symmetric_constants",
     "symmetric_domain", "zeta_lattice",
     "ComplexSystem", "QuatSystem", "RealSystem", "expand_digits",
     "A_threshold", "Claim", "F_threshold", "GameParams", "GameTrace",

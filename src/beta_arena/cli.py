@@ -8,9 +8,17 @@ Subcommands:
   game        play one prepared game and verify its claim
   scan        sweep a game preset over a parameter grid
 
-Exit codes for `game`: 0 claim verified, 2 falsified, 3 indeterminate,
-4 illegal move.  Everything that prints is deterministic for a fixed seed:
-no timestamps, sorted JSON keys, fixed float formatting.
+`expand` builds the adapter of one system (see systems.py) and runs the same
+steps for all three: check the point, expand it, measure how well the digits
+reconstruct it, print.
+
+Errors are reported once, in `main`, and never as a traceback.  Exit codes:
+0 success (for `game`, claim verified); 2 `game` claim falsified; 3 invalid
+or ambiguous input, usage errors included (`error: ...` or `ambiguous
+input: ...` on stderr), a strategy that gave up (`strategy gave up: ...`), or
+an indeterminate verdict; 4 an illegal move or a failed trace audit.
+Everything that prints is deterministic for a fixed seed: no timestamps,
+sorted JSON keys, fixed float formatting.
 """
 
 from __future__ import annotations
@@ -21,13 +29,13 @@ import math
 import os
 import sys
 
-from .complexexp import ComplexBase
+from .complexexp import ComplexBase, G_region, classify_digit_set
 from .game import IllegalMoveError, StrategyError, audit_trace, A_threshold, F_threshold
 from .numeric import AmbiguousValueError, Quaternion, Tolerance, DEFAULT_TOL, metallic_mean
 from .quatexp import hurwitz_box, lipschitz, symmetric_domain, zeta_lattice
 from .realexp import RealBase
 from .presets import PRESETS, build_preset, run_setup
-from .systems import QuatSystem
+from .systems import ComplexSystem, QuatSystem, RealSystem, expand_digits
 
 
 def _tolerance() -> Tolerance:
@@ -71,6 +79,8 @@ def parse_lattice(text: str, tol: Tolerance):
 def parse_grid(text: str) -> list[float]:
     """start:stop:step inclusive of stop up to float slack."""
     start, stop, step = (float(p) for p in text.split(":"))
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
     out = []
@@ -84,28 +94,10 @@ def parse_grid(text: str) -> list[float]:
     return out
 
 
-def _format_complex_digit(d: tuple[int, int]) -> str:
-    a, b = d
-    if a == 0 and b == 0:
-        return "0"
+def _format_digit(d) -> str:
+    """A real digit, or a digit's coordinates as a sum of units: 2-i, -1+2i+j-k."""
     parts = []
-    if a != 0:
-        parts.append(str(a))
-    if b != 0:
-        if b == 1:
-            parts.append("+i" if parts else "i")
-        elif b == -1:
-            parts.append("-i")
-        else:
-            parts.append(f"{b:+d}i" if parts else f"{b}i")
-    return "".join(parts)
-
-
-def _format_quat_digit(d: tuple) -> str:
-    units = ["", "i", "j", "k"]
-    parts = []
-    for coeff, unit in zip(d, units):
-        c = int(coeff) if float(coeff).is_integer() else coeff
+    for c, unit in zip(d if isinstance(d, tuple) else (d,), ("", "i", "j", "k")):
         if c == 0:
             continue
         if unit and c == 1:
@@ -121,48 +113,29 @@ def _format_quat_digit(d: tuple) -> str:
 
 
 def cmd_expand(args, tol: Tolerance) -> int:
-    on_ambiguous = args.on_ambiguous
     if args.real is not None:
-        base = RealBase(parse_base(args.real), tol=tol)
-        x = args.x
-        if x is None:
-            raise SystemExit("expand --real needs --x")
-        digits = base.digits(x, args.n, on_ambiguous=on_ambiguous)
-        approx = base.value(digits)
-        err = abs(x - approx)
-        rendered = [str(d) for d in digits]
-        payload = {"digits": list(digits), "reconstruction_error": err}
+        system = RealSystem(RealBase(parse_base(args.real), tol=tol))
+        p = [] if args.x is None else [args.x]
     elif args.complex is not None:
-        r, theta = args.complex
         lo = (-0.5, -0.5) if args.centered else (0.0, 0.0)
-        base = ComplexBase(r, theta, tol=tol, lo=lo)
-        if args.z is None:
-            raise SystemExit("expand --complex needs --z RE IM")
-        z = Quaternion.complex2(args.z[0], args.z[1])
-        digits = base.expand(z, args.n, on_ambiguous=on_ambiguous)
-        err = math.dist((z.a, z.b), base.kernel.reconstruct(digits))
-        rendered = [_format_complex_digit(d) for d in digits]
-        payload = {"digits": [list(d) for d in digits], "reconstruction_error": err}
-    elif args.quat is not None:
-        from .quatexp import q_expand
-        q = Quaternion(*args.quat)
-        lattice = parse_lattice(args.lattice, tol)
-        if args.z is None or len(args.z) != 4:
-            raise SystemExit("expand --quat needs --z A B C D")
-        z = Quaternion(*args.z)
-        digits = q_expand(q, lattice, z, args.n, tol=tol,
-                          on_ambiguous=on_ambiguous)
-        err = abs(z - lattice.point(lattice.digit_map(q, tol).reconstruct(digits)))
-        rendered = [_format_quat_digit(d) for d in digits]
-        payload = {"digits": [list(d) for d in digits], "reconstruction_error": err}
+        system = ComplexSystem(ComplexBase(*args.complex, tol=tol, lo=lo))
+        p = args.z or []
     else:
-        raise SystemExit("expand needs one of --real, --complex, --quat")
+        system = QuatSystem(Quaternion(*args.quat), parse_lattice(args.lattice, tol), tol)
+        p = args.z or []
+    if len(p) != system.dim:
+        raise ValueError(f"the point needs {system.dim} coordinate(s) "
+                         f"(--x for --real, --z otherwise), got {len(p)}")
+    if not system.contains(p):
+        raise ValueError("point outside the fundamental domain")
+    digits = expand_digits(system, p, args.n, args.on_ambiguous)
+    err = math.dist(p, system._point(system.kernel.reconstruct(digits)))
 
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"digits": digits, "reconstruction_error": err}, sort_keys=True))
     else:
-        sep = " " if args.real is not None else ", "
-        print("digits:", sep.join(rendered))
+        sep = " " if system.dim == 1 else ", "
+        print("digits:", sep.join(map(_format_digit, digits)))
         print("reconstruction error:", _fmt(err))
     return 0
 
@@ -179,8 +152,18 @@ def cmd_admissible(args, tol: Tolerance) -> int:
 
 
 def cmd_regions(args, tol: Tolerance) -> int:
+    if args.curve == "classify":
+        try:
+            square, N = classify_digit_set(args.r, args.theta, tol)
+            payload = {"ambiguous": False, "square": square, "N": N}
+        except AmbiguousValueError:
+            payload = {"ambiguous": True, "square": None, "N": None}
+        print(json.dumps(payload, sort_keys=True))
+        return 0
     rows: list[tuple] = []
     if args.curve == "A":
+        if args.b is None:
+            raise ValueError("--curve A needs --b")
         b = parse_base(args.b)
         base = RealBase(b, tol=tol)
         header = "alpha,beta_threshold"
@@ -190,22 +173,10 @@ def cmd_regions(args, tol: Tolerance) -> int:
         header = "alpha,beta_threshold"
         for alpha in parse_grid(args.alpha):
             rows.append((alpha, F_threshold(args.r, alpha, tol=tol)))
-    elif args.curve == "G":
-        from .complexexp import G_region
+    else:
         header = "N,interval_lo,interval_hi"
         for reg in G_region(args.theta, tol=tol):
             rows.append((reg.N, reg.v_lo, reg.u_hi))
-    elif args.curve == "classify":
-        from .complexexp import classify_digit_set
-        try:
-            square, N = classify_digit_set(args.r, args.theta, tol)
-            payload = {"ambiguous": False, "square": square, "N": N}
-        except AmbiguousValueError:
-            payload = {"ambiguous": True, "square": None, "N": None}
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    else:
-        raise SystemExit(f"unknown curve {args.curve!r}")
 
     if args.format == "json":
         cols = header.split(",")
@@ -223,31 +194,14 @@ _EXIT = {"verified": 0, "falsified": 2, "indeterminate": 3}
 
 
 def _run_game(preset: str, overrides: dict, seed: int, max_rounds: int | None):
-    kwargs = dict(overrides)
-    if max_rounds is not None:
-        kwargs["max_rounds"] = max_rounds
-    setup = build_preset(preset, **kwargs)
+    setup = build_preset(preset, **overrides, max_rounds=max_rounds)
     trace, result = run_setup(setup, seed=seed)
     return setup, trace, result
 
 
 def cmd_game(args, tol: Tolerance) -> int:
-    overrides = {"alpha": args.alpha, "beta": args.beta, "rho": args.rho}
-    if args.bob is not None:
-        overrides["bob"] = args.bob
-    try:
-        setup, trace, result = _run_game(args.preset, overrides, args.seed,
-                                         args.max_rounds)
-    except IllegalMoveError as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
-    except StrategyError as exc:
-        print(f"strategy gave up: {exc}", file=sys.stderr)
-        return 3
-    except TypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
+    overrides = {"alpha": args.alpha, "beta": args.beta, "rho": args.rho, "bob": args.bob}
+    setup, trace, result = _run_game(args.preset, overrides, args.seed, args.max_rounds)
     violations = audit_trace(trace)
     doc = {
         "preset": setup.name,
@@ -299,16 +253,24 @@ def cmd_scan(args, tol: Tolerance) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so they exit 3 like any other invalid
+    input and exit code 2 keeps its one meaning, a falsified claim."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="beta-arena",
-                                description="expansions, digit regions and "
-                                            "the radius-ratio game")
+    p = _Parser(prog="beta-arena",
+                description="expansions, digit regions and the radius-ratio game")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     ex = sub.add_parser("expand", help="digit string of a point")
-    ex.add_argument("--real", help="real base (float or golden/silver/metallic:J)")
-    ex.add_argument("--complex", nargs=2, type=float, metavar=("R", "THETA"))
-    ex.add_argument("--quat", nargs=4, type=float, metavar=("A", "B", "C", "D"))
+    system = ex.add_mutually_exclusive_group(required=True)
+    system.add_argument("--real", help="real base (float or golden/silver/metallic:J)")
+    system.add_argument("--complex", nargs=2, type=float, metavar=("R", "THETA"))
+    system.add_argument("--quat", nargs=4, type=float, metavar=("A", "B", "C", "D"))
     ex.add_argument("--x", type=float, help="real point in [0, 1)")
     ex.add_argument("--z", nargs="+", type=float,
                     help="complex point RE IM, or quaternion A B C D")
@@ -358,15 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, _tolerance())
     except AmbiguousValueError as exc:
         print(f"ambiguous input: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except StrategyError as exc:
+        print(f"strategy gave up: {exc}", file=sys.stderr)
+    except IllegalMoveError as exc:
+        print(exc, file=sys.stderr)
+        return 4
+    return 3
 
 
 if __name__ == "__main__":

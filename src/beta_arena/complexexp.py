@@ -74,8 +74,8 @@ class ComplexBase:
 
     def __init__(self, r: float, theta: float, tol: Tolerance = DEFAULT_TOL,
                  lo: tuple[float, float] = (-0.5, -0.5)):
-        if not r > 1.0:
-            raise ValueError("modulus must exceed 1")
+        if not 1.0 < r < math.inf:
+            raise ValueError("modulus must be finite and exceed 1")
         self.r = float(r)
         self.theta = float(theta)
         self.tol = tol
@@ -103,14 +103,6 @@ class ComplexBase:
         return (self.lo[0] <= z.a < self.lo[0] + 1.0
                 and self.lo[1] <= z.b < self.lo[1] + 1.0)
 
-    def digit(self, z: Quaternion, on_ambiguous: str = "error") -> GaussInt:
-        return self.step(z, on_ambiguous)[0]
-
-    def step(self, z: Quaternion, on_ambiguous: str = "error") -> tuple[GaussInt, Quaternion]:
-        """One application of z -> xi z - d, returning (digit, remainder)."""
-        d, u, _ = self.kernel.step([z.a, z.b], on_ambiguous == "nudge")
-        return d, Quaternion.complex2(*u)
-
     def expand(self, z: Quaternion, n: int, on_ambiguous: str = "error") -> list[GaussInt]:
         if not self.contains(z):
             raise ValueError("point outside the fundamental square")
@@ -124,8 +116,8 @@ def classify_digit_set(r: float, theta: float, tol: Tolerance = DEFAULT_TOL) -> 
     box.  Raises AmbiguousValueError within 10*eps_cmp of either region
     boundary rather than guessing a side.
     """
-    if not r > 1.0:
-        raise ValueError("modulus must exceed 1")
+    if not 1.0 < r < math.inf:
+        raise ValueError("modulus must be finite and exceed 1")
     t = fold_angle(theta)
     cps = math.cos(t) + math.sin(t)
     beps = 10.0 * tol.eps_cmp

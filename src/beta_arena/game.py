@@ -72,8 +72,8 @@ class GameParams:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         if self.dimension not in (1, 2, 4):
             raise ValueError("dimension must be 1, 2 or 4")
         if len(self.initial_center) != self.dimension:

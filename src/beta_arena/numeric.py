@@ -114,6 +114,8 @@ class DigitKernel:
 
     def expand(self, u, n: int, nudge: bool = False) -> list[tuple[int, ...]]:
         """First n digits of u."""
+        if n < 0:
+            raise ValueError("length must be nonnegative")
         out = []
         for _ in range(n):
             d, u, _ = self.step(u, nudge)

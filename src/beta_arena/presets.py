@@ -10,6 +10,7 @@ verification step renders the verdict.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -55,26 +56,30 @@ def _make_bob(kind: str, direction=None) -> Strategy:
     raise ValueError(f"unknown bob strategy {kind!r}")
 
 
-def real_winning_setup(b: float, d: int = 0, alpha: float = 0.05,
-                       beta: float = 0.7, rho: float = 0.4, x0: float = 0.5,
-                       bob: str = "optimal-drift", name: str = "real-winning",
-                       max_rounds: int = 64) -> GameSetup:
-    """Steer the k-th digit of a real expansion to d."""
+def _real_window(b: float, alpha: float, beta: float, rho: float,
+                 upper_factor: float, window: str) -> tuple[RealBase, int, int, list[str]]:
+    """The base b and the (n, k) of its digit-steering window, or the noted
+    fallback (1, 3) when find_nk_real finds none."""
     base = RealBase(b)
     if not base.iK_determined:
         # the zero-run bound K backs the threshold; an observed lower bound
         # would silently overstate the strategy's reach
         raise StrategyError(
             f"base {b!r}: tail expansion not resolved at depth {base.depth}")
-    notes = []
-    nk = find_nk_real(b, base.K_b, alpha, beta, rho)
+    nk = find_nk_real(b, base.K_b, alpha, beta, rho, upper_factor=upper_factor)
     if nk is None:
-        # keep k small so the strategy still has targets; the game will
-        # simply fail verification if the parameters are genuinely bad
-        notes.append("no (n, k) satisfies the strategy window; using fallback (1, 3)")
-        nk = (1, 3)
-    n, k = nk
+        # keep k small so the strategy still has targets
+        return base, 1, 3, [f"no (n, k) satisfies the {window}; using fallback (1, 3)"]
+    return base, *nk, []
+
+
+def real_winning_setup(b: float, d: int = 0, alpha: float = 0.05,
+                       beta: float = 0.7, rho: float = 0.4, x0: float = 0.5,
+                       bob: str = "optimal-drift", name: str = "real-winning",
+                       max_rounds: int = 64) -> GameSetup:
+    """Steer the k-th digit of a real expansion to d."""
     params = GameParams(alpha, beta, rho, 1, (x0,))
+    base, n, k, notes = _real_window(b, alpha, beta, rho, 1.0, "strategy window")
     return GameSetup(
         name=name, kind="winning", params=params, system=RealSystem(base),
         alice=alice_real_winning(base, d, n, k), bob=_make_bob(bob),
@@ -90,13 +95,13 @@ def complex_winning_setup(r: float = 4.5, theta: float = 0.05, k: int = 2,
                           name: str = "complex-winning",
                           max_rounds: int = 64) -> GameSetup:
     """Steer the k-th digit of a complex expansion to zero."""
+    params = GameParams(alpha, beta, rho, 2, tuple(x0))
     base = ComplexBase(r, theta)
     notes = []
     n = find_n_complex(r, alpha, beta, rho, k)
     if n is None:
         notes.append("no hold length n satisfies the strategy window; using n = 1")
         n = 1
-    params = GameParams(alpha, beta, rho, 2, tuple(x0))
     return GameSetup(
         name=name, kind="winning", params=params, system=ComplexSystem(base),
         alice=alice_complex_winning(base, k, n), bob=_make_bob(bob),
@@ -118,17 +123,8 @@ def quat_componentwise_setup(b: float = 3.0,
     The threshold doubles the radix (2b) and the per-coordinate reach halves,
     hence the 0.5 window factor in the (n, k) search.
     """
-    base = RealBase(b)
-    if not base.iK_determined:
-        raise StrategyError(
-            f"base {b!r}: tail expansion not resolved at depth {base.depth}")
-    notes = []
-    nk = find_nk_real(b, base.K_b, alpha, beta, rho, upper_factor=0.5)
-    if nk is None:
-        notes.append("no (n, k) satisfies the halved window; using fallback (1, 3)")
-        nk = (1, 3)
-    n, k = nk
     params = GameParams(alpha, beta, rho, 4, tuple(x0))
+    base, n, k, notes = _real_window(b, alpha, beta, rho, 0.5, "halved window")
     system = QuatSystem(Quaternion.real(b), lipschitz())
     return GameSetup(
         name=name, kind="winning", params=params, system=system,
@@ -147,6 +143,8 @@ def _losing_setup(name: str, q: Quaternion, lattice: LatticeDomain,
                   max_rounds: int) -> GameSetup:
     n = len(omega)
     qn = abs(q) ** n
+    if not 0.0 < alpha < 1.0:  # checked before beta = 1/(alpha |q|^n) divides by it
+        raise ValueError("alpha must lie in (0, 1)")
     if beta is None:
         beta = 1.0 / (alpha * qn)  # pins alpha beta = |q|^-n
     notes = []
@@ -227,27 +225,34 @@ def zeta_losing_setup(alpha: float = 0.5, beta: float | None = None,
                          omega, alpha, beta, max_rounds)
 
 
+# name -> (builder, the arguments that make the preset); overrides replace them
 PRESETS = {
-    "dwinning-golden": lambda **kw: real_winning_setup(
-        (1.0 + math.sqrt(5.0)) / 2.0, name="dwinning-golden", **kw),
-    "dwinning-silver": lambda **kw: real_winning_setup(
-        1.0 + math.sqrt(2.0), beta=kw.pop("beta", 0.6), x0=kw.pop("x0", 0.3),
-        name="dwinning-silver", **kw),
-    "cwinning-nine-halves": lambda **kw: complex_winning_setup(
-        name="cwinning-nine-halves", **kw),
-    "qwinning-componentwise": lambda **kw: quat_componentwise_setup(
-        name="qwinning-componentwise", **kw),
-    "notwinning-lipschitz": lambda **kw: lipschitz_losing_setup(**kw),
-    "notwinning-hurwitz": lambda **kw: hurwitz_losing_setup(**kw),
-    "notwinning-symmetric": lambda **kw: symmetric_losing_setup(**kw),
-    "notwinning-zeta": lambda **kw: zeta_losing_setup(**kw),
+    "dwinning-golden": (real_winning_setup, {"b": (1.0 + math.sqrt(5.0)) / 2.0}),
+    "dwinning-silver": (real_winning_setup,
+                        {"b": 1.0 + math.sqrt(2.0), "beta": 0.6, "x0": 0.3}),
+    "cwinning-nine-halves": (complex_winning_setup, {}),
+    "qwinning-componentwise": (quat_componentwise_setup, {}),
+    "notwinning-lipschitz": (lipschitz_losing_setup, {}),
+    "notwinning-hurwitz": (hurwitz_losing_setup, {}),
+    "notwinning-symmetric": (symmetric_losing_setup, {}),
+    "notwinning-zeta": (zeta_losing_setup, {}),
 }
 
 
 def build_preset(name: str, **overrides) -> GameSetup:
+    """The named preset with the given arguments replaced; None means keep.
+
+    An argument the preset's builder does not take is refused by name.
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
-    return PRESETS[name](**{k: v for k, v in overrides.items() if v is not None})
+    builder, args = PRESETS[name]
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    takes = inspect.signature(builder).parameters
+    for key in overrides:
+        if key not in takes:
+            raise ValueError(f"preset {name!r} does not take {key!r}")
+    return builder(**{**args, **overrides, "name": name})
 
 
 def run_setup(setup: GameSetup, seed: int = 0):

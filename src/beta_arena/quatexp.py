@@ -91,16 +91,6 @@ class LatticeDomain:
         return self.face_margin(center) >= rho - slack
 
 
-def q_step(q: Quaternion, lattice: LatticeDomain, z: Quaternion,
-           tol: Tolerance = DEFAULT_TOL, on_ambiguous: str = "error"
-           ) -> tuple[Coords, Quaternion]:
-    """One application of z -> q z - d, with d the lattice point returning
-    q z to the box.  Returns the digit as basis coordinates plus the remainder."""
-    d, u, _ = lattice.digit_map(q, tol).step(lattice.to_coords(z).tolist(),
-                                             on_ambiguous == "nudge")
-    return d, lattice.point(u)
-
-
 def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
              tol: Tolerance = DEFAULT_TOL, on_ambiguous: str = "error") -> list[Coords]:
     if not lattice.contains(z):
@@ -112,8 +102,8 @@ def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
 def isoclinic_matrix(q: Quaternion) -> np.ndarray:
     """Orthogonal matrix M with |q| M vec(x) = vec(q x) for all x."""
     n = abs(q)
-    if n == 0.0:
-        raise ValueError("zero quaternion")
+    if not 0.0 < n < math.inf:
+        raise ValueError("quaternion must be nonzero and finite")
     a, b, c, d = (t / n for t in q.components)
     return np.array([
         [a, -b, -c, -d],

@@ -46,8 +46,8 @@ class RealBase:
     """
 
     def __init__(self, b: float, depth: int = 256, tol: Tolerance = DEFAULT_TOL):
-        if not b > 1.0:
-            raise ValueError("base must exceed 1")
+        if not 1.0 < b < math.inf:
+            raise ValueError("base must be finite and exceed 1")
         if depth < 8:
             raise ValueError("depth too small to be useful")
         self.b = float(b)

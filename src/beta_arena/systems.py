@@ -3,9 +3,11 @@
 The game engine and the outcome verifier only need a handful of operations:
 ambient dimension, the scaling factor of one digit step, membership in the
 fundamental domain, and a single expansion step that also reports how far the
-pre-floor image sits from its digit-cell boundary.  Points travel as numpy
-arrays of the ambient dimension regardless of the underlying system; each
-adapter converts them to the lattice coordinates of its digit kernel.
+pre-floor image sits from its digit-cell boundary.  The `expand` command uses
+the same adapters, so each system is described in one place.  Points travel
+as numpy arrays of the ambient dimension regardless of the underlying system;
+each adapter converts them to the lattice coordinates of its digit kernel
+(`coords`) and back (`_point`).
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ class RealSystem:
     def contains(self, p: np.ndarray) -> bool:
         return 0.0 <= p[0] < 1.0
 
+    def _point(self, u) -> np.ndarray:
+        return np.array(u)
+
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
         (d,), u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
-        return d, np.array(u), margin
+        return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:
         return a == b
@@ -57,9 +62,12 @@ class ComplexSystem:
         return (self.base.lo[0] <= p[0] < self.base.lo[0] + 1.0
                 and self.base.lo[1] <= p[1] < self.base.lo[1] + 1.0)
 
+    def _point(self, u) -> np.ndarray:
+        return np.array(u)
+
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
         d, u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
-        return d, np.array(u), margin
+        return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:
         return tuple(a) == tuple(b)
@@ -82,9 +90,12 @@ class QuatSystem:
     def contains(self, p: np.ndarray) -> bool:
         return self.lattice.box_contains(self.coords(p))
 
+    def _point(self, u) -> np.ndarray:
+        return self.lattice.B @ u
+
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
         d, u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
-        return d, self.lattice.B @ u, margin
+        return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:
         return tuple(a) == tuple(b)

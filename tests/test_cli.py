@@ -174,7 +174,29 @@ def test_eps_env_override(capsys, monkeypatch):
     (None, ("expand", "--real", "1.0", "--x", "0.5")),
     (None, ("admissible", "--real", "golden", "--n", "-1")),
     ("abc", ("expand", "--real", "golden", "--x", "0.5")),
-], ids=["x-outside-domain", "base-not-above-1", "negative-length", "eps-not-a-number"])
+    (None, ("expand", "--real", "golden")),
+    (None, ("expand", "--complex", "4.5", "0.05", "--z", ".1", ".2", ".3", ".4")),
+    (None, ("expand", "--quat", "3", "3", "3", "3", "--z", ".1", ".2")),
+    (None, ("expand",)),
+    (None, ("expand", "--real", "golden", "--complex", "4.5", "0")),
+    (None, ("expand", "--real", "golden", "--x", "0.3", "--n", "-1")),
+    (None, ("expand", "--complex", "4.5", "0.05", "--z", ".1", ".2", "--n", "-1")),
+    (None, ("expand", "--quat", "3", "3", "3", "3", "--z", ".1", ".2", ".3", ".4",
+            "--n", "-1")),
+    (None, ("expand", "--real", "inf", "--x", ".5")),
+    (None, ("expand", "--complex", "inf", "0", "--centered", "--z", "0", "0")),
+    (None, ("regions", "--curve", "A")),
+    (None, ("regions", "--curve", "F", "--alpha", "nan:1:0.1")),
+    (None, ("game", "--preset", "notwinning-symmetric", "--rho", ".1")),
+    (None, ("game", "--preset", "notwinning-lipschitz", "--bob", "random")),
+    (None, ("game",)),
+    (None, ("game", "--preset", "notwinning-lipschitz", "--alpha", "0")),
+], ids=["x-outside-domain", "base-not-above-1", "negative-length", "eps-not-a-number",
+        "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
+        "no-system", "two-systems", "real-negative-n", "complex-negative-n",
+        "quat-negative-n", "infinite-real-base", "infinite-modulus",
+        "curve-A-without-b", "grid-not-finite", "override-rho-on-symmetric",
+        "override-bob-on-losing", "game-without-preset", "alpha-zero"])
 def test_invalid_input_exits_3(capsys, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("BETA_ARENA_EPS", env)
@@ -182,6 +204,21 @@ def test_invalid_input_exits_3(capsys, monkeypatch, env, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_usage_error_names_the_problem(capsys):
+    code, _, err = run_cli(capsys, "expand", "--real", "golden", "--complex", "4.5", "0")
+    assert code == 3
+    assert err == "error: argument --complex: not allowed with argument --real\n"
+    code, _, err = run_cli(capsys, "game")
+    assert (code, err) == (3, "error: the following arguments are required: --preset\n")
+
+
+def test_strategy_error_exits_3(capsys):
+    code, out, err = run_cli(capsys, "game", "--preset", "dwinning-golden",
+                             "--alpha", "0.5005", "--beta", "0.6")
+    assert (code, out) == (3, "")
+    assert err.startswith("strategy gave up: ")
 
 
 def test_grid_parse():

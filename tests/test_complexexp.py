@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from beta_arena.complexexp import (ComplexBase, F_roots, F_value, G_region,
                                    gamma_constants, snake_order, u_threshold,
                                    v_threshold)
 from beta_arena.numeric import AmbiguousValueError, Quaternion, metallic_mean
+from beta_arena.systems import ComplexSystem
 
 PHI = metallic_mean(1)
 
@@ -83,12 +85,13 @@ def detect_period(digs):
 
 def test_remainder_stays_in_square():
     base = ComplexBase(3.3, 0.4)
+    system = ComplexSystem(base)
     pts = [(-0.31, 0.12), (0.49, -0.45), (0.0, 0.0), (-0.5, -0.5)]
     for (x, y) in pts:
-        cur = Quaternion.complex2(x, y)
+        cur = np.array([x, y])
         for _ in range(12):
-            _, cur = base.step(cur, on_ambiguous="nudge")
-            assert base.contains(cur)
+            _, cur, _ = system.step(cur, on_ambiguous="nudge")
+            assert base.contains(Quaternion.complex2(*cur))
 
 
 def test_expansion_reconstructs_point():
@@ -320,6 +323,5 @@ def test_digit_always_in_classified_box(r, theta, x, y):
         square, N = classify_digit_set(r, theta)
     except AmbiguousValueError:
         return
-    base = ComplexBase(r, theta)
-    d = base.digit(Quaternion.complex2(x, y), on_ambiguous="nudge")
+    d, _, _ = ComplexSystem(ComplexBase(r, theta)).step(np.array([x, y]), on_ambiguous="nudge")
     assert max(abs(d[0]), abs(d[1])) <= N

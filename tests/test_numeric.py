@@ -134,3 +134,10 @@ def test_digit_kernel_snap_policy():
     assert d == 2 and 0.0 < r < 1.0 and margin < 1e-9
     assert k.expand((0.5,), 4) == [(1,), (1,), (1,), (1,)]
     assert k.reconstruct([(1,), (1,)]) == pytest.approx([4.0 / 9.0])
+
+
+def test_digit_kernel_rejects_negative_length():
+    k = DigitKernel(((3.0,),), (0.0,), (1.0,))
+    assert k.expand((0.5,), 0) == []
+    with pytest.raises(ValueError, match="length must be nonnegative"):
+        k.expand((0.5,), -1)

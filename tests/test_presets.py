@@ -63,6 +63,22 @@ def test_unknown_preset_rejected():
         build_preset("no-such-thing")
 
 
+@pytest.mark.parametrize("name, option", [
+    ("notwinning-symmetric", "rho"),  # its radius comes from eps and tau
+    ("notwinning-lipschitz", "bob"),  # the losing presets fix their Bob
+    ("cwinning-nine-halves", "no_such_option"),
+])
+def test_unknown_override_rejected(name, option):
+    with pytest.raises(ValueError, match=f"preset '{name}' does not take '{option}'"):
+        build_preset(name, **{option: 0.1})
+
+
+def test_override_replaces_preset_argument():
+    assert build_preset("dwinning-silver").params.beta == 0.6
+    assert build_preset("dwinning-silver", beta=0.65).params.beta == 0.65
+    assert build_preset("dwinning-silver", beta=None).params.beta == 0.6
+
+
 def test_unresolved_tail_base_refused():
     # b = 2.5 only yields an observed zero-run bound, never a certified one;
     # the winning threshold leans on that bound, so the builder must balk

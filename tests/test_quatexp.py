@@ -7,7 +7,7 @@ import pytest
 from beta_arena.numeric import Quaternion, metallic_mean
 from beta_arena.quatexp import (C_Omega, avoid_constant, domain_constants,
                                 hurwitz_box, isoclinic_matrix, lipschitz,
-                                losing_parameters, q_expand, q_step,
+                                losing_parameters, q_expand,
                                 rot_balanced_rho, rot_constants,
                                 symmetric_constants, symmetric_domain,
                                 zeta_lattice)
@@ -85,14 +85,15 @@ def test_coords_point_roundtrip():
             assert np.allclose(back, coords, atol=1e-9)
 
 
-def test_q_step_remainder_in_box():
+def test_quat_step_remainder_in_box():
     rng = np.random.default_rng(5)
     q = Quaternion(0.0, PHI, 0.0, 0.0)
     box = lipschitz()
+    system = QuatSystem(q, box)
     for _ in range(50):
-        z = Quaternion(*rng.uniform(0.0, 1.0, size=4))
-        digit, rem = q_step(q, box, z, on_ambiguous="nudge")
-        assert box.contains(rem)
+        z = rng.uniform(0.0, 1.0, size=4)
+        digit, rem, _ = system.step(z, on_ambiguous="nudge")
+        assert box.contains(Quaternion.from_components(rem))
         assert all(float(c).is_integer() for c in digit)
 
 
@@ -134,13 +135,14 @@ def test_zeta_lattice_digit_containment():
     zeta = Quaternion(0.0, 6.0, 0.0, 0.0)
     eta = Quaternion(0.0, 0.0, 1.0, 0.0)
     lattice = zeta_lattice(zeta, eta, 0.25)
+    system = QuatSystem(zeta, lattice)
     rng = np.random.default_rng(9)
     for _ in range(60):
         coords = tuple(rng.uniform(-0.25, 0.75, size=4))
         z = lattice.point(coords)
         assert lattice.contains(z)
-        _, rem = q_step(zeta, lattice, z, on_ambiguous="nudge")
-        assert lattice.contains(rem)
+        _, rem, _ = system.step(np.array(z.components), on_ambiguous="nudge")
+        assert lattice.contains(Quaternion.from_components(rem))
 
 
 def test_zeta_lattice_rejects_bad_eta():

@@ -158,6 +158,12 @@ def test_base_just_below_an_integer_constructs(n):
         assert all(0 <= d <= base.s_b for d in base.c_digits)
 
 
+@pytest.mark.parametrize("b", [1.0, 0.5, math.inf, math.nan])
+def test_base_must_be_finite_and_exceed_one(b):
+    with pytest.raises(ValueError, match="base must be finite and exceed 1"):
+        RealBase(b)
+
+
 def test_d_prime_is_min_of_c():
     for b in BASES:
         base = RealBase(b)
