@@ -207,11 +207,11 @@ def test_invalid_input_exits_3(capsys, monkeypatch, env, argv):
 
 
 def test_usage_error_names_the_problem(capsys):
-    code, _, err = run_cli(capsys, "expand", "--real", "golden", "--complex", "4.5", "0")
-    assert code == 3
-    assert err == "error: argument --complex: not allowed with argument --real\n"
-    code, _, err = run_cli(capsys, "game")
-    assert (code, err) == (3, "error: the following arguments are required: --preset\n")
+    # argparse's own message, once, with no usage block
+    _, _, err = run_cli(capsys, "expand", "--real", "golden", "--complex", "4.5", "0")
+    assert err.count("\n") == 1 and "--complex" in err and "--real" in err
+    _, _, err = run_cli(capsys, "game")
+    assert err.count("\n") == 1 and "--preset" in err
 
 
 def test_strategy_error_exits_3(capsys):
