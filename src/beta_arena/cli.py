@@ -14,9 +14,10 @@ reconstruct it, print.
 
 Errors are reported once, in `main`, and never as a traceback.  Exit codes:
 0 success (for `game`, claim verified); 2 `game` claim falsified; 3 invalid
-or ambiguous input, usage errors included (`error: ...` or `ambiguous
-input: ...` on stderr), a strategy that gave up (`strategy gave up: ...`), or
-an indeterminate verdict; 4 an illegal move or a failed trace audit.
+or ambiguous input, usage errors included, or an `--out` file that cannot
+be written (`error: ...` or `ambiguous input: ...` on stderr), a strategy
+that gave up (`strategy gave up: ...`), or an indeterminate verdict; 4 an
+illegal move or a failed trace audit.
 Everything that prints is deterministic for a fixed seed: no timestamps,
 sorted JSON keys, fixed float formatting.
 """
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
         return args.func(args, _tolerance())
     except AmbiguousValueError as exc:
         print(f"ambiguous input: {exc}", file=sys.stderr)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
     except StrategyError as exc:
         print(f"strategy gave up: {exc}", file=sys.stderr)

@@ -9,13 +9,12 @@ with a small comparison slack and keeps centers inside the expansion domain
 when one is attached (the game is played on the domain as a metric space).
 
 Strategies are callables state -> center.  The constructive ones implement
-the winning target-locking play (hold, lock the nearest full cylinder
-target, then pull toward it) and the losing digit-pinning play (Bob re-reads
-the digits of Alice's center and recenters on the avoided-block-free
-cylinder shifted by xi).  Double precision runs out near radius 1e-12, so
-games stop there rather than pretending to resolve further digits.
-Per-round invariants (radix powers, digit points, a fixed drift direction)
-are cached per strategy, so a round only computes what changes.
+the winning target-locking play (one skeleton: hold, lock the target a
+strategy picks for Bob's center, then pull toward it) and the losing
+digit-pinning play (Bob reads the digits of Alice's center through the
+digit kernel and recenters on the avoided-block-free cylinder shifted by
+xi).  Double precision runs out near radius 1e-12, so games stop there
+rather than pretending to resolve further digits.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .complexexp import ComplexBase, Vk_squares
-from .numeric import DEFAULT_TOL, Quaternion, Tolerance
-from .quatexp import LatticeDomain
+from .numeric import DEFAULT_TOL, Tolerance
 from .realexp import RealBase
+from .systems import QuatSystem
 
 RADIUS_FLOOR = 1e-12
 
@@ -431,48 +430,53 @@ def _pull_toward(x: np.ndarray, target: np.ndarray, budget: float) -> np.ndarray
     return x + delta * (budget / dist)
 
 
-def _lock_and_pull(s: GameState, n: int, targets: np.ndarray) -> np.ndarray:
-    """Shared winning-play skeleton: hold n rounds, lock the nearest target,
-    then pull toward it with the full legal budget every round."""
-    x = s.bob_ball().center
-    r = s.round_no
-    if r <= n:
-        return x.copy()
-    budget = (1.0 - s.params.alpha) * s.params.rho_n(r - 1)
-    if "target" not in s.scratch:
-        dists = np.linalg.norm(targets - x, axis=1)
-        best = int(np.argmin(dists))
-        if dists[best] > budget * (1.0 + 1e-9):
-            raise StrategyError(
-                f"nearest full cylinder target at {dists[best]:.3e} exceeds "
-                f"the legal reach {budget:.3e}")
-        s.scratch["target"] = targets[best].copy()
-    return _pull_toward(x, s.scratch["target"], budget * (1.0 - 1e-12))
+def _lock_and_pull(n: int, nearest: Callable[[np.ndarray], np.ndarray],
+                   what: str) -> Strategy:
+    """Shared winning-play skeleton: hold n rounds, lock the target
+    nearest(x) picks for Bob's center x, then pull toward it with the full
+    legal budget every round."""
+    def f(s: GameState) -> np.ndarray:
+        x = s.bob_ball().center
+        r = s.round_no
+        if r <= n:
+            return x.copy()
+        budget = (1.0 - s.params.alpha) * s.params.rho_n(r - 1)
+        if "target" not in s.scratch:
+            target = nearest(x)
+            dist = _norm(target - x)
+            if dist > budget * (1.0 + 1e-9):
+                raise StrategyError(
+                    f"{what} at {dist:.3e} exceeds the legal reach {budget:.3e}")
+            s.scratch["target"] = target
+        return _pull_toward(x, s.scratch["target"], budget * (1.0 - 1e-12))
+    return f
+
+
+def _nearest_row(targets: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda x: targets[int(np.argmin(np.linalg.norm(targets - x, axis=1)))]
+
+
+def _full_cylinder_centers(base: RealBase, d: int, k: int) -> np.ndarray:
+    """Midpoints of the full-length level-k cylinders with k-th digit d."""
+    centers = [0.5 * (iv.lo + iv.hi) for iv in base.cylinder_intervals(d, k)
+               if iv.full_length]
+    if not centers:
+        raise StrategyError(f"no full-length cylinder interval for digit {d}")
+    return np.array(centers)
 
 
 def alice_real_winning(base: RealBase, d: int, n: int, k: int) -> Strategy:
     """Steer the outcome's k-th digit to d: hold n rounds, then lock the
     nearest full-length level-k cylinder with last digit d."""
-    centers = [0.5 * (iv.lo + iv.hi) for iv in base.cylinder_intervals(d, k)
-               if iv.full_length]
-    if not centers:
-        raise StrategyError("no full-length cylinder interval available")
-    targets = np.array(centers).reshape(-1, 1)
-
-    def f(s: GameState) -> np.ndarray:
-        return _lock_and_pull(s, n, targets)
-    return f
+    targets = _full_cylinder_centers(base, d, k).reshape(-1, 1)
+    return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
 
 
 def alice_complex_winning(base: ComplexBase, k: int, n: int) -> Strategy:
     """Complex analog: targets are the centers of the level-k tiles whose
     k-th digit is zero."""
-    tiles = Vk_squares(base, k)
-    targets = np.array([[c.a, c.b] for c in tiles])
-
-    def f(s: GameState) -> np.ndarray:
-        return _lock_and_pull(s, n, targets)
-    return f
+    targets = np.array([[c.a, c.b] for c in Vk_squares(base, k)])
+    return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
 
 
 def alice_quaternion_componentwise(b: float, digits: Sequence[int],
@@ -482,77 +486,64 @@ def alice_quaternion_componentwise(b: float, digits: Sequence[int],
     if len(digits) != 4:
         raise ValueError("need one target digit per coordinate")
     base = RealBase(b)
-    targets = {}
-    for d in dict.fromkeys(digits):  # one decomposition per distinct digit
-        centers = [0.5 * (iv.lo + iv.hi) for iv in base.cylinder_intervals(d, k)
-                   if iv.full_length]
-        if not centers:
-            raise StrategyError(f"no full-length interval for digit {d}")
-        targets[d] = np.array(centers)
+    # one decomposition per distinct digit
+    targets = {d: _full_cylinder_centers(base, d, k) for d in dict.fromkeys(digits)}
     per_axis = [targets[d] for d in digits]
 
-    def f(s: GameState) -> np.ndarray:
-        x = s.bob_ball().center
-        r = s.round_no
-        if r <= n:
-            return x.copy()
-        budget = (1.0 - s.params.alpha) * s.params.rho_n(r - 1)
-        if "target" not in s.scratch:
-            tgt = np.array([axis[int(np.argmin(np.abs(axis - x[j])))]
-                            for j, axis in enumerate(per_axis)])
-            dist = _norm(tgt - x)
-            if dist > budget * (1.0 + 1e-9):
-                raise StrategyError(
-                    f"componentwise target at {dist:.3e} exceeds reach {budget:.3e}")
-            s.scratch["target"] = tgt
-        return _pull_toward(x, s.scratch["target"], budget * (1.0 - 1e-12))
-    return f
+    def nearest(x: np.ndarray) -> np.ndarray:
+        return np.array([axis[int(np.argmin(np.abs(axis - x[j])))]
+                         for j, axis in enumerate(per_axis)])
+    return _lock_and_pull(n, nearest, "componentwise target")
 
 
 # -- losing strategy (Bob) -----------------------------------------------------
 
 
-def bob_avoid_block(q: Quaternion, lattice: LatticeDomain, xi: Quaternion,
+def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
                     omega: Sequence[tuple[int, int, int, int]]) -> Strategy:
-    """Digit-pinning avoidance play for quaternion expansions.
+    """Digit-pinning avoidance play for quaternion expansions, written in the
+    lattice coordinates of the system's digit kernel u -> A u - d.
 
-    At Bob's k-th turn the strategy reads the next block of digits off
-    Alice's center (positions (k-1)|omega|+1 .. k|omega|) and recenters on
-    sum q^-j d_j + q^-(k #) xi, which pins those digits for every point of
-    Bob's ball.  When the avoidance inequalities hold the pinned window can
-    never equal the avoided block and the formula move is always legal; both
-    conditions are still checked, and on failure the strategy degrades to a
-    clipped legal move and leaves a note in the trace instead of crashing.
+    The state (m, pinned) records that Bob's ball pins the first m digits,
+    pinned = sum_{j<=m} A^-j d_j.  At round k the strategy reads the digits
+    at positions m+1 .. k|omega| off A^m (coords(y) - pinned), the local
+    point of Alice's center y, adds them to pinned and recenters on
+    pinned + A^-(k|omega|) coords(xi), which pins them for every point of
+    Bob's ball.  m advances only when that move is played, so a round after
+    a clipped one reads the skipped blocks too and Bob catches up.  When the
+    avoidance inequalities hold no pinned window equals the avoided block
+    and the formula move is always legal; both conditions are still checked,
+    and on failure the strategy degrades to a clipped legal move and leaves
+    a note in the trace instead of crashing.
     """
     win = len(omega)
     if win == 0:
         raise ValueError("avoided block must be nonempty")
     omega_coords = [tuple(int(c) for c in w) for w in omega]
-    kernel = lattice.digit_map(q)
-    powers: dict[int, Quaternion] = {}
-    points: dict[tuple, Quaternion] = {}
+    kernel = system.kernel
+    A = np.array(kernel.A)
+    A_inv = np.linalg.inv(A)
+    up, down = [np.eye(len(A))], [np.eye(len(A))]  # A^j and A^-j
+    xi_coords = np.array(system.coords(xi))
 
-    def power(n: int) -> Quaternion:
-        if n not in powers:
-            powers[n] = q.powi(n)
-        return powers[n]
+    def power(j: int) -> tuple[np.ndarray, np.ndarray]:
+        while len(up) <= j:
+            up.append(A @ up[-1])
+            down.append(A_inv @ down[-1])
+        return up[j], down[j]
 
     def f(s: GameState) -> np.ndarray:
         y = s.alice_ball().center
         kk = s.round_no
-        prefix = s.scratch.get("avoid_prefix", Quaternion())
-        # local coordinates of Alice's center inside the pinned cylinder
-        t = power((kk - 1) * win) * (Quaternion.from_components(y) - prefix)
-        block = kernel.expand(lattice.to_coords(t).tolist(), win, nudge=True)
-        if tuple(block) == tuple(omega_coords):
-            s.note(f"round {kk}: pinned window equals the avoided block")
-        new_prefix = prefix
-        for i, coords in enumerate(block, start=1):
-            if coords not in points:
-                points[coords] = lattice.point(coords)
-            new_prefix = new_prefix + power(-((kk - 1) * win + i)) * points[coords]
-        center = new_prefix + power(-kk * win) * xi
-        proposal = np.array(center.components)
+        m, pinned = s.scratch.get("avoid", (0, np.zeros(len(A))))
+        depth = kk * win
+        local = power(m)[0] @ (np.array(system.coords(y)) - pinned)
+        digits = kernel.expand(local.tolist(), depth - m, nudge=True)
+        for i, d in enumerate(digits):
+            if i % win == 0 and digits[i:i + win] == omega_coords:
+                s.note(f"round {kk}: pinned window equals the avoided block")
+            pinned = pinned + power(m + i + 1)[1] @ d
+        proposal = system._point(pinned + power(depth)[1] @ xi_coords)
         a_rad = s.params.alpha * s.params.rho_n(kk - 1)
         b_rad = s.params.beta * a_rad
         max_step = (a_rad - b_rad) * (1.0 - 1e-12)
@@ -560,13 +551,13 @@ def bob_avoid_block(q: Quaternion, lattice: LatticeDomain, xi: Quaternion,
         if gap > max_step:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")
             proposal = y + (proposal - y) * (max_step / gap)
-            if s.system is not None and not s.system.contains(proposal):
+            if not system.contains(proposal):
                 proposal = y.copy()
-        elif s.system is not None and not s.system.contains(proposal):
+        elif not system.contains(proposal):
             s.note(f"round {kk}: formula move left the domain; holding center")
             proposal = y.copy()
         else:
-            s.scratch["avoid_prefix"] = new_prefix
+            s.scratch["avoid"] = (depth, pinned)
         return proposal
     return f
 

@@ -206,15 +206,8 @@ class Quaternion:
             n >>= 1
         return out
 
-    def is_real(self, eps: float = 0.0) -> bool:
-        return abs(self.b) <= eps and abs(self.c) <= eps and abs(self.d) <= eps
-
     def approx_eq(self, other: "Quaternion", eps: float) -> bool:
         return abs(self - other) <= eps
-
-
-ZERO = Quaternion()
-ONE = Quaternion.real(1.0)
 
 
 def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:

@@ -158,7 +158,7 @@ def _losing_setup(name: str, q: Quaternion, lattice: LatticeDomain,
     return GameSetup(
         name=name, kind="losing", params=params, system=system,
         alice=alice_random(),
-        bob=bob_avoid_block(q, lattice, xi, omega),
+        bob=bob_avoid_block(system, xi.components, omega),
         claim=Claim("avoids", omega), verify_depth=None,
         max_rounds=max_rounds,
         meta={"q_norm": abs(q), "n": n, "C": constant, "alpha_min": alpha_min},

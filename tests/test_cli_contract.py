@@ -4,9 +4,10 @@ code from {0, 2, 3, 4} and never raises.
 Arguments come from a small vocabulary of valid and invalid values: numbers
 at and past the edges of every parameter range (0, 1, negatives, inf, nan,
 1e308, a word), named and malformed bases, lattices and grids, missing and
-conflicting options.  Every command stays cheap: n <= 12, grids of at most
-three points, at most four game rounds.  Large finite real bases are left
-out because `admissible` enumerates an alphabet as long as the base.
+conflicting options, output paths that cannot be written.  Every command
+stays cheap: n <= 12, grids of at most three points, at most four game
+rounds.  Large finite real bases are left out because `admissible`
+enumerates an alphabet as long as the base.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ LATTICE = st.sampled_from(["lipschitz", "lipschitz-centered", "hurwitz-box",
                            "symmetric", "symmetric:0.1", "symmetric:0", "zeta",
                            "zeta:0.1", "zeta:2", "no-such-lattice"])
 ROUNDS = st.sampled_from(["-1", "0", "1", "4"])
+OUT = st.sampled_from(["/nonexistent-dir/out.txt", "."])  # paths that cannot be written
 
 
 def flag(name, values, nargs=1):
@@ -65,10 +67,10 @@ GAME = command(
     maybe(flag("--beta", NUM)), maybe(flag("--rho", NUM)),
     maybe(flag("--bob", st.sampled_from(["optimal-drift", "random", "center-hold", "x"]))),
     maybe(flag("--seed", st.sampled_from(["0", "3", "-1", "x"]))),
-    flag("--max-rounds", ROUNDS))
+    flag("--max-rounds", ROUNDS), maybe(flag("--out", OUT)))
 SCAN = command("scan", maybe(flag("--preset", PRESET)), maybe(flag("--alpha", GRID)),
                maybe(flag("--seeds", st.sampled_from(["0", "2", "-1"]))),
-               flag("--max-rounds", ROUNDS))
+               flag("--max-rounds", ROUNDS), maybe(flag("--out", OUT)))
 ARGV = st.one_of(EXPAND, ADMISSIBLE, REGIONS, GAME, SCAN,
                  st.sampled_from([[], ["no-such-command"], ["game", "--no-such-flag"]]))
 

@@ -14,7 +14,7 @@ from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams,
                              bob_optimal_drift, bob_random, certified_digits,
                              find_n_complex, find_nk_real, play,
                              verify_outcome, winning_gap)
-from beta_arena.numeric import Quaternion, metallic_mean
+from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
 from beta_arena.presets import build_preset, run_setup
 from beta_arena.quatexp import lipschitz, zeta_lattice
 from beta_arena.realexp import RealBase
@@ -288,33 +288,13 @@ def test_componentwise_decomposes_each_distinct_digit_once(monkeypatch):
     assert calls == [1, 0]
 
 
-def test_avoidance_computes_each_radix_power_once(monkeypatch):
-    setup = build_preset("notwinning-zeta")
-    q = setup.system.q
-    calls = []
-    orig = Quaternion.powi
-
-    def counted(self, n):
-        calls.append((self, n))
-        return orig(self, n)
-    monkeypatch.setattr(Quaternion, "powi", counted)
-    trace, _ = run_setup(setup, seed=0)
-    assert setup.max_rounds == 64
-    assert len(calls) == len(set(calls))  # recursive calls included
-    rounds, win = trace.rounds_played, len(setup.claim.block)
-    on_q = {n for p, n in calls if p is q}
-    assert on_q == ({win * (k - 1) for k in range(1, rounds + 1)}
-                    | set(range(-win * rounds, 0)))
-
-
 # -- avoidance strategy ---------------------------------------------------------
 
 def _avoid_setup(alpha):
-    q = Quaternion(3.0, 3.0, 3.0, 3.0)
-    xi = Quaternion(0.5, 0.5, 0.5, 0.5)
-    params = GameParams(alpha, 1.0 / (alpha * 6.0), 0.4, 4, xi.components)
-    system = QuatSystem(q, lipschitz())
-    bob = bob_avoid_block(q, lipschitz(), xi, ((0, 0, 0, 0),))
+    xi = (0.5, 0.5, 0.5, 0.5)
+    params = GameParams(alpha, 1.0 / (alpha * 6.0), 0.4, 4, xi)
+    system = QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz())
+    bob = bob_avoid_block(system, xi, ((0, 0, 0, 0),))
     return params, system, bob
 
 
@@ -337,6 +317,36 @@ def test_avoidance_degrades_without_crashing():
     res = verify_outcome(trace, system, Claim("avoids", ((0, 0, 0, 0),)),
                          max(1, trace.rounds_played - 2))
     assert res.verdict in ("verified", "falsified", "indeterminate")
+
+
+@pytest.mark.parametrize("preset, alpha, seed", [
+    ("notwinning-lipschitz", 0.43, 2),  # clips rounds 8 and 12
+    ("notwinning-hurwitz", 0.605954, 57741),
+    ("notwinning-symmetric", 0.550507, 22869),
+    ("notwinning-zeta", 0.141702, 20308),
+])
+def test_avoidance_reads_every_block_inside_the_box(monkeypatch, preset, alpha, seed):
+    # Bob reads its digits off the local point of Alice's center inside the
+    # cylinder its ball pins; after a clipped round that point must still be
+    # taken at the depth actually pinned, so it lies in the box every round.
+    # All of it is kernel arithmetic: no quaternion power is taken.
+    setup = build_preset(preset, alpha=alpha)
+    lattice = setup.system.lattice
+    inside = []
+    orig = DigitKernel.expand
+
+    def checked(self, u, n, nudge=False):
+        inside.append(lattice.box_contains(u))
+        return orig(self, u, n, nudge)
+
+    def forbidden(self, n):
+        raise AssertionError("Quaternion.powi called during the game")
+    monkeypatch.setattr(DigitKernel, "expand", checked)
+    monkeypatch.setattr(Quaternion, "powi", forbidden)
+    trace, _ = run_setup(setup, seed=seed)
+    assert any("clipped" in note for note in trace.notes)
+    assert len(inside) == trace.rounds_played
+    assert all(inside), [r for r, ok in enumerate(inside, 1) if not ok]
 
 
 # -- outcome verification --------------------------------------------------------

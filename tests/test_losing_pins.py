@@ -9,8 +9,12 @@ lipschitz, 0.921 hurwitz, 0.8 symmetric, 0.272 zeta), one game seed each,
 plus notwinning-lipschitz at alpha 0.43, seed 2, whose Bob clips rounds 8
 and 12.  Clip notes and the last bits of the centers are not pinned: they
 depend on how Bob's formula center is rounded.
+
+The same games are rechecked at 60 digits with maps built from q and the
+lattice basis, independently of the float digit kernel.
 """
 
+import mpmath
 import pytest
 
 from beta_arena.presets import build_preset, run_setup
@@ -130,7 +134,7 @@ PINS = [
      "-3,2,-2,4 -3,2,-2,5"),
     ('notwinning-hurwitz', 0.605954, 57741, 'verified', 'resolution-exhausted', 16, 14,
      "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -4,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
-     "-3,2,-2,4 -3,2,-1,5 -3,2,-3,4 -3,2,-2,9 -3,2,-2,4 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-1,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
      "-3,2,-2,4 -3,2,-2,5"),
     ('notwinning-hurwitz', 0.699582, 6449, 'verified', 'resolution-exhausted', 16, 14,
      "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
@@ -347,3 +351,87 @@ def test_losing_outcome(preset, alpha, seed, verdict, status, rounds, certified,
     assert (result.verdict, trace.status, trace.rounds_played, result.certified) == (
         verdict, status, rounds, certified)
     assert result.digits[:certified] == _digits(digits)
+
+
+class _ExactMap:
+    """The digit map z -> q z - d of a QuatSystem at the working precision,
+    in lattice coordinates, built from q and the lattice basis."""
+
+    def __init__(self, system):
+        a, b, c, d = map(mpmath.mpf, system.q.components)
+        left = mpmath.matrix([[a, -b, -c, -d], [b, a, -d, c],
+                              [c, d, a, -b], [d, -c, b, a]])  # x -> q x
+        B = mpmath.matrix([[mpmath.mpf(v.components[i]) for v in system.lattice.basis]
+                           for i in range(4)])
+        A = B ** -1 * left * B
+        self.B, self.Binv = B.tolist(), (B ** -1).tolist()
+        self.A, self.A_inv = A.tolist(), (A ** -1).tolist()
+        self.offsets = [mpmath.mpf(o) for o in system.lattice.offsets]
+        self.row_norms = [mpmath.sqrt(sum(x * x for x in row)) for row in self.Binv]
+        self.q_norm = mpmath.sqrt(a * a + b * b + c * c + d * d)
+
+    def orbit(self, point, n):
+        """Digits, cell margins of the pre-floor images, and the remainder
+        after n steps from an ambient point."""
+        u = _mul(self.Binv, [mpmath.mpf(float(x)) for x in point])
+        digits, margins = [], []
+        for _ in range(n):
+            t = [x - o for x, o in zip(_mul(self.A, u), self.offsets)]
+            d = [int(mpmath.floor(x)) for x in t]
+            frac = [x - k for x, k in zip(t, d)]
+            margins.append(min(min(f, 1 - f) / r for f, r in zip(frac, self.row_norms)))
+            digits.append(tuple(d))
+            u = [f + o for f, o in zip(frac, self.offsets)]
+        return digits, margins, u
+
+
+def _mul(M, v):
+    return [sum(m * x for m, x in zip(row, v)) for row in M]
+
+
+def _accepted(trace, r):
+    """Whether Bob played his formula move in round r."""
+    return not any(note.startswith(f"round {r}: formula move") for note in trace.notes)
+
+
+@pytest.mark.parametrize("preset", sorted({p[0] for p in PINS}))
+def test_losing_games_hold_at_60_digits(preset):
+    with mpmath.workdps(60):
+        exact = None
+        for _, alpha, seed, *_ in (p for p in PINS if p[0] == preset):
+            setup = build_preset(preset, alpha=alpha)
+            exact = exact or _ExactMap(setup.system)
+            trace, result = run_setup(setup, seed=seed)
+            game = f"alpha={alpha} seed={seed}"
+            # the certified digits are the exact digits of the final center,
+            # each farther from its cell boundary than the ball's image
+            cert = result.certified
+            digits, margins, _ = exact.orbit(trace.final_center, cert)
+            assert digits == result.digits[:cert], game
+            for j, margin in enumerate(margins, 1):
+                assert margin > trace.final_radius * exact.q_norm ** j, (game, j)
+            # the verdict follows from the exact digits
+            block, L = setup.claim.block, len(setup.claim.block)
+            full = max(1, trace.rounds_played - 2)
+            windows = [tuple(digits[w * L:(w + 1) * L]) for w in range(min(full, cert // L))]
+            if result.verdict == "verified":
+                assert len(windows) == full and block not in windows, game
+            elif result.verdict == "falsified":
+                assert block in windows, game
+            # every formula move Bob played sits on its exact center
+            # B (sum_{j<=N} A^-j d_j + A^-N coords(xi)), N = r|omega|, the d_j
+            # being the digits of Alice's center y; the sum is
+            # coords(y) - A^-N u_N for the remainder u_N of y
+            xi = _mul(exact.Binv, [mpmath.mpf(x) for x in setup.params.initial_center])
+            for alice, bob in zip(trace.moves[1::2], trace.moves[2::2]):
+                r = bob.round_no
+                if not _accepted(trace, r):
+                    continue
+                _, _, u = exact.orbit(alice.center, r * L)
+                shift = [x - y for x, y in zip(xi, u)]
+                for _ in range(r * L):
+                    shift = _mul(exact.A_inv, shift)
+                center = [mpmath.mpf(float(y)) + s
+                          for y, s in zip(alice.center, _mul(exact.B, shift))]
+                err = mpmath.sqrt(sum((c - float(x)) ** 2 for c, x in zip(center, bob.center)))
+                assert err <= 1e-3 * bob.radius, (game, r, float(err / bob.radius))
