@@ -363,8 +363,9 @@ class _ExactMap:
                               [c, d, a, -b], [d, -c, b, a]])  # x -> q x
         B = mpmath.matrix([[mpmath.mpf(v.components[i]) for v in system.lattice.basis]
                            for i in range(4)])
-        A = B ** -1 * left * B
-        self.B, self.Binv = B.tolist(), (B ** -1).tolist()
+        Binv = B ** -1
+        A = Binv * left * B
+        self.B, self.Binv = B.tolist(), Binv.tolist()
         self.A, self.A_inv = A.tolist(), (A ** -1).tolist()
         self.offsets = [mpmath.mpf(o) for o in system.lattice.offsets]
         self.row_norms = [mpmath.sqrt(sum(x * x for x in row)) for row in self.Binv]
@@ -390,7 +391,7 @@ def _mul(M, v):
 
 
 def _accepted(trace, r):
-    """Whether Bob played his formula move in round r."""
+    """Whether Bob's formula move was played in round r."""
     return not any(note.startswith(f"round {r}: formula move") for note in trace.notes)
 
 
