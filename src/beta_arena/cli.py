@@ -35,7 +35,7 @@ from .game import IllegalMoveError, StrategyError, audit_trace, A_threshold, F_t
 from .numeric import AmbiguousValueError, Quaternion, Tolerance, DEFAULT_TOL, metallic_mean
 from .quatexp import hurwitz_box, lipschitz, symmetric_domain, zeta_lattice
 from .realexp import RealBase
-from .presets import PRESETS, build_preset, run_setup
+from .presets import BOBS, PRESETS, build_preset, run_setup
 from .systems import ComplexSystem, QuatSystem, RealSystem, expand_digits
 
 
@@ -194,6 +194,15 @@ def cmd_regions(args, tol: Tolerance) -> int:
 _EXIT = {"verified": 0, "falsified": 2, "indeterminate": 3}
 
 
+def _write(text: str, out: str | None) -> None:
+    """Print text, or write it to the --out file when one is given."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def _run_game(preset: str, overrides: dict, seed: int, max_rounds: int | None):
     setup = build_preset(preset, **overrides, max_rounds=max_rounds)
     trace, result = run_setup(setup, seed=seed)
@@ -217,12 +226,7 @@ def cmd_game(args, tol: Tolerance) -> int:
         "certified_digits": result.certified,
         "setup_notes": setup.notes,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(doc, sort_keys=True, indent=2), args.out)
     print(f"verdict: {result.verdict} ({result.reason})", file=sys.stderr)
     if violations:
         return 4
@@ -245,12 +249,7 @@ def cmd_scan(args, tol: Tolerance) -> int:
                 row = (alpha, float("nan"), seed, 0, "strategy-error", "indeterminate")
             lines.append(",".join(
                 _fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.out)
     return 0
 
 
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     gm.add_argument("--alpha", type=float)
     gm.add_argument("--beta", type=float)
     gm.add_argument("--rho", type=float)
-    gm.add_argument("--bob", choices=("optimal-drift", "random", "center-hold"))
+    gm.add_argument("--bob", choices=tuple(BOBS))
     gm.add_argument("--seed", type=int, default=0)
     gm.add_argument("--max-rounds", type=int)
     gm.add_argument("--out", help="write the trace JSON here instead of stdout")

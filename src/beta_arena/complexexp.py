@@ -233,7 +233,7 @@ def _delta_root() -> float:
     return min(real)
 
 
-def gamma_constants(theta: float | None = None, tol: Tolerance = DEFAULT_TOL) -> GammaConstants:
+def gamma_constants(theta: float | None = None) -> GammaConstants:
     """Angle thresholds of the region family.
 
     gamma1 bounds the angles with positive discriminant, gamma2 = 2 arctan d
@@ -259,25 +259,20 @@ def gamma_constants(theta: float | None = None, tol: Tolerance = DEFAULT_TOL) ->
     return GammaConstants(gamma1, gamma2, delta, l_minus, l_plus)
 
 
-def G_region(theta: float, n_cap: int | None = None,
-             tol: Tolerance = DEFAULT_TOL) -> list[SquareRegion]:
+def G_region(theta: float, tol: Tolerance = DEFAULT_TOL) -> list[SquareRegion]:
     """Moduli r for which the base r e^(i theta) refines into squares at
     every level, as a union of intervals (v_lo, u_hi] indexed by N.
 
     Empty at and above gamma2.  At theta = 0 the family is infinite and is
-    truncated at n_cap (default 10).
+    truncated at N = 10.
     """
     t = fold_angle(theta)
-    gc = gamma_constants(tol=tol)
-    if t >= gc.gamma2 - 1e-15:
+    if t >= gamma_constants().gamma2 - 1e-15:
         return []
     if t < 1e-12:
-        top = n_cap if n_cap is not None else 10
-        return [SquareRegion(N, N + math.sqrt(N * N + 1.0), 2 * N + 1) for N in range(1, top + 1)]
+        return [SquareRegion(N, N + math.sqrt(N * N + 1.0), 2 * N + 1) for N in range(1, 11)]
     _, l_plus = F_roots(t)
     top = math.ceil(l_plus - tol.eps_cmp) - 1
-    if n_cap is not None:
-        top = min(top, n_cap)
     return [SquareRegion(N, v_threshold(N, 2, t), u_threshold(N, t))
             for N in range(1, top + 1)]
 
@@ -299,13 +294,12 @@ def snake_order(N: int) -> list[GaussInt]:
     return out
 
 
-def Vk_squares(base: ComplexBase, k: int, verify: bool = True) -> list[Quaternion]:
+def Vk_squares(base: ComplexBase, k: int) -> list[Quaternion]:
     """Centers of the level-k square tiles whose k-th digit is zero.
 
     Tiles are translates of xi^-k times the centered square, one per digit
-    block of length k-1, ordered snake-lexicographically.  With verify on,
-    every tile is constructively checked to sit inside the domain by mapping
-    its corners.
+    block of length k-1, ordered snake-lexicographically.  Every tile is
+    constructively checked to sit inside the domain by mapping its corners.
     """
     if not base.is_centered:
         raise ValueError("tile decompositions require the centered square")
@@ -332,11 +326,10 @@ def Vk_squares(base: ComplexBase, k: int, verify: bool = True) -> list[Quaternio
         return out
 
     centers = centers_for(Quaternion(), 0)
-    if verify:
-        shrink = inv[k]
-        for ctr in centers:
-            for crn in corners:
-                img = ctr + shrink * crn
-                if abs(img.a) > 0.5 + eps or abs(img.b) > 0.5 + eps:
-                    raise ValueError("tile corner escaped the domain; refinement not established")
+    shrink = inv[k]
+    for ctr in centers:
+        for crn in corners:
+            img = ctr + shrink * crn
+            if abs(img.a) > 0.5 + eps or abs(img.b) > 0.5 + eps:
+                raise ValueError("tile corner escaped the domain; refinement not established")
     return centers

@@ -64,7 +64,6 @@ class GameParams:
     rho: float
     dimension: int
     initial_center: tuple[float, ...]
-    eps: float = DEFAULT_TOL.eps_cmp
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -168,8 +167,7 @@ class GameTrace:
 
 
 def play(params: GameParams, alice: Strategy, bob: Strategy,
-         max_rounds: int = 64, system=None, seed: int = 0,
-         radius_floor: float = RADIUS_FLOOR) -> GameTrace:
+         max_rounds: int = 64, system=None, seed: int = 0) -> GameTrace:
     """Run the game to max_rounds or to the double-precision radius floor.
 
     Every center is validated against the containment inequality of its
@@ -189,15 +187,15 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
         rho_prev = params.rho_n(n - 1)
         a_rad = params.alpha * rho_prev
         b_rad = params.beta * a_rad
-        if b_rad < radius_floor:
+        if b_rad < RADIUS_FLOOR:
             status = "resolution-exhausted"
             break
         x_prev = state.bob_ball().center
         y = _checked_center(alice(state), params.dimension, "alice", n)
-        _check_legal("alice", n, x_prev, y, a_rad, rho_prev, params.eps, system)
+        _check_legal("alice", n, x_prev, y, a_rad, rho_prev, system)
         state.moves.append(Move("alice", n, y, a_rad))
         x = _checked_center(bob(state), params.dimension, "bob", n)
-        _check_legal("bob", n, y, x, b_rad, a_rad, params.eps, system)
+        _check_legal("bob", n, y, x, b_rad, a_rad, system)
         state.moves.append(Move("bob", n, x, b_rad))
     return GameTrace(params, seed, state.moves, status,
                      state.scratch.get("notes", []))
@@ -212,16 +210,16 @@ def _checked_center(c, dim: int, player: str, round_no: int) -> np.ndarray:
 
 def _check_legal(player: str, round_no: int, outer_center: np.ndarray,
                  center: np.ndarray, radius: float, outer_radius: float,
-                 eps: float, system) -> None:
+                 system) -> None:
     gap = _norm(center - outer_center) + radius - outer_radius
-    if gap > eps:
+    if gap > DEFAULT_TOL.eps_cmp:
         raise IllegalMoveError(player, round_no,
                                f"ball escapes the previous one by {gap:.3e}")
     if system is not None and not system.contains(center):
         raise IllegalMoveError(player, round_no, "center left the domain")
 
 
-def audit_trace(trace: GameTrace, eps: float | None = None) -> list[str]:
+def audit_trace(trace: GameTrace) -> list[str]:
     """Re-verify every move of a finished game from the raw record.
 
     Returns a list of violation descriptions; an empty list is a pass.
@@ -229,7 +227,6 @@ def audit_trace(trace: GameTrace, eps: float | None = None) -> list[str]:
     resulting chain nesting.
     """
     p = trace.params
-    slack = p.eps if eps is None else eps
     problems: list[str] = []
     prev = trace.moves[0]
     if prev.player != "bob" or abs(prev.radius - p.rho) > 1e-9 * p.rho:
@@ -240,7 +237,7 @@ def audit_trace(trace: GameTrace, eps: float | None = None) -> list[str]:
         if abs(mv.radius - expected) > 1e-9 * max(expected, 1e-300):
             problems.append(f"round {n} {mv.player}: radius off schedule")
         gap = _norm(mv.center - prev.center) + mv.radius - prev.radius
-        if gap > slack:
+        if gap > DEFAULT_TOL.eps_cmp:
             problems.append(f"round {n} {mv.player}: containment violated by {gap:.3e}")
         prev = mv
     return problems
@@ -277,9 +274,7 @@ def winning_gap(alpha: float, beta: float) -> float:
 
 
 def find_nk_real(b: float, K: int, alpha: float, beta: float, rho: float,
-                 upper_factor: float = 1.0, n_max: int = 10_000,
-                 k_max: int = 10_000, tol: Tolerance = DEFAULT_TOL
-                 ) -> tuple[int, int] | None:
+                 upper_factor: float = 1.0) -> tuple[int, int] | None:
     """Smallest (n, k) placing (K+2)/(rho (ab)^n b^(k-1)) inside the strategy
     window (lower, (1-alpha) * upper_factor).
 
@@ -288,19 +283,19 @@ def find_nk_real(b: float, K: int, alpha: float, beta: float, rho: float,
     existence is only guaranteed for irrational log_b(alpha beta) or when the
     lower bound is nonpositive.
     """
-    margin = 10.0 * tol.eps_cmp
+    margin = 10.0 * DEFAULT_TOL.eps_cmp
     lower = b * (K + 2.0) * winning_gap(alpha, beta)
     upper = (1.0 - alpha) * upper_factor
     if lower >= upper - margin:
         return None
     ab = alpha * beta
-    for n in range(1, n_max + 1):
+    for n in range(1, 10_000 + 1):
         reach = rho * ab ** n
         base_mid = (K + 2.0) / reach if reach else math.inf
         if math.isinf(base_mid / upper):
             return None  # rho (ab)^n underflowed; later n only shrink it
         km1 = max(1, math.ceil(math.log(base_mid / upper, b) + 1e-12))
-        if km1 + 1 > k_max:
+        if km1 + 1 > 10_000:
             continue
         try:
             mid = base_mid / b ** km1
@@ -311,15 +306,15 @@ def find_nk_real(b: float, K: int, alpha: float, beta: float, rho: float,
     return None
 
 
-def find_n_complex(r: float, alpha: float, beta: float, rho: float, k: int,
-                   tol: Tolerance = DEFAULT_TOL) -> int | None:
+def find_n_complex(r: float, alpha: float, beta: float, rho: float, k: int
+                   ) -> int | None:
     """Hold-phase length n for the complex winning strategy at tile depth k.
 
     When (2-alpha) beta >= 1 the gap term is nonpositive and n = 1 works as
     soon as sqrt(2)/r^(k-1) < rho (alpha beta)(1-alpha); otherwise n must fit
     between the two logarithmic bounds.  None if no integer fits.
     """
-    margin = 10.0 * tol.eps_cmp
+    margin = 10.0 * DEFAULT_TOL.eps_cmp
     ab = alpha * beta
     g = winning_gap(alpha, beta)
     reach_const = (1.0 - alpha) / (math.sqrt(2.0) * r)
@@ -373,28 +368,25 @@ def bob_center_hold() -> Strategy:
     return lambda s: s.alice_ball().center.copy()
 
 
+def _random_move(s: GameState, center: np.ndarray, budget: float) -> np.ndarray:
+    """A uniform point within budget of center that stays in the domain;
+    center itself after 256 misses."""
+    for _ in range(256):
+        y = center + budget * (1.0 - 1e-9) * _ball_sample(s.rng, s.params.dimension)
+        if s.system is None or s.system.contains(y):
+            return y
+    return center.copy()
+
+
 def alice_random() -> Strategy:
-    def f(s: GameState) -> np.ndarray:
-        x = s.bob_ball().center
-        budget = (1.0 - s.params.alpha) * s.params.rho_n(s.round_no - 1)
-        for _ in range(256):
-            y = x + budget * (1.0 - 1e-9) * _ball_sample(s.rng, s.params.dimension)
-            if s.system is None or s.system.contains(y):
-                return y
-        return x.copy()
-    return f
+    return lambda s: _random_move(
+        s, s.bob_ball().center, (1.0 - s.params.alpha) * s.params.rho_n(s.round_no - 1))
 
 
 def bob_random() -> Strategy:
-    def f(s: GameState) -> np.ndarray:
-        y = s.alice_ball().center
-        budget = s.params.alpha * s.params.rho_n(s.round_no - 1) * (1.0 - s.params.beta)
-        for _ in range(256):
-            x = y + budget * (1.0 - 1e-9) * _ball_sample(s.rng, s.params.dimension)
-            if s.system is None or s.system.contains(x):
-                return x
-        return y.copy()
-    return f
+    return lambda s: _random_move(
+        s, s.alice_ball().center,
+        s.params.alpha * s.params.rho_n(s.round_no - 1) * (1.0 - s.params.beta))
 
 
 def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
@@ -479,13 +471,12 @@ def alice_complex_winning(base: ComplexBase, k: int, n: int) -> Strategy:
     return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
 
 
-def alice_quaternion_componentwise(b: float, digits: Sequence[int],
+def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
                                    n: int, k: int) -> Strategy:
     """Real radix on the unit-box lattice: four independent copies of the 1D
     strategy, one per coordinate, sharing the hold length n and depth k."""
     if len(digits) != 4:
         raise ValueError("need one target digit per coordinate")
-    base = RealBase(b)
     # one decomposition per distinct digit
     targets = {d: _full_cylinder_centers(base, d, k) for d in dict.fromkeys(digits)}
     per_axis = [targets[d] for d in digits]

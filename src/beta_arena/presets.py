@@ -42,18 +42,18 @@ class GameSetup:
     claim: Claim
     verify_depth: int | None  # None: derive from the played trace
     max_rounds: int
-    meta: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
 
-def _make_bob(kind: str, direction=None) -> Strategy:
-    if kind == "optimal-drift":
-        return bob_optimal_drift(direction)
-    if kind == "random":
-        return bob_random()
-    if kind == "center-hold":
-        return bob_center_hold()
-    raise ValueError(f"unknown bob strategy {kind!r}")
+# Bob strategies a winning preset can be played against, by name
+BOBS = {"optimal-drift": bob_optimal_drift, "random": bob_random,
+        "center-hold": bob_center_hold}
+
+
+def _make_bob(kind: str) -> Strategy:
+    if kind not in BOBS:
+        raise ValueError(f"unknown bob strategy {kind!r}")
+    return BOBS[kind]()
 
 
 def _real_window(b: float, alpha: float, beta: float, rho: float,
@@ -84,8 +84,7 @@ def real_winning_setup(b: float, d: int = 0, alpha: float = 0.05,
         name=name, kind="winning", params=params, system=RealSystem(base),
         alice=alice_real_winning(base, d, n, k), bob=_make_bob(bob),
         claim=Claim("contains", (d,), position=k), verify_depth=k,
-        max_rounds=max_rounds,
-        meta={"b": b, "d": d, "n": n, "k": k, "K": base.K_b}, notes=notes)
+        max_rounds=max_rounds, notes=notes)
 
 
 def complex_winning_setup(r: float = 4.5, theta: float = 0.05, k: int = 2,
@@ -106,8 +105,7 @@ def complex_winning_setup(r: float = 4.5, theta: float = 0.05, k: int = 2,
         name=name, kind="winning", params=params, system=ComplexSystem(base),
         alice=alice_complex_winning(base, k, n), bob=_make_bob(bob),
         claim=Claim("contains", ((0, 0),), position=k), verify_depth=k,
-        max_rounds=max_rounds, meta={"r": r, "theta": theta, "n": n, "k": k},
-        notes=notes)
+        max_rounds=max_rounds, notes=notes)
 
 
 def quat_componentwise_setup(b: float = 3.0,
@@ -128,12 +126,10 @@ def quat_componentwise_setup(b: float = 3.0,
     system = QuatSystem(Quaternion.real(b), lipschitz())
     return GameSetup(
         name=name, kind="winning", params=params, system=system,
-        alice=alice_quaternion_componentwise(b, digits, n, k),
+        alice=alice_quaternion_componentwise(base, digits, n, k),
         bob=_make_bob(bob),
         claim=Claim("contains", (tuple(digits),), position=k), verify_depth=k,
-        max_rounds=max_rounds,
-        meta={"b": b, "digits": tuple(digits), "n": n, "k": k, "K": base.K_b},
-        notes=notes)
+        max_rounds=max_rounds, notes=notes)
 
 
 def _losing_setup(name: str, q: Quaternion, lattice: LatticeDomain,
@@ -160,9 +156,7 @@ def _losing_setup(name: str, q: Quaternion, lattice: LatticeDomain,
         alice=alice_random(),
         bob=bob_avoid_block(system, xi.components, omega),
         claim=Claim("avoids", omega), verify_depth=None,
-        max_rounds=max_rounds,
-        meta={"q_norm": abs(q), "n": n, "C": constant, "alpha_min": alpha_min},
-        notes=notes)
+        max_rounds=max_rounds, notes=notes)
 
 
 def lipschitz_losing_setup(alpha: float = 0.9, beta: float | None = None,

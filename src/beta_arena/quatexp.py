@@ -55,13 +55,13 @@ class LatticeDomain:
         A = self.Binv @ (abs(q) * isoclinic_matrix(q)) @ self.B
         return DigitKernel(A.tolist(), self.offsets, self.row_norms.tolist(), tol)
 
-    def contains(self, z: Quaternion, slack: float = 0.0) -> bool:
-        return self.box_contains(self.to_coords(z), slack)
+    def contains(self, z: Quaternion) -> bool:
+        return self.box_contains(self.to_coords(z))
 
-    def box_contains(self, t: Sequence[float], slack: float = 0.0) -> bool:
+    def box_contains(self, t: Sequence[float]) -> bool:
         """Whether lattice coordinates t lie in the half-open unit box."""
         for ti, lo in zip(t, self.offsets):
-            if not (lo - slack <= ti < lo + 1.0 + slack):
+            if not (lo <= ti < lo + 1.0):
                 return False
         return True
 

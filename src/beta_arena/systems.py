@@ -27,7 +27,6 @@ class RealSystem:
         self.base = base
         self.kernel = base.kernel
         self.radix_norm = base.b
-        self.tol = base.tol
 
     def coords(self, p) -> list[float]:
         return [float(p[0])]
@@ -53,7 +52,6 @@ class ComplexSystem:
         self.base = base
         self.kernel = base.kernel
         self.radix_norm = base.r
-        self.tol = base.tol
 
     def coords(self, p) -> list[float]:
         return [float(p[0]), float(p[1])]
@@ -82,7 +80,6 @@ class QuatSystem:
         self.lattice = lattice
         self.kernel = lattice.digit_map(q, tol)
         self.radix_norm = abs(q)
-        self.tol = tol
 
     def coords(self, p) -> list[float]:
         return (self.lattice.Binv @ np.asarray(p, dtype=float)).tolist()

@@ -284,7 +284,7 @@ def test_componentwise_decomposes_each_distinct_digit_once(monkeypatch):
         calls.append(d)
         return orig(self, d, k)
     monkeypatch.setattr(RealBase, "cylinder_intervals", counted)
-    alice_quaternion_componentwise(3.0, (1, 0, 1, 0), 1, 3)
+    alice_quaternion_componentwise(RealBase(3.0), (1, 0, 1, 0), 1, 3)
     assert calls == [1, 0]
 
 

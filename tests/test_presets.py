@@ -3,6 +3,7 @@ import pytest
 from beta_arena.game import StrategyError, audit_trace
 from beta_arena.presets import (PRESETS, build_preset, real_winning_setup,
                                 run_setup)
+from beta_arena.realexp import RealBase
 
 WINNING = ["dwinning-golden", "dwinning-silver", "cwinning-nine-halves",
            "qwinning-componentwise"]
@@ -84,3 +85,17 @@ def test_unresolved_tail_base_refused():
     # the winning threshold leans on that bound, so the builder must balk
     with pytest.raises(StrategyError, match="not resolved"):
         real_winning_setup(2.5)
+
+
+def test_componentwise_preset_builds_one_real_base(monkeypatch):
+    # the window search and the strategy share the base instead of each
+    # building their own
+    built = []
+    orig = RealBase.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        orig(self, *args, **kwargs)
+    monkeypatch.setattr(RealBase, "__init__", counted)
+    build_preset("qwinning-componentwise")
+    assert built == [(3.0,)]
