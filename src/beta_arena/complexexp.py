@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numeric import (DEFAULT_TOL, AmbiguousValueError, DigitKernel, Quaternion,
-                      Tolerance)
+                      Tolerance, nudge_mode)
 
 QUARTER = math.pi / 4.0
 GaussInt = tuple[int, int]
@@ -106,7 +106,7 @@ class ComplexBase:
     def expand(self, z: Quaternion, n: int, on_ambiguous: str = "error") -> list[GaussInt]:
         if not self.contains(z):
             raise ValueError("point outside the fundamental square")
-        return self.kernel.expand([z.a, z.b], n, on_ambiguous == "nudge")
+        return self.kernel.expand([z.a, z.b], n, nudge_mode(on_ambiguous))
 
 
 def classify_digit_set(r: float, theta: float, tol: Tolerance = DEFAULT_TOL) -> Classification:

@@ -63,6 +63,14 @@ def tol_floor(x: float, tol: Tolerance = DEFAULT_TOL, nudge: bool = False) -> in
     return n
 
 
+def nudge_mode(on_ambiguous: str) -> bool:
+    """True for "nudge" (snap at a boundary), False for "error" (raise);
+    every expansion entry point checks its on_ambiguous argument here."""
+    if on_ambiguous not in ("error", "nudge"):
+        raise ValueError("on_ambiguous must be 'error' or 'nudge'")
+    return on_ambiguous == "nudge"
+
+
 class DigitKernel:
     """The digit map u -> A u - d, d = floor(A u - offsets), in lattice coordinates.
 

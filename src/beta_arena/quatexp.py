@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, DigitKernel, Quaternion, Tolerance, quat_mul
+from .numeric import DEFAULT_TOL, DigitKernel, Quaternion, Tolerance, nudge_mode, quat_mul
 
 Coords = tuple[int, int, int, int]
 
@@ -96,7 +96,7 @@ def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
     if not lattice.contains(z):
         raise ValueError("point outside the fundamental box")
     return lattice.digit_map(q, tol).expand(lattice.to_coords(z).tolist(), n,
-                                            on_ambiguous == "nudge")
+                                            nudge_mode(on_ambiguous))
 
 
 def isoclinic_matrix(q: Quaternion) -> np.ndarray:

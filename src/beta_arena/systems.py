@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexexp import ComplexBase
-from .numeric import DEFAULT_TOL, Quaternion, Tolerance
+from .numeric import DEFAULT_TOL, Quaternion, Tolerance, nudge_mode
 from .quatexp import LatticeDomain
 from .realexp import RealBase
 
@@ -38,7 +38,7 @@ class RealSystem:
         return np.array(u)
 
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        (d,), u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
+        (d,), u, margin = self.kernel.step(self.coords(p), nudge_mode(on_ambiguous))
         return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:
@@ -64,7 +64,7 @@ class ComplexSystem:
         return np.array(u)
 
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        d, u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
+        d, u, margin = self.kernel.step(self.coords(p), nudge_mode(on_ambiguous))
         return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:
@@ -91,7 +91,7 @@ class QuatSystem:
         return self.lattice.B @ u
 
     def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        d, u, margin = self.kernel.step(self.coords(p), on_ambiguous == "nudge")
+        d, u, margin = self.kernel.step(self.coords(p), nudge_mode(on_ambiguous))
         return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:
@@ -100,5 +100,5 @@ class QuatSystem:
 
 def expand_digits(system, p: np.ndarray, n: int, on_ambiguous: str = "nudge") -> list:
     """First n digits of p under the system's expansion map."""
-    digits = system.kernel.expand(system.coords(p), n, on_ambiguous == "nudge")
+    digits = system.kernel.expand(system.coords(p), n, nudge_mode(on_ambiguous))
     return [d for (d,) in digits] if system.dim == 1 else digits

@@ -194,13 +194,16 @@ def test_eps_env_override(capsys, monkeypatch):
     (None, ("game", "--preset", "dwinning-golden", "--out", "/nonexistent-dir/x.json")),
     (None, ("scan", "--preset", "dwinning-golden", "--alpha", "0.05:0.05:0.1",
             "--out", "/nonexistent-dir/x.csv")),
+    (None, ("admissible", "--real", "1e308", "--n", "3")),
+    (None, ("admissible", "--real", "1e18", "--n", "3")),
 ], ids=["x-outside-domain", "base-not-above-1", "negative-length", "eps-not-a-number",
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
         "no-system", "two-systems", "real-negative-n", "complex-negative-n",
         "quat-negative-n", "infinite-real-base", "infinite-modulus",
         "curve-A-without-b", "grid-not-finite", "override-rho-on-symmetric",
         "override-bob-on-losing", "game-without-preset", "alpha-zero",
-        "game-out-unwritable", "scan-out-unwritable"])
+        "game-out-unwritable", "scan-out-unwritable", "alphabet-past-index-range",
+        "alphabet-past-memory"])
 def test_invalid_input_exits_3(capsys, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("BETA_ARENA_EPS", env)

@@ -366,6 +366,32 @@ def test_certified_digits_respect_radius():
     assert fat <= 1
 
 
+@pytest.mark.parametrize("system, p, j", [
+    (RealSystem(RealBase(PHI)), [0.3], 5),
+    (ComplexSystem(ComplexBase(4.5, 0.05)), [0.1, 0.2], 3),
+    (QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz()), [0.13, 0.27, 0.41, 0.66], 4),
+], ids=["real", "complex", "quat"])
+def test_certified_count_switches_at_the_digit_threshold(system, p, j):
+    # digit j holds on the whole ball while radius * |radix|^j < margin_j;
+    # the verifier asks for a (1 - 1e-9) safety factor on top
+    steps, cur, growth = [], np.array(p), 1.0
+    for _ in range(j + 1):
+        _, cur, margin = system.step(cur, "nudge")
+        growth *= system.radix_norm
+        steps.append((margin, margin / growth))
+    margin, t = steps[j - 1]
+    # every earlier digit allows a radius above 2 t and digit j + 1 none as
+    # large as t, so the count below is j or j - 1
+    assert all(t_i > 2.0 * t for _, t_i in steps[:j - 1])
+    assert steps[j][1] < 0.99 * t and 1.5 * t < margin
+    for radius, want in ((t * (1.0 - 1e-8), j),      # inside, with the safety factor
+                         (t * (1.0 - 1e-10), j - 1),  # inside, within the safety factor
+                         (t * (1.0 + 1e-8), j - 1),   # just outside
+                         (1.5 * t, j - 1)):           # below margin_j, above t
+        _, certified = certified_digits(system, np.array(p), radius, j + 1)
+        assert certified == want, radius
+
+
 def test_verify_contains_falsified():
     base = RealBase(PHI)
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))

@@ -42,6 +42,26 @@ def test_quat_system_agrees_with_q_expand():
     assert expand_digits(sysm, p, 8) == want
 
 
+def test_unknown_on_ambiguous_mode_is_refused():
+    real = RealSystem(RealBase(PHI))
+    cplx = ComplexSystem(ComplexBase(4.5, 0.05))
+    quat = QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz())
+    calls = [
+        lambda mode: real.base.digits(0.3, 4, on_ambiguous=mode),
+        lambda mode: cplx.base.expand(Quaternion.complex2(0.1, 0.2), 4, on_ambiguous=mode),
+        lambda mode: q_expand(quat.q, quat.lattice, Quaternion(0.13, 0.27, 0.41, 0.66), 4,
+                              on_ambiguous=mode),
+    ]
+    for sysm, p in ((real, [0.3]), (cplx, [0.1, 0.2]), (quat, [0.13, 0.27, 0.41, 0.66])):
+        calls.append(lambda mode, sysm=sysm, p=p: expand_digits(sysm, np.array(p), 4, mode))
+        calls.append(lambda mode, sysm=sysm, p=p: sysm.step(np.array(p), mode))
+    for call in calls:
+        call("error")
+        call("nudge")
+        with pytest.raises(ValueError, match="on_ambiguous must be 'error' or 'nudge'"):
+            call("nudg")
+
+
 def test_step_margin_is_boundary_distance():
     base = RealBase(3.0)
     sysm = RealSystem(base)
