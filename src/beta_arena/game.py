@@ -279,7 +279,8 @@ def find_nk_real(b: float, K: int, alpha: float, beta: float, rho: float,
     window (lower, (1-alpha) * upper_factor).
 
     The search fixes n, takes the least k >= 2 clearing the upper bound, and
-    advances n when that k undershoots the lower bound.  None when exhausted;
+    advances n when that k undershoots the lower bound; it tries n up to
+    10 000 and skips any k above 10 000.  None when exhausted;
     existence is only guaranteed for irrational log_b(alpha beta) or when the
     lower bound is nonpositive.
     """

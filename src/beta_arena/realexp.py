@@ -161,7 +161,7 @@ class RealBase:
         if n > self.depth:
             raise ValueError("block longer than the precomputed expansion depth")
         c = self.c_digits
-        try:  # row 0 spans the alphabet, which no list holds from b of about 1e18 on
+        try:  # row 0 lists the whole alphabet; from b of about 1e18 on no list is that long
             first = [0] * (self.s_b + 1) if n else []
         except (OverflowError, MemoryError):
             raise ValueError(f"base {self.b!r}: an alphabet of {self.s_b + 1:.3g} "
