@@ -19,9 +19,9 @@ rather than pretending to resolve further digits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,7 +163,44 @@ class GameTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """json.dumps(self.to_dict(), sort_keys=True, indent=2) plus a newline,
+        byte for byte, written directly for this fixed schema: the indenting
+        encoder is pure Python and cost more per game than play and verify."""
+        p = self.params
+        moves = [_MOVE_JSON % (
+                     _json_list([_json_number(c) for c in map(float, mv.center.tolist())],
+                                "      "),
+                     _json_str(mv.player), _json_number(mv.radius), _json_number(mv.round_no))
+                 for mv in self.moves]
+        return ('{\n  "moves": ' + _json_list(moves, "  ")
+                + ',\n  "notes": ' + _json_list([_json_str(t) for t in self.notes], "  ")
+                + ',\n  "params": {\n    "alpha": ' + _json_number(p.alpha)
+                + ',\n    "beta": ' + _json_number(p.beta)
+                + ',\n    "dimension": ' + _json_number(p.dimension)
+                + ',\n    "initial_center": '
+                + _json_list([_json_number(c) for c in p.initial_center], "    ")
+                + ',\n    "rho": ' + _json_number(p.rho)
+                + '\n  },\n  "seed": ' + _json_number(self.seed)
+                + ',\n  "status": ' + _json_str(self.status) + "\n}\n")
+
+
+_MOVE_JSON = ('{\n      "center": %s,\n      "legal": true,\n      "player": %s,'
+              '\n      "radius": %s,\n      "round": %s\n    }')
+
+
+def _json_number(v) -> str:
+    """A number as json.dumps writes it: float.__repr__ (numpy 2's repr of a
+    np.float64 differs), NaN and +-Infinity, int.__repr__ for an int."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+    return int.__repr__(v)
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """Encoded items laid out as json.dumps(indent=2) lays out a list at pad."""
+    return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]" if items else "[]"
 
 
 def play(params: GameParams, alice: Strategy, bob: Strategy,
@@ -251,6 +288,9 @@ def A_threshold(b: float, K: int, alpha: float, tol: Tolerance = DEFAULT_TOL) ->
     if not b > 1.0 or K < 0 or not 0.0 < alpha < 1.0:
         raise ValueError("need b > 1, K >= 0, alpha in (0, 1)")
     kb = (K + 2.0) * b
+    if math.isinf(4.0 * kb):  # divided through by kb, nothing overflows
+        u = 1.0 / kb
+        return ((2.0 + u) * alpha - u) / (alpha * ((4.0 - u) - alpha * (2.0 - u)))
     den = alpha * ((4.0 * kb - 1.0) - alpha * (2.0 * kb - 1.0))
     if abs(den) <= tol.eps_cmp:
         raise ValueError("threshold denominator vanishes")
@@ -262,6 +302,9 @@ def F_threshold(r: float, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
     if not r > 1.0 or not 0.0 < alpha < 1.0:
         raise ValueError("need r > 1, alpha in (0, 1)")
     w = 2.0 * math.sqrt(2.0) * r
+    if math.isinf(2.0 * w):  # divided through by w, nothing overflows
+        u = 1.0 / w
+        return ((1.0 + u) * alpha - u) / (alpha * ((u - 1.0) * alpha + (2.0 - u)))
     den = alpha * ((1.0 - w) * alpha + (2.0 * w - 1.0))
     if abs(den) <= tol.eps_cmp:
         raise ValueError("threshold denominator vanishes")
@@ -449,20 +492,20 @@ def _nearest_row(targets: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: targets[int(np.argmin(np.linalg.norm(targets - x, axis=1)))]
 
 
-def _full_cylinder_centers(base: RealBase, d: int, k: int) -> np.ndarray:
-    """Midpoints of the full-length level-k cylinders with k-th digit d."""
-    centers = [0.5 * (iv.lo + iv.hi) for iv in base.cylinder_intervals(d, k)
-               if iv.full_length]
-    if not centers:
+def _nearest_full(base: RealBase, d: int, k: int, x: float) -> float:
+    """Center of the full-length level-k cylinder with k-th digit d nearest x."""
+    center = base.nearest_full_cylinder(x, d, k)
+    if center is None:
         raise StrategyError(f"no full-length cylinder interval for digit {d}")
-    return np.array(centers)
+    return center
 
 
 def alice_real_winning(base: RealBase, d: int, n: int, k: int) -> Strategy:
     """Steer the outcome's k-th digit to d: hold n rounds, then lock the
     nearest full-length level-k cylinder with last digit d."""
-    targets = _full_cylinder_centers(base, d, k).reshape(-1, 1)
-    return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
+    base.check_target(d, k)
+    return _lock_and_pull(n, lambda x: np.array([_nearest_full(base, d, k, float(x[0]))]),
+                          "nearest full cylinder target")
 
 
 def alice_complex_winning(base: ComplexBase, k: int, n: int) -> Strategy:
@@ -478,13 +521,11 @@ def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
     strategy, one per coordinate, sharing the hold length n and depth k."""
     if len(digits) != 4:
         raise ValueError("need one target digit per coordinate")
-    # one decomposition per distinct digit
-    targets = {d: _full_cylinder_centers(base, d, k) for d in dict.fromkeys(digits)}
-    per_axis = [targets[d] for d in digits]
+    for d in digits:
+        base.check_target(d, k)
 
     def nearest(x: np.ndarray) -> np.ndarray:
-        return np.array([axis[int(np.argmin(np.abs(axis - x[j])))]
-                         for j, axis in enumerate(per_axis)])
+        return np.array([_nearest_full(base, d, k, xj) for d, xj in zip(digits, x.tolist())])
     return _lock_and_pull(n, nearest, "componentwise target")
 
 

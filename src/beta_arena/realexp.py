@@ -259,15 +259,19 @@ class RealBase:
             hi = min(hi, prefix + scale)
         return lo, hi
 
+    def check_target(self, d: int, k: int) -> None:
+        """Refuse a k-th digit d that the cylinder decompositions do not take."""
+        if k < 2:
+            raise ValueError("k must be at least 2")
+        if d < 0 or d > self.d_prime:
+            raise ValueError(f"digit {d} exceeds the minimal quasi-greedy digit {self.d_prime}")
+
     def cylinder_intervals(self, d: int, k: int) -> list[CylinderInterval]:
         """Cylinder decomposition of the set whose k-th digit equals d.
 
         One interval per admissible (k-1)-block, ordered by left endpoint.
         """
-        if k < 2:
-            raise ValueError("k must be at least 2")
-        if d < 0 or d > self.d_prime:
-            raise ValueError(f"digit {d} exceeds the minimal quasi-greedy digit {self.d_prime}")
+        self.check_target(d, k)
         bk = self.b ** (-k)
         out: list[CylinderInterval] = []
         for blk, prefix, scale, hi in self._walk(k - 1):
@@ -277,3 +281,46 @@ class RealBase:
             out.append(CylinderInterval(w, lo, hi, hi - lo >= bk - self.tol.eps_cmp))
         return out
 
+    def nearest_full_cylinder(self, x: float, d: int, k: int) -> float | None:
+        """Center of the full-length level-k cylinder with k-th digit d nearest
+        to x, the first in lexicographic order on a tie: the center np.argmin
+        picks over cylinder_intervals(d, k).  None when there is none.
+
+        Descends the automaton to the (k-1)-block whose cylinder holds x, then
+        steps through its lexicographic neighbours to the first full cylinder
+        on each side of x (centers rise with the block): O(k s_b) work, not
+        s_b^(k-1).  Distances are |c - x|, the Euclidean norm of a 1-vector
+        unless (c - x)^2 underflows."""
+        self.check_target(d, k)
+        nxt, bk = self._automaton(k - 1), self.b ** (-k)
+        w, sts, prefix, scale = [], [0], 0.0, 1.0
+        for _ in range(k - 1):  # need not be exact: the scans keep what they pass
+            scale /= self.b
+            e = min(len(nxt[sts[-1]]) - 1, max(0, math.floor((x - prefix) / scale)))
+            prefix += e * scale
+            w.append(e)
+            sts.append(nxt[sts[-1]][e])
+
+        def scan(blk: list[int], sts: list[int], up: bool) -> list[float]:
+            """Full centers from blk on through its successors (up) or predecessors
+            (tails refilled least or greatest) to the first beyond x that way."""
+            found, step = [], 1 if up else -1
+            while True:
+                lo, hi = self.cylinder_interval(blk + [d])
+                if hi - lo >= bk - self.tol.eps_cmp:
+                    found.append(0.5 * (lo + hi))
+                    if (found[-1] > x) == up:
+                        return found
+                i = len(blk) - 1
+                while i >= 0 and not 0 <= blk[i] + step < len(nxt[sts[i]]):
+                    i -= 1
+                if i < 0:
+                    return found
+                blk[i] += step
+                for j in range(i, len(blk)):
+                    if j > i:
+                        blk[j] = 0 if up else len(nxt[sts[j]]) - 1
+                    sts[j + 1] = nxt[sts[j]][blk[j]]
+
+        cands = scan(w[:], sts[:], False)[::-1] + scan(w, sts, True)
+        return min(cands, key=lambda c: abs(c - x), default=None)

@@ -74,8 +74,12 @@ GAME = command(
 SCAN = command("scan", maybe(flag("--preset", PRESET)), maybe(flag("--alpha", GRID)),
                maybe(flag("--seeds", st.sampled_from(["0", "2", "-1"]))),
                flag("--max-rounds", ROUNDS), maybe(flag("--out", OUT)))
+# thresholds whose products (K + 2) b and 2 sqrt(2) r overflow a double
+OVERFLOW = [["regions", "--curve", "A", "--b", "1e308", "--alpha", "0.1:0.3:0.1"],
+            ["regions", "--curve", "F", "--r", "1e308", "--alpha", "0.1:0.3:0.1"]]
 ARGV = st.one_of(EXPAND, ADMISSIBLE, REGIONS, GAME, SCAN,
-                 st.sampled_from([[], ["no-such-command"], ["game", "--no-such-flag"]]))
+                 st.sampled_from([[], ["no-such-command"], ["game", "--no-such-flag"],
+                                  *OVERFLOW]))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -88,3 +92,14 @@ def test_main_never_raises(argv):
     if code == 3 and not out.getvalue():
         assert err.getvalue().startswith(("error: ", "ambiguous input: ",
                                           "strategy gave up: ")), (argv, err.getvalue())
+
+
+def test_overflowing_thresholds_print_their_finite_limit():
+    # divided through by the overflowing product, both thresholds tend to
+    # 1 / (2 - alpha)
+    want = "alpha,beta_threshold\n0.1,0.526315789474\n0.2,0.555555555556\n0.3,0.588235294118\n"
+    for argv in OVERFLOW:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (0, want, ""), argv

@@ -1,11 +1,13 @@
+import json
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_arena.complexexp import ComplexBase
-from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams,
+from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams, GameTrace,
                              IllegalMoveError, StrategyError, _max_step_inside,
                              _norm, alice_center_hold,
                              alice_quaternion_componentwise, alice_random,
@@ -15,7 +17,7 @@ from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams,
                              find_n_complex, find_nk_real, play,
                              verify_outcome, winning_gap)
 from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
-from beta_arena.presets import build_preset, run_setup
+from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import lipschitz, zeta_lattice
 from beta_arena.realexp import RealBase
 from beta_arena.systems import ComplexSystem, QuatSystem, RealSystem
@@ -163,6 +165,15 @@ def test_F_threshold_frozen_value():
     assert F_threshold(4.5, 0.6) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("huge", [1e308, 5e307, math.inf])
+def test_thresholds_past_overflow_take_the_finite_limit(huge):
+    # (K + 2) b or 2 sqrt(2) r (or twice it) overflows: the fraction divided
+    # through by it tends to 1 / (2 - alpha)
+    for alpha in (1e-6, 0.1, 0.5, 0.9):
+        assert A_threshold(huge, 0, alpha) == pytest.approx(1.0 / (2.0 - alpha), rel=1e-12)
+        assert F_threshold(huge, alpha) == pytest.approx(1.0 / (2.0 - alpha), rel=1e-12)
+
+
 def test_winning_gap_sign():
     # (2 - alpha) beta >= 1 forces a nonpositive gap
     assert winning_gap(0.6, 0.75) <= 0.0
@@ -276,16 +287,27 @@ def test_winning_strategy_survives_all_seeds():
         assert res.verdict == "verified", seed
 
 
-def test_componentwise_decomposes_each_distinct_digit_once(monkeypatch):
-    calls = []
-    orig = RealBase.cylinder_intervals
-
-    def counted(self, d, k):
-        calls.append(d)
-        return orig(self, d, k)
-    monkeypatch.setattr(RealBase, "cylinder_intervals", counted)
-    alice_quaternion_componentwise(RealBase(3.0), (1, 0, 1, 0), 1, 3)
-    assert calls == [1, 0]
+def test_winning_targets_are_checked_at_build_and_never_enumerated(monkeypatch):
+    # alphas just inside the golden, silver and componentwise bounds, where k
+    # is 35 to 48 and listing the s_b^(k-1) blocks never finished
+    def refuse(self, d, k):
+        raise AssertionError("cylinder_intervals called")
+    monkeypatch.setattr(RealBase, "cylinder_intervals", refuse)
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        alice_real_winning(RealBase(PHI), 0, 1, 1)
+    with pytest.raises(ValueError, match="digit 3 exceeds"):
+        alice_quaternion_componentwise(RealBase(3.0), (1, 0, 3, 4), 1, 3)
+    start = time.perf_counter()
+    verdicts = {}
+    for name, alpha in (("dwinning-golden", 0.638), ("dwinning-silver", 0.471),
+                        ("qwinning-componentwise", 0.23)):
+        setup = build_preset(name, alpha=alpha)
+        assert setup.claim.position >= 35, name
+        verdicts[name] = [run_setup(setup, seed=seed)[1].verdict for seed in range(2)]
+    assert time.perf_counter() - start < 2.0
+    assert verdicts["dwinning-golden"] == ["verified", "verified"]
+    assert all(v in ("verified", "falsified", "indeterminate")
+               for vs in verdicts.values() for v in vs)
 
 
 # -- avoidance strategy ---------------------------------------------------------
@@ -433,6 +455,50 @@ def test_trace_json_round_trip_fields():
     assert len(doc["moves"]) == 1 + 2 * 3
     assert all(mv["legal"] for mv in doc["moves"])
     assert trace.to_json() == trace.to_json()
+
+
+def _dumps(trace):
+    """The trace writer's specification."""
+    return json.dumps(trace.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+NOTE = st.one_of(st.text(), st.sampled_from(
+    ['say "hold"', "back\\slash", "tab\tnul\x00bell\x07\x1f", "caf\u00e9 \u2713 \U0001d538"]))
+COORD = st.one_of(st.floats(-10.0, 10.0), st.integers(-3, 3),
+                  st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((1, 2, 4)), st.floats(0.01, 0.99), st.floats(0.01, 0.99),
+       st.one_of(st.integers(1, 5), st.floats(1e-6, 1e6)), st.data(),
+       st.lists(NOTE, max_size=40), st.integers(0, 1 << 16))
+def test_to_json_is_json_dumps_of_to_dict(dim, alpha, beta, rho, data, notes, seed):
+    center = tuple(data.draw(st.lists(COORD, min_size=dim, max_size=dim)))
+    params = GameParams(alpha, beta, rho, dim, center)
+    # a center that is not finite can only open a game: no move could follow it
+    rounds = data.draw(st.integers(0, 6)) if all(map(math.isfinite, center)) else 0
+    trace = play(params, alice_random(), bob_random(), max_rounds=rounds, seed=seed)
+    trace.notes = notes
+    assert trace.to_json() == _dumps(trace)
+
+
+def test_to_json_is_json_dumps_of_to_dict_on_every_preset():
+    for name in PRESETS:
+        bobs = [None] if name.startswith("notwinning") else sorted(BOBS)
+        for bob in bobs:
+            for seed in range(8):
+                try:
+                    trace, _ = run_setup(build_preset(name, bob=bob), seed=seed)
+                except StrategyError:
+                    continue
+                assert trace.to_json() == _dumps(trace), (name, bob, seed)
+
+
+def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does():
+    params = GameParams(np.float64(0.5), 0.5, np.float64(0.25), 1, (np.float64(0.5),))
+    trace = GameTrace(params, 0, [], "max-rounds")
+    assert trace.to_json() == _dumps(trace)
+    assert '"moves": [],\n  "notes": []' in trace.to_json()
 
 
 # -- fast paths against their numpy originals -------------------------------------

@@ -404,6 +404,42 @@ def test_cylinder_intervals_match_direct_computation(b, k, data):
         assert (ci.lo, ci.hi, ci.full_length) == (base.value(ci.block), hi, full), ci.block
 
 
+def oracle_nearest(base, x, d, k):
+    """The full-enumeration argmin: the target the game strategies picked
+    from cylinder_intervals before the lazy query."""
+    centers = np.array([0.5 * (ci.lo + ci.hi) for ci in base.cylinder_intervals(d, k)
+                        if ci.full_length])
+    return float(centers[int(np.argmin(np.abs(centers - x)))]) if len(centers) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([PHI1, PHI2, 2.5, 3.0]), st.floats(1.01, 6.0)), st.data())
+def test_nearest_full_cylinder_matches_the_enumeration_argmin(b, data):
+    base = RealBase(b)
+    # at most about 2000 blocks for the oracle to list
+    k = data.draw(st.integers(2, max(2, min(14, 1 + int(math.log(2000, b))))))
+    d = data.draw(st.integers(0, base.d_prime))
+    ivs = base.cylinder_intervals(d, k)
+    centers = [0.5 * (ci.lo + ci.hi) for ci in ivs if ci.full_length]
+    x = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from(centers),
+        st.sampled_from([e for ci in ivs for e in (ci.lo, ci.hi) if e < 1.0]),
+        st.integers(0, len(centers) - 2).map(lambda i: 0.5 * (centers[i] + centers[i + 1]))
+        if len(centers) > 1 else st.nothing()))
+    assert base.nearest_full_cylinder(x, d, k) == oracle_nearest(base, x, d, k), (b, k, d, x)
+
+
+def test_nearest_full_cylinder_breaks_ties_to_the_left():
+    # base 2, k = 2: the cylinders of 00 and 10 have centers 0.125 and 0.625,
+    # those of 01 and 11 centers 0.375 and 0.875; each x below is an exact tie
+    base = RealBase(2.0)
+    assert base.nearest_full_cylinder(0.375, 0, 2) == 0.125
+    assert base.nearest_full_cylinder(0.625, 1, 2) == 0.375
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        base.nearest_full_cylinder(0.5, 0, 1)
+
+
 def test_automaton_is_exact_for_any_c():
     # an expansion of 1 computed in floats need not be shift-maximal; the
     # failure links keep the automaton equal to the suffix test regardless
