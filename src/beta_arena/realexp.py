@@ -293,13 +293,13 @@ class RealBase:
         unless (c - x)^2 underflows."""
         self.check_target(d, k)
         nxt, bk = self._automaton(k - 1), self.b ** (-k)
-        w, sts, prefix, scale = [], [0], 0.0, 1.0
+        w, states, prefix, scale = [], [0], 0.0, 1.0
         for _ in range(k - 1):  # need not be exact: the scans keep what they pass
             scale /= self.b
-            e = min(len(nxt[sts[-1]]) - 1, max(0, math.floor((x - prefix) / scale)))
+            e = min(len(nxt[states[-1]]) - 1, max(0, math.floor((x - prefix) / scale)))
             prefix += e * scale
             w.append(e)
-            sts.append(nxt[sts[-1]][e])
+            states.append(nxt[states[-1]][e])
 
         def scan(blk: list[int], sts: list[int], up: bool) -> list[float]:
             """Full centers from blk on through its successors (up) or predecessors
@@ -322,5 +322,5 @@ class RealBase:
                         blk[j] = 0 if up else len(nxt[sts[j]]) - 1
                     sts[j + 1] = nxt[sts[j]][blk[j]]
 
-        cands = scan(w[:], sts[:], False)[::-1] + scan(w, sts, True)
+        cands = scan(w[:], states[:], False)[::-1] + scan(w, states, True)
         return min(cands, key=lambda c: abs(c - x), default=None)
