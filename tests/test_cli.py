@@ -169,11 +169,26 @@ def test_eps_env_override(capsys, monkeypatch):
     assert "ambiguous" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("regions", "--curve", "F"),
+    ("regions", "--curve", "G", "--theta", "0.05"),
+    ("regions", "--curve", "classify"),
+])
+def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
+    # these curves read only the comparison slack, which BETA_ARENA_EPS does
+    # not set
+    want = run_cli(capsys, *argv)
+    monkeypatch.setenv("BETA_ARENA_EPS", "1e-6")
+    assert run_cli(capsys, *argv) == want
+    assert want[0] == 0 and want[1]
+
+
 @pytest.mark.parametrize("env, argv", [
     (None, ("expand", "--real", "golden", "--x", "1.5")),
     (None, ("expand", "--real", "1.0", "--x", "0.5")),
     (None, ("admissible", "--real", "golden", "--n", "-1")),
     ("abc", ("expand", "--real", "golden", "--x", "0.5")),
+    ("1e-13", ("expand", "--real", "golden", "--x", "0.5")),
     (None, ("expand", "--real", "golden")),
     (None, ("expand", "--complex", "4.5", "0.05", "--z", ".1", ".2", ".3", ".4")),
     (None, ("expand", "--quat", "3", "3", "3", "3", "--z", ".1", ".2")),
@@ -197,6 +212,7 @@ def test_eps_env_override(capsys, monkeypatch):
     (None, ("admissible", "--real", "1e308", "--n", "3")),
     (None, ("admissible", "--real", "1e18", "--n", "3")),
 ], ids=["x-outside-domain", "base-not-above-1", "negative-length", "eps-not-a-number",
+        "eps-below-comparison-slack",
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
         "no-system", "two-systems", "real-negative-n", "complex-negative-n",
         "quat-negative-n", "infinite-real-base", "infinite-modulus",

@@ -99,3 +99,34 @@ def test_componentwise_preset_builds_one_real_base(monkeypatch):
     monkeypatch.setattr(RealBase, "__init__", counted)
     build_preset("qwinning-componentwise")
     assert built == [(3.0,)]
+
+
+# name -> (alpha, beta, rho, initial center), (claim kind, block, position) and
+# the verification depth len(result.digits) at seed 0
+PINNED = {
+    "dwinning-golden": ((0.05, 0.7, 0.4, (0.5,)), ("contains", (0,), 12), 12),
+    "dwinning-silver": ((0.05, 0.6, 0.4, (0.3,)), ("contains", (0,), 7), 7),
+    "cwinning-nine-halves": ((0.6, 0.75, 2.0, (0.0, 0.0)), ("contains", ((0, 0),), 2), 2),
+    "qwinning-componentwise": ((0.04, 0.5, 0.3, (0.5, 0.5, 0.5, 0.5)),
+                               ("contains", ((1, 0, 1, 0),), 7), 7),
+    "notwinning-lipschitz": ((0.9, 0.18518518518518517, 0.4, (0.5, 0.5, 0.5, 0.5)),
+                             ("avoids", ((0, 0, 0, 0),), 1), 12),
+    "notwinning-hurwitz": ((0.93, 0.2150537634408602, 0.25, (0.5, 0.5, 0.5, 0.25)),
+                           ("avoids", ((0, 0, 0, 0),), 1), 14),
+    "notwinning-symmetric": ((0.85, 0.11764705882352941, 0.1, (0.1, 0.1, 0.1, 0.1)),
+                             ("avoids", ((0, 0, 0, 0),), 1), 8),
+    "notwinning-zeta": ((0.5, 0.05555555555555555, 0.49, (0.25, 1.5, 0.25, 1.5)),
+                        ("avoids", ((0, 0, 0, 0), (0, 0, 0, 0)), 1), 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_preset_params_claim_and_depth_are_pinned(name):
+    (alpha, beta, rho, x0), claim, depth = PINNED[name]
+    setup = build_preset(name)
+    p = setup.params
+    assert (p.alpha, p.beta, p.rho, p.dimension, p.initial_center) == (
+        alpha, beta, rho, len(x0), x0)
+    assert (setup.claim.kind, setup.claim.block, setup.claim.position) == claim
+    _, result = run_setup(setup, seed=0)
+    assert len(result.digits) == depth
