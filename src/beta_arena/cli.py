@@ -60,7 +60,7 @@ def parse_base(text: str) -> float:
     return float(text)
 
 
-def parse_lattice(text: str, tol: Tolerance):
+def parse_lattice(text: str):
     if text == "lipschitz":
         return lipschitz()
     if text == "lipschitz-centered":
@@ -73,8 +73,11 @@ def parse_lattice(text: str, tol: Tolerance):
     if text.startswith("zeta"):
         eps = float(text.split(":", 1)[1]) if ":" in text else 0.25
         return zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0),
-                            Quaternion(0.0, 0.0, 1.0, 0.0), eps, tol=tol)
+                            Quaternion(0.0, 0.0, 1.0, 0.0), eps)
     raise ValueError(f"unknown lattice {text!r}")
+
+
+MAX_GRID_POINTS = 10 ** 6
 
 
 def parse_grid(text: str) -> list[float]:
@@ -84,6 +87,8 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
+    if (stop + 1e-12 - start) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
     out = []
     k = 0
     while True:
@@ -122,7 +127,7 @@ def cmd_expand(args, tol: Tolerance) -> int:
         system = ComplexSystem(ComplexBase(*args.complex, tol=tol, lo=lo))
         p = args.z or []
     else:
-        system = QuatSystem(Quaternion(*args.quat), parse_lattice(args.lattice, tol), tol)
+        system = QuatSystem(Quaternion(*args.quat), parse_lattice(args.lattice), tol)
         p = args.z or []
     if len(p) != system.dim:
         raise ValueError(f"the point needs {system.dim} coordinate(s) "
@@ -155,7 +160,7 @@ def cmd_admissible(args, tol: Tolerance) -> int:
 def cmd_regions(args, tol: Tolerance) -> int:
     if args.curve == "classify":
         try:
-            square, N = classify_digit_set(args.r, args.theta, tol)
+            square, N = classify_digit_set(args.r, args.theta)
             payload = {"ambiguous": False, "square": square, "N": N}
         except AmbiguousValueError:
             payload = {"ambiguous": True, "square": None, "N": None}
@@ -169,14 +174,14 @@ def cmd_regions(args, tol: Tolerance) -> int:
         base = RealBase(b, tol=tol)
         header = "alpha,beta_threshold"
         for alpha in parse_grid(args.alpha):
-            rows.append((alpha, A_threshold(b, base.K_b, alpha, tol=tol)))
+            rows.append((alpha, A_threshold(b, base.K_b, alpha)))
     elif args.curve == "F":
         header = "alpha,beta_threshold"
         for alpha in parse_grid(args.alpha):
-            rows.append((alpha, F_threshold(args.r, alpha, tol=tol)))
+            rows.append((alpha, F_threshold(args.r, alpha)))
     else:
         header = "N,interval_lo,interval_hi"
-        for reg in G_region(args.theta, tol=tol):
+        for reg in G_region(args.theta):
             rows.append((reg.N, reg.v_lo, reg.u_hi))
 
     if args.format == "json":

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import (DEFAULT_TOL, AmbiguousValueError, DigitKernel, Quaternion,
+from .numeric import (DEFAULT_TOL, EPS_CMP, AmbiguousValueError, DigitKernel, Quaternion,
                       Tolerance, nudge_mode)
 
 QUARTER = math.pi / 4.0
@@ -59,8 +59,6 @@ class GammaConstants:
     gamma1: float
     gamma2: float
     delta: float
-    l_minus: float | None = None
-    l_plus: float | None = None
 
 
 class ComplexBase:
@@ -89,7 +87,7 @@ class ComplexBase:
         self.N: int | None = None
         if self.is_centered:
             try:
-                cls = classify_digit_set(self.r, self.theta, tol)
+                cls = classify_digit_set(self.r, self.theta)
             except AmbiguousValueError:
                 cls = None
             if cls is not None and cls.square:
@@ -109,18 +107,18 @@ class ComplexBase:
         return self.kernel.expand([z.a, z.b], n, nudge_mode(on_ambiguous))
 
 
-def classify_digit_set(r: float, theta: float, tol: Tolerance = DEFAULT_TOL) -> Classification:
+def classify_digit_set(r: float, theta: float) -> Classification:
     """Size and shape of the digit set on the centered square.
 
     Returns (square, N) where N is the sup-norm radius of the digit bounding
-    box.  Raises AmbiguousValueError within 10*eps_cmp of either region
+    box.  Raises AmbiguousValueError within 10*EPS_CMP of either region
     boundary rather than guessing a side.
     """
     if not 1.0 < r < math.inf:
         raise ValueError("modulus must be finite and exceed 1")
     t = fold_angle(theta)
     cps = math.cos(t) + math.sin(t)
-    beps = 10.0 * tol.eps_cmp
+    beps = 10.0 * EPS_CMP
     x = (r * cps + 1.0) / 2.0
     nearest = round(x)
     if abs(x - nearest) * 2.0 / cps <= beps:
@@ -187,7 +185,7 @@ def check_Ck(base: ComplexBase, k: int) -> CkResult:
     if base.N is None:
         raise ValueError("digit set is not square; no refinement structure")
     if k == 1:
-        holds = base.r >= base.c + base.s - base.tol.eps_cmp
+        holds = base.r >= base.c + base.s - EPS_CMP
         return CkResult(holds, True)
     v = v_threshold(base.N, k, base.theta_folded)
     return CkResult(base.r > v, k <= 2)
@@ -233,13 +231,13 @@ def _delta_root() -> float:
     return min(real)
 
 
-def gamma_constants(theta: float | None = None) -> GammaConstants:
+def gamma_constants() -> GammaConstants:
     """Angle thresholds of the region family.
 
     gamma1 bounds the angles with positive discriminant, gamma2 = 2 arctan d
     with d the smallest positive root of x^8 + 16x^7 + 30x^4 - 16x + 1 bounds
-    the angles with a nonempty family.  When theta is supplied and lies below
-    gamma1 the quadratic roots L-' L+ at that angle are attached.
+    the angles with a nonempty family.  F_roots gives the quadratic roots
+    L- and L+ at an angle below gamma1.
     """
     lo, hi = 1e-9, QUARTER
     if discriminant(lo) <= 0.0 or discriminant(hi) >= 0.0:
@@ -253,13 +251,10 @@ def gamma_constants(theta: float | None = None) -> GammaConstants:
     gamma1 = 0.5 * (lo + hi)
     delta = _delta_root()
     gamma2 = 2.0 * math.atan(delta)
-    l_minus = l_plus = None
-    if theta is not None and 0.0 < fold_angle(theta) < gamma1:
-        l_minus, l_plus = F_roots(theta)
-    return GammaConstants(gamma1, gamma2, delta, l_minus, l_plus)
+    return GammaConstants(gamma1, gamma2, delta)
 
 
-def G_region(theta: float, tol: Tolerance = DEFAULT_TOL) -> list[SquareRegion]:
+def G_region(theta: float) -> list[SquareRegion]:
     """Moduli r for which the base r e^(i theta) refines into squares at
     every level, as a union of intervals (v_lo, u_hi] indexed by N.
 
@@ -272,7 +267,7 @@ def G_region(theta: float, tol: Tolerance = DEFAULT_TOL) -> list[SquareRegion]:
     if t < 1e-12:
         return [SquareRegion(N, N + math.sqrt(N * N + 1.0), 2 * N + 1) for N in range(1, 11)]
     _, l_plus = F_roots(t)
-    top = math.ceil(l_plus - tol.eps_cmp) - 1
+    top = math.ceil(l_plus - EPS_CMP) - 1
     return [SquareRegion(N, v_threshold(N, 2, t), u_threshold(N, t))
             for N in range(1, top + 1)]
 

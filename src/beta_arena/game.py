@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .complexexp import ComplexBase, Vk_squares
-from .numeric import DEFAULT_TOL, Tolerance
+from .numeric import EPS_CMP
 from .realexp import RealBase
 from .systems import QuatSystem
 
@@ -249,7 +249,7 @@ def _check_legal(player: str, round_no: int, outer_center: np.ndarray,
                  center: np.ndarray, radius: float, outer_radius: float,
                  system) -> None:
     gap = _norm(center - outer_center) + radius - outer_radius
-    if gap > DEFAULT_TOL.eps_cmp:
+    if gap > EPS_CMP:
         raise IllegalMoveError(player, round_no,
                                f"ball escapes the previous one by {gap:.3e}")
     if system is not None and not system.contains(center):
@@ -274,7 +274,7 @@ def audit_trace(trace: GameTrace) -> list[str]:
         if abs(mv.radius - expected) > 1e-9 * max(expected, 1e-300):
             problems.append(f"round {n} {mv.player}: radius off schedule")
         gap = _norm(mv.center - prev.center) + mv.radius - prev.radius
-        if gap > DEFAULT_TOL.eps_cmp:
+        if gap > EPS_CMP:
             problems.append(f"round {n} {mv.player}: containment violated by {gap:.3e}")
         prev = mv
     return problems
@@ -283,7 +283,7 @@ def audit_trace(trace: GameTrace) -> list[str]:
 # -- thresholds and (n, k) searches -------------------------------------------
 
 
-def A_threshold(b: float, K: int, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def A_threshold(b: float, K: int, alpha: float) -> float:
     """Beta threshold for the 1D winning strategy at radix b with zero-run bound K."""
     if not b > 1.0 or K < 0 or not 0.0 < alpha < 1.0:
         raise ValueError("need b > 1, K >= 0, alpha in (0, 1)")
@@ -292,12 +292,12 @@ def A_threshold(b: float, K: int, alpha: float, tol: Tolerance = DEFAULT_TOL) ->
         u = 1.0 / kb
         return ((2.0 + u) * alpha - u) / (alpha * ((4.0 - u) - alpha * (2.0 - u)))
     den = alpha * ((4.0 * kb - 1.0) - alpha * (2.0 * kb - 1.0))
-    if abs(den) <= tol.eps_cmp:
+    if abs(den) <= EPS_CMP:
         raise ValueError("threshold denominator vanishes")
     return ((2.0 * kb + 1.0) * alpha - 1.0) / den
 
 
-def F_threshold(r: float, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def F_threshold(r: float, alpha: float) -> float:
     """Beta threshold for the complex winning strategy at modulus r."""
     if not r > 1.0 or not 0.0 < alpha < 1.0:
         raise ValueError("need r > 1, alpha in (0, 1)")
@@ -306,7 +306,7 @@ def F_threshold(r: float, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
         u = 1.0 / w
         return ((1.0 + u) * alpha - u) / (alpha * ((u - 1.0) * alpha + (2.0 - u)))
     den = alpha * ((1.0 - w) * alpha + (2.0 * w - 1.0))
-    if abs(den) <= tol.eps_cmp:
+    if abs(den) <= EPS_CMP:
         raise ValueError("threshold denominator vanishes")
     return ((w + 1.0) * alpha - 1.0) / den
 
@@ -327,7 +327,7 @@ def find_nk_real(b: float, K: int, alpha: float, beta: float, rho: float,
     existence is only guaranteed for irrational log_b(alpha beta) or when the
     lower bound is nonpositive.
     """
-    margin = 10.0 * DEFAULT_TOL.eps_cmp
+    margin = 10.0 * EPS_CMP
     lower = b * (K + 2.0) * winning_gap(alpha, beta)
     upper = (1.0 - alpha) * upper_factor
     if lower >= upper - margin:
@@ -358,7 +358,7 @@ def find_n_complex(r: float, alpha: float, beta: float, rho: float, k: int
     soon as sqrt(2)/r^(k-1) < rho (alpha beta)(1-alpha); otherwise n must fit
     between the two logarithmic bounds.  None if no integer fits.
     """
-    margin = 10.0 * DEFAULT_TOL.eps_cmp
+    margin = 10.0 * EPS_CMP
     ab = alpha * beta
     g = winning_gap(alpha, beta)
     reach_const = (1.0 - alpha) / (math.sqrt(2.0) * r)
@@ -641,7 +641,7 @@ def certified_digits(system, center: np.ndarray, radius: float, m: int
     cur = np.array(center, dtype=float)
     growth = 1.0
     for j in range(1, m + 1):
-        d, cur, margin = system.step(cur, "nudge")
+        d, cur, margin = system.step(cur)
         digits.append(d)
         growth *= system.radix_norm
         if growing and radius * growth < margin * (1.0 - 1e-9):

@@ -19,21 +19,21 @@ class AmbiguousValueError(ValueError):
     """A quantity landed inside the tolerance band around a decision boundary."""
 
 
+# slack allowed in ordinary comparisons
+EPS_CMP = 1e-12
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Rounding policy.
-
-    eps_floor is the half-width of the ambiguity band around integers used by
-    floor operations; eps_cmp is the slack allowed in ordinary comparisons.
-    """
+    """Rounding policy: eps_floor is the half-width of the ambiguity band
+    around integers used by floor operations, above the comparison slack."""
 
     eps_floor: float = 1e-9
-    eps_cmp: float = 1e-12
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_floor < 0.25:
             raise ValueError("eps_floor must lie in (0, 1/4)")
-        if not 0.0 < self.eps_cmp < self.eps_floor:
+        if self.eps_floor <= EPS_CMP:
             raise ValueError("eps_cmp must lie in (0, eps_floor)")
 
 
@@ -91,15 +91,15 @@ class DigitKernel:
         self.A = tuple(map(tuple, A))
         self.tol = tol
         # digits per coordinate: the cells [d, d + 1) that the image of the box
-        # meets, up to eps_cmp; the box is open above, so the image reaches
+        # meets, up to EPS_CMP; the box is open above, so the image reaches
         # its top only when no entry of the row is positive
         self.lo, self.hi = [], []
         for row, off in zip(self.A, offsets):
             corner = sum(map(operator.mul, row, offsets)) - off
             top = corner + sum(a for a in row if a > 0.0)
             self.lo.append(math.floor(corner + sum(a for a in row if a < 0.0)))
-            self.hi.append(math.ceil(top - tol.eps_cmp) - 1 if top > corner + tol.eps_cmp
-                           else math.floor(top + tol.eps_cmp))
+            self.hi.append(math.ceil(top - EPS_CMP) - 1 if top > corner + EPS_CMP
+                           else math.floor(top + EPS_CMP))
         self._rows = tuple(zip(self.A, offsets, row_norms, self.lo, self.hi))
 
     def step(self, u, nudge: bool = False):

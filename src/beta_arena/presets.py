@@ -34,13 +34,11 @@ HYPOTHESIS_MARGIN = 1e-9
 @dataclass
 class GameSetup:
     name: str
-    kind: str  # "winning" | "losing"
     params: GameParams
     system: object
     alice: Strategy
     bob: Strategy
-    claim: Claim
-    verify_depth: int | None  # None: derive from the played trace
+    claim: Claim  # "contains" for the winning setups, "avoids" for the losing ones
     max_rounds: int
     notes: list[str] = field(default_factory=list)
 
@@ -73,62 +71,60 @@ def _real_window(b: float, alpha: float, beta: float, rho: float,
     return base, *nk, []
 
 
-def real_winning_setup(b: float, d: int = 0, alpha: float = 0.05,
-                       beta: float = 0.7, rho: float = 0.4, x0: float = 0.5,
+def real_winning_setup(b: float, alpha: float = 0.05, beta: float = 0.7,
+                       rho: float = 0.4, x0: float = 0.5,
                        bob: str = "optimal-drift", name: str = "real-winning",
                        max_rounds: int = 64) -> GameSetup:
-    """Steer the k-th digit of a real expansion to d."""
+    """Steer the k-th digit of a real expansion to 0."""
     params = GameParams(alpha, beta, rho, 1, (x0,))
     base, n, k, notes = _real_window(b, alpha, beta, rho, 1.0, "strategy window")
     return GameSetup(
-        name=name, kind="winning", params=params, system=RealSystem(base),
-        alice=alice_real_winning(base, d, n, k), bob=_make_bob(bob),
-        claim=Claim("contains", (d,), position=k), verify_depth=k,
+        name=name, params=params, system=RealSystem(base),
+        alice=alice_real_winning(base, 0, n, k), bob=_make_bob(bob),
+        claim=Claim("contains", (0,), position=k),
         max_rounds=max_rounds, notes=notes)
 
 
-def complex_winning_setup(r: float = 4.5, theta: float = 0.05, k: int = 2,
-                          alpha: float = 0.6, beta: float = 0.75,
-                          rho: float = 2.0, x0: tuple[float, float] = (0.0, 0.0),
+def complex_winning_setup(alpha: float = 0.6, beta: float = 0.75, rho: float = 2.0,
                           bob: str = "optimal-drift",
                           name: str = "complex-winning",
                           max_rounds: int = 64) -> GameSetup:
-    """Steer the k-th digit of a complex expansion to zero."""
-    params = GameParams(alpha, beta, rho, 2, tuple(x0))
-    base = ComplexBase(r, theta)
+    """Steer the second digit of an expansion in base 4.5 e^(0.05 i) to zero,
+    starting from the origin."""
+    r, k = 4.5, 2
+    params = GameParams(alpha, beta, rho, 2, (0.0, 0.0))
+    base = ComplexBase(r, 0.05)
     notes = []
     n = find_n_complex(r, alpha, beta, rho, k)
     if n is None:
         notes.append("no hold length n satisfies the strategy window; using n = 1")
         n = 1
     return GameSetup(
-        name=name, kind="winning", params=params, system=ComplexSystem(base),
+        name=name, params=params, system=ComplexSystem(base),
         alice=alice_complex_winning(base, k, n), bob=_make_bob(bob),
-        claim=Claim("contains", ((0, 0),), position=k), verify_depth=k,
+        claim=Claim("contains", ((0, 0),), position=k),
         max_rounds=max_rounds, notes=notes)
 
 
-def quat_componentwise_setup(b: float = 3.0,
-                             digits: tuple[int, int, int, int] = (1, 0, 1, 0),
-                             alpha: float = 0.04, beta: float = 0.5,
-                             rho: float = 0.3,
-                             x0: tuple = (0.5, 0.5, 0.5, 0.5),
+def quat_componentwise_setup(alpha: float = 0.04, beta: float = 0.5, rho: float = 0.3,
                              bob: str = "optimal-drift",
                              name: str = "quat-componentwise",
                              max_rounds: int = 64) -> GameSetup:
-    """Real radix acting on the unit box: force digit a_i on coordinate i.
+    """Real radix 3 acting on the unit box: force digit (1, 0, 1, 0), digit
+    a_i on coordinate i, from the box center.
 
     The threshold doubles the radix (2b) and the per-coordinate reach halves,
     hence the 0.5 window factor in the (n, k) search.
     """
-    params = GameParams(alpha, beta, rho, 4, tuple(x0))
+    b, digits = 3.0, (1, 0, 1, 0)
+    params = GameParams(alpha, beta, rho, 4, (0.5, 0.5, 0.5, 0.5))
     base, n, k, notes = _real_window(b, alpha, beta, rho, 0.5, "halved window")
     system = QuatSystem(Quaternion.real(b), lipschitz())
     return GameSetup(
-        name=name, kind="winning", params=params, system=system,
+        name=name, params=params, system=system,
         alice=alice_quaternion_componentwise(base, digits, n, k),
         bob=_make_bob(bob),
-        claim=Claim("contains", (tuple(digits),), position=k), verify_depth=k,
+        claim=Claim("contains", (digits,), position=k),
         max_rounds=max_rounds, notes=notes)
 
 
@@ -152,10 +148,10 @@ def _losing_setup(name: str, q: Quaternion, lattice: LatticeDomain,
     params = GameParams(alpha, beta, rho, 4, tuple(xi.components))
     system = QuatSystem(q, lattice)
     return GameSetup(
-        name=name, kind="losing", params=params, system=system,
+        name=name, params=params, system=system,
         alice=alice_random(),
         bob=bob_avoid_block(system, xi.components, omega),
-        claim=Claim("avoids", omega), verify_depth=None,
+        claim=Claim("avoids", omega),
         max_rounds=max_rounds, notes=notes)
 
 
@@ -187,14 +183,13 @@ def hurwitz_losing_setup(alpha: float = 0.93, beta: float | None = None,
 
 
 def symmetric_losing_setup(alpha: float = 0.85, beta: float | None = None,
-                           eps: float = 0.25, tau: float = 0.1,
                            name: str = "notwinning-symmetric",
                            max_rounds: int = 64) -> GameSetup:
-    """Avoid digit 0 on the origin-symmetric box, where |xi| = 2 rho forces
-    the modified constant."""
+    """Avoid digit 0 on the origin-symmetric box [-1/4, 1/4)^4, where
+    |xi| = 2 rho = 0.2 forces the modified constant."""
     q = Quaternion(0.0, 0.0, 0.0, 10.0)
-    lattice = symmetric_domain(eps)
-    xi, rho, constant = symmetric_constants(eps, tau, 0.0)
+    lattice = symmetric_domain(0.25)
+    xi, rho, constant = symmetric_constants(0.25, 0.1, 0.0)
     return _losing_setup(name, q, lattice, xi, rho, constant,
                          ((0, 0, 0, 0),), alpha, beta, max_rounds)
 
@@ -252,16 +247,17 @@ def build_preset(name: str, **overrides) -> GameSetup:
 def run_setup(setup: GameSetup, seed: int = 0):
     """Play a setup to completion and verify its claim.
 
-    Returns (trace, result).  The verification depth defaults to the claim
-    block placement for winning setups and to two rounds short of the digits
-    the pinning play resolved for losing ones.
+    Returns (trace, result).  A "contains" claim is verified up to the last
+    digit of its block; an "avoids" claim two rounds short of the digits the
+    pinning play resolved.
     """
     trace = play(setup.params, setup.alice, setup.bob,
                  max_rounds=setup.max_rounds, system=setup.system, seed=seed)
-    L = len(setup.claim.block)
-    if setup.verify_depth is not None:
-        depth = setup.verify_depth
+    claim = setup.claim
+    L = len(claim.block)
+    if claim.kind == "contains":
+        depth = claim.position + L - 1
     else:
         depth = L * max(1, trace.rounds_played - 2)
-    result = verify_outcome(trace, setup.system, setup.claim, depth)
+    result = verify_outcome(trace, setup.system, claim, depth)
     return trace, result

@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numeric import DEFAULT_TOL, DigitKernel, Quaternion, Tolerance, nudge_mode, quat_mul
+from .numeric import (DEFAULT_TOL, EPS_CMP, DigitKernel, Quaternion, Tolerance, nudge_mode,
+                      quat_mul)
 
 Coords = tuple[int, int, int, int]
 
@@ -87,16 +88,17 @@ class LatticeDomain:
         d_hi = (lo + 1.0 - t) / self.row_norms
         return float(min(d_lo.min(), d_hi.min()))
 
-    def ball_inside(self, center: Quaternion, rho: float, slack: float = 0.0) -> bool:
-        return self.face_margin(center) >= rho - slack
+    def ball_inside(self, center: Quaternion, rho: float) -> bool:
+        """Whether the closed ball B(center, rho) lies in the box, up to EPS_CMP."""
+        return self.face_margin(center) >= rho - EPS_CMP
 
 
 def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
-             tol: Tolerance = DEFAULT_TOL, on_ambiguous: str = "error") -> list[Coords]:
+             on_ambiguous: str = "error") -> list[Coords]:
     if not lattice.contains(z):
         raise ValueError("point outside the fundamental box")
-    return lattice.digit_map(q, tol).expand(lattice.to_coords(z).tolist(), n,
-                                            nudge_mode(on_ambiguous))
+    return lattice.digit_map(q).expand(lattice.to_coords(z).tolist(), n,
+                                       nudge_mode(on_ambiguous))
 
 
 def isoclinic_matrix(q: Quaternion) -> np.ndarray:
@@ -141,8 +143,7 @@ def symmetric_domain(eps: float) -> LatticeDomain:
     return LatticeDomain(basis, (-0.5,) * 4, name=f"symmetric:{eps:g}")
 
 
-def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float,
-                 tol: Tolerance = DEFAULT_TOL) -> LatticeDomain:
+def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float) -> LatticeDomain:
     """Lattice spanned by 1, conj(zeta), eta, conj(zeta) eta with a shifted box.
 
     Requires a non-real zeta and a unit eta with zero real part, orthogonal
@@ -151,12 +152,12 @@ def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float,
     coordinates of zeta * z reproduce the first and third of z, so every
     digit lies in Z + Z eta.
     """
-    if abs(zeta.b) + abs(zeta.c) + abs(zeta.d) <= tol.eps_cmp:
+    if abs(zeta.b) + abs(zeta.c) + abs(zeta.d) <= EPS_CMP:
         raise ValueError("zeta must not be real")
-    if abs(eta.a) > tol.eps_cmp or abs(abs(eta) - 1.0) > tol.eps_cmp:
+    if abs(eta.a) > EPS_CMP or abs(abs(eta) - 1.0) > EPS_CMP:
         raise ValueError("eta must be a unit quaternion with zero real part")
     dot = sum(x * y for x, y in zip(zeta.components, eta.components))
-    if abs(dot) > tol.eps_cmp:
+    if abs(dot) > EPS_CMP:
         raise ValueError("eta must be orthogonal to zeta")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
@@ -180,8 +181,7 @@ class DomainConstants:
     C_X: float
 
 
-def domain_constants(lattice: LatticeDomain, xi: Quaternion, rho: float,
-                     tol: Tolerance = DEFAULT_TOL) -> DomainConstants:
+def domain_constants(lattice: LatticeDomain, xi: Quaternion, rho: float) -> DomainConstants:
     """Constants for a ball B(xi, rho) sitting inside the domain box.
 
     Both suprema are attained at box corners.  Requires |xi| > 2 rho and the
@@ -192,9 +192,9 @@ def domain_constants(lattice: LatticeDomain, xi: Quaternion, rho: float,
     corners = lattice.corners()
     M = max(abs(c) for c in corners)
     D = max(abs(xi - c) for c in corners)
-    if abs(xi) <= 2.0 * rho + tol.eps_cmp:
+    if abs(xi) <= 2.0 * rho + EPS_CMP:
         raise ValueError("need |xi| > 2 rho")
-    if not lattice.ball_inside(xi, rho, slack=tol.eps_cmp):
+    if not lattice.ball_inside(xi, rho):
         raise ValueError("ball B(xi, rho) is not inside the domain")
     denom = abs(xi) - 2.0 * rho
     C_X = max(1.0 + D / rho, M / denom, 1.0 / denom)

@@ -5,11 +5,11 @@ T x = b x - floor(b x).  A digit block is admissible when every suffix is
 lexicographically at most the quasi-greedy expansion c of 1; Parry's
 automaton decides this with one integer of state, the length of the tight
 prefix of c, so a depth-first walk lists the admissible blocks of length n
-with one table lookup per node, carrying cylinder endpoints along.  The set of
-points whose first k digits form a given block is an interval whose exact
-endpoints this module computes.  Orbits of algebraic bases routinely hit cell
-boundaries head on, so every internal expansion snaps floors inside the
-tolerance band instead of trusting the last bits of a double.
+with one table lookup per node.  The set of points whose first k digits form
+a given block is an interval whose exact endpoints this module computes.
+Orbits of algebraic bases routinely hit cell boundaries head on, so every
+internal expansion snaps floors inside the tolerance band instead of
+trusting the last bits of a double.
 """
 
 from __future__ import annotations
@@ -18,9 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numeric import DEFAULT_TOL, DigitKernel, Tolerance, nudge_mode, tol_floor
+from .numeric import DEFAULT_TOL, EPS_CMP, DigitKernel, Tolerance, nudge_mode, tol_floor
 
 Block = tuple[int, ...]
+
+# digits of the expansions of 1 and of b - floor(b) kept, and so the longest
+# block the automaton takes
+DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -45,19 +49,17 @@ class RealBase:
     the admissibility and cylinder machinery built on them.
     """
 
-    def __init__(self, b: float, depth: int = 256, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, b: float, tol: Tolerance = DEFAULT_TOL):
         if not 1.0 < b < math.inf:
             raise ValueError("base must be finite and exceed 1")
-        if depth < 8:
-            raise ValueError("depth too small to be useful")
         self.b = float(b)
-        self.depth = int(depth)
+        self.depth = DEPTH
         self.tol = tol
-        self.is_integer = abs(self.b - round(self.b)) <= tol.eps_cmp
+        self.is_integer = abs(self.b - round(self.b)) <= EPS_CMP
         self.kernel = DigitKernel(((self.b,),), (0.0,), (1.0,), tol)
         # digit alphabet is {0, ..., s_b}, the digits the kernel can produce
         self.s_b = self.kernel.hi[0]
-        self._one = self._greedy_orbit(1.0, depth, allow_first_overflow=True)
+        self._one = self._greedy_orbit(1.0, DEPTH, allow_first_overflow=True)
         self.c_digits = self._quasi_greedy_from_one()
         self.d_prime = min(self.c_digits)
         self.i_b, self.K_b, self.iK_determined = self._compute_iK()
@@ -100,15 +102,15 @@ class RealBase:
         period = list(digits)
         period[-1] -= 1
         out: list[int] = []
-        while len(out) < self.depth:
+        while len(out) < DEPTH:
             out.extend(period)
-        return out[: self.depth]
+        return out[:DEPTH]
 
     def _compute_iK(self) -> tuple[int | None, int, bool]:
         frac = self.b - int(self.b) if not self.is_integer else 0.0
         if frac == 0.0:
             return 0, 0, True
-        digits, terminated = self._greedy_orbit(frac, self.depth)
+        digits, terminated = self._greedy_orbit(frac, DEPTH)
         if terminated:
             nz = [idx for idx, d in enumerate(digits, start=1) if d != 0]
             i_b = nz[-1] if nz else 0
@@ -141,12 +143,6 @@ class RealBase:
             acc = (acc + d) / self.b
         return acc
 
-    def quasi_greedy(self, depth: int | None = None) -> list[int]:
-        depth = self.depth if depth is None else depth
-        if depth > self.depth:
-            raise ValueError("requested depth exceeds the precomputed expansion")
-        return self.c_digits[:depth]
-
     # -- admissibility --------------------------------------------------------
 
     def _automaton(self, n: int) -> list[list[int]]:
@@ -158,7 +154,7 @@ class RealBase:
         s, f(s), ..., 0 bounds d by c[t]: for a shift-maximal c only t = s
         binds (Parry's rule), and the chain keeps the test exact for any c.
         """
-        if n > self.depth:
+        if n > DEPTH:
             raise ValueError("block longer than the precomputed expansion depth")
         c = self.c_digits
         try:  # row 0 lists the whole alphabet; from b of about 1e18 on no list is that long
@@ -180,23 +176,20 @@ class RealBase:
             nxt.append(row)
         return nxt
 
-    def _walk(self, n: int) -> list[tuple[Block, float, float, float]]:
+    def _walk(self, n: int) -> list[Block]:
         """Admissible blocks of length n in increasing lexicographic order,
-        found depth first, each with the state (prefix, scale, hi) that
-        cylinder_interval reaches after it by the same float operations."""
+        found depth first."""
         nxt = self._automaton(n)
-        out: list[tuple[Block, float, float, float]] = []
+        out: list[Block] = []
 
-        def extend(w: Block, s: int, prefix: float, scale: float, hi: float) -> None:
+        def extend(w: Block, s: int) -> None:
             if len(w) == n:
-                out.append((w, prefix, scale, hi))
+                out.append(w)
                 return
-            scale /= self.b
             for d, t in enumerate(nxt[s]):
-                p = prefix + d * scale
-                extend(w + (d,), t, p, scale, min(hi, p + scale))
+                extend(w + (d,), t)
 
-        extend((), 0, 0.0, 1.0, 1.0)
+        extend((), 0)
         return out
 
     def is_admissible(self, block: Sequence[int]) -> bool:
@@ -215,7 +208,7 @@ class RealBase:
         """All admissible blocks of length n, in increasing lexicographic order."""
         if n < 0:
             raise ValueError("length must be nonnegative")
-        return [w for w, *_ in self._walk(n)]
+        return self._walk(n)
 
     def in_E(self, block: Sequence[int], d: int) -> bool:
         """Whether appending d to the block yields a shortened cylinder.
@@ -233,7 +226,7 @@ class RealBase:
         scale = 1.0
         for j in range(len(w)):
             # suffix value > 1 iff the full value exceeds prefix_j + b**-j
-            if top > prefix + scale + self.tol.eps_cmp:
+            if top > prefix + scale + EPS_CMP:
                 return True
             scale /= self.b
             prefix += w[j] * scale
@@ -274,11 +267,10 @@ class RealBase:
         self.check_target(d, k)
         bk = self.b ** (-k)
         out: list[CylinderInterval] = []
-        for blk, prefix, scale, hi in self._walk(k - 1):
-            # the last step of cylinder_interval, for the appended digit d
-            w, scale = blk + (d,), scale / self.b
-            lo, hi = self.value(w), min(hi, prefix + d * scale + scale)
-            out.append(CylinderInterval(w, lo, hi, hi - lo >= bk - self.tol.eps_cmp))
+        for blk in self._walk(k - 1):
+            w = blk + (d,)
+            lo, hi = self.cylinder_interval(w)
+            out.append(CylinderInterval(w, lo, hi, hi - lo >= bk - EPS_CMP))
         return out
 
     def nearest_full_cylinder(self, x: float, d: int, k: int) -> float | None:
@@ -307,7 +299,7 @@ class RealBase:
             found, step = [], 1 if up else -1
             while True:
                 lo, hi = self.cylinder_interval(blk + [d])
-                if hi - lo >= bk - self.tol.eps_cmp:
+                if hi - lo >= bk - EPS_CMP:
                     found.append(0.5 * (lo + hi))
                     if (found[-1] > x) == up:
                         return found

@@ -2,12 +2,12 @@
 
 The game engine and the outcome verifier only need a handful of operations:
 ambient dimension, the scaling factor of one digit step, membership in the
-fundamental domain, and a single expansion step that also reports how far the
-pre-floor image sits from its digit-cell boundary.  The `expand` command uses
-the same adapters, so each system is described in one place.  Points travel
-as numpy arrays of the ambient dimension regardless of the underlying system;
-each adapter converts them to the lattice coordinates of its digit kernel
-(`coords`) and back (`_point`).
+fundamental domain, and a single expansion step, snapping at a boundary, that
+also reports how far the pre-floor image sits from its digit-cell boundary.
+The `expand` command uses the same adapters, so each system is described in
+one place.  Points travel as numpy arrays of the ambient dimension
+regardless of the underlying system; each adapter converts them to the
+lattice coordinates of its digit kernel (`coords`) and back (`_point`).
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class RealSystem:
     def _point(self, u) -> np.ndarray:
         return np.array(u)
 
-    def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        (d,), u, margin = self.kernel.step(self.coords(p), nudge_mode(on_ambiguous))
+    def step(self, p: np.ndarray):
+        (d,), u, margin = self.kernel.step(self.coords(p), nudge=True)
         return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:
@@ -63,8 +63,8 @@ class ComplexSystem:
     def _point(self, u) -> np.ndarray:
         return np.array(u)
 
-    def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        d, u, margin = self.kernel.step(self.coords(p), nudge_mode(on_ambiguous))
+    def step(self, p: np.ndarray):
+        d, u, margin = self.kernel.step(self.coords(p), nudge=True)
         return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:
@@ -90,8 +90,8 @@ class QuatSystem:
     def _point(self, u) -> np.ndarray:
         return self.lattice.B @ u
 
-    def step(self, p: np.ndarray, on_ambiguous: str = "nudge"):
-        d, u, margin = self.kernel.step(self.coords(p), nudge_mode(on_ambiguous))
+    def step(self, p: np.ndarray):
+        d, u, margin = self.kernel.step(self.coords(p), nudge=True)
         return d, self._point(u), margin
 
     def digit_matches(self, a, b) -> bool:

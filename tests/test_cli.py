@@ -202,6 +202,7 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
     (None, ("expand", "--complex", "inf", "0", "--centered", "--z", "0", "0")),
     (None, ("regions", "--curve", "A")),
     (None, ("regions", "--curve", "F", "--alpha", "nan:1:0.1")),
+    (None, ("regions", "--curve", "F", "--alpha", "0:1:1e-300")),
     (None, ("game", "--preset", "notwinning-symmetric", "--rho", ".1")),
     (None, ("game", "--preset", "notwinning-lipschitz", "--bob", "random")),
     (None, ("game",)),
@@ -216,7 +217,7 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
         "no-system", "two-systems", "real-negative-n", "complex-negative-n",
         "quat-negative-n", "infinite-real-base", "infinite-modulus",
-        "curve-A-without-b", "grid-not-finite", "override-rho-on-symmetric",
+        "curve-A-without-b", "grid-not-finite", "grid-too-fine", "override-rho-on-symmetric",
         "override-bob-on-losing", "game-without-preset", "alpha-zero",
         "game-out-unwritable", "scan-out-unwritable", "alphabet-past-index-range",
         "alphabet-past-memory"])
@@ -248,6 +249,9 @@ def test_grid_parse():
     assert cli.parse_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         cli.parse_grid("0.1:0.3:0")
+    assert len(cli.parse_grid("1:1000000:1")) == 10 ** 6
+    with pytest.raises(ValueError, match="more than 1000000 points"):
+        cli.parse_grid("0:1000000:1")
 
 
 def test_base_parse():

@@ -27,7 +27,7 @@ BASE = st.sampled_from(["golden", "silver", "metallic:2", "metallic:0", "metalli
                         "x"])
 LENGTH = st.sampled_from(["-1", "0", "1", "5", "12", "x"])
 GRID = st.sampled_from(["0.1:0.5:0.2", "0.5:0.1:0.1", "0.9:0.9:0.1", "0:1:0",
-                        "nan:1:0.1", "0:inf:1", "0.1:0.2", "a:b:c"])
+                        "nan:1:0.1", "0:inf:1", "0:1:1e-300", "0.1:0.2", "a:b:c"])
 PRESET = st.sampled_from([*sorted(PRESETS), "no-such-preset"])
 LATTICE = st.sampled_from(["lipschitz", "lipschitz-centered", "hurwitz-box",
                            "symmetric", "symmetric:0.1", "symmetric:0", "zeta",

@@ -90,7 +90,7 @@ def test_remainder_stays_in_square():
     for (x, y) in pts:
         cur = np.array([x, y])
         for _ in range(12):
-            _, cur, _ = system.step(cur, on_ambiguous="nudge")
+            _, cur, _ = system.step(cur)
             assert base.contains(Quaternion.complex2(*cur))
 
 
@@ -200,8 +200,8 @@ def test_check_Ck_on_reference_base():
 def test_F_balance_has_roots_below_gamma1():
     # F_value balances the level-2 and level-1 thresholds over continuous N;
     # its two roots exist below gamma1 and bracket the region levels
-    gc = gamma_constants(0.05)
-    for L in (gc.l_minus, gc.l_plus):
+    assert 0.05 < gamma_constants().gamma1
+    for L in F_roots(0.05):
         assert F_value(L, 0.05) == pytest.approx(0.0, abs=1e-8)
 
 
@@ -218,11 +218,10 @@ def test_gamma_constants():
 
 
 def test_F_roots_bracket_integer_levels():
-    gc = gamma_constants(0.05)
-    assert gc.l_minus is not None and gc.l_plus is not None
-    assert gc.l_minus < gc.l_plus
+    l_minus, l_plus = F_roots(0.05)
+    assert l_minus < l_plus
     regions = G_region(0.05)
-    assert len(regions) == math.ceil(gc.l_plus) - 1
+    assert len(regions) == math.ceil(l_plus) - 1
 
 
 # -- the square-refinement region ---------------------------------------------
@@ -323,5 +322,5 @@ def test_digit_always_in_classified_box(r, theta, x, y):
         square, N = classify_digit_set(r, theta)
     except AmbiguousValueError:
         return
-    d, _, _ = ComplexSystem(ComplexBase(r, theta)).step(np.array([x, y]), on_ambiguous="nudge")
+    d, _, _ = ComplexSystem(ComplexBase(r, theta)).step(np.array([x, y]))
     assert max(abs(d[0]), abs(d[1])) <= N

@@ -398,7 +398,7 @@ def test_certified_count_switches_at_the_digit_threshold(system, p, j):
     # the verifier asks for a (1 - 1e-9) safety factor on top
     steps, cur, growth = [], np.array(p), 1.0
     for _ in range(j + 1):
-        _, cur, margin = system.step(cur, "nudge")
+        _, cur, margin = system.step(cur)
         growth *= system.radix_norm
         steps.append((margin, margin / growth))
     margin, t = steps[j - 1]

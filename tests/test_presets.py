@@ -18,7 +18,7 @@ def test_catalog_is_complete():
 @pytest.mark.parametrize("name", WINNING)
 def test_winning_presets_verify(name):
     setup = build_preset(name)
-    assert setup.kind == "winning"
+    assert setup.claim.kind == "contains"
     assert setup.notes == []  # hypotheses hold out of the box
     trace, result = run_setup(setup, seed=0)
     assert audit_trace(trace) == []
@@ -28,7 +28,7 @@ def test_winning_presets_verify(name):
 @pytest.mark.parametrize("name", LOSING)
 def test_losing_presets_verify(name):
     setup = build_preset(name)
-    assert setup.kind == "losing"
+    assert setup.claim.kind == "avoids"
     assert setup.notes == []
     trace, result = run_setup(setup, seed=0)
     assert audit_trace(trace) == []

@@ -92,7 +92,7 @@ def test_quat_step_remainder_in_box():
     system = QuatSystem(q, box)
     for _ in range(50):
         z = rng.uniform(0.0, 1.0, size=4)
-        digit, rem, _ = system.step(z, on_ambiguous="nudge")
+        digit, rem, _ = system.step(z)
         assert box.contains(Quaternion.from_components(rem))
         assert all(float(c).is_integer() for c in digit)
 
@@ -141,7 +141,7 @@ def test_zeta_lattice_digit_containment():
         coords = tuple(rng.uniform(-0.25, 0.75, size=4))
         z = lattice.point(coords)
         assert lattice.contains(z)
-        _, rem, _ = system.step(np.array(z.components), on_ambiguous="nudge")
+        _, rem, _ = system.step(np.array(z.components))
         assert lattice.contains(Quaternion.from_components(rem))
 
 

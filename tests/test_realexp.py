@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beta_arena.numeric import AmbiguousValueError, metallic_mean
+from beta_arena.numeric import EPS_CMP, AmbiguousValueError, metallic_mean
 from beta_arena.realexp import RealBase
 from beta_arena.systems import RealSystem, expand_digits
 
@@ -201,14 +201,14 @@ def test_enumerate_admissible_is_sorted_and_complete():
 
 
 def test_enumerate_admissible_error_contract():
-    base = RealBase(PHI1, depth=8)
+    base = RealBase(PHI1)
     assert base.enumerate_admissible(0) == [()]
     with pytest.raises(ValueError, match="length must be nonnegative"):
         base.enumerate_admissible(-1)
     with pytest.raises(ValueError, match="block longer than the precomputed expansion depth"):
-        base.enumerate_admissible(9)
+        base.enumerate_admissible(base.depth + 1)
     with pytest.raises(ValueError, match="block longer than the precomputed expansion depth"):
-        base.is_admissible((0,) * 9)
+        base.is_admissible((0,) * (base.depth + 1))
 
 
 def test_golden_count_is_fibonacci_at_length_18():
@@ -400,7 +400,7 @@ def test_cylinder_intervals_match_direct_computation(b, k, data):
     assert [ci.block for ci in got] == [w + (d,) for w in want]
     for ci in got:
         lo, hi = base.cylinder_interval(ci.block)
-        full = hi - lo >= b ** -k - base.tol.eps_cmp
+        full = hi - lo >= b ** -k - EPS_CMP
         assert (ci.lo, ci.hi, ci.full_length) == (base.value(ci.block), hi, full), ci.block
 
 
@@ -443,7 +443,7 @@ def test_nearest_full_cylinder_breaks_ties_to_the_left():
 def test_automaton_is_exact_for_any_c():
     # an expansion of 1 computed in floats need not be shift-maximal; the
     # failure links keep the automaton equal to the suffix test regardless
-    base = RealBase(2.5, depth=8)
+    base = RealBase(2.5)
     for c in itertools.product(range(3), repeat=5):
         base.c_digits = list(c) + [0, 0, 0]
         want = oracle_blocks(base, 5)

@@ -54,7 +54,6 @@ def test_unknown_on_ambiguous_mode_is_refused():
     ]
     for sysm, p in ((real, [0.3]), (cplx, [0.1, 0.2]), (quat, [0.13, 0.27, 0.41, 0.66])):
         calls.append(lambda mode, sysm=sysm, p=p: expand_digits(sysm, np.array(p), 4, mode))
-        calls.append(lambda mode, sysm=sysm, p=p: sysm.step(np.array(p), mode))
     for call in calls:
         call("error")
         call("nudge")
