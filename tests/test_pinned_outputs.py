@@ -13,9 +13,11 @@ remainder is rounded, and those rows stop at nine digits.
 
 The preset table pins (verdict, status, rounds_played) of run_setup, or the
 exception a setup raises, at default parameters and just outside each
-preset's alpha bound.
+preset's alpha bound.  The trace table pins the bytes of every move: the
+sha256 of GameTrace.to_json() for each preset and Bob at seeds 0-3.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -398,3 +400,116 @@ def test_preset_outcomes(preset):
 def test_preset_outcome_outside_bound(preset):
     alpha, want = OUTSIDE[preset]
     assert _outcome(preset, 0, alpha=alpha) == want
+
+
+# (preset, bob) -> sha256 of GameTrace.to_json() at seeds 0-3; bob None is the
+# losing presets" own avoidance play
+TRACE_PINS = {
+    ("dwinning-golden", "optimal-drift"): [
+        "20e6b6ed5326fa2b840267e740c7c64c13ec2fc16402a7172c695724ab4449da",
+        "65fca21625be73d9c3b83e2e1f03bd40976d614696607c7eb0cc200faa838e4d",
+        "29bd263f29f049a5010c1c65b7a0ba7d7736b9984ac89324dd6982af6095511c",
+        "33b99bcef40d896a3fd3e5fa984d883eafbfc888d32616e0c2ec6d599cecb6f9",
+    ],
+    ("dwinning-golden", "random"): [
+        "b5f6aec0e2fe7f9a59cceda5c3576de0f9e5be157db3f24569fa9c2f37cc2e70",
+        "627bfdea9e65352826152af0fca4aed40e3b95f978d6ca3545fce566e4267d95",
+        "4976763a89a2d3f436c246cab5c486120717e61545ced28a7c5410a676bd85fb",
+        "3c8f34c79f901e4d581952188a94023c5f6e086fcab34630fe4078fc0404e080",
+    ],
+    ("dwinning-golden", "center-hold"): [
+        "90da02fde639c7c218103c3a3bf85d9c5e2b8fd25bc0c353e1f92cfeff2ba9e9",
+        "ee0b8522990d61e700b3ab703b2f77548119c8975878cea794bab6af62eecf2e",
+        "e0aca5e0c1a6da0b38fd922ab133df9fe7e870b7ba4782b440009a27b2a591c9",
+        "5ecf81dd3b9191f131d18032c58d418f07c8b314f918be2d3b307bca81e70df8",
+    ],
+    ("dwinning-silver", "optimal-drift"): [
+        "1b761b715ee00c0a881f714974047d317c85e28439c7b69eb74b1f8ab9cacec6",
+        "46e8244df7860c1e089b8ec403712ee5532088a6d65e425a62f831401132cd34",
+        "a386788c9b12579909704d688db44734de4aab45bdd5da4efdecc760843a897a",
+        "56bb9cda9fe54465f39f5e313b7b1bb778c1b64b8caf4fcbac3d83b6d1bbdfea",
+    ],
+    ("dwinning-silver", "random"): [
+        "07365c316ea131f6a9e4f476a5a2591dcd604c6c58c76bdaeb5be97456acd591",
+        "f8517f8972a38cb794a9a5bd43df441605e847ffa67b289201895b86a604d340",
+        "95b8f9253de75736a5fe4e4b23bc8ff0e71838fb39ac263e692ae3093277c393",
+        "8c6d2b0cfa2c0c16bb59a50e45554981cf3f439c1b4c17b55cffdba5d60d8a7e",
+    ],
+    ("dwinning-silver", "center-hold"): [
+        "e3fdf3b455b0389180d3f0feeff52075760509ac145f01ea4243edbaf7cd5663",
+        "3ad9ceddcb26f65f0cf7e64156fa58ac1d2022f5f01b3b9218eac8b3362376d8",
+        "bfd20e8fd5afc6a541fc8d36fc34551b7e5de53e04d9ecd5645c81fdb61a350f",
+        "28f2d432f7f27bf8cd7cec422ed6edd51d4456f0b4b386d9a0553a80c33ae1d6",
+    ],
+    ("cwinning-nine-halves", "optimal-drift"): [
+        "91d1b63d14aaabedf9fa4c7a0807409348a1ad02290569a6e2e2cfc32093a106",
+        "47431d17bae03f479c6f59498718325c15f97fba2477fc92dd2002ca3cd73b3c",
+        "577777dff443891c24ffd4a15f87f9e962e1971b30e536b8b251e997534cbf8a",
+        "0fecbf1c91aa7b7ba63635e77306605b71a41ffdfee9f70f6b8fb29338a71559",
+    ],
+    ("cwinning-nine-halves", "random"): [
+        "439de10eafd4424f17b04a5ce47142fb7953bef416572709a26a7ac7e0847709",
+        "d3c89bc624b799320c46dc014ae50f2fa7719e8b260600c04844167653f14329",
+        "a2dcd7062d2ef6cb37fa389ce6a0062610bdcc6305afc99f5a7a86256acbe399",
+        "aa75de5b31142581459cd3acc34818547fc7b884729b0463c7f85652cc3d5a6e",
+    ],
+    ("cwinning-nine-halves", "center-hold"): [
+        "45f243d20c38b32ebdcedd1834a302d5e1a59142685e81c381157f68457f0a4e",
+        "2fd10763628fa346bc294c7079b63f05e7e50653c938df71dceb0d912d94f179",
+        "89dce33519657bd21419cab08d3a470496d1976a8d88b13a0834648cfaefab36",
+        "a52130450391ff4b52bc20a06dfbdbf00d7005317ab0abb49d49714afd77a253",
+    ],
+    ("qwinning-componentwise", "optimal-drift"): [
+        "ff4dfe165e53d3dfe2800a68889cec03946ed446172cbf3f644eaaede3ce2126",
+        "efafe9ae8da37a162af1b99f41afb200169174b0f85d274e8454f0e71b280e16",
+        "2a9a742278a15d963e41c4822ccb0d0af6f241186e58e43d52bcc3df3e29509b",
+        "114de37e05b7f0b61f3c514d418198a2ac427121609b6c53916d33786efcbd05",
+    ],
+    ("qwinning-componentwise", "random"): [
+        "eb230ff77e402e23e45c27097d634c8c973f689224be36a70ad4e6225021c29d",
+        "241f857211d2dda313b5e82156081f29a2c1ecb10272b23c005f29bbc506c7ed",
+        "f846a1e790b0acdc79e0929b683fdad653d1da94d5bc9bc1366a8c83ca46a963",
+        "21a60cd068891e044f81d8b2f77315503f0ff7678b810869e5279f325751d744",
+    ],
+    ("qwinning-componentwise", "center-hold"): [
+        "02641267bc34e8cbc69985fc8e7f4eafbab19115152438832b62af531a62fe41",
+        "04e4635b4a19dd4feaeb2c5e1f7a9a064fdbe2e464836da9d923c908e72346f5",
+        "8e66c5733628735ebbaeaa5ebd438f72d9ea91c1fe42c634b7eb58e6964d8c52",
+        "a1fd9af301e288f3f1c090ddaa449ad1924748b74bb05eb92d8b7ad90bf6b535",
+    ],
+    ("notwinning-lipschitz", None): [
+        "4748d77fc85145b6cdf300c96252ca12c84f36274903932aeaef7bda28b56852",
+        "1265624c7d4bbb74f0115632364228012192331207f821775c53750c7ceace79",
+        "eedd4bd785bbc2c5f3818d139f6656a7e211c113d6b730947a4c7d460006fbd3",
+        "6a771eafdb18f4104fd4c1705660a68a4e46bba7d43901965c6d68d0219e7466",
+    ],
+    ("notwinning-hurwitz", None): [
+        "437f86c7a58cb337c9bb07e6f534e249eb15cdf102dd481bd709fbfc5f257d90",
+        "815288fb51b13135ea89b4960333341451c272e34fa77b29d298538642093061",
+        "06b669e2157f6989189d88135ec836ccd11e773f3aec29521aca3b0ea1ca627e",
+        "f463f8432f575f230e18123bbdaa7cc758ed630111cf894aee9d0e5e9f3663a0",
+    ],
+    ("notwinning-symmetric", None): [
+        "d5f5b4e281b794bc00785f6a19215ad19971899512ca6ac5abf6c51a59c905c4",
+        "d279feacd1263ab8d20edb3243f9a12dd18d88f33280f6e5e9b0ae4d5652ca7c",
+        "86ae325881a6e7d0289965d6cc213fe3d4ec39727c22b78300deaedb18b07fbe",
+        "ae13ceda51638bc270e3dcadcb8d0d42e2dd001345f583b7cae7606042e46429",
+    ],
+    ("notwinning-zeta", None): [
+        "a285bda9cee04f05342b4b5954dc8d3341824121f4f5e33e7e888c43e1ce4cc4",
+        "69accfff9906c7e4f4d27e5e9e6e41a0884abd1606d578248038cddf56d257ef",
+        "5dabaeab4d078c600bfe9f96412fe8e1a0fd22e1f235817c4331fb8877020f69",
+        "5b523746b94307af2298c33600de1dbf41324896fa05b023f29976f9f567a03b",
+    ],
+}
+
+
+TRACE_ROWS = [pytest.param(preset, bob, seed, digest, id=f"{preset}-{bob}-{seed}")
+              for (preset, bob), digests in TRACE_PINS.items()
+              for seed, digest in enumerate(digests)]
+
+
+@pytest.mark.parametrize("preset, bob, seed, digest", TRACE_ROWS)
+def test_trace_bytes(preset, bob, seed, digest):
+    trace, _ = run_setup(build_preset(preset, bob=bob), seed=seed)
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
