@@ -11,11 +11,10 @@ everything here reduces to evaluating, inverting, or bounding that family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .numeric import (DEFAULT_TOL, EPS_CMP, AmbiguousValueError, DigitKernel, Quaternion,
                       Tolerance, nudge_mode)
@@ -224,15 +223,31 @@ def F_roots(theta: float) -> tuple[float, float]:
 
 
 def _delta_root() -> float:
-    roots = np.roots(_DELTA_POLY)
-    real = [float(z.real) for z in roots if abs(z.imag) < 1e-12 and z.real > 0.0]
-    if not real:
+    """Smallest positive root of _DELTA_POLY, by bisection on [0, 1/8]: the
+    polynomial falls from 1 at 0 to below 0 at 1/8, and its derivative
+    -16 + 120 x^3 + 112 x^6 + 8 x^7 stays negative there."""
+
+    def poly(x: float) -> float:
+        acc = 0.0
+        for c in _DELTA_POLY:
+            acc = acc * x + c
+        return acc
+
+    lo, hi = 0.0, 0.125
+    if poly(hi) >= 0.0:
         raise RuntimeError("no positive real root found for the gamma2 polynomial")
-    return min(real)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if poly(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
+@functools.cache
 def gamma_constants() -> GammaConstants:
-    """Angle thresholds of the region family.
+    """Angle thresholds of the region family, computed once per process.
 
     gamma1 bounds the angles with positive discriminant, gamma2 = 2 arctan d
     with d the smallest positive root of x^8 + 16x^7 + 30x^4 - 16x + 1 bounds

@@ -15,6 +15,12 @@ digit-pinning play (Bob reads the digits of Alice's center through the
 digit kernel and recenters on the avoided-block-free cylinder shifted by
 xi).  Double precision runs out near radius 1e-12, so games stop there
 rather than pretending to resolve further digits.
+
+Centers are float tuples, and strategies may return any float sequence.
+numpy is loaded only where it is needed: the Euclidean length of a vector
+of two or four coordinates (see _norm), the random strategies' PCG64
+stream, the complex targets' nearest row and the quaternion avoidance
+play's matrix powers.  A real game runs without it.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .complexexp import ComplexBase, Vk_squares
 from .numeric import EPS_CMP
 from .realexp import RealBase
@@ -33,17 +37,28 @@ from .systems import QuatSystem
 
 RADIUS_FLOOR = 1e-12
 
-Strategy = Callable[["GameState"], np.ndarray]
+Vector = tuple[float, ...]
+Strategy = Callable[["GameState"], Sequence[float]]
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean length of a 1-D float vector.
+def _norm(v: Sequence[float]) -> float:
+    """Euclidean length of a float vector, with np.linalg.norm's bits.
 
-    np.linalg.norm computes exactly sqrt(v.dot(v)) for such a vector, so this
-    gives the same bits without the wrapper's argument handling.  math.hypot
-    and a Python sum of squares round differently in the last bit.
+    np.linalg.norm computes exactly sqrt(v.dot(v)) for such a vector.  For one
+    coordinate that dot is the rounded square v[0] * v[0].  For two or four,
+    numpy's dot fuses multiplies and adds, so a Python sum of squares (and
+    math.hypot) rounds differently in the last bit, and the dot stays numpy's.
     """
-    return math.sqrt(v.dot(v))
+    if len(v) == 1:
+        return math.sqrt(v[0] * v[0])
+    import numpy as np
+    a = np.asarray(v, dtype=float)
+    return math.sqrt(a.dot(a))
+
+
+def _distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """_norm of the coordinatewise difference a - b."""
+    return _norm([x - y for x, y in zip(a, b)])
 
 
 class IllegalMoveError(RuntimeError):
@@ -85,7 +100,7 @@ class GameParams:
 class Move:
     player: str
     round_no: int
-    center: np.ndarray
+    center: Vector
     radius: float
 
 
@@ -93,9 +108,19 @@ class Move:
 class GameState:
     params: GameParams
     system: object | None
-    rng: np.random.Generator
+    seed: int = 0
     moves: list[Move] = field(default_factory=list)
     scratch: dict = field(default_factory=dict)
+    _rng: object = field(default=None, init=False, repr=False)
+
+    @property
+    def rng(self):
+        """numpy's PCG64 generator for the game's seed, built on the first
+        draw, so only a game with a random strategy loads numpy.random."""
+        if self._rng is None:
+            import numpy as np
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     @property
     def round_no(self) -> int:
@@ -127,7 +152,7 @@ class GameTrace:
     notes: list[str] = field(default_factory=list)
 
     @property
-    def final_center(self) -> np.ndarray:
+    def final_center(self) -> Vector:
         return self.moves[-1].center
 
     @property
@@ -168,7 +193,7 @@ class GameTrace:
         encoder is pure Python and cost more per game than play and verify."""
         p = self.params
         moves = [_MOVE_JSON % (
-                     _json_list([_json_number(c) for c in map(float, mv.center.tolist())],
+                     _json_list([_json_number(c) for c in map(float, mv.center)],
                                 "      "),
                      _json_str(mv.player), _json_number(mv.radius), _json_number(mv.round_no))
                  for mv in self.moves]
@@ -214,10 +239,10 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
     """
     if system is not None and system.dim != params.dimension:
         raise ValueError("system dimension does not match game dimension")
-    x0 = np.array(params.initial_center, dtype=float)
+    x0 = tuple(map(float, params.initial_center))
     if system is not None and not system.contains(x0):
         raise ValueError("initial center outside the domain")
-    state = GameState(params, system, np.random.default_rng(seed))
+    state = GameState(params, system, seed)
     state.moves.append(Move("bob", 0, x0, params.rho))
     status = "max-rounds"
     for n in range(1, max_rounds + 1):
@@ -238,17 +263,20 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
                      state.scratch.get("notes", []))
 
 
-def _checked_center(c, dim: int, player: str, round_no: int) -> np.ndarray:
-    arr = np.asarray(c, dtype=float).reshape(-1)
-    if arr.shape != (dim,) or not all(map(math.isfinite, arr.tolist())):
+def _checked_center(c, dim: int, player: str, round_no: int) -> Vector:
+    try:
+        v = tuple(map(float, c))
+    except (TypeError, ValueError):
+        v = ()
+    if len(v) != dim or not all(map(math.isfinite, v)):
         raise IllegalMoveError(player, round_no, "malformed center")
-    return arr
+    return v
 
 
-def _check_legal(player: str, round_no: int, outer_center: np.ndarray,
-                 center: np.ndarray, radius: float, outer_radius: float,
+def _check_legal(player: str, round_no: int, outer_center: Vector,
+                 center: Vector, radius: float, outer_radius: float,
                  system) -> None:
-    gap = _norm(center - outer_center) + radius - outer_radius
+    gap = _distance(center, outer_center) + radius - outer_radius
     if gap > EPS_CMP:
         raise IllegalMoveError(player, round_no,
                                f"ball escapes the previous one by {gap:.3e}")
@@ -273,7 +301,7 @@ def audit_trace(trace: GameTrace) -> list[str]:
         expected = p.alpha * p.rho_n(n - 1) if mv.player == "alice" else p.rho_n(n)
         if abs(mv.radius - expected) > 1e-9 * max(expected, 1e-300):
             problems.append(f"round {n} {mv.player}: radius off schedule")
-        gap = _norm(mv.center - prev.center) + mv.radius - prev.radius
+        gap = _distance(mv.center, prev.center) + mv.radius - prev.radius
         if gap > EPS_CMP:
             problems.append(f"round {n} {mv.player}: containment violated by {gap:.3e}")
         prev = mv
@@ -378,20 +406,21 @@ def find_n_complex(r: float, alpha: float, beta: float, rho: float, k: int
 # -- generic strategies --------------------------------------------------------
 
 
-def _ball_sample(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _ball_sample(rng, dim: int) -> list[float]:
+    """A uniform point of the unit ball, drawn from numpy's generator rng."""
     v = rng.normal(size=dim)
     norm = _norm(v)
     if norm == 0.0:
-        return np.zeros(dim)
-    return v / norm * rng.random() ** (1.0 / dim)
+        return [0.0] * dim
+    return (v / norm * rng.random() ** (1.0 / dim)).tolist()
 
 
-def _max_step_inside(system, start: np.ndarray, direction: np.ndarray,
+def _max_step_inside(system, start: Sequence[float], direction: Sequence[float],
                      step: float) -> float:
     """Largest t <= step with start + t * direction still in the domain."""
     if system is None:
         return step
-    pairs = list(zip(start.tolist(), direction.tolist()))
+    pairs = list(zip(map(float, start), map(float, direction)))
     if system.contains([a + step * b for a, b in pairs]):
         return step
     lo, hi = 0.0, step
@@ -405,21 +434,22 @@ def _max_step_inside(system, start: np.ndarray, direction: np.ndarray,
 
 
 def alice_center_hold() -> Strategy:
-    return lambda s: s.bob_ball().center.copy()
+    return lambda s: s.bob_ball().center
 
 
 def bob_center_hold() -> Strategy:
-    return lambda s: s.alice_ball().center.copy()
+    return lambda s: s.alice_ball().center
 
 
-def _random_move(s: GameState, center: np.ndarray, budget: float) -> np.ndarray:
+def _random_move(s: GameState, center: Vector, budget: float) -> Vector:
     """A uniform point within budget of center that stays in the domain;
     center itself after 256 misses."""
+    scale = budget * (1.0 - 1e-9)
     for _ in range(256):
-        y = center + budget * (1.0 - 1e-9) * _ball_sample(s.rng, s.params.dimension)
+        y = tuple(c + scale * u for c, u in zip(center, _ball_sample(s.rng, s.params.dimension)))
         if s.system is None or s.system.contains(y):
             return y
-    return center.copy()
+    return center
 
 
 def alice_random() -> Strategy:
@@ -438,48 +468,46 @@ def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
     clipped at the domain boundary when a domain is attached."""
     fixed = None
     if direction is not None:
-        fixed = np.asarray(direction, dtype=float)
-        fixed = fixed / _norm(fixed)
+        fixed = tuple(map(float, direction))
+        norm = _norm(fixed)
+        fixed = tuple(c / norm for c in fixed)
 
-    def f(s: GameState) -> np.ndarray:
+    def f(s: GameState) -> Vector:
         y = s.alice_ball().center
-        if fixed is None:
-            v = np.zeros(s.params.dimension)
-            v[0] = 1.0
-        else:
-            v = fixed
+        v = fixed if fixed is not None else (1.0,) + (0.0,) * (s.params.dimension - 1)
         a_rad = s.params.alpha * s.params.rho_n(s.round_no - 1)
         step = a_rad * (1.0 - s.params.beta)
         t = _max_step_inside(s.system, y, v, step)
-        return y + t * v
+        return tuple(a + t * b for a, b in zip(y, v))
     return f
 
 
 # -- winning strategies (Alice) ------------------------------------------------
 
 
-def _pull_toward(x: np.ndarray, target: np.ndarray, budget: float) -> np.ndarray:
-    delta = target - x
+def _pull_toward(x: Vector, target: Vector, budget: float) -> Vector:
+    delta = [t - c for t, c in zip(target, x)]
     dist = _norm(delta)
     if dist <= budget or dist == 0.0:
-        return target.copy()
-    return x + delta * (budget / dist)
+        return target
+    scale = budget / dist
+    return tuple(c + e * scale for c, e in zip(x, delta))
 
 
-def _lock_and_pull(n: int, nearest: Callable[[np.ndarray], np.ndarray],
+def _lock_and_pull(n: int, nearest: Callable[[Vector], Vector],
                    what: str) -> Strategy:
     """Shared winning-play skeleton: hold n rounds, lock the target
     nearest(x) picks for Bob's center x, then pull toward it with the full
     legal budget every round."""
-    def f(s: GameState) -> np.ndarray:
+    def f(s: GameState) -> Vector:
         x = s.bob_ball().center
         r = s.round_no
         if r <= n:
-            return x.copy()
+            return x
         budget = (1.0 - s.params.alpha) * s.params.rho_n(r - 1)
         if "target" not in s.scratch:
             target = nearest(x)
-            dist = _norm(target - x)
+            dist = _distance(target, x)
             if dist > budget * (1.0 + 1e-9):
                 raise StrategyError(
                     f"{what} at {dist:.3e} exceeds the legal reach {budget:.3e}")
@@ -488,8 +516,11 @@ def _lock_and_pull(n: int, nearest: Callable[[np.ndarray], np.ndarray],
     return f
 
 
-def _nearest_row(targets: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: targets[int(np.argmin(np.linalg.norm(targets - x, axis=1)))]
+def _nearest_row(targets) -> Callable[[Vector], Vector]:
+    """The row of the numpy array targets nearest to x, the first on a tie."""
+    import numpy as np
+    return lambda x: tuple(
+        targets[int(np.argmin(np.linalg.norm(targets - x, axis=1)))].tolist())
 
 
 def _nearest_full(base: RealBase, d: int, k: int, x: float) -> float:
@@ -504,13 +535,14 @@ def alice_real_winning(base: RealBase, d: int, n: int, k: int) -> Strategy:
     """Steer the outcome's k-th digit to d: hold n rounds, then lock the
     nearest full-length level-k cylinder with last digit d."""
     base.check_target(d, k)
-    return _lock_and_pull(n, lambda x: np.array([_nearest_full(base, d, k, float(x[0]))]),
+    return _lock_and_pull(n, lambda x: (_nearest_full(base, d, k, x[0]),),
                           "nearest full cylinder target")
 
 
 def alice_complex_winning(base: ComplexBase, k: int, n: int) -> Strategy:
     """Complex analog: targets are the centers of the level-k tiles whose
     k-th digit is zero."""
+    import numpy as np
     targets = np.array([[c.a, c.b] for c in Vk_squares(base, k)])
     return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
 
@@ -524,8 +556,8 @@ def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
     for d in digits:
         base.check_target(d, k)
 
-    def nearest(x: np.ndarray) -> np.ndarray:
-        return np.array([_nearest_full(base, d, k, xj) for d, xj in zip(digits, x.tolist())])
+    def nearest(x: Vector) -> Vector:
+        return tuple(_nearest_full(base, d, k, xj) for d, xj in zip(digits, x))
     return _lock_and_pull(n, nearest, "componentwise target")
 
 
@@ -549,6 +581,7 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     and on failure the strategy degrades to a clipped legal move and leaves
     a note in the trace instead of crashing.
     """
+    import numpy as np
     win = len(omega)
     if win == 0:
         raise ValueError("avoided block must be nonempty")
@@ -565,7 +598,7 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
             down.append(A_inv @ down[-1])
         return up[j], down[j]
 
-    def f(s: GameState) -> np.ndarray:
+    def f(s: GameState) -> Vector:
         y = s.alice_ball().center
         kk = s.round_no
         m, pinned = s.scratch.get("avoid", (0, np.zeros(len(A))))
@@ -580,15 +613,16 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
         a_rad = s.params.alpha * s.params.rho_n(kk - 1)
         b_rad = s.params.beta * a_rad
         max_step = (a_rad - b_rad) * (1.0 - 1e-12)
-        gap = _norm(proposal - y)
+        gap = _distance(proposal, y)
         if gap > max_step:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")
-            proposal = y + (proposal - y) * (max_step / gap)
+            scale = max_step / gap
+            proposal = tuple(c + (p - c) * scale for p, c in zip(proposal, y))
             if not system.contains(proposal):
-                proposal = y.copy()
+                proposal = y
         elif not system.contains(proposal):
             s.note(f"round {kk}: formula move left the domain; holding center")
-            proposal = y.copy()
+            proposal = y
         else:
             s.scratch["avoid"] = (depth, pinned)
         return proposal
@@ -627,7 +661,7 @@ class VerifyResult:
     reason: str
 
 
-def certified_digits(system, center: np.ndarray, radius: float, m: int
+def certified_digits(system, center: Sequence[float], radius: float, m: int
                      ) -> tuple[list, int]:
     """First m digits of `center` plus how many are certain for the whole ball.
 
@@ -638,7 +672,7 @@ def certified_digits(system, center: np.ndarray, radius: float, m: int
     digits: list = []
     certified = 0
     growing = True
-    cur = np.array(center, dtype=float)
+    cur = center
     growth = 1.0
     for j in range(1, m + 1):
         d, cur, margin = system.step(cur)

@@ -12,8 +12,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class AmbiguousValueError(ValueError):
     """A quantity landed inside the tolerance band around a decision boundary."""
@@ -34,7 +32,7 @@ class Tolerance:
         if not 0.0 < self.eps_floor < 0.25:
             raise ValueError("eps_floor must lie in (0, 1/4)")
         if self.eps_floor <= EPS_CMP:
-            raise ValueError("eps_cmp must lie in (0, eps_floor)")
+            raise ValueError(f"eps_floor must exceed the comparison slack EPS_CMP = {EPS_CMP:g}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -130,13 +128,20 @@ class DigitKernel:
             out.append(d)
         return out
 
-    def reconstruct(self, digits) -> np.ndarray:
+    def reconstruct(self, digits) -> list[float]:
         """Lattice coordinates of sum_j A^-j d_j, the point these digits
-        describe up to A^-n times the box."""
+        describe up to A^-n times the box.  A 1x1 kernel takes its digits as
+        ints or 1-tuples and divides by a, which gives np.linalg.solve's bits."""
+        if len(self.A) == 1:
+            a, acc = self.A[0][0], 0.0
+            for d in reversed(digits):
+                acc = (acc + (d[0] if isinstance(d, tuple) else d)) / a
+            return [acc]
+        import numpy as np
         acc = np.zeros(len(self.A))
         for d in reversed(digits):
             acc = np.linalg.solve(self.A, acc + d)
-        return acc
+        return acc.tolist()
 
 
 @dataclass(frozen=True)

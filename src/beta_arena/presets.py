@@ -14,8 +14,6 @@ import inspect
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .complexexp import ComplexBase
 from .game import (Claim, GameParams, Strategy, StrategyError,
                    alice_complex_winning, alice_quaternion_componentwise,

@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .numeric import (DEFAULT_TOL, EPS_CMP, DigitKernel, Quaternion, Tolerance, nudge_mode,
                       quat_mul)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Coords = tuple[int, int, int, int]
 
@@ -31,6 +32,7 @@ class LatticeDomain:
 
     def __init__(self, basis: Sequence[Quaternion], offsets: Sequence[float],
                  name: str = "custom"):
+        import numpy as np
         if len(basis) != 4 or len(offsets) != 4:
             raise ValueError("need exactly four basis vectors and four offsets")
         self.basis = tuple(basis)
@@ -45,9 +47,11 @@ class LatticeDomain:
         self.row_norms = np.linalg.norm(self.Binv, axis=1)
 
     def to_coords(self, z: Quaternion) -> np.ndarray:
+        import numpy as np
         return self.Binv @ np.array(z.components)
 
     def point(self, coords: Sequence[float]) -> Quaternion:
+        import numpy as np
         v = self.B @ np.array(coords, dtype=float)
         return Quaternion.from_components(v)
 
@@ -75,6 +79,7 @@ class LatticeDomain:
 
     def cell_margin(self, w: Quaternion) -> float:
         """Euclidean distance from w to the boundary of its digit cell."""
+        import numpy as np
         t = self.to_coords(w) - np.array(self.offsets)
         frac = t - np.floor(t)
         per_axis = np.minimum(frac, 1.0 - frac) / self.row_norms
@@ -82,6 +87,7 @@ class LatticeDomain:
 
     def face_margin(self, z: Quaternion) -> float:
         """Smallest Euclidean distance from z to a face plane of the domain box."""
+        import numpy as np
         t = self.to_coords(z)
         lo = np.array(self.offsets)
         d_lo = (t - lo) / self.row_norms
@@ -103,6 +109,7 @@ def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
 
 def isoclinic_matrix(q: Quaternion) -> np.ndarray:
     """Orthogonal matrix M with |q| M vec(x) = vec(q x) for all x."""
+    import numpy as np
     n = abs(q)
     if not 0.0 < n < math.inf:
         raise ValueError("quaternion must be nonzero and finite")

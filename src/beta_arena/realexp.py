@@ -26,6 +26,10 @@ Block = tuple[int, ...]
 # block the automaton takes
 DEPTH = 256
 
+# most digits an alphabet may have for enumerate_admissible to list its
+# blocks; the CLI's grids take as many points
+MAX_ALPHABET = 10 ** 6
+
 
 @dataclass(frozen=True)
 class CylinderInterval:
@@ -160,8 +164,7 @@ class RealBase:
         try:  # row 0 lists the whole alphabet; from b of about 1e18 on no list is that long
             first = [0] * (self.s_b + 1) if n else []
         except (OverflowError, MemoryError):
-            raise ValueError(f"base {self.b!r}: an alphabet of {self.s_b + 1:.3g} "
-                             "digits is too large to tabulate") from None
+            raise self._too_large() from None
         fail = [0] * (n + 1)  # fail[s]: longest proper border of c[:s]
         for s in range(1, n):
             t = fail[s]
@@ -175,6 +178,10 @@ class RealBase:
                 row[c[s]] = s + 1
             nxt.append(row)
         return nxt
+
+    def _too_large(self) -> ValueError:
+        return ValueError(f"base {self.b!r}: an alphabet of {self.s_b + 1:.3g} "
+                          "digits is too large to tabulate")
 
     def _walk(self, n: int) -> list[Block]:
         """Admissible blocks of length n in increasing lexicographic order,
@@ -205,9 +212,13 @@ class RealBase:
         return True
 
     def enumerate_admissible(self, n: int) -> list[Block]:
-        """All admissible blocks of length n, in increasing lexicographic order."""
+        """All admissible blocks of length n, in increasing lexicographic order;
+        refused for an alphabet of more than MAX_ALPHABET digits, whose first
+        row alone would take gigabytes from b of about 1e7 on."""
         if n < 0:
             raise ValueError("length must be nonnegative")
+        if n and self.s_b >= MAX_ALPHABET:
+            raise self._too_large()
         return self._walk(n)
 
     def in_E(self, block: Sequence[int], d: int) -> bool:

@@ -5,14 +5,15 @@ ambient dimension, the scaling factor of one digit step, membership in the
 fundamental domain, and a single expansion step, snapping at a boundary, that
 also reports how far the pre-floor image sits from its digit-cell boundary.
 The `expand` command uses the same adapters, so each system is described in
-one place.  Points travel as numpy arrays of the ambient dimension
-regardless of the underlying system; each adapter converts them to the
-lattice coordinates of its digit kernel (`coords`) and back (`_point`).
+one place.  Points travel as float tuples of the ambient dimension (any
+float sequence is taken) regardless of the underlying system; each adapter
+converts them to the lattice coordinates of its digit kernel (`coords`) and
+back (`_point`).  Only the quaternion adapter's basis change uses numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
 from .complexexp import ComplexBase
 from .numeric import DEFAULT_TOL, Quaternion, Tolerance, nudge_mode
@@ -31,15 +32,15 @@ class RealSystem:
     def coords(self, p) -> list[float]:
         return [float(p[0])]
 
-    def contains(self, p: np.ndarray) -> bool:
+    def contains(self, p: Sequence[float]) -> bool:
         return 0.0 <= p[0] < 1.0
 
-    def _point(self, u) -> np.ndarray:
-        return np.array(u)
+    def _point(self, u) -> tuple[float, ...]:
+        return tuple(u)
 
-    def step(self, p: np.ndarray):
+    def step(self, p: Sequence[float]):
         (d,), u, margin = self.kernel.step(self.coords(p), nudge=True)
-        return d, self._point(u), margin
+        return d, u, margin
 
     def digit_matches(self, a, b) -> bool:
         return a == b
@@ -56,16 +57,16 @@ class ComplexSystem:
     def coords(self, p) -> list[float]:
         return [float(p[0]), float(p[1])]
 
-    def contains(self, p: np.ndarray) -> bool:
+    def contains(self, p: Sequence[float]) -> bool:
         return (self.base.lo[0] <= p[0] < self.base.lo[0] + 1.0
                 and self.base.lo[1] <= p[1] < self.base.lo[1] + 1.0)
 
-    def _point(self, u) -> np.ndarray:
-        return np.array(u)
+    def _point(self, u) -> tuple[float, ...]:
+        return tuple(u)
 
-    def step(self, p: np.ndarray):
+    def step(self, p: Sequence[float]):
         d, u, margin = self.kernel.step(self.coords(p), nudge=True)
-        return d, self._point(u), margin
+        return d, u, margin
 
     def digit_matches(self, a, b) -> bool:
         return tuple(a) == tuple(b)
@@ -82,15 +83,17 @@ class QuatSystem:
         self.radix_norm = abs(q)
 
     def coords(self, p) -> list[float]:
+        import numpy as np
         return (self.lattice.Binv @ np.asarray(p, dtype=float)).tolist()
 
-    def contains(self, p: np.ndarray) -> bool:
+    def contains(self, p: Sequence[float]) -> bool:
         return self.lattice.box_contains(self.coords(p))
 
-    def _point(self, u) -> np.ndarray:
-        return self.lattice.B @ u
+    def _point(self, u) -> list[float]:
+        import numpy as np
+        return (self.lattice.B @ np.asarray(u, dtype=float)).tolist()
 
-    def step(self, p: np.ndarray):
+    def step(self, p: Sequence[float]):
         d, u, margin = self.kernel.step(self.coords(p), nudge=True)
         return d, self._point(u), margin
 
@@ -98,7 +101,7 @@ class QuatSystem:
         return tuple(a) == tuple(b)
 
 
-def expand_digits(system, p: np.ndarray, n: int, on_ambiguous: str = "nudge") -> list:
+def expand_digits(system, p: Sequence[float], n: int, on_ambiguous: str = "nudge") -> list:
     """First n digits of p under the system's expansion map."""
     digits = system.kernel.expand(system.coords(p), n, nudge_mode(on_ambiguous))
     return [d for (d,) in digits] if system.dim == 1 else digits

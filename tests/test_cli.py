@@ -212,6 +212,8 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
             "--out", "/nonexistent-dir/x.csv")),
     (None, ("admissible", "--real", "1e308", "--n", "3")),
     (None, ("admissible", "--real", "1e18", "--n", "3")),
+    (None, ("admissible", "--real", "1e7", "--n", "3")),
+    (None, ("admissible", "--real", "1e12", "--n", "3")),
 ], ids=["x-outside-domain", "base-not-above-1", "negative-length", "eps-not-a-number",
         "eps-below-comparison-slack",
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
@@ -220,7 +222,7 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
         "curve-A-without-b", "grid-not-finite", "grid-too-fine", "override-rho-on-symmetric",
         "override-bob-on-losing", "game-without-preset", "alpha-zero",
         "game-out-unwritable", "scan-out-unwritable", "alphabet-past-index-range",
-        "alphabet-past-memory"])
+        "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap"])
 def test_invalid_input_exits_3(capsys, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("BETA_ARENA_EPS", env)
@@ -228,6 +230,18 @@ def test_invalid_input_exits_3(capsys, monkeypatch, env, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_eps_below_comparison_slack_names_the_constant(capsys, monkeypatch):
+    monkeypatch.setenv("BETA_ARENA_EPS", "1e-13")
+    _, _, err = run_cli(capsys, "expand", "--real", "golden", "--x", "0.5")
+    assert err == "error: eps_floor must exceed the comparison slack EPS_CMP = 1e-12\n"
+
+
+def test_alphabet_refused_before_it_is_tabulated(capsys):
+    _, _, err = run_cli(capsys, "admissible", "--real", "1e7", "--n", "3")
+    assert err == ("error: base 10000000.0: an alphabet of 1e+07 digits "
+                   "is too large to tabulate\n")
 
 
 def test_usage_error_names_the_problem(capsys):

@@ -6,10 +6,8 @@ at and past the edges of every parameter range (0, 1, negatives, inf, nan,
 1e308, a word), named and malformed bases, lattices and grids, missing and
 conflicting options, output paths that cannot be written.  Every command
 stays cheap: n <= 12, grids of at most three points, at most four game
-rounds.  `admissible` lists an alphabet as long as the real base: 1e18 and
-1e308 are in, because that list cannot be allocated at all and the refusal
-is immediate, but bases between about 1e7 and 1e17 are left out, because
-their alphabet fits into gigabytes of memory.
+rounds.  `admissible` refuses an alphabet of more than 10^6 digits before
+it lists any of it, so the large bases 1e7, 1e12, 1e18 and 1e308 are in.
 """
 
 import contextlib
@@ -23,8 +21,8 @@ from beta_arena.presets import PRESETS
 NUM = st.sampled_from(["0", "0.3", "0.5", "0.9", "1", "1.5", "-0.2", "4.5",
                        "inf", "-inf", "nan", "1e308", "x"])
 BASE = st.sampled_from(["golden", "silver", "metallic:2", "metallic:0", "metallic:x",
-                        "3", "2.5", "1", "0.5", "-2", "1e18", "1e308", "inf", "nan",
-                        "x"])
+                        "3", "2.5", "1", "0.5", "-2", "1e7", "1e12", "1e18", "1e308",
+                        "inf", "nan", "x"])
 LENGTH = st.sampled_from(["-1", "0", "1", "5", "12", "x"])
 GRID = st.sampled_from(["0.1:0.5:0.2", "0.5:0.1:0.1", "0.9:0.9:0.1", "0:1:0",
                         "nan:1:0.1", "0:inf:1", "0:1:1e-300", "0.1:0.2", "a:b:c"])

@@ -72,7 +72,7 @@ def test_illegal_alice_is_named():
     p = GameParams(0.3, 0.5, 1.0, 1, (0.5,))
 
     def cheating_alice(state):
-        return state.bob_ball().center + 0.9  # escapes x0-ball of radius 1
+        return [c + 0.9 for c in state.bob_ball().center]  # escapes x0-ball of radius 1
 
     with pytest.raises(IllegalMoveError) as exc:
         play(p, cheating_alice, bob_center_hold(), max_rounds=4)
@@ -84,7 +84,7 @@ def test_illegal_bob_is_named():
     p = GameParams(0.3, 0.5, 1.0, 1, (0.5,))
 
     def cheating_bob(state):
-        return state.alice_ball().center + 0.3  # exceeds (1-beta) * 0.3
+        return [c + 0.3 for c in state.alice_ball().center]  # exceeds (1-beta) * 0.3
 
     with pytest.raises(IllegalMoveError) as exc:
         play(p, alice_center_hold(), cheating_bob, max_rounds=4)
@@ -96,7 +96,7 @@ def test_domain_escape_is_illegal():
     p = GameParams(0.5, 0.5, 0.3, 1, (0.9,))
 
     def greedy_alice(state):
-        return state.bob_ball().center + 0.15 * (1.0 - 1e-9)
+        return [c + 0.15 * (1.0 - 1e-9) for c in state.bob_ball().center]
 
     with pytest.raises(IllegalMoveError) as exc:
         play(p, greedy_alice, bob_center_hold(), system=RealSystem(base))
@@ -121,7 +121,7 @@ def test_audit_catches_doctored_radius():
 def test_audit_catches_doctored_center():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
     trace = play(p, alice_center_hold(), bob_center_hold(), max_rounds=6)
-    trace.moves[4].center = trace.moves[4].center + 0.2
+    trace.moves[4].center = tuple(c + 0.2 for c in trace.moves[4].center)
     assert any("containment violated" in v for v in audit_trace(trace))
 
 

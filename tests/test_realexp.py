@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_arena.numeric import EPS_CMP, AmbiguousValueError, metallic_mean
-from beta_arena.realexp import RealBase
+from beta_arena.realexp import MAX_ALPHABET, RealBase
 from beta_arena.systems import RealSystem, expand_digits
 
 PHI1 = metallic_mean(1)
@@ -209,6 +209,17 @@ def test_enumerate_admissible_error_contract():
         base.enumerate_admissible(base.depth + 1)
     with pytest.raises(ValueError, match="block longer than the precomputed expansion depth"):
         base.is_admissible((0,) * (base.depth + 1))
+
+
+def test_enumerate_admissible_refuses_an_alphabet_past_the_cap():
+    # 10^6 digits is the largest alphabet listed; one digit more is refused
+    # before the automaton allocates its first row, and length 0 needs no row
+    assert len(RealBase(1e6).enumerate_admissible(1)) == MAX_ALPHABET
+    for b in (1e6 + 0.5, 1e7, 1e12, 1e18):
+        base = RealBase(b)
+        with pytest.raises(ValueError, match="too large to tabulate"):
+            base.enumerate_admissible(1)
+        assert base.enumerate_admissible(0) == [()]
 
 
 def test_golden_count_is_fibonacci_at_length_18():
