@@ -238,12 +238,6 @@ def test_eps_below_comparison_slack_names_the_constant(capsys, monkeypatch):
     assert err == "error: eps_floor must exceed the comparison slack EPS_CMP = 1e-12\n"
 
 
-def test_alphabet_refused_before_it_is_tabulated(capsys):
-    _, _, err = run_cli(capsys, "admissible", "--real", "1e7", "--n", "3")
-    assert err == ("error: base 10000000.0: an alphabet of 1e+07 digits "
-                   "is too large to tabulate\n")
-
-
 def test_usage_error_names_the_problem(capsys):
     # argparse's own message, once, with no usage block
     _, _, err = run_cli(capsys, "expand", "--real", "golden", "--complex", "4.5", "0")
