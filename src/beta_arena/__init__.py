@@ -1,8 +1,7 @@
 """Digit expansions in real, complex and quaternionic bases, the digit-region
 geometry they induce, and a radius-ratio game played on top of them."""
 
-from .numeric import (AmbiguousValueError, DEFAULT_TOL, Quaternion, Tolerance,
-                      metallic_mean, safe_floor, tol_floor)
+from .numeric import AmbiguousValueError, Quaternion, metallic_mean, safe_floor, tol_floor
 from .realexp import CylinderInterval, RealBase
 from .complexexp import ComplexBase
 from .quatexp import (COmegaResult, DomainConstants, LatticeDomain,
@@ -25,8 +24,7 @@ from .presets import GameSetup, PRESETS, build_preset, run_setup
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousValueError", "DEFAULT_TOL", "Quaternion", "Tolerance",
-    "metallic_mean", "safe_floor", "tol_floor",
+    "AmbiguousValueError", "Quaternion", "metallic_mean", "safe_floor", "tol_floor",
     "CylinderInterval", "RealBase",
     "ComplexBase",
     "COmegaResult", "DomainConstants", "LatticeDomain", "LosingParameters",

@@ -27,23 +27,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .complexexp import ComplexBase, G_region, classify_digit_set
 from .game import IllegalMoveError, StrategyError, audit_trace, A_threshold, F_threshold
-from .numeric import AmbiguousValueError, Quaternion, Tolerance, DEFAULT_TOL, metallic_mean
+from .numeric import AmbiguousValueError, Quaternion, metallic_mean
 from .quatexp import hurwitz_box, lipschitz, symmetric_domain, zeta_lattice
 from .realexp import RealBase
 from .presets import BOBS, PRESETS, build_preset, run_setup
 from .systems import ComplexSystem, QuatSystem, RealSystem, expand_digits
-
-
-def _tolerance() -> Tolerance:
-    raw = os.environ.get("BETA_ARENA_EPS")
-    if raw is None:
-        return DEFAULT_TOL
-    return Tolerance(eps_floor=float(raw))
 
 
 def _fmt(x: float) -> str:
@@ -118,16 +110,16 @@ def _format_digit(d) -> str:
     return "".join(parts) if parts else "0"
 
 
-def cmd_expand(args, tol: Tolerance) -> int:
+def cmd_expand(args) -> int:
     if args.real is not None:
-        system = RealSystem(RealBase(parse_base(args.real), tol=tol))
+        system = RealSystem(RealBase(parse_base(args.real)))
         p = [] if args.x is None else [args.x]
     elif args.complex is not None:
         lo = (-0.5, -0.5) if args.centered else (0.0, 0.0)
-        system = ComplexSystem(ComplexBase(*args.complex, tol=tol, lo=lo))
+        system = ComplexSystem(ComplexBase(*args.complex, lo=lo))
         p = args.z or []
     else:
-        system = QuatSystem(Quaternion(*args.quat), parse_lattice(args.lattice), tol)
+        system = QuatSystem(Quaternion(*args.quat), parse_lattice(args.lattice))
         p = args.z or []
     if len(p) != system.dim:
         raise ValueError(f"the point needs {system.dim} coordinate(s) "
@@ -146,8 +138,8 @@ def cmd_expand(args, tol: Tolerance) -> int:
     return 0
 
 
-def cmd_admissible(args, tol: Tolerance) -> int:
-    base = RealBase(parse_base(args.real), tol=tol)
+def cmd_admissible(args) -> int:
+    base = RealBase(parse_base(args.real))
     blocks = base.enumerate_admissible(args.n)
     if args.format == "json":
         print(json.dumps({"blocks": [list(b) for b in blocks]}, sort_keys=True))
@@ -157,7 +149,7 @@ def cmd_admissible(args, tol: Tolerance) -> int:
     return 0
 
 
-def cmd_regions(args, tol: Tolerance) -> int:
+def cmd_regions(args) -> int:
     if args.curve == "classify":
         try:
             square, N = classify_digit_set(args.r, args.theta)
@@ -171,7 +163,7 @@ def cmd_regions(args, tol: Tolerance) -> int:
         if args.b is None:
             raise ValueError("--curve A needs --b")
         b = parse_base(args.b)
-        base = RealBase(b, tol=tol)
+        base = RealBase(b)
         header = "alpha,beta_threshold"
         for alpha in parse_grid(args.alpha):
             rows.append((alpha, A_threshold(b, base.K_b, alpha)))
@@ -214,7 +206,7 @@ def _run_game(preset: str, overrides: dict, seed: int, max_rounds: int | None):
     return setup, trace, result
 
 
-def cmd_game(args, tol: Tolerance) -> int:
+def cmd_game(args) -> int:
     overrides = {"alpha": args.alpha, "beta": args.beta, "rho": args.rho, "bob": args.bob}
     setup, trace, result = _run_game(args.preset, overrides, args.seed, args.max_rounds)
     violations = audit_trace(trace)
@@ -238,7 +230,7 @@ def cmd_game(args, tol: Tolerance) -> int:
     return _EXIT[result.verdict]
 
 
-def cmd_scan(args, tol: Tolerance) -> int:
+def cmd_scan(args) -> int:
     alphas = parse_grid(args.alpha)
     lines = ["alpha,beta,seed,rounds,status,verdict"]
     for alpha in alphas:
@@ -327,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, _tolerance())
+        return args.func(args)
     except AmbiguousValueError as exc:
         print(f"ambiguous input: {exc}", file=sys.stderr)
     except (ValueError, OSError) as exc:  # OSError: an --out file that cannot be written

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .numeric import (DEFAULT_TOL, EPS_CMP, AmbiguousValueError, DigitKernel, Quaternion,
-                      Tolerance, nudge_mode)
+from .numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel, Quaternion,
+                      nudge_mode)
 
 QUARTER = math.pi / 4.0
 GaussInt = tuple[int, int]
@@ -69,20 +69,18 @@ class ComplexBase:
     threshold computations.
     """
 
-    def __init__(self, r: float, theta: float, tol: Tolerance = DEFAULT_TOL,
-                 lo: tuple[float, float] = (-0.5, -0.5)):
+    def __init__(self, r: float, theta: float, lo: tuple[float, float] = (-0.5, -0.5)):
         if not 1.0 < r < math.inf:
             raise ValueError("modulus must be finite and exceed 1")
         self.r = float(r)
         self.theta = float(theta)
-        self.tol = tol
         self.lo = (float(lo[0]), float(lo[1]))
         self.theta_folded = fold_angle(self.theta)
         self.c = math.cos(self.theta_folded)
         self.s = math.sin(self.theta_folded)
         self.xi = Quaternion.complex2(r * math.cos(self.theta), r * math.sin(self.theta))
         self.kernel = DigitKernel(((self.xi.a, -self.xi.b), (self.xi.b, self.xi.a)),
-                                  self.lo, (1.0, 1.0), tol)
+                                  self.lo, (1.0, 1.0))
         self.N: int | None = None
         if self.is_centered:
             try:
@@ -149,6 +147,18 @@ def f_value(N: int, k: int, theta: float, r: float) -> float:
     return acc
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    """Midpoint of [lo, hi] after 200 halvings, each keeping the half whose
+    ends straddle the point where below(x) turns from True to False."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def v_threshold(N: int, k: int, theta: float) -> float:
     """Positive root of the refinement polynomial, by bisection.
 
@@ -160,17 +170,10 @@ def v_threshold(N: int, k: int, theta: float) -> float:
     t = fold_angle(theta)
     if k == 1:
         return math.cos(t) + math.sin(t)
-    lo = 1.0
     hi = 2.0 * math.sqrt(2.0) * N * k + 2.0
     while f_value(N, k, t, hi) <= 0.0:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_value(N, k, t, mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda r: f_value(N, k, t, r) <= 0.0, 1.0, hi)
 
 
 def check_Ck(base: ComplexBase, k: int) -> CkResult:
@@ -233,16 +236,9 @@ def _delta_root() -> float:
             acc = acc * x + c
         return acc
 
-    lo, hi = 0.0, 0.125
-    if poly(hi) >= 0.0:
+    if poly(0.125) >= 0.0:
         raise RuntimeError("no positive real root found for the gamma2 polynomial")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if poly(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: poly(x) > 0.0, 0.0, 0.125)
 
 
 @functools.cache
@@ -254,16 +250,9 @@ def gamma_constants() -> GammaConstants:
     the angles with a nonempty family.  F_roots gives the quadratic roots
     L- and L+ at an angle below gamma1.
     """
-    lo, hi = 1e-9, QUARTER
-    if discriminant(lo) <= 0.0 or discriminant(hi) >= 0.0:
+    if discriminant(1e-9) <= 0.0 or discriminant(QUARTER) >= 0.0:
         raise RuntimeError("discriminant sign pattern unexpected")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if discriminant(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    gamma1 = 0.5 * (lo + hi)
+    gamma1 = _bisect(lambda t: discriminant(t) > 0.0, 1e-9, QUARTER)
     delta = _delta_root()
     gamma2 = 2.0 * math.atan(delta)
     return GammaConstants(gamma1, gamma2, delta)
@@ -323,7 +312,6 @@ def Vk_squares(base: ComplexBase, k: int) -> list[Quaternion]:
             raise ValueError(f"refinement condition fails at level {n}")
     digits = snake_order(base.N)
     inv = [base.xi.powi(-j) for j in range(k + 1)]
-    eps = base.tol.eps_floor
     corners = [Quaternion.complex2(sx, sy) for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)]
 
     def centers_for(prefix_sum: Quaternion, depth: int) -> list[Quaternion]:
@@ -340,6 +328,6 @@ def Vk_squares(base: ComplexBase, k: int) -> list[Quaternion]:
     for ctr in centers:
         for crn in corners:
             img = ctr + shrink * crn
-            if abs(img.a) > 0.5 + eps or abs(img.b) > 0.5 + eps:
+            if abs(img.a) > 0.5 + EPS_FLOOR or abs(img.b) > 0.5 + EPS_FLOOR:
                 raise ValueError("tile corner escaped the domain; refinement not established")
     return centers

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic, tolerance-aware rounding and the digit kernel.
+"""Quaternion arithmetic, guarded rounding and the digit kernel.
 
 The digit maps in one, two and four dimensions are one affine map in
 lattice coordinates, DigitKernel, so they share a single arithmetic path.
@@ -14,50 +14,37 @@ from dataclasses import dataclass
 
 
 class AmbiguousValueError(ValueError):
-    """A quantity landed inside the tolerance band around a decision boundary."""
+    """A quantity landed inside the ambiguity band around a decision boundary."""
 
 
 # slack allowed in ordinary comparisons
 EPS_CMP = 1e-12
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Rounding policy: eps_floor is the half-width of the ambiguity band
-    around integers used by floor operations, above the comparison slack."""
-
-    eps_floor: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps_floor < 0.25:
-            raise ValueError("eps_floor must lie in (0, 1/4)")
-        if self.eps_floor <= EPS_CMP:
-            raise ValueError(f"eps_floor must exceed the comparison slack EPS_CMP = {EPS_CMP:g}")
+# half-width of the ambiguity band around integers used by floor operations;
+# it lies above the comparison slack and below 1/4
+EPS_FLOOR = 1e-9
 
 
-DEFAULT_TOL = Tolerance()
-
-
-def safe_floor(x: float, tol: Tolerance = DEFAULT_TOL) -> tuple[int, bool]:
+def safe_floor(x: float) -> tuple[int, bool]:
     """Floor with an ambiguity flag.
 
-    Returns (n, ambiguous).  When x is farther than tol.eps_floor from every
+    Returns (n, ambiguous).  When x is farther than EPS_FLOOR from every
     integer, n = floor(x) and ambiguous is False.  Inside the band, n is the
     nearest integer (the snap target) and ambiguous is True.
     """
     if not math.isfinite(x):
         raise ValueError(f"cannot floor non-finite value {x!r}")
     nearest = round(x)
-    if abs(x - nearest) <= tol.eps_floor:
+    if abs(x - nearest) <= EPS_FLOOR:
         return int(nearest), True
     return math.floor(x), False
 
 
-def tol_floor(x: float, tol: Tolerance = DEFAULT_TOL, nudge: bool = False) -> int:
+def tol_floor(x: float, nudge: bool = False) -> int:
     """Floor that either raises on ambiguity or snaps to the nearest integer."""
-    n, ambiguous = safe_floor(x, tol)
+    n, ambiguous = safe_floor(x)
     if ambiguous and not nudge:
-        raise AmbiguousValueError(f"{x!r} is within {tol.eps_floor} of an integer")
+        raise AmbiguousValueError(f"{x!r} is within {EPS_FLOOR} of an integer")
     return n
 
 
@@ -80,14 +67,13 @@ class DigitKernel:
     Euclidean distance in the ambient space.
 
     Snap policy in nudge mode: a coordinate of A u - offsets within
-    eps_floor of an integer takes that integer as its digit, unless no point
+    EPS_FLOOR of an integer takes that integer as its digit, unless no point
     of the box has that digit, and its remainder is put exactly on the
     lower face.
     """
 
-    def __init__(self, A, offsets, row_norms, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, A, offsets, row_norms):
         self.A = tuple(map(tuple, A))
-        self.tol = tol
         # digits per coordinate: the cells [d, d + 1) that the image of the box
         # meets, up to EPS_CMP; the box is open above, so the image reaches
         # its top only when no entry of the row is positive
@@ -103,17 +89,16 @@ class DigitKernel:
     def step(self, u, nudge: bool = False):
         """One step from u: (digit, remainder, margin), the margin being the
         Euclidean distance from A u to the boundary of its digit cell."""
-        eps = self.tol.eps_floor
         digit, nxt, margin = [], [], math.inf
         for row, off, norm, lo, hi in self._rows:
             w = sum(map(operator.mul, row, u))
             t = w - off
-            d = tol_floor(t, self.tol, nudge)
+            d = tol_floor(t, nudge)
             f = math.floor(t)
             if not lo <= d <= hi:  # a snap may not leave the digit range
                 d = f
             digit.append(d)
-            nxt.append(off if abs(t - d) <= eps else w - d)
+            nxt.append(off if abs(t - d) <= EPS_FLOOR else w - d)
             frac = t - f
             margin = min(margin, frac / norm, (1.0 - frac) / norm)
         return tuple(digit), tuple(nxt), margin

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .numeric import (DEFAULT_TOL, EPS_CMP, DigitKernel, Quaternion, Tolerance, nudge_mode,
-                      quat_mul)
+from .numeric import EPS_CMP, DigitKernel, Quaternion, nudge_mode, quat_mul
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,10 +54,10 @@ class LatticeDomain:
         v = self.B @ np.array(coords, dtype=float)
         return Quaternion.from_components(v)
 
-    def digit_map(self, q: Quaternion, tol: Tolerance = DEFAULT_TOL) -> DigitKernel:
+    def digit_map(self, q: Quaternion) -> DigitKernel:
         """The map z -> q z - d written in this lattice's coordinates."""
         A = self.Binv @ (abs(q) * isoclinic_matrix(q)) @ self.B
-        return DigitKernel(A.tolist(), self.offsets, self.row_norms.tolist(), tol)
+        return DigitKernel(A.tolist(), self.offsets, self.row_norms.tolist())
 
     def contains(self, z: Quaternion) -> bool:
         return self.box_contains(self.to_coords(z))

@@ -8,7 +8,7 @@ prefix of c, so a depth-first walk lists the admissible blocks of length n
 with one table lookup per node.  The set of points whose first k digits form
 a given block is an interval whose exact endpoints this module computes.
 Orbits of algebraic bases routinely hit cell boundaries head on, so every
-internal expansion snaps floors inside the tolerance band instead of
+internal expansion snaps floors inside the ambiguity band instead of
 trusting the last bits of a double.
 """
 
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numeric import DEFAULT_TOL, EPS_CMP, DigitKernel, Tolerance, nudge_mode, tol_floor
+from .numeric import EPS_CMP, EPS_FLOOR, DigitKernel, nudge_mode, tol_floor
 
 Block = tuple[int, ...]
 
@@ -26,8 +26,8 @@ Block = tuple[int, ...]
 # block the automaton takes
 DEPTH = 256
 
-# most digits an alphabet may have for enumerate_admissible to list its
-# blocks; the CLI's grids take as many points
+# most digits an alphabet may have for Parry's automaton to be built; the
+# CLI's grids take as many points
 MAX_ALPHABET = 10 ** 6
 
 
@@ -36,7 +36,7 @@ class CylinderInterval:
     """Half-open interval [lo, hi) of points sharing a fixed digit prefix.
 
     block has length k and ends with the targeted digit; full_length records
-    whether hi - lo equals b**-k up to tolerance.
+    whether hi - lo equals b**-k up to EPS_CMP.
     """
 
     block: Block
@@ -53,14 +53,13 @@ class RealBase:
     the admissibility and cylinder machinery built on them.
     """
 
-    def __init__(self, b: float, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, b: float):
         if not 1.0 < b < math.inf:
             raise ValueError("base must be finite and exceed 1")
         self.b = float(b)
         self.depth = DEPTH
-        self.tol = tol
         self.is_integer = abs(self.b - round(self.b)) <= EPS_CMP
-        self.kernel = DigitKernel(((self.b,),), (0.0,), (1.0,), tol)
+        self.kernel = DigitKernel(((self.b,),), (0.0,), (1.0,))
         # digit alphabet is {0, ..., s_b}, the digits the kernel can produce
         self.s_b = self.kernel.hi[0]
         self._one = self._greedy_orbit(1.0, DEPTH, allow_first_overflow=True)
@@ -86,14 +85,14 @@ class RealBase:
             if y == 0.0:
                 return digits, True
             t = self.b * y
-            d = tol_floor(t, self.tol, nudge=True)
+            d = tol_floor(t, nudge=True)
             hi = self.s_b if not (step == 0 and allow_first_overflow) else int(self.b) + 1
             if not 0 <= d <= hi:  # a snap may not leave the digit range
                 d = math.floor(t)
             if not 0 <= d <= hi:
                 raise ValueError(f"digit {d} out of range; orbit left [0,1)")
             y = t - d
-            if abs(y) <= self.tol.eps_floor:
+            if abs(y) <= EPS_FLOOR:
                 y = 0.0
             digits.append(d)
         return digits, False
@@ -133,7 +132,7 @@ class RealBase:
     def digits(self, x: float, n: int, on_ambiguous: str = "error") -> list[int]:
         """First n greedy digits of x in [0,1).
 
-        on_ambiguous is "error" (raise when b T^j x sits within eps_floor of
+        on_ambiguous is "error" (raise when b T^j x sits within EPS_FLOOR of
         an integer) or "nudge" (snap to that integer and continue).
         """
         if not 0.0 <= x < 1.0:
@@ -157,14 +156,16 @@ class RealBase:
         leads to state nxt[s][d].  Each link t of the KMP failure chain
         s, f(s), ..., 0 bounds d by c[t]: for a shift-maximal c only t = s
         binds (Parry's rule), and the chain keeps the test exact for any c.
+        Refused for an alphabet of more than MAX_ALPHABET digits, whose row 0
+        alone would take gigabytes from b of about 1e7 on.
         """
+        if n and self.s_b >= MAX_ALPHABET:
+            raise ValueError(f"base {self.b!r}: an alphabet of {self.s_b + 1:.3g} "
+                             "digits is too large to tabulate")
         if n > DEPTH:
             raise ValueError("block longer than the precomputed expansion depth")
         c = self.c_digits
-        try:  # row 0 lists the whole alphabet; from b of about 1e18 on no list is that long
-            first = [0] * (self.s_b + 1) if n else []
-        except (OverflowError, MemoryError):
-            raise self._too_large() from None
+        first = [0] * (self.s_b + 1) if n else []  # row 0 lists the whole alphabet
         fail = [0] * (n + 1)  # fail[s]: longest proper border of c[:s]
         for s in range(1, n):
             t = fail[s]
@@ -178,10 +179,6 @@ class RealBase:
                 row[c[s]] = s + 1
             nxt.append(row)
         return nxt
-
-    def _too_large(self) -> ValueError:
-        return ValueError(f"base {self.b!r}: an alphabet of {self.s_b + 1:.3g} "
-                          "digits is too large to tabulate")
 
     def _walk(self, n: int) -> list[Block]:
         """Admissible blocks of length n in increasing lexicographic order,
@@ -212,13 +209,9 @@ class RealBase:
         return True
 
     def enumerate_admissible(self, n: int) -> list[Block]:
-        """All admissible blocks of length n, in increasing lexicographic order;
-        refused for an alphabet of more than MAX_ALPHABET digits, whose first
-        row alone would take gigabytes from b of about 1e7 on."""
+        """All admissible blocks of length n, in increasing lexicographic order."""
         if n < 0:
             raise ValueError("length must be nonnegative")
-        if n and self.s_b >= MAX_ALPHABET:
-            raise self._too_large()
         return self._walk(n)
 
     def in_E(self, block: Sequence[int], d: int) -> bool:

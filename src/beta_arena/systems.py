@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .complexexp import ComplexBase
-from .numeric import DEFAULT_TOL, Quaternion, Tolerance, nudge_mode
+from .numeric import Quaternion, nudge_mode
 from .quatexp import LatticeDomain
 from .realexp import RealBase
 
@@ -75,11 +75,10 @@ class ComplexSystem:
 class QuatSystem:
     dim = 4
 
-    def __init__(self, q: Quaternion, lattice: LatticeDomain,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, q: Quaternion, lattice: LatticeDomain):
         self.q = q
         self.lattice = lattice
-        self.kernel = lattice.digit_map(q, tol)
+        self.kernel = lattice.digit_map(q)
         self.radix_norm = abs(q)
 
     def coords(self, p) -> list[float]:

@@ -160,62 +160,56 @@ def test_scan_deterministic_and_complete(capsys):
     assert all(line.split(",")[5] == "verified" for line in lines[1:])
 
 
-def test_eps_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("BETA_ARENA_EPS", "0.2")
-    # a huge ambiguity band makes almost every floor ambiguous
-    code, _, err = run_cli(capsys, "expand", "--real", "golden",
-                           "--x", "0.854102", "--n", "6")
-    assert code == 3
-    assert "ambiguous" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("regions", "--curve", "F"),
     ("regions", "--curve", "G", "--theta", "0.05"),
     ("regions", "--curve", "classify"),
+    ("regions", "--curve", "A", "--b", "golden"),
+    ("expand", "--real", "golden", "--x", "0.854102", "--n", "6"),
+    ("admissible", "--real", "golden", "--n", "5"),
+    ("game", "--preset", "dwinning-golden", "--seed", "0"),
+    ("scan", "--preset", "dwinning-golden", "--alpha", "0.03:0.05:0.02"),
 ])
 def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
-    # these curves read only the comparison slack, which BETA_ARENA_EPS does
-    # not set
+    # the floors' ambiguity band is the constant EPS_FLOOR: no command reads
+    # BETA_ARENA_EPS, whatever it holds
     want = run_cli(capsys, *argv)
-    monkeypatch.setenv("BETA_ARENA_EPS", "1e-6")
-    assert run_cli(capsys, *argv) == want
+    for env in ("0.2", "abc", "1e-13"):
+        monkeypatch.setenv("BETA_ARENA_EPS", env)
+        assert run_cli(capsys, *argv) == want, env
     assert want[0] == 0 and want[1]
 
 
-@pytest.mark.parametrize("env, argv", [
-    (None, ("expand", "--real", "golden", "--x", "1.5")),
-    (None, ("expand", "--real", "1.0", "--x", "0.5")),
-    (None, ("admissible", "--real", "golden", "--n", "-1")),
-    ("abc", ("expand", "--real", "golden", "--x", "0.5")),
-    ("1e-13", ("expand", "--real", "golden", "--x", "0.5")),
-    (None, ("expand", "--real", "golden")),
-    (None, ("expand", "--complex", "4.5", "0.05", "--z", ".1", ".2", ".3", ".4")),
-    (None, ("expand", "--quat", "3", "3", "3", "3", "--z", ".1", ".2")),
-    (None, ("expand",)),
-    (None, ("expand", "--real", "golden", "--complex", "4.5", "0")),
-    (None, ("expand", "--real", "golden", "--x", "0.3", "--n", "-1")),
-    (None, ("expand", "--complex", "4.5", "0.05", "--z", ".1", ".2", "--n", "-1")),
-    (None, ("expand", "--quat", "3", "3", "3", "3", "--z", ".1", ".2", ".3", ".4",
-            "--n", "-1")),
-    (None, ("expand", "--real", "inf", "--x", ".5")),
-    (None, ("expand", "--complex", "inf", "0", "--centered", "--z", "0", "0")),
-    (None, ("regions", "--curve", "A")),
-    (None, ("regions", "--curve", "F", "--alpha", "nan:1:0.1")),
-    (None, ("regions", "--curve", "F", "--alpha", "0:1:1e-300")),
-    (None, ("game", "--preset", "notwinning-symmetric", "--rho", ".1")),
-    (None, ("game", "--preset", "notwinning-lipschitz", "--bob", "random")),
-    (None, ("game",)),
-    (None, ("game", "--preset", "notwinning-lipschitz", "--alpha", "0")),
-    (None, ("game", "--preset", "dwinning-golden", "--out", "/nonexistent-dir/x.json")),
-    (None, ("scan", "--preset", "dwinning-golden", "--alpha", "0.05:0.05:0.1",
-            "--out", "/nonexistent-dir/x.csv")),
-    (None, ("admissible", "--real", "1e308", "--n", "3")),
-    (None, ("admissible", "--real", "1e18", "--n", "3")),
-    (None, ("admissible", "--real", "1e7", "--n", "3")),
-    (None, ("admissible", "--real", "1e12", "--n", "3")),
-], ids=["x-outside-domain", "base-not-above-1", "negative-length", "eps-not-a-number",
-        "eps-below-comparison-slack",
+@pytest.mark.parametrize("argv", [
+    ("expand", "--real", "golden", "--x", "1.5"),
+    ("expand", "--real", "1.0", "--x", "0.5"),
+    ("admissible", "--real", "golden", "--n", "-1"),
+    ("expand", "--real", "golden"),
+    ("expand", "--complex", "4.5", "0.05", "--z", ".1", ".2", ".3", ".4"),
+    ("expand", "--quat", "3", "3", "3", "3", "--z", ".1", ".2"),
+    ("expand",),
+    ("expand", "--real", "golden", "--complex", "4.5", "0"),
+    ("expand", "--real", "golden", "--x", "0.3", "--n", "-1"),
+    ("expand", "--complex", "4.5", "0.05", "--z", ".1", ".2", "--n", "-1"),
+    ("expand", "--quat", "3", "3", "3", "3", "--z", ".1", ".2", ".3", ".4",
+     "--n", "-1"),
+    ("expand", "--real", "inf", "--x", ".5"),
+    ("expand", "--complex", "inf", "0", "--centered", "--z", "0", "0"),
+    ("regions", "--curve", "A"),
+    ("regions", "--curve", "F", "--alpha", "nan:1:0.1"),
+    ("regions", "--curve", "F", "--alpha", "0:1:1e-300"),
+    ("game", "--preset", "notwinning-symmetric", "--rho", ".1"),
+    ("game", "--preset", "notwinning-lipschitz", "--bob", "random"),
+    ("game",),
+    ("game", "--preset", "notwinning-lipschitz", "--alpha", "0"),
+    ("game", "--preset", "dwinning-golden", "--out", "/nonexistent-dir/x.json"),
+    ("scan", "--preset", "dwinning-golden", "--alpha", "0.05:0.05:0.1",
+     "--out", "/nonexistent-dir/x.csv"),
+    ("admissible", "--real", "1e308", "--n", "3"),
+    ("admissible", "--real", "1e18", "--n", "3"),
+    ("admissible", "--real", "1e7", "--n", "3"),
+    ("admissible", "--real", "1e12", "--n", "3"),
+], ids=["x-outside-domain", "base-not-above-1", "negative-length",
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
         "no-system", "two-systems", "real-negative-n", "complex-negative-n",
         "quat-negative-n", "infinite-real-base", "infinite-modulus",
@@ -223,19 +217,11 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
         "override-bob-on-losing", "game-without-preset", "alpha-zero",
         "game-out-unwritable", "scan-out-unwritable", "alphabet-past-index-range",
         "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap"])
-def test_invalid_input_exits_3(capsys, monkeypatch, env, argv):
-    if env is not None:
-        monkeypatch.setenv("BETA_ARENA_EPS", env)
+def test_invalid_input_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
-
-
-def test_eps_below_comparison_slack_names_the_constant(capsys, monkeypatch):
-    monkeypatch.setenv("BETA_ARENA_EPS", "1e-13")
-    _, _, err = run_cli(capsys, "expand", "--real", "golden", "--x", "0.5")
-    assert err == "error: eps_floor must exceed the comparison slack EPS_CMP = 1e-12\n"
 
 
 def test_usage_error_names_the_problem(capsys):

@@ -3,9 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from beta_arena.numeric import (AmbiguousValueError, DEFAULT_TOL, DigitKernel,
-                                Quaternion, Tolerance, metallic_mean,
-                                safe_floor, tol_floor)
+from beta_arena.numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel,
+                                Quaternion, metallic_mean, safe_floor, tol_floor)
 
 # Hamilton multiplication table, frozen by hand: rows q, columns p, entry q*p.
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -97,14 +96,19 @@ def test_metallic_means():
         assert x * x == pytest.approx(j * x + 1, abs=1e-10)
 
 
+def test_floor_band_lies_between_comparison_slack_and_a_quarter():
+    # above EPS_CMP, so a value the comparisons call equal to an integer is
+    # ambiguous to the floors; below 1/4, so no band swallows a whole cell
+    assert EPS_CMP < EPS_FLOOR < 0.25
+
+
 def test_tol_floor_policies():
-    tol = Tolerance(eps_floor=1e-9)
-    assert tol_floor(2.3, tol) == 2
-    assert tol_floor(-0.7, tol) == -1
-    with pytest.raises(AmbiguousValueError):
-        tol_floor(3.0 - 1e-12, tol)
-    assert tol_floor(3.0 - 1e-12, tol, nudge=True) == 3
-    assert tol_floor(3.0 + 1e-12, tol, nudge=True) == 3
+    assert tol_floor(2.3) == 2
+    assert tol_floor(-0.7) == -1
+    with pytest.raises(AmbiguousValueError, match=r"is within 1e-09 of an integer"):
+        tol_floor(3.0 - 1e-12)
+    assert tol_floor(3.0 - 1e-12, nudge=True) == 3
+    assert tol_floor(3.0 + 1e-12, nudge=True) == 3
 
 
 def test_safe_floor_flags():

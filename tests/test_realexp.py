@@ -212,13 +212,18 @@ def test_enumerate_admissible_error_contract():
 
 
 def test_enumerate_admissible_refuses_an_alphabet_past_the_cap():
-    # 10^6 digits is the largest alphabet listed; one digit more is refused
-    # before the automaton allocates its first row, and length 0 needs no row
+    # 10^6 digits is the largest alphabet tabulated; one digit more is refused
+    # before the automaton allocates its first row, by every method that walks
+    # it, and length 0 needs no row
     assert len(RealBase(1e6).enumerate_admissible(1)) == MAX_ALPHABET
     for b in (1e6 + 0.5, 1e7, 1e12, 1e18):
         base = RealBase(b)
-        with pytest.raises(ValueError, match="too large to tabulate"):
-            base.enumerate_admissible(1)
+        for walk in (lambda: base.enumerate_admissible(1),
+                     lambda: base.is_admissible((1, 2)),
+                     lambda: base.in_E((1,), 0),
+                     lambda: base.nearest_full_cylinder(0.5, 0, 2)):
+            with pytest.raises(ValueError, match="too large to tabulate"):
+                walk()
         assert base.enumerate_admissible(0) == [()]
 
 
