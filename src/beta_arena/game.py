@@ -26,11 +26,11 @@ play's matrix powers.  A real game runs without it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
 
-from .complexexp import ComplexBase, Vk_squares
 from .numeric import EPS_CMP
 from .realexp import RealBase
 from .systems import QuatSystem
@@ -539,11 +539,10 @@ def alice_real_winning(base: RealBase, d: int, n: int, k: int) -> Strategy:
                           "nearest full cylinder target")
 
 
-def alice_complex_winning(base: ComplexBase, k: int, n: int) -> Strategy:
-    """Complex analog: targets are the centers of the level-k tiles whose
-    k-th digit is zero."""
-    import numpy as np
-    targets = np.array([[c.a, c.b] for c in Vk_squares(base, k)])
+def alice_complex_winning(targets, n: int) -> Strategy:
+    """Complex analog: targets is a numpy array of the centers of the level-k
+    tiles whose k-th digit is zero, one row per tile, which the strategy
+    only reads, so games may share it."""
     return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
 
 
@@ -580,6 +579,10 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     and the formula move is always legal; both conditions are still checked,
     and on failure the strategy degrades to a clipped legal move and leaves
     a note in the trace instead of crashing.
+
+    The strategy keeps no game state: (m, pinned) lives in the game's
+    scratch, and only the table of powers of A outlives a game, so one
+    strategy serves every game on its system.
     """
     import numpy as np
     win = len(omega)
@@ -589,14 +592,20 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     kernel = system.kernel
     A = np.array(kernel.A)
     A_inv = np.linalg.inv(A)
-    up, down = [np.eye(len(A))], [np.eye(len(A))]  # A^j and A^-j
+    # (A^j, A^-j) by j, shared by every game on the strategy; one append
+    # grows both, so a growth cut short cannot leave them out of step, and
+    # the lock keeps games in two threads from appending the same power twice
+    powers = [(np.eye(len(A)), np.eye(len(A)))]
+    growing = threading.Lock()
     xi_coords = np.array(system.coords(xi))
 
     def power(j: int) -> tuple[np.ndarray, np.ndarray]:
-        while len(up) <= j:
-            up.append(A @ up[-1])
-            down.append(A_inv @ down[-1])
-        return up[j], down[j]
+        if j >= len(powers):
+            with growing:
+                while len(powers) <= j:
+                    up, down = powers[-1]
+                    powers.append((A @ up, A_inv @ down))
+        return powers[j]
 
     def f(s: GameState) -> Vector:
         y = s.alice_ball().center

@@ -6,15 +6,26 @@ inequalities with an explicit margin.  Overridden parameters are accepted
 even when they break the hypotheses (that failure mode is part of the CLI
 contract); the builder records the violation in the setup notes and the
 verification step renders the verdict.
+
+A preset has two parts.  Its system part (the expansion system, the complex
+target tiles, the quaternion lattice with Bob's avoidance play and its
+powers of A) is a pure function of the preset's fixed geometry, so a
+functools.cache keyed by value builds it once per process and every game
+shares it.  The per-game part (parameters, the (n, k) or n search, notes,
+claim and strategies) is built for each game; the shared objects carry no
+game state, which lives in GameState.scratch.  The caches sit here and not
+in the constructors, which keep building afresh on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .complexexp import ComplexBase
+from .complexexp import ComplexBase, Vk_squares
 from .game import (Claim, GameParams, Strategy, StrategyError,
                    alice_complex_winning, alice_quaternion_componentwise,
                    alice_random, alice_real_winning, bob_avoid_block,
@@ -52,11 +63,33 @@ def _make_bob(kind: str) -> Strategy:
     return BOBS[kind]()
 
 
+@functools.cache
+def _real_base(b: float) -> RealBase:
+    return RealBase(b)
+
+
+@functools.cache
+def _complex_system(r: float, theta: float, k: int):
+    """The system of base r e^(i theta) and, as a read-only numpy array, the
+    centers of its level-k tiles whose k-th digit is zero."""
+    import numpy as np
+    base = ComplexBase(r, theta)
+    targets = np.array([[c.a, c.b] for c in Vk_squares(base, k)])
+    targets.flags.writeable = False
+    return ComplexSystem(base), targets
+
+
+@functools.cache
+def _unit_box_system(b: float) -> QuatSystem:
+    """Real radix b acting on the unit-box integer lattice."""
+    return QuatSystem(Quaternion.real(b), lipschitz())
+
+
 def _real_window(b: float, alpha: float, beta: float, rho: float,
                  upper_factor: float, window: str) -> tuple[RealBase, int, int, list[str]]:
     """The base b and the (n, k) of its digit-steering window, or the noted
     fallback (1, 3) when find_nk_real finds none."""
-    base = RealBase(b)
+    base = _real_base(b)
     if not base.iK_determined:
         # the zero-run bound K backs the threshold; an observed lower bound
         # would silently overstate the strategy's reach
@@ -91,15 +124,15 @@ def complex_winning_setup(alpha: float = 0.6, beta: float = 0.75, rho: float = 2
     starting from the origin."""
     r, k = 4.5, 2
     params = GameParams(alpha, beta, rho, 2, (0.0, 0.0))
-    base = ComplexBase(r, 0.05)
+    system, targets = _complex_system(r, 0.05, k)
     notes = []
     n = find_n_complex(r, alpha, beta, rho, k)
     if n is None:
         notes.append("no hold length n satisfies the strategy window; using n = 1")
         n = 1
     return GameSetup(
-        name=name, params=params, system=ComplexSystem(base),
-        alice=alice_complex_winning(base, k, n), bob=_make_bob(bob),
+        name=name, params=params, system=system,
+        alice=alice_complex_winning(targets, n), bob=_make_bob(bob),
         claim=Claim("contains", ((0, 0),), position=k),
         max_rounds=max_rounds, notes=notes)
 
@@ -117,40 +150,59 @@ def quat_componentwise_setup(alpha: float = 0.04, beta: float = 0.5, rho: float 
     b, digits = 3.0, (1, 0, 1, 0)
     params = GameParams(alpha, beta, rho, 4, (0.5, 0.5, 0.5, 0.5))
     base, n, k, notes = _real_window(b, alpha, beta, rho, 0.5, "halved window")
-    system = QuatSystem(Quaternion.real(b), lipschitz())
     return GameSetup(
-        name=name, params=params, system=system,
+        name=name, params=params, system=_unit_box_system(b),
         alice=alice_quaternion_componentwise(base, digits, n, k),
         bob=_make_bob(bob),
         claim=Claim("contains", (digits,), position=k),
         max_rounds=max_rounds, notes=notes)
 
 
-def _losing_setup(name: str, q: Quaternion, lattice: LatticeDomain,
-                  xi: Quaternion, rho: float, constant: float,
-                  omega: tuple[tuple[int, int, int, int], ...],
-                  alpha: float, beta: float | None,
-                  max_rounds: int) -> GameSetup:
-    n = len(omega)
-    qn = abs(q) ** n
+class _Avoidance(NamedTuple):
+    """The system part of a losing preset: Bob's avoidance play for the
+    block omega on the system, started from xi, and the avoidance constant."""
+    system: QuatSystem
+    xi: Quaternion
+    constant: float
+    omega: tuple[tuple[int, int, int, int], ...]
+    bob: Strategy
+
+
+def _avoidance(q: Quaternion, lattice: LatticeDomain, xi: Quaternion,
+               constant: float, omega: tuple[tuple[int, int, int, int], ...]
+               ) -> _Avoidance:
+    system = QuatSystem(q, lattice)
+    return _Avoidance(system, xi, constant, omega,
+                      bob_avoid_block(system, xi.components, omega))
+
+
+_ZERO_DIGIT = ((0, 0, 0, 0),)
+
+
+def _losing_setup(name: str, av: _Avoidance, rho: float, alpha: float,
+                  beta: float | None, max_rounds: int) -> GameSetup:
+    n = len(av.omega)
+    qn = av.system.radix_norm ** n
     if not 0.0 < alpha < 1.0:  # checked before beta = 1/(alpha |q|^n) divides by it
         raise ValueError("alpha must lie in (0, 1)")
     if beta is None:
         beta = 1.0 / (alpha * qn)  # pins alpha beta = |q|^-n
     notes = []
-    alpha_min = max(constant, 1.0) / qn
+    alpha_min = max(av.constant, 1.0) / qn
     if alpha < alpha_min - HYPOTHESIS_MARGIN:
         notes.append(f"alpha {alpha:.6g} below the avoidance bound {alpha_min:.6g}")
     if abs(alpha * beta * qn - 1.0) > 1e-9:
         notes.append("alpha*beta is not |q|^-n; the pinning radii are off scale")
-    params = GameParams(alpha, beta, rho, 4, tuple(xi.components))
-    system = QuatSystem(q, lattice)
     return GameSetup(
-        name=name, params=params, system=system,
-        alice=alice_random(),
-        bob=bob_avoid_block(system, xi.components, omega),
-        claim=Claim("avoids", omega),
-        max_rounds=max_rounds, notes=notes)
+        name=name, params=GameParams(alpha, beta, rho, 4, tuple(av.xi.components)),
+        system=av.system, alice=alice_random(), bob=av.bob,
+        claim=Claim("avoids", av.omega), max_rounds=max_rounds, notes=notes)
+
+
+@functools.cache
+def _lipschitz_avoidance() -> _Avoidance:
+    return _avoidance(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz(),
+                      Quaternion(0.5, 0.5, 0.5, 0.5), 5.0, _ZERO_DIGIT)
 
 
 def lipschitz_losing_setup(alpha: float = 0.9, beta: float | None = None,
@@ -162,22 +214,29 @@ def lipschitz_losing_setup(alpha: float = 0.9, beta: float | None = None,
     Uses the sharpened constant 5 valid for this particular domain and
     center (the generic constant would be 10).
     """
-    q = Quaternion(3.0, 3.0, 3.0, 3.0)
-    xi = Quaternion(0.5, 0.5, 0.5, 0.5)
-    return _losing_setup(name, q, lipschitz(), xi, rho, 5.0,
-                         ((0, 0, 0, 0),), alpha, beta, max_rounds)
+    return _losing_setup(name, _lipschitz_avoidance(), rho, alpha, beta, max_rounds)
+
+
+@functools.cache
+def _hurwitz_avoidance(rho: float) -> _Avoidance:
+    lattice = hurwitz_box()
+    xi = Quaternion(0.5, 0.5, 0.5, 0.25)
+    return _avoidance(Quaternion(0.0, 5.0, 0.0, 0.0), lattice, xi,
+                      domain_constants(lattice, xi, rho).C_X, _ZERO_DIGIT)
 
 
 def hurwitz_losing_setup(alpha: float = 0.93, beta: float | None = None,
                          rho: float = 0.25, name: str = "notwinning-hurwitz",
                          max_rounds: int = 64) -> GameSetup:
     """Avoid digit 0 on the box lattice with halved fourth axis."""
-    q = Quaternion(0.0, 5.0, 0.0, 0.0)
-    lattice = hurwitz_box()
-    xi = Quaternion(0.5, 0.5, 0.5, 0.25)
-    dc = domain_constants(lattice, xi, rho)
-    return _losing_setup(name, q, lattice, xi, rho, dc.C_X,
-                         ((0, 0, 0, 0),), alpha, beta, max_rounds)
+    return _losing_setup(name, _hurwitz_avoidance(rho), rho, alpha, beta, max_rounds)
+
+
+@functools.cache
+def _symmetric_avoidance() -> _Avoidance:
+    xi, _, constant = symmetric_constants(0.25, 0.1, 0.0)
+    return _avoidance(Quaternion(0.0, 0.0, 0.0, 10.0), symmetric_domain(0.25), xi,
+                      constant, _ZERO_DIGIT)
 
 
 def symmetric_losing_setup(alpha: float = 0.85, beta: float | None = None,
@@ -185,11 +244,18 @@ def symmetric_losing_setup(alpha: float = 0.85, beta: float | None = None,
                            max_rounds: int = 64) -> GameSetup:
     """Avoid digit 0 on the origin-symmetric box [-1/4, 1/4)^4, where
     |xi| = 2 rho = 0.2 forces the modified constant."""
-    q = Quaternion(0.0, 0.0, 0.0, 10.0)
-    lattice = symmetric_domain(0.25)
-    xi, rho, constant = symmetric_constants(0.25, 0.1, 0.0)
-    return _losing_setup(name, q, lattice, xi, rho, constant,
-                         ((0, 0, 0, 0),), alpha, beta, max_rounds)
+    _, rho, _ = symmetric_constants(0.25, 0.1, 0.0)
+    return _losing_setup(name, _symmetric_avoidance(), rho, alpha, beta, max_rounds)
+
+
+@functools.cache
+def _zeta_avoidance(rho: float) -> _Avoidance:
+    zeta = Quaternion(0.0, 6.0, 0.0, 0.0)
+    lattice = zeta_lattice(zeta, Quaternion(0.0, 0.0, 1.0, 0.0), 0.25)
+    xi = lattice.point((0.25, 0.25, 0.25, 0.25))
+    # block is all zeros, so the block constant reduces to C_X
+    return _avoidance(zeta, lattice, xi, domain_constants(lattice, xi, rho).C_X,
+                      _ZERO_DIGIT * 2)
 
 
 def zeta_losing_setup(alpha: float = 0.5, beta: float | None = None,
@@ -201,15 +267,7 @@ def zeta_losing_setup(alpha: float = 0.5, beta: float | None = None,
     |zeta| for every admissible ball), so the avoided block has length two
     and alpha beta is pinned to |zeta|^-2.
     """
-    zeta = Quaternion(0.0, 6.0, 0.0, 0.0)
-    eta = Quaternion(0.0, 0.0, 1.0, 0.0)
-    lattice = zeta_lattice(zeta, eta, 0.25)
-    xi = lattice.point((0.25, 0.25, 0.25, 0.25))
-    dc = domain_constants(lattice, xi, rho)
-    omega = ((0, 0, 0, 0), (0, 0, 0, 0))
-    # block is all zeros, so the block constant reduces to C_X
-    return _losing_setup(name, zeta, lattice, xi, rho, dc.C_X,
-                         omega, alpha, beta, max_rounds)
+    return _losing_setup(name, _zeta_avoidance(rho), rho, alpha, beta, max_rounds)
 
 
 # name -> (builder, the arguments that make the preset); overrides replace them
@@ -224,6 +282,9 @@ PRESETS = {
     "notwinning-symmetric": (symmetric_losing_setup, {}),
     "notwinning-zeta": (zeta_losing_setup, {}),
 }
+# name -> the argument names its builder takes
+_TAKES = {name: frozenset(inspect.signature(builder).parameters)
+          for name, (builder, _) in PRESETS.items()}
 
 
 def build_preset(name: str, **overrides) -> GameSetup:
@@ -235,9 +296,8 @@ def build_preset(name: str, **overrides) -> GameSetup:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
     builder, args = PRESETS[name]
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    takes = inspect.signature(builder).parameters
     for key in overrides:
-        if key not in takes:
+        if key not in _TAKES[name]:
             raise ValueError(f"preset {name!r} does not take {key!r}")
     return builder(**{**args, **overrides, "name": name})
 

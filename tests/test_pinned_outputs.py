@@ -8,7 +8,7 @@ expand the same way in both modes.  Orbits of an expanding map depend on
 last-bit rounding after enough steps, so at most 12 digits are pinned.
 Two face points of the quaternion base land on faces again at steps 4, 7
 and 10; at step 10 the rounding residual carried from the earlier landings
-has grown past eps_floor, so the digit there depends on how a snapped
+has grown past EPS_FLOOR, so the digit there depends on how a snapped
 remainder is rounded, and those rows stop at nine digits.
 
 The preset table pins (verdict, status, rounds_played) of run_setup, or the

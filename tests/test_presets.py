@@ -1,14 +1,28 @@
+import collections
+import os
+import random
+
 import pytest
 
+from beta_arena import cli, complexexp, presets
+from beta_arena.complexexp import ComplexBase
 from beta_arena.game import StrategyError, audit_trace
 from beta_arena.presets import (PRESETS, build_preset, real_winning_setup,
                                 run_setup)
 from beta_arena.realexp import RealBase
+from beta_arena.systems import QuatSystem
 
 WINNING = ["dwinning-golden", "dwinning-silver", "cwinning-nine-halves",
            "qwinning-componentwise"]
 LOSING = ["notwinning-lipschitz", "notwinning-hurwitz", "notwinning-symmetric",
           "notwinning-zeta"]
+
+
+def clear_preset_caches():
+    """Empty every per-process cache of presets.py, so the next build is cold."""
+    for obj in vars(presets).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
 
 
 def test_catalog_is_complete():
@@ -89,7 +103,8 @@ def test_unresolved_tail_base_refused():
 
 def test_componentwise_preset_builds_one_real_base(monkeypatch):
     # the window search and the strategy share the base instead of each
-    # building their own
+    # building their own, and a second game reuses it
+    clear_preset_caches()
     built = []
     orig = RealBase.__init__
 
@@ -99,6 +114,65 @@ def test_componentwise_preset_builds_one_real_base(monkeypatch):
     monkeypatch.setattr(RealBase, "__init__", counted)
     build_preset("qwinning-componentwise")
     assert built == [(3.0,)]
+    build_preset("qwinning-componentwise", alpha=0.05)
+    assert built == [(3.0,)]
+
+
+@pytest.mark.parametrize("preset, grid, built", [
+    ("dwinning-golden", "0.3:0.775:0.025", {"RealBase": 1}),
+    ("cwinning-nine-halves", "0.5:0.975:0.025", {"ComplexBase": 1, "Vk_squares": 1}),
+    ("notwinning-zeta", "0.26:0.45:0.01", {"QuatSystem": 1}),
+])
+def test_scan_builds_each_system_once(monkeypatch, preset, grid, built):
+    # a 20-point scan at two seeds plays 40 games on one system
+    assert len(cli.parse_grid(grid)) == 20
+    clear_preset_caches()
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for cls in (RealBase, ComplexBase, QuatSystem):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    vk = counted("Vk_squares", complexexp.Vk_squares)
+    monkeypatch.setattr(complexexp, "Vk_squares", vk)
+    monkeypatch.setattr(presets, "Vk_squares", vk)
+    assert cli.main(["scan", "--preset", preset, "--alpha", grid, "--seeds", "2",
+                     "--out", os.devnull]) == 0
+    assert calls == built
+
+
+def _trace_bytes(name, seed, overrides):
+    return run_setup(build_preset(name, **overrides), seed=seed)[0].to_json()
+
+
+def test_warm_caches_leak_nothing_between_games():
+    # games between the default ones override alpha, beta and rho; those at a
+    # preset's own rho run to 64 rounds and grow the shared powers of A far
+    # past the depth a default game reads
+    between = [("notwinning-lipschitz", 1, {"alpha": 0.95, "beta": 0.9}),
+               ("notwinning-hurwitz", 2, {"beta": 0.9}),
+               ("notwinning-symmetric", 3, {"alpha": 0.9, "beta": 0.9}),
+               ("notwinning-zeta", 0, {"alpha": 0.3, "beta": 0.9}),
+               ("notwinning-hurwitz", 1, {"alpha": 0.7, "rho": 0.2}),
+               ("notwinning-zeta", 2, {"alpha": 0.4, "rho": 0.4}),
+               ("notwinning-lipschitz", 3, {"alpha": 0.5, "rho": 0.3}),
+               ("cwinning-nine-halves", 0, {"alpha": 0.9, "bob": "random"}),
+               ("dwinning-golden", 1, {"alpha": 0.2, "rho": 0.3}),
+               ("qwinning-componentwise", 2, {"alpha": 0.15, "bob": "random"})]
+    games = [(name, seed, {}) for name in PRESETS for seed in range(4)]
+    random.Random(12).shuffle(games)
+    order = [g for pair in zip(games, between * 4) for g in reversed(pair)]
+    cold = {}
+    for name, seed, overrides in order:
+        clear_preset_caches()
+        cold[name, seed, str(overrides)] = _trace_bytes(name, seed, overrides)
+    clear_preset_caches()
+    for name, seed, overrides in order:
+        assert _trace_bytes(name, seed, overrides) == cold[name, seed, str(overrides)], (
+            name, seed, overrides)
 
 
 # name -> (alpha, beta, rho, initial center), (claim kind, block, position) and
