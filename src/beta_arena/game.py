@@ -17,10 +17,10 @@ xi).  Double precision runs out near radius 1e-12, so games stop there
 rather than pretending to resolve further digits.
 
 Centers are float tuples, and strategies may return any float sequence.
-numpy is loaded only where it is needed: the Euclidean length of a vector
-of two or four coordinates (see _norm), the random strategies' PCG64
-stream, the complex targets' nearest row and the quaternion avoidance
-play's matrix powers.  A real game runs without it.
+Lengths, targets and basis changes are plain Python that reproduces numpy's
+bits (see _norm), so real, complex and componentwise games run without
+numpy.  It is loaded only for the random strategies' PCG64 stream and the
+quaternion avoidance play's matrix powers.
 """
 
 from __future__ import annotations
@@ -41,19 +41,48 @@ Vector = tuple[float, ...]
 Strategy = Callable[["GameState"], Sequence[float]]
 
 
+# Dekker's splitter 2^27 + 1, and the range of |x| in which his split of
+# x * x is exact: the split does not overflow and the error term does not
+# underflow
+_SPLIT = 134217729.0
+_TINY, _HUGE = 2.0 ** -480, 2.0 ** 500
+
+
 def _norm(v: Sequence[float]) -> float:
     """Euclidean length of a float vector, with np.linalg.norm's bits.
 
-    np.linalg.norm computes exactly sqrt(v.dot(v)) for such a vector.  For one
-    coordinate that dot is the rounded square v[0] * v[0].  For two or four,
-    numpy's dot fuses multiplies and adds, so a Python sum of squares (and
-    math.hypot) rounds differently in the last bit, and the dot stays numpy's.
+    np.linalg.norm computes exactly sqrt(v.dot(v)) for such a vector, and
+    numpy's dot (on an FMA machine) is the fused chain acc = v0 * v0,
+    acc = fma(vi, vi, acc); a Python sum of squares, or math.hypot, rounds
+    differently in the last bit.  Each fma is done exactly: Dekker's split
+    gives vi * vi = p + e with both floats, and fsum rounds acc + p + e
+    once.  Out of the split's range, _square_add does it in integers.
     """
-    if len(v) == 1:
-        return math.sqrt(v[0] * v[0])
-    import numpy as np
-    a = np.asarray(v, dtype=float)
-    return math.sqrt(a.dot(a))
+    x, *rest = v
+    acc = x * x
+    for x in rest:
+        if (_TINY <= abs(x) <= _HUGE or x == 0.0) and acc <= _HUGE:
+            c = _SPLIT * x
+            hi = c - (c - x)
+            lo = x - hi
+            p = x * x
+            acc = math.fsum((acc, p, lo * lo - (((p - hi * hi) - hi * lo) - lo * hi)))
+        else:
+            acc = _square_add(x, acc)
+    return math.sqrt(acc)
+
+
+def _square_add(x: float, acc: float) -> float:
+    """fma(x, x, acc), x * x + acc rounded once, by exact integer arithmetic
+    (int / int is correctly rounded); inf and nan propagate as in an fma."""
+    if not (math.isfinite(x) and math.isfinite(acc)):
+        return x * x + acc
+    n, d = x.as_integer_ratio()
+    m, e = acc.as_integer_ratio()
+    try:
+        return (n * n * e + m * d * d) / (d * d * e)
+    except OverflowError:
+        return math.inf
 
 
 def _distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -408,11 +437,12 @@ def find_n_complex(r: float, alpha: float, beta: float, rho: float, k: int
 
 def _ball_sample(rng, dim: int) -> list[float]:
     """A uniform point of the unit ball, drawn from numpy's generator rng."""
-    v = rng.normal(size=dim)
+    v = rng.normal(size=dim).tolist()
     norm = _norm(v)
     if norm == 0.0:
         return [0.0] * dim
-    return (v / norm * rng.random() ** (1.0 / dim)).tolist()
+    scale = rng.random() ** (1.0 / dim)
+    return [x / norm * scale for x in v]
 
 
 def _max_step_inside(system, start: Sequence[float], direction: Sequence[float],
@@ -516,11 +546,16 @@ def _lock_and_pull(n: int, nearest: Callable[[Vector], Vector],
     return f
 
 
-def _nearest_row(targets) -> Callable[[Vector], Vector]:
-    """The row of the numpy array targets nearest to x, the first on a tie."""
-    import numpy as np
-    return lambda x: tuple(
-        targets[int(np.argmin(np.linalg.norm(targets - x, axis=1)))].tolist())
+def _nearest_row(targets: Sequence[Vector]) -> Callable[[Vector], Vector]:
+    """The (x, y) of targets nearest to the point, the first on a tie.  The
+    distance squares and adds without fusing, as np.linalg.norm(axis=1)
+    does, so the pick is np.argmin's."""
+    def nearest(p: Vector) -> Vector:
+        def distance(t: Vector) -> float:
+            dx, dy = t[0] - p[0], t[1] - p[1]
+            return math.sqrt(dx * dx + dy * dy)
+        return min(targets, key=distance)
+    return nearest
 
 
 def _nearest_full(base: RealBase, d: int, k: int, x: float) -> float:
@@ -540,9 +575,9 @@ def alice_real_winning(base: RealBase, d: int, n: int, k: int) -> Strategy:
 
 
 def alice_complex_winning(targets, n: int) -> Strategy:
-    """Complex analog: targets is a numpy array of the centers of the level-k
-    tiles whose k-th digit is zero, one row per tile, which the strategy
-    only reads, so games may share it."""
+    """Complex analog: targets is a tuple of the (x, y) centers of the
+    level-k tiles whose k-th digit is zero, which the strategy only reads,
+    so games may share it."""
     return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
 
 
@@ -618,7 +653,7 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
             if i % win == 0 and digits[i:i + win] == omega_coords:
                 s.note(f"round {kk}: pinned window equals the avoided block")
             pinned = pinned + power(m + i + 1)[1] @ d
-        proposal = system._point(pinned + power(depth)[1] @ xi_coords)
+        proposal = system._point((pinned + power(depth)[1] @ xi_coords).tolist())
         a_rad = s.params.alpha * s.params.rho_n(kk - 1)
         b_rad = s.params.beta * a_rad
         max_step = (a_rad - b_rad) * (1.0 - 1e-12)

@@ -70,12 +70,10 @@ def _real_base(b: float) -> RealBase:
 
 @functools.cache
 def _complex_system(r: float, theta: float, k: int):
-    """The system of base r e^(i theta) and, as a read-only numpy array, the
-    centers of its level-k tiles whose k-th digit is zero."""
-    import numpy as np
+    """The system of base r e^(i theta) and a tuple of the (x, y) centers of
+    its level-k tiles whose k-th digit is zero."""
     base = ComplexBase(r, theta)
-    targets = np.array([[c.a, c.b] for c in Vk_squares(base, k)])
-    targets.flags.writeable = False
+    targets = tuple((float(c.a), float(c.b)) for c in Vk_squares(base, k))
     return ComplexSystem(base), targets
 
 

@@ -12,52 +12,88 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .numeric import EPS_CMP, DigitKernel, Quaternion, nudge_mode, quat_mul
 
-if TYPE_CHECKING:
-    import numpy as np
-
 Coords = tuple[int, int, int, int]
+Matrix = tuple[tuple[float, ...], ...]
+
+
+def _mat_vec(M: Matrix, v: Sequence[float]) -> list[float]:
+    """M v for a 4x4 matrix of float rows, each entry summed from +0.0 in
+    column order; v may be any sequence of four floats."""
+    x0, x1, x2, x3 = map(float, v)
+    return [0.0 + a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in M]
+
+
+def _mat_mul(X: Matrix, Y: Matrix) -> Matrix:
+    """X Y for 4x4 matrices, column by column through _mat_vec."""
+    return tuple(zip(*(_mat_vec(X, col) for col in zip(*Y))))
+
+
+def _exact_inverse(M: Matrix):
+    """(det M up to sign, M^-1) in exact rational arithmetic by Gauss-Jordan
+    elimination; the inverse is None when det M is 0."""
+    from fractions import Fraction
+    n = len(M)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(M)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0), None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        det *= p
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det, [row[n:] for row in rows]
 
 
 class LatticeDomain:
     """Integer span of a basis plus a half-open unit box in its coordinates.
 
     offsets[i] is the lower end of the i-th coordinate range [offsets[i],
-    offsets[i] + 1).
+    offsets[i] + 1).  B (the basis vectors as columns) and Binv are float
+    tuples of rows; Binv is the exact inverse of B rounded once per entry,
+    so the basis changes of every stock lattice, whose B is diagonal, are
+    one correctly rounded product per coordinate on any IEEE-754 machine.
     """
 
     def __init__(self, basis: Sequence[Quaternion], offsets: Sequence[float],
                  name: str = "custom"):
-        import numpy as np
         if len(basis) != 4 or len(offsets) != 4:
             raise ValueError("need exactly four basis vectors and four offsets")
         self.basis = tuple(basis)
         self.offsets = tuple(float(o) for o in offsets)
         self.name = name
-        self.B = np.array([v.components for v in basis], dtype=float).T
-        det = np.linalg.det(self.B)
+        self.B = tuple(zip(*(tuple(map(float, v.components)) for v in basis)))
+        if not all(math.isfinite(x) for row in self.B for x in row):
+            raise ValueError("basis must be finite")
+        det, inv = _exact_inverse(self.B)
         if abs(det) < 1e-12:
             raise ValueError("basis is singular")
-        self.Binv = np.linalg.inv(self.B)
+        self.Binv = tuple(tuple(map(float, row)) for row in inv)
         # Euclidean distance to the plane {coord_i = c} is |coord_i - c| / row_norm_i
-        self.row_norms = np.linalg.norm(self.Binv, axis=1)
+        self.row_norms = tuple(math.sqrt(sum(x * x for x in row)) for row in self.Binv)
 
-    def to_coords(self, z: Quaternion) -> np.ndarray:
-        import numpy as np
-        return self.Binv @ np.array(z.components)
+    def to_coords(self, z: Quaternion) -> list[float]:
+        return _mat_vec(self.Binv, z.components)
 
     def point(self, coords: Sequence[float]) -> Quaternion:
-        import numpy as np
-        v = self.B @ np.array(coords, dtype=float)
-        return Quaternion.from_components(v)
+        return Quaternion(*_mat_vec(self.B, coords))
 
     def digit_map(self, q: Quaternion) -> DigitKernel:
         """The map z -> q z - d written in this lattice's coordinates."""
-        A = self.Binv @ (abs(q) * isoclinic_matrix(q)) @ self.B
-        return DigitKernel(A.tolist(), self.offsets, self.row_norms.tolist())
+        n = abs(q)
+        scaled = tuple(tuple(n * m for m in row) for row in isoclinic_matrix(q))
+        A = _mat_mul(_mat_mul(self.Binv, scaled), self.B)
+        return DigitKernel(A, self.offsets, self.row_norms)
 
     def contains(self, z: Quaternion) -> bool:
         return self.box_contains(self.to_coords(z))
@@ -78,20 +114,17 @@ class LatticeDomain:
 
     def cell_margin(self, w: Quaternion) -> float:
         """Euclidean distance from w to the boundary of its digit cell."""
-        import numpy as np
-        t = self.to_coords(w) - np.array(self.offsets)
-        frac = t - np.floor(t)
-        per_axis = np.minimum(frac, 1.0 - frac) / self.row_norms
-        return float(per_axis.min())
+        margins = []
+        for c, lo, r in zip(self.to_coords(w), self.offsets, self.row_norms):
+            t = c - lo
+            frac = t - math.floor(t)
+            margins.append(min(frac, 1.0 - frac) / r)
+        return min(margins)
 
     def face_margin(self, z: Quaternion) -> float:
         """Smallest Euclidean distance from z to a face plane of the domain box."""
-        import numpy as np
-        t = self.to_coords(z)
-        lo = np.array(self.offsets)
-        d_lo = (t - lo) / self.row_norms
-        d_hi = (lo + 1.0 - t) / self.row_norms
-        return float(min(d_lo.min(), d_hi.min()))
+        return min(min(t - lo, lo + 1.0 - t) / r
+                   for t, lo, r in zip(self.to_coords(z), self.offsets, self.row_norms))
 
     def ball_inside(self, center: Quaternion, rho: float) -> bool:
         """Whether the closed ball B(center, rho) lies in the box, up to EPS_CMP."""
@@ -102,23 +135,23 @@ def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
              on_ambiguous: str = "error") -> list[Coords]:
     if not lattice.contains(z):
         raise ValueError("point outside the fundamental box")
-    return lattice.digit_map(q).expand(lattice.to_coords(z).tolist(), n,
+    return lattice.digit_map(q).expand(lattice.to_coords(z), n,
                                        nudge_mode(on_ambiguous))
 
 
-def isoclinic_matrix(q: Quaternion) -> np.ndarray:
-    """Orthogonal matrix M with |q| M vec(x) = vec(q x) for all x."""
-    import numpy as np
+def isoclinic_matrix(q: Quaternion) -> Matrix:
+    """Orthogonal matrix M with |q| M vec(x) = vec(q x) for all x, as a
+    tuple of rows."""
     n = abs(q)
     if not 0.0 < n < math.inf:
         raise ValueError("quaternion must be nonzero and finite")
     a, b, c, d = (t / n for t in q.components)
-    return np.array([
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ])
+    return (
+        (a, -b, -c, -d),
+        (b, a, -d, c),
+        (c, d, a, -b),
+        (d, -c, b, a),
+    )
 
 
 # -- stock lattices ----------------------------------------------------------

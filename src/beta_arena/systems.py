@@ -8,7 +8,8 @@ The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
 converts them to the lattice coordinates of its digit kernel (`coords`) and
-back (`_point`).  Only the quaternion adapter's basis change uses numpy.
+back (`_point`).  The quaternion adapter's basis changes are 4x4 products
+in plain Python (quatexp._mat_vec); no adapter loads numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 from .complexexp import ComplexBase
 from .numeric import Quaternion, nudge_mode
-from .quatexp import LatticeDomain
+from .quatexp import LatticeDomain, _mat_vec
 from .realexp import RealBase
 
 
@@ -82,15 +83,13 @@ class QuatSystem:
         self.radix_norm = abs(q)
 
     def coords(self, p) -> list[float]:
-        import numpy as np
-        return (self.lattice.Binv @ np.asarray(p, dtype=float)).tolist()
+        return _mat_vec(self.lattice.Binv, p)
 
     def contains(self, p: Sequence[float]) -> bool:
         return self.lattice.box_contains(self.coords(p))
 
     def _point(self, u) -> list[float]:
-        import numpy as np
-        return (self.lattice.B @ np.asarray(u, dtype=float)).tolist()
+        return _mat_vec(self.lattice.B, u)
 
     def step(self, p: Sequence[float]):
         d, u, margin = self.kernel.step(self.coords(p), nudge=True)

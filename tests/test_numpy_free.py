@@ -1,27 +1,33 @@
-"""numpy stays off the cold path of the real (1-D) case.
+"""numpy stays off the cold path of every game that draws nothing at random.
 
 `import beta_arena` does not load numpy, and neither does any command that
-touches only real bases: `expand --real`, `admissible`, `regions` and the
-real games and scans against a Bob that draws nothing at random.  Each of
-these runs in a fresh interpreter, since this one has numpy loaded, and its
-output must equal the same command's output here.  The pure-Python
-formulas that stand in for numpy on that path are compared with numpy bit
-for bit.
+touches only real bases (`expand --real`, `admissible`, `regions`) nor any
+game or scan on the real, complex or componentwise presets against a Bob
+that draws nothing at random.  Each of these runs in a fresh interpreter,
+since this one has numpy loaded, and its output must equal the same
+command's output here.  The commands that still need numpy (a random
+stream, the avoidance play's matrix powers, a 2x2 or 4x4 reconstruct) are
+checked to load it.  The pure-Python formulas that stand in for numpy on
+those paths are compared with numpy bit for bit.
 """
 
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_arena import cli
+from beta_arena.cli import parse_lattice
 from beta_arena.complexexp import _DELTA_POLY, _delta_root, gamma_constants
 from beta_arena.game import _norm
-from beta_arena.numeric import DigitKernel
+from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
+from beta_arena.quatexp import isoclinic_matrix
+from beta_arena.systems import QuatSystem
 from test_pinned_outputs import TRACE_PINS
 
 # runs cli.main on the JSON argv in sys.argv[1]; prints exit code, whether
@@ -80,6 +86,46 @@ def test_real_commands_run_without_numpy(capsys, argv):
     assert (code, out) == (cli.main(argv), capsys.readouterr().out)
 
 
+# the complex and componentwise presets play in 2 and 4 coordinates
+PLANE_AND_QUAT_COMMANDS = {
+    **{f"game-{preset}-{bob}": ["game", "--preset", preset, "--bob", bob, "--seed", "3"]
+       for preset in ("cwinning-nine-halves", "qwinning-componentwise")
+       for bob in ("optimal-drift", "center-hold")},
+    "scan-nine-halves": ["scan", "--preset", "cwinning-nine-halves",
+                         "--alpha", "0.5:0.9:0.2", "--seeds", "2"],
+    "scan-componentwise": ["scan", "--preset", "qwinning-componentwise",
+                           "--alpha", "0.02:0.06:0.02", "--seeds", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", PLANE_AND_QUAT_COMMANDS.values(),
+                         ids=PLANE_AND_QUAT_COMMANDS.keys())
+def test_plane_and_quaternion_games_run_without_numpy(capsys, argv):
+    code, loaded, out = fresh(MAIN, json.dumps(argv))
+    assert not loaded
+    assert (code, out) == (cli.main(argv), capsys.readouterr().out)
+
+
+# what still loads numpy, as the README says: a random stream, the
+# avoidance play's powers of A, and a 2x2 or 4x4 reconstruct
+NUMPY_COMMANDS = {
+    **{f"game-{preset}": ["game", "--preset", f"notwinning-{preset}", "--seed", "1"]
+       for preset in ("lipschitz", "hurwitz", "symmetric", "zeta")},
+    "game-random-bob": ["game", "--preset", "cwinning-nine-halves", "--bob", "random"],
+    "expand-complex": ["expand", "--complex", "4.5", "0.05", "--z", "0.3", "0.6",
+                       "--n", "6"],
+    "expand-quat": ["expand", "--quat", "3", "3", "3", "3", "--lattice", "lipschitz",
+                    "--z", "0.31", "0.62", "0.05", "0.44", "--n", "6"],
+}
+
+
+@pytest.mark.parametrize("argv", NUMPY_COMMANDS.values(), ids=NUMPY_COMMANDS.keys())
+def test_matrix_and_random_commands_load_numpy(capsys, argv):
+    code, loaded, out = fresh(MAIN, json.dumps(argv))
+    assert loaded
+    assert (code, out) == (cli.main(argv), capsys.readouterr().out)
+
+
 def test_random_bob_loads_numpy_and_keeps_its_stream():
     loaded, digest = fresh(TRACE, "random")
     assert loaded
@@ -122,3 +168,84 @@ def test_delta_root_is_numpys_root_to_a_few_ulps():
     want = min(z.real for z in roots if abs(z.imag) < 1e-12 and z.real > 0.0)
     assert abs(d - want) <= 8 * math.ulp(want)
     assert gamma_constants() is gamma_constants()
+
+
+def fused_chain(v):
+    """acc = v0 * v0, acc = fma(vi, vi, acc), each step rounded once from
+    the exact rational value."""
+    acc = v[0] * v[0]
+    for x in v[1:]:
+        if math.isinf(acc):
+            continue
+        try:
+            acc = float(Fraction(x) ** 2 + Fraction(acc))
+        except OverflowError:
+            acc = math.inf
+    return acc
+
+
+# magnitudes on both sides of the exact-split range [2^-480, 2^500]
+COORD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -480, 2.0 ** 500,
+                     math.nextafter(2.0 ** -480, 0.0), math.nextafter(2.0 ** 500, math.inf)]),
+    st.floats(-2.0 ** -480, 2.0 ** -480),
+    st.floats(2.0 ** 500, 1e308) | st.floats(-1e308, -2.0 ** 500),
+    st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(COORD, min_size=2, max_size=2) | st.lists(COORD, min_size=4, max_size=4))
+def test_norm_is_the_exact_fused_chain(v):
+    assert _norm(v).hex() == math.sqrt(fused_chain(v)).hex()
+
+
+def dot_fuses():
+    """Whether numpy's dot rounds 0.1^2 + 0.3^2 as one fma, which a plain
+    sum of squares rounds differently."""
+    v = np.array([0.1, 0.3])
+    return float(v.dot(v)) == fused_chain([0.1, 0.3]) != 0.1 * 0.1 + 0.3 * 0.3
+
+
+@pytest.mark.skipif(not dot_fuses(), reason="numpy's dot does not fuse on this machine")
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(COORD, min_size=2, max_size=2) | st.lists(COORD, min_size=4, max_size=4))
+def test_norm_is_numpys_where_its_dot_fuses(v):
+    with np.errstate(over="ignore"):  # a huge coordinate overflows to inf in both
+        want = float(np.linalg.norm(np.array(v)))
+    assert _norm(v).hex() == want.hex()
+
+
+def hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+# every stock lattice, against the quaternions of the CLI examples and the presets
+LATTICES = ("lipschitz", "lipschitz-centered", "hurwitz-box", "symmetric:0.25", "zeta:0.25")
+RADICES = {
+    "cli": Quaternion(0.0, metallic_mean(1), 0.0, 0.0),
+    "lipschitz": Quaternion(3.0, 3.0, 3.0, 3.0),
+    "hurwitz": Quaternion(0.0, 5.0, 0.0, 0.0),
+    "symmetric": Quaternion(0.0, 0.0, 0.0, 10.0),
+    "zeta": Quaternion(0.0, 6.0, 0.0, 0.0),
+    "componentwise": Quaternion.real(3.0),
+}
+
+
+@pytest.mark.parametrize("lattice_name", LATTICES)
+@pytest.mark.parametrize("q", RADICES.values(), ids=RADICES.keys())
+def test_stock_lattice_arithmetic_is_numpys(lattice_name, q):
+    lattice = parse_lattice(lattice_name)
+    B = np.array([v.components for v in lattice.basis], dtype=float).T
+    Binv = np.linalg.inv(B)
+    assert hexes(lattice.B) == hexes(B)
+    assert hexes(lattice.Binv) == hexes(Binv)
+    assert hexes(lattice.row_norms) == hexes(np.linalg.norm(Binv, axis=1))
+    A = Binv @ (abs(q) * np.asarray(isoclinic_matrix(q))) @ B
+    assert hexes(lattice.digit_map(q).A) == hexes(A)
+    system = QuatSystem(q, lattice)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        p = rng.uniform(-2.0, 2.0, size=4)
+        assert hexes(system.coords(p)) == hexes(Binv @ p)
+        assert hexes(system._point(p)) == hexes(B @ p)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beta_arena.numeric import Quaternion, metallic_mean
-from beta_arena.quatexp import (C_Omega, avoid_constant, domain_constants,
+from beta_arena.quatexp import (C_Omega, LatticeDomain, avoid_constant, domain_constants,
                                 hurwitz_box, isoclinic_matrix, lipschitz,
                                 losing_parameters, q_expand,
                                 rot_balanced_rho, rot_constants,
@@ -56,7 +56,7 @@ def test_isoclinic_identity_random():
 def test_isoclinic_is_special_orthogonal():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        M = isoclinic_matrix(Quaternion(*rng.normal(size=4)))
+        M = np.asarray(isoclinic_matrix(Quaternion(*rng.normal(size=4))))
         assert np.allclose(M @ M.T, np.eye(4), atol=1e-12)
         assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-10)
 
@@ -83,6 +83,27 @@ def test_coords_point_roundtrip():
             q = lattice.point(coords)
             back = lattice.to_coords(q)
             assert np.allclose(back, coords, atol=1e-9)
+
+
+E = (Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
+     Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("basis", [
+    (E[0], E[1], E[2], E[2]),  # two equal vectors
+    (E[0], E[1], E[2], Quaternion(0, 0, 0, 0)),  # a zero vector
+    (E[0], E[1], E[2], Quaternion(0, 0, 0, 1e-13)),  # det 1e-13
+    (E[0], E[1], E[2], Quaternion(0, 0, 1, 1e-13)),  # det 1e-13, sheared
+], ids=["repeated", "zero", "diagonal-1e-13", "sheared-1e-13"])
+def test_singular_basis_is_refused(basis):
+    with pytest.raises(ValueError, match="basis is singular"):
+        LatticeDomain(basis, (0.0,) * 4)
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_non_finite_basis_is_refused(x):
+    with pytest.raises(ValueError, match="basis must be finite"):
+        LatticeDomain((E[0], E[1], E[2], Quaternion(0, 0, 0, x)), (0.0,) * 4)
 
 
 def test_quat_step_remainder_in_box():
