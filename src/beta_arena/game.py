@@ -58,6 +58,8 @@ def _norm(v: Sequence[float]) -> float:
     gives vi * vi = p + e with both floats, and fsum rounds acc + p + e
     once.  Out of the split's range, _square_add does it in integers.
     """
+    if len(v) == 1:
+        return math.sqrt(v[0] * v[0])
     x, *rest = v
     acc = x * x
     for x in rest:
@@ -221,8 +223,12 @@ class GameTrace:
         byte for byte, written directly for this fixed schema: the indenting
         encoder is pure Python and cost more per game than play and verify."""
         p = self.params
+        # the engine's centers are float tuples; only a non-finite one needs
+        # _json_number
         moves = [_MOVE_JSON % (
-                     _json_list([_json_number(c) for c in map(float, mv.center)],
+                     _json_list(list(map(float.__repr__, mv.center))
+                                if all(map(math.isfinite, mv.center))
+                                else [_json_number(c) for c in map(float, mv.center)],
                                 "      "),
                      _json_str(mv.player), _json_number(mv.radius), _json_number(mv.round_no))
                  for mv in self.moves]
@@ -447,19 +453,57 @@ def _ball_sample(rng, dim: int) -> list[float]:
 
 def _max_step_inside(system, start: Sequence[float], direction: Sequence[float],
                      step: float) -> float:
-    """Largest t <= step with start + t * direction still in the domain."""
+    """Largest t <= step with start + t * direction still in the domain, by
+    60 halvings of [0, step] on the domain's membership test.
+
+    When the domain is a box along the ambient axes (system.box), a probe
+    evaluates only the coordinates the direction moves, as
+    scale * (a + mid * b) against contains' own bounds, and gets contains'
+    answer: a real or complex scale is 1.0 and 1.0 * x == x; a quaternion
+    coordinate is Binv[i][i] * x plus _mat_vec's off-diagonal products,
+    signed zeros that change no comparison; a coordinate that overflows
+    fails on both paths (in _mat_vec its products make every coordinate
+    NaN).  A fixed coordinate (b == 0) is checked once at t = step: a + t * b
+    compares as a for every finite t, and t is finite in every probe
+    exactly when step is.
+    """
     if system is None:
         return step
     pairs = list(zip(map(float, start), map(float, direction)))
     if system.contains([a + step * b for a, b in pairs]):
         return step
     lo, hi = 0.0, step
+    if system.box is None:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if system.contains([a + mid * b for a, b in pairs]):
+                lo = mid
+            else:
+                hi = mid
+        return lo * (1.0 - 1e-9)
+    moving = []
+    for (a, b), (scale, lower) in zip(pairs, system.box):
+        if b:
+            moving.append((a, b, scale, lower, lower + 1.0))
+        elif not lower <= scale * (a + step * b) < lower + 1.0:
+            return 0.0  # every probe fails
+    if len(moving) == 1:  # Bob's default direction e_1, among others
+        ((a, b, scale, lower, upper),) = moving
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if lower <= scale * (a + mid * b) < upper:
+                lo = mid
+            else:
+                hi = mid
+        return lo * (1.0 - 1e-9)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if system.contains([a + mid * b for a, b in pairs]):
-            lo = mid
+        for a, b, scale, lower, upper in moving:
+            if not lower <= scale * (a + mid * b) < upper:
+                hi = mid
+                break
         else:
-            hi = mid
+            lo = mid
     return lo * (1.0 - 1e-9)
 
 

@@ -90,17 +90,29 @@ class DigitKernel:
         """One step from u: (digit, remainder, margin), the margin being the
         Euclidean distance from A u to the boundary of its digit cell."""
         digit, nxt, margin = [], [], math.inf
+        band = 2.0 * EPS_FLOOR
         for row, off, norm, lo, hi in self._rows:
             w = sum(map(operator.mul, row, u))
             t = w - off
-            d = tol_floor(t, nudge)
-            f = math.floor(t)
-            if not lo <= d <= hi:  # a snap may not leave the digit range
-                d = f
-            digit.append(d)
-            nxt.append(off if abs(t - d) <= EPS_FLOOR else w - d)
+            try:
+                f = math.floor(t)
+            except (OverflowError, ValueError):
+                tol_floor(t)  # raises tol_floor's error for a non-finite t
             frac = t - f
-            margin = min(margin, frac / norm, (1.0 - frac) / norm)
+            rest = 1.0 - frac
+            # frac is t - f exactly for |t| >= 1 and to 2^-53 below, and so is
+            # rest: more than twice the band from both ends, t lies outside the
+            # band, where tol_floor returns f and nothing snaps
+            if frac > band and rest > band:
+                d = f
+                nxt.append(w - f)
+            else:
+                d = tol_floor(t, nudge)
+                if not lo <= d <= hi:  # a snap may not leave the digit range
+                    d = f
+                nxt.append(off if abs(t - d) <= EPS_FLOOR else w - d)
+            digit.append(d)
+            margin = min(margin, frac / norm, rest / norm)
         return tuple(digit), tuple(nxt), margin
 
     def expand(self, u, n: int, nudge: bool = False) -> list[tuple[int, ...]]:

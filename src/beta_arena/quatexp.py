@@ -32,27 +32,41 @@ def _mat_mul(X: Matrix, Y: Matrix) -> Matrix:
     return tuple(zip(*(_mat_vec(X, col) for col in zip(*Y))))
 
 
-def _exact_inverse(M: Matrix):
-    """(det M up to sign, M^-1) in exact rational arithmetic by Gauss-Jordan
-    elimination; the inverse is None when det M is 0."""
-    from fractions import Fraction
+def _exact_inverse(M: Matrix) -> Matrix | None:
+    """M^-1 with each entry of the exact inverse rounded once, or None when
+    |det M| < 1e-12 (compared exactly).
+
+    The entries of M are dyadic, so D M is an integer matrix for their
+    largest denominator D.  Fraction-free Gauss-Jordan elimination (Bareiss)
+    on [D M | I] divides exactly at every step and ends at [d I | X] with
+    d = +-det(D M) and X = d (D M)^-1, so M^-1 = D X / d, and one int / int
+    per entry rounds that rational correctly, as Fraction's float() does.
+    """
     n = len(M)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(M)]
-    det = Fraction(1)
+    ratios = [[x.as_integer_ratio() for x in row] for row in M]
+    D = max(q for row in ratios for _, q in row)
+    rows = [[p * (D // q) for p, q in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(ratios)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
-            return Fraction(0), None
+            return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        p = rows[col][col]
-        det *= p
-        rows[col] = [x / p for x in rows[col]]
+        top = rows[col]
+        p = top[col]
         for r in range(n):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det, [row[n:] for row in rows]
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = p
+    # |det M| = |d| / D^n against 1e-12 = a / b
+    a, b = (1e-12).as_integer_ratio()
+    if abs(prev) * b < a * D ** n:
+        return None
+    # a positive divisor, so that a zero entry is +0.0 as Fraction's is
+    scale = D if prev > 0 else -D
+    return tuple(tuple(scale * x / abs(prev) for x in row[n:]) for row in rows)
 
 
 class LatticeDomain:
@@ -75,10 +89,10 @@ class LatticeDomain:
         self.B = tuple(zip(*(tuple(map(float, v.components)) for v in basis)))
         if not all(math.isfinite(x) for row in self.B for x in row):
             raise ValueError("basis must be finite")
-        det, inv = _exact_inverse(self.B)
-        if abs(det) < 1e-12:
+        Binv = _exact_inverse(self.B)
+        if Binv is None:
             raise ValueError("basis is singular")
-        self.Binv = tuple(tuple(map(float, row)) for row in inv)
+        self.Binv = Binv
         # Euclidean distance to the plane {coord_i = c} is |coord_i - c| / row_norm_i
         self.row_norms = tuple(math.sqrt(sum(x * x for x in row)) for row in self.Binv)
 

@@ -4,6 +4,10 @@ The game engine and the outcome verifier only need a handful of operations:
 ambient dimension, the scaling factor of one digit step, membership in the
 fundamental domain, and a single expansion step, snapping at a boundary, that
 also reports how far the pre-floor image sits from its digit-cell boundary.
+Each adapter's `box` describes its domain axis by axis where it can: one
+(scale, lower) pair per ambient coordinate, with contains(p) exactly when
+lower <= scale * p[i] < lower + 1 for every i, or None when the domain is
+not a box along the ambient axes (a sheared lattice).
 The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
@@ -24,6 +28,7 @@ from .realexp import RealBase
 
 class RealSystem:
     dim = 1
+    box = ((1.0, 0.0),)
 
     def __init__(self, base: RealBase):
         self.base = base
@@ -54,6 +59,7 @@ class ComplexSystem:
         self.base = base
         self.kernel = base.kernel
         self.radix_norm = base.r
+        self.box = ((1.0, base.lo[0]), (1.0, base.lo[1]))
 
     def coords(self, p) -> list[float]:
         return [float(p[0]), float(p[1])]
@@ -81,6 +87,13 @@ class QuatSystem:
         self.lattice = lattice
         self.kernel = lattice.digit_map(q)
         self.radix_norm = abs(q)
+        # with a diagonal Binv, coordinate i of coords(p) is Binv[i][i] * p[i]
+        # plus signed zeros, which compare as that product does
+        Binv = lattice.Binv
+        diagonal = all(x == 0.0 for i, row in enumerate(Binv)
+                       for j, x in enumerate(row) if i != j)
+        self.box = (tuple((Binv[i][i], lo) for i, lo in enumerate(lattice.offsets))
+                    if diagonal else None)
 
     def coords(self, p) -> list[float]:
         return _mat_vec(self.lattice.Binv, p)

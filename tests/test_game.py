@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_arena.complexexp import ComplexBase
-from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams, GameTrace,
-                             IllegalMoveError, StrategyError, _max_step_inside,
+from beta_arena.game import (RADIUS_FLOOR, A_threshold, Claim, F_threshold, GameParams,
+                             GameTrace, IllegalMoveError, StrategyError, _max_step_inside,
                              _norm, alice_center_hold,
                              alice_quaternion_componentwise, alice_random,
                              alice_real_winning, audit_trace,
@@ -18,7 +18,7 @@ from beta_arena.game import (A_threshold, Claim, F_threshold, GameParams, GameTr
                              verify_outcome, winning_gap)
 from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
-from beta_arena.quatexp import lipschitz, zeta_lattice
+from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
 from beta_arena.realexp import RealBase
 from beta_arena.systems import ComplexSystem, QuatSystem, RealSystem
 
@@ -538,11 +538,15 @@ def _array_max_step_inside(system, start, direction, step):
 
 
 _ZETA = zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.0, 0.0), 0.25)
+# a basis with a sheared fourth vector: no box, so every probe calls contains
+_SHEARED = LatticeDomain((Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
+                          Quaternion(0, 0, 1, 0), Quaternion(0, 0.5, 0.25, 1)), (0.0,) * 4)
 STEP_SYSTEMS = (
     RealSystem(RealBase(PHI)),
     ComplexSystem(ComplexBase(4.5, 0.05)),
     QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz()),
     QuatSystem(Quaternion(0.0, 6.0, 0.0, 0.0), _ZETA),
+    QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), _SHEARED),
 )
 
 
@@ -555,14 +559,40 @@ def _inside_point(system, u):
     return lat.B @ np.array([lo + x for lo, x in zip(lat.offsets, u)])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(STEP_SYSTEMS),
-       st.lists(st.floats(0.0, 0.999), min_size=4, max_size=4),
-       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
-       st.floats(1e-12, 3.0))
+class _CountingSystem:
+    """A system whose contains calls are counted."""
+
+    def __init__(self, system):
+        self.system, self.box, self.calls = system, system.box, 0
+
+    def contains(self, p):
+        self.calls += 1
+        return self.system.contains(p)
+
+
+# lattice coordinates of the start: mostly inside the box, some outside it
+START = st.lists(st.floats(0.0, 0.999) | st.floats(-0.5, 1.5), min_size=4, max_size=4)
+# directions: e_1 (Bob's default), random, or with signed-zero components
+DIRECTION = (st.just([1.0, 0.0, 0.0, 0.0])
+             | st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+             | st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]) | st.floats(-1.0, 1.0),
+                        min_size=4, max_size=4))
+STEP = st.floats(RADIUS_FLOOR, 3.0) | st.sampled_from([RADIUS_FLOOR, 1e-10, 1e-6])
+
+
+def test_step_systems_cover_box_and_fallback():
+    assert STEP_SYSTEMS[-1].box is None
+    assert all(s.box is not None for s in STEP_SYSTEMS[:-1])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(STEP_SYSTEMS), START, DIRECTION, STEP)
 def test_max_step_inside_matches_array_bisection(system, u, d, step):
     start = _inside_point(system, u)
     direction = np.array(d[:system.dim])
     want = _array_max_step_inside(system, start, direction, step)
-    assert _max_step_inside(system, start, direction, step).hex() == want.hex()
+    counted = _CountingSystem(system)
+    assert _max_step_inside(counted, start, direction, step).hex() == want.hex()
+    if system.box is not None:  # only the full step asks contains
+        assert counted.calls == 1
     assert _max_step_inside(None, start, direction, step) == step

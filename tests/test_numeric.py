@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -145,3 +146,77 @@ def test_digit_kernel_rejects_negative_length():
     assert k.expand((0.5,), 0) == []
     with pytest.raises(ValueError, match="length must be nonnegative"):
         k.expand((0.5,), -1)
+
+
+# -- the digit step against tol_floor on every coordinate ------------------------
+
+def tol_floor_step(kernel, u, nudge):
+    """DigitKernel.step as it reads with tol_floor on every coordinate."""
+    digit, nxt, margin = [], [], math.inf
+    for row, off, norm, lo, hi in kernel._rows:
+        w = sum(map(operator.mul, row, u))
+        t = w - off
+        d = tol_floor(t, nudge)
+        f = math.floor(t)
+        if not lo <= d <= hi:
+            d = f
+        digit.append(d)
+        nxt.append(off if abs(t - d) <= EPS_FLOOR else w - d)
+        frac = t - f
+        margin = min(margin, frac / norm, (1.0 - frac) / norm)
+    return tuple(digit), tuple(nxt), margin
+
+
+def outcome(step, *args):
+    try:
+        d, u, margin = step(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return d, [x.hex() for x in u], margin.hex()
+
+
+# digits 0 .. 2^60 - 1 and -2^60 .. 0; u = |t| / 2^60 gives A u = t exactly
+UP = DigitKernel(((2.0 ** 60,),), (0.0,), (1.0,))
+DOWN = DigitKernel(((-(2.0 ** 60),),), (0.0,), (1.0,))
+# digits 0 .. 2 only, so snaps at 3 are refused
+THREE = DigitKernel(((3.0,),), (0.0,), (1.0,))
+
+
+def _near(n):
+    """Points on both sides of each edge of the band around n, and of the
+    fast path's edge at twice its width."""
+    out = []
+    for sign in (1.0, -1.0):
+        for off in (EPS_FLOOR * (1.0 - 2.0 ** -40), EPS_FLOOR, EPS_FLOOR * (1.0 + 2.0 ** -40),
+                    2.0 * EPS_FLOOR):
+            t = n + sign * off
+            out += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    return out
+
+
+STEP_POINTS = [t for n in (0, 1, 2, 3, 7, 1000, 2 ** 20, 2 ** 40) for m in (n, -n)
+               for t in _near(m)]
+STEP_POINTS += [0.5, -0.5, -0.3, -1e-17, 1e-17, -5e-324, 2.0 ** 52, 2.0 ** 52 + 1.0,
+                -(2.0 ** 52), 2.0 ** 53, -(2.0 ** 53 + 2.0), 2.0 ** 59 + 2.0 ** 8, -(2.0 ** 59),
+                2.0 ** 60, 1e300]
+
+
+@pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
+def test_digit_step_is_the_tol_floor_step(nudge):
+    for t in STEP_POINTS:
+        kernel = UP if t >= 0.0 else DOWN
+        u = (abs(t) * 2.0 ** -60,)
+        if abs(t) >= 2.0 ** -900:  # A u is t itself above the underflow
+            assert math.fsum(kernel.A[0]) * u[0] == t
+        assert outcome(kernel.step, u, nudge) == outcome(tol_floor_step, kernel, u, nudge), t
+        u = (t / 3.0,)
+        assert outcome(THREE.step, u, nudge) == outcome(tol_floor_step, THREE, u, nudge), t
+
+
+@pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
+@pytest.mark.parametrize("u, t", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                                  (2.0 ** 1000, "inf")])
+def test_digit_step_refuses_a_non_finite_image(nudge, u, t):
+    message = f"cannot floor non-finite value {t}"
+    assert outcome(UP.step, (u,), nudge) == (ValueError, message)
+    assert outcome(tol_floor_step, UP, (u,), nudge) == (ValueError, message)

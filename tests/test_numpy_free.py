@@ -7,8 +7,9 @@ that draws nothing at random.  Each of these runs in a fresh interpreter,
 since this one has numpy loaded, and its output must equal the same
 command's output here.  The commands that still need numpy (a random
 stream, the avoidance play's matrix powers, a 2x2 or 4x4 reconstruct) are
-checked to load it.  The pure-Python formulas that stand in for numpy on
-those paths are compared with numpy bit for bit.
+checked to load it.  No quaternion command loads fractions or decimal.
+The pure-Python formulas that stand in for numpy on those paths are
+compared with numpy bit for bit.
 """
 
 import json
@@ -124,6 +125,31 @@ def test_matrix_and_random_commands_load_numpy(capsys, argv):
     code, loaded, out = fresh(MAIN, json.dumps(argv))
     assert loaded
     assert (code, out) == (cli.main(argv), capsys.readouterr().out)
+
+
+# runs cli.main on the JSON argv in sys.argv[1]; prints the exit code and
+# which of fractions and decimal got loaded
+EXACT = """
+import contextlib, io, json, sys
+from beta_arena import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted({"fractions", "decimal"} & set(sys.modules))]))
+"""
+
+QUAT_COMMANDS = {
+    "game-componentwise": ["game", "--preset", "qwinning-componentwise", "--seed", "0"],
+    "expand-quat": NUMPY_COMMANDS["expand-quat"],
+    "expand-quat-zeta": ["expand", "--quat", "0", "6", "0", "0", "--lattice", "zeta:0.25",
+                         "--z", "0.1", "0.2", "0.3", "0.4", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", QUAT_COMMANDS.values(), ids=QUAT_COMMANDS.keys())
+def test_lattice_inverse_leaves_fractions_and_decimal_unloaded(argv):
+    # the lattice inverse is exact over integers, without fractions (which
+    # imports decimal)
+    assert fresh(EXACT, json.dumps(argv)) == [0, []]
 
 
 def test_random_bob_loads_numpy_and_keeps_its_stream():

@@ -1,11 +1,14 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beta_arena.numeric import Quaternion, metallic_mean
-from beta_arena.quatexp import (C_Omega, LatticeDomain, avoid_constant, domain_constants,
+from beta_arena.quatexp import (C_Omega, LatticeDomain, _exact_inverse, avoid_constant,
+                                domain_constants,
                                 hurwitz_box, isoclinic_matrix, lipschitz,
                                 losing_parameters, q_expand,
                                 rot_balanced_rho, rot_constants,
@@ -98,6 +101,66 @@ E = (Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
 def test_singular_basis_is_refused(basis):
     with pytest.raises(ValueError, match="basis is singular"):
         LatticeDomain(basis, (0.0,) * 4)
+
+
+def fraction_inverse(M):
+    """M^-1 rounded once per entry by Gauss-Jordan over Fraction, or None
+    when |det M| < 1e-12."""
+    n = len(M)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(M)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        p = rows[col][col]
+        det *= p
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    if abs(det) < 1e-12:
+        return None
+    return [[float(x) for x in row[n:]] for row in rows]
+
+
+def hexes_or_none(M):
+    return None if M is None else [x.hex() for row in M for x in row]
+
+
+STOCK = (lipschitz(), lipschitz(centered=True), hurwitz_box(), symmetric_domain(0.25),
+         zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.0, 0.0), 0.25))
+
+
+@pytest.mark.parametrize("lattice", STOCK, ids=lambda L: L.name)
+def test_stock_inverse_is_the_fraction_inverse(lattice):
+    assert hexes_or_none(lattice.Binv) == hexes_or_none(fraction_inverse(lattice.B))
+    assert hexes_or_none(_exact_inverse(lattice.B)) == hexes_or_none(lattice.Binv)
+
+
+# dyadic entries of every scale, small integers (singular matrices among
+# them) and entries near 1e-3, whose determinants straddle 1e-12
+DYADIC = (st.builds(lambda m, e: m * 2.0 ** e, st.integers(-9, 9), st.integers(-60, 60))
+          | st.floats(-4.0, 4.0) | st.floats(-1e-3, 1e-3)
+          | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(DYADIC, min_size=4, max_size=4), min_size=4, max_size=4))
+def test_integer_inverse_is_the_fraction_inverse(M):
+    M = tuple(map(tuple, M))
+    assert hexes_or_none(_exact_inverse(M)) == hexes_or_none(fraction_inverse(M))
+
+
+def test_inverse_refuses_below_the_determinant_floor_exactly():
+    # det = 1e-12 itself is kept; the next float below it is refused
+    for det, kept in ((1e-12, True), (math.nextafter(1e-12, 0.0), False)):
+        M = ((det, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+             (0.0, 0.0, 0.0, 1.0))
+        assert (_exact_inverse(M) is not None) is kept
 
 
 @pytest.mark.parametrize("x", [math.inf, math.nan])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from beta_arena.complexexp import ComplexBase
 from beta_arena.numeric import Quaternion, metallic_mean
-from beta_arena.quatexp import (hurwitz_box, lipschitz, q_expand,
+from beta_arena.quatexp import (LatticeDomain, hurwitz_box, lipschitz, q_expand,
                                 symmetric_domain, zeta_lattice)
 from beta_arena.realexp import RealBase
 from beta_arena.systems import (ComplexSystem, QuatSystem, RealSystem,
@@ -127,3 +127,66 @@ def test_quat_contains_half_open_faces(lattice):
         assert _agrees(lattice, _ambient(lattice, coords))  # lower face: inside
         coords[axis] = lattice.offsets[axis] + 1.0
         assert not _agrees(lattice, _ambient(lattice, coords))  # upper face: outside
+
+
+# -- box: contains read axis by axis -----------------------------------------
+
+SHEARED = LatticeDomain((Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0),
+                         Quaternion(0, 0, 1, 0), Quaternion(0, 0.5, 0.25, 1)), (0.0,) * 4)
+BOX_ADAPTERS = (
+    RealSystem(RealBase(PHI)),
+    ComplexSystem(ComplexBase(4.5, 0.05)),
+    ComplexSystem(ComplexBase(2.0, 0.1, lo=(0.0, -0.25))),
+    *(QuatSystem(q, lattice) for lattice in STOCK_LATTICES
+      for q in (Quaternion.real(3.0), Quaternion(3.0, 3.0, 3.0, 3.0))),
+)
+
+
+def _box_says(system, p):
+    return all(lower <= scale * x < lower + 1.0 for x, (scale, lower) in zip(p, system.box))
+
+
+def test_box_of_each_adapter():
+    assert RealSystem(RealBase(PHI)).box == ((1.0, 0.0),)
+    assert ComplexSystem(ComplexBase(4.5, 0.05)).box == ((1.0, -0.5), (1.0, -0.5))
+    assert QuatSystem(Quaternion.real(3.0), hurwitz_box()).box == (
+        (1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    assert QuatSystem(Quaternion.real(3.0), SHEARED).box is None
+    for lattice in STOCK_LATTICES:
+        assert QuatSystem(Quaternion.real(3.0), lattice).box is not None, lattice.name
+
+
+def _face_values(system):
+    """Per axis: the ambient values whose scaled coordinate sits on or next
+    to a face of the box."""
+    out = []
+    for scale, lower in system.box:
+        near = []
+        for face in (lower, lower + 1.0):
+            x = face / scale
+            near += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        out.append(near)
+    return out
+
+
+COORDINATE = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BOX_ADAPTERS), st.lists(COORDINATE, min_size=4, max_size=4),
+       st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=4, max_size=4))
+def test_contains_is_the_box_formula(system, coords, faces):
+    # each coordinate is random, or on or next to a face of its axis
+    p = [x if k is None else near[k]
+         for x, k, near in zip(coords, faces, _face_values(system))][:system.dim]
+    assert system.contains(p) == _box_says(system, p)
+
+
+def test_contains_is_the_box_formula_on_every_face():
+    for system in BOX_ADAPTERS:
+        inner = [(lower + 0.5) / scale for scale, lower in system.box]
+        for axis, near in enumerate(_face_values(system)):
+            for x in near:
+                p = inner[:axis] + [x] + inner[axis + 1:]
+                assert system.contains(p) == _box_says(system, p), (system, axis, x)
