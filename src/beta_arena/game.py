@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from .numeric import EPS_CMP
 from .realexp import RealBase
-from .systems import QuatSystem
+from .systems import QuatSystem, max_step_inside
 
 RADIUS_FLOOR = 1e-12
 
@@ -223,14 +223,8 @@ class GameTrace:
         byte for byte, written directly for this fixed schema: the indenting
         encoder is pure Python and cost more per game than play and verify."""
         p = self.params
-        # the engine's centers are float tuples; only a non-finite one needs
-        # _json_number
-        moves = [_MOVE_JSON % (
-                     _json_list(list(map(float.__repr__, mv.center))
-                                if all(map(math.isfinite, mv.center))
-                                else [_json_number(c) for c in map(float, mv.center)],
-                                "      "),
-                     _json_str(mv.player), _json_number(mv.radius), _json_number(mv.round_no))
+        moves = [_MOVE_JSON % (_json_center(mv.center), _json_str(mv.player),
+                               _json_number(mv.radius), _json_number(mv.round_no))
                  for mv in self.moves]
         return ('{\n  "moves": ' + _json_list(moves, "  ")
                 + ',\n  "notes": ' + _json_list([_json_str(t) for t in self.notes], "  ")
@@ -256,6 +250,16 @@ def _json_number(v) -> str:
             return float.__repr__(v)
         return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
     return int.__repr__(v)
+
+
+def _json_center(center) -> str:
+    """A move's center as to_dict writes it, float(c) for each c, laid out
+    at the move's indent; only a center that is not finite needs
+    _json_number."""
+    xs = list(map(float, center))
+    items = (list(map(float.__repr__, xs)) if all(map(math.isfinite, xs))
+             else list(map(_json_number, xs)))
+    return _json_list(items, "      ")
 
 
 def _json_list(items: list[str], pad: str) -> str:
@@ -451,62 +455,6 @@ def _ball_sample(rng, dim: int) -> list[float]:
     return [x / norm * scale for x in v]
 
 
-def _max_step_inside(system, start: Sequence[float], direction: Sequence[float],
-                     step: float) -> float:
-    """Largest t <= step with start + t * direction still in the domain, by
-    60 halvings of [0, step] on the domain's membership test.
-
-    When the domain is a box along the ambient axes (system.box), a probe
-    evaluates only the coordinates the direction moves, as
-    scale * (a + mid * b) against contains' own bounds, and gets contains'
-    answer: a real or complex scale is 1.0 and 1.0 * x == x; a quaternion
-    coordinate is Binv[i][i] * x plus _mat_vec's off-diagonal products,
-    signed zeros that change no comparison; a coordinate that overflows
-    fails on both paths (in _mat_vec its products make every coordinate
-    NaN).  A fixed coordinate (b == 0) is checked once at t = step: a + t * b
-    compares as a for every finite t, and t is finite in every probe
-    exactly when step is.
-    """
-    if system is None:
-        return step
-    pairs = list(zip(map(float, start), map(float, direction)))
-    if system.contains([a + step * b for a, b in pairs]):
-        return step
-    lo, hi = 0.0, step
-    if system.box is None:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if system.contains([a + mid * b for a, b in pairs]):
-                lo = mid
-            else:
-                hi = mid
-        return lo * (1.0 - 1e-9)
-    moving = []
-    for (a, b), (scale, lower) in zip(pairs, system.box):
-        if b:
-            moving.append((a, b, scale, lower, lower + 1.0))
-        elif not lower <= scale * (a + step * b) < lower + 1.0:
-            return 0.0  # every probe fails
-    if len(moving) == 1:  # Bob's default direction e_1, among others
-        ((a, b, scale, lower, upper),) = moving
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if lower <= scale * (a + mid * b) < upper:
-                lo = mid
-            else:
-                hi = mid
-        return lo * (1.0 - 1e-9)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        for a, b, scale, lower, upper in moving:
-            if not lower <= scale * (a + mid * b) < upper:
-                hi = mid
-                break
-        else:
-            lo = mid
-    return lo * (1.0 - 1e-9)
-
-
 def alice_center_hold() -> Strategy:
     return lambda s: s.bob_ball().center
 
@@ -551,7 +499,7 @@ def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
         v = fixed if fixed is not None else (1.0,) + (0.0,) * (s.params.dimension - 1)
         a_rad = s.params.alpha * s.params.rho_n(s.round_no - 1)
         step = a_rad * (1.0 - s.params.beta)
-        t = _max_step_inside(s.system, y, v, step)
+        t = max_step_inside(s.system, y, v, step)
         return tuple(a + t * b for a, b in zip(y, v))
     return f
 

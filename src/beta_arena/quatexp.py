@@ -22,7 +22,8 @@ Matrix = tuple[tuple[float, ...], ...]
 
 def _mat_vec(M: Matrix, v: Sequence[float]) -> list[float]:
     """M v for a 4x4 matrix of float rows, each entry summed from +0.0 in
-    column order; v may be any sequence of four floats."""
+    column order; v may be any sequence of four floats.  systems.max_step_inside
+    relies on this order to reproduce QuatSystem.contains axis by axis."""
     x0, x1, x2, x3 = map(float, v)
     return [0.0 + a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in M]
 
@@ -113,7 +114,8 @@ class LatticeDomain:
         return self.box_contains(self.to_coords(z))
 
     def box_contains(self, t: Sequence[float]) -> bool:
-        """Whether lattice coordinates t lie in the half-open unit box."""
+        """Whether lattice coordinates t lie in the half-open unit box (the
+        rule QuatSystem.box restates for systems.max_step_inside)."""
         for ti, lo in zip(t, self.offsets):
             if not (lo <= ti < lo + 1.0):
                 return False

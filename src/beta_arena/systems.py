@@ -7,7 +7,9 @@ also reports how far the pre-floor image sits from its digit-cell boundary.
 Each adapter's `box` describes its domain axis by axis where it can: one
 (scale, lower) pair per ambient coordinate, with contains(p) exactly when
 lower <= scale * p[i] < lower + 1 for every i, or None when the domain is
-not a box along the ambient axes (a sheared lattice).
+not a box along the ambient axes (a sheared lattice).  max_step_inside,
+which clips a drift at the domain's edge, reads the box to probe only the
+coordinates a ray moves, so it lives here beside the contains it agrees with.
 The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
@@ -110,6 +112,56 @@ class QuatSystem:
 
     def digit_matches(self, a, b) -> bool:
         return tuple(a) == tuple(b)
+
+
+def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
+                    step: float) -> float:
+    """Largest t <= step with start + t * direction still in the system's
+    domain, by 60 halvings of [0, step] on its membership test; step itself
+    when system is None.
+
+    With a box, a probe evaluates only the coordinates the direction moves,
+    as scale * (a + mid * b) against the box's bounds, and gets contains'
+    answer.  RealSystem and ComplexSystem compare p[i] itself, and their
+    scale 1.0 gives 1.0 * x == x.  QuatSystem compares coordinate i of
+    _mat_vec(Binv, p) in LatticeDomain.box_contains; with a diagonal Binv
+    that is +0.0 + Binv[i][i] * x plus off-diagonal products that are signed
+    zeros, none of which changes a comparison, and a coordinate that
+    overflows fails on both paths (in _mat_vec its products make every
+    coordinate NaN).  A fixed coordinate (b == 0) is checked once at
+    t = step: a + t * b compares as a for every finite t, and t is finite in
+    every probe exactly when step is.  tests/test_systems.py holds each
+    adapter's contains to the box formula.
+    """
+    if system is None:
+        return step
+    pairs = list(zip(map(float, start), map(float, direction)))
+    if system.contains([a + step * b for a, b in pairs]):
+        return step
+    lo, hi = 0.0, step
+    if system.box is None:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if system.contains([a + mid * b for a, b in pairs]):
+                lo = mid
+            else:
+                hi = mid
+        return lo * (1.0 - 1e-9)
+    moving = []
+    for (a, b), (scale, lower) in zip(pairs, system.box):
+        if b:
+            moving.append((a, b, scale, lower, lower + 1.0))
+        elif not lower <= scale * (a + step * b) < lower + 1.0:
+            return 0.0  # every probe fails
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        for a, b, scale, lower, upper in moving:
+            if not lower <= scale * (a + mid * b) < upper:
+                hi = mid
+                break
+        else:
+            lo = mid
+    return lo * (1.0 - 1e-9)
 
 
 def expand_digits(system, p: Sequence[float], n: int, on_ambiguous: str = "nudge") -> list:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from beta_arena.complexexp import ComplexBase
 from beta_arena.game import (RADIUS_FLOOR, A_threshold, Claim, F_threshold, GameParams,
-                             GameTrace, IllegalMoveError, StrategyError, _max_step_inside,
+                             GameTrace, IllegalMoveError, Move, StrategyError,
                              _norm, alice_center_hold,
                              alice_quaternion_componentwise, alice_random,
                              alice_real_winning, audit_trace,
@@ -20,7 +20,7 @@ from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
 from beta_arena.realexp import RealBase
-from beta_arena.systems import ComplexSystem, QuatSystem, RealSystem
+from beta_arena.systems import ComplexSystem, QuatSystem, RealSystem, max_step_inside
 
 PHI = metallic_mean(1)
 
@@ -499,6 +499,13 @@ def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does():
     trace = GameTrace(params, 0, [], "max-rounds")
     assert trace.to_json() == _dumps(trace)
     assert '"moves": [],\n  "notes": []' in trace.to_json()
+    # hand-built centers: to_dict coerces each coordinate with float()
+    centers = [(0, 0), (1, -2), (np.float32(0.1), np.float32(-0.3)),
+               (np.float64(0.25), 3), (math.inf, 0), (np.float32(math.nan), 1)]
+    moves = [Move("bob", k, c, 1.0) for k, c in enumerate(centers)]
+    trace = GameTrace(GameParams(0.5, 0.5, 1.0, 2, (0.0, 0.0)), 0, moves, "max-rounds")
+    assert trace.to_json() == _dumps(trace)
+    assert '"center": [\n        0.0,\n        0.0\n      ]' in trace.to_json()
 
 
 # -- fast paths against their numpy originals -------------------------------------
@@ -524,7 +531,7 @@ def test_norm_matches_numpy_bitwise(components):
 
 
 def _array_max_step_inside(system, start, direction, step):
-    """The array bisection _max_step_inside replaced, kept as its oracle."""
+    """The array bisection max_step_inside replaced, kept as its oracle."""
     if system is None or system.contains(start + step * direction):
         return step
     lo, hi = 0.0, step
@@ -592,7 +599,7 @@ def test_max_step_inside_matches_array_bisection(system, u, d, step):
     direction = np.array(d[:system.dim])
     want = _array_max_step_inside(system, start, direction, step)
     counted = _CountingSystem(system)
-    assert _max_step_inside(counted, start, direction, step).hex() == want.hex()
+    assert max_step_inside(counted, start, direction, step).hex() == want.hex()
     if system.box is not None:  # only the full step asks contains
         assert counted.calls == 1
-    assert _max_step_inside(None, start, direction, step) == step
+    assert max_step_inside(None, start, direction, step) == step
