@@ -10,7 +10,8 @@ Subcommands:
 
 `expand` builds the adapter of one system (see systems.py) and runs the same
 steps for all three: check the point, expand it, measure how well the digits
-reconstruct it, print.
+reconstruct it, print.  Only the commands that use them import the complex
+and quaternion modules.
 
 Errors are reported once, in `main`, and never as a traceback.  Exit codes:
 0 success (for `game`, claim verified); 2 `game` claim falsified; 3 invalid
@@ -29,10 +30,9 @@ import json
 import math
 import sys
 
-from .complexexp import ComplexBase, G_region, classify_digit_set
-from .game import IllegalMoveError, StrategyError, audit_trace, A_threshold, F_threshold
+from .game import (IllegalMoveError, StrategyError, audit_trace, A_threshold, F_threshold,
+                   _json_list, _json_number, _json_str)
 from .numeric import AmbiguousValueError, Quaternion, metallic_mean
-from .quatexp import hurwitz_box, lipschitz, symmetric_domain, zeta_lattice
 from .realexp import RealBase
 from .presets import BOBS, PRESETS, build_preset, run_setup
 from .systems import ComplexSystem, QuatSystem, RealSystem, expand_digits
@@ -53,6 +53,7 @@ def parse_base(text: str) -> float:
 
 
 def parse_lattice(text: str):
+    from .quatexp import hurwitz_box, lipschitz, symmetric_domain, zeta_lattice
     if text == "lipschitz":
         return lipschitz()
     if text == "lipschitz-centered":
@@ -115,6 +116,7 @@ def cmd_expand(args) -> int:
         system = RealSystem(RealBase(parse_base(args.real)))
         p = [] if args.x is None else [args.x]
     elif args.complex is not None:
+        from .complexexp import ComplexBase
         lo = (-0.5, -0.5) if args.centered else (0.0, 0.0)
         system = ComplexSystem(ComplexBase(*args.complex, lo=lo))
         p = args.z or []
@@ -151,6 +153,7 @@ def cmd_admissible(args) -> int:
 
 def cmd_regions(args) -> int:
     if args.curve == "classify":
+        from .complexexp import classify_digit_set
         try:
             square, N = classify_digit_set(args.r, args.theta)
             payload = {"ambiguous": False, "square": square, "N": N}
@@ -172,6 +175,7 @@ def cmd_regions(args) -> int:
         for alpha in parse_grid(args.alpha):
             rows.append((alpha, F_threshold(args.r, alpha)))
     else:
+        from .complexexp import G_region
         header = "N,interval_lo,interval_hi"
         for reg in G_region(args.theta):
             rows.append((reg.N, reg.v_lo, reg.u_hi))
@@ -206,24 +210,28 @@ def _run_game(preset: str, overrides: dict, seed: int, max_rounds: int | None):
     return setup, trace, result
 
 
+def _game_json(setup, trace, result, violations: list[str]) -> str:
+    """The game document as json.dumps(sort_keys=True, indent=2) writes it, byte
+    for byte, with GameTrace.to_json spliced in one level down."""
+    block = [_json_list(list(map(_json_number, d)), "      ") if isinstance(d, tuple)
+             else _json_number(d) for d in setup.claim.block]
+    return ('{\n  "audit_violations": ' + _json_list(list(map(_json_str, violations)), "  ")
+            + ',\n  "certified_digits": ' + _json_number(result.certified)
+            + ',\n  "claim": {\n    "block": ' + _json_list(block, "    ")
+            + ',\n    "kind": ' + _json_str(setup.claim.kind)
+            + ',\n    "position": ' + _json_number(setup.claim.position)
+            + '\n  },\n  "preset": ' + _json_str(setup.name)
+            + ',\n  "setup_notes": ' + _json_list(list(map(_json_str, setup.notes)), "  ")
+            + ',\n  "trace": ' + trace.to_json()[:-1].replace("\n", "\n  ")
+            + ',\n  "verdict": ' + _json_str(result.verdict)
+            + ',\n  "verdict_reason": ' + _json_str(result.reason) + "\n}")
+
+
 def cmd_game(args) -> int:
     overrides = {"alpha": args.alpha, "beta": args.beta, "rho": args.rho, "bob": args.bob}
     setup, trace, result = _run_game(args.preset, overrides, args.seed, args.max_rounds)
     violations = audit_trace(trace)
-    doc = {
-        "preset": setup.name,
-        "claim": {"kind": setup.claim.kind,
-                  "block": [list(d) if isinstance(d, tuple) else d
-                            for d in setup.claim.block],
-                  "position": setup.claim.position},
-        "trace": trace.to_dict(),
-        "audit_violations": violations,
-        "verdict": result.verdict,
-        "verdict_reason": result.reason,
-        "certified_digits": result.certified,
-        "setup_notes": setup.notes,
-    }
-    _write(json.dumps(doc, sort_keys=True, indent=2), args.out)
+    _write(_game_json(setup, trace, result, violations), args.out)
     print(f"verdict: {result.verdict} ({result.reason})", file=sys.stderr)
     if violations:
         return 4

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel, Quaternion,
-                      nudge_mode)
+from .numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel, FrozenRecord,
+                      Quaternion, nudge_mode)
 
 QUARTER = math.pi / 4.0
 GaussInt = tuple[int, int]
@@ -44,20 +43,24 @@ class CkResult(NamedTuple):
     certified: bool
 
 
-@dataclass(frozen=True)
-class SquareRegion:
+class SquareRegion(FrozenRecord):
     """Open-below, closed-above parameter interval (v_lo, u_hi] for one N."""
 
-    N: int
-    v_lo: float
-    u_hi: float
+    __slots__ = ("N", "v_lo", "u_hi")
+
+    def __init__(self, N: int, v_lo: float, u_hi: float):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "v_lo", v_lo)
+        object.__setattr__(self, "u_hi", u_hi)
 
 
-@dataclass(frozen=True)
-class GammaConstants:
-    gamma1: float
-    gamma2: float
-    delta: float
+class GammaConstants(FrozenRecord):
+    __slots__ = ("gamma1", "gamma2", "delta")
+
+    def __init__(self, gamma1: float, gamma2: float, delta: float):
+        object.__setattr__(self, "gamma1", gamma1)
+        object.__setattr__(self, "gamma2", gamma2)
+        object.__setattr__(self, "delta", delta)
 
 
 class ComplexBase:

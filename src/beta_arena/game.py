@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
 
-from .numeric import EPS_CMP
+from .numeric import EPS_CMP, FrozenRecord, Record
 from .realexp import RealBase
 from .systems import QuatSystem, max_step_inside
 
@@ -103,46 +102,52 @@ class StrategyError(RuntimeError):
     """Raised when a strategy's hypotheses demonstrably fail at runtime."""
 
 
-@dataclass(frozen=True)
-class GameParams:
-    alpha: float
-    beta: float
-    rho: float
-    dimension: int
-    initial_center: tuple[float, ...]
+class GameParams(FrozenRecord):
+    __slots__ = ("alpha", "beta", "rho", "dimension", "initial_center")
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
+    def __init__(self, alpha: float, beta: float, rho: float, dimension: int,
+                 initial_center: tuple[float, ...]):
+        if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.beta < 1.0:
+        if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 < self.rho < math.inf:
+        if not 0.0 < rho < math.inf:
             raise ValueError("rho must be positive and finite")
-        if self.dimension not in (1, 2, 4):
+        if dimension not in (1, 2, 4):
             raise ValueError("dimension must be 1, 2 or 4")
-        if len(self.initial_center) != self.dimension:
+        if len(initial_center) != dimension:
             raise ValueError("initial center has the wrong dimension")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "initial_center", initial_center)
 
     def rho_n(self, n: int) -> float:
         return (self.alpha * self.beta) ** n * self.rho
 
 
-@dataclass
-class Move:
-    player: str
-    round_no: int
-    center: Vector
-    radius: float
+class Move(Record):
+    __slots__ = ("player", "round_no", "center", "radius")
+
+    def __init__(self, player: str, round_no: int, center: Vector, radius: float):
+        self.player = player
+        self.round_no = round_no
+        self.center = center
+        self.radius = radius
 
 
-@dataclass
-class GameState:
-    params: GameParams
-    system: object | None
-    seed: int = 0
-    moves: list[Move] = field(default_factory=list)
-    scratch: dict = field(default_factory=dict)
-    _rng: object = field(default=None, init=False, repr=False)
+class GameState(Record):
+    __slots__ = ("params", "system", "seed", "moves", "scratch", "_rng")
+
+    def __init__(self, params: GameParams, system: object | None, seed: int = 0,
+                 moves: list[Move] | None = None, scratch: dict | None = None):
+        self.params = params
+        self.system = system
+        self.seed = seed
+        self.moves = [] if moves is None else moves
+        self.scratch = {} if scratch is None else scratch
+        self._rng = None
 
     @property
     def rng(self):
@@ -174,13 +179,16 @@ class GameState:
         self.scratch.setdefault("notes", []).append(text)
 
 
-@dataclass
-class GameTrace:
-    params: GameParams
-    seed: int
-    moves: list[Move]
-    status: str
-    notes: list[str] = field(default_factory=list)
+class GameTrace(Record):
+    __slots__ = ("params", "seed", "moves", "status", "notes")
+
+    def __init__(self, params: GameParams, seed: int, moves: list[Move], status: str,
+                 notes: list[str] | None = None):
+        self.params = params
+        self.seed = seed
+        self.moves = moves
+        self.status = status
+        self.notes = [] if notes is None else notes
 
     @property
     def final_center(self) -> Vector:
@@ -194,34 +202,11 @@ class GameTrace:
     def rounds_played(self) -> int:
         return sum(1 for mv in self.moves if mv.player == "alice")
 
-    def to_dict(self) -> dict:
-        return {
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "rho": self.params.rho,
-                "dimension": self.params.dimension,
-                "initial_center": list(self.params.initial_center),
-            },
-            "seed": self.seed,
-            "status": self.status,
-            "notes": list(self.notes),
-            "moves": [
-                {
-                    "player": mv.player,
-                    "round": mv.round_no,
-                    "center": [float(c) for c in mv.center],
-                    "radius": mv.radius,
-                    "legal": True,
-                }
-                for mv in self.moves
-            ],
-        }
-
     def to_json(self) -> str:
-        """json.dumps(self.to_dict(), sort_keys=True, indent=2) plus a newline,
-        byte for byte, written directly for this fixed schema: the indenting
-        encoder is pure Python and cost more per game than play and verify."""
+        """The trace as json.dumps(sort_keys=True, indent=2) writes its params,
+        seed, status, notes and moves (center as float()s, "legal": true), plus
+        a newline, byte for byte: the indenting encoder is pure Python and cost
+        more per game than play and verify."""
         p = self.params
         moves = [_MOVE_JSON % (_json_center(mv.center), _json_str(mv.player),
                                _json_number(mv.radius), _json_number(mv.round_no))
@@ -253,7 +238,7 @@ def _json_number(v) -> str:
 
 
 def _json_center(center) -> str:
-    """A move's center as to_dict writes it, float(c) for each c, laid out
+    """A move's center, float(c) for each c, laid out
     at the move's indent; only a center that is not finite needs
     _json_number."""
     xs = list(map(float, center))
@@ -668,33 +653,36 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
 # -- outcome verification ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(FrozenRecord):
     """What a finished game is supposed to have achieved.
 
     kind "contains": the digits of the outcome match `block` starting at
     1-based `position`.  kind "avoids": no alignment window of length
     len(block) among the first m digits equals `block`.
     """
-    kind: str
-    block: tuple
-    position: int = 1
 
-    def __post_init__(self):
-        if self.kind not in ("contains", "avoids"):
+    __slots__ = ("kind", "block", "position")
+
+    def __init__(self, kind: str, block: tuple, position: int = 1):
+        if kind not in ("contains", "avoids"):
             raise ValueError("claim kind must be 'contains' or 'avoids'")
-        if not self.block:
+        if not block:
             raise ValueError("claim block must be nonempty")
-        if self.position < 1:
+        if position < 1:
             raise ValueError("position is 1-based")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "position", position)
 
 
-@dataclass
-class VerifyResult:
-    verdict: str
-    digits: list
-    certified: int
-    reason: str
+class VerifyResult(Record):
+    __slots__ = ("verdict", "digits", "certified", "reason")
+
+    def __init__(self, verdict: str, digits: list, certified: int, reason: str):
+        self.verdict = verdict
+        self.digits = digits
+        self.certified = certified
+        self.reason = reason
 
 
 def certified_digits(system, center: Sequence[float], radius: float, m: int

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic, guarded rounding and the digit kernel.
+"""Value records, quaternion arithmetic, guarded rounding and the digit kernel.
 
 The digit maps in one, two and four dimensions are one affine map in
 lattice coordinates, DigitKernel, so they share a single arithmetic path.
@@ -10,7 +10,44 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import Sequence
+
+
+class Record:
+    """A record whose fields are its __slots__: records of one class are equal
+    when their fields are, and the repr shows the fields not named _private.
+    Unhashable; each record writes its own __init__, so none runs generated code."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_") + ")"
+
+
+class FrozenRecord(Record):
+    """A record that hashes by value and refuses assignment (its __init__ uses
+    object.__setattr__); it copies and pickles through its constructor."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class AmbiguousValueError(ValueError):
@@ -141,12 +178,14 @@ class DigitKernel:
         return acc.tolist()
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 0.0
+class Quaternion(FrozenRecord):
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: float = 0.0, b: float = 0.0, c: float = 0.0, d: float = 0.0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def real(x: float) -> "Quaternion":
@@ -228,6 +267,14 @@ def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
         p.a * q.c - p.b * q.d + p.c * q.a + p.d * q.b,
         p.a * q.d + p.b * q.c - p.c * q.b + p.d * q.a,
     )
+
+
+def _mat_vec(M, v: Sequence[float]) -> list[float]:
+    """M v for a 4x4 matrix of float rows, each entry summed from +0.0 in
+    column order; v may be any sequence of four floats.  systems.max_step_inside
+    relies on this order to reproduce QuatSystem.contains axis by axis."""
+    x0, x1, x2, x3 = map(float, v)
+    return [0.0 + a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in M]
 
 
 def metallic_mean(j: int) -> float:

@@ -14,42 +14,46 @@ functools.cache keyed by value builds it once per process and every game
 shares it.  The per-game part (parameters, the (n, k) or n search, notes,
 claim and strategies) is built for each game; the shared objects carry no
 game state, which lives in GameState.scratch.  The caches sit here and not
-in the constructors, which keep building afresh on every call.
+in the constructors, which keep building afresh on every call.  The complex
+and quaternion modules are imported only by the builders that use them.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .complexexp import ComplexBase, Vk_squares
 from .game import (Claim, GameParams, Strategy, StrategyError,
                    alice_complex_winning, alice_quaternion_componentwise,
                    alice_random, alice_real_winning, bob_avoid_block,
                    bob_center_hold, bob_optimal_drift, bob_random,
                    find_n_complex, find_nk_real, play, verify_outcome)
-from .numeric import Quaternion
-from .quatexp import (LatticeDomain, domain_constants, hurwitz_box, lipschitz,
-                      symmetric_domain, symmetric_constants, zeta_lattice)
+from .numeric import Quaternion, Record
 from .realexp import RealBase
 from .systems import ComplexSystem, QuatSystem, RealSystem
+
+if TYPE_CHECKING:
+    from .quatexp import LatticeDomain
 
 HYPOTHESIS_MARGIN = 1e-9
 
 
-@dataclass
-class GameSetup:
-    name: str
-    params: GameParams
-    system: object
-    alice: Strategy
-    bob: Strategy
-    claim: Claim  # "contains" for the winning setups, "avoids" for the losing ones
-    max_rounds: int
-    notes: list[str] = field(default_factory=list)
+class GameSetup(Record):
+    # claim: "contains" for the winning setups, "avoids" for the losing ones
+    __slots__ = ("name", "params", "system", "alice", "bob", "claim", "max_rounds", "notes")
+
+    def __init__(self, name: str, params: GameParams, system: object, alice: Strategy,
+                 bob: Strategy, claim: Claim, max_rounds: int,
+                 notes: list[str] | None = None):
+        self.name = name
+        self.params = params
+        self.system = system
+        self.alice = alice
+        self.bob = bob
+        self.claim = claim
+        self.max_rounds = max_rounds
+        self.notes = [] if notes is None else notes
 
 
 # Bob strategies a winning preset can be played against, by name
@@ -72,6 +76,7 @@ def _real_base(b: float) -> RealBase:
 def _complex_system(r: float, theta: float, k: int):
     """The system of base r e^(i theta) and a tuple of the (x, y) centers of
     its level-k tiles whose k-th digit is zero."""
+    from .complexexp import ComplexBase, Vk_squares
     base = ComplexBase(r, theta)
     targets = tuple((float(c.a), float(c.b)) for c in Vk_squares(base, k))
     return ComplexSystem(base), targets
@@ -80,6 +85,7 @@ def _complex_system(r: float, theta: float, k: int):
 @functools.cache
 def _unit_box_system(b: float) -> QuatSystem:
     """Real radix b acting on the unit-box integer lattice."""
+    from .quatexp import lipschitz
     return QuatSystem(Quaternion.real(b), lipschitz())
 
 
@@ -199,6 +205,7 @@ def _losing_setup(name: str, av: _Avoidance, rho: float, alpha: float,
 
 @functools.cache
 def _lipschitz_avoidance() -> _Avoidance:
+    from .quatexp import lipschitz
     return _avoidance(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz(),
                       Quaternion(0.5, 0.5, 0.5, 0.5), 5.0, _ZERO_DIGIT)
 
@@ -217,6 +224,7 @@ def lipschitz_losing_setup(alpha: float = 0.9, beta: float | None = None,
 
 @functools.cache
 def _hurwitz_avoidance(rho: float) -> _Avoidance:
+    from .quatexp import domain_constants, hurwitz_box
     lattice = hurwitz_box()
     xi = Quaternion(0.5, 0.5, 0.5, 0.25)
     return _avoidance(Quaternion(0.0, 5.0, 0.0, 0.0), lattice, xi,
@@ -232,6 +240,7 @@ def hurwitz_losing_setup(alpha: float = 0.93, beta: float | None = None,
 
 @functools.cache
 def _symmetric_avoidance() -> _Avoidance:
+    from .quatexp import symmetric_constants, symmetric_domain
     xi, _, constant = symmetric_constants(0.25, 0.1, 0.0)
     return _avoidance(Quaternion(0.0, 0.0, 0.0, 10.0), symmetric_domain(0.25), xi,
                       constant, _ZERO_DIGIT)
@@ -242,12 +251,14 @@ def symmetric_losing_setup(alpha: float = 0.85, beta: float | None = None,
                            max_rounds: int = 64) -> GameSetup:
     """Avoid digit 0 on the origin-symmetric box [-1/4, 1/4)^4, where
     |xi| = 2 rho = 0.2 forces the modified constant."""
+    from .quatexp import symmetric_constants
     _, rho, _ = symmetric_constants(0.25, 0.1, 0.0)
     return _losing_setup(name, _symmetric_avoidance(), rho, alpha, beta, max_rounds)
 
 
 @functools.cache
 def _zeta_avoidance(rho: float) -> _Avoidance:
+    from .quatexp import domain_constants, zeta_lattice
     zeta = Quaternion(0.0, 6.0, 0.0, 0.0)
     lattice = zeta_lattice(zeta, Quaternion(0.0, 0.0, 1.0, 0.0), 0.25)
     xi = lattice.point((0.25, 0.25, 0.25, 0.25))
@@ -280,9 +291,9 @@ PRESETS = {
     "notwinning-symmetric": (symmetric_losing_setup, {}),
     "notwinning-zeta": (zeta_losing_setup, {}),
 }
-# name -> the argument names its builder takes
-_TAKES = {name: frozenset(inspect.signature(builder).parameters)
-          for name, (builder, _) in PRESETS.items()}
+# name -> the argument names its builder takes, the first local names of its code
+_TAKES = {name: frozenset(c.co_varnames[:c.co_argcount + c.co_kwonlyargcount])
+          for name, (builder, _) in PRESETS.items() for c in (builder.__code__,)}
 
 
 def build_preset(name: str, **overrides) -> GameSetup:

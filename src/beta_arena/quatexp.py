@@ -11,21 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .numeric import EPS_CMP, DigitKernel, Quaternion, nudge_mode, quat_mul
+from .numeric import (EPS_CMP, DigitKernel, FrozenRecord, Quaternion, _mat_vec,
+                      nudge_mode, quat_mul)
 
 Coords = tuple[int, int, int, int]
 Matrix = tuple[tuple[float, ...], ...]
-
-
-def _mat_vec(M: Matrix, v: Sequence[float]) -> list[float]:
-    """M v for a 4x4 matrix of float rows, each entry summed from +0.0 in
-    column order; v may be any sequence of four floats.  systems.max_step_inside
-    relies on this order to reproduce QuatSystem.contains axis by axis."""
-    x0, x1, x2, x3 = map(float, v)
-    return [0.0 + a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in M]
 
 
 def _mat_mul(X: Matrix, Y: Matrix) -> Matrix:
@@ -224,16 +216,18 @@ def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float) -> LatticeDo
 # -- losing-strategy constants ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DomainConstants:
+class DomainConstants(FrozenRecord):
     """Geometry constants of a pointed domain: M = sup |z|, D = sup |xi - z|,
     and the master constant C_X used by the avoidance strategy."""
 
-    xi: Quaternion
-    rho: float
-    M: float
-    D: float
-    C_X: float
+    __slots__ = ("xi", "rho", "M", "D", "C_X")
+
+    def __init__(self, xi: Quaternion, rho: float, M: float, D: float, C_X: float):
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "C_X", C_X)
 
 
 def domain_constants(lattice: LatticeDomain, xi: Quaternion, rho: float) -> DomainConstants:
@@ -280,13 +274,15 @@ def avoid_constant(dc: DomainConstants, d: Quaternion) -> float:
     return max(1.0 + dc.D / dc.rho, (dc.M + abs(d)) / denom)
 
 
-@dataclass(frozen=True)
-class LosingParameters:
+class LosingParameters(FrozenRecord):
     """Alpha range [alpha_lo, 1) on which the avoidance strategy is justified;
     beta is pinned to |q|^-n / alpha."""
 
-    alpha_lo: float
-    q_norm_n: float
+    __slots__ = ("alpha_lo", "q_norm_n")
+
+    def __init__(self, alpha_lo: float, q_norm_n: float):
+        object.__setattr__(self, "alpha_lo", alpha_lo)
+        object.__setattr__(self, "q_norm_n", q_norm_n)
 
     def beta(self, alpha: float) -> float:
         if not self.alpha_lo <= alpha < 1.0:

@@ -15,10 +15,9 @@ trusting the last bits of a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .numeric import EPS_CMP, EPS_FLOOR, DigitKernel, nudge_mode, tol_floor
+from .numeric import EPS_CMP, EPS_FLOOR, DigitKernel, FrozenRecord, nudge_mode, tol_floor
 
 Block = tuple[int, ...]
 
@@ -31,18 +30,20 @@ DEPTH = 256
 MAX_ALPHABET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class CylinderInterval:
+class CylinderInterval(FrozenRecord):
     """Half-open interval [lo, hi) of points sharing a fixed digit prefix.
 
     block has length k and ends with the targeted digit; full_length records
     whether hi - lo equals b**-k up to EPS_CMP.
     """
 
-    block: Block
-    lo: float
-    hi: float
-    full_length: bool
+    __slots__ = ("block", "lo", "hi", "full_length")
+
+    def __init__(self, block: Block, lo: float, hi: float, full_length: bool):
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "full_length", full_length)
 
 
 class RealBase:

@@ -15,17 +15,21 @@ one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
 converts them to the lattice coordinates of its digit kernel (`coords`) and
 back (`_point`).  The quaternion adapter's basis changes are 4x4 products
-in plain Python (quatexp._mat_vec); no adapter loads numpy.
+in plain Python (numeric._mat_vec); no adapter loads numpy, and this module
+imports no expansion module, as each adapter takes its base ready-built.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .complexexp import ComplexBase
-from .numeric import Quaternion, nudge_mode
-from .quatexp import LatticeDomain, _mat_vec
-from .realexp import RealBase
+from .numeric import _mat_vec, nudge_mode
+
+if TYPE_CHECKING:
+    from .complexexp import ComplexBase
+    from .numeric import Quaternion
+    from .quatexp import LatticeDomain
+    from .realexp import RealBase
 
 
 class RealSystem:

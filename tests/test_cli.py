@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from beta_arena import cli
+from beta_arena.game import audit_trace
+from beta_arena.presets import build_preset, run_setup
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +149,96 @@ def test_game_output_is_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert (code1, out1) == (code2, out2)
     assert code1 == 0
+
+
+# preset -> sha256 of `game --preset P --seed S` stdout at seeds 0-1; each exits 0
+GAME_STDOUT_PINS = {
+    "dwinning-golden": [
+        "2bece20987e321eac50672891bfc5c4c9f5fb3614253ab44e75162f99be00702",
+        "be7512d0e410b781d4423608d26d518274f9d5dccf559afe2326f9158a4cdf88",
+    ],
+    "dwinning-silver": [
+        "af11793ab31055d7ba7b3281e46b4cc72cd001a84eb898b460c1fe66d1961620",
+        "eda915c7b48936714f3e20321bc5b4d5e7db9bb9964d49966d0cae32d93fb043",
+    ],
+    "cwinning-nine-halves": [
+        "e91e7c00e22d37a74419689acbc9a448ed23f5c2e9603485a0306e8305cee7e6",
+        "286cab7b2837ad9f4eb64a97a98c6427a4e6d4c1e774939fb258f4b36912e36b",
+    ],
+    "qwinning-componentwise": [
+        "83e890b99fbf6f530ac0aea7c75b6a260c0bd55885ca5092fd2aefea7c6fb7cc",
+        "0824b79e9bdddd669fa17074c86f77ad6eb1226b8225632907974c99f809c8e5",
+    ],
+    "notwinning-lipschitz": [
+        "593d15aba1ea27d2c7356e4ed8e22c54308ed57e00065d9b02306bdaa77320ed",
+        "6fff94d0231baebffa57253d889c39b9b351b8ece6c3858cdd5b75c673f3368c",
+    ],
+    "notwinning-hurwitz": [
+        "3d76c2e2500aeda2f7db0edbe8b670392eca584871ff71b5cd44016b1a6d7919",
+        "2eee9a5fc3358f34d76dbebb2c9424cf71e88ea37d7c07e37dc86800cc96080b",
+    ],
+    "notwinning-symmetric": [
+        "f03eaad6df01753dd878b8ac0b3615f0e03258ef71ed9430d04ab3b0c596ef08",
+        "27a430a2fb91ee0ead6c0c4f14b50039499b92b988a0019575e81eff5417cd2c",
+    ],
+    "notwinning-zeta": [
+        "ad15799e504b4f53d317ebce4f7043dcd4cc147307cfdc5caf434c10767b2f4e",
+        "18118f9755315feb6e7705807a1ed22155dde37635e51e87562c15bf0513cc12",
+    ],
+}
+
+
+@pytest.mark.parametrize("preset", GAME_STDOUT_PINS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_game_stdout_is_pinned(capsys, preset, seed):
+    code, out, _ = run_cli(capsys, "game", "--preset", preset, "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GAME_STDOUT_PINS[preset][seed]
+
+
+def game_doc(setup, trace, result):
+    """The `game` document as the json module writes it, the specification
+    of the command's writer."""
+    from test_game import trace_dict
+    doc = {
+        "preset": setup.name,
+        "claim": {"kind": setup.claim.kind,
+                  "block": [list(d) if isinstance(d, tuple) else d for d in setup.claim.block],
+                  "position": setup.claim.position},
+        "trace": trace_dict(trace),
+        "audit_violations": audit_trace(trace),
+        "verdict": result.verdict,
+        "verdict_reason": result.reason,
+        "certified_digits": result.certified,
+        "setup_notes": setup.notes,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# setup and trace notes, falsified and indeterminate verdicts, a random Bob
+# and 1-, 2- and 4-coordinate claim blocks
+GAME_ARGS = [
+    ("dwinning-silver", {"alpha": 0.4706}, 0),
+    ("dwinning-golden", {"alpha": 0.75, "bob": "random"}, 2),
+    ("cwinning-nine-halves", {"alpha": 0.9}, 1),
+    ("cwinning-nine-halves", {"bob": "center-hold"}, 3),
+    ("qwinning-componentwise", {"alpha": 0.15, "bob": "random"}, 4),
+    ("notwinning-lipschitz", {"alpha": 0.5}, 5),
+    ("notwinning-zeta", {"rho": 0.4}, 6),
+    ("cwinning-nine-halves", {"max_rounds": 2}, 7),
+]
+
+
+@pytest.mark.parametrize("preset, overrides, seed", GAME_ARGS)
+def test_game_stdout_is_json_dumps_of_its_document(capsys, preset, overrides, seed):
+    argv = ["game", "--preset", preset, "--seed", str(seed)]
+    for key, value in overrides.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    code, out, err = run_cli(capsys, *argv)
+    setup = build_preset(preset, **overrides)
+    trace, result = run_setup(setup, seed=seed)
+    assert out == game_doc(setup, trace, result)
+    assert err == f"verdict: {result.verdict} ({result.reason})\n"
 
 
 def test_scan_deterministic_and_complete(capsys):
