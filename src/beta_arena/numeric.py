@@ -93,6 +93,59 @@ def nudge_mode(on_ambiguous: str) -> bool:
     return on_ambiguous == "nudge"
 
 
+def ordered_sum(values) -> float:
+    """The sum of floats added left to right from +0.0.  This is what sum()
+    computed before Python 3.12 made it compensated, so it gives the same
+    bits on every Python version."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _image(A):
+    """The map u -> A u, each row summed left to right from +0.0
+    (0.0 + a0*u0 + a1*u1 + ...), which also turns a -0.0 product into +0.0."""
+    if len(A) == 1:
+        (a,), = A
+        return lambda u: (0.0 + a * u[0],)
+    if len(A) == 2:
+        (a, b), (c, d) = A
+
+        def image2(u):
+            x, y = u
+            return 0.0 + a * x + b * y, 0.0 + c * x + d * y
+        return image2
+    if len(A) == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = A
+
+        def image4(u):
+            x0, x1, x2, x3 = u
+            return (0.0 + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3,
+                    0.0 + b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3,
+                    0.0 + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3,
+                    0.0 + d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3)
+        return image4
+    return lambda u: [ordered_sum(map(operator.mul, row, u)) for row in A]
+
+
+def _snap(w: float, t: float, f: int, off: float, lo: int, hi: int, nudge: bool):
+    """Digit and remainder of one coordinate whose t = w - off lies within
+    twice EPS_FLOOR of an integer: tol_floor's digit (or its error), unless
+    that leaves the digit range [lo, hi], and a remainder placed exactly on
+    the lower face off when t lies within EPS_FLOOR of the digit."""
+    d = tol_floor(t, nudge)
+    if not lo <= d <= hi:  # a snap may not leave the digit range
+        d = f
+    return d, (off if abs(t - d) <= EPS_FLOOR else w - d)
+
+
+# frac = t - floor(t) is exact for |t| >= 1 and within 2^-53 below, and so is
+# 1 - frac: more than this from both ends, t lies outside the ambiguity band,
+# where tol_floor returns floor(t) and nothing snaps
+_BAND = 2.0 * EPS_FLOOR
+
+
 class DigitKernel:
     """The digit map u -> A u - d, d = floor(A u - offsets), in lattice coordinates.
 
@@ -102,6 +155,12 @@ class DigitKernel:
     matrix of xi, or left multiplication by q written in the lattice basis.
     Dividing by row_norms[i] turns a distance to a face {u_i = c} into a
     Euclidean distance in the ambient space.
+
+    Each row of A u, and each sum that sets the digit range, is added left
+    to right from +0.0: 0.0 + a0*u0 + a1*u1 + ...  That is the order of
+    sum() up to Python 3.11; Python 3.12 made sum() of floats compensated,
+    so the kernel does not call it, and its digits, remainders and margins
+    are the same bits on Python 3.10 to 3.13 (tests/test_kernel_digests.py).
 
     Snap policy in nudge mode: a coordinate of A u - offsets within
     EPS_FLOOR of an integer takes that integer as its digit, unless no point
@@ -116,50 +175,63 @@ class DigitKernel:
         # its top only when no entry of the row is positive
         self.lo, self.hi = [], []
         for row, off in zip(self.A, offsets):
-            corner = sum(map(operator.mul, row, offsets)) - off
-            top = corner + sum(a for a in row if a > 0.0)
-            self.lo.append(math.floor(corner + sum(a for a in row if a < 0.0)))
+            corner = ordered_sum(map(operator.mul, row, offsets)) - off
+            top = corner + ordered_sum(a for a in row if a > 0.0)
+            self.lo.append(math.floor(corner + ordered_sum(a for a in row if a < 0.0)))
             self.hi.append(math.ceil(top - EPS_CMP) - 1 if top > corner + EPS_CMP
                            else math.floor(top + EPS_CMP))
         self._rows = tuple(zip(self.A, offsets, row_norms, self.lo, self.hi))
+        self._image = _image(self.A)
 
     def step(self, u, nudge: bool = False):
         """One step from u: (digit, remainder, margin), the margin being the
         Euclidean distance from A u to the boundary of its digit cell."""
-        digit, nxt, margin = [], [], math.inf
-        band = 2.0 * EPS_FLOOR
-        for row, off, norm, lo, hi in self._rows:
-            w = sum(map(operator.mul, row, u))
+        digit, nxt, margin, floor = [], [], math.inf, math.floor
+        for w, (_, off, norm, lo, hi) in zip(self._image(u), self._rows):
             t = w - off
             try:
-                f = math.floor(t)
+                f = floor(t)
             except (OverflowError, ValueError):
                 tol_floor(t)  # raises tol_floor's error for a non-finite t
             frac = t - f
             rest = 1.0 - frac
-            # frac is t - f exactly for |t| >= 1 and to 2^-53 below, and so is
-            # rest: more than twice the band from both ends, t lies outside the
-            # band, where tol_floor returns f and nothing snaps
-            if frac > band and rest > band:
-                d = f
+            if frac > _BAND and rest > _BAND:
+                digit.append(f)
                 nxt.append(w - f)
             else:
-                d = tol_floor(t, nudge)
-                if not lo <= d <= hi:  # a snap may not leave the digit range
-                    d = f
-                nxt.append(off if abs(t - d) <= EPS_FLOOR else w - d)
-            digit.append(d)
-            margin = min(margin, frac / norm, rest / norm)
+                d, r = _snap(w, t, f, off, lo, hi, nudge)
+                digit.append(d)
+                nxt.append(r)
+            # min(frac, rest) / norm is min(frac / norm, rest / norm): norm > 0
+            m = (rest if rest < frac else frac) / norm
+            if m < margin:
+                margin = m
         return tuple(digit), tuple(nxt), margin
 
     def expand(self, u, n: int, nudge: bool = False) -> list[tuple[int, ...]]:
-        """First n digits of u."""
+        """First n digits of u: the digits of n steps, without their margins."""
         if n < 0:
             raise ValueError("length must be nonnegative")
+        image, rows, floor = self._image, self._rows, math.floor
         out = []
         for _ in range(n):
-            d, u, _ = self.step(u, nudge)
-            out.append(d)
+            digit, nxt = [], []
+            for w, (_, off, _, lo, hi) in zip(image(u), rows):
+                t = w - off
+                try:
+                    f = floor(t)
+                except (OverflowError, ValueError):
+                    tol_floor(t)  # raises tol_floor's error for a non-finite t
+                frac = t - f
+                if frac > _BAND and 1.0 - frac > _BAND:
+                    digit.append(f)
+                    nxt.append(w - f)
+                else:
+                    d, r = _snap(w, t, f, off, lo, hi, nudge)
+                    digit.append(d)
+                    nxt.append(r)
+            out.append(tuple(digit))
+            u = nxt
         return out
 
     def reconstruct(self, digits) -> list[float]:

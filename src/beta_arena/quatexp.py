@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .numeric import (EPS_CMP, DigitKernel, FrozenRecord, Quaternion, _mat_vec,
-                      nudge_mode, quat_mul)
+                      nudge_mode, ordered_sum, quat_mul)
 
 Coords = tuple[int, int, int, int]
 Matrix = tuple[tuple[float, ...], ...]
@@ -87,7 +87,8 @@ class LatticeDomain:
             raise ValueError("basis is singular")
         self.Binv = Binv
         # Euclidean distance to the plane {coord_i = c} is |coord_i - c| / row_norm_i
-        self.row_norms = tuple(math.sqrt(sum(x * x for x in row)) for row in self.Binv)
+        self.row_norms = tuple(math.sqrt(ordered_sum(x * x for x in row))
+                               for row in self.Binv)
 
     def to_coords(self, z: Quaternion) -> list[float]:
         return _mat_vec(self.Binv, z.components)
@@ -203,7 +204,7 @@ def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float) -> LatticeDo
         raise ValueError("zeta must not be real")
     if abs(eta.a) > EPS_CMP or abs(abs(eta) - 1.0) > EPS_CMP:
         raise ValueError("eta must be a unit quaternion with zero real part")
-    dot = sum(x * y for x, y in zip(zeta.components, eta.components))
+    dot = ordered_sum(x * y for x, y in zip(zeta.components, eta.components))
     if abs(dot) > EPS_CMP:
         raise ValueError("eta must be orthogonal to zeta")
     if not 0.0 <= epsilon < 1.0:

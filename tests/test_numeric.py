@@ -2,7 +2,8 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from test_kernel_digests import kernels as stock_kernels, on_face
 
 from beta_arena.numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel,
                                 Quaternion, metallic_mean, safe_floor, tol_floor)
@@ -220,3 +221,50 @@ def test_digit_step_refuses_a_non_finite_image(nudge, u, t):
     message = f"cannot floor non-finite value {t}"
     assert outcome(UP.step, (u,), nudge) == (ValueError, message)
     assert outcome(tol_floor_step, UP, (u,), nudge) == (ValueError, message)
+
+
+# -- expand is n steps -----------------------------------------------------------
+
+STOCK_KERNELS = stock_kernels()
+
+
+def _recorded(kernel, run):
+    """run() with the kernel's image recording the points it is applied to:
+    (run's result, or its AmbiguousValueError, and those points as float.hex())."""
+    seen, image = [], kernel._image
+
+    def recording(u):
+        seen.append([x.hex() for x in u])
+        return image(u)
+    kernel._image = recording
+    try:
+        out = run()
+    except AmbiguousValueError as exc:
+        out = (type(exc), str(exc))
+    finally:
+        kernel._image = image
+    return out, seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(STOCK_KERNELS)), st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                                       min_size=4, max_size=4),
+       st.integers(0, 4), st.sampled_from([None, 0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9, 2.5e-9]),
+       st.integers(0, 40), st.booleans())
+def test_expand_is_n_steps(name, unit, axis, shift, n, nudge):
+    # expand feeds each remainder forward as step returns it, and raises the
+    # same AmbiguousValueError at the same digit; a shift puts the image on
+    # (or beside) a digit-cell face, the snap path
+    kernel = STOCK_KERNELS[name]
+    u = [row[1] + x for row, x in zip(kernel._rows, unit)]
+    if shift is not None:
+        u = on_face(kernel, u, axis % len(u), shift)
+        assume(u is not None)
+
+    def steps():
+        digits, cur = [], u
+        for _ in range(n):
+            d, cur, _ = kernel.step(cur, nudge)
+            digits.append(d)
+        return digits
+    assert _recorded(kernel, lambda: kernel.expand(u, n, nudge)) == _recorded(kernel, steps)
