@@ -20,7 +20,7 @@ _EXPORTS = {
                "zeta_lattice",
     "systems": "ComplexSystem QuatSystem RealSystem expand_digits",
     "game": "A_threshold Claim F_threshold GameParams GameTrace IllegalMoveError Move "
-            "StrategyError VerifyResult alice_center_hold alice_complex_winning "
+            "StrategyError VerifyResult alice_complex_winning "
             "alice_quaternion_componentwise alice_random alice_real_winning audit_trace "
             "bob_avoid_block bob_center_hold bob_optimal_drift bob_random certified_digits "
             "find_n_complex find_nk_real play verify_outcome winning_gap",

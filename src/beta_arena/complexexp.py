@@ -27,6 +27,8 @@ _DELTA_POLY = (1.0, 16.0, 0.0, 0.0, 30.0, 0.0, 0.0, -16.0, 1.0)
 
 def fold_angle(theta: float) -> float:
     """Reduce an angle to [0, pi/4] using the symmetries of the square lattice."""
+    if not math.isfinite(theta):
+        raise ValueError(f"angle must be finite, got {theta!r}")
     t = math.fmod(theta, math.pi / 2.0)
     if t < 0.0:
         t += math.pi / 2.0

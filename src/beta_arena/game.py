@@ -270,42 +270,42 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
     state.moves.append(Move("bob", 0, x0, params.rho))
     status = "max-rounds"
     for n in range(1, max_rounds + 1):
-        rho_prev = params.rho_n(n - 1)
-        a_rad = params.alpha * rho_prev
+        a_rad = params.alpha * params.rho_n(n - 1)
         b_rad = params.beta * a_rad
         if b_rad < RADIUS_FLOOR:
             status = "resolution-exhausted"
             break
-        x_prev = state.bob_ball().center
-        y = _checked_center(alice(state), params.dimension, "alice", n)
-        _check_legal("alice", n, x_prev, y, a_rad, rho_prev, system)
-        state.moves.append(Move("alice", n, y, a_rad))
-        x = _checked_center(bob(state), params.dimension, "bob", n)
-        _check_legal("bob", n, y, x, b_rad, a_rad, system)
-        state.moves.append(Move("bob", n, x, b_rad))
+        _play_move(state, "alice", alice, n, a_rad)
+        _play_move(state, "bob", bob, n, b_rad)
     return GameTrace(params, seed, state.moves, status,
                      state.scratch.get("notes", []))
 
 
-def _checked_center(c, dim: int, player: str, round_no: int) -> Vector:
+def _play_move(state: GameState, player: str, strategy: Strategy, round_no: int,
+               radius: float) -> None:
+    """Record the strategy's center once it is legal: finite, of the game's
+    dimension, nested in the last ball and, with a system, in its domain."""
+    proposal = strategy(state)
     try:
-        v = tuple(map(float, c))
+        center = tuple(map(float, proposal))
     except (TypeError, ValueError):
-        v = ()
-    if len(v) != dim or not all(map(math.isfinite, v)):
+        center = ()
+    if len(center) != state.params.dimension or not all(map(math.isfinite, center)):
         raise IllegalMoveError(player, round_no, "malformed center")
-    return v
-
-
-def _check_legal(player: str, round_no: int, outer_center: Vector,
-                 center: Vector, radius: float, outer_radius: float,
-                 system) -> None:
-    gap = _distance(center, outer_center) + radius - outer_radius
-    if gap > EPS_CMP:
-        raise IllegalMoveError(player, round_no,
-                               f"ball escapes the previous one by {gap:.3e}")
-    if system is not None and not system.contains(center):
+    gap = _escape(state.moves[-1], center, radius)
+    if gap is not None:
+        raise IllegalMoveError(player, round_no, f"ball escapes the previous one by {gap:.3e}")
+    if state.system is not None and not state.system.contains(center):
         raise IllegalMoveError(player, round_no, "center left the domain")
+    state.moves.append(Move(player, round_no, center, radius))
+
+
+def _escape(outer: Move, center: Sequence[float], radius: float) -> float | None:
+    """The nesting rule of play and audit_trace: how far the ball
+    B(center, radius) reaches out of outer's ball, |c - c'| + r - R, or None
+    when that is at most EPS_CMP."""
+    gap = _distance(center, outer.center) + radius - outer.radius
+    return gap if gap > EPS_CMP else None
 
 
 def audit_trace(trace: GameTrace) -> list[str]:
@@ -325,8 +325,8 @@ def audit_trace(trace: GameTrace) -> list[str]:
         expected = p.alpha * p.rho_n(n - 1) if mv.player == "alice" else p.rho_n(n)
         if abs(mv.radius - expected) > 1e-9 * max(expected, 1e-300):
             problems.append(f"round {n} {mv.player}: radius off schedule")
-        gap = _distance(mv.center, prev.center) + mv.radius - prev.radius
-        if gap > EPS_CMP:
+        gap = _escape(prev, mv.center, mv.radius)
+        if gap is not None:
             problems.append(f"round {n} {mv.player}: containment violated by {gap:.3e}")
         prev = mv
     return problems
@@ -438,10 +438,6 @@ def _ball_sample(rng, dim: int) -> list[float]:
         return [0.0] * dim
     scale = rng.random() ** (1.0 / dim)
     return [x / norm * scale for x in v]
-
-
-def alice_center_hold() -> Strategy:
-    return lambda s: s.bob_ball().center
 
 
 def bob_center_hold() -> Strategy:
@@ -718,7 +714,7 @@ def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResu
     """
     center = trace.final_center
     radius = trace.final_radius
-    if system is not None and not system.contains(center):
+    if not system.contains(center):
         return VerifyResult("indeterminate", [], 0, "outcome estimate outside the domain")
     digits, certified = certified_digits(system, center, radius, m)
     L = len(claim.block)

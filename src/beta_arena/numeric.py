@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Sequence
 
 
 class Record:
@@ -105,7 +104,8 @@ def ordered_sum(values) -> float:
 
 def _image(A):
     """The map u -> A u, each row summed left to right from +0.0
-    (0.0 + a0*u0 + a1*u1 + ...), which also turns a -0.0 product into +0.0."""
+    (0.0 + a0*u0 + a1*u1 + ...), which also turns a -0.0 product into +0.0.
+    It is the digit kernel's image and each lattice's two basis changes."""
     if len(A) == 1:
         (a,), = A
         return lambda u: (0.0 + a * u[0],)
@@ -267,11 +267,6 @@ class Quaternion(FrozenRecord):
     def complex2(re: float, im: float) -> "Quaternion":
         return Quaternion(float(re), float(im), 0.0, 0.0)
 
-    @staticmethod
-    def from_components(v) -> "Quaternion":
-        a, b, c, d = (float(t) for t in v)
-        return Quaternion(a, b, c, d)
-
     @property
     def components(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -290,10 +285,6 @@ class Quaternion(FrozenRecord):
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return quat_mul(self, other)
-        return self.scale(float(other))
-
-    def __rmul__(self, other) -> "Quaternion":
-        # scalar * quaternion; quaternion * quaternion goes through __mul__
         return self.scale(float(other))
 
     def scale(self, s: float) -> "Quaternion":
@@ -327,9 +318,6 @@ class Quaternion(FrozenRecord):
             n >>= 1
         return out
 
-    def approx_eq(self, other: "Quaternion", eps: float) -> bool:
-        return abs(self - other) <= eps
-
 
 def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product p q (i^2 = j^2 = k^2 = ijk = -1)."""
@@ -339,14 +327,6 @@ def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
         p.a * q.c - p.b * q.d + p.c * q.a + p.d * q.b,
         p.a * q.d + p.b * q.c - p.c * q.b + p.d * q.a,
     )
-
-
-def _mat_vec(M, v: Sequence[float]) -> list[float]:
-    """M v for a 4x4 matrix of float rows, each entry summed from +0.0 in
-    column order; v may be any sequence of four floats.  systems.max_step_inside
-    relies on this order to reproduce QuatSystem.contains axis by axis."""
-    x0, x1, x2, x3 = map(float, v)
-    return [0.0 + a * x0 + b * x1 + c * x2 + d * x3 for a, b, c, d in M]
 
 
 def metallic_mean(j: int) -> float:

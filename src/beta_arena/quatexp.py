@@ -13,16 +13,16 @@ import itertools
 import math
 from typing import NamedTuple, Sequence
 
-from .numeric import (EPS_CMP, DigitKernel, FrozenRecord, Quaternion, _mat_vec,
+from .numeric import (EPS_CMP, DigitKernel, FrozenRecord, Quaternion, _image,
                       nudge_mode, ordered_sum, quat_mul)
 
 Coords = tuple[int, int, int, int]
 Matrix = tuple[tuple[float, ...], ...]
 
 
-def _mat_mul(X: Matrix, Y: Matrix) -> Matrix:
-    """X Y for 4x4 matrices, column by column through _mat_vec."""
-    return tuple(zip(*(_mat_vec(X, col) for col in zip(*Y))))
+def _mat_mul(X_times, Y: Matrix) -> Matrix:
+    """X Y for 4x4 matrices, column by column through X_times, the map v -> X v."""
+    return tuple(zip(*map(X_times, zip(*Y))))
 
 
 def _exact_inverse(M: Matrix) -> Matrix | None:
@@ -70,6 +70,8 @@ class LatticeDomain:
     tuples of rows; Binv is the exact inverse of B rounded once per entry,
     so the basis changes of every stock lattice, whose B is diagonal, are
     one correctly rounded product per coordinate on any IEEE-754 machine.
+    Binv_times and B_times are those basis changes, v -> Binv v and
+    u -> B u on four floats, built once by the digit kernel's numeric._image.
     """
 
     def __init__(self, basis: Sequence[Quaternion], offsets: Sequence[float],
@@ -86,21 +88,22 @@ class LatticeDomain:
         if Binv is None:
             raise ValueError("basis is singular")
         self.Binv = Binv
+        self.Binv_times, self.B_times = _image(Binv), _image(self.B)
         # Euclidean distance to the plane {coord_i = c} is |coord_i - c| / row_norm_i
         self.row_norms = tuple(math.sqrt(ordered_sum(x * x for x in row))
                                for row in self.Binv)
 
-    def to_coords(self, z: Quaternion) -> list[float]:
-        return _mat_vec(self.Binv, z.components)
+    def to_coords(self, z: Quaternion) -> tuple[float, ...]:
+        return self.Binv_times(map(float, z.components))
 
     def point(self, coords: Sequence[float]) -> Quaternion:
-        return Quaternion(*_mat_vec(self.B, coords))
+        return Quaternion(*self.B_times(map(float, coords)))
 
     def digit_map(self, q: Quaternion) -> DigitKernel:
         """The map z -> q z - d written in this lattice's coordinates."""
         n = abs(q)
         scaled = tuple(tuple(n * m for m in row) for row in isoclinic_matrix(q))
-        A = _mat_mul(_mat_mul(self.Binv, scaled), self.B)
+        A = _mat_mul(_image(_mat_mul(self.Binv_times, scaled)), self.B)
         return DigitKernel(A, self.offsets, self.row_norms)
 
     def contains(self, z: Quaternion) -> bool:

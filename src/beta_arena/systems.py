@@ -14,16 +14,17 @@ The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
 converts them to the lattice coordinates of its digit kernel (`coords`) and
-back (`_point`).  The quaternion adapter's basis changes are 4x4 products
-in plain Python (numeric._mat_vec); no adapter loads numpy, and this module
-imports no expansion module, as each adapter takes its base ready-built.
+back (`_point`).  The quaternion adapter's basis changes are its lattice's
+Binv_times and B_times, plain-Python 4x4 products built once by the digit
+kernel's numeric._image; no adapter loads numpy, and this module imports no
+expansion module, as each adapter takes its base ready-built.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .numeric import _mat_vec, nudge_mode
+from .numeric import nudge_mode
 
 if TYPE_CHECKING:
     from .complexexp import ComplexBase
@@ -101,18 +102,18 @@ class QuatSystem:
         self.box = (tuple((Binv[i][i], lo) for i, lo in enumerate(lattice.offsets))
                     if diagonal else None)
 
-    def coords(self, p) -> list[float]:
-        return _mat_vec(self.lattice.Binv, p)
+    def coords(self, p) -> tuple[float, ...]:
+        return self.lattice.Binv_times(map(float, p))
 
     def contains(self, p: Sequence[float]) -> bool:
         return self.lattice.box_contains(self.coords(p))
 
-    def _point(self, u) -> list[float]:
-        return _mat_vec(self.lattice.B, u)
+    def _point(self, u) -> tuple[float, ...]:
+        return self.lattice.B_times(map(float, u))
 
     def step(self, p: Sequence[float]):
         d, u, margin = self.kernel.step(self.coords(p), nudge=True)
-        return d, self._point(u), margin
+        return d, self.lattice.B_times(u), margin
 
     def digit_matches(self, a, b) -> bool:
         return tuple(a) == tuple(b)
@@ -128,13 +129,13 @@ def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
     as scale * (a + mid * b) against the box's bounds, and gets contains'
     answer.  RealSystem and ComplexSystem compare p[i] itself, and their
     scale 1.0 gives 1.0 * x == x.  QuatSystem compares coordinate i of
-    _mat_vec(Binv, p) in LatticeDomain.box_contains; with a diagonal Binv
+    Binv_times(p) in LatticeDomain.box_contains; with a diagonal Binv
     that is +0.0 + Binv[i][i] * x plus off-diagonal products that are signed
     zeros, none of which changes a comparison, and a coordinate that
-    overflows fails on both paths (in _mat_vec its products make every
-    coordinate NaN).  A fixed coordinate (b == 0) is checked once at
-    t = step: a + t * b compares as a for every finite t, and t is finite in
-    every probe exactly when step is.  tests/test_systems.py holds each
+    overflows fails on both paths (in Binv_times it stays infinite, and its
+    products with zeros make the other coordinates NaN).  A fixed coordinate
+    (b == 0) is checked once at t = step: a + t * b compares as a for every
+    finite t, and t is finite in every probe exactly when step is.  tests/test_systems.py holds each
     adapter's contains to the box formula.
     """
     if system is None:

@@ -317,6 +317,16 @@ def test_invalid_input_exits_3(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, angle", [
+    (("regions", "--curve", "G", "--theta", "inf"), "inf"),
+    (("regions", "--curve", "classify", "--theta", "nan"), "nan"),
+    (("expand", "--complex", "4.5", "nan", "--z", "0.1", "0.1"), "nan"),
+], ids=["G-infinite-angle", "classify-nan-angle", "complex-nan-angle"])
+def test_non_finite_angle_is_named(capsys, argv, angle):
+    # every angle passes through complexexp.fold_angle, which refuses it by name
+    assert run_cli(capsys, *argv) == (3, "", f"error: angle must be finite, got {angle}\n")
+
+
 def test_usage_error_names_the_problem(capsys):
     # argparse's own message, once, with no usage block
     _, _, err = run_cli(capsys, "expand", "--real", "golden", "--complex", "4.5", "0")

@@ -139,6 +139,12 @@ def test_classification_folds_angle():
     assert classify_digit_set(3.7, -0.21) == classify_digit_set(3.7, 0.21)
 
 
+def test_fold_angle_refuses_non_finite_angles():
+    for theta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            fold_angle(theta)
+
+
 def test_classification_boundary_is_ambiguous():
     # r exactly at the square/non-square crossover for N = 2, theta fixed
     theta = 0.3

@@ -9,20 +9,24 @@ from hypothesis import given, settings, strategies as st
 from beta_arena.complexexp import ComplexBase
 from beta_arena.game import (RADIUS_FLOOR, A_threshold, Claim, F_threshold, GameParams,
                              GameTrace, IllegalMoveError, Move, StrategyError,
-                             _norm, alice_center_hold,
-                             alice_quaternion_componentwise, alice_random,
+                             _norm, alice_quaternion_componentwise, alice_random,
                              alice_real_winning, audit_trace,
                              bob_avoid_block, bob_center_hold,
                              bob_optimal_drift, bob_random, certified_digits,
                              find_n_complex, find_nk_real, play,
                              verify_outcome, winning_gap)
-from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
+from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, metallic_mean
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
 from beta_arena.realexp import RealBase
 from beta_arena.systems import ComplexSystem, QuatSystem, RealSystem, max_step_inside
 
 PHI = metallic_mean(1)
+
+
+def alice_hold(s):
+    """Alice keeps Bob's center: the hold phase of the winning strategies."""
+    return s.bob_ball().center
 
 
 # -- parameters and schedule ---------------------------------------------------
@@ -48,7 +52,7 @@ def test_radius_schedule():
 
 def test_hold_play_schedule_and_audit():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(p, alice_center_hold(), bob_center_hold(), max_rounds=10)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=10)
     assert trace.status == "max-rounds"
     assert trace.rounds_played == 10
     for mv in trace.moves:
@@ -60,13 +64,21 @@ def test_hold_play_schedule_and_audit():
 
 def test_resolution_floor_stops_play():
     p = GameParams(0.1, 0.1, 1.0, 1, (0.5,))
-    trace = play(p, alice_center_hold(), bob_center_hold(), max_rounds=64)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=64)
     assert trace.status == "resolution-exhausted"
     assert trace.final_radius >= 1e-14
     assert trace.rounds_played < 10
 
 
 # -- legality enforcement ------------------------------------------------------
+
+# A game at the edge of the nesting rule: Alice holds 0.5 at radius 1/2 and
+# Bob's radius is 1/4, so Bob's center at 0.75 + e escapes her ball by e.
+# 0.75 + e rounds to a multiple of 2^-53 and every later step of the gap is
+# exact, so the escape is 9007 * 2^-53 (below EPS_CMP, within 2^-54 of it)
+# for e = EPS_CMP, and 18014 * 2^-53 for e = 2 EPS_CMP.
+EDGE = GameParams(0.5, 0.5, 1.0, 1, (0.5,))
+
 
 def test_illegal_alice_is_named():
     p = GameParams(0.3, 0.5, 1.0, 1, (0.5,))
@@ -87,8 +99,15 @@ def test_illegal_bob_is_named():
         return [c + 0.3 for c in state.alice_ball().center]  # exceeds (1-beta) * 0.3
 
     with pytest.raises(IllegalMoveError) as exc:
-        play(p, alice_center_hold(), cheating_bob, max_rounds=4)
+        play(p, alice_hold, cheating_bob, max_rounds=4)
     assert exc.value.player == "bob"
+
+    assert (0.75 + EPS_CMP) - 0.75 == 9007 * 2.0 ** -53 <= EPS_CMP
+    assert (0.75 + 2.0 * EPS_CMP) - 0.75 == 18014 * 2.0 ** -53 > EPS_CMP
+    trace = play(EDGE, alice_hold, lambda s: (0.75 + EPS_CMP,), max_rounds=1)
+    assert audit_trace(trace) == []
+    with pytest.raises(IllegalMoveError, match="escapes the previous one by 2.000e-12"):
+        play(EDGE, alice_hold, lambda s: (0.75 + 2.0 * EPS_CMP,), max_rounds=1)
 
 
 def test_domain_escape_is_illegal():
@@ -113,16 +132,22 @@ def test_malformed_center_rejected():
 
 def test_audit_catches_doctored_radius():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(p, alice_center_hold(), bob_center_hold(), max_rounds=6)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=6)
     trace.moves[3].radius *= 1.5
     assert any("radius off schedule" in v for v in audit_trace(trace))
 
 
 def test_audit_catches_doctored_center():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(p, alice_center_hold(), bob_center_hold(), max_rounds=6)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=6)
     trace.moves[4].center = tuple(c + 0.2 for c in trace.moves[4].center)
     assert any("containment violated" in v for v in audit_trace(trace))
+
+    trace = play(EDGE, alice_hold, bob_center_hold(), max_rounds=1)
+    trace.moves[2].center = (0.75 + EPS_CMP,)
+    assert audit_trace(trace) == []
+    trace.moves[2].center = (0.75 + 2.0 * EPS_CMP,)
+    assert audit_trace(trace) == ["round 1 bob: containment violated by 2.000e-12"]
 
 
 @settings(max_examples=25, deadline=None)
@@ -417,7 +442,7 @@ def test_certified_count_switches_at_the_digit_threshold(system, p, j):
 def test_verify_contains_falsified():
     base = RealBase(PHI)
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(params, alice_center_hold(), bob_center_hold(), max_rounds=40)
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=40)
     system = RealSystem(base)
     true_digits = base.digits(0.5, 3, on_ambiguous="nudge")
     wrong = 1 - true_digits[2]
@@ -430,7 +455,7 @@ def test_verify_contains_falsified():
 def test_verify_indeterminate_on_fat_ball():
     base = RealBase(PHI)
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(params, alice_center_hold(), bob_center_hold(), max_rounds=2)
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=2)
     system = RealSystem(base)
     res = verify_outcome(trace, system, Claim("contains", (0,), 8), 8)
     assert res.verdict == "indeterminate"
@@ -439,7 +464,7 @@ def test_verify_indeterminate_on_fat_ball():
 def test_verify_avoids_falsified_when_block_present():
     base = RealBase(PHI)
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(params, alice_center_hold(), bob_center_hold(), max_rounds=40)
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=40)
     system = RealSystem(base)
     digs = base.digits(0.5, 4, on_ambiguous="nudge")
     res = verify_outcome(trace, system, Claim("avoids", (digs[0],)), 4)
@@ -464,7 +489,7 @@ def trace_dict(trace):
 
 def test_trace_json_round_trip_fields():
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(params, alice_center_hold(), bob_center_hold(), max_rounds=3)
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=3)
     doc = json.loads(trace.to_json())
     assert doc["params"]["alpha"] == 0.5
     assert doc["status"] == "max-rounds"

@@ -64,21 +64,21 @@ def test_complex_embedding_matches_python_complex():
 
 def test_conjugate_and_inverse():
     q = Quaternion(1.0, -2.0, 3.0, 0.5)
-    assert (q * q.conj()).approx_eq(Quaternion.real(q.norm2()), eps=1e-12)
-    assert (q * q.inverse()).approx_eq(ONE, eps=1e-12)
-    assert (q.inverse() * q).approx_eq(ONE, eps=1e-12)
+    assert abs(q * q.conj() - Quaternion.real(q.norm2())) <= 1e-12
+    assert abs(q * q.inverse() - ONE) <= 1e-12
+    assert abs(q.inverse() * q - ONE) <= 1e-12
 
 
 def test_powi_matches_repeated_multiplication():
     q = Quaternion(0.3, 1.1, -0.4, 0.9)
     acc = ONE
     for n in range(7):
-        assert q.powi(n).approx_eq(acc, eps=1e-9)
+        assert abs(q.powi(n) - acc) <= 1e-9
         acc = acc * q
     inv = q.inverse()
     acc = ONE
     for n in range(5):
-        assert q.powi(-n).approx_eq(acc, eps=1e-9)
+        assert abs(q.powi(-n) - acc) <= 1e-9
         acc = acc * inv
 
 
@@ -87,7 +87,7 @@ def test_powi_addition_law(m, n):
     q = Quaternion(0.2, 0.9, -0.3, 0.1)
     lhs = q.powi(m + n)
     rhs = q.powi(m) * q.powi(n)
-    assert lhs.approx_eq(rhs, eps=1e-7)
+    assert abs(lhs - rhs) <= 1e-7
 
 
 def test_metallic_means():

@@ -38,7 +38,7 @@ def test_quat_system_agrees_with_q_expand():
     box = lipschitz()
     sysm = QuatSystem(q, box)
     p = np.array([0.5, 0.0, 0.5, 0.0])
-    want = q_expand(q, box, Quaternion.from_components(p), 8, on_ambiguous="nudge")
+    want = q_expand(q, box, Quaternion(*map(float, p)), 8, on_ambiguous="nudge")
     assert expand_digits(sysm, p, 8) == want
 
 
@@ -108,7 +108,7 @@ def _ambient(lattice, coords):
 
 def _agrees(lattice, p):
     got = QuatSystem(Quaternion.real(3.0), lattice).contains(p)
-    assert got == lattice.contains(Quaternion.from_components(p)), (lattice.name, p)
+    assert got == lattice.contains(Quaternion(*map(float, p))), (lattice.name, p)
     return got
 
 
@@ -190,3 +190,31 @@ def test_contains_is_the_box_formula_on_every_face():
             for x in near:
                 p = inner[:axis] + [x] + inner[axis + 1:]
                 assert system.contains(p) == _box_says(system, p), (system, axis, x)
+
+
+# -- basis changes: the column-order product ---------------------------------
+
+def _column_order(M, v):
+    """M v in doubles, each row added left to right from +0.0."""
+    out = []
+    for row in M:
+        acc = 0.0
+        for m, x in zip(row, v):
+            acc += m * float(x)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("lattice", (*STOCK_LATTICES, SHEARED), ids=lambda L: L.name)
+def test_basis_changes_are_the_column_order_product(lattice):
+    system = QuatSystem(Quaternion.real(3.0), lattice)
+    for v in ((0.31, -0.62, 0.05, 0.44), (1.0 / 3.0, 0.7, -0.0, 2.5e-7),
+              [1, -2, 3, 0], [0, 0, 0, 7], np.array([0.7, 0.1, -0.45, 2.5]),
+              np.array([-1.1, 1.0 / 7.0, 0.0, 0.9])):
+        for M, got in ((lattice.Binv, system.coords(v)),
+                       (lattice.Binv, lattice.to_coords(Quaternion(*v))),
+                       (lattice.B, system._point(v)),
+                       (lattice.B, lattice.point(v).components)):
+            assert all(type(x) is float for x in got), (lattice.name, v, got)
+            assert [x.hex() for x in got] == [x.hex() for x in _column_order(M, v)], \
+                (lattice.name, v)
