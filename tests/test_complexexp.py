@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beta_arena.complexexp import (ComplexBase, F_roots, F_value, G_region,
+from beta_arena import complexexp
+from beta_arena.complexexp import (QUARTER, CkResult, ComplexBase, F_roots, F_value, G_region,
                                    Vk_squares, check_Ck, classify_digit_set,
                                    discriminant, f_value, fold_angle,
-                                   gamma_constants, snake_order, u_threshold,
-                                   v_threshold)
+                                   gamma_constants, refinement_poly, snake_order,
+                                   u_threshold, v_threshold)
 from beta_arena.numeric import AmbiguousValueError, Quaternion, metallic_mean
 from beta_arena.systems import ComplexSystem
 
@@ -228,6 +229,104 @@ def test_F_roots_bracket_integer_levels():
     assert l_minus < l_plus
     regions = G_region(0.05)
     assert len(regions) == math.ceil(l_plus) - 1
+
+
+# -- the bisection and the refinement polynomial --------------------------------
+
+def bisect_200(below, lo, hi):
+    """Reference: the bisection run for all of its 200 halvings."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def v_threshold_bisections():
+    """(predicate, lo, hi) of each bisection v_threshold runs, N <= 12, k <= 9."""
+    for theta in (-0.3, 0.0, 0.05, 0.3, QUARTER, 2.0):
+        for N in range(1, 13):
+            for k in range(2, 10):
+                f = refinement_poly(N, k, theta)
+                hi = 2.0 * math.sqrt(2.0) * N * k + 2.0
+                while f(hi) <= 0.0:
+                    hi *= 2.0
+                yield (lambda r, f=f: f(r) <= 0.0), 1.0, hi
+
+
+def delta_poly_horner(x):
+    acc = 0.0
+    for c in complexexp._DELTA_POLY:
+        acc = acc * x + c
+    return acc
+
+
+def odd_bits(x):
+    """Not monotone: whether the hex digits of x hold an odd number of 1s."""
+    return x.hex().count("1") % 2 == 1
+
+
+def test_bisect_gives_the_bits_of_200_halvings():
+    cases = list(v_threshold_bisections())
+    cases += [(lambda x: delta_poly_horner(x) > 0.0, 0.0, 0.125),
+              (lambda t: discriminant(t) > 0.0, 1e-9, QUARTER)]
+    for below in (odd_bits, lambda x: math.sin(1e6 * x) > 0.0, lambda x: True, lambda x: False):
+        for lo, hi in ((0.0, 1.0), (1.0, 0.0), (-3.0, 7.5), (-0.0, 0.0), (0.0, -0.0),
+                       (-5e-324, 5e-324), (1e300, 3e300), (-1.0, -0.0)):
+            cases.append((below, lo, hi))
+    for below, lo, hi in cases:
+        assert complexexp._bisect(below, lo, hi).hex() == bisect_200(below, lo, hi).hex()
+
+
+def test_v_threshold_evaluates_its_polynomial_at_most_80_times(monkeypatch):
+    calls = []
+    make = complexexp.refinement_poly
+
+    def counted(N, k, theta):
+        f = make(N, k, theta)
+
+        def g(r):
+            calls.append(r)
+            return f(r)
+        return g
+
+    monkeypatch.setattr(complexexp, "refinement_poly", counted)
+    most = 0
+    for theta in (-0.3, 0.0, 0.05, 0.3, QUARTER, 2.0):
+        for N in range(1, 13):
+            for k in range(1, 10):
+                calls.clear()
+                v_threshold(N, k, theta)
+                most = max(most, len(calls))
+    assert 0 < most <= 80
+
+
+@pytest.mark.parametrize("N, k, bits", [(1, 121, "0x1.a12e0603babd6p+1"),
+                                        (2, 110, "0x1.5cf2c4b037054p+2"),
+                                        (5, 98, "0x1.80c097c21c9cap+3")])
+def test_refinement_beyond_double_precision_is_refused_by_name(N, k, bits):
+    # the bisection starts from the bracket [1, 2 sqrt(2) N k + 2]; one degree
+    # more and r**k overflows at its upper end, whatever the angle
+    assert v_threshold(N, k, 0.1).hex() == bits
+    for theta in (0.1, -2.0, 0.7, 3.0):
+        with pytest.raises(ValueError, match="beyond double precision"):
+            v_threshold(N, k + 1, theta)
+    with pytest.raises(ValueError, match="beyond double precision"):
+        f_value(N, k + 1, 0.1, 2.0 * math.sqrt(2.0) * N * (k + 1) + 2.0)
+
+
+def test_refinement_checks_beyond_double_precision_raise_value_errors():
+    base = ComplexBase(2.9, 0.0)
+    assert base.N == 1
+    assert check_Ck(base, 121) == CkResult(False, False)
+    with pytest.raises(ValueError, match="beyond double precision"):
+        check_Ck(base, 122)
+    # Vk_squares checks the levels in order and stops at the first that
+    # fails, long before a polynomial of degree 122
+    with pytest.raises(ValueError, match="refinement condition fails at level 24"):
+        Vk_squares(ComplexBase(3.0 - 2e-11, 0.0), 122)
 
 
 # -- the square-refinement region ---------------------------------------------
