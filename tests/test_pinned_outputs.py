@@ -513,3 +513,66 @@ TRACE_ROWS = [pytest.param(preset, bob, seed, digest, id=f"{preset}-{bob}-{seed}
 def test_trace_bytes(preset, bob, seed, digest):
     trace, _ = run_setup(build_preset(preset, bob=bob), seed=seed)
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
+
+
+# (preset, alpha, bob) -> sha256 of GameTrace.to_json() at seeds 0-3 above the
+# preset's bound.  Bob's drift meets the domain's face and is clipped there in
+# 3 of nine-halves' 52 rounds at alpha 0.78 and in all but its first round at
+# 0.84 and beyond; at these alphas silver and componentwise play their drift
+# unclipped, through the same box test.
+CLIPPED_PINS = {
+    ("cwinning-nine-halves", 0.78, "optimal-drift"): [
+        "b7fe3a0ee5d015a79dd2177b50c0357c8037325dd421eeaf17c737f4f9860eb6",
+        "a8ebcfb58ec1a3c97714eca96b516f040c21fce8c4577ebd9dcb8174b6e0af91",
+        "2eb090f362ecabefc324cbf2299bc572eb16d58136b89e87304452ff3d0221dd",
+        "2a5981fe2d174afe5f8bb069e814ab6e60938d35b8cda69802a8388e17a9a4a9",
+    ],
+    ("cwinning-nine-halves", 0.84, "optimal-drift"): [
+        "ebae49704645f66369b0b1f8b7223908b448892e8dd5a0502c0f65653c1e6616",
+        "2bb994a719d0df316b73cd231ecbace3aa6f58ead5e732de03281e8915a3549d",
+        "3b59cf89f8dc643a6189b9892aa03642502bedbbdf0fbdd53c7838aceb68c212",
+        "f2bdf034c475a4ee4ad9fcb18d2e1aef7e8744e917066322299ef61b13b1b0cc",
+    ],
+    ("cwinning-nine-halves", 0.9, "optimal-drift"): [
+        "a0ec210b884433472cd9a85813cf44d7163ad95f777a26e0962132d15a11e3ec",
+        "3c61e0b3a01fa8083f0d03fe4a909454ff65c9a6c9f52dc53cf6482d4fc1572c",
+        "093a0e39654df037e0441694cebd4e343cd7598b2be3b9916aacd93078bec0ee",
+        "49aeb339d0237591b697a6f50c9ab3836034a0ad1748ac5d45a2f7c7eb96efe9",
+    ],
+    ("cwinning-nine-halves", 0.94, "optimal-drift"): [
+        "0f5c27283b1187dc1e1c0af43780123dbd5d7dceda4629cd703e40c66962ace8",
+        "7b2d704dcf92678c3c54a052b96487cc9c4668a7252b677cc8c52a5844730b63",
+        "5066ee4f0d017cacf74f59ba1cb34b02ebcdaa41cdf852a76fad40d6af0b2f91",
+        "8afdaa3ee5f0b2a509c8721b5628b4aa433da445a73d0b631634a746ad819a4f",
+    ],
+    ("dwinning-silver", 0.475, "optimal-drift"): [
+        "fba01440a00ce50316ef4ab51b082d1efe2ebd89ad584a40efc899589888c7b7",
+        "c40cdfeeebaf37053b58d0a6cd8dede244a3e29c5d8f8b59fa546b631500565b",
+        "74e731035cb3ec9fe762dddf325d42c1d1eaadbabd15021f3b098928d6dc5d0b",
+        "ad1875f9a15e54c446b3b18d34c72d99179d5b854576fb2cd2a051ec831b4489",
+    ],
+    ("dwinning-silver", 0.6, "optimal-drift"): [
+        "10012a74e807b049f9d822e0ac07294e15e20eeb6d89b6444d5f33cb30d606b7",
+        "035fa098b0ed25461c8bdd6b61453451d660c0bc8cbfa97e852a761364196c66",
+        "7faacb42471c3de6633f7291fe8eda8943020cc83b8885495a05ce1e79455697",
+        "61b3093c3edff33ab377f81703dfa9c6aff865834d61d15d1cb1a91e50819a7b",
+    ],
+    ("qwinning-componentwise", 0.2, "optimal-drift"): [
+        "a5c090b9461c4c4808567bebf75a17aede8b10913a07b310e729a248e1466188",
+        "fdad4688c6915823f2d63bbc91357b5bc4a151d63e2a6ff120c1430c3b953da4",
+        "19a587ea3c590035f8d3430663381b5c216059853de288d28952c9236ce44b5b",
+        "ac1e897085e97d871585982beaff41428092a51d08b8e5b689f0d5eb0773460c",
+    ],
+}
+
+
+CLIPPED_ROWS = [pytest.param(preset, alpha, bob, seed, digest,
+                             id=f"{preset}-{alpha}-{bob}-{seed}")
+                for (preset, alpha, bob), digests in CLIPPED_PINS.items()
+                for seed, digest in enumerate(digests)]
+
+
+@pytest.mark.parametrize("preset, alpha, bob, seed, digest", CLIPPED_ROWS)
+def test_clipped_trace_bytes(preset, alpha, bob, seed, digest):
+    trace, _ = run_setup(build_preset(preset, alpha=alpha, bob=bob), seed=seed)
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
