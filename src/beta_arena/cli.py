@@ -227,7 +227,16 @@ def _game_json(setup, trace, result, violations: list[str]) -> str:
             + ',\n  "verdict_reason": ' + _json_str(result.reason) + "\n}")
 
 
+def _refuse_negative(args, *names: str) -> None:
+    """Refuse a count below 0 by its option name, before any game is built."""
+    for name in names:
+        n = getattr(args, name)
+        if n is not None and n < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 0, got {n}")
+
+
 def cmd_game(args) -> int:
+    _refuse_negative(args, "max_rounds")
     overrides = {"alpha": args.alpha, "beta": args.beta, "rho": args.rho, "bob": args.bob}
     setup, trace, result = _run_game(args.preset, overrides, args.seed, args.max_rounds)
     violations = audit_trace(trace)
@@ -239,6 +248,7 @@ def cmd_game(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    _refuse_negative(args, "seeds", "max_rounds")
     alphas = parse_grid(args.alpha)
     lines = ["alpha,beta,seed,rounds,status,verdict"]
     for alpha in alphas:

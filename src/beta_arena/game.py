@@ -26,6 +26,7 @@ quaternion avoidance play's matrix powers.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
@@ -303,7 +304,23 @@ def _play_move(state: GameState, player: str, strategy: Strategy, round_no: int,
 def _escape(outer: Move, center: Sequence[float], radius: float) -> float | None:
     """The nesting rule of play and audit_trace: how far the ball
     B(center, radius) reaches out of outer's ball, |c - c'| + r - R, or None
-    when that is at most EPS_CMP."""
+    when that is at most EPS_CMP.
+
+    |c - c'| is _norm's, but a float filter answers most moves first.  With
+    u = 2^-53 and S = q + |r| + |R|, math.hypot's q errs by under an ulp,
+    2u q (Python 3.10 on), and _norm's length by at most 3u of it (Higham,
+    ch. 3), as its sum of squares cannot overflow while q < 2^500; each
+    gap's two roundings add 2u S, so the two gaps differ by at most 9u S,
+    plus 2^-535 where that sum underflows.  A filtered gap below EPS_CMP by
+    16u S + 2^-500 thus has an exact gap of at most EPS_CMP, for any
+    EPS_CMP >= 0 (every exact gap is when S < EPS_CMP / 2).  Every other
+    case, NaN and inf too, takes the exact path, so each decision and each
+    reported gap keeps its bits.
+    """
+    q = math.hypot(*map(operator.sub, center, outer.center))
+    bound = 2.0 ** -49 * (q + abs(radius) + abs(outer.radius)) + 2.0 ** -500
+    if q < _HUGE and q + radius - outer.radius < EPS_CMP - bound:
+        return None
     gap = _distance(center, outer.center) + radius - outer.radius
     return gap if gap > EPS_CMP else None
 

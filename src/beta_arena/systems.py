@@ -8,8 +8,9 @@ Each adapter's `box` describes its domain axis by axis where it can: one
 (scale, lower) pair per ambient coordinate, with contains(p) exactly when
 lower <= scale * p[i] < lower + 1 for every i, or None when the domain is
 not a box along the ambient axes (a sheared lattice).  max_step_inside,
-which clips a drift at the domain's edge, reads the box to probe only the
-coordinates a ray moves, so it lives here beside the contains it agrees with.
+which clips a drift at the domain's edge, reads the box to find where a ray
+crosses it, one exact crossing per moving coordinate with the bits of 60
+halvings on contains, so it lives here beside the contains it agrees with.
 The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
@@ -22,6 +23,7 @@ expansion module, as each adapter takes its base ready-built.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 from .numeric import nudge_mode
@@ -122,50 +124,97 @@ class QuatSystem:
 def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
                     step: float) -> float:
     """Largest t <= step with start + t * direction still in the system's
-    domain, by 60 halvings of [0, step] on its membership test; step itself
-    when system is None.
+    domain, as 60 halvings of [0, step] on its membership test find it; step
+    itself when system is None.
 
-    With a box, a probe evaluates only the coordinates the direction moves,
-    as scale * (a + mid * b) against the box's bounds, and gets contains'
-    answer.  RealSystem and ComplexSystem compare p[i] itself, and their
-    scale 1.0 gives 1.0 * x == x.  QuatSystem compares coordinate i of
-    Binv_times(p) in LatticeDomain.box_contains; with a diagonal Binv
-    that is +0.0 + Binv[i][i] * x plus off-diagonal products that are signed
-    zeros, none of which changes a comparison, and a coordinate that
-    overflows fails on both paths (in Binv_times it stays infinite, and its
-    products with zeros make the other coordinates NaN).  A fixed coordinate
-    (b == 0) is checked once at t = step: a + t * b compares as a for every
-    finite t, and t is finite in every probe exactly when step is.  tests/test_systems.py holds each
-    adapter's contains to the box formula.
+    With a box, membership along the ray is lower <= scale * (a + t * b) <
+    upper on every moving coordinate, contains' answer: RealSystem and
+    ComplexSystem compare p[i], and 1.0 * x == x; QuatSystem compares
+    coordinate i of Binv_times(p), which with a diagonal Binv is +0.0 +
+    Binv[i][i] * x plus signed zeros that change no comparison (an overflow
+    fails on both paths).  A fixed coordinate (b == 0) is checked once at
+    t = step: a + t * b compares as a for every finite t, and t is finite
+    in every probe exactly when step is.  Each test is
+    monotone in t, as every rounding is, so from a start inside the ray is
+    inside exactly for t <= U, U the least of the axes' crossings (_exit);
+    a U inside with nextafter(U, inf) outside is that U, and the halvings
+    are replayed on it (_halvings).  Otherwise (a start outside, a step not
+    above 0, a crossing missed) they probe the box, and without a box
+    contains.  tests/test_systems.py holds each adapter's contains to the
+    box formula.
     """
     if system is None:
         return step
     pairs = list(zip(map(float, start), map(float, direction)))
     if system.contains([a + step * b for a, b in pairs]):
         return step
-    lo, hi = 0.0, step
     if system.box is None:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if system.contains([a + mid * b for a, b in pairs]):
-                lo = mid
-            else:
-                hi = mid
-        return lo * (1.0 - 1e-9)
+        return _halvings(lambda t: system.contains([a + t * b for a, b in pairs]), step)
     moving = []
     for (a, b), (scale, lower) in zip(pairs, system.box):
         if b:
             moving.append((a, b, scale, lower, lower + 1.0))
         elif not lower <= scale * (a + step * b) < lower + 1.0:
             return 0.0  # every probe fails
+
+    def inside(t):
+        for a, b, scale, lower, upper in moving:
+            if not lower <= scale * (a + t * b) < upper:
+                return False
+        return True
+
+    if step > 0.0 and inside(0.0):
+        t = min(_exit(*axis) for axis in moving)
+        for _ in range(2):  # t is U, or a float next to it: step onto U
+            up = math.nextafter(t, math.inf)
+            if not inside(t):
+                t = math.nextafter(t, -math.inf)
+            elif inside(up):
+                t = up
+            else:
+                return t * (1.0 - 1e-9) if t >= step / 32.0 else _halvings(t.__ge__, step)
+    return _halvings(inside, step)
+
+
+def _exit(a: float, b: float, scale: float, lower: float, upper: float) -> float:
+    """The largest t with lower <= scale * (a + t * b) < upper from a start
+    a inside, or a float next to it: t = y / b, y the largest float with a + y
+    rounding to at most z, the last value of a + t * b the axis admits.  That
+    is z + h - a, h half the gap above z, rounded by fsum, or the float below
+    as the sum a + y decides.  (Walking t by nextafter from (z - a) / b
+    would not do: a + t * b keeps one value for about ulp(a) / |b| of t.)
+    """
+    if b < 0.0:  # mirrored: every product and sum only changes sign
+        a, b, scale = -a, -b, -scale
+    z = (upper if scale > 0.0 else lower) / scale
+    if not lower <= scale * z < upper:
+        z = math.nextafter(z, -math.inf)
+    elif lower <= scale * math.nextafter(z, math.inf) < upper:
+        z = math.nextafter(z, math.inf)
+    y = math.fsum((z, (math.nextafter(z, math.inf) - z) / 2.0, -a))
+    if a + y > z:
+        y = math.nextafter(y, -math.inf)
+    return y / b
+
+
+def _halvings(inside, step: float) -> float:
+    """lo after 60 halvings of [0, step] on the test inside, times 1 - 1e-9.
+
+    When exactly the t' <= t pass, t < step, lo is t itself from t >= step / 32
+    up, which max_step_inside returns without halving.  A halving leaves
+    (lo, hi) unchanged exactly when they are adjacent floats, lo = t, and
+    for t in [step / 2^c, step / 2^(c-1)) that takes at most 53 + c halvings:
+    c to bracket t within a binade, then each takes a width of w ulps to at
+    most ceil(w / 2).  Below step / 32 that fixed point comes at halving 57
+    or later, so a replay runs all 60 rather than test for it.
+    """
+    lo, hi = 0.0, step
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        for a, b, scale, lower, upper in moving:
-            if not lower <= scale * (a + mid * b) < upper:
-                hi = mid
-                break
-        else:
+        if inside(mid):
             lo = mid
+        else:
+            hi = mid
     return lo * (1.0 - 1e-9)
 
 

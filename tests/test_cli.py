@@ -302,6 +302,8 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
     ("admissible", "--real", "1e18", "--n", "3"),
     ("admissible", "--real", "1e7", "--n", "3"),
     ("admissible", "--real", "1e12", "--n", "3"),
+    ("game", "--preset", "dwinning-golden", "--max-rounds", "-3"),
+    ("scan", "--preset", "dwinning-golden", "--alpha", "0.5:0.5:0.1", "--seeds", "-1"),
 ], ids=["x-outside-domain", "base-not-above-1", "negative-length",
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
         "no-system", "two-systems", "real-negative-n", "complex-negative-n",
@@ -309,7 +311,8 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
         "curve-A-without-b", "grid-not-finite", "grid-too-fine", "override-rho-on-symmetric",
         "override-bob-on-losing", "game-without-preset", "alpha-zero",
         "game-out-unwritable", "scan-out-unwritable", "alphabet-past-index-range",
-        "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap"])
+        "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap",
+        "game-negative-max-rounds", "scan-negative-seeds"])
 def test_invalid_input_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
@@ -325,6 +328,20 @@ def test_invalid_input_exits_3(capsys, argv):
 def test_non_finite_angle_is_named(capsys, argv, angle):
     # every angle passes through complexexp.fold_angle, which refuses it by name
     assert run_cli(capsys, *argv) == (3, "", f"error: angle must be finite, got {angle}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("game", "--preset", "dwinning-golden", "--max-rounds", "-3"),
+     "--max-rounds must be at least 0, got -3"),
+    (("scan", "--preset", "dwinning-golden", "--alpha", "0.5:0.5:0.1", "--seeds", "-1"),
+     "--seeds must be at least 0, got -1"),
+    (("scan", "--preset", "dwinning-golden", "--alpha", "0.5:0.5:0.1", "--max-rounds", "-1"),
+     "--max-rounds must be at least 0, got -1"),
+], ids=["game-max-rounds", "scan-seeds", "scan-max-rounds"])
+def test_negative_count_is_named(capsys, monkeypatch, argv, message):
+    # refused before any game is built, not played as zero rounds or rows
+    monkeypatch.setattr(cli, "build_preset", None)
+    assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
 def test_usage_error_names_the_problem(capsys):

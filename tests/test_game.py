@@ -4,12 +4,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from beta_arena import systems as systems_module
 from beta_arena.complexexp import ComplexBase
 from beta_arena.game import (RADIUS_FLOOR, A_threshold, Claim, F_threshold, GameParams,
                              GameTrace, IllegalMoveError, Move, StrategyError,
-                             _norm, alice_quaternion_componentwise, alice_random,
+                             _escape, _norm, alice_quaternion_componentwise, alice_random,
                              alice_real_winning, audit_trace,
                              bob_avoid_block, bob_center_hold,
                              bob_optimal_drift, bob_random, certified_digits,
@@ -19,7 +20,8 @@ from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, metallic_mean
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
 from beta_arena.realexp import RealBase
-from beta_arena.systems import ComplexSystem, QuatSystem, RealSystem, max_step_inside
+from beta_arena.systems import (ComplexSystem, QuatSystem, RealSystem, _exit, _halvings,
+                                max_step_inside)
 
 PHI = metallic_mean(1)
 
@@ -148,6 +150,62 @@ def test_audit_catches_doctored_center():
     assert audit_trace(trace) == []
     trace.moves[2].center = (0.75 + 2.0 * EPS_CMP,)
     assert audit_trace(trace) == ["round 1 bob: containment violated by 2.000e-12"]
+
+
+def _unfiltered_escape(outer, center, radius):
+    """_escape's exact expression alone, without its float filter."""
+    gap = _norm([x - y for x, y in zip(center, outer.center)]) + radius - outer.radius
+    return gap if gap > EPS_CMP else None
+
+
+def _same_escape(outer, center, radius):
+    got, want = _escape(outer, center, radius), _unfiltered_escape(outer, center, radius)
+    return (got is None and want is None) or (
+        got is not None and want is not None and got.hex() == want.hex())
+
+
+# offsets of the inner center: O(1), tiny, subnormal, or one that takes the
+# center difference past the largest float
+_OFFSET = (st.floats(-1.0, 1.0) | st.floats(-1e-6, 1e-6)
+           | st.integers(-64, 64).map(lambda k: k * 5e-324) | st.sampled_from([-1.7e308, 1.7e308]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from((1, 2, 4)).flatmap(lambda dim: st.tuples(
+           st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e308]), min_size=dim, max_size=dim),
+           st.lists(_OFFSET, min_size=dim, max_size=dim))),
+       st.floats(1e-13, 10.0) | st.sampled_from([1e-300, 1e300]),
+       st.integers(-64, 64))
+def test_escape_matches_unfiltered_formula(centers, R, k):
+    # r puts the exact gap k steps of ulp(max(R, |c - c'|)) from EPS_CMP,
+    # across the filter's margin of 16u (q + r + R) and onto EPS_CMP itself
+    outer_center, offsets = centers
+    center = tuple(o + e for o, e in zip(outer_center, offsets))
+    n = _norm([x - y for x, y in zip(center, outer_center)])
+    outer = Move("alice", 1, tuple(outer_center), R)
+    if not math.isfinite(n):
+        assert _same_escape(outer, center, R / 2.0)
+        return
+    r = R - n + EPS_CMP + k * math.ulp(max(R, n))
+    assert _same_escape(outer, center, r)
+    for j in (-2, -1, 1, 2):  # a few ulps of r around it
+        assert _same_escape(outer, center, r + j * math.ulp(r))
+
+
+@pytest.mark.parametrize("outer_center, center, R, r", [
+    ((0.0,), (5e-324 * 7,), 1e-300, 1e-300),           # subnormal difference, 1-D
+    ((0.0, 0.0), (5e-324, -5e-324 * 3), 1e-310, 5e-311),  # subnormal, 2-D
+    ((0.0,) * 4, (5e-324,) * 4, EPS_CMP, 2.0 * EPS_CMP),  # a gap of EPS_CMP + 1e-323, 4-D
+    ((1.7e308, 0.0), (-1.7e308, 0.0), 1.0, 0.5),     # the difference overflows
+    ((1e154, 1e154), (-1e154, -1e154), 1e300, 1e300),  # its squares overflow
+    ((0.0, 0.0), (1e155, 0.0), 1e160, 1.0),         # its squares overflow in _norm alone
+    ((0.0, -1.0), (0.28522356151969575, -1.2852235615196959), 0.00390625,
+     -0.3994607790085106),                           # a negative radius counts by its size
+    ((0.5,), (math.nan,), 1.0, 0.5),                 # NaN passes to the exact path
+    ((0.5, 0.5), (0.5, 0.5), math.inf, 0.5),
+])
+def test_escape_edge_cases_match_unfiltered_formula(outer_center, center, R, r):
+    assert _same_escape(Move("alice", 1, outer_center, R), center, r)
 
 
 @settings(max_examples=25, deadline=None)
@@ -618,29 +676,144 @@ class _CountingSystem:
         return self.system.contains(p)
 
 
-# lattice coordinates of the start: mostly inside the box, some outside it
-START = st.lists(st.floats(0.0, 0.999) | st.floats(-0.5, 1.5), min_size=4, max_size=4)
-# directions: e_1 (Bob's default), random, or with signed-zero components
+# lattice coordinates of the start: mostly inside the box, some outside it,
+# some on a face (0.0 is the lower face, 1.0 the last float below the upper)
+START = st.lists(st.floats(0.0, 0.999) | st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0]),
+                 min_size=4, max_size=4)
+_SPEED = st.tuples(st.booleans(), st.floats(1e-3, 3.0)).map(lambda t: -t[1] if t[0] else t[1])
+# directions: e_1 (Bob's default), random, with signed-zero components, or
+# with speeds |b| from 1e-3 to 3 of either sign
 DIRECTION = (st.just([1.0, 0.0, 0.0, 0.0])
              | st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
              | st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]) | st.floats(-1.0, 1.0),
-                        min_size=4, max_size=4))
-STEP = st.floats(RADIUS_FLOOR, 3.0) | st.sampled_from([RADIUS_FLOOR, 1e-10, 1e-6])
+                        min_size=4, max_size=4)
+             | st.lists(_SPEED | st.sampled_from([0.0, -0.0]), min_size=4, max_size=4))
+STEP = (st.floats(RADIUS_FLOOR, 3.0)
+        | st.sampled_from([RADIUS_FLOOR, 1e-10, 1e-6, 3.0, math.inf, math.nan]))
+
+
+def _start(system, u):
+    """The start _inside_point gives, with each coordinate whose u is 1.0
+    moved down to the last float its box axis admits."""
+    start = _inside_point(system, u)
+    for i, (scale, lower) in enumerate(system.box or ()):
+        while u[i] == 1.0 and not lower <= scale * start[i] < lower + 1.0:
+            start[i] = math.nextafter(start[i], -math.inf)
+    return start
 
 
 def test_step_systems_cover_box_and_fallback():
     assert STEP_SYSTEMS[-1].box is None
     assert all(s.box is not None for s in STEP_SYSTEMS[:-1])
+    assert STEP_SYSTEMS[3].box[1] == (1.0 / 6.0, -0.25)  # zeta's scale
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.sampled_from(STEP_SYSTEMS), START, DIRECTION, STEP)
 def test_max_step_inside_matches_array_bisection(system, u, d, step):
-    start = _inside_point(system, u)
+    start = _start(system, u)
     direction = np.array(d[:system.dim])
-    want = _array_max_step_inside(system, start, direction, step)
-    counted = _CountingSystem(system)
-    assert max_step_inside(counted, start, direction, step).hex() == want.hex()
-    if system.box is not None:  # only the full step asks contains
-        assert counted.calls == 1
-    assert max_step_inside(None, start, direction, step) == step
+    # from the start, then from the exit Bob's drift moves to, which sits on
+    # or next to a face when the first step is clipped
+    for _ in range(2):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _array_max_step_inside(system, start, direction, step)
+        counted = _CountingSystem(system)
+        got = max_step_inside(counted, start, direction, step)
+        assert got.hex() == want.hex()
+        if system.box is not None:  # only the full step asks contains
+            assert counted.calls == 1
+        start = start + got * direction
+    assert max_step_inside(None, start, direction, step) is step
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(STEP_SYSTEMS[:-1]),
+       st.lists(st.floats(0.001, 0.999) | st.just(1.0), min_size=4, max_size=4),
+       DIRECTION, st.floats(RADIUS_FLOOR, 3.0))
+def test_max_step_inside_finds_the_crossing_without_probing(system, u, d, step):
+    # from a start inside, or on an upper face, the axes' crossings give the
+    # exit at once or one float away: the halvings, when they run, replay it
+    # (their test is t.__ge__) and never probe the box
+    start = _start(system, u)
+    tests = []
+
+    def halvings(inside, step):
+        tests.append(inside)
+        return _halvings(inside, step)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems_module, "_halvings", halvings)
+        max_step_inside(system, start, d[:system.dim], step)
+    assert all(isinstance(getattr(f, "__self__", None), float) for f in tests)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(sorted({axis for s in STEP_SYSTEMS[:-1] for axis in s.box})),
+       st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([1.0, -1.0]))
+def test_exit_is_the_crossing_at_unit_speed(axis, u, b):
+    # Bob's drift moves along a unit vector; at |b| = 1 the crossing _exit
+    # computes is the largest t that stays inside, with no step onto it
+    scale, lower = axis
+    a = (lower + u) / scale
+    assume(lower <= scale * a < lower + 1.0)
+    t = _exit(a, b, scale, lower, lower + 1.0)
+    assert lower <= scale * (a + t * b) < lower + 1.0
+    t_up = math.nextafter(t, math.inf)
+    assert not lower <= scale * (a + t_up * b) < lower + 1.0
+
+
+def _sixty_halvings(t, step):
+    """lo after 60 halvings of [0, step] that pass exactly the probes <= t."""
+    lo, hi = 0.0, step
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid <= t:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+HALVING_STEPS = (RADIUS_FLOOR, 1e-10, 1e-6, 0.1, 1.0, 3.0, 2.0 ** -30,
+                 math.nextafter(1.0, 0.0), math.nextafter(2.0, 3.0), 1e-300, 1e300)
+
+
+@pytest.mark.parametrize("step", HALVING_STEPS)
+def test_halvings_end_on_the_crossing_from_step_over_32(step):
+    # max_step_inside returns t (1 - 1e-9) itself for t >= step / 32 and
+    # replays the halvings below it; these are its edge, the floats around
+    # it, the float below step and the powers of two under step
+    edge = step / 32.0
+    ts = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, step),
+          math.nextafter(step, 0.0), math.nextafter(edge / 8.0, 0.0)]
+    ts += [math.ldexp(1.0, e) for e in range(math.frexp(step)[1] - 70, math.frexp(step)[1])
+           if math.ldexp(1.0, e) < step]
+    for t in ts:
+        want = _sixty_halvings(t, step)
+        assert _halvings(t.__ge__, step) == want * (1.0 - 1e-9)
+        if t >= edge:
+            assert want == t
+    # below step / 2^7 the 60 halvings can stop short of t, so it is replayed
+    assert any(_sixty_halvings(t, step) != t for t in
+               (step / 300.0, step / 1000.0, step / 5000.0, step / 1e6))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(1e-300, 1e300), st.floats(1.0 / 32.0, 1.0, exclude_max=True))
+def test_halvings_reach_any_crossing_from_step_over_32(step, fraction):
+    t = step * fraction
+    assume(step / 32.0 <= t < step)
+    assert _sixty_halvings(t, step) == t
+
+
+@pytest.mark.parametrize("step", (1.0, 3.0, 0.1, 1e-6))
+@pytest.mark.parametrize("k", (31, 32, 33, 100, 300, 1000, 5000, 10 ** 6))
+def test_max_step_inside_replays_far_from_the_face(step, k):
+    # a start step / k below the face: the crossing is about step / k, on
+    # the shortcut for k < 32 and replayed above, where for k >= 300 the 60
+    # halvings end below the crossing
+    system = STEP_SYSTEMS[0]
+    start = np.array([1.0 - step / k])
+    want = _array_max_step_inside(system, start, np.array([1.0]), step)
+    assert max_step_inside(system, start, [1.0], step).hex() == want.hex()
