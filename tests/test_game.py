@@ -159,9 +159,9 @@ def _unfiltered_escape(outer, center, radius):
 
 
 def _same_escape(outer, center, radius):
-    got, want = _escape(outer, center, radius), _unfiltered_escape(outer, center, radius)
-    return (got is None and want is None) or (
-        got is not None and want is not None and got.hex() == want.hex())
+    answers = (_escape(outer, center, radius), _unfiltered_escape(outer, center, radius))
+    got, want = (None if a is None else a.hex() for a in answers)
+    return got == want
 
 
 # offsets of the inner center: O(1), tiny, subnormal, or one that takes the
@@ -178,7 +178,7 @@ _OFFSET = (st.floats(-1.0, 1.0) | st.floats(-1e-6, 1e-6)
        st.integers(-64, 64))
 def test_escape_matches_unfiltered_formula(centers, R, k):
     # r puts the exact gap k steps of ulp(max(R, |c - c'|)) from EPS_CMP,
-    # across the filter's margin of 16u (q + r + R) and onto EPS_CMP itself
+    # across the filter's margin of 16u (q + |r| + |R|) and onto EPS_CMP itself
     outer_center, offsets = centers
     center = tuple(o + e for o, e in zip(outer_center, offsets))
     n = _norm([x - y for x, y in zip(center, outer_center)])
