@@ -12,18 +12,18 @@ __version__ = "0.1.0"
 # submodule -> the names it exports here
 _EXPORTS = {
     "numeric": "AmbiguousValueError Quaternion metallic_mean safe_floor tol_floor",
-    "realexp": "CylinderInterval RealBase",
-    "complexexp": "ComplexBase",
+    "realexp": "A_threshold CylinderInterval RealBase find_nk_real winning_gap",
+    "complexexp": "ComplexBase F_threshold find_n_complex",
     "quatexp": "COmegaResult DomainConstants LatticeDomain LosingParameters avoid_constant "
                "C_Omega domain_constants hurwitz_box isoclinic_matrix lipschitz losing_parameters "
                "q_expand rot_balanced_rho rot_constants symmetric_constants symmetric_domain "
                "zeta_lattice",
     "systems": "ComplexSystem QuatSystem RealSystem expand_digits",
-    "game": "A_threshold Claim F_threshold GameParams GameTrace IllegalMoveError Move "
-            "StrategyError VerifyResult alice_complex_winning "
-            "alice_quaternion_componentwise alice_random alice_real_winning audit_trace "
-            "bob_avoid_block bob_center_hold bob_optimal_drift bob_random certified_digits "
-            "find_n_complex find_nk_real play verify_outcome winning_gap",
+    "game": "Claim GameParams GameTrace IllegalMoveError Move StrategyError VerifyResult "
+            "audit_trace certified_digits game_json play verify_outcome",
+    "strategies": "alice_complex_winning alice_quaternion_componentwise alice_random "
+                  "alice_real_winning bob_avoid_block bob_center_hold bob_optimal_drift "
+                  "bob_random",
     "presets": "GameSetup PRESETS build_preset run_setup",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

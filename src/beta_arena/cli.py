@@ -30,10 +30,9 @@ import json
 import math
 import sys
 
-from .game import (IllegalMoveError, StrategyError, audit_trace, A_threshold, F_threshold,
-                   _json_list, _json_number, _json_str)
+from .game import IllegalMoveError, StrategyError, audit_trace, game_json
 from .numeric import AmbiguousValueError, Quaternion, metallic_mean
-from .realexp import RealBase
+from .realexp import A_threshold, RealBase, _zero_run_bound
 from .presets import BOBS, PRESETS, build_preset, run_setup
 from .systems import ComplexSystem, QuatSystem, RealSystem, expand_digits
 
@@ -47,9 +46,13 @@ def parse_base(text: str) -> float:
     named = {"golden": metallic_mean(1), "silver": metallic_mean(2)}
     if text in named:
         return named[text]
-    if text.startswith("metallic:"):
-        return metallic_mean(int(text.split(":", 1)[1]))
-    return float(text)
+    try:
+        if text.startswith("metallic:"):
+            return metallic_mean(int(text.split(":", 1)[1]))
+        return float(text)
+    except ValueError:
+        raise ValueError("--real and --b take a number, golden, silver or metallic:J "
+                         f"for an integer J >= 1, got {text!r}") from None
 
 
 def parse_lattice(text: str):
@@ -60,11 +63,14 @@ def parse_lattice(text: str):
         return lipschitz(centered=True)
     if text == "hurwitz-box":
         return hurwitz_box()
-    if text.startswith("symmetric"):
-        eps = float(text.split(":", 1)[1]) if ":" in text else 0.25
-        return symmetric_domain(eps)
-    if text.startswith("zeta"):
-        eps = float(text.split(":", 1)[1]) if ":" in text else 0.25
+    name, colon, eps = text.partition(":")
+    if name in ("symmetric", "zeta"):
+        try:
+            eps = float(eps) if colon else 0.25
+        except ValueError:
+            raise ValueError(f"--lattice {name}:EPS needs a number EPS, got {text!r}") from None
+        if name == "symmetric":
+            return symmetric_domain(eps)
         return zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0),
                             Quaternion(0.0, 0.0, 1.0, 0.0), eps)
     raise ValueError(f"unknown lattice {text!r}")
@@ -75,7 +81,10 @@ MAX_GRID_POINTS = 10 ** 6
 
 def parse_grid(text: str) -> list[float]:
     """start:stop:step inclusive of stop up to float slack."""
-    start, stop, step = (float(p) for p in text.split(":"))
+    try:
+        start, stop, step = map(float, text.split(":"))
+    except ValueError:
+        raise ValueError(f"--alpha takes start:stop:step, three numbers, got {text!r}") from None
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
@@ -166,11 +175,12 @@ def cmd_regions(args) -> int:
         if args.b is None:
             raise ValueError("--curve A needs --b")
         b = parse_base(args.b)
-        base = RealBase(b)
+        K = _zero_run_bound(RealBase(b))
         header = "alpha,beta_threshold"
         for alpha in parse_grid(args.alpha):
-            rows.append((alpha, A_threshold(b, base.K_b, alpha)))
+            rows.append((alpha, A_threshold(b, K, alpha)))
     elif args.curve == "F":
+        from .complexexp import F_threshold
         header = "alpha,beta_threshold"
         for alpha in parse_grid(args.alpha):
             rows.append((alpha, F_threshold(args.r, alpha)))
@@ -210,23 +220,6 @@ def _run_game(preset: str, overrides: dict, seed: int, max_rounds: int | None):
     return setup, trace, result
 
 
-def _game_json(setup, trace, result, violations: list[str]) -> str:
-    """The game document as json.dumps(sort_keys=True, indent=2) writes it, byte
-    for byte, with GameTrace.to_json spliced in one level down."""
-    block = [_json_list(list(map(_json_number, d)), "      ") if isinstance(d, tuple)
-             else _json_number(d) for d in setup.claim.block]
-    return ('{\n  "audit_violations": ' + _json_list(list(map(_json_str, violations)), "  ")
-            + ',\n  "certified_digits": ' + _json_number(result.certified)
-            + ',\n  "claim": {\n    "block": ' + _json_list(block, "    ")
-            + ',\n    "kind": ' + _json_str(setup.claim.kind)
-            + ',\n    "position": ' + _json_number(setup.claim.position)
-            + '\n  },\n  "preset": ' + _json_str(setup.name)
-            + ',\n  "setup_notes": ' + _json_list(list(map(_json_str, setup.notes)), "  ")
-            + ',\n  "trace": ' + trace.to_json()[:-1].replace("\n", "\n  ")
-            + ',\n  "verdict": ' + _json_str(result.verdict)
-            + ',\n  "verdict_reason": ' + _json_str(result.reason) + "\n}")
-
-
 def _refuse_negative(args, *names: str) -> None:
     """Refuse a count below 0 by its option name, before any game is built."""
     for name in names:
@@ -240,7 +233,7 @@ def cmd_game(args) -> int:
     overrides = {"alpha": args.alpha, "beta": args.beta, "rho": args.rho, "bob": args.bob}
     setup, trace, result = _run_game(args.preset, overrides, args.seed, args.max_rounds)
     violations = audit_trace(trace)
-    _write(_game_json(setup, trace, result, violations), args.out)
+    _write(game_json(setup, trace, result, violations), args.out)
     print(f"verdict: {result.verdict} ({result.reason})", file=sys.stderr)
     if violations:
         return 4

@@ -7,6 +7,7 @@ r <= (2N+1)/(cos t + sin t), with the angle folded into [0, pi/4] by the
 quarter-turn symmetry of the lattice.  The k-th refinement of the domain
 tiles into rotated squares when the polynomial f below stays positive, and
 everything here reduces to evaluating, inverting, or bounding that family.
+The complex winning threshold and hold length close the module.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import NamedTuple
 
 from .numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel, FrozenRecord,
                       Quaternion, nudge_mode)
+from .realexp import winning_gap
 
 QUARTER = math.pi / 4.0
 GaussInt = tuple[int, int]
@@ -159,11 +161,6 @@ def refinement_poly(N: int, k: int, theta: float):
             raise ValueError(f"r**{k} at r = {r!r} is beyond double precision") from None
         return acc - tail
     return f
-
-
-def f_value(N: int, k: int, theta: float, r: float) -> float:
-    """The refinement polynomial of refinement_poly(N, k, theta) at r."""
-    return refinement_poly(N, k, theta)(r)
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -351,3 +348,42 @@ def Vk_squares(base: ComplexBase, k: int) -> list[Quaternion]:
     if any(abs(a + ca) > lim or abs(b + cb) > lim for a, b, _, _ in centers for ca, cb in corners):
         raise ValueError("tile corner escaped the domain; refinement not established")
     return [Quaternion(*ctr) for ctr in centers]
+
+
+def F_threshold(r: float, alpha: float) -> float:
+    """Beta threshold for the complex winning strategy at modulus r."""
+    if not r > 1.0 or not 0.0 < alpha < 1.0:
+        raise ValueError("need r > 1, alpha in (0, 1)")
+    w = 2.0 * math.sqrt(2.0) * r
+    if math.isinf(2.0 * w):  # divided through by w, nothing overflows
+        u = 1.0 / w
+        return ((1.0 + u) * alpha - u) / (alpha * ((u - 1.0) * alpha + (2.0 - u)))
+    den = alpha * ((1.0 - w) * alpha + (2.0 * w - 1.0))
+    if abs(den) <= EPS_CMP:
+        raise ValueError("threshold denominator vanishes")
+    return ((w + 1.0) * alpha - 1.0) / den
+
+
+def find_n_complex(r: float, alpha: float, beta: float, rho: float, k: int
+                   ) -> int | None:
+    """Hold-phase length n for the complex winning strategy at tile depth k.
+
+    When (2-alpha) beta >= 1 the gap term is nonpositive and n = 1 works as
+    soon as sqrt(2)/r^(k-1) < rho (alpha beta)(1-alpha); otherwise n must fit
+    between the two logarithmic bounds.  None if no integer fits.
+    """
+    margin = 10.0 * EPS_CMP
+    ab = alpha * beta
+    g = winning_gap(alpha, beta)
+    reach_const = (1.0 - alpha) / (math.sqrt(2.0) * r)
+    if (2.0 - alpha) * beta >= 1.0:
+        if math.sqrt(2.0) / r ** (k - 1) < rho * ab * (1.0 - alpha) - margin:
+            return 1
+        return None
+    log_ab_inv = math.log(1.0 / ab, r)
+    lo = (math.log(rho, r) + math.log(g, r) + k) / log_ab_inv
+    hi = (math.log(rho, r) + math.log(reach_const, r) + k) / log_ab_inv
+    n = max(1, math.ceil(lo))
+    if n < hi:
+        return n
+    return None

@@ -1,4 +1,4 @@
-"""Schmidt (alpha, beta, rho)-game engine and constructive strategies.
+"""Schmidt (alpha, beta, rho)-game engine, trace writer and verifier.
 
 Bob opens with a ball of radius rho; thereafter Alice places a ball of
 radius alpha times the current one inside it, Bob answers inside hers with
@@ -7,89 +7,27 @@ outcome.  Radii are forced by the schedule rho_n = (alpha beta)^n rho, so a
 move is just a center; the engine validates both containment inequalities
 with a small comparison slack and keeps centers inside the expansion domain
 when one is attached (the game is played on the domain as a metric space).
+Double precision runs out near radius 1e-12, so games stop there rather
+than pretending to resolve further digits.
 
-Strategies are callables state -> center.  The constructive ones implement
-the winning target-locking play (one skeleton: hold, lock the target a
-strategy picks for Bob's center, then pull toward it) and the losing
-digit-pinning play (Bob reads the digits of Alice's center through the
-digit kernel and recenters on the avoided-block-free cylinder shifted by
-xi).  Double precision runs out near radius 1e-12, so games stop there
-rather than pretending to resolve further digits.
-
-Centers are float tuples, and strategies may return any float sequence.
-Lengths, targets and basis changes are plain Python that reproduces numpy's
-bits (see _norm), so real, complex and componentwise games run without
-numpy.  It is loaded only for the random strategies' PCG64 stream and the
-quaternion avoidance play's matrix powers.
+Strategies (strategies.py) are callables state -> center that may return
+any float sequence.  The game document has one writer, game_json with
+GameTrace.to_json, and the verifier decides what a finished game proved.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
 
-from .numeric import EPS_CMP, FrozenRecord, Record
-from .realexp import RealBase
-from .systems import QuatSystem, max_step_inside
+from .numeric import _HUGE, EPS_CMP, FrozenRecord, Record, _distance
 
 RADIUS_FLOOR = 1e-12
 
 Vector = tuple[float, ...]
 Strategy = Callable[["GameState"], Sequence[float]]
-
-
-# Dekker's splitter 2^27 + 1, and the range of |x| in which his split of
-# x * x is exact: the split does not overflow and the error term does not
-# underflow
-_SPLIT = 134217729.0
-_TINY, _HUGE = 2.0 ** -480, 2.0 ** 500
-
-
-def _norm(v: Sequence[float]) -> float:
-    """Euclidean length of a float vector, with np.linalg.norm's bits.
-
-    np.linalg.norm computes exactly sqrt(v.dot(v)) for such a vector, and
-    numpy's dot (on an FMA machine) is the fused chain acc = v0 * v0,
-    acc = fma(vi, vi, acc); a Python sum of squares, or math.hypot, rounds
-    differently in the last bit.  Each fma is done exactly: Dekker's split
-    gives vi * vi = p + e with both floats, and fsum rounds acc + p + e
-    once.  Out of the split's range, _square_add does it in integers.
-    """
-    if len(v) == 1:
-        return math.sqrt(v[0] * v[0])
-    x, *rest = v
-    acc = x * x
-    for x in rest:
-        if (_TINY <= abs(x) <= _HUGE or x == 0.0) and acc <= _HUGE:
-            c = _SPLIT * x
-            hi = c - (c - x)
-            lo = x - hi
-            p = x * x
-            acc = math.fsum((acc, p, lo * lo - (((p - hi * hi) - hi * lo) - lo * hi)))
-        else:
-            acc = _square_add(x, acc)
-    return math.sqrt(acc)
-
-
-def _square_add(x: float, acc: float) -> float:
-    """fma(x, x, acc), x * x + acc rounded once, by exact integer arithmetic
-    (int / int is correctly rounded); inf and nan propagate as in an fma."""
-    if not (math.isfinite(x) and math.isfinite(acc)):
-        return x * x + acc
-    n, d = x.as_integer_ratio()
-    m, e = acc.as_integer_ratio()
-    try:
-        return (n * n * e + m * d * d) / (d * d * e)
-    except OverflowError:
-        return math.inf
-
-
-def _distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """_norm of the coordinatewise difference a - b."""
-    return _norm([x - y for x, y in zip(a, b)])
 
 
 class IllegalMoveError(RuntimeError):
@@ -253,6 +191,23 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]" if items else "[]"
 
 
+def game_json(setup, trace, result, violations: list[str]) -> str:
+    """The game document as json.dumps(sort_keys=True, indent=2) writes it, byte
+    for byte, with GameTrace.to_json spliced in one level down."""
+    block = [_json_list(list(map(_json_number, d)), "      ") if isinstance(d, tuple)
+             else _json_number(d) for d in setup.claim.block]
+    return ('{\n  "audit_violations": ' + _json_list(list(map(_json_str, violations)), "  ")
+            + ',\n  "certified_digits": ' + _json_number(result.certified)
+            + ',\n  "claim": {\n    "block": ' + _json_list(block, "    ")
+            + ',\n    "kind": ' + _json_str(setup.claim.kind)
+            + ',\n    "position": ' + _json_number(setup.claim.position)
+            + '\n  },\n  "preset": ' + _json_str(setup.name)
+            + ',\n  "setup_notes": ' + _json_list(list(map(_json_str, setup.notes)), "  ")
+            + ',\n  "trace": ' + trace.to_json()[:-1].replace("\n", "\n  ")
+            + ',\n  "verdict": ' + _json_str(result.verdict)
+            + ',\n  "verdict_reason": ' + _json_str(result.reason) + "\n}")
+
+
 def play(params: GameParams, alice: Strategy, bob: Strategy,
          max_rounds: int = 64, system=None, seed: int = 0) -> GameTrace:
     """Run the game to max_rounds or to the double-precision radius floor.
@@ -347,320 +302,6 @@ def audit_trace(trace: GameTrace) -> list[str]:
             problems.append(f"round {n} {mv.player}: containment violated by {gap:.3e}")
         prev = mv
     return problems
-
-
-# -- thresholds and (n, k) searches -------------------------------------------
-
-
-def A_threshold(b: float, K: int, alpha: float) -> float:
-    """Beta threshold for the 1D winning strategy at radix b with zero-run bound K."""
-    if not b > 1.0 or K < 0 or not 0.0 < alpha < 1.0:
-        raise ValueError("need b > 1, K >= 0, alpha in (0, 1)")
-    kb = (K + 2.0) * b
-    if math.isinf(4.0 * kb):  # divided through by kb, nothing overflows
-        u = 1.0 / kb
-        return ((2.0 + u) * alpha - u) / (alpha * ((4.0 - u) - alpha * (2.0 - u)))
-    den = alpha * ((4.0 * kb - 1.0) - alpha * (2.0 * kb - 1.0))
-    if abs(den) <= EPS_CMP:
-        raise ValueError("threshold denominator vanishes")
-    return ((2.0 * kb + 1.0) * alpha - 1.0) / den
-
-
-def F_threshold(r: float, alpha: float) -> float:
-    """Beta threshold for the complex winning strategy at modulus r."""
-    if not r > 1.0 or not 0.0 < alpha < 1.0:
-        raise ValueError("need r > 1, alpha in (0, 1)")
-    w = 2.0 * math.sqrt(2.0) * r
-    if math.isinf(2.0 * w):  # divided through by w, nothing overflows
-        u = 1.0 / w
-        return ((1.0 + u) * alpha - u) / (alpha * ((u - 1.0) * alpha + (2.0 - u)))
-    den = alpha * ((1.0 - w) * alpha + (2.0 * w - 1.0))
-    if abs(den) <= EPS_CMP:
-        raise ValueError("threshold denominator vanishes")
-    return ((w + 1.0) * alpha - 1.0) / den
-
-
-def winning_gap(alpha: float, beta: float) -> float:
-    """The quantity 2a - 4ab(1-a)/(1-ab) controlling both winning thresholds."""
-    return 2.0 * alpha - 4.0 * alpha * beta * (1.0 - alpha) / (1.0 - alpha * beta)
-
-
-def find_nk_real(b: float, K: int, alpha: float, beta: float, rho: float,
-                 upper_factor: float = 1.0) -> tuple[int, int] | None:
-    """Smallest (n, k) placing (K+2)/(rho (ab)^n b^(k-1)) inside the strategy
-    window (lower, (1-alpha) * upper_factor).
-
-    The search fixes n, takes the least k >= 2 clearing the upper bound, and
-    advances n when that k undershoots the lower bound; it tries n up to
-    10 000 and skips any k above 10 000.  None when exhausted;
-    existence is only guaranteed for irrational log_b(alpha beta) or when the
-    lower bound is nonpositive.
-    """
-    margin = 10.0 * EPS_CMP
-    lower = b * (K + 2.0) * winning_gap(alpha, beta)
-    upper = (1.0 - alpha) * upper_factor
-    if lower >= upper - margin:
-        return None
-    ab = alpha * beta
-    for n in range(1, 10_000 + 1):
-        reach = rho * ab ** n
-        base_mid = (K + 2.0) / reach if reach else math.inf
-        if math.isinf(base_mid / upper):
-            return None  # rho (ab)^n underflowed; later n only shrink it
-        km1 = max(1, math.ceil(math.log(base_mid / upper, b) + 1e-12))
-        if km1 + 1 > 10_000:
-            continue
-        try:
-            mid = base_mid / b ** km1
-        except OverflowError:  # b^(k-1) beyond double range
-            return None
-        if lower + margin < mid < upper - margin:
-            return n, km1 + 1
-    return None
-
-
-def find_n_complex(r: float, alpha: float, beta: float, rho: float, k: int
-                   ) -> int | None:
-    """Hold-phase length n for the complex winning strategy at tile depth k.
-
-    When (2-alpha) beta >= 1 the gap term is nonpositive and n = 1 works as
-    soon as sqrt(2)/r^(k-1) < rho (alpha beta)(1-alpha); otherwise n must fit
-    between the two logarithmic bounds.  None if no integer fits.
-    """
-    margin = 10.0 * EPS_CMP
-    ab = alpha * beta
-    g = winning_gap(alpha, beta)
-    reach_const = (1.0 - alpha) / (math.sqrt(2.0) * r)
-    if (2.0 - alpha) * beta >= 1.0:
-        if math.sqrt(2.0) / r ** (k - 1) < rho * ab * (1.0 - alpha) - margin:
-            return 1
-        return None
-    log_ab_inv = math.log(1.0 / ab, r)
-    lo = (math.log(rho, r) + math.log(g, r) + k) / log_ab_inv
-    hi = (math.log(rho, r) + math.log(reach_const, r) + k) / log_ab_inv
-    n = max(1, math.ceil(lo))
-    if n < hi:
-        return n
-    return None
-
-
-# -- generic strategies --------------------------------------------------------
-
-
-def _ball_sample(rng, dim: int) -> list[float]:
-    """A uniform point of the unit ball, drawn from numpy's generator rng."""
-    v = rng.normal(size=dim).tolist()
-    norm = _norm(v)
-    if norm == 0.0:
-        return [0.0] * dim
-    scale = rng.random() ** (1.0 / dim)
-    return [x / norm * scale for x in v]
-
-
-def bob_center_hold() -> Strategy:
-    return lambda s: s.alice_ball().center
-
-
-def _random_move(s: GameState, center: Vector, budget: float) -> Vector:
-    """A uniform point within budget of center that stays in the domain;
-    center itself after 256 misses."""
-    scale = budget * (1.0 - 1e-9)
-    for _ in range(256):
-        y = tuple(c + scale * u for c, u in zip(center, _ball_sample(s.rng, s.params.dimension)))
-        if s.system is None or s.system.contains(y):
-            return y
-    return center
-
-
-def alice_random() -> Strategy:
-    return lambda s: _random_move(
-        s, s.bob_ball().center, (1.0 - s.params.alpha) * s.params.rho_n(s.round_no - 1))
-
-
-def bob_random() -> Strategy:
-    return lambda s: _random_move(
-        s, s.alice_ball().center,
-        s.params.alpha * s.params.rho_n(s.round_no - 1) * (1.0 - s.params.beta))
-
-
-def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
-    """Move maximally away from Alice's center along a fixed unit vector,
-    clipped at the domain boundary when a domain is attached."""
-    fixed = None
-    if direction is not None:
-        fixed = tuple(map(float, direction))
-        norm = _norm(fixed)
-        fixed = tuple(c / norm for c in fixed)
-
-    def f(s: GameState) -> Vector:
-        y = s.alice_ball().center
-        v = fixed if fixed is not None else (1.0,) + (0.0,) * (s.params.dimension - 1)
-        a_rad = s.params.alpha * s.params.rho_n(s.round_no - 1)
-        step = a_rad * (1.0 - s.params.beta)
-        t = max_step_inside(s.system, y, v, step)
-        return tuple(a + t * b for a, b in zip(y, v))
-    return f
-
-
-# -- winning strategies (Alice) ------------------------------------------------
-
-
-def _pull_toward(x: Vector, target: Vector, budget: float) -> Vector:
-    delta = [t - c for t, c in zip(target, x)]
-    dist = _norm(delta)
-    if dist <= budget or dist == 0.0:
-        return target
-    scale = budget / dist
-    return tuple(c + e * scale for c, e in zip(x, delta))
-
-
-def _lock_and_pull(n: int, nearest: Callable[[Vector], Vector],
-                   what: str) -> Strategy:
-    """Shared winning-play skeleton: hold n rounds, lock the target
-    nearest(x) picks for Bob's center x, then pull toward it with the full
-    legal budget every round."""
-    def f(s: GameState) -> Vector:
-        x = s.bob_ball().center
-        r = s.round_no
-        if r <= n:
-            return x
-        budget = (1.0 - s.params.alpha) * s.params.rho_n(r - 1)
-        if "target" not in s.scratch:
-            target = nearest(x)
-            dist = _distance(target, x)
-            if dist > budget * (1.0 + 1e-9):
-                raise StrategyError(
-                    f"{what} at {dist:.3e} exceeds the legal reach {budget:.3e}")
-            s.scratch["target"] = target
-        return _pull_toward(x, s.scratch["target"], budget * (1.0 - 1e-12))
-    return f
-
-
-def _nearest_row(targets: Sequence[Vector]) -> Callable[[Vector], Vector]:
-    """The (x, y) of targets nearest to the point, the first on a tie.  The
-    distance squares and adds without fusing, as np.linalg.norm(axis=1)
-    does, so the pick is np.argmin's."""
-    def nearest(p: Vector) -> Vector:
-        def distance(t: Vector) -> float:
-            dx, dy = t[0] - p[0], t[1] - p[1]
-            return math.sqrt(dx * dx + dy * dy)
-        return min(targets, key=distance)
-    return nearest
-
-
-def _nearest_full(base: RealBase, d: int, k: int, x: float) -> float:
-    """Center of the full-length level-k cylinder with k-th digit d nearest x."""
-    center = base.nearest_full_cylinder(x, d, k)
-    if center is None:
-        raise StrategyError(f"no full-length cylinder interval for digit {d}")
-    return center
-
-
-def alice_real_winning(base: RealBase, d: int, n: int, k: int) -> Strategy:
-    """Steer the outcome's k-th digit to d: hold n rounds, then lock the
-    nearest full-length level-k cylinder with last digit d."""
-    base.check_target(d, k)
-    return _lock_and_pull(n, lambda x: (_nearest_full(base, d, k, x[0]),),
-                          "nearest full cylinder target")
-
-
-def alice_complex_winning(targets, n: int) -> Strategy:
-    """Complex analog: targets is a tuple of the (x, y) centers of the
-    level-k tiles whose k-th digit is zero, which the strategy only reads,
-    so games may share it."""
-    return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
-
-
-def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
-                                   n: int, k: int) -> Strategy:
-    """Real radix on the unit-box lattice: four independent copies of the 1D
-    strategy, one per coordinate, sharing the hold length n and depth k."""
-    if len(digits) != 4:
-        raise ValueError("need one target digit per coordinate")
-    for d in digits:
-        base.check_target(d, k)
-
-    def nearest(x: Vector) -> Vector:
-        return tuple(_nearest_full(base, d, k, xj) for d, xj in zip(digits, x))
-    return _lock_and_pull(n, nearest, "componentwise target")
-
-
-# -- losing strategy (Bob) -----------------------------------------------------
-
-
-def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
-                    omega: Sequence[tuple[int, int, int, int]]) -> Strategy:
-    """Digit-pinning avoidance play for quaternion expansions, written in the
-    lattice coordinates of the system's digit kernel u -> A u - d.
-
-    The state (m, pinned) records that Bob's ball pins the first m digits,
-    pinned = sum_{j<=m} A^-j d_j.  At round k the strategy reads the digits
-    at positions m+1 .. k|omega| off A^m (coords(y) - pinned), the local
-    point of Alice's center y, adds them to pinned and recenters on
-    pinned + A^-(k|omega|) coords(xi), which pins them for every point of
-    Bob's ball.  m advances only when that move is played, so a round after
-    a clipped one reads the skipped blocks too and Bob catches up.  When the
-    avoidance inequalities hold no pinned window equals the avoided block
-    and the formula move is always legal; both conditions are still checked,
-    and on failure the strategy degrades to a clipped legal move and leaves
-    a note in the trace instead of crashing.
-
-    The strategy keeps no game state: (m, pinned) lives in the game's
-    scratch, and only the table of powers of A outlives a game, so one
-    strategy serves every game on its system.
-    """
-    import numpy as np
-    win = len(omega)
-    if win == 0:
-        raise ValueError("avoided block must be nonempty")
-    omega_coords = [tuple(int(c) for c in w) for w in omega]
-    kernel = system.kernel
-    A = np.array(kernel.A)
-    A_inv = np.linalg.inv(A)
-    # (A^j, A^-j) by j, shared by every game on the strategy; one append
-    # grows both, so a growth cut short cannot leave them out of step, and
-    # the lock keeps games in two threads from appending the same power twice
-    powers = [(np.eye(len(A)), np.eye(len(A)))]
-    growing = threading.Lock()
-    xi_coords = np.array(system.coords(xi))
-
-    def power(j: int) -> tuple[np.ndarray, np.ndarray]:
-        if j >= len(powers):
-            with growing:
-                while len(powers) <= j:
-                    up, down = powers[-1]
-                    powers.append((A @ up, A_inv @ down))
-        return powers[j]
-
-    def f(s: GameState) -> Vector:
-        y = s.alice_ball().center
-        kk = s.round_no
-        m, pinned = s.scratch.get("avoid", (0, np.zeros(len(A))))
-        depth = kk * win
-        local = power(m)[0] @ (np.array(system.coords(y)) - pinned)
-        digits = kernel.expand(local.tolist(), depth - m, nudge=True)
-        for i, d in enumerate(digits):
-            if i % win == 0 and digits[i:i + win] == omega_coords:
-                s.note(f"round {kk}: pinned window equals the avoided block")
-            pinned = pinned + power(m + i + 1)[1] @ d
-        proposal = system._point((pinned + power(depth)[1] @ xi_coords).tolist())
-        a_rad = s.params.alpha * s.params.rho_n(kk - 1)
-        b_rad = s.params.beta * a_rad
-        max_step = (a_rad - b_rad) * (1.0 - 1e-12)
-        gap = _distance(proposal, y)
-        if gap > max_step:
-            s.note(f"round {kk}: formula move exceeds the legal step; clipped")
-            scale = max_step / gap
-            proposal = tuple(c + (p - c) * scale for p, c in zip(proposal, y))
-            if not system.contains(proposal):
-                proposal = y
-        elif not system.contains(proposal):
-            s.note(f"round {kk}: formula move left the domain; holding center")
-            proposal = y
-        else:
-            s.scratch["avoid"] = (depth, pinned)
-        return proposal
-    return f
 
 
 # -- outcome verification ------------------------------------------------------

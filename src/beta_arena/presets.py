@@ -24,13 +24,12 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .game import (Claim, GameParams, Strategy, StrategyError,
-                   alice_complex_winning, alice_quaternion_componentwise,
-                   alice_random, alice_real_winning, bob_avoid_block,
-                   bob_center_hold, bob_optimal_drift, bob_random,
-                   find_n_complex, find_nk_real, play, verify_outcome)
+from .game import Claim, GameParams, Strategy, StrategyError, play, verify_outcome
 from .numeric import Quaternion, Record
-from .realexp import RealBase
+from .realexp import RealBase, _zero_run_bound, find_nk_real
+from .strategies import (alice_complex_winning, alice_quaternion_componentwise,
+                         alice_random, alice_real_winning, bob_avoid_block,
+                         bob_center_hold, bob_optimal_drift, bob_random)
 from .systems import ComplexSystem, QuatSystem, RealSystem
 
 if TYPE_CHECKING:
@@ -94,12 +93,11 @@ def _real_window(b: float, alpha: float, beta: float, rho: float,
     """The base b and the (n, k) of its digit-steering window, or the noted
     fallback (1, 3) when find_nk_real finds none."""
     base = _real_base(b)
-    if not base.iK_determined:
-        # the zero-run bound K backs the threshold; an observed lower bound
-        # would silently overstate the strategy's reach
-        raise StrategyError(
-            f"base {b!r}: tail expansion not resolved at depth {base.depth}")
-    nk = find_nk_real(b, base.K_b, alpha, beta, rho, upper_factor=upper_factor)
+    try:
+        K = _zero_run_bound(base)
+    except ValueError as exc:
+        raise StrategyError(str(exc)) from None
+    nk = find_nk_real(b, K, alpha, beta, rho, upper_factor=upper_factor)
     if nk is None:
         # keep k small so the strategy still has targets
         return base, 1, 3, [f"no (n, k) satisfies the {window}; using fallback (1, 3)"]
@@ -126,6 +124,7 @@ def complex_winning_setup(alpha: float = 0.6, beta: float = 0.75, rho: float = 2
                           max_rounds: int = 64) -> GameSetup:
     """Steer the second digit of an expansion in base 4.5 e^(0.05 i) to zero,
     starting from the origin."""
+    from .complexexp import find_n_complex
     r, k = 4.5, 2
     params = GameParams(alpha, beta, rho, 2, (0.0, 0.0))
     system, targets = _complex_system(r, 0.05, k)

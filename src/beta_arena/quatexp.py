@@ -133,14 +133,11 @@ class LatticeDomain:
             margins.append(min(frac, 1.0 - frac) / r)
         return min(margins)
 
-    def face_margin(self, z: Quaternion) -> float:
-        """Smallest Euclidean distance from z to a face plane of the domain box."""
-        return min(min(t - lo, lo + 1.0 - t) / r
-                   for t, lo, r in zip(self.to_coords(z), self.offsets, self.row_norms))
-
     def ball_inside(self, center: Quaternion, rho: float) -> bool:
-        """Whether the closed ball B(center, rho) lies in the box, up to EPS_CMP."""
-        return self.face_margin(center) >= rho - EPS_CMP
+        """Whether the closed ball B(center, rho) lies in the box, up to EPS_CMP:
+        the smallest Euclidean distance from center to a face plane is rho or more."""
+        return min(min(t - lo, lo + 1.0 - t) / r for t, lo, r in zip(
+            self.to_coords(center), self.offsets, self.row_norms)) >= rho - EPS_CMP
 
 
 def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,

@@ -9,7 +9,8 @@ blocks of length n with one table lookup per node.  The set of points whose
 first k digits form a given block is an interval whose exact endpoints this
 module computes.  Orbits of algebraic bases routinely hit cell boundaries
 head on, so every internal expansion snaps floors inside the ambiguity band
-instead of trusting the last bits of a double.
+instead of trusting the last bits of a double.  The real winning threshold
+and (n, k) window close the module.
 """
 
 from __future__ import annotations
@@ -319,3 +320,65 @@ class RealBase:
 
         cands = scan(w[:], states[:], False)[::-1] + scan(w, states, True)
         return min(cands, key=lambda c: abs(c - x), default=None)
+
+
+def _zero_run_bound(base: RealBase) -> int:
+    """The zero-run bound K that backs A_threshold, refused when the tail
+    expansion is not resolved: an observed lower bound would silently
+    overstate the strategy's reach."""
+    if not base.iK_determined:
+        raise ValueError(f"base {base.b!r}: tail expansion not resolved at depth {base.depth}")
+    return base.K_b
+
+
+def A_threshold(b: float, K: int, alpha: float) -> float:
+    """Beta threshold for the 1D winning strategy at radix b with zero-run bound K."""
+    if not b > 1.0 or K < 0 or not 0.0 < alpha < 1.0:
+        raise ValueError("need b > 1, K >= 0, alpha in (0, 1)")
+    kb = (K + 2.0) * b
+    if math.isinf(4.0 * kb):  # divided through by kb, nothing overflows
+        u = 1.0 / kb
+        return ((2.0 + u) * alpha - u) / (alpha * ((4.0 - u) - alpha * (2.0 - u)))
+    den = alpha * ((4.0 * kb - 1.0) - alpha * (2.0 * kb - 1.0))
+    if abs(den) <= EPS_CMP:
+        raise ValueError("threshold denominator vanishes")
+    return ((2.0 * kb + 1.0) * alpha - 1.0) / den
+
+
+def winning_gap(alpha: float, beta: float) -> float:
+    """The quantity 2a - 4ab(1-a)/(1-ab) controlling both winning thresholds."""
+    return 2.0 * alpha - 4.0 * alpha * beta * (1.0 - alpha) / (1.0 - alpha * beta)
+
+
+def find_nk_real(b: float, K: int, alpha: float, beta: float, rho: float,
+                 upper_factor: float = 1.0) -> tuple[int, int] | None:
+    """Smallest (n, k) placing (K+2)/(rho (ab)^n b^(k-1)) inside the strategy
+    window (lower, (1-alpha) * upper_factor).
+
+    The search fixes n, takes the least k >= 2 clearing the upper bound, and
+    advances n when that k undershoots the lower bound; it tries n up to
+    10 000 and skips any k above 10 000.  None when exhausted;
+    existence is only guaranteed for irrational log_b(alpha beta) or when the
+    lower bound is nonpositive.
+    """
+    margin = 10.0 * EPS_CMP
+    lower = b * (K + 2.0) * winning_gap(alpha, beta)
+    upper = (1.0 - alpha) * upper_factor
+    if lower >= upper - margin:
+        return None
+    ab = alpha * beta
+    for n in range(1, 10_000 + 1):
+        reach = rho * ab ** n
+        base_mid = (K + 2.0) / reach if reach else math.inf
+        if math.isinf(base_mid / upper):
+            return None  # rho (ab)^n underflowed; later n only shrink it
+        km1 = max(1, math.ceil(math.log(base_mid / upper, b) + 1e-12))
+        if km1 + 1 > 10_000:
+            continue
+        try:
+            mid = base_mid / b ** km1
+        except OverflowError:  # b^(k-1) beyond double range
+            return None
+        if lower + margin < mid < upper - margin:
+            return n, km1 + 1
+    return None

@@ -17,14 +17,14 @@ import time
 
 import numpy as np
 
-from beta_arena.complexexp import (ComplexBase, G_region, classify_digit_set,
+from beta_arena.complexexp import (ComplexBase, F_threshold, G_region, classify_digit_set,
                                    gamma_constants, v_threshold)
-from beta_arena.game import F_threshold, audit_trace, find_nk_real
+from beta_arena.game import audit_trace
 from beta_arena.numeric import AmbiguousValueError, Quaternion
 from beta_arena.presets import build_preset, real_winning_setup, run_setup
 from beta_arena.quatexp import (domain_constants, hurwitz_box, isoclinic_matrix,
                                 lipschitz, rot_constants)
-from beta_arena.realexp import RealBase
+from beta_arena.realexp import RealBase, find_nk_real
 from beta_arena.systems import ComplexSystem, QuatSystem, expand_digits
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0

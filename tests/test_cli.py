@@ -304,6 +304,12 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
     ("admissible", "--real", "1e12", "--n", "3"),
     ("game", "--preset", "dwinning-golden", "--max-rounds", "-3"),
     ("scan", "--preset", "dwinning-golden", "--alpha", "0.5:0.5:0.1", "--seeds", "-1"),
+    ("regions", "--curve", "A", "--b", "2.5"),
+    ("regions", "--curve", "A", "--b", "golden", "--alpha", "0.1:0.2"),
+    ("expand", "--real", "metallic:x", "--x", "0.3"),
+    ("expand", "--quat", "3", "3", "3", "3", "--lattice", "zeta:x", "--z", ".1", ".2", ".3", ".4"),
+    ("expand", "--quat", "3", "3", "3", "3", "--lattice", "symmetric:x",
+     "--z", ".1", ".2", ".3", ".4"),
 ], ids=["x-outside-domain", "base-not-above-1", "negative-length",
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
         "no-system", "two-systems", "real-negative-n", "complex-negative-n",
@@ -312,7 +318,9 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
         "override-bob-on-losing", "game-without-preset", "alpha-zero",
         "game-out-unwritable", "scan-out-unwritable", "alphabet-past-index-range",
         "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap",
-        "game-negative-max-rounds", "scan-negative-seeds"])
+        "game-negative-max-rounds", "scan-negative-seeds", "curve-A-unresolved-base",
+        "grid-of-two-values", "metallic-index-not-integer", "zeta-eps-not-number",
+        "symmetric-eps-not-number"])
 def test_invalid_input_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
@@ -342,6 +350,31 @@ def test_negative_count_is_named(capsys, monkeypatch, argv, message):
     # refused before any game is built, not played as zero rounds or rows
     monkeypatch.setattr(cli, "build_preset", None)
     assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("regions", "--curve", "A", "--b", "golden", "--alpha", "0.1:0.2"),
+     "--alpha takes start:stop:step, three numbers, got '0.1:0.2'"),
+    (("expand", "--real", "metallic:x", "--x", "0.3"),
+     "--real and --b take a number, golden, silver or metallic:J for an integer J >= 1, "
+     "got 'metallic:x'"),
+    (("expand", "--quat", "3", "3", "3", "3", "--lattice", "zeta:x",
+      "--z", ".1", ".2", ".3", ".4"),
+     "--lattice zeta:EPS needs a number EPS, got 'zeta:x'"),
+    (("expand", "--quat", "3", "3", "3", "3", "--lattice", "symmetric:x",
+      "--z", ".1", ".2", ".3", ".4"),
+     "--lattice symmetric:EPS needs a number EPS, got 'symmetric:x'"),
+], ids=["grid", "metallic", "zeta", "symmetric"])
+def test_malformed_value_is_named(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("b", ["2.5", "1.7234", "2.4567", "3.3"])
+def test_curve_A_refuses_an_unresolved_base(capsys, b):
+    # K would only be the longest zero run the 256-digit orbit showed; the
+    # real presets refuse such a base too
+    assert run_cli(capsys, "regions", "--curve", "A", "--b", b) == (
+        3, "", f"error: base {b}: tail expansion not resolved at depth 256\n")
 
 
 def test_usage_error_names_the_problem(capsys):

@@ -52,6 +52,7 @@ COMMANDS = {
                           "--alpha", "0.5:0.9:0.2"], ["beta_arena.complexexp"]),
     "regions-G": (["regions", "--curve", "G", "--theta", "0.05"],
                   ["beta_arena.complexexp"]),
+    "regions-F": (["regions", "--curve", "F", "--r", "4.5"], ["beta_arena.complexexp"]),
     "regions-classify": (["regions", "--curve", "classify", "--theta", "0.05"],
                          ["beta_arena.complexexp"]),
     "expand-complex": (["expand", "--complex", "4.5", "0.05", "--z", "0.3", "0.6"],
@@ -70,7 +71,8 @@ def test_command_loads_only_its_system(capsys, argv, allowed):
     assert (code, out) == (cli.main(argv), capsys.readouterr().out)
 
 
-SUBMODULES = ("numeric", "realexp", "complexexp", "quatexp", "systems", "game", "presets")
+SUBMODULES = ("numeric", "realexp", "complexexp", "quatexp", "systems", "game", "strategies",
+              "presets")
 
 # imports the package alone, then resolves every exported name and former
 # submodule attribute through it

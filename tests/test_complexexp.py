@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from beta_arena import complexexp
 from beta_arena.complexexp import (QUARTER, CkResult, ComplexBase, F_roots, F_value, G_region,
                                    Vk_squares, check_Ck, classify_digit_set,
-                                   discriminant, f_value, fold_angle,
+                                   discriminant, fold_angle,
                                    gamma_constants, refinement_poly, snake_order,
                                    u_threshold, v_threshold)
 from beta_arena.numeric import AmbiguousValueError, Quaternion, metallic_mean
@@ -185,7 +185,7 @@ def test_v_thresholds_are_roots():
         for k in (2, 3, 4):
             for theta in (0.0, 0.07, 0.3):
                 r = v_threshold(N, k, theta)
-                assert f_value(N, k, theta, r) == pytest.approx(0.0, abs=1e-8)
+                assert refinement_poly(N, k, theta)(r) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_v_increasing_in_k():
@@ -314,7 +314,7 @@ def test_refinement_beyond_double_precision_is_refused_by_name(N, k, bits):
         with pytest.raises(ValueError, match="beyond double precision"):
             v_threshold(N, k + 1, theta)
     with pytest.raises(ValueError, match="beyond double precision"):
-        f_value(N, k + 1, 0.1, 2.0 * math.sqrt(2.0) * N * (k + 1) + 2.0)
+        refinement_poly(N, k + 1, 0.1)(2.0 * math.sqrt(2.0) * N * (k + 1) + 2.0)
 
 
 def test_refinement_checks_beyond_double_precision_raise_value_errors():

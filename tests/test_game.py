@@ -7,19 +7,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from beta_arena import systems as systems_module
-from beta_arena.complexexp import ComplexBase
-from beta_arena.game import (RADIUS_FLOOR, A_threshold, Claim, F_threshold, GameParams,
-                             GameTrace, IllegalMoveError, Move, StrategyError,
-                             _escape, _norm, alice_quaternion_componentwise, alice_random,
-                             alice_real_winning, audit_trace,
-                             bob_avoid_block, bob_center_hold,
-                             bob_optimal_drift, bob_random, certified_digits,
-                             find_n_complex, find_nk_real, play,
-                             verify_outcome, winning_gap)
-from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, metallic_mean
+from beta_arena.complexexp import ComplexBase, F_threshold, find_n_complex
+from beta_arena.game import (RADIUS_FLOOR, Claim, GameParams, GameTrace, IllegalMoveError,
+                             Move, StrategyError, _escape, audit_trace, certified_digits,
+                             play, verify_outcome)
+from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, _norm, metallic_mean
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
-from beta_arena.realexp import RealBase
+from beta_arena.realexp import A_threshold, RealBase, find_nk_real, winning_gap
+from beta_arena.strategies import (alice_quaternion_componentwise, alice_random,
+                                   alice_real_winning, bob_avoid_block, bob_center_hold,
+                                   bob_optimal_drift, bob_random)
 from beta_arena.systems import (ComplexSystem, QuatSystem, RealSystem, _exit, _halvings,
                                 max_step_inside)
 

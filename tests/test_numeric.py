@@ -129,6 +129,12 @@ def test_digit_kernel_range():
     assert (k.lo, k.hi) == ([-2, 0], [0, 1])
 
 
+def test_digit_kernel_refuses_other_sizes():
+    # every stock kernel and lattice is 1x1, 2x2 or 4x4
+    with pytest.raises(ValueError, match="no image for a 3-row matrix"):
+        DigitKernel(((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)), (0.0,) * 3, (1.0,) * 3)
+
+
 def test_digit_kernel_snap_policy():
     k = DigitKernel(((3.0,),), (0.0,), (1.0,))
     # 3 u lands just above the integer 1: the remainder goes onto the face

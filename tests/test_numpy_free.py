@@ -25,8 +25,7 @@ from hypothesis import given, settings, strategies as st
 from beta_arena import cli
 from beta_arena.cli import parse_lattice
 from beta_arena.complexexp import _DELTA_POLY, _delta_root, gamma_constants
-from beta_arena.game import _norm
-from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
+from beta_arena.numeric import DigitKernel, Quaternion, _norm, metallic_mean
 from beta_arena.quatexp import isoclinic_matrix
 from beta_arena.systems import QuatSystem
 from test_pinned_outputs import TRACE_PINS
