@@ -229,7 +229,7 @@ def _refuse_negative(args, *names: str) -> None:
 
 
 def cmd_game(args) -> int:
-    _refuse_negative(args, "max_rounds")
+    _refuse_negative(args, "seed", "max_rounds")
     overrides = {"alpha": args.alpha, "beta": args.beta, "rho": args.rho, "bob": args.bob}
     setup, trace, result = _run_game(args.preset, overrides, args.seed, args.max_rounds)
     violations = audit_trace(trace)

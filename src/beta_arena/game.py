@@ -10,8 +10,9 @@ when one is attached (the game is played on the domain as a metric space).
 Double precision runs out near radius 1e-12, so games stop there rather
 than pretending to resolve further digits.
 
-Strategies (strategies.py) are callables state -> center that may return
-any float sequence.  The game document has one writer, game_json with
+Strategies (strategies.py) are callables GameState -> center that may
+return any float sequence; play alone keeps the record and the radius
+schedule.  The game document has one writer, game_json with
 GameTrace.to_json, and the verifier decides what a finished game proved.
 """
 
@@ -66,27 +67,35 @@ class GameParams(FrozenRecord):
         return (self.alpha * self.beta) ** n * self.rho
 
 
-class Move(Record):
+class Move(FrozenRecord):
     __slots__ = ("player", "round_no", "center", "radius")
 
     def __init__(self, player: str, round_no: int, center: Vector, radius: float):
-        self.player = player
-        self.round_no = round_no
-        self.center = center
-        self.radius = radius
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "round_no", round_no)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
 
 class GameState(Record):
-    __slots__ = ("params", "system", "seed", "moves", "scratch", "_rng")
+    """What a strategy sees: the game's params, system and seed, and, read-only
+    and set by play before each move, round_no, ball (the last accepted Move,
+    which the mover's ball must nest in), reach (how far the mover's center
+    may move from ball.center) and the mover's own scratch."""
 
-    def __init__(self, params: GameParams, system: object | None, seed: int = 0,
-                 moves: list[Move] | None = None, scratch: dict | None = None):
-        self.params = params
-        self.system = system
-        self.seed = seed
-        self.moves = [] if moves is None else moves
-        self.scratch = {} if scratch is None else scratch
+    __slots__ = ("params", "system", "seed", "_round_no", "_ball", "_reach", "_scratch",
+                 "_notes", "_rng")
+
+    def __init__(self, params: GameParams, system: object | None, seed: int = 0):
+        self.params, self.system, self.seed = params, system, seed
+        self._round_no, self._ball, self._reach, self._scratch = 0, None, 0.0, {}
+        self._notes: list[str] = []
         self._rng = None
+
+    round_no = property(operator.attrgetter("_round_no"))
+    ball = property(operator.attrgetter("_ball"))
+    reach = property(operator.attrgetter("_reach"))
+    scratch = property(operator.attrgetter("_scratch"))
 
     @property
     def rng(self):
@@ -97,25 +106,8 @@ class GameState(Record):
             self._rng = np.random.default_rng(self.seed)
         return self._rng
 
-    @property
-    def round_no(self) -> int:
-        """Index of the round currently being played (1-based)."""
-        return (len(self.moves) + 1) // 2
-
-    def bob_ball(self) -> Move:
-        for mv in reversed(self.moves):
-            if mv.player == "bob":
-                return mv
-        raise RuntimeError("no bob move recorded")
-
-    def alice_ball(self) -> Move:
-        for mv in reversed(self.moves):
-            if mv.player == "alice":
-                return mv
-        raise RuntimeError("no alice move recorded")
-
     def note(self, text: str) -> None:
-        self.scratch.setdefault("notes", []).append(text)
+        self._notes.append(text)
 
 
 class GameTrace(Record):
@@ -223,37 +215,40 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
     if system is not None and not system.contains(x0):
         raise ValueError("initial center outside the domain")
     state = GameState(params, system, seed)
-    state.moves.append(Move("bob", 0, x0, params.rho))
+    moves = [Move("bob", 0, x0, params.rho)]
+    scratch = {"alice": {}, "bob": {}}
+
+    def move(player: str, strategy: Strategy, n: int, radius: float, reach: float) -> None:
+        """Refresh what the strategy sees, then record its center once it is
+        legal: finite, of the game's dimension, nested and in the domain."""
+        state.params, state.system, state.seed = params, system, seed
+        state._round_no, state._ball, state._reach, state._scratch = (
+            n, moves[-1], reach, scratch[player])
+        proposal = strategy(state)
+        try:
+            center = tuple(map(float, proposal))
+        except (TypeError, ValueError):
+            center = ()
+        if len(center) != params.dimension or not all(map(math.isfinite, center)):
+            raise IllegalMoveError(player, n, "malformed center")
+        gap = _escape(moves[-1], center, radius)
+        if gap is not None:
+            raise IllegalMoveError(player, n, f"ball escapes the previous one by {gap:.3e}")
+        if system is not None and not system.contains(center):
+            raise IllegalMoveError(player, n, "center left the domain")
+        moves.append(Move(player, n, center, radius))
+
     status = "max-rounds"
     for n in range(1, max_rounds + 1):
-        a_rad = params.alpha * params.rho_n(n - 1)
+        rho = params.rho_n(n - 1)
+        a_rad = params.alpha * rho
         b_rad = params.beta * a_rad
         if b_rad < RADIUS_FLOOR:
             status = "resolution-exhausted"
             break
-        _play_move(state, "alice", alice, n, a_rad)
-        _play_move(state, "bob", bob, n, b_rad)
-    return GameTrace(params, seed, state.moves, status,
-                     state.scratch.get("notes", []))
-
-
-def _play_move(state: GameState, player: str, strategy: Strategy, round_no: int,
-               radius: float) -> None:
-    """Record the strategy's center once it is legal: finite, of the game's
-    dimension, nested in the last ball and, with a system, in its domain."""
-    proposal = strategy(state)
-    try:
-        center = tuple(map(float, proposal))
-    except (TypeError, ValueError):
-        center = ()
-    if len(center) != state.params.dimension or not all(map(math.isfinite, center)):
-        raise IllegalMoveError(player, round_no, "malformed center")
-    gap = _escape(state.moves[-1], center, radius)
-    if gap is not None:
-        raise IllegalMoveError(player, round_no, f"ball escapes the previous one by {gap:.3e}")
-    if state.system is not None and not state.system.contains(center):
-        raise IllegalMoveError(player, round_no, "center left the domain")
-    state.moves.append(Move(player, round_no, center, radius))
+        move("alice", alice, n, a_rad, (1.0 - params.alpha) * rho)
+        move("bob", bob, n, b_rad, a_rad * (1.0 - params.beta))
+    return GameTrace(params, seed, moves, status, state._notes)
 
 
 def _escape(outer: Move, center: Sequence[float], radius: float) -> float | None:

@@ -13,9 +13,10 @@ powers of A) is a pure function of the preset's fixed geometry, so a
 functools.cache keyed by value builds it once per process and every game
 shares it.  The per-game part (parameters, the (n, k) or n search, notes,
 claim and strategies) is built for each game; the shared objects carry no
-game state, which lives in GameState.scratch.  The caches sit here and not
-in the constructors, which keep building afresh on every call.  The complex
-and quaternion modules are imported only by the builders that use them.
+game state, which lives in the scratch play keeps for each player of a
+game.  The caches sit here and not in the constructors, which keep building
+afresh on every call.  The complex and quaternion modules are imported only
+by the builders that use them.
 """
 
 from __future__ import annotations

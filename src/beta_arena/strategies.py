@@ -1,6 +1,8 @@
-"""Stock strategies for the game in game.py: callables state -> center.
+"""Stock strategies for the game in game.py: callables GameState -> center.
 
-The generic ones hold Alice's center, drift from it or draw at random.  The
+A strategy reads the last ball (s.ball), how far it may move from its
+center (s.reach), s.round_no and its own s.scratch.  The generic ones hold
+Alice's center, drift from it or draw at random.  The
 winning ones hold, lock the target a strategy picks for Bob's center, then
 pull toward it; the losing one (Bob's) reads the digits of Alice's center
 through the digit kernel and recenters on the avoided-block-free cylinder
@@ -35,7 +37,7 @@ def _ball_sample(rng, dim: int) -> list[float]:
 
 
 def bob_center_hold() -> Strategy:
-    return lambda s: s.alice_ball().center
+    return lambda s: s.ball.center
 
 
 def _random_move(s: GameState, center: Vector, budget: float) -> Vector:
@@ -50,14 +52,11 @@ def _random_move(s: GameState, center: Vector, budget: float) -> Vector:
 
 
 def alice_random() -> Strategy:
-    return lambda s: _random_move(
-        s, s.bob_ball().center, (1.0 - s.params.alpha) * s.params.rho_n(s.round_no - 1))
+    """A uniform point within reach of the last ball's center, for either player."""
+    return lambda s: _random_move(s, s.ball.center, s.reach)
 
 
-def bob_random() -> Strategy:
-    return lambda s: _random_move(
-        s, s.alice_ball().center,
-        s.params.alpha * s.params.rho_n(s.round_no - 1) * (1.0 - s.params.beta))
+bob_random = alice_random
 
 
 def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
@@ -70,11 +69,9 @@ def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
         fixed = tuple(c / norm for c in fixed)
 
     def f(s: GameState) -> Vector:
-        y = s.alice_ball().center
+        y = s.ball.center
         v = fixed if fixed is not None else (1.0,) + (0.0,) * (s.params.dimension - 1)
-        a_rad = s.params.alpha * s.params.rho_n(s.round_no - 1)
-        step = a_rad * (1.0 - s.params.beta)
-        t = max_step_inside(s.system, y, v, step)
+        t = max_step_inside(s.system, y, v, s.reach)
         return tuple(a + t * b for a, b in zip(y, v))
     return f
 
@@ -97,19 +94,17 @@ def _lock_and_pull(n: int, nearest: Callable[[Vector], Vector],
     nearest(x) picks for Bob's center x, then pull toward it with the full
     legal budget every round."""
     def f(s: GameState) -> Vector:
-        x = s.bob_ball().center
-        r = s.round_no
-        if r <= n:
+        x = s.ball.center
+        if s.round_no <= n:
             return x
-        budget = (1.0 - s.params.alpha) * s.params.rho_n(r - 1)
         if "target" not in s.scratch:
             target = nearest(x)
             dist = _distance(target, x)
-            if dist > budget * (1.0 + 1e-9):
+            if dist > s.reach * (1.0 + 1e-9):
                 raise StrategyError(
-                    f"{what} at {dist:.3e} exceeds the legal reach {budget:.3e}")
+                    f"{what} at {dist:.3e} exceeds the legal reach {s.reach:.3e}")
             s.scratch["target"] = target
-        return _pull_toward(x, s.scratch["target"], budget * (1.0 - 1e-12))
+        return _pull_toward(x, s.scratch["target"], s.reach * (1.0 - 1e-12))
     return f
 
 
@@ -182,9 +177,9 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     and on failure the strategy degrades to a clipped legal move and leaves
     a note in the trace instead of crashing.
 
-    The strategy keeps no game state: (m, pinned) lives in the game's
-    scratch, and only the table of powers of A outlives a game, so one
-    strategy serves every game on its system.
+    The strategy keeps no game state: (m, pinned) lives in Bob's scratch,
+    and only the table of powers of A outlives a game, so one strategy
+    serves every game on its system.
     """
     import numpy as np
     win = len(omega)
@@ -210,7 +205,7 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
         return powers[j]
 
     def f(s: GameState) -> Vector:
-        y = s.alice_ball().center
+        y = s.ball.center
         kk = s.round_no
         m, pinned = s.scratch.get("avoid", (0, np.zeros(len(A))))
         depth = kk * win
@@ -221,9 +216,8 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
                 s.note(f"round {kk}: pinned window equals the avoided block")
             pinned = pinned + power(m + i + 1)[1] @ d
         proposal = system._point((pinned + power(depth)[1] @ xi_coords).tolist())
-        a_rad = s.params.alpha * s.params.rho_n(kk - 1)
-        b_rad = s.params.beta * a_rad
-        max_step = (a_rad - b_rad) * (1.0 - 1e-12)
+        a_rad = s.ball.radius  # Alice's radius; Bob's is beta times it
+        max_step = (a_rad - s.params.beta * a_rad) * (1.0 - 1e-12)
         gap = _distance(proposal, y)
         if gap > max_step:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")

@@ -345,7 +345,13 @@ def test_non_finite_angle_is_named(capsys, argv, angle):
      "--seeds must be at least 0, got -1"),
     (("scan", "--preset", "dwinning-golden", "--alpha", "0.5:0.5:0.1", "--max-rounds", "-1"),
      "--max-rounds must be at least 0, got -1"),
-], ids=["game-max-rounds", "scan-seeds", "scan-max-rounds"])
+    # the golden game drew nothing from the seed and the Lipschitz one handed
+    # it to numpy, which refused it without naming the option
+    (("game", "--preset", "dwinning-golden", "--seed", "-1"), "--seed must be at least 0, got -1"),
+    (("game", "--preset", "notwinning-lipschitz", "--seed", "-1"),
+     "--seed must be at least 0, got -1"),
+], ids=["game-max-rounds", "scan-seeds", "scan-max-rounds", "game-seed-golden",
+        "game-seed-lipschitz"])
 def test_negative_count_is_named(capsys, monkeypatch, argv, message):
     # refused before any game is built, not played as zero rounds or rows
     monkeypatch.setattr(cli, "build_preset", None)

@@ -26,7 +26,7 @@ PHI = metallic_mean(1)
 
 def alice_hold(s):
     """Alice keeps Bob's center: the hold phase of the winning strategies."""
-    return s.bob_ball().center
+    return s.ball.center
 
 
 # -- parameters and schedule ---------------------------------------------------
@@ -84,7 +84,7 @@ def test_illegal_alice_is_named():
     p = GameParams(0.3, 0.5, 1.0, 1, (0.5,))
 
     def cheating_alice(state):
-        return [c + 0.9 for c in state.bob_ball().center]  # escapes x0-ball of radius 1
+        return [c + 0.9 for c in state.ball.center]  # escapes x0-ball of radius 1
 
     with pytest.raises(IllegalMoveError) as exc:
         play(p, cheating_alice, bob_center_hold(), max_rounds=4)
@@ -96,7 +96,7 @@ def test_illegal_bob_is_named():
     p = GameParams(0.3, 0.5, 1.0, 1, (0.5,))
 
     def cheating_bob(state):
-        return [c + 0.3 for c in state.alice_ball().center]  # exceeds (1-beta) * 0.3
+        return [c + 0.3 for c in state.ball.center]  # exceeds (1-beta) * 0.3
 
     with pytest.raises(IllegalMoveError) as exc:
         play(p, alice_hold, cheating_bob, max_rounds=4)
@@ -115,7 +115,7 @@ def test_domain_escape_is_illegal():
     p = GameParams(0.5, 0.5, 0.3, 1, (0.9,))
 
     def greedy_alice(state):
-        return [c + 0.15 * (1.0 - 1e-9) for c in state.bob_ball().center]
+        return [c + 0.15 * (1.0 - 1e-9) for c in state.ball.center]
 
     with pytest.raises(IllegalMoveError) as exc:
         play(p, greedy_alice, bob_center_hold(), system=RealSystem(base))
@@ -133,21 +133,69 @@ def test_malformed_center_rejected():
 def test_audit_catches_doctored_radius():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
     trace = play(p, alice_hold, bob_center_hold(), max_rounds=6)
-    trace.moves[3].radius *= 1.5
+    mv = trace.moves[3]
+    trace.moves[3] = Move(mv.player, mv.round_no, mv.center, mv.radius * 1.5)
     assert any("radius off schedule" in v for v in audit_trace(trace))
 
 
 def test_audit_catches_doctored_center():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
     trace = play(p, alice_hold, bob_center_hold(), max_rounds=6)
-    trace.moves[4].center = tuple(c + 0.2 for c in trace.moves[4].center)
+    mv = trace.moves[4]
+    trace.moves[4] = Move(mv.player, mv.round_no, tuple(c + 0.2 for c in mv.center), mv.radius)
     assert any("containment violated" in v for v in audit_trace(trace))
 
     trace = play(EDGE, alice_hold, bob_center_hold(), max_rounds=1)
-    trace.moves[2].center = (0.75 + EPS_CMP,)
+    bob = trace.moves[2]
+    trace.moves[2] = Move(bob.player, bob.round_no, (0.75 + EPS_CMP,), bob.radius)
     assert audit_trace(trace) == []
-    trace.moves[2].center = (0.75 + 2.0 * EPS_CMP,)
+    trace.moves[2] = Move(bob.player, bob.round_no, (0.75 + 2.0 * EPS_CMP,), bob.radius)
     assert audit_trace(trace) == ["round 1 bob: containment violated by 2.000e-12"]
+
+
+# -- what a strategy sees ------------------------------------------------------
+
+# Before the engine kept its own record, a Bob that moved Alice's ball onto
+# its own last center, or planted Alice's lock target in a scratch both
+# players shared, turned this verified game falsified with a clean audit.
+
+def _componentwise_game(bob=None):
+    setup = build_preset("qwinning-componentwise")
+    if bob is not None:
+        setup.bob = bob(setup.bob)
+    return run_setup(setup, seed=0)
+
+
+def test_bob_cannot_rewrite_the_ball_it_answers():
+    def rewriting(drift):
+        def f(s):
+            ball = s.ball
+            with pytest.raises(AttributeError, match="cannot assign to or delete field"):
+                ball.center = s.scratch.get("last", s.params.initial_center)
+            with pytest.raises(AttributeError):
+                s.ball = Move(ball.player, ball.round_no, (0.5,) * 4, ball.radius)
+            s.scratch["last"] = center = drift(s)
+            return center
+        return f
+
+    honest, _ = _componentwise_game()
+    trace, result = _componentwise_game(rewriting)
+    assert trace.moves == honest.moves and trace.to_json() == honest.to_json()
+    assert result.verdict == "verified"
+    assert audit_trace(trace) == []
+
+
+def test_bob_cannot_plant_alices_target():
+    def planting(drift):
+        def f(s):
+            s.scratch["target"] = (0.5, 0.5, 0.5, 0.5)  # every digit (1, 1, 1, 1)
+            return drift(s)
+        return f
+
+    honest, _ = _componentwise_game()
+    trace, result = _componentwise_game(planting)
+    assert trace.to_json() == honest.to_json()
+    assert result.verdict == "verified"
 
 
 def _unfiltered_escape(outer, center, radius):

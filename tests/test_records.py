@@ -25,7 +25,7 @@ CLAIM = Claim("contains", ((0, 0),), 2)
 
 
 def alice(state):
-    return state.bob_ball().center
+    return state.ball.center
 
 
 # class, field names, one value per field, whether the class is frozen
@@ -41,9 +41,8 @@ RECORDS = {
     "GameParams": (GameParams, ("alpha", "beta", "rho", "dimension", "initial_center"),
                    (0.5, 0.25, 1.0, 2, (0.0, 0.0)), True),
     "Move": (Move, ("player", "round_no", "center", "radius"), ("bob", 3, (0.5,), 0.125),
-             False),
-    "GameState": (GameState, ("params", "system", "seed", "moves", "scratch"),
-                  (PARAMS, None, 7, [Move("bob", 0, (0.0, 0.0), 1.0)], {"k": 1}), False),
+             True),
+    "GameState": (GameState, ("params", "system", "seed"), (PARAMS, None, 7), False),
     "GameTrace": (GameTrace, ("params", "seed", "moves", "status", "notes"),
                   (PARAMS, 3, [], "max-rounds", ["a note"]), False),
     "Claim": (Claim, ("kind", "block", "position"), ("avoids", ((0, 0, 0, 0),), 2), True),
@@ -122,7 +121,8 @@ def test_defaults():
     assert Quaternion(d=2.0).components == (0.0, 0.0, 0.0, 2.0)
     assert Claim("contains", (0,)).position == 1
     state = GameState(PARAMS, None)
-    assert (state.seed, state.moves, state.scratch) == (0, [], {})
+    assert (state.seed, state.round_no, state.ball, state.reach, state.scratch) == (
+        0, 0, None, 0.0, {})
     assert GameTrace(PARAMS, 0, [], "max-rounds").notes == []
     setup = GameSetup("custom", PARAMS, None, alice, alice, CLAIM, 12)
     assert setup.notes == []
@@ -130,9 +130,9 @@ def test_defaults():
 
 def test_default_lists_are_fresh_for_each_instance():
     s1, s2 = GameState(PARAMS, None), GameState(PARAMS, None)
-    s1.moves.append(Move("bob", 0, (0.0, 0.0), 1.0))
+    s1.scratch["k"] = 1
     s1.note("first")
-    assert s2.moves == [] and s2.scratch == {}
+    assert s2.scratch == {} and s2 == GameState(PARAMS, None) != s1
     t1, t2 = (GameTrace(PARAMS, 0, [], "max-rounds") for _ in range(2))
     t1.notes.append("x")
     assert t2.notes == []
@@ -171,6 +171,6 @@ def test_claim_messages(args, message):
 def test_game_state_keeps_its_rng_out_of_init_and_repr():
     state = GameState(PARAMS, None, 5)
     with pytest.raises(TypeError):
-        GameState(PARAMS, None, 5, [], {}, None)
+        GameState(PARAMS, None, 5, None)
     assert "rng" not in repr(state)
     assert state.rng is state.rng
