@@ -53,18 +53,20 @@ class SquareRegion(FrozenRecord):
     __slots__ = ("N", "v_lo", "u_hi")
 
     def __init__(self, N: int, v_lo: float, u_hi: float):
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "v_lo", v_lo)
-        object.__setattr__(self, "u_hi", u_hi)
+        set_N, set_v_lo, set_u_hi = self._setters
+        set_N(self, N)
+        set_v_lo(self, v_lo)
+        set_u_hi(self, u_hi)
 
 
 class GammaConstants(FrozenRecord):
     __slots__ = ("gamma1", "gamma2", "delta")
 
     def __init__(self, gamma1: float, gamma2: float, delta: float):
-        object.__setattr__(self, "gamma1", gamma1)
-        object.__setattr__(self, "gamma2", gamma2)
-        object.__setattr__(self, "delta", delta)
+        set_gamma1, set_gamma2, set_delta = self._setters
+        set_gamma1(self, gamma1)
+        set_gamma2(self, gamma2)
+        set_delta(self, delta)
 
 
 class ComplexBase:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
 
@@ -57,11 +58,12 @@ class GameParams(FrozenRecord):
             raise ValueError("dimension must be 1, 2 or 4")
         if len(initial_center) != dimension:
             raise ValueError("initial center has the wrong dimension")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "initial_center", initial_center)
+        set_alpha, set_beta, set_rho, set_dimension, set_initial_center = self._setters
+        set_alpha(self, alpha)
+        set_beta(self, beta)
+        set_rho(self, rho)
+        set_dimension(self, dimension)
+        set_initial_center(self, initial_center)
 
     def rho_n(self, n: int) -> float:
         return (self.alpha * self.beta) ** n * self.rho
@@ -71,29 +73,33 @@ class Move(FrozenRecord):
     __slots__ = ("player", "round_no", "center", "radius")
 
     def __init__(self, player: str, round_no: int, center: Vector, radius: float):
-        object.__setattr__(self, "player", player)
-        object.__setattr__(self, "round_no", round_no)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
+        set_player, set_round_no, set_center, set_radius = self._setters
+        set_player(self, player)
+        set_round_no(self, round_no)
+        set_center(self, center)
+        set_radius(self, radius)
 
 
 class GameState(Record):
     """What a strategy sees: the game's params, system and seed, and, read-only
     and set by play before each move, round_no, ball (the last accepted Move,
-    which the mover's ball must nest in), reach (how far the mover's center
-    may move from ball.center) and the mover's own scratch."""
+    which the mover's ball must nest in), radius (the mover's own), reach
+    (how far the mover's center may move from ball.center) and the mover's
+    own scratch."""
 
-    __slots__ = ("params", "system", "seed", "_round_no", "_ball", "_reach", "_scratch",
-                 "_notes", "_rng")
+    __slots__ = ("params", "system", "seed", "_round_no", "_ball", "_radius", "_reach",
+                 "_scratch", "_notes", "_rng")
 
     def __init__(self, params: GameParams, system: object | None, seed: int = 0):
         self.params, self.system, self.seed = params, system, seed
-        self._round_no, self._ball, self._reach, self._scratch = 0, None, 0.0, {}
+        self._round_no, self._ball, self._radius, self._reach, self._scratch = (
+            0, None, 0.0, 0.0, {})
         self._notes: list[str] = []
         self._rng = None
 
     round_no = property(operator.attrgetter("_round_no"))
     ball = property(operator.attrgetter("_ball"))
+    radius = property(operator.attrgetter("_radius"))
     reach = property(operator.attrgetter("_reach"))
     scratch = property(operator.attrgetter("_scratch"))
 
@@ -139,10 +145,7 @@ class GameTrace(Record):
         a newline, byte for byte: the indenting encoder is pure Python and cost
         more per game than play and verify."""
         p = self.params
-        moves = [_MOVE_JSON % (_json_center(mv.center), _json_str(mv.player),
-                               _json_number(mv.radius), _json_number(mv.round_no))
-                 for mv in self.moves]
-        return ('{\n  "moves": ' + _json_list(moves, "  ")
+        return ('{\n  "moves": ' + _json_list(_moves_json(self.moves, p.dimension), "  ")
                 + ',\n  "notes": ' + _json_list([_json_str(t) for t in self.notes], "  ")
                 + ',\n  "params": {\n    "alpha": ' + _json_number(p.alpha)
                 + ',\n    "beta": ' + _json_number(p.beta)
@@ -181,6 +184,38 @@ def _json_center(center) -> str:
 def _json_list(items: list[str], pad: str) -> str:
     """Encoded items laid out as json.dumps(indent=2) lays out a list at pad."""
     return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]" if items else "[]"
+
+
+# _MOVE_JSON by dimension, with each center coordinate a field of its own;
+# %s writes a float as float.__repr__ and an int as int.__repr__
+_MOVE_FORMAT = {dim: _MOVE_JSON.replace("%s", _json_list(["%s"] * dim, "      "), 1)
+                for dim in (1, 2, 4)}
+_center, _radius, _round_no = map(operator.attrgetter, ("center", "radius", "round_no"))
+
+
+def _moves_json(moves: list[Move], dim: int) -> list[str]:
+    """Each move as _MOVE_JSON lays it out.
+
+    Moves as play records them, dim finite floats to a center, a finite
+    float radius and an int round, take one _MOVE_FORMAT string each, as
+    float.__repr__ is what json.dumps writes for such a float.  A sum of
+    finite floats is finite unless it overflows, so a finite sum shows that
+    every number is finite, and an overflowed one only sends the trace to
+    the general path.  Any other trace (a numpy float, an int coordinate, a
+    value that is not finite) writes each field with _json_center and
+    _json_number, which give the same bytes.
+    """
+    centers = list(map(_center, moves))
+    numbers = [*chain.from_iterable(centers), *map(_radius, moves)]
+    if (set(map(len, centers)) <= {dim}
+            and set(map(type, numbers)) <= {float} and math.isfinite(sum(numbers))
+            and set(map(type, map(_round_no, moves))) <= {int}):
+        fmt = _MOVE_FORMAT[dim]
+        return [fmt % (*mv.center, _json_str(mv.player), mv.radius, mv.round_no)
+                for mv in moves]
+    return [_MOVE_JSON % (_json_center(mv.center), _json_str(mv.player),
+                          _json_number(mv.radius), _json_number(mv.round_no))
+            for mv in moves]
 
 
 def game_json(setup, trace, result, violations: list[str]) -> str:
@@ -222,8 +257,8 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
         """Refresh what the strategy sees, then record its center once it is
         legal: finite, of the game's dimension, nested and in the domain."""
         state.params, state.system, state.seed = params, system, seed
-        state._round_no, state._ball, state._reach, state._scratch = (
-            n, moves[-1], reach, scratch[player])
+        state._round_no, state._ball, state._radius, state._reach, state._scratch = (
+            n, moves[-1], radius, reach, scratch[player])
         proposal = strategy(state)
         try:
             center = tuple(map(float, proposal))
@@ -319,9 +354,10 @@ class Claim(FrozenRecord):
             raise ValueError("claim block must be nonempty")
         if position < 1:
             raise ValueError("position is 1-based")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "position", position)
+        set_kind, set_block, set_position = self._setters
+        set_kind(self, kind)
+        set_block(self, block)
+        set_position(self, position)
 
 
 class VerifyResult(Record):

@@ -224,11 +224,12 @@ class DomainConstants(FrozenRecord):
     __slots__ = ("xi", "rho", "M", "D", "C_X")
 
     def __init__(self, xi: Quaternion, rho: float, M: float, D: float, C_X: float):
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "C_X", C_X)
+        set_xi, set_rho, set_M, set_D, set_C_X = self._setters
+        set_xi(self, xi)
+        set_rho(self, rho)
+        set_M(self, M)
+        set_D(self, D)
+        set_C_X(self, C_X)
 
 
 def domain_constants(lattice: LatticeDomain, xi: Quaternion, rho: float) -> DomainConstants:
@@ -282,8 +283,9 @@ class LosingParameters(FrozenRecord):
     __slots__ = ("alpha_lo", "q_norm_n")
 
     def __init__(self, alpha_lo: float, q_norm_n: float):
-        object.__setattr__(self, "alpha_lo", alpha_lo)
-        object.__setattr__(self, "q_norm_n", q_norm_n)
+        set_alpha_lo, set_q_norm_n = self._setters
+        set_alpha_lo(self, alpha_lo)
+        set_q_norm_n(self, q_norm_n)
 
     def beta(self, alpha: float) -> float:
         if not self.alpha_lo <= alpha < 1.0:

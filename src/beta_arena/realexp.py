@@ -41,10 +41,11 @@ class CylinderInterval(FrozenRecord):
     __slots__ = ("block", "lo", "hi", "full_length")
 
     def __init__(self, block: Block, lo: float, hi: float, full_length: bool):
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "full_length", full_length)
+        set_block, set_lo, set_hi, set_full_length = self._setters
+        set_block(self, block)
+        set_lo(self, lo)
+        set_hi(self, hi)
+        set_full_length(self, full_length)
 
 
 class RealBase:

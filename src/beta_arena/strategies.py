@@ -9,16 +9,26 @@ through the digit kernel and recenters on the avoided-block-free cylinder
 shifted by xi.  Lengths are numeric._norm's, which keeps numpy's bits, so
 numpy is loaded only for the random PCG64 stream and the avoidance play's
 matrix powers.
+
+The avoidance play keeps a memo beside its table of powers of A: the
+product A^-j d for each digit d pinned at position j, and A^-depth xi for
+each depth, which recur from game to game.  Each entry is the numpy
+expression the play would evaluate in its place, so it has the same bits,
+and it is a pure function of its key, so two threads that race on a key
+store equal values.  The memo grows with the distinct (position, digit)
+pairs the games on one system meet: 32 to 180 entries per system after
+a 20-s run of perfbench's sweep.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from typing import Callable, Sequence
 
-from .game import GameState, Strategy, StrategyError, Vector
-from .numeric import _distance, _norm
+from .game import GameState, Strategy, StrategyError, Vector, _escape
+from .numeric import _HUGE, _distance, _norm
 from .realexp import RealBase
 from .systems import QuatSystem, max_step_inside
 
@@ -41,12 +51,15 @@ def bob_center_hold() -> Strategy:
 
 
 def _random_move(s: GameState, center: Vector, budget: float) -> Vector:
-    """A uniform point within budget of center that stays in the domain;
-    center itself after 256 misses."""
+    """A uniform point within budget of center that play accepts: its ball
+    of s.radius nests in s.ball and it stays in the domain; center itself
+    after 256 misses.  A draw at the edge of the budget can escape by
+    rounding, and counts as a miss like a draw outside the domain."""
     scale = budget * (1.0 - 1e-9)
     for _ in range(256):
         y = tuple(c + scale * u for c, u in zip(center, _ball_sample(s.rng, s.params.dimension)))
-        if s.system is None or s.system.contains(y):
+        if (_escape(s.ball, y, s.radius) is None
+                and (s.system is None or s.system.contains(y))):
             return y
     return center
 
@@ -160,6 +173,26 @@ def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
 # -- losing strategy (Bob) -----------------------------------------------------
 
 
+def _overshoot(proposal: Vector, y: Vector, max_step: float) -> float | None:
+    """gap = _distance(proposal, y) when gap > max_step, else None.
+
+    A float filter answers most moves first, as in game._escape.  Both
+    lengths are of the same float differences; with u = 2^-53, math.hypot's
+    q errs by under an ulp, 2u q (Python 3.10 on), and _norm's gap by at
+    most 3u of it, as its sum of squares cannot overflow while q < 2^500,
+    plus 2^-535 where that sum underflows.  So gap < q (1 + 6u) + 2^-535,
+    and a q with q + 16u q + 2^-500 < max_step in floats (its two roundings
+    cost under 2u of the sum) has gap < max_step.  Every other case, NaN
+    and inf too, takes the exact path, so each decision and each returned
+    gap keeps its bits.
+    """
+    q = math.hypot(*map(operator.sub, proposal, y))
+    if q < _HUGE and q + (2.0 ** -49 * q + 2.0 ** -500) < max_step:
+        return None
+    gap = _distance(proposal, y)
+    return gap if gap > max_step else None
+
+
 def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
                     omega: Sequence[tuple[int, int, int, int]]) -> Strategy:
     """Digit-pinning avoidance play for quaternion expansions, written in the
@@ -178,8 +211,8 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     a note in the trace instead of crashing.
 
     The strategy keeps no game state: (m, pinned) lives in Bob's scratch,
-    and only the table of powers of A outlives a game, so one strategy
-    serves every game on its system.
+    and only the powers of A and the memo of products outlive a game, so
+    one strategy serves every game on its system.
     """
     import numpy as np
     win = len(omega)
@@ -195,6 +228,11 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     powers = [(np.eye(len(A)), np.eye(len(A)))]
     growing = threading.Lock()
     xi_coords = np.array(system.coords(xi))
+    # the memo: A^-j d by (j, d) and A^-depth xi by depth, and the pinned
+    # point of a fresh game; every game reads them and none writes into them
+    steps: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+    shifts: dict[int, np.ndarray] = {}
+    fresh = (0, np.zeros(len(A)))
 
     def power(j: int) -> tuple[np.ndarray, np.ndarray]:
         if j >= len(powers):
@@ -207,19 +245,25 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     def f(s: GameState) -> Vector:
         y = s.ball.center
         kk = s.round_no
-        m, pinned = s.scratch.get("avoid", (0, np.zeros(len(A))))
+        m, pinned = s.scratch.get("avoid", fresh)
         depth = kk * win
         local = power(m)[0] @ (np.array(system.coords(y)) - pinned)
         digits = kernel.expand(local.tolist(), depth - m, nudge=True)
         for i, d in enumerate(digits):
             if i % win == 0 and digits[i:i + win] == omega_coords:
                 s.note(f"round {kk}: pinned window equals the avoided block")
-            pinned = pinned + power(m + i + 1)[1] @ d
-        proposal = system._point((pinned + power(depth)[1] @ xi_coords).tolist())
+            step = steps.get((m + i + 1, d))
+            if step is None:
+                step = steps[m + i + 1, d] = power(m + i + 1)[1] @ d
+            pinned = pinned + step
+        shift = shifts.get(depth)
+        if shift is None:
+            shift = shifts[depth] = power(depth)[1] @ xi_coords
+        proposal = system._point((pinned + shift).tolist())
         a_rad = s.ball.radius  # Alice's radius; Bob's is beta times it
         max_step = (a_rad - s.params.beta * a_rad) * (1.0 - 1e-12)
-        gap = _distance(proposal, y)
-        if gap > max_step:
+        gap = _overshoot(proposal, y, max_step)
+        if gap is not None:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")
             scale = max_step / gap
             proposal = tuple(c + (p - c) * scale for p, c in zip(proposal, y))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from beta_arena import systems as systems_module
+from beta_arena import game as game_module, systems as systems_module
 from beta_arena.complexexp import ComplexBase, F_threshold, find_n_complex
 from beta_arena.game import (RADIUS_FLOOR, Claim, GameParams, GameTrace, IllegalMoveError,
                              Move, StrategyError, _escape, audit_trace, certified_digits,
@@ -15,7 +15,7 @@ from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, _norm, metallic
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
 from beta_arena.realexp import A_threshold, RealBase, find_nk_real, winning_gap
-from beta_arena.strategies import (alice_quaternion_componentwise, alice_random,
+from beta_arena.strategies import (_overshoot, alice_quaternion_componentwise, alice_random,
                                    alice_real_winning, bob_avoid_block, bob_center_hold,
                                    bob_optimal_drift, bob_random)
 from beta_arena.systems import (ComplexSystem, QuatSystem, RealSystem, _exit, _halvings,
@@ -252,6 +252,54 @@ def test_escape_matches_unfiltered_formula(centers, R, k):
 ])
 def test_escape_edge_cases_match_unfiltered_formula(outer_center, center, R, r):
     assert _same_escape(Move("alice", 1, outer_center, R), center, r)
+
+
+def _same_overshoot(proposal, y, max_step):
+    """_overshoot against the exact length alone, without its float filter."""
+    gap = _norm([p - c for p, c in zip(proposal, y)])
+    answers = (_overshoot(proposal, y, max_step), gap if gap > max_step else None)
+    got, want = (None if a is None else a.hex() for a in answers)
+    return got == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from((1, 2, 4)),
+       st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 2e-162, 1e-150, 1.0, 1e300]),
+       st.integers(-64, 64), st.data())
+def test_overshoot_matches_unfiltered_distance(dim, radius, k, data):
+    # offsets of the formula move at the scale of the step, subnormal, or
+    # past the largest float; max_step sits k ulps of the gap from it, across
+    # the filter's margin of 16u q + 2^-500 and onto the gap itself
+    offset = (st.floats(-1.0, 1.0).map(lambda u: u * radius)
+              | st.integers(-64, 64).map(lambda j: j * 5e-324)
+              | st.sampled_from([-1.7e308, 1.7e308]))
+    y = data.draw(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e308]),
+                           min_size=dim, max_size=dim))
+    offsets = data.draw(st.lists(offset, min_size=dim, max_size=dim))
+    proposal = tuple(c + e for c, e in zip(y, offsets))
+    gap = _norm([p - c for p, c in zip(proposal, y)])
+    if not math.isfinite(gap):
+        assert _same_overshoot(proposal, y, radius)
+        return
+    max_step = gap + k * math.ulp(gap)
+    for j in (-2, -1, 0, 1, 2):  # a few ulps of max_step around it
+        assert _same_overshoot(proposal, y, max_step + j * math.ulp(max_step))
+
+
+@pytest.mark.parametrize("proposal, y, max_step", [
+    ((0.6740896286490659, -0.2587660209689042, 0.005969354830720253,
+      -0.015325870491891491), (0.0,) * 4, 0.7222376316446992),  # _norm 2 ulps above hypot
+    ((2e-162, 0.0, 0.0, 0.0), (0.0,) * 4, 2.1e-162),   # the square rounds up to 5e-324
+    ((1e-162,), (0.0,), 5e-324),                       # the square underflows to 0
+    ((5e-324 * 3, 0.0), (0.0, -5e-324), 1e-323),        # subnormal differences
+    ((1.7e308, 0.0, 0.0, 0.0), (-1.7e308, 0.0, 0.0, 0.0), 1.0),  # the difference overflows
+    ((1e154, 1e154), (-1e154, -1e154), 1e300),         # its squares overflow
+    ((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, math.nan), 1.0),  # NaN takes the exact path
+    ((0.5,), (0.25,), math.nan),
+    ((0.5,), (0.25,), 0.25),                           # the gap equals max_step
+])
+def test_overshoot_edge_cases_match_unfiltered_distance(proposal, y, max_step):
+    assert _same_overshoot(proposal, y, max_step)
 
 
 @settings(max_examples=25, deadline=None)
@@ -639,7 +687,17 @@ def test_to_json_is_json_dumps_of_to_dict_on_every_preset():
                 assert trace.to_json() == _dumps(trace), (name, bob, seed)
 
 
-def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does():
+def test_random_players_refuse_a_draw_that_escapes_by_rounding():
+    # Bob's draw at the edge of its reach escaped Alice's ball by 1.761e-12,
+    # past EPS_CMP, and play raised; the random players now redraw instead
+    params = GameParams(0.01, 0.01, 53568, 4, (0, 0, 0, 0))
+    trace = play(params, alice_random(), bob_random(), max_rounds=4, seed=49624)
+    assert (trace.status, trace.rounds_played) == ("max-rounds", 4)
+    assert audit_trace(trace) == []
+    assert trace.to_json() == _dumps(trace)
+
+
+def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does(monkeypatch):
     params = GameParams(np.float64(0.5), 0.5, np.float64(0.25), 1, (np.float64(0.5),))
     trace = GameTrace(params, 0, [], "max-rounds")
     assert trace.to_json() == _dumps(trace)
@@ -651,6 +709,23 @@ def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does():
     trace = GameTrace(GameParams(0.5, 0.5, 1.0, 2, (0.0, 0.0)), 0, moves, "max-rounds")
     assert trace.to_json() == _dumps(trace)
     assert '"center": [\n        0.0,\n        0.0\n      ]' in trace.to_json()
+    # moves as play records them take one format string each, and a trace
+    # with one odd move appended writes every move field by field
+    for dim in (1, 2, 4):
+        played = play(GameParams(0.5, 0.5, 1.0, dim, (0.5,) * dim), alice_random(),
+                      bob_random(), max_rounds=3, seed=dim)
+        c = played.moves[-1].center
+        odd = [Move("bob", 4, c, 1), Move("bob", 4, c, np.float64(0.125)),
+               Move("bob", 4, (math.inf,) + c[1:], 0.125),
+               Move("bob", 4, (math.nan,) + c[1:], 0.125),
+               Move("bob", 4, (np.float64(0.25),) + c[1:], 0.125),
+               Move("bob", 4, (1,) + c[1:], 0.125), Move("bob", 4, c + (0.5,), 0.125)]
+        for mv in odd:
+            trace = GameTrace(played.params, played.seed, played.moves + [mv], played.status)
+            assert trace.to_json() == _dumps(trace), (dim, mv)
+        with monkeypatch.context() as m:
+            m.setattr(game_module, "_json_center", None)  # the general path would call it
+            assert played.to_json() == _dumps(played)
 
 
 # -- fast paths against their numpy originals -------------------------------------

@@ -18,6 +18,7 @@ import mpmath
 import pytest
 
 from beta_arena.presets import build_preset, run_setup
+from beta_arena.strategies import bob_avoid_block
 
 # (preset, alpha, seed, verdict, status, rounds, certified, certified digits)
 PINS = [
@@ -351,6 +352,28 @@ def test_losing_outcome(preset, alpha, seed, verdict, status, rounds, certified,
     assert (result.verdict, trace.status, trace.rounds_played, result.certified) == (
         verdict, status, rounds, certified)
     assert result.digits[:certified] == _digits(digits)
+
+
+@pytest.mark.parametrize("preset", sorted({p[0] for p in PINS}))
+def test_avoidance_memo_does_not_depend_on_game_order(preset):
+    # each order plays seeds 0-7 on a fresh avoidance strategy, whose memo
+    # starts empty, so the two orders fill it in different orders
+    pins = {p[2]: p[3:] for p in PINS if p[0] == preset and p[1] is None}
+    texts = []
+    for order in (range(8), range(7, -1, -1)):
+        setup = build_preset(preset)
+        setup.bob = bob_avoid_block(setup.system, setup.params.initial_center,
+                                    setup.claim.block)
+        played = {}
+        for seed in order:
+            trace, result = run_setup(setup, seed=seed)
+            verdict, status, rounds, certified, digits = pins[seed]
+            assert (result.verdict, trace.status, trace.rounds_played, result.certified) == (
+                verdict, status, rounds, certified)
+            assert result.digits[:certified] == _digits(digits)
+            played[seed] = trace.to_json()
+        texts.append(played)
+    assert texts[0] == texts[1]
 
 
 class _ExactMap:

@@ -8,14 +8,18 @@ builds a fresh default list or dict for each instance.
 """
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 
 import pytest
 
+import beta_arena
+
 from beta_arena.complexexp import GammaConstants, SquareRegion
 from beta_arena.game import Claim, GameParams, GameState, GameTrace, Move, VerifyResult
-from beta_arena.numeric import Quaternion
+from beta_arena.numeric import FrozenRecord, Quaternion
 from beta_arena.presets import GameSetup
 from beta_arena.quatexp import DomainConstants, LosingParameters
 from beta_arena.realexp import CylinderInterval
@@ -99,6 +103,23 @@ def test_frozen_records_hash_by_value_and_refuse_assignment(cls, names, values, 
             assert getattr(a, name) == 0
 
 
+def test_every_frozen_record_takes_the_frozen_checks():
+    # each FrozenRecord of the package is in RECORDS as frozen, so the tests
+    # above check that it refuses assignment and deletion, hashes by value,
+    # copies and pickles, with its fields stored through _setters
+    for info in pkgutil.iter_modules(beta_arena.__path__):
+        importlib.import_module(f"beta_arena.{info.name}")
+    found, todo = set(), [FrozenRecord]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("beta_arena."):
+                found.add(sub)
+    assert found == {cls for cls, _, _, frozen in RECORDS.values() if frozen}
+    for cls in found:
+        assert len(cls._setters) == len(cls.__slots__)
+
+
 @CASES
 def test_repr_names_each_field(cls, names, values, frozen):
     want = f"{cls.__name__}(" + ", ".join(
@@ -121,8 +142,8 @@ def test_defaults():
     assert Quaternion(d=2.0).components == (0.0, 0.0, 0.0, 2.0)
     assert Claim("contains", (0,)).position == 1
     state = GameState(PARAMS, None)
-    assert (state.seed, state.round_no, state.ball, state.reach, state.scratch) == (
-        0, 0, None, 0.0, {})
+    assert (state.seed, state.round_no, state.ball, state.radius, state.reach,
+            state.scratch) == (0, 0, None, 0.0, 0.0, {})
     assert GameTrace(PARAMS, 0, [], "max-rounds").notes == []
     setup = GameSetup("custom", PARAMS, None, alice, alice, CLAIM, 12)
     assert setup.notes == []
