@@ -4,27 +4,28 @@ Bob opens with a ball of radius rho; thereafter Alice places a ball of
 radius alpha times the current one inside it, Bob answers inside hers with
 the radius scaled by beta, and the intersection point of the chain is the
 outcome.  Radii are forced by the schedule rho_n = (alpha beta)^n rho, so a
-move is just a center; the engine validates both containment inequalities
-with a small comparison slack and keeps centers inside the expansion domain
-when one is attached (the game is played on the domain as a metric space).
+move is just a center; the engine holds every ball exactly inside the one
+before it (_escape) and keeps centers inside the expansion domain when one
+is attached (the game is played on the domain as a metric space).
 Double precision runs out near radius 1e-12, so games stop there rather
 than pretending to resolve further digits.
 
 Strategies (strategies.py) are callables GameState -> center that may
 return any float sequence; play alone keeps the record and the radius
-schedule.  The game document has one writer, game_json with
-GameTrace.to_json, and the verifier decides what a finished game proved.
+schedule, and publishes each mover's reach net of a slack of a few ulps,
+so a move of that length nests exactly.  The game document is one
+json.dumps of plain dicts (GameTrace.to_dict, game_json), and the verifier
+decides what a finished game proved.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Sequence
 
-from .numeric import _HUGE, EPS_CMP, FrozenRecord, Record, _distance
+from .numeric import FrozenRecord, Record
 
 RADIUS_FLOOR = 1e-12
 
@@ -84,8 +85,9 @@ class GameState(Record):
     """What a strategy sees: the game's params, system and seed, and, read-only
     and set by play before each move, round_no, ball (the last accepted Move,
     which the mover's ball must nest in), radius (the mover's own), reach
-    (how far the mover's center may move from ball.center) and the mover's
-    own scratch."""
+    (how far the mover's center may move from ball.center, net of play's
+    slack, so any center within reach nests exactly) and the mover's own
+    scratch."""
 
     __slots__ = ("params", "system", "seed", "_round_no", "_ball", "_radius", "_reach",
                  "_scratch", "_notes", "_rng")
@@ -139,100 +141,31 @@ class GameTrace(Record):
     def rounds_played(self) -> int:
         return sum(1 for mv in self.moves if mv.player == "alice")
 
-    def to_json(self) -> str:
-        """The trace as json.dumps(sort_keys=True, indent=2) writes its params,
-        seed, status, notes and moves (center as float()s, "legal": true), plus
-        a newline, byte for byte: the indenting encoder is pure Python and cost
-        more per game than play and verify."""
+    def to_dict(self) -> dict:
+        """The trace document, schema 2: params, seed, status, notes and the
+        moves, each center as float()s."""
         p = self.params
-        return ('{\n  "moves": ' + _json_list(_moves_json(self.moves, p.dimension), "  ")
-                + ',\n  "notes": ' + _json_list([_json_str(t) for t in self.notes], "  ")
-                + ',\n  "params": {\n    "alpha": ' + _json_number(p.alpha)
-                + ',\n    "beta": ' + _json_number(p.beta)
-                + ',\n    "dimension": ' + _json_number(p.dimension)
-                + ',\n    "initial_center": '
-                + _json_list([_json_number(c) for c in p.initial_center], "    ")
-                + ',\n    "rho": ' + _json_number(p.rho)
-                + '\n  },\n  "seed": ' + _json_number(self.seed)
-                + ',\n  "status": ' + _json_str(self.status) + "\n}\n")
+        return {"schema": 2, "seed": self.seed, "status": self.status, "notes": list(self.notes),
+                "params": {"alpha": p.alpha, "beta": p.beta, "rho": p.rho,
+                           "dimension": p.dimension, "initial_center": list(p.initial_center)},
+                "moves": [{"player": mv.player, "round": mv.round_no,
+                           "center": [float(c) for c in mv.center], "radius": mv.radius}
+                          for mv in self.moves]}
 
-
-_MOVE_JSON = ('{\n      "center": %s,\n      "legal": true,\n      "player": %s,'
-              '\n      "radius": %s,\n      "round": %s\n    }')
-
-
-def _json_number(v) -> str:
-    """A number as json.dumps writes it: float.__repr__ (numpy 2's repr of a
-    np.float64 differs), NaN and +-Infinity, int.__repr__ for an int."""
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
-    return int.__repr__(v)
-
-
-def _json_center(center) -> str:
-    """A move's center, float(c) for each c, laid out
-    at the move's indent; only a center that is not finite needs
-    _json_number."""
-    xs = list(map(float, center))
-    items = (list(map(float.__repr__, xs)) if all(map(math.isfinite, xs))
-             else list(map(_json_number, xs)))
-    return _json_list(items, "      ")
-
-
-def _json_list(items: list[str], pad: str) -> str:
-    """Encoded items laid out as json.dumps(indent=2) lays out a list at pad."""
-    return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]" if items else "[]"
-
-
-# _MOVE_JSON by dimension, with each center coordinate a field of its own;
-# %s writes a float as float.__repr__ and an int as int.__repr__
-_MOVE_FORMAT = {dim: _MOVE_JSON.replace("%s", _json_list(["%s"] * dim, "      "), 1)
-                for dim in (1, 2, 4)}
-_center, _radius, _round_no = map(operator.attrgetter, ("center", "radius", "round_no"))
-
-
-def _moves_json(moves: list[Move], dim: int) -> list[str]:
-    """Each move as _MOVE_JSON lays it out.
-
-    Moves as play records them, dim finite floats to a center, a finite
-    float radius and an int round, take one _MOVE_FORMAT string each, as
-    float.__repr__ is what json.dumps writes for such a float.  A sum of
-    finite floats is finite unless it overflows, so a finite sum shows that
-    every number is finite, and an overflowed one only sends the trace to
-    the general path.  Any other trace (a numpy float, an int coordinate, a
-    value that is not finite) writes each field with _json_center and
-    _json_number, which give the same bytes.
-    """
-    centers = list(map(_center, moves))
-    numbers = [*chain.from_iterable(centers), *map(_radius, moves)]
-    if (set(map(len, centers)) <= {dim}
-            and set(map(type, numbers)) <= {float} and math.isfinite(sum(numbers))
-            and set(map(type, map(_round_no, moves))) <= {int}):
-        fmt = _MOVE_FORMAT[dim]
-        return [fmt % (*mv.center, _json_str(mv.player), mv.radius, mv.round_no)
-                for mv in moves]
-    return [_MOVE_JSON % (_json_center(mv.center), _json_str(mv.player),
-                          _json_number(mv.radius), _json_number(mv.round_no))
-            for mv in moves]
+    def to_json(self) -> str:
+        """to_dict in one compact line, keys sorted; json.tool lays it out."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def game_json(setup, trace, result, violations: list[str]) -> str:
-    """The game document as json.dumps(sort_keys=True, indent=2) writes it, byte
-    for byte, with GameTrace.to_json spliced in one level down."""
-    block = [_json_list(list(map(_json_number, d)), "      ") if isinstance(d, tuple)
-             else _json_number(d) for d in setup.claim.block]
-    return ('{\n  "audit_violations": ' + _json_list(list(map(_json_str, violations)), "  ")
-            + ',\n  "certified_digits": ' + _json_number(result.certified)
-            + ',\n  "claim": {\n    "block": ' + _json_list(block, "    ")
-            + ',\n    "kind": ' + _json_str(setup.claim.kind)
-            + ',\n    "position": ' + _json_number(setup.claim.position)
-            + '\n  },\n  "preset": ' + _json_str(setup.name)
-            + ',\n  "setup_notes": ' + _json_list(list(map(_json_str, setup.notes)), "  ")
-            + ',\n  "trace": ' + trace.to_json()[:-1].replace("\n", "\n  ")
-            + ',\n  "verdict": ' + _json_str(result.verdict)
-            + ',\n  "verdict_reason": ' + _json_str(result.reason) + "\n}")
+    """The game document around the trace's to_dict, written as to_json writes."""
+    claim = setup.claim
+    return json.dumps({
+        "preset": setup.name, "setup_notes": setup.notes, "trace": trace.to_dict(),
+        "claim": {"kind": claim.kind, "block": claim.block, "position": claim.position},
+        "audit_violations": violations, "certified_digits": result.certified,
+        "verdict": result.verdict, "verdict_reason": result.reason,
+    }, sort_keys=True, separators=(",", ":"))
 
 
 def play(params: GameParams, alice: Strategy, bob: Strategy,
@@ -257,8 +190,9 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
         """Refresh what the strategy sees, then record its center once it is
         legal: finite, of the game's dimension, nested and in the domain."""
         state.params, state.system, state.seed = params, system, seed
+        ball = moves[-1]
         state._round_no, state._ball, state._radius, state._reach, state._scratch = (
-            n, moves[-1], radius, reach, scratch[player])
+            n, ball, radius, max(0.0, reach - _slack(ball)), scratch[player])
         proposal = strategy(state)
         try:
             center = tuple(map(float, proposal))
@@ -266,7 +200,7 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
             center = ()
         if len(center) != params.dimension or not all(map(math.isfinite, center)):
             raise IllegalMoveError(player, n, "malformed center")
-        gap = _escape(moves[-1], center, radius)
+        gap = _escape(ball, center, radius)
         if gap is not None:
             raise IllegalMoveError(player, n, f"ball escapes the previous one by {gap:.3e}")
         if system is not None and not system.contains(center):
@@ -286,46 +220,71 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
     return GameTrace(params, seed, moves, status, state._notes)
 
 
-def _escape(outer: Move, center: Sequence[float], radius: float) -> float | None:
-    """The nesting rule of play and audit_trace: how far the ball
-    B(center, radius) reaches out of outer's ball, |c - c'| + r - R, or None
-    when that is at most EPS_CMP.
+def _slack(ball: Move) -> float:
+    """How far inside its budget play publishes a mover's reach: 2^-48 of
+    the ball's radius R plus four ulps of its largest center coordinate.
+    With u = 2^-53, the budget (1 - alpha) R or (1 - beta) R rounds to
+    within 3u R of the exact room R - r; a move of length reach along a unit
+    vector, scaled and added in floats, lands within 7u R plus two ulps of
+    the largest coordinate of it; _escape's float filter asks 10u R more.
+    So a stock strategy's move nests exactly, and the filter decides it."""
+    return 2.0 ** -48 * ball.radius + 4.0 * math.ulp(max(map(abs, ball.center)))
 
-    |c - c'| is _norm's, but a float filter answers most moves first.  With
-    u = 2^-53 and S = q + |r| + |R|, math.hypot's q errs by under an ulp,
-    2u q (Python 3.10 on), and _norm's length by at most 3u of it (Higham,
-    ch. 3), as its sum of squares cannot overflow while q < 2^500; each
-    gap's two roundings add 2u S, so the two gaps differ by at most 9u S,
-    plus 2^-535 where that sum underflows.  A filtered gap below EPS_CMP by
-    16u S + 2^-500 thus has an exact gap of at most EPS_CMP, for any
-    EPS_CMP >= 0 (every exact gap is when S < EPS_CMP / 2).  Every other
-    case, NaN and inf too, takes the exact path, so each decision and each
-    reported gap keeps its bits.
+
+def _escape(outer: Move, center: Sequence[float], radius: float) -> float | None:
+    """The nesting rule of play and audit_trace: None when the ball
+    B(center, radius) lies inside outer's B(c', R), exactly: R - r >= 0 and
+    sum (c_i - c'_i)^2 <= (R - r)^2.  Otherwise how far it reaches out,
+    |c - c'| + r - R.
+
+    A float filter answers most moves.  With u = 2^-53, math.dist's q of the
+    rounded differences lies within 3u q of |c - c'| (its error is under an
+    ulp since Python 3.10) and the room R - r rounds once, so a q below
+    room (1 - 8u) by more than the least normal float shows an exact
+    nesting.  Every other case takes the exact test in integers: each float
+    is an integer over a power of two, so all share the largest denominator.
+    A value that is not finite nests when its float gap is at most 0.
     """
-    q = math.hypot(*map(operator.sub, center, outer.center))
-    bound = 2.0 ** -49 * (q + abs(radius) + abs(outer.radius)) + 2.0 ** -500
-    if q < _HUGE and q + radius - outer.radius < EPS_CMP - bound:
+    q = math.dist(center, outer.center)
+    room = outer.radius - radius
+    if q < room * (1.0 - 2.0 ** -50) - 2.0 ** -1022:
         return None
-    gap = _distance(center, outer.center) + radius - outer.radius
-    return gap if gap > EPS_CMP else None
+    values = (outer.radius, radius, *outer.center, *center)
+    if not all(map(math.isfinite, values)):
+        gap = q + radius - outer.radius
+        return None if gap <= 0.0 else gap
+    ratios = [x.as_integer_ratio() for x in values]
+    # 2^64 times the common denominator keeps isqrt's error below 2^-64 of q
+    scale = max(d for _, d in ratios) << 64
+    R, r, *xs = [n * (scale // d) for n, d in ratios]
+    room, dim = R - r, len(outer.center)
+    N = sum((a - b) ** 2 for a, b in zip(xs[:dim], xs[dim:]))
+    if room >= 0 and N <= room * room:
+        return None
+    root = math.isqrt(N)
+    try:  # |c - c'| - room, from a difference of squares when room > 0
+        return ((N - room * room) / (scale * (root + room)) if room > 0
+                else (root - room) / scale)
+    except OverflowError:
+        return math.inf
 
 
 def audit_trace(trace: GameTrace) -> list[str]:
     """Re-verify every move of a finished game from the raw record.
 
     Returns a list of violation descriptions; an empty list is a pass.
-    Checks the two containment inequalities, the radius schedule, and the
-    resulting chain nesting.
+    Checks the opening ball, each radius against the schedule for equality
+    and each ball's nesting in the one before it.
     """
     p = trace.params
     problems: list[str] = []
     prev = trace.moves[0]
-    if prev.player != "bob" or abs(prev.radius - p.rho) > 1e-9 * p.rho:
+    if prev.player != "bob" or prev.radius != p.rho:
         problems.append("malformed opening ball")
     for mv in trace.moves[1:]:
         n = mv.round_no
-        expected = p.alpha * p.rho_n(n - 1) if mv.player == "alice" else p.rho_n(n)
-        if abs(mv.radius - expected) > 1e-9 * max(expected, 1e-300):
+        a_rad = p.alpha * p.rho_n(n - 1)  # play's own expressions, so equality holds
+        if mv.radius != (a_rad if mv.player == "alice" else p.beta * a_rad):
             problems.append(f"round {n} {mv.player}: radius off schedule")
         gap = _escape(prev, mv.center, mv.radius)
         if gap is not None:

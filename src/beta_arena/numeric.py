@@ -1,18 +1,17 @@
 """Value records, quaternion arithmetic, guarded rounding, the digit kernel
-and the fixed-order sums and fused length that keep numpy's bits.
+and the fixed-order sums that give the same bits on every Python version.
 
 The digit maps in one, two and four dimensions are one affine map in
 lattice coordinates, DigitKernel, so they share a single arithmetic path.
 Every floor taken near an integer is flagged, and callers decide whether to
-abort or to snap to the boundary.  The kernel, the lattices, the engine and
-the strategies share ordered_sum, _image and _norm.
+abort or to snap to the boundary.  The kernel and the lattices share
+ordered_sum and _image.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Sequence
 
 
 class Record:
@@ -139,57 +138,6 @@ def _image(A):
                     0.0 + d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3)
         return image4
     raise ValueError(f"no image for a {len(A)}-row matrix: kernels are 1x1, 2x2 or 4x4")
-
-
-# Dekker's splitter 2^27 + 1, and the range of |x| in which his split of
-# x * x is exact: the split does not overflow and the error term does not
-# underflow
-_SPLIT = 134217729.0
-_TINY, _HUGE = 2.0 ** -480, 2.0 ** 500
-
-
-def _norm(v: Sequence[float]) -> float:
-    """Euclidean length of a float vector, with np.linalg.norm's bits.
-
-    np.linalg.norm computes exactly sqrt(v.dot(v)) for such a vector, and
-    numpy's dot (on an FMA machine) is the fused chain acc = v0 * v0,
-    acc = fma(vi, vi, acc); a Python sum of squares, or math.hypot, rounds
-    differently in the last bit.  Each fma is done exactly: Dekker's split
-    gives vi * vi = p + e with both floats, and fsum rounds acc + p + e
-    once.  Out of the split's range, _square_add does it in integers.
-    """
-    if len(v) == 1:
-        return math.sqrt(v[0] * v[0])
-    x, *rest = v
-    acc = x * x
-    for x in rest:
-        if (_TINY <= abs(x) <= _HUGE or x == 0.0) and acc <= _HUGE:
-            c = _SPLIT * x
-            hi = c - (c - x)
-            lo = x - hi
-            p = x * x
-            acc = math.fsum((acc, p, lo * lo - (((p - hi * hi) - hi * lo) - lo * hi)))
-        else:
-            acc = _square_add(x, acc)
-    return math.sqrt(acc)
-
-
-def _square_add(x: float, acc: float) -> float:
-    """fma(x, x, acc), x * x + acc rounded once, by exact integer arithmetic
-    (int / int is correctly rounded); inf and nan propagate as in an fma."""
-    if not (math.isfinite(x) and math.isfinite(acc)):
-        return x * x + acc
-    n, d = x.as_integer_ratio()
-    m, e = acc.as_integer_ratio()
-    try:
-        return (n * n * e + m * d * d) / (d * d * e)
-    except OverflowError:
-        return math.inf
-
-
-def _distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """_norm of the coordinatewise difference a - b."""
-    return _norm([x - y for x, y in zip(a, b)])
 
 
 def _snap(w: float, t: float, f: int, off: float, lo: int, hi: int, nudge: bool):

@@ -6,9 +6,9 @@ Alice's center, drift from it or draw at random.  The
 winning ones hold, lock the target a strategy picks for Bob's center, then
 pull toward it; the losing one (Bob's) reads the digits of Alice's center
 through the digit kernel and recenters on the avoided-block-free cylinder
-shifted by xi.  Lengths are numeric._norm's, which keeps numpy's bits, so
-numpy is loaded only for the random PCG64 stream and the avoidance play's
-matrix powers.
+shifted by xi.  Lengths are math.hypot's and math.dist's, and every move
+spends at most s.reach, which play has already made exact; numpy is loaded
+only for the random PCG64 stream and the avoidance play's matrix powers.
 
 The avoidance play keeps a memo beside its table of powers of A: the
 product A^-j d for each digit d pinned at position j, and A^-depth xi for
@@ -23,12 +23,11 @@ a 20-s run of perfbench's sweep.
 from __future__ import annotations
 
 import math
-import operator
 import threading
+from functools import partial
 from typing import Callable, Sequence
 
-from .game import GameState, Strategy, StrategyError, Vector, _escape
-from .numeric import _HUGE, _distance, _norm
+from .game import GameState, Strategy, StrategyError, Vector
 from .realexp import RealBase
 from .systems import QuatSystem, max_step_inside
 
@@ -39,7 +38,7 @@ from .systems import QuatSystem, max_step_inside
 def _ball_sample(rng, dim: int) -> list[float]:
     """A uniform point of the unit ball, drawn from numpy's generator rng."""
     v = rng.normal(size=dim).tolist()
-    norm = _norm(v)
+    norm = math.hypot(*v)
     if norm == 0.0:
         return [0.0] * dim
     scale = rng.random() ** (1.0 / dim)
@@ -51,15 +50,11 @@ def bob_center_hold() -> Strategy:
 
 
 def _random_move(s: GameState, center: Vector, budget: float) -> Vector:
-    """A uniform point within budget of center that play accepts: its ball
-    of s.radius nests in s.ball and it stays in the domain; center itself
-    after 256 misses.  A draw at the edge of the budget can escape by
-    rounding, and counts as a miss like a draw outside the domain."""
-    scale = budget * (1.0 - 1e-9)
+    """A uniform point within budget of center that stays in the domain;
+    center itself after 256 draws outside it."""
     for _ in range(256):
-        y = tuple(c + scale * u for c, u in zip(center, _ball_sample(s.rng, s.params.dimension)))
-        if (_escape(s.ball, y, s.radius) is None
-                and (s.system is None or s.system.contains(y))):
+        y = tuple(c + budget * u for c, u in zip(center, _ball_sample(s.rng, s.params.dimension)))
+        if s.system is None or s.system.contains(y):
             return y
     return center
 
@@ -78,7 +73,7 @@ def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
     fixed = None
     if direction is not None:
         fixed = tuple(map(float, direction))
-        norm = _norm(fixed)
+        norm = math.hypot(*fixed)
         fixed = tuple(c / norm for c in fixed)
 
     def f(s: GameState) -> Vector:
@@ -94,7 +89,7 @@ def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
 
 def _pull_toward(x: Vector, target: Vector, budget: float) -> Vector:
     delta = [t - c for t, c in zip(target, x)]
-    dist = _norm(delta)
+    dist = math.hypot(*delta)
     if dist <= budget or dist == 0.0:
         return target
     scale = budget / dist
@@ -112,25 +107,18 @@ def _lock_and_pull(n: int, nearest: Callable[[Vector], Vector],
             return x
         if "target" not in s.scratch:
             target = nearest(x)
-            dist = _distance(target, x)
+            dist = math.dist(target, x)
             if dist > s.reach * (1.0 + 1e-9):
                 raise StrategyError(
                     f"{what} at {dist:.3e} exceeds the legal reach {s.reach:.3e}")
             s.scratch["target"] = target
-        return _pull_toward(x, s.scratch["target"], s.reach * (1.0 - 1e-12))
+        return _pull_toward(x, s.scratch["target"], s.reach)
     return f
 
 
 def _nearest_row(targets: Sequence[Vector]) -> Callable[[Vector], Vector]:
-    """The (x, y) of targets nearest to the point, the first on a tie.  The
-    distance squares and adds without fusing, as np.linalg.norm(axis=1)
-    does, so the pick is np.argmin's."""
-    def nearest(p: Vector) -> Vector:
-        def distance(t: Vector) -> float:
-            dx, dy = t[0] - p[0], t[1] - p[1]
-            return math.sqrt(dx * dx + dy * dy)
-        return min(targets, key=distance)
-    return nearest
+    """The (x, y) of targets nearest to the point by math.dist, the first on a tie."""
+    return lambda p: min(targets, key=partial(math.dist, p))
 
 
 def _nearest_full(base: RealBase, d: int, k: int, x: float) -> float:
@@ -171,26 +159,6 @@ def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
 
 
 # -- losing strategy (Bob) -----------------------------------------------------
-
-
-def _overshoot(proposal: Vector, y: Vector, max_step: float) -> float | None:
-    """gap = _distance(proposal, y) when gap > max_step, else None.
-
-    A float filter answers most moves first, as in game._escape.  Both
-    lengths are of the same float differences; with u = 2^-53, math.hypot's
-    q errs by under an ulp, 2u q (Python 3.10 on), and _norm's gap by at
-    most 3u of it, as its sum of squares cannot overflow while q < 2^500,
-    plus 2^-535 where that sum underflows.  So gap < q (1 + 6u) + 2^-535,
-    and a q with q + 16u q + 2^-500 < max_step in floats (its two roundings
-    cost under 2u of the sum) has gap < max_step.  Every other case, NaN
-    and inf too, takes the exact path, so each decision and each returned
-    gap keeps its bits.
-    """
-    q = math.hypot(*map(operator.sub, proposal, y))
-    if q < _HUGE and q + (2.0 ** -49 * q + 2.0 ** -500) < max_step:
-        return None
-    gap = _distance(proposal, y)
-    return gap if gap > max_step else None
 
 
 def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
@@ -251,7 +219,7 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
         digits = kernel.expand(local.tolist(), depth - m, nudge=True)
         for i, d in enumerate(digits):
             if i % win == 0 and digits[i:i + win] == omega_coords:
-                s.note(f"round {kk}: pinned window equals the avoided block")
+                s.note(f"round {kk}: pinned window {(m + i) // win + 1} equals the avoided block")
             step = steps.get((m + i + 1, d))
             if step is None:
                 step = steps[m + i + 1, d] = power(m + i + 1)[1] @ d
@@ -260,12 +228,10 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
         if shift is None:
             shift = shifts[depth] = power(depth)[1] @ xi_coords
         proposal = system._point((pinned + shift).tolist())
-        a_rad = s.ball.radius  # Alice's radius; Bob's is beta times it
-        max_step = (a_rad - s.params.beta * a_rad) * (1.0 - 1e-12)
-        gap = _overshoot(proposal, y, max_step)
-        if gap is not None:
+        gap = math.dist(proposal, y)
+        if gap > s.reach:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")
-            scale = max_step / gap
+            scale = s.reach / gap
             proposal = tuple(c + (p - c) * scale for p, c in zip(proposal, y))
             if not system.contains(proposal):
                 proposal = y

@@ -9,8 +9,8 @@ Each adapter's `box` describes its domain axis by axis where it can: one
 lower <= scale * p[i] < lower + 1 for every i, or None when the domain is
 not a box along the ambient axes (a sheared lattice).  max_step_inside,
 which clips a drift at the domain's edge, reads the box to find where a ray
-crosses it, one exact crossing per moving coordinate with the bits of 60
-halvings on contains, so it lives here beside the contains it agrees with.
+crosses it, one exact crossing per moving coordinate, so it lives here
+beside the contains it agrees with.
 The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
@@ -124,8 +124,10 @@ class QuatSystem:
 def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
                     step: float) -> float:
     """Largest t <= step with start + t * direction still in the system's
-    domain, as 60 halvings of [0, step] on its membership test find it; step
-    itself when system is None.
+    domain: the point at t is inside and the one at the next float is not.
+    step itself when system is None or the full step stays inside; 0.0 from
+    a start outside, for a step that is not finite and above 0, or along a
+    direction that is not finite.
 
     With a box, membership along the ray is lower <= scale * (a + t * b) <
     upper on every moving coordinate, contains' answer: RealSystem and
@@ -133,13 +135,11 @@ def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
     coordinate i of Binv_times(p), which with a diagonal Binv is +0.0 +
     Binv[i][i] * x plus signed zeros that change no comparison (an overflow
     fails on both paths).  A fixed coordinate (b == 0) is checked once at
-    t = step: a + t * b compares as a for every finite t, and t is finite
-    in every probe exactly when step is.  Each test is
+    t = step: a + t * b compares as a for every finite t.  Each test is
     monotone in t, as every rounding is, so from a start inside the ray is
-    inside exactly for t <= U, U the least of the axes' crossings (_exit);
-    a U inside with nextafter(U, inf) outside is that U, and the halvings
-    are replayed on it (_halvings).  Otherwise (a start outside, a step not
-    above 0, a crossing missed) they probe the box, and without a box
+    inside exactly for t <= U, U the least of the axes' crossings (_exit)
+    or a float next to it.  Where it is not, as near a face at subnormal
+    scale, _halvings bisects the box test, and without a box it bisects
     contains.  tests/test_systems.py holds each adapter's contains to the
     box formula.
     """
@@ -155,7 +155,7 @@ def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
         if b:
             moving.append((a, b, scale, lower, lower + 1.0))
         elif not lower <= scale * (a + step * b) < lower + 1.0:
-            return 0.0  # every probe fails
+            return 0.0
 
     def inside(t):
         for a, b, scale, lower, upper in moving:
@@ -163,25 +163,26 @@ def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
                 return False
         return True
 
-    if step > 0.0 and inside(0.0):
+    if 0.0 < step < math.inf and inside(0.0):
         t = min(_exit(*axis) for axis in moving)
         for _ in range(2):  # t is U, or a float next to it: step onto U
-            up = math.nextafter(t, math.inf)
             if not inside(t):
                 t = math.nextafter(t, -math.inf)
-            elif inside(up):
-                t = up
+            elif inside(math.nextafter(t, math.inf)):
+                t = math.nextafter(t, math.inf)
             else:
-                return t * (1.0 - 1e-9) if t >= step / 32.0 else _halvings(t.__ge__, step)
-    return _halvings(inside, step)
+                return t
+        return _halvings(inside, step)
+    return 0.0
 
 
 def _exit(a: float, b: float, scale: float, lower: float, upper: float) -> float:
     """The largest t with lower <= scale * (a + t * b) < upper from a start
-    a inside, or a float next to it: t = y / b, y the largest float with a + y
-    rounding to at most z, the last value of a + t * b the axis admits.  That
-    is z + h - a, h half the gap above z, rounded by fsum, or the float below
-    as the sum a + y decides.  (Walking t by nextafter from (z - a) / b
+    a inside, or a float next to it: t = y / b, y the largest float with
+    a + y rounding to at most z, the last value of a + t * b the axis admits.
+    That is z + h - a, h half the gap above z, rounded by fsum, or the float
+    below as the sum a + y decides.  Where y is subnormal its rounding
+    leaves t further off.  (Walking t by nextafter from (z - a) / b
     would not do: a + t * b keeps one value for about ulp(a) / |b| of t.)
     """
     if b < 0.0:  # mirrored: every product and sum only changes sign
@@ -198,24 +199,20 @@ def _exit(a: float, b: float, scale: float, lower: float, upper: float) -> float
 
 
 def _halvings(inside, step: float) -> float:
-    """lo after 60 halvings of [0, step] on the test inside, times 1 - 1e-9.
-
-    When exactly the t' <= t pass, t < step, lo is t itself from t >= step / 32
-    up, which max_step_inside returns without halving.  A halving leaves
-    (lo, hi) unchanged exactly when they are adjacent floats, lo = t, and
-    for t in [step / 2^c, step / 2^(c-1)) that takes at most 53 + c halvings:
-    c to bracket t within a binade, then each takes a width of w ulps to at
-    most ceil(w / 2).  Below step / 32 that fixed point comes at halving 57
-    or later, so a replay runs all 60 rather than test for it.
-    """
+    """The t that halving [0, step] on the test inside ends on, from
+    inside(0) and not inside(step) to adjacent floats t and nextafter(t,
+    inf); 0.0 when inside(0) fails or step is not finite and above 0."""
+    if not (0.0 < step < math.inf and inside(0.0)):
+        return 0.0
     lo, hi = 0.0, step
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid == lo or mid == hi:
+            return lo
         if inside(mid):
             lo = mid
         else:
             hi = mid
-    return lo * (1.0 - 1e-9)
 
 
 def expand_digits(system, p: Sequence[float], n: int, on_ambiguous: str = "nudge") -> list:

@@ -154,36 +154,36 @@ def test_game_output_is_deterministic(capsys):
 # preset -> sha256 of `game --preset P --seed S` stdout at seeds 0-1; each exits 0
 GAME_STDOUT_PINS = {
     "dwinning-golden": [
-        "2bece20987e321eac50672891bfc5c4c9f5fb3614253ab44e75162f99be00702",
-        "be7512d0e410b781d4423608d26d518274f9d5dccf559afe2326f9158a4cdf88",
+        "79ab5f45383d62726e01f2ffb5dd0eae5db8955b5e3acd5fe49b51751b157ce5",
+        "c21b7a3d24eec6aa2afbd3b3234d95b56db3e0d591dbea61d8fb10cf58d71acd",
     ],
     "dwinning-silver": [
-        "af11793ab31055d7ba7b3281e46b4cc72cd001a84eb898b460c1fe66d1961620",
-        "eda915c7b48936714f3e20321bc5b4d5e7db9bb9964d49966d0cae32d93fb043",
+        "fb9431876189e2a3d866d07091e4b18c533ea5003d12eff1518b10467c1cd518",
+        "96f0c646b809efd25aa020a8577292969e74ad015ab9b7e398b6544a845e9b26",
     ],
     "cwinning-nine-halves": [
-        "e91e7c00e22d37a74419689acbc9a448ed23f5c2e9603485a0306e8305cee7e6",
-        "286cab7b2837ad9f4eb64a97a98c6427a4e6d4c1e774939fb258f4b36912e36b",
+        "8d37167eb356405ef6c5fc5c1b7acffabbd259a7f774d4f96f5a3a6b4a2bb71c",
+        "eff57750016495d6a1cf944c93a33bfea0bff4ae634ca5deddd8379f4d801a0d",
     ],
     "qwinning-componentwise": [
-        "83e890b99fbf6f530ac0aea7c75b6a260c0bd55885ca5092fd2aefea7c6fb7cc",
-        "0824b79e9bdddd669fa17074c86f77ad6eb1226b8225632907974c99f809c8e5",
+        "1bdfdd089c2499471347584072eede6c312e73e68a0aab4fa6f8074b7c391f20",
+        "214014aef347eee655324a100754ee1ba0692d5c82c44fe10c0a9d85fe0dd763",
     ],
     "notwinning-lipschitz": [
-        "593d15aba1ea27d2c7356e4ed8e22c54308ed57e00065d9b02306bdaa77320ed",
-        "6fff94d0231baebffa57253d889c39b9b351b8ece6c3858cdd5b75c673f3368c",
+        "8a121451fbe83d5488c3f19ebd12569f5628ac1e598b82106dd8dd120db7a1f5",
+        "d814c02a22c0b97af85e8b129188230e763371d120f4d6ac78a9e79c6ed97f51",
     ],
     "notwinning-hurwitz": [
-        "3d76c2e2500aeda2f7db0edbe8b670392eca584871ff71b5cd44016b1a6d7919",
-        "2eee9a5fc3358f34d76dbebb2c9424cf71e88ea37d7c07e37dc86800cc96080b",
+        "73f8b6342789d9c22cf790d6095142e2048a3f703a9b8f9cd25b18896e606081",
+        "9ebf0388fd2f6a78483dd1497c679bfdf5b8c936225afa5f16f1f2e510f9020e",
     ],
     "notwinning-symmetric": [
-        "f03eaad6df01753dd878b8ac0b3615f0e03258ef71ed9430d04ab3b0c596ef08",
-        "27a430a2fb91ee0ead6c0c4f14b50039499b92b988a0019575e81eff5417cd2c",
+        "02390b3841608e212a4f2c07a53850ba2df076d43246abfcd5d85e55dc1b06fc",
+        "0619552d35cf3f757469ba95f6f3cdefb57a97aeeed5f7defb003cc1845f610e",
     ],
     "notwinning-zeta": [
-        "ad15799e504b4f53d317ebce4f7043dcd4cc147307cfdc5caf434c10767b2f4e",
-        "18118f9755315feb6e7705807a1ed22155dde37635e51e87562c15bf0513cc12",
+        "652e4b5bb46a320cd6aed608b512de341613485c1ffc07a0e11fa79f5acf6fb5",
+        "02d502a29309630361a9dec381fd8a94319782365ebca985124a3cbab2c62c0c",
     ],
 }
 
@@ -212,7 +212,7 @@ def game_doc(setup, trace, result):
         "certified_digits": result.certified,
         "setup_notes": setup.notes,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # setup and trace notes, falsified and indeterminate verdicts, a random Bob

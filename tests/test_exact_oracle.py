@@ -14,11 +14,14 @@ decided and must be the float verifier's digit.
 The games are the eight presets at seeds 0-7, the winning ones against every
 Bob: 128 games, all verified, resting on 1024 certified digits.  The least
 slack ratio, distance over r ||row||, is 18.99998 (notwinning-hurwitz,
-seed 6, digit 14).
+seed 6, digit 14).  Then perfbench's sweep windows, which straddle each
+preset's bound: the middle alpha of every stratum at game seeds 0 and 1.
 """
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +29,15 @@ from beta_arena.game import StrategyError
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.systems import QuatSystem
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workload_sweep import WINDOWS  # noqa: E402
+
 GAMES = [(name, bob) for name in PRESETS
          for bob in ([None] if name.startswith("notwinning") else sorted(BOBS))]
+# (preset, alpha, game seed) over the sweep windows
+SWEEP = [(name, round(lo + (i + 0.5) * (hi - lo) / n, 6), seed)
+         for name, windows in WINDOWS.items() for lo, hi, n in windows
+         for i in range(n) for seed in (0, 1)]
 
 
 def _exact(matrix) -> list[list[Fraction]]:
@@ -93,6 +103,25 @@ def test_every_certified_digit_is_decided_exactly(name, bob):
                 raise AssertionError(f"{name} {bob} seed {seed}: {exc}") from None
             decided += 1
     assert decided > 0, f"no game of {name} {bob} reached a verdict to recheck"
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_every_certified_digit_of_the_sweep_windows_is_decided_exactly(name):
+    decided = 0
+    for _, alpha, seed in (g for g in SWEEP if g[0] == name):
+        setup = build_preset(name, alpha=alpha)
+        try:
+            trace, result = run_setup(setup, seed=seed)
+        except StrategyError:
+            continue
+        if result.verdict in ("verified", "falsified"):
+            try:
+                least_slack(setup.system, trace.final_center, trace.final_radius,
+                            _certified(result))
+            except AssertionError as exc:
+                raise AssertionError(f"{name} alpha {alpha} seed {seed}: {exc}") from None
+            decided += 1
+    assert decided > 0, f"no game of {name} in the sweep windows reached a verdict"
 
 
 def test_oracle_refuses_a_ball_or_a_digit_it_cannot_confirm():

@@ -1,21 +1,21 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from beta_arena import game as game_module, systems as systems_module
 from beta_arena.complexexp import ComplexBase, F_threshold, find_n_complex
 from beta_arena.game import (RADIUS_FLOOR, Claim, GameParams, GameTrace, IllegalMoveError,
                              Move, StrategyError, _escape, audit_trace, certified_digits,
                              play, verify_outcome)
-from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, _norm, metallic_mean
+from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, metallic_mean
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
 from beta_arena.realexp import A_threshold, RealBase, find_nk_real, winning_gap
-from beta_arena.strategies import (_overshoot, alice_quaternion_componentwise, alice_random,
+from beta_arena.strategies import (alice_quaternion_componentwise, alice_random,
                                    alice_real_winning, bob_avoid_block, bob_center_hold,
                                    bob_optimal_drift, bob_random)
 from beta_arena.systems import (ComplexSystem, QuatSystem, RealSystem, _exit, _halvings,
@@ -73,11 +73,10 @@ def test_resolution_floor_stops_play():
 # -- legality enforcement ------------------------------------------------------
 
 # A game at the edge of the nesting rule: Alice holds 0.5 at radius 1/2 and
-# Bob's radius is 1/4, so Bob's center at 0.75 + e escapes her ball by e.
-# 0.75 + e rounds to a multiple of 2^-53 and every later step of the gap is
-# exact, so the escape is 9007 * 2^-53 (below EPS_CMP, within 2^-54 of it)
-# for e = EPS_CMP, and 18014 * 2^-53 for e = 2 EPS_CMP.
+# Bob's radius is 1/4, so Bob's ball at 0.75 touches hers from inside, and at
+# the next float up, 0.75 + 2^-53, escapes it by 2^-53.
 EDGE = GameParams(0.5, 0.5, 1.0, 1, (0.5,))
+ABOVE = math.nextafter(0.75, 1.0)
 
 
 def test_illegal_alice_is_named():
@@ -102,12 +101,23 @@ def test_illegal_bob_is_named():
         play(p, alice_hold, cheating_bob, max_rounds=4)
     assert exc.value.player == "bob"
 
-    assert (0.75 + EPS_CMP) - 0.75 == 9007 * 2.0 ** -53 <= EPS_CMP
-    assert (0.75 + 2.0 * EPS_CMP) - 0.75 == 18014 * 2.0 ** -53 > EPS_CMP
-    trace = play(EDGE, alice_hold, lambda s: (0.75 + EPS_CMP,), max_rounds=1)
+    trace = play(EDGE, alice_hold, lambda s: (0.75,), max_rounds=1)
     assert audit_trace(trace) == []
-    with pytest.raises(IllegalMoveError, match="escapes the previous one by 2.000e-12"):
-        play(EDGE, alice_hold, lambda s: (0.75 + 2.0 * EPS_CMP,), max_rounds=1)
+    with pytest.raises(IllegalMoveError, match="escapes the previous one by 1.110e-16"):
+        play(EDGE, alice_hold, lambda s: (ABOVE,), max_rounds=1)
+
+
+def test_a_bob_escaping_by_half_the_comparison_slack_is_refused():
+    # a Bob that leaves Alice's ball by EPS_CMP / 2 every round, away from
+    # the nearer face of the domain
+    def escaping(s):
+        (c,), gap = s.ball.center, s.ball.radius - s.radius + EPS_CMP / 2.0
+        return (c + gap if c < 0.5 else c - gap,)
+
+    setup = build_preset("dwinning-golden")
+    setup.bob = escaping
+    with pytest.raises(IllegalMoveError, match="round 1: ball escapes the previous one by 5.000e-13"):
+        run_setup(setup, seed=0)
 
 
 def test_domain_escape_is_illegal():
@@ -147,10 +157,26 @@ def test_audit_catches_doctored_center():
 
     trace = play(EDGE, alice_hold, bob_center_hold(), max_rounds=1)
     bob = trace.moves[2]
-    trace.moves[2] = Move(bob.player, bob.round_no, (0.75 + EPS_CMP,), bob.radius)
+    trace.moves[2] = Move(bob.player, bob.round_no, (0.75,), bob.radius)
     assert audit_trace(trace) == []
-    trace.moves[2] = Move(bob.player, bob.round_no, (0.75 + 2.0 * EPS_CMP,), bob.radius)
-    assert audit_trace(trace) == ["round 1 bob: containment violated by 2.000e-12"]
+    trace.moves[2] = Move(bob.player, bob.round_no, (ABOVE,), bob.radius)
+    assert audit_trace(trace) == ["round 1 bob: containment violated by 1.110e-16"]
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 5])
+def test_audit_catches_a_radius_one_ulp_off(index):
+    # the schedule holds each radius to play's own expression, bit for bit;
+    # a tolerance of 1e-9 of the radius would let a last-bit change through
+    p = GameParams(0.3, 0.7, 0.4, 1, (0.5,))
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=4)
+    assert audit_trace(trace) == []
+    mv = trace.moves[index]
+    off = math.nextafter(mv.radius, 0.0)
+    assert abs(off - mv.radius) <= 1e-9 * mv.radius
+    trace.moves[index] = Move(mv.player, mv.round_no, mv.center, off)
+    want = ("malformed opening ball" if index == 0
+            else f"round {mv.round_no} {mv.player}: radius off schedule")
+    assert audit_trace(trace) == [want]
 
 
 # -- what a strategy sees ------------------------------------------------------
@@ -198,41 +224,48 @@ def test_bob_cannot_plant_alices_target():
     assert result.verdict == "verified"
 
 
-def _unfiltered_escape(outer, center, radius):
-    """_escape's exact expression alone, without its float filter."""
-    gap = _norm([x - y for x, y in zip(center, outer.center)]) + radius - outer.radius
-    return gap if gap > EPS_CMP else None
+def _exactly_nested(outer_center, R, center, r):
+    """The nesting rule in rationals, without _escape's float filter: R - r >= 0
+    and |c - c'|^2 <= (R - r)^2; a value that is not finite nests when the
+    float gap is at most 0."""
+    if not all(map(math.isfinite, (*outer_center, R, *center, r))):
+        return math.dist(center, outer_center) + r - R <= 0.0
+    room = Fraction(R) - Fraction(r)
+    d2 = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(center, outer_center))
+    return room >= 0 and d2 <= room * room
 
 
 def _same_escape(outer, center, radius):
-    answers = (_escape(outer, center, radius), _unfiltered_escape(outer, center, radius))
-    got, want = (None if a is None else a.hex() for a in answers)
-    return got == want
+    """_escape decides as the exact rule does; an escape it names is not
+    negative (one below the least float rounds to 0)."""
+    gap = _escape(outer, center, radius)
+    nested = _exactly_nested(outer.center, outer.radius, center, radius)
+    return nested if gap is None else not nested and not gap < 0.0
 
 
 # offsets of the inner center: O(1), tiny, subnormal, or one that takes the
 # center difference past the largest float
 _OFFSET = (st.floats(-1.0, 1.0) | st.floats(-1e-6, 1e-6)
            | st.integers(-64, 64).map(lambda k: k * 5e-324) | st.sampled_from([-1.7e308, 1.7e308]))
+# four coordinates, of which a test takes the first dim
+_CENTER4 = st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e308]), min_size=4, max_size=4)
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.sampled_from((1, 2, 4)).flatmap(lambda dim: st.tuples(
-           st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e308]), min_size=dim, max_size=dim),
-           st.lists(_OFFSET, min_size=dim, max_size=dim))),
+@given(st.sampled_from((1, 2, 4)), _CENTER4, st.lists(_OFFSET, min_size=4, max_size=4),
        st.floats(1e-13, 10.0) | st.sampled_from([1e-300, 1e300]),
        st.integers(-64, 64))
-def test_escape_matches_unfiltered_formula(centers, R, k):
-    # r puts the exact gap k steps of ulp(max(R, |c - c'|)) from EPS_CMP,
-    # across the filter's margin of 16u (q + |r| + |R|) and onto EPS_CMP itself
-    outer_center, offsets = centers
+def test_escape_matches_unfiltered_formula(dim, outer_center, offsets, R, k):
+    # r puts the exact gap k steps of ulp(max(R, |c - c'|)) from 0, across
+    # the filter's margin of 8u (R - r) and onto the touching ball itself
+    outer_center = outer_center[:dim]
     center = tuple(o + e for o, e in zip(outer_center, offsets))
-    n = _norm([x - y for x, y in zip(center, outer_center)])
+    n = math.dist(center, outer_center)
     outer = Move("alice", 1, tuple(outer_center), R)
     if not math.isfinite(n):
         assert _same_escape(outer, center, R / 2.0)
         return
-    r = R - n + EPS_CMP + k * math.ulp(max(R, n))
+    r = R - n + k * math.ulp(max(R, n))
     assert _same_escape(outer, center, r)
     for j in (-2, -1, 1, 2):  # a few ulps of r around it
         assert _same_escape(outer, center, r + j * math.ulp(r))
@@ -241,43 +274,49 @@ def test_escape_matches_unfiltered_formula(centers, R, k):
 @pytest.mark.parametrize("outer_center, center, R, r", [
     ((0.0,), (5e-324 * 7,), 1e-300, 1e-300),           # subnormal difference, 1-D
     ((0.0, 0.0), (5e-324, -5e-324 * 3), 1e-310, 5e-311),  # subnormal, 2-D
-    ((0.0,) * 4, (5e-324,) * 4, EPS_CMP, 2.0 * EPS_CMP),  # a gap of EPS_CMP + 1e-323, 4-D
+    ((0.0,) * 4, (5e-324,) * 4, 1e-12, 2e-12),       # a gap of 1e-12 + 1e-323, 4-D
     ((1.7e308, 0.0), (-1.7e308, 0.0), 1.0, 0.5),     # the difference overflows
     ((1e154, 1e154), (-1e154, -1e154), 1e300, 1e300),  # its squares overflow
-    ((0.0, 0.0), (1e155, 0.0), 1e160, 1.0),         # its squares overflow in _norm alone
+    ((0.0, 0.0), (1e155, 0.0), 1e160, 1.0),         # its square overflows a float
     ((0.0, -1.0), (0.28522356151969575, -1.2852235615196959), 0.00390625,
-     -0.3994607790085106),                           # a negative radius counts by its size
-    ((0.5,), (math.nan,), 1.0, 0.5),                 # NaN passes to the exact path
+     -0.3994607790085106),                           # a negative radius, taken as it is
+    ((0.5,), (math.nan,), 1.0, 0.5),                 # NaN escapes
     ((0.5, 0.5), (0.5, 0.5), math.inf, 0.5),
+    # math.dist's q lies more than an ulp below |c - c'|, and R is the float
+    # above q: q < R - r, yet the ball escapes
+    ((9.713297436006592, 0.38353524675401784), (-55.706845119183, 68.71539718923513),
+     94.59935733644086, 0.0),
+    ((-0.00015073949185071323, -63.39047813279404, 42.88148138524228, 4.887969987545149e-05),
+     (686.5740141625561, 518.8074284255557, -73.23110176672023, 92.51033072109558),
+     912.3479437826696, 0.0),
 ])
 def test_escape_edge_cases_match_unfiltered_formula(outer_center, center, R, r):
     assert _same_escape(Move("alice", 1, outer_center, R), center, r)
 
 
 def _same_overshoot(proposal, y, max_step):
-    """_overshoot against the exact length alone, without its float filter."""
-    gap = _norm([p - c for p, c in zip(proposal, y)])
-    answers = (_overshoot(proposal, y, max_step), gap if gap > max_step else None)
-    got, want = (None if a is None else a.hex() for a in answers)
-    return got == want
+    """Whether a move from y to proposal overshoots max_step, as _escape
+    decides it for a point in B(y, max_step) and as the exact length does."""
+    return _same_escape(Move("bob", 1, tuple(y), max_step), proposal, 0.0)
+
+
+# offsets (u, e) of the formula move, u * radius + e: at the scale of the
+# step, subnormal, or past the largest float
+_STEP_OFFSET = (st.floats(-1.0, 1.0).map(lambda u: (u, 0.0))
+                | st.integers(-64, 64).map(lambda j: (0.0, j * 5e-324))
+                | st.sampled_from([(0.0, -1.7e308), (0.0, 1.7e308)]))
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from((1, 2, 4)),
        st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 2e-162, 1e-150, 1.0, 1e300]),
-       st.integers(-64, 64), st.data())
-def test_overshoot_matches_unfiltered_distance(dim, radius, k, data):
-    # offsets of the formula move at the scale of the step, subnormal, or
-    # past the largest float; max_step sits k ulps of the gap from it, across
-    # the filter's margin of 16u q + 2^-500 and onto the gap itself
-    offset = (st.floats(-1.0, 1.0).map(lambda u: u * radius)
-              | st.integers(-64, 64).map(lambda j: j * 5e-324)
-              | st.sampled_from([-1.7e308, 1.7e308]))
-    y = data.draw(st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 1e308]),
-                           min_size=dim, max_size=dim))
-    offsets = data.draw(st.lists(offset, min_size=dim, max_size=dim))
-    proposal = tuple(c + e for c, e in zip(y, offsets))
-    gap = _norm([p - c for p, c in zip(proposal, y)])
+       st.integers(-64, 64), _CENTER4, st.lists(_STEP_OFFSET, min_size=4, max_size=4))
+def test_overshoot_matches_unfiltered_distance(dim, radius, k, y, offsets):
+    # max_step sits k ulps of the distance from it, across the filter's
+    # margin and onto the distance itself
+    y = y[:dim]
+    proposal = tuple(c + u * radius + e for c, (u, e) in zip(y, offsets))
+    gap = math.dist(proposal, y)
     if not math.isfinite(gap):
         assert _same_overshoot(proposal, y, radius)
         return
@@ -288,15 +327,15 @@ def test_overshoot_matches_unfiltered_distance(dim, radius, k, data):
 
 @pytest.mark.parametrize("proposal, y, max_step", [
     ((0.6740896286490659, -0.2587660209689042, 0.005969354830720253,
-      -0.015325870491891491), (0.0,) * 4, 0.7222376316446992),  # _norm 2 ulps above hypot
+      -0.015325870491891491), (0.0,) * 4, 0.7222376316446992),  # 2 ulps above hypot
     ((2e-162, 0.0, 0.0, 0.0), (0.0,) * 4, 2.1e-162),   # the square rounds up to 5e-324
     ((1e-162,), (0.0,), 5e-324),                       # the square underflows to 0
     ((5e-324 * 3, 0.0), (0.0, -5e-324), 1e-323),        # subnormal differences
     ((1.7e308, 0.0, 0.0, 0.0), (-1.7e308, 0.0, 0.0, 0.0), 1.0),  # the difference overflows
     ((1e154, 1e154), (-1e154, -1e154), 1e300),         # its squares overflow
-    ((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, math.nan), 1.0),  # NaN takes the exact path
+    ((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, math.nan), 1.0),  # NaN overshoots
     ((0.5,), (0.25,), math.nan),
-    ((0.5,), (0.25,), 0.25),                           # the gap equals max_step
+    ((0.5,), (0.25,), 0.25),                           # the distance equals max_step
 ])
 def test_overshoot_edge_cases_match_unfiltered_distance(proposal, y, max_step):
     assert _same_overshoot(proposal, y, max_step)
@@ -518,6 +557,15 @@ def test_avoidance_degrades_without_crashing():
     assert res.verdict in ("verified", "falsified", "indeterminate")
 
 
+def test_avoidance_note_names_the_window():
+    # a clipped round leaves m in place, so the next round reads the same
+    # window again; each note names it, numbered as verify_outcome numbers
+    # the aligned windows
+    trace, _ = run_setup(build_preset("notwinning-symmetric", alpha=0.531624), seed=63514)
+    assert [note for note in trace.notes if "avoided block" in note] == [
+        f"round {k}: pinned window 7 equals the avoided block" for k in (7, 8, 9)]
+
+
 @pytest.mark.parametrize("preset, alpha, seed", [
     ("notwinning-lipschitz", 0.43, 2),  # clips rounds 8 and 12
     ("notwinning-hurwitz", 0.605954, 57741),
@@ -624,17 +672,17 @@ def test_verify_avoids_falsified_when_block_present():
 
 
 def trace_dict(trace):
-    """A trace as a JSON-ready dict: the schema GameTrace.to_json writes."""
+    """A trace as a JSON-ready dict: schema 2, which GameTrace.to_json writes."""
     p = trace.params
     return {
+        "schema": 2,
         "params": {"alpha": p.alpha, "beta": p.beta, "rho": p.rho,
                    "dimension": p.dimension, "initial_center": list(p.initial_center)},
         "seed": trace.seed,
         "status": trace.status,
         "notes": list(trace.notes),
         "moves": [{"player": mv.player, "round": mv.round_no,
-                   "center": [float(c) for c in mv.center], "radius": mv.radius,
-                   "legal": True}
+                   "center": [float(c) for c in mv.center], "radius": mv.radius}
                   for mv in trace.moves],
     }
 
@@ -646,13 +694,14 @@ def test_trace_json_round_trip_fields():
     assert doc["params"]["alpha"] == 0.5
     assert doc["status"] == "max-rounds"
     assert len(doc["moves"]) == 1 + 2 * 3
-    assert all(mv["legal"] for mv in doc["moves"])
+    assert doc["schema"] == 2
+    assert all(sorted(mv) == ["center", "player", "radius", "round"] for mv in doc["moves"])
     assert trace.to_json() == trace.to_json()
 
 
 def _dumps(trace):
-    """The trace writer's specification."""
-    return json.dumps(trace_dict(trace), sort_keys=True, indent=2) + "\n"
+    """The trace writer's specification: one compact line, keys sorted."""
+    return json.dumps(trace_dict(trace), sort_keys=True, separators=(",", ":"))
 
 
 NOTE = st.one_of(st.text(), st.sampled_from(
@@ -688,8 +737,9 @@ def test_to_json_is_json_dumps_of_to_dict_on_every_preset():
 
 
 def test_random_players_refuse_a_draw_that_escapes_by_rounding():
-    # Bob's draw at the edge of its reach escaped Alice's ball by 1.761e-12,
-    # past EPS_CMP, and play raised; the random players now redraw instead
+    # centers 4e4 from the origin round by ulps as large as the last radii
+    # (5.4e-6); play's slack of four ulps of the largest coordinate keeps a
+    # draw at the edge of Bob's reach inside Alice's ball
     params = GameParams(0.01, 0.01, 53568, 4, (0, 0, 0, 0))
     trace = play(params, alice_random(), bob_random(), max_rounds=4, seed=49624)
     assert (trace.status, trace.rounds_played) == ("max-rounds", 4)
@@ -697,20 +747,19 @@ def test_random_players_refuse_a_draw_that_escapes_by_rounding():
     assert trace.to_json() == _dumps(trace)
 
 
-def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does(monkeypatch):
+def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does():
     params = GameParams(np.float64(0.5), 0.5, np.float64(0.25), 1, (np.float64(0.5),))
     trace = GameTrace(params, 0, [], "max-rounds")
     assert trace.to_json() == _dumps(trace)
-    assert '"moves": [],\n  "notes": []' in trace.to_json()
+    assert '"moves":[],"notes":[]' in trace.to_json()
     # hand-built centers: each coordinate is written as float() of it
     centers = [(0, 0), (1, -2), (np.float32(0.1), np.float32(-0.3)),
                (np.float64(0.25), 3), (math.inf, 0), (np.float32(math.nan), 1)]
     moves = [Move("bob", k, c, 1.0) for k, c in enumerate(centers)]
     trace = GameTrace(GameParams(0.5, 0.5, 1.0, 2, (0.0, 0.0)), 0, moves, "max-rounds")
     assert trace.to_json() == _dumps(trace)
-    assert '"center": [\n        0.0,\n        0.0\n      ]' in trace.to_json()
-    # moves as play records them take one format string each, and a trace
-    # with one odd move appended writes every move field by field
+    assert '"center":[0.0,0.0]' in trace.to_json()
+    # moves as play records them, with one odd move appended
     for dim in (1, 2, 4):
         played = play(GameParams(0.5, 0.5, 1.0, dim, (0.5,) * dim), alice_random(),
                       bob_random(), max_rounds=3, seed=dim)
@@ -723,45 +772,28 @@ def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does(monkeypatch):
         for mv in odd:
             trace = GameTrace(played.params, played.seed, played.moves + [mv], played.status)
             assert trace.to_json() == _dumps(trace), (dim, mv)
-        with monkeypatch.context() as m:
-            m.setattr(game_module, "_json_center", None)  # the general path would call it
-            assert played.to_json() == _dumps(played)
 
 
-# -- fast paths against their numpy originals -------------------------------------
-
-def test_norm_matches_numpy_bitwise_on_random_vectors():
-    rng = np.random.default_rng(7)
-    for dim in (1, 2, 4):
-        vs = rng.normal(size=(4000, dim)) * 10.0 ** rng.uniform(-13, 1, size=(4000, 1))
-        for v in vs:
-            assert _norm(v).hex() == float(np.linalg.norm(v)).hex(), v
-
-
-_signed = st.tuples(st.booleans(), st.floats(1e-13, 10.0)).map(
-    lambda t: -t[1] if t[0] else t[1])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from((1, 2, 4)).flatmap(
-    lambda dim: st.lists(_signed, min_size=dim, max_size=dim)))
-def test_norm_matches_numpy_bitwise(components):
-    v = np.array(components)
-    assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
-
+# -- the drift's exit at the domain's face ------------------------------------------
 
 def _array_max_step_inside(system, start, direction, step):
-    """The array bisection max_step_inside replaced, kept as its oracle."""
+    """Halvings of [0, step] on contains, in numpy arrays, down to adjacent
+    floats: the t they end on is inside and the next float is not.  The
+    oracle of max_step_inside, with its answers for a start outside and a
+    step that is not finite and above 0."""
     if system is None or system.contains(start + step * direction):
         return step
+    if not (0.0 < step < math.inf and system.contains(start + 0.0 * direction)):
+        return 0.0
     lo, hi = 0.0, step
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return lo
         if system.contains(start + mid * direction):
             lo = mid
         else:
             hi = mid
-    return lo * (1.0 - 1e-9)
 
 
 _ZETA = zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.0, 0.0), 0.25)
@@ -854,19 +886,27 @@ def test_max_step_inside_matches_array_bisection(system, u, d, step):
        DIRECTION, st.floats(RADIUS_FLOOR, 3.0))
 def test_max_step_inside_finds_the_crossing_without_probing(system, u, d, step):
     # from a start inside, or on an upper face, the axes' crossings give the
-    # exit at once or one float away: the halvings, when they run, replay it
-    # (their test is t.__ge__) and never probe the box
+    # exit: the point there is inside and the one at the next float is not,
+    # and contains is asked only about the full step
     start = _start(system, u)
-    tests = []
+    direction = np.array(d[:system.dim])
+    counted = _CountingSystem(system)
+    t = max_step_inside(counted, start, direction, step)
+    assert counted.calls == 1
+    if t < step:
+        assert system.contains(start + t * direction)
+        assert not system.contains(start + math.nextafter(t, math.inf) * direction)
 
-    def halvings(inside, step):
-        tests.append(inside)
-        return _halvings(inside, step)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(systems_module, "_halvings", halvings)
-        max_step_inside(system, start, d[:system.dim], step)
-    assert all(isinstance(getattr(f, "__self__", None), float) for f in tests)
+@pytest.mark.parametrize("b", [-5e-324, -1e-320, -0.25])
+def test_max_step_inside_ends_on_the_face_at_subnormal_scale(b):
+    # from the face at 0.0 the point moves in subnormal steps, and _exit's
+    # crossing misses the last t inside by many floats
+    system = STEP_SYSTEMS[0]
+    t = max_step_inside(system, [0.0], [b], 3.0)
+    assert system.contains([0.0 + t * b])
+    assert not system.contains([0.0 + math.nextafter(t, math.inf) * b])
+    assert t == _array_max_step_inside(system, np.array([0.0]), np.array([b]), 3.0)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -884,40 +924,23 @@ def test_exit_is_the_crossing_at_unit_speed(axis, u, b):
     assert not lower <= scale * (a + t_up * b) < lower + 1.0
 
 
-def _sixty_halvings(t, step):
-    """lo after 60 halvings of [0, step] that pass exactly the probes <= t."""
-    lo, hi = 0.0, step
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid <= t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 HALVING_STEPS = (RADIUS_FLOOR, 1e-10, 1e-6, 0.1, 1.0, 3.0, 2.0 ** -30,
                  math.nextafter(1.0, 0.0), math.nextafter(2.0, 3.0), 1e-300, 1e300)
 
 
 @pytest.mark.parametrize("step", HALVING_STEPS)
 def test_halvings_end_on_the_crossing_from_step_over_32(step):
-    # max_step_inside returns t (1 - 1e-9) itself for t >= step / 32 and
-    # replays the halvings below it; these are its edge, the floats around
-    # it, the float below step and the powers of two under step
+    # a domain with no box is halved down to adjacent floats, so the exit
+    # is the crossing t itself: at step / 32, the floats around it, the float
+    # below step, and the powers of two under step down to 2^-70 of it
     edge = step / 32.0
     ts = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, step),
-          math.nextafter(step, 0.0), math.nextafter(edge / 8.0, 0.0)]
+          math.nextafter(step, 0.0), math.nextafter(edge / 8.0, 0.0),
+          step / 300.0, step / 1000.0, step / 5000.0, step / 1e6]
     ts += [math.ldexp(1.0, e) for e in range(math.frexp(step)[1] - 70, math.frexp(step)[1])
            if math.ldexp(1.0, e) < step]
     for t in ts:
-        want = _sixty_halvings(t, step)
-        assert _halvings(t.__ge__, step) == want * (1.0 - 1e-9)
-        if t >= edge:
-            assert want == t
-    # below step / 2^7 the 60 halvings can stop short of t, so it is replayed
-    assert any(_sixty_halvings(t, step) != t for t in
-               (step / 300.0, step / 1000.0, step / 5000.0, step / 1e6))
+        assert _halvings(t.__ge__, step) == t
 
 
 @settings(max_examples=1000, deadline=None)
@@ -925,16 +948,17 @@ def test_halvings_end_on_the_crossing_from_step_over_32(step):
 def test_halvings_reach_any_crossing_from_step_over_32(step, fraction):
     t = step * fraction
     assume(step / 32.0 <= t < step)
-    assert _sixty_halvings(t, step) == t
+    assert _halvings(t.__ge__, step) == t
 
 
 @pytest.mark.parametrize("step", (1.0, 3.0, 0.1, 1e-6))
 @pytest.mark.parametrize("k", (31, 32, 33, 100, 300, 1000, 5000, 10 ** 6))
 def test_max_step_inside_replays_far_from_the_face(step, k):
-    # a start step / k below the face: the crossing is about step / k, on
-    # the shortcut for k < 32 and replayed above, where for k >= 300 the 60
-    # halvings end below the crossing
+    # a start step / k below the face, from beside it to far from it: the
+    # drift ends on the last float below the face, as halvings find it
     system = STEP_SYSTEMS[0]
     start = np.array([1.0 - step / k])
     want = _array_max_step_inside(system, start, np.array([1.0]), step)
-    assert max_step_inside(system, start, [1.0], step).hex() == want.hex()
+    got = max_step_inside(system, start, [1.0], step)
+    assert got.hex() == want.hex()
+    assert start[0] + got == math.nextafter(1.0, 0.0)

@@ -1,5 +1,6 @@
 import math
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -96,6 +97,26 @@ def test_metallic_means():
     for j in range(1, 8):
         x = metallic_mean(j)
         assert x * x == pytest.approx(j * x + 1, abs=1e-10)
+
+
+# coordinates of every size: subnormal, tiny, O(1) and huge, whose squares
+# underflow or overflow a float
+LENGTH_COORD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -480, 2.0 ** 500, 1e-162, 1e155]),
+    st.floats(-2.0 ** -480, 2.0 ** -480), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(LENGTH_COORD, min_size=1, max_size=4))
+def test_hypot_is_within_an_ulp_of_the_exact_length(v):
+    # every length in the game is math.hypot's or math.dist's: h errs by
+    # under an ulp, so (h - ulp)^2 < sum v_i^2 < (h + ulp)^2 exactly
+    h = math.hypot(*v)
+    assume(math.isfinite(h + math.ulp(h)))
+    exact = sum(Fraction(x) ** 2 for x in v)
+    assert max(Fraction(h - math.ulp(h)), Fraction(0)) ** 2 <= exact
+    assert exact < Fraction(h + math.ulp(h)) ** 2 or exact == 0 == h
 
 
 def test_floor_band_lies_between_comparison_slack_and_a_quarter():

@@ -16,7 +16,6 @@ import json
 import math
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from beta_arena import cli
 from beta_arena.cli import parse_lattice
 from beta_arena.complexexp import _DELTA_POLY, _delta_root, gamma_constants
-from beta_arena.numeric import DigitKernel, Quaternion, _norm, metallic_mean
+from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
 from beta_arena.quatexp import isoclinic_matrix
 from beta_arena.systems import QuatSystem
 from test_pinned_outputs import TRACE_PINS
@@ -161,14 +160,6 @@ def test_random_bob_loads_numpy_and_keeps_its_stream():
 
 # -- the numpy-free formulas against numpy ----------------------------------------
 
-@settings(max_examples=1000, deadline=None)
-@given(st.floats(-1e150, 1e150))
-def test_one_coordinate_norm_is_numpys(x):
-    # sqrt(x * x) against the 1-element dot np.linalg.norm takes
-    v = np.array([x])
-    assert _norm((x,)).hex() == float(np.linalg.norm(v)).hex()
-
-
 @settings(max_examples=500, deadline=None)
 @given(st.floats(1.001, 1e6), st.lists(st.integers(0, 10 ** 6), max_size=40),
        st.booleans())
@@ -193,52 +184,6 @@ def test_delta_root_is_numpys_root_to_a_few_ulps():
     want = min(z.real for z in roots if abs(z.imag) < 1e-12 and z.real > 0.0)
     assert abs(d - want) <= 8 * math.ulp(want)
     assert gamma_constants() is gamma_constants()
-
-
-def fused_chain(v):
-    """acc = v0 * v0, acc = fma(vi, vi, acc), each step rounded once from
-    the exact rational value."""
-    acc = v[0] * v[0]
-    for x in v[1:]:
-        if math.isinf(acc):
-            continue
-        try:
-            acc = float(Fraction(x) ** 2 + Fraction(acc))
-        except OverflowError:
-            acc = math.inf
-    return acc
-
-
-# magnitudes on both sides of the exact-split range [2^-480, 2^500]
-COORD = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -480, 2.0 ** 500,
-                     math.nextafter(2.0 ** -480, 0.0), math.nextafter(2.0 ** 500, math.inf)]),
-    st.floats(-2.0 ** -480, 2.0 ** -480),
-    st.floats(2.0 ** 500, 1e308) | st.floats(-1e308, -2.0 ** 500),
-    st.floats(-4.0, 4.0))
-
-
-@settings(max_examples=2000, deadline=None)
-@given(st.lists(COORD, min_size=2, max_size=2) | st.lists(COORD, min_size=4, max_size=4))
-def test_norm_is_the_exact_fused_chain(v):
-    assert _norm(v).hex() == math.sqrt(fused_chain(v)).hex()
-
-
-def dot_fuses():
-    """Whether numpy's dot rounds 0.1^2 + 0.3^2 as one fma, which a plain
-    sum of squares rounds differently."""
-    v = np.array([0.1, 0.3])
-    return float(v.dot(v)) == fused_chain([0.1, 0.3]) != 0.1 * 0.1 + 0.3 * 0.3
-
-
-@pytest.mark.skipif(not dot_fuses(), reason="numpy's dot does not fuse on this machine")
-@settings(max_examples=2000, deadline=None)
-@given(st.lists(COORD, min_size=2, max_size=2) | st.lists(COORD, min_size=4, max_size=4))
-def test_norm_is_numpys_where_its_dot_fuses(v):
-    with np.errstate(over="ignore"):  # a huge coordinate overflows to inf in both
-        want = float(np.linalg.norm(np.array(v)))
-    assert _norm(v).hex() == want.hex()
 
 
 def hexes(values):

@@ -406,100 +406,100 @@ def test_preset_outcome_outside_bound(preset):
 # losing presets" own avoidance play
 TRACE_PINS = {
     ("dwinning-golden", "optimal-drift"): [
-        "20e6b6ed5326fa2b840267e740c7c64c13ec2fc16402a7172c695724ab4449da",
-        "65fca21625be73d9c3b83e2e1f03bd40976d614696607c7eb0cc200faa838e4d",
-        "29bd263f29f049a5010c1c65b7a0ba7d7736b9984ac89324dd6982af6095511c",
-        "33b99bcef40d896a3fd3e5fa984d883eafbfc888d32616e0c2ec6d599cecb6f9",
+        "94fc48e038e8b2e2ba6fefb9115d19b298db41b7eab9fe9329052c58fa70cba8",
+        "1df3154e64e34d51db28a289dcd6638100464a131c859354bdb6179627731207",
+        "35a94aac457cf84a87c7550ba2c903e0f649c6f3135ef0f9ab065984d4881bad",
+        "1d6d4efb15020dbbcce365f67378f137ac6c2fa5fcff4f5b72894e41794000a4",
     ],
     ("dwinning-golden", "random"): [
-        "b5f6aec0e2fe7f9a59cceda5c3576de0f9e5be157db3f24569fa9c2f37cc2e70",
-        "627bfdea9e65352826152af0fca4aed40e3b95f978d6ca3545fce566e4267d95",
-        "4976763a89a2d3f436c246cab5c486120717e61545ced28a7c5410a676bd85fb",
-        "3c8f34c79f901e4d581952188a94023c5f6e086fcab34630fe4078fc0404e080",
+        "d268456bb38e31ec9ada7af899d42889a05c659749e0ecc6a7dad82c5e893393",
+        "b12e0c4532ad94579782f7271848c6a2d648bc116669dcb8a6b29dfcd082a064",
+        "f1eb901f05fd94c18b1842d4f9059b300d5b2f9517a0e6600fa95119d078a7cb",
+        "9ab218f619513a83003f880337955ded99f0debfa6b08e671124311e3c0436d0",
     ],
     ("dwinning-golden", "center-hold"): [
-        "90da02fde639c7c218103c3a3bf85d9c5e2b8fd25bc0c353e1f92cfeff2ba9e9",
-        "ee0b8522990d61e700b3ab703b2f77548119c8975878cea794bab6af62eecf2e",
-        "e0aca5e0c1a6da0b38fd922ab133df9fe7e870b7ba4782b440009a27b2a591c9",
-        "5ecf81dd3b9191f131d18032c58d418f07c8b314f918be2d3b307bca81e70df8",
+        "d7791c8878423766970839cc7e0c4427af43cd22501b05478fe9b6f65bad0348",
+        "2d4ba9bf31a6f5a7565207d1b5e7e327fe4cbf8967d55bcbba8de0c1d501cf18",
+        "8b82c83e1ffb9ed273f690db218616877d68757395b518a04fae2ecc8e1f458f",
+        "d353477e64e4676d7d2dd7eefdf232e50303841b332816eeee5b8257d41d74a9",
     ],
     ("dwinning-silver", "optimal-drift"): [
-        "1b761b715ee00c0a881f714974047d317c85e28439c7b69eb74b1f8ab9cacec6",
-        "46e8244df7860c1e089b8ec403712ee5532088a6d65e425a62f831401132cd34",
-        "a386788c9b12579909704d688db44734de4aab45bdd5da4efdecc760843a897a",
-        "56bb9cda9fe54465f39f5e313b7b1bb778c1b64b8caf4fcbac3d83b6d1bbdfea",
+        "80d8df77f43d7a2b3e992d591ea99c30de65c61338a78a1318106544e8df3d70",
+        "4d6831448882bff24c35de88cd3e3e939ee531b8d0ec7451092ea10b942bc0b4",
+        "abd56be4a2ac41c773ccdc0d894797e9dc6cda2b3cfea970d09fde6020ce0547",
+        "fa7a895bb44b3d4f5b73b542f3f80fb23d2d028914eeae9b512fcbe57652e2d7",
     ],
     ("dwinning-silver", "random"): [
-        "07365c316ea131f6a9e4f476a5a2591dcd604c6c58c76bdaeb5be97456acd591",
-        "f8517f8972a38cb794a9a5bd43df441605e847ffa67b289201895b86a604d340",
-        "95b8f9253de75736a5fe4e4b23bc8ff0e71838fb39ac263e692ae3093277c393",
-        "8c6d2b0cfa2c0c16bb59a50e45554981cf3f439c1b4c17b55cffdba5d60d8a7e",
+        "2aebc5413e1f0907788f819411127f85e889acc41595e73c2d06f6c34e9813de",
+        "e8ab3e2645244372dd198b20a05bdd935a98980ab7c7bb050839eb31e384e61d",
+        "fdeb7c215f54534043d04dc7b630962595e473517cefa4814afdb35449068420",
+        "3f21e0febcec1462c7d15ce2f2555a8215007a30a7c7d2ab949e92be83fcd088",
     ],
     ("dwinning-silver", "center-hold"): [
-        "e3fdf3b455b0389180d3f0feeff52075760509ac145f01ea4243edbaf7cd5663",
-        "3ad9ceddcb26f65f0cf7e64156fa58ac1d2022f5f01b3b9218eac8b3362376d8",
-        "bfd20e8fd5afc6a541fc8d36fc34551b7e5de53e04d9ecd5645c81fdb61a350f",
-        "28f2d432f7f27bf8cd7cec422ed6edd51d4456f0b4b386d9a0553a80c33ae1d6",
+        "8e14fad17a79dc94646966e45fb28a24400c653f87369f0b583b578d212a0048",
+        "56c5cd0fa5a2f4831a7411b1eb7f4c48ac6994e0cfa45a9172fb0c25148788ae",
+        "ad2b9cad1fbef693d44aae12e9ed843c319dea971538f12662f671341c37bbc0",
+        "390e1de02cdb10e0ae5cd790f1224ecda13c90be0f06f4b51d951007a61270b8",
     ],
     ("cwinning-nine-halves", "optimal-drift"): [
-        "91d1b63d14aaabedf9fa4c7a0807409348a1ad02290569a6e2e2cfc32093a106",
-        "47431d17bae03f479c6f59498718325c15f97fba2477fc92dd2002ca3cd73b3c",
-        "577777dff443891c24ffd4a15f87f9e962e1971b30e536b8b251e997534cbf8a",
-        "0fecbf1c91aa7b7ba63635e77306605b71a41ffdfee9f70f6b8fb29338a71559",
+        "8a4128a54a6723dfa8ca10f4e44b3b0cb9ac5d3b1523387249bee4607c984b1a",
+        "6358910a57979a5524378241208c892d73866e7a41f9411bd4adde8479f6f05d",
+        "70a7534e752d08a079eea60d2e3889f9b4c91200ef3bea1fad6ac63ad14f7b24",
+        "7f9a2db7fc9e012a6f79d3ff43c10f867b98750c71c60fc48b5001d7c492895d",
     ],
     ("cwinning-nine-halves", "random"): [
-        "439de10eafd4424f17b04a5ce47142fb7953bef416572709a26a7ac7e0847709",
-        "d3c89bc624b799320c46dc014ae50f2fa7719e8b260600c04844167653f14329",
-        "a2dcd7062d2ef6cb37fa389ce6a0062610bdcc6305afc99f5a7a86256acbe399",
-        "aa75de5b31142581459cd3acc34818547fc7b884729b0463c7f85652cc3d5a6e",
+        "3103b7d5582296ef74e6a4430c16975f2da5f1e3910ca2e62575f6cacd759c14",
+        "bdfb8d10a4fae2a65b5fed73b67c06deaf40dc3b0728aee5d3903c6b2d24f8c5",
+        "2199af6394f229ec1e4a33383d98b1dee9365c293c61b17eaf92f54e47a77f2f",
+        "d8e6b9e665c8defa18331b1c13157c436412ba7475cca9a928396b95c68abc0e",
     ],
     ("cwinning-nine-halves", "center-hold"): [
-        "45f243d20c38b32ebdcedd1834a302d5e1a59142685e81c381157f68457f0a4e",
-        "2fd10763628fa346bc294c7079b63f05e7e50653c938df71dceb0d912d94f179",
-        "89dce33519657bd21419cab08d3a470496d1976a8d88b13a0834648cfaefab36",
-        "a52130450391ff4b52bc20a06dfbdbf00d7005317ab0abb49d49714afd77a253",
+        "ba8126e75111ed24da6d38ea3739b509b4667618c4bedddb1ade742420f59224",
+        "3a2d1d0de81cc09504b75af41e388f51bfbdf98f8e5c5b8cebe7cab67a9efabe",
+        "9d4151f51a34d39c93f2b313492b0492b14641db40d6d1829d7b60292859d145",
+        "f299b1cc6bbe2ab857ebbdab3916c4ff9dc4eb879f21c4f0cdaff5421a35b8c2",
     ],
     ("qwinning-componentwise", "optimal-drift"): [
-        "ff4dfe165e53d3dfe2800a68889cec03946ed446172cbf3f644eaaede3ce2126",
-        "efafe9ae8da37a162af1b99f41afb200169174b0f85d274e8454f0e71b280e16",
-        "2a9a742278a15d963e41c4822ccb0d0af6f241186e58e43d52bcc3df3e29509b",
-        "114de37e05b7f0b61f3c514d418198a2ac427121609b6c53916d33786efcbd05",
+        "d8cac11257ae20d7516d31e4d807e092009ebc51d3b9e926ecbafd64aa56dfd6",
+        "167677ed97c670092ce30c1304d53592de1cf8505d9df3c15274cbcf3ba8d4fc",
+        "c253d393cfd9e03d7668550ebfd47f13706667b3de088f44060455ce2593db1f",
+        "dd9e8b0e4c773e4c638939db74ccee8dfbf67ff621a1250e79213e9c45307468",
     ],
     ("qwinning-componentwise", "random"): [
-        "eb230ff77e402e23e45c27097d634c8c973f689224be36a70ad4e6225021c29d",
-        "241f857211d2dda313b5e82156081f29a2c1ecb10272b23c005f29bbc506c7ed",
-        "f846a1e790b0acdc79e0929b683fdad653d1da94d5bc9bc1366a8c83ca46a963",
-        "21a60cd068891e044f81d8b2f77315503f0ff7678b810869e5279f325751d744",
+        "22b902cc0fd2d8e99b29a2d38f97ecc172704e5ee38b929fffff019af86f1df0",
+        "926780aadfe676fa0a46d7f243ff7429208ed291b667b36ad599e3ab89a54ea8",
+        "a79cbd9fe8c8a13a9f992dce02d8c523ee70d348e2a21f0fc9ed5997131a3a82",
+        "de80d6926807e774b2f79e3b489ac5009d300796c8d2ba30a4432f0b9a8df07e",
     ],
     ("qwinning-componentwise", "center-hold"): [
-        "02641267bc34e8cbc69985fc8e7f4eafbab19115152438832b62af531a62fe41",
-        "04e4635b4a19dd4feaeb2c5e1f7a9a064fdbe2e464836da9d923c908e72346f5",
-        "8e66c5733628735ebbaeaa5ebd438f72d9ea91c1fe42c634b7eb58e6964d8c52",
-        "a1fd9af301e288f3f1c090ddaa449ad1924748b74bb05eb92d8b7ad90bf6b535",
+        "381b95655eca9c2b9f0e23346d34bbc857d467000de41b80ccf2ab3683e50c84",
+        "e6b04870d055ff6496117a0f4377ed815938dfc65127a8a56b0d28497a6374e8",
+        "9a9b382b3acf773d5f2fd92a0530659cd268700e46cde434d6c64bdacd7a081a",
+        "00118a71d0efc7d333acafe603b00ab53a277b4e20540334c7f9c76fe6054b55",
     ],
     ("notwinning-lipschitz", None): [
-        "4748d77fc85145b6cdf300c96252ca12c84f36274903932aeaef7bda28b56852",
-        "1265624c7d4bbb74f0115632364228012192331207f821775c53750c7ceace79",
-        "eedd4bd785bbc2c5f3818d139f6656a7e211c113d6b730947a4c7d460006fbd3",
-        "6a771eafdb18f4104fd4c1705660a68a4e46bba7d43901965c6d68d0219e7466",
+        "568c80858b5cbd76c3e33ea25d029d7fe94cbeda51b46415408c079026d47bf6",
+        "ad9e076fc016ca3a305846b1b6248774ff87beef6c1cc84786991f3f0f81c80b",
+        "5bcbdd441a2281e49d716625e000787d24b02a356e8d8e24d1114741d1b92e92",
+        "79be5aaa2795d4f07a3caec15ae5825db11753189d4e37ccb9b97f3949688904",
     ],
     ("notwinning-hurwitz", None): [
-        "437f86c7a58cb337c9bb07e6f534e249eb15cdf102dd481bd709fbfc5f257d90",
-        "815288fb51b13135ea89b4960333341451c272e34fa77b29d298538642093061",
-        "06b669e2157f6989189d88135ec836ccd11e773f3aec29521aca3b0ea1ca627e",
-        "f463f8432f575f230e18123bbdaa7cc758ed630111cf894aee9d0e5e9f3663a0",
+        "4d800c4b31b75194f13a3ce7b390713cdfada0c03284af7d9f93272fcf6542b7",
+        "9ba2f5ee943dda651d535a637cd971e50ae0cc31d7e1fc43de9fa8cafabd1f0b",
+        "d57b151c8970258c55d1f288625f1051431bccba32c742c4fee6695b6d822082",
+        "b505e36178cc797560ebefadcb2fdd706fdd4e05f43e80b3712eeb3dceeb3d40",
     ],
     ("notwinning-symmetric", None): [
-        "d5f5b4e281b794bc00785f6a19215ad19971899512ca6ac5abf6c51a59c905c4",
-        "d279feacd1263ab8d20edb3243f9a12dd18d88f33280f6e5e9b0ae4d5652ca7c",
-        "86ae325881a6e7d0289965d6cc213fe3d4ec39727c22b78300deaedb18b07fbe",
-        "ae13ceda51638bc270e3dcadcb8d0d42e2dd001345f583b7cae7606042e46429",
+        "6d3873ddaee476ac99824d234c5202d1a92245634bf6c93ef980651c956cc3c8",
+        "bfe0f20c3fc52c61f833a98ded28cf76d2e8a0d06b97bbb2bd02301df9adcfac",
+        "b9965ffe6c93d86a58ba802099c40d69e04a0e6fb7115d38c1fd62dcd9bfc4fc",
+        "75d540503574025397b6116b1b6c86c52bc786d6e54be468c74000bc0be38f89",
     ],
     ("notwinning-zeta", None): [
-        "a285bda9cee04f05342b4b5954dc8d3341824121f4f5e33e7e888c43e1ce4cc4",
-        "69accfff9906c7e4f4d27e5e9e6e41a0884abd1606d578248038cddf56d257ef",
-        "5dabaeab4d078c600bfe9f96412fe8e1a0fd22e1f235817c4331fb8877020f69",
-        "5b523746b94307af2298c33600de1dbf41324896fa05b023f29976f9f567a03b",
+        "b44004fb9666d49cfb80b78fb4cd4a9eac39ff6510eaf13402925b701f65dda4",
+        "e72c773006dffbf4da841f83983789c97f45931f476779c588b03cb7fa2aaa55",
+        "edb3d1bcac14fe00fc918313c24a9e15e28f0117bf9597750c5b681d00869ecd",
+        "c8ace8978b689c17c2964baa575c3dbb52eaa5f801c9741f7dd644866b8be154",
     ],
 }
 
@@ -522,46 +522,46 @@ def test_trace_bytes(preset, bob, seed, digest):
 # unclipped, through the same box test.
 CLIPPED_PINS = {
     ("cwinning-nine-halves", 0.78, "optimal-drift"): [
-        "b7fe3a0ee5d015a79dd2177b50c0357c8037325dd421eeaf17c737f4f9860eb6",
-        "a8ebcfb58ec1a3c97714eca96b516f040c21fce8c4577ebd9dcb8174b6e0af91",
-        "2eb090f362ecabefc324cbf2299bc572eb16d58136b89e87304452ff3d0221dd",
-        "2a5981fe2d174afe5f8bb069e814ab6e60938d35b8cda69802a8388e17a9a4a9",
+        "f4597ad212f56bbb19a99887d217e9f8d66e72f1045ab46465f828fc65e33525",
+        "532495730fbb417dddf58679772b16866cceb46b86e766ef8b0b53ee2a0ce1de",
+        "b42bd5d9c91a58ab062a0bce1ed6a860d2a4127762c9359629b493889ead78e7",
+        "254ec5c3b5d6bf029ba93eb4ae49dbc7d483d186f64c052264bf69015f31f8ce",
     ],
     ("cwinning-nine-halves", 0.84, "optimal-drift"): [
-        "ebae49704645f66369b0b1f8b7223908b448892e8dd5a0502c0f65653c1e6616",
-        "2bb994a719d0df316b73cd231ecbace3aa6f58ead5e732de03281e8915a3549d",
-        "3b59cf89f8dc643a6189b9892aa03642502bedbbdf0fbdd53c7838aceb68c212",
-        "f2bdf034c475a4ee4ad9fcb18d2e1aef7e8744e917066322299ef61b13b1b0cc",
+        "9429e73e3042e027cf9a2768e67c63c1ce9a4f8ff3afd369b52387e78c379192",
+        "fcf32a42e57e73a4482cdb8e260d7a3afda226cea964bfbef2356f27aaa0db18",
+        "9c0fb74c86dc5361e697c8ff46eeed9fffdb9d65ac9ad48e43ee28da623bcdbd",
+        "0fad526c8ddb27953141f607a9dd724d67e15d2808d49bd59ee91c195775f247",
     ],
     ("cwinning-nine-halves", 0.9, "optimal-drift"): [
-        "a0ec210b884433472cd9a85813cf44d7163ad95f777a26e0962132d15a11e3ec",
-        "3c61e0b3a01fa8083f0d03fe4a909454ff65c9a6c9f52dc53cf6482d4fc1572c",
-        "093a0e39654df037e0441694cebd4e343cd7598b2be3b9916aacd93078bec0ee",
-        "49aeb339d0237591b697a6f50c9ab3836034a0ad1748ac5d45a2f7c7eb96efe9",
+        "0466e8007de0fc338d543f1ded8b10c98bf60b3014f61d07a088263b9bf9ebf7",
+        "5cd6d1ab8bb2c29188d235f3180fd7dc670450aa9f98379b624de3499d50ae66",
+        "ea1fbda3ff64aaa103b5a486c356ee81afaf7c2d0c8086b0439d2f0620c18eca",
+        "bbb493c21e13cd9d3f3ab108710c47b849686b5c5b567a8b0d39fc661f8a2a5d",
     ],
     ("cwinning-nine-halves", 0.94, "optimal-drift"): [
-        "0f5c27283b1187dc1e1c0af43780123dbd5d7dceda4629cd703e40c66962ace8",
-        "7b2d704dcf92678c3c54a052b96487cc9c4668a7252b677cc8c52a5844730b63",
-        "5066ee4f0d017cacf74f59ba1cb34b02ebcdaa41cdf852a76fad40d6af0b2f91",
-        "8afdaa3ee5f0b2a509c8721b5628b4aa433da445a73d0b631634a746ad819a4f",
+        "8a544f2a6f54b5b847c988dd819f428ed73da5d310d91a6459f2d64decfc225c",
+        "8745d85550bb12764104d30ec0c2208a09927e38ee86a9cbc4a6f6cad9ba1bd7",
+        "3d015a1928bee212e22bcc851ca8fa611980c4bd2622830d2835919c56c39f60",
+        "3ac2703c26e01c7c6a27b9fe092c6441e5272b15dec2b0b3015e862d156abc00",
     ],
     ("dwinning-silver", 0.475, "optimal-drift"): [
-        "fba01440a00ce50316ef4ab51b082d1efe2ebd89ad584a40efc899589888c7b7",
-        "c40cdfeeebaf37053b58d0a6cd8dede244a3e29c5d8f8b59fa546b631500565b",
-        "74e731035cb3ec9fe762dddf325d42c1d1eaadbabd15021f3b098928d6dc5d0b",
-        "ad1875f9a15e54c446b3b18d34c72d99179d5b854576fb2cd2a051ec831b4489",
+        "acbbc258ed606a5926f7d9ab9f0c3585414ba8c94f7a4342caa18685401f5c5d",
+        "66727cd7fc36bec803ba54c2b6000f3815ad1a97e6e87cd5d34342f9c038ffe5",
+        "257d1609850045b7aa3eaee07165cd894e0e00c2d21f32d6ba81166c5aec807a",
+        "3b9c4de8ee4ace65b3b1d1469ba7ee45957d3224f7c1d6f3e484bd2c44c98a9f",
     ],
     ("dwinning-silver", 0.6, "optimal-drift"): [
-        "10012a74e807b049f9d822e0ac07294e15e20eeb6d89b6444d5f33cb30d606b7",
-        "035fa098b0ed25461c8bdd6b61453451d660c0bc8cbfa97e852a761364196c66",
-        "7faacb42471c3de6633f7291fe8eda8943020cc83b8885495a05ce1e79455697",
-        "61b3093c3edff33ab377f81703dfa9c6aff865834d61d15d1cb1a91e50819a7b",
+        "6625b29c70ea290fb3881dcbe76486404619885ca43629f60ee30d15f88e6f5f",
+        "0dea544668f978efb5bb68659c388cefd67b341bb03e954521c9b660cf05b4a4",
+        "7f6e5af48b3386ef4b9589fe148c59176aa2b31036131dec5cd8be9366a4392c",
+        "8115b7b073b2f5176af7b735ed3af0afbcce8fb9367e9daa2aa6510a2dd21b82",
     ],
     ("qwinning-componentwise", 0.2, "optimal-drift"): [
-        "a5c090b9461c4c4808567bebf75a17aede8b10913a07b310e729a248e1466188",
-        "fdad4688c6915823f2d63bbc91357b5bc4a151d63e2a6ff120c1430c3b953da4",
-        "19a587ea3c590035f8d3430663381b5c216059853de288d28952c9236ce44b5b",
-        "ac1e897085e97d871585982beaff41428092a51d08b8e5b689f0d5eb0773460c",
+        "5878560c3accb934e3b65cb1e553cb48dd8aae2a6ded636b396e53db8da779c4",
+        "c27f5a6e04998c5df95376cb08ab6cf8579cce0daa8a52aee99aaff87b43b53a",
+        "7c6f85bfa92329bcc51da119f672285c5f22e6ef18f765192c1356cd7d2cf2da",
+        "308fb9f28d112db39d710f75e06a4edced516e1eb0421ed4c855f2506dbaee74",
     ],
 }
 
