@@ -107,11 +107,11 @@ class GameState(Record):
 
     @property
     def rng(self):
-        """numpy's PCG64 generator for the game's seed, built on the first
-        draw, so only a game with a random strategy loads numpy.random."""
+        """random.Random(seed), built on the first draw, so only a game with
+        a random strategy imports random."""
         if self._rng is None:
-            import numpy as np
-            self._rng = np.random.default_rng(self.seed)
+            import random
+            self._rng = random.Random(self.seed)
         return self._rng
 
     def note(self, text: str) -> None:
@@ -175,8 +175,10 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
     Every center is validated against the containment inequality of its
     player before being accepted; a violation raises IllegalMoveError
     naming the player.  With a system attached, centers must also stay in
-    the fundamental domain.
+    the fundamental domain.  A negative seed is refused.
     """
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     if system is not None and system.dim != params.dimension:
         raise ValueError("system dimension does not match game dimension")
     x0 = tuple(map(float, params.initial_center))

@@ -140,6 +140,49 @@ def _image(A):
     raise ValueError(f"no image for a {len(A)}-row matrix: kernels are 1x1, 2x2 or 4x4")
 
 
+def _power(M, j: int):
+    """M^j for a square float matrix M and any integer j, each entry of the
+    exact power rounded once, or None for j < 0 when |det M| < 1e-12
+    (compared exactly): each lattice's Binv, the kernel's inverse and the
+    avoidance play's powers of A.
+
+    M = N / D for an integer matrix N, D the largest denominator of its
+    dyadic entries.  For j < 0, fraction-free Gauss-Jordan elimination
+    (Bareiss) on [N | I] divides exactly at every step and ends at [d I | X]
+    with d = +-det N and X = d N^-1, so M^-1 = D X / d.  One int / int per
+    entry of the numerator's power over the denominator's then rounds it, as
+    Fraction's float() does.
+    """
+    n = len(M)
+    ratios = [[x.as_integer_ratio() for x in row] for row in M]
+    D = max(q for row in ratios for _, q in row)
+    N = [[p * (D // q) for p, q in row] for row in ratios]
+    if j < 0:
+        rows, prev = [row + [int(i == k) for k in range(n)] for i, row in enumerate(N)], 1
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if rows[r][col]), None)
+            if pivot is None:
+                return None
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            top, p = rows[col], rows[col][col]
+            rows = [r if r is top else [(p * x - r[col] * y) // prev for x, y in zip(r, top)]
+                    for r in rows]
+            prev = p
+        # |det M| = |d| / D^n against 1e-12 = a / b
+        a, b = (1e-12).as_integer_ratio()
+        if abs(prev) * b < a * D ** n:
+            return None
+        # a positive denominator, so that a zero entry is +0.0 as Fraction's is
+        scale = D if prev > 0 else -D
+        N, D, j = [[scale * x for x in row[n:]] for row in rows], abs(prev), -j
+    P, den = [[int(i == k) for k in range(n)] for i in range(n)], D ** j
+    for bit in bin(j)[2:]:  # square and multiply, from the leading bit
+        P = [[sum(map(operator.mul, row, col)) for col in zip(*P)] for row in P]
+        if bit == "1":
+            P = [[sum(map(operator.mul, row, col)) for col in zip(*N)] for row in P]
+    return tuple(tuple(x / den for x in row) for row in P)
+
+
 def _snap(w: float, t: float, f: int, off: float, lo: int, hi: int, nudge: bool):
     """Digit and remainder of one coordinate whose t = w - off lies within
     twice EPS_FLOOR of an integer: tol_floor's digit (or its error), unless
@@ -247,18 +290,14 @@ class DigitKernel:
 
     def reconstruct(self, digits) -> list[float]:
         """Lattice coordinates of sum_j A^-j d_j, the point these digits
-        describe up to A^-n times the box.  A 1x1 kernel takes its digits as
-        ints or 1-tuples and divides by a, which gives np.linalg.solve's bits."""
-        if len(self.A) == 1:
-            a, acc = self.A[0][0], 0.0
-            for d in reversed(digits):
-                acc = (acc + (d[0] if isinstance(d, tuple) else d)) / a
-            return [acc]
-        import numpy as np
-        acc = np.zeros(len(self.A))
+        describe up to A^-n times the box, by Horner's rule through the
+        image of A^-1 rounded once per entry (_power).  Digits are tuples,
+        or ints for a 1x1 kernel."""
+        inverse = _image(_power(self.A, -1))
+        acc = (0.0,) * len(self.A)
         for d in reversed(digits):
-            acc = np.linalg.solve(self.A, acc + d)
-        return acc.tolist()
+            acc = inverse([a + x for a, x in zip(acc, (d,) if isinstance(d, int) else d)])
+        return list(acc)
 
 
 class Quaternion(FrozenRecord):

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .numeric import (EPS_CMP, DigitKernel, FrozenRecord, Quaternion, _image,
-                      nudge_mode, ordered_sum, quat_mul)
+                      _power, nudge_mode, ordered_sum, quat_mul)
 
 Coords = tuple[int, int, int, int]
 Matrix = tuple[tuple[float, ...], ...]
@@ -25,51 +25,15 @@ def _mat_mul(X_times, Y: Matrix) -> Matrix:
     return tuple(zip(*map(X_times, zip(*Y))))
 
 
-def _exact_inverse(M: Matrix) -> Matrix | None:
-    """M^-1 with each entry of the exact inverse rounded once, or None when
-    |det M| < 1e-12 (compared exactly).
-
-    The entries of M are dyadic, so D M is an integer matrix for their
-    largest denominator D.  Fraction-free Gauss-Jordan elimination (Bareiss)
-    on [D M | I] divides exactly at every step and ends at [d I | X] with
-    d = +-det(D M) and X = d (D M)^-1, so M^-1 = D X / d, and one int / int
-    per entry rounds that rational correctly, as Fraction's float() does.
-    """
-    n = len(M)
-    ratios = [[x.as_integer_ratio() for x in row] for row in M]
-    D = max(q for row in ratios for _, q in row)
-    rows = [[p * (D // q) for p, q in row] + [int(i == j) for j in range(n)]
-            for i, row in enumerate(ratios)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        p = top[col]
-        for r in range(n):
-            if r != col:
-                f = rows[r][col]
-                rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], top)]
-        prev = p
-    # |det M| = |d| / D^n against 1e-12 = a / b
-    a, b = (1e-12).as_integer_ratio()
-    if abs(prev) * b < a * D ** n:
-        return None
-    # a positive divisor, so that a zero entry is +0.0 as Fraction's is
-    scale = D if prev > 0 else -D
-    return tuple(tuple(scale * x / abs(prev) for x in row[n:]) for row in rows)
-
-
 class LatticeDomain:
     """Integer span of a basis plus a half-open unit box in its coordinates.
 
     offsets[i] is the lower end of the i-th coordinate range [offsets[i],
     offsets[i] + 1).  B (the basis vectors as columns) and Binv are float
-    tuples of rows; Binv is the exact inverse of B rounded once per entry,
-    so the basis changes of every stock lattice, whose B is diagonal, are
-    one correctly rounded product per coordinate on any IEEE-754 machine.
+    tuples of rows; Binv is the exact inverse of B rounded once per entry
+    (numeric._power), so the basis changes of every stock lattice, whose B
+    is diagonal, are one correctly rounded product per coordinate on any
+    IEEE-754 machine.
     Binv_times and B_times are those basis changes, v -> Binv v and
     u -> B u on four floats, built once by the digit kernel's numeric._image.
     """
@@ -84,7 +48,7 @@ class LatticeDomain:
         self.B = tuple(zip(*(tuple(map(float, v.components)) for v in basis)))
         if not all(math.isfinite(x) for row in self.B for x in row):
             raise ValueError("basis must be finite")
-        Binv = _exact_inverse(self.B)
+        Binv = _power(self.B, -1)
         if Binv is None:
             raise ValueError("basis is singular")
         self.Binv = Binv

@@ -280,7 +280,7 @@ class RealBase:
 
     def nearest_full_cylinder(self, x: float, d: int, k: int) -> float | None:
         """Center of the full-length level-k cylinder with k-th digit d nearest
-        to x, the first in lexicographic order on a tie: the center np.argmin
+        to x, the first in lexicographic order on a tie: the center min()
         picks over cylinder_intervals(d, k).  None when there is none.
 
         Descends the automaton to the (k-1)-block whose cylinder holds x, then

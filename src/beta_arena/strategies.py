@@ -7,27 +7,29 @@ winning ones hold, lock the target a strategy picks for Bob's center, then
 pull toward it; the losing one (Bob's) reads the digits of Alice's center
 through the digit kernel and recenters on the avoided-block-free cylinder
 shifted by xi.  Lengths are math.hypot's and math.dist's, and every move
-spends at most s.reach, which play has already made exact; numpy is loaded
-only for the random PCG64 stream and the avoidance play's matrix powers.
+spends at most s.reach, which play has already made exact.  Draws come from
+s.rng, a random.Random, and the avoidance play's powers of A are exact
+powers rounded once (numeric._power).
 
 The avoidance play keeps a memo beside its table of powers of A: the
 product A^-j d for each digit d pinned at position j, and A^-depth xi for
-each depth, which recur from game to game.  Each entry is the numpy
-expression the play would evaluate in its place, so it has the same bits,
-and it is a pure function of its key, so two threads that race on a key
-store equal values.  The memo grows with the distinct (position, digit)
-pairs the games on one system meet: 32 to 180 entries per system after
-a 20-s run of perfbench's sweep.
+each depth, which recur from game to game.  Each entry is the expression
+the play would evaluate in its place, so it has the same bits, and it is a
+pure function of its key, so two threads that race on a key store equal
+values.  The memo grows with the distinct (position, digit) pairs the
+games on one system meet: 32 to 180 entries per system after a 20-s run
+of perfbench's sweep.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from functools import partial
+import operator
+from functools import cache, partial
 from typing import Callable, Sequence
 
 from .game import GameState, Strategy, StrategyError, Vector
+from .numeric import _image, _power, ordered_sum
 from .realexp import RealBase
 from .systems import QuatSystem, max_step_inside
 
@@ -36,13 +38,13 @@ from .systems import QuatSystem, max_step_inside
 
 
 def _ball_sample(rng, dim: int) -> list[float]:
-    """A uniform point of the unit ball, drawn from numpy's generator rng."""
-    v = rng.normal(size=dim).tolist()
-    norm = math.hypot(*v)
-    if norm == 0.0:
-        return [0.0] * dim
-    scale = rng.random() ** (1.0 / dim)
-    return [x / norm * scale for x in v]
+    """A uniform point of the open unit ball: the first point drawn
+    uniformly from the cube [-1, 1)^dim, each coordinate 2 rng.random() - 1
+    (exact), whose squares sum below 1."""
+    while True:
+        v = [2.0 * rng.random() - 1.0 for _ in range(dim)]
+        if ordered_sum(x * x for x in v) < 1.0:
+            return v
 
 
 def bob_center_hold() -> Strategy:
@@ -182,52 +184,42 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     and only the powers of A and the memo of products outlive a game, so
     one strategy serves every game on its system.
     """
-    import numpy as np
     win = len(omega)
     if win == 0:
         raise ValueError("avoided block must be nonempty")
     omega_coords = [tuple(int(c) for c in w) for w in omega]
     kernel = system.kernel
-    A = np.array(kernel.A)
-    A_inv = np.linalg.inv(A)
-    # (A^j, A^-j) by j, shared by every game on the strategy; one append
-    # grows both, so a growth cut short cannot leave them out of step, and
-    # the lock keeps games in two threads from appending the same power twice
-    powers = [(np.eye(len(A)), np.eye(len(A)))]
-    growing = threading.Lock()
-    xi_coords = np.array(system.coords(xi))
+    xi_coords = system.coords(xi)
     # the memo: A^-j d by (j, d) and A^-depth xi by depth, and the pinned
     # point of a fresh game; every game reads them and none writes into them
-    steps: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    shifts: dict[int, np.ndarray] = {}
-    fresh = (0, np.zeros(len(A)))
+    steps: dict[tuple[int, tuple[int, ...]], Vector] = {}
+    shifts: dict[int, Vector] = {}
+    fresh = (0, (0.0,) * len(kernel.A))
 
-    def power(j: int) -> tuple[np.ndarray, np.ndarray]:
-        if j >= len(powers):
-            with growing:
-                while len(powers) <= j:
-                    up, down = powers[-1]
-                    powers.append((A @ up, A_inv @ down))
-        return powers[j]
+    @cache
+    def power(j: int):
+        """The maps u -> A^j u and u -> A^-j u, shared by every game on the
+        strategy; a pure function of j, so threads that race on it agree."""
+        return _image(_power(kernel.A, j)), _image(_power(kernel.A, -j))
 
     def f(s: GameState) -> Vector:
         y = s.ball.center
         kk = s.round_no
         m, pinned = s.scratch.get("avoid", fresh)
         depth = kk * win
-        local = power(m)[0] @ (np.array(system.coords(y)) - pinned)
-        digits = kernel.expand(local.tolist(), depth - m, nudge=True)
+        local = power(m)[0](map(operator.sub, system.coords(y), pinned))
+        digits = kernel.expand(local, depth - m, nudge=True)
         for i, d in enumerate(digits):
             if i % win == 0 and digits[i:i + win] == omega_coords:
                 s.note(f"round {kk}: pinned window {(m + i) // win + 1} equals the avoided block")
             step = steps.get((m + i + 1, d))
             if step is None:
-                step = steps[m + i + 1, d] = power(m + i + 1)[1] @ d
-            pinned = pinned + step
+                step = steps[m + i + 1, d] = power(m + i + 1)[1](d)
+            pinned = tuple(map(operator.add, pinned, step))
         shift = shifts.get(depth)
         if shift is None:
-            shift = shifts[depth] = power(depth)[1] @ xi_coords
-        proposal = system._point((pinned + shift).tolist())
+            shift = shifts[depth] = power(depth)[1](xi_coords)
+        proposal = system._point(map(operator.add, pinned, shift))
         gap = math.dist(proposal, y)
         if gap > s.reach:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")

@@ -17,8 +17,8 @@ float sequence is taken) regardless of the underlying system; each adapter
 converts them to the lattice coordinates of its digit kernel (`coords`) and
 back (`_point`).  The quaternion adapter's basis changes are its lattice's
 Binv_times and B_times, plain-Python 4x4 products built once by the digit
-kernel's numeric._image; no adapter loads numpy, and this module imports no
-expansion module, as each adapter takes its base ready-built.
+kernel's numeric._image.  This module imports no expansion module, as each
+adapter takes its base ready-built.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """A cold start loads only what its command runs.
 
-The package imports neither `dataclasses` nor `inspect` (numpy imports
-`inspect`, so a command that loads numpy loads it too); a real-base command loads
-neither the complex nor the quaternion module, and a complex one does not
-load the quaternion module.  `import beta_arena` loads no submodule: the
+The package imports neither `dataclasses` nor `inspect`; a real-base
+command loads neither the complex nor the quaternion module, and a complex
+one does not load the quaternion module.  `import beta_arena` loads no submodule: the
 package resolves its exported names and its submodules on first access.
 Each check runs in a fresh interpreter, since this one has everything
 loaded, and a command's output there must equal its output here.
@@ -21,15 +20,14 @@ from test_numpy_free import fresh
 WATCHED = ("dataclasses", "inspect", "beta_arena.complexexp", "beta_arena.quatexp")
 
 # runs cli.main on the JSON argv in sys.argv[1]; prints the exit code, which
-# WATCHED modules got loaded (but for inspect when numpy got loaded), and stdout
+# WATCHED modules got loaded, and stdout
 MAIN = f"""
 import contextlib, io, json, sys
 from beta_arena import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-loaded = [m for m in {WATCHED!r} if m in sys.modules
-          and not (m == "inspect" and "numpy" in sys.modules)]
+loaded = [m for m in {WATCHED!r} if m in sys.modules]
 print(json.dumps([code, loaded, out.getvalue()]))
 """
 
@@ -61,6 +59,9 @@ COMMANDS = {
                            ["beta_arena.quatexp"]),
     "expand-quat": (["expand", "--quat", "3", "3", "3", "3", "--z", "0.31", "0.62",
                      "0.05", "0.44", "--n", "6"], ["beta_arena.quatexp"]),
+    "game-lipschitz": (["game", "--preset", "notwinning-lipschitz"], ["beta_arena.quatexp"]),
+    "game-nine-halves-random": (["game", "--preset", "cwinning-nine-halves", "--bob", "random"],
+                                ["beta_arena.complexexp"]),
 }
 
 

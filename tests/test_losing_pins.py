@@ -6,9 +6,9 @@ certified_digits certifies for the final ball, and those digits.  The games
 are every preset at its defaults with seeds 0-7, and sixteen alphas per
 preset drawn from windows on both sides of its avoidance bound (0.833
 lipschitz, 0.921 hurwitz, 0.8 symmetric, 0.272 zeta), one game seed each,
-plus notwinning-lipschitz at alpha 0.43, seed 2, whose Bob clips rounds 8
-and 12.  Clip notes and the last bits of the centers are not pinned: they
-depend on how Bob's formula center is rounded.
+plus notwinning-lipschitz at alpha 0.43, seed 2, whose Bob clips rounds 3,
+6, 7 and 9-11.  Clip notes and the last bits of the centers are not
+pinned: they depend on how Bob's formula center is rounded.
 
 The same games are rechecked at 60 digits with maps built from q and the
 lattice basis, independently of the float digit kernel.
@@ -23,175 +23,175 @@ from beta_arena.strategies import bob_avoid_block
 # (preset, alpha, seed, verdict, status, rounds, certified, certified digits)
 PINS = [
     ('notwinning-lipschitz', None, 0, 'verified', 'resolution-exhausted', 14, 12,
-     "-4,2,3,3 -4,2,3,3 -3,2,3,3 -3,3,3,3 -3,3,2,3 -3,2,2,2 -4,2,2,2 "
-     "-4,3,2,3 -3,2,2,2 -3,2,2,2 -4,2,3,2 -3,3,3,2"),
+     "-3,3,3,2 -4,2,2,3 -3,2,2,2 -3,3,2,3 -4,2,3,2 -3,2,3,3 -4,2,2,2 "
+     "-4,2,3,3 -4,3,3,3 -4,3,2,3 -4,3,2,3 -4,3,2,2"),
     ('notwinning-lipschitz', None, 1, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,3,2 -4,3,2,3 -4,2,3,3 -4,2,2,3 -3,3,3,2 -4,2,2,3 -4,3,3,2 "
-     "-3,2,3,3 -4,3,3,3 -4,3,2,3 -3,2,2,3 -3,2,3,2"),
+     "-4,3,2,3 -3,2,3,2 -4,2,2,3 -4,2,2,2 -3,3,3,3 -4,2,3,3 -3,2,3,2 "
+     "-4,2,3,2 -4,2,2,3 -4,3,2,3 -3,3,2,2 -3,2,2,2"),
     ('notwinning-lipschitz', None, 2, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,3,2 -4,3,2,3 -4,3,3,3 -3,2,3,3 -3,2,2,2 -3,3,2,2 -4,3,3,3 "
-     "-3,2,3,3 -4,2,3,3 -4,3,2,2 -3,2,3,2 -3,3,3,2"),
+     "-3,3,3,3 -3,2,3,3 -3,2,2,2 -3,2,3,2 -4,2,2,2 -3,3,3,3 -3,3,3,2 "
+     "-3,2,2,3 -4,3,2,3 -3,2,3,3 -3,3,2,2 -3,2,2,3"),
     ('notwinning-lipschitz', None, 3, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,3,3 -3,3,2,3 -4,3,3,3 -3,2,3,3 -3,3,2,3 -3,3,2,2 -4,2,2,3 "
-     "-3,3,2,3 -4,2,3,3 -3,2,2,3 -3,2,3,2 -4,3,2,3"),
+     "-4,3,2,2 -4,2,3,2 -4,3,3,2 -4,3,2,2 -4,3,3,2 -3,2,2,3 -4,3,3,3 "
+     "-4,3,3,3 -4,3,2,3 -4,3,3,3 -4,3,2,3 -4,2,3,2"),
     ('notwinning-lipschitz', None, 4, 'verified', 'resolution-exhausted', 14, 12,
-     "-4,2,3,3 -3,2,3,3 -4,2,2,2 -4,3,2,2 -4,3,3,2 -4,2,2,3 -4,3,2,2 "
-     "-4,3,3,2 -4,3,2,2 -4,3,3,3 -3,2,2,2 -4,3,3,2"),
+     "-3,2,3,3 -4,2,2,2 -4,3,2,3 -4,3,3,2 -4,3,2,3 -3,3,2,2 -4,3,3,3 "
+     "-4,2,2,3 -3,3,2,2 -4,3,2,2 -3,3,3,3 -3,3,2,3"),
     ('notwinning-lipschitz', None, 5, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,2,3 -3,3,2,2 -4,3,3,2 -4,3,3,3 -4,3,2,3 -3,2,2,2 -4,2,2,2 "
-     "-3,3,2,2 -4,2,3,2 -4,2,3,3 -4,2,2,2 -4,3,3,3"),
+     "-3,2,2,3 -4,3,3,3 -3,2,2,3 -3,2,2,3 -4,3,2,3 -4,3,3,3 -4,3,3,2 "
+     "-4,2,2,2 -3,2,2,2 -3,2,3,2 -3,3,2,2 -3,3,3,2"),
     ('notwinning-lipschitz', None, 6, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,3,3,2 -4,2,3,3 -4,3,3,2 -3,2,2,2 -4,2,3,3 -4,3,2,3 -4,2,3,3 "
-     "-3,3,2,2 -3,2,3,3 -4,2,2,2 -3,3,2,3 -4,2,3,2"),
+     "-3,3,3,2 -4,3,3,2 -4,3,2,2 -3,3,2,3 -3,3,2,3 -3,3,2,3 -4,2,2,2 "
+     "-4,3,3,3 -3,3,3,3 -4,2,2,2 -3,3,2,3 -3,2,2,3"),
     ('notwinning-lipschitz', None, 7, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,3,2 -3,2,2,3 -4,2,2,3 -4,3,2,3 -4,3,3,3 -4,2,2,2 -3,2,2,2 "
-     "-3,2,2,3 -4,2,3,2 -3,3,2,3 -3,2,3,2 -3,2,3,3"),
+     "-3,3,2,2 -4,2,3,2 -3,2,2,3 -4,2,3,2 -3,2,3,2 -4,3,3,3 -3,3,2,2 "
+     "-4,3,2,3 -3,3,3,3 -4,3,2,3 -4,2,2,3 -3,2,2,2"),
     ('notwinning-lipschitz', 0.430622, 4005, 'verified', 'resolution-exhausted', 14, 12,
-     "-4,2,2,3 -4,3,3,3 -4,2,3,2 -4,3,2,3 -3,2,4,3 -3,3,3,2 -3,2,2,2 "
-     "-4,2,3,3 -3,3,3,3 -4,2,3,3 -4,3,3,3 -3,3,3,2"),
+     "-4,2,3,2 -3,2,3,2 -4,2,1,2 -3,3,2,2 -5,2,3,2 -3,2,2,3 -4,2,3,3 "
+     "-4,3,2,3 -3,2,4,2 -2,2,3,3 -4,1,3,2 -3,3,1,2"),
     ('notwinning-lipschitz', 0.454045, 47336, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,3,3,2 -4,3,2,2 -4,2,3,3 -3,3,3,2 -4,2,2,2 -4,4,2,2 -4,3,2,2 "
-     "-4,3,2,3 -4,3,2,2 -3,3,3,2 -4,3,3,3 -3,3,3,2"),
+     "-4,2,3,3 -3,2,3,3 -4,3,3,2 -4,3,2,2 -3,3,2,3 -3,3,2,2 -3,2,3,2 "
+     "-4,3,2,3 -4,3,2,2 -3,3,3,3 -4,3,2,2 -4,2,4,2"),
     ('notwinning-lipschitz', 0.569126, 57606, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,2,2 -4,2,2,3 -3,2,3,2 -4,3,3,3 -4,2,3,2 -4,3,2,2 -3,3,2,3 "
-     "-3,3,3,2 -4,2,3,3 -3,2,2,2 -3,3,3,2 -3,2,3,3"),
+     "-4,2,2,3 -3,3,3,3 -4,3,3,3 -3,2,3,3 -4,2,3,2 -4,2,3,2 -4,3,2,3 "
+     "-4,3,3,3 -4,3,3,3 -4,2,2,2 -3,3,2,2 -4,2,2,3"),
     ('notwinning-lipschitz', 0.571461, 34382, 'verified', 'resolution-exhausted', 14, 12,
-     "-4,3,2,2 -4,2,3,3 -3,3,2,3 -3,3,3,3 -3,3,3,2 -3,2,2,3 -4,2,3,3 "
-     "-4,3,3,3 -4,3,2,2 -3,2,3,3 -3,3,2,2 -3,3,2,3"),
+     "-3,2,2,2 -3,3,3,3 -3,2,2,2 -3,3,2,2 -4,2,3,3 -4,2,2,2 -4,2,2,3 "
+     "-3,3,2,2 -4,2,2,3 -3,3,2,2 -3,2,3,3 -3,2,3,3"),
     ('notwinning-lipschitz', 0.66658, 37645, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,3,2,3 -4,3,2,2 -4,3,2,3 -3,2,3,2 -3,2,3,2 -3,3,2,3 -3,2,2,2 "
-     "-3,2,2,2 -3,3,2,3 -4,3,2,3 -3,2,2,3 -4,3,3,3"),
+     "-4,2,3,2 -4,3,2,2 -4,2,3,3 -3,3,3,2 -3,2,2,3 -3,2,3,3 -3,3,3,3 "
+     "-4,2,3,3 -4,3,2,3 -3,3,3,3 -3,2,3,3 -4,2,2,2"),
     ('notwinning-lipschitz', 0.691113, 47516, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,2,2 -3,3,3,3 -4,2,3,3 -4,2,2,3 -3,3,3,3 -4,3,2,3 -4,3,2,2 "
-     "-4,3,3,2 -4,2,2,2 -3,3,3,2 -3,3,3,2 -4,2,3,2"),
+     "-4,2,2,2 -3,2,2,3 -4,2,3,3 -4,2,2,3 -4,2,2,3 -3,3,3,2 -3,3,2,2 "
+     "-3,2,3,3 -4,2,2,3 -4,3,3,2 -4,2,3,2 -3,3,2,3"),
     ('notwinning-lipschitz', 0.722992, 28322, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,2,2 -4,3,2,2 -4,2,2,3 -4,2,3,2 -4,2,2,3 -3,3,3,3 -4,2,2,2 "
-     "-4,3,3,2 -3,2,3,2 -4,3,3,3 -3,3,3,2 -3,3,3,3"),
+     "-3,2,2,3 -3,3,3,3 -4,3,3,3 -4,2,3,2 -4,3,2,2 -3,2,3,2 -3,3,3,3 "
+     "-4,2,2,3 -4,3,2,2 -4,2,3,3 -4,3,2,3 -3,2,3,2"),
     ('notwinning-lipschitz', 0.76038, 1061, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,3,3 -4,2,2,3 -3,2,2,2 -3,3,3,3 -4,3,3,3 -3,2,2,2 -4,2,2,3 "
-     "-3,2,3,2 -3,2,2,3 -4,2,3,3 -4,2,2,2 -3,3,3,3"),
+     "-4,3,2,3 -4,3,3,2 -4,3,2,2 -3,2,3,3 -4,2,3,2 -3,3,2,3 -3,3,3,2 "
+     "-3,2,2,2 -4,3,2,3 -3,2,3,3 -4,2,3,2 -4,3,2,2"),
     ('notwinning-lipschitz', 0.858827, 40575, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,2,2 -3,2,2,2 -3,3,2,2 -3,3,2,2 -3,2,3,2 -3,2,2,3 -3,2,2,3 "
-     "-4,3,3,3 -4,2,3,3 -3,2,3,2 -3,2,2,2 -4,3,2,2"),
+     "-4,3,2,2 -3,2,2,3 -3,3,3,2 -4,3,3,2 -4,3,2,2 -3,2,2,3 -3,2,3,2 "
+     "-4,3,3,3 -4,2,3,2 -3,3,3,2 -4,3,3,2 -4,2,3,2"),
     ('notwinning-lipschitz', 0.867903, 9486, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,3,2 -3,3,2,2 -3,3,2,3 -4,3,2,2 -4,2,2,2 -4,2,3,3 -3,2,3,3 "
-     "-3,3,2,3 -3,3,3,2 -4,2,2,3 -3,3,2,3 -4,3,2,3"),
+     "-4,2,3,2 -3,3,2,3 -3,2,2,3 -3,2,2,2 -4,2,2,3 -3,2,2,2 -3,2,2,3 "
+     "-3,3,2,3 -4,3,3,2 -4,2,2,3 -4,2,3,3 -3,3,3,3"),
     ('notwinning-lipschitz', 0.885109, 26772, 'verified', 'resolution-exhausted', 14, 12,
-     "-4,2,3,2 -3,3,3,2 -4,3,3,3 -3,3,2,2 -3,3,3,2 -4,2,2,3 -4,3,3,2 "
-     "-3,3,2,2 -3,3,3,2 -3,2,2,3 -4,3,2,2 -3,3,3,3"),
+     "-4,3,3,3 -4,2,2,3 -4,3,2,3 -4,2,3,3 -4,2,3,2 -3,3,2,2 -4,2,2,3 "
+     "-3,2,2,3 -4,3,2,2 -4,3,3,3 -3,3,3,3 -4,2,3,3"),
     ('notwinning-lipschitz', 0.894022, 16799, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,3,2,3 -3,2,3,2 -4,3,3,3 -3,2,2,2 -3,2,3,2 -4,3,3,2 -4,2,3,2 "
-     "-4,3,3,2 -3,3,2,2 -3,3,2,3 -3,2,3,2 -3,2,2,3"),
+     "-4,3,3,3 -3,2,2,3 -3,3,3,2 -4,3,3,3 -4,2,3,3 -4,3,2,3 -4,3,2,2 "
+     "-3,2,2,3 -4,2,2,3 -3,2,2,2 -4,2,3,3 -4,2,3,3"),
     ('notwinning-lipschitz', 0.917643, 58369, 'verified', 'resolution-exhausted', 14, 12,
-     "-4,2,2,2 -4,2,2,3 -4,3,2,3 -4,3,3,2 -4,2,2,3 -3,2,3,3 -3,2,3,3 "
-     "-3,3,3,2 -3,2,3,2 -3,2,3,3 -3,3,2,2 -4,2,2,3"),
+     "-3,2,2,2 -3,2,3,2 -3,2,3,2 -3,2,3,2 -3,3,2,2 -4,2,3,2 -4,2,2,3 "
+     "-4,2,2,2 -3,2,3,3 -4,3,2,2 -4,2,2,2 -4,3,2,2"),
     ('notwinning-lipschitz', 0.923897, 22822, 'verified', 'resolution-exhausted', 14, 12,
-     "-4,3,3,2 -4,2,3,3 -3,3,2,3 -4,2,2,3 -3,3,2,3 -4,3,2,3 -3,2,2,2 "
-     "-3,3,3,2 -3,2,2,3 -3,2,3,2 -4,3,2,2 -3,3,2,3"),
+     "-4,2,3,3 -3,2,2,2 -3,2,2,3 -3,2,2,2 -4,3,2,3 -3,3,3,3 -4,3,3,2 "
+     "-3,2,3,2 -3,3,3,3 -3,2,3,3 -4,2,3,2 -3,3,3,2"),
     ('notwinning-lipschitz', 0.949507, 21574, 'verified', 'resolution-exhausted', 14, 12,
-     "-4,2,2,2 -3,2,2,2 -4,2,2,2 -4,2,3,3 -3,2,3,2 -3,3,2,2 -4,3,3,2 "
-     "-3,3,3,2 -4,3,3,3 -4,2,2,2 -3,3,3,3 -3,3,2,2"),
+     "-3,3,3,2 -4,3,2,2 -4,3,2,3 -4,3,2,3 -4,2,3,2 -3,2,2,2 -3,3,2,2 "
+     "-3,2,2,3 -3,2,3,2 -3,2,3,2 -3,2,2,2 -4,3,2,2"),
     ('notwinning-lipschitz', 0.96983, 57101, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,3,3,3 -3,2,3,3 -4,2,2,3 -3,2,2,3 -3,3,3,2 -3,2,3,2 -4,3,2,3 "
-     "-4,3,3,3 -3,2,2,3 -3,2,3,2 -3,3,2,2 -4,3,3,3"),
+     "-3,2,2,2 -3,2,3,2 -4,2,3,2 -3,2,3,3 -3,2,2,3 -3,2,3,2 -3,3,3,2 "
+     "-4,2,2,3 -3,2,3,3 -4,3,2,2 -3,3,3,3 -4,3,3,2"),
     ('notwinning-lipschitz', 0.43, 2, 'verified', 'resolution-exhausted', 14, 12,
-     "-3,2,3,2 -4,3,2,3 -4,3,3,3 -3,2,3,3 -3,2,2,2 -3,3,2,2 -4,3,3,3 "
-     "-3,2,3,3 -4,2,2,3 -4,3,2,2 -3,2,3,2 -3,3,3,2"),
+     "-3,3,4,3 -3,2,3,3 -3,1,2,2 -3,2,3,2 -4,2,2,2 -3,3,3,3 -3,3,2,1 "
+     "-3,2,2,3 -4,3,2,3 -4,3,3,4 -2,3,2,3 -3,2,2,3"),
     ('notwinning-hurwitz', None, 0, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
-     "-3,2,-2,5 -3,2,-2,4"),
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5"),
     ('notwinning-hurwitz', None, 1, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
-     "-3,2,-2,5 -3,2,-2,4"),
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,4"),
     ('notwinning-hurwitz', None, 2, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 "
-     "-3,2,-2,4 -3,2,-2,4"),
-    ('notwinning-hurwitz', None, 3, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5"),
-    ('notwinning-hurwitz', None, 4, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
-     "-3,2,-2,5 -3,2,-2,5"),
-    ('notwinning-hurwitz', None, 5, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,4"),
-    ('notwinning-hurwitz', None, 6, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
      "-3,2,-2,5 -3,2,-2,4"),
+    ('notwinning-hurwitz', None, 3, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,4"),
+    ('notwinning-hurwitz', None, 4, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-2,5"),
+    ('notwinning-hurwitz', None, 5, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,4"),
+    ('notwinning-hurwitz', None, 6, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-2,4"),
     ('notwinning-hurwitz', None, 7, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,5 -3,2,-2,5"),
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,4"),
     ('notwinning-hurwitz', 0.601919, 41710, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-1,4 -3,2,-2,4 "
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-1,4 -3,2,-2,5 "
      "-3,2,-2,4 -3,2,-2,5"),
     ('notwinning-hurwitz', 0.605954, 57741, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -4,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
-     "-3,2,-2,4 -3,2,-1,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5"),
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-1,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,3,-2,5 "
+     "-3,2,-2,5 -3,2,-1,4"),
     ('notwinning-hurwitz', 0.699582, 6449, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,5 -3,2,-2,5"),
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,5 -3,2,-2,4"),
     ('notwinning-hurwitz', 0.714503, 31743, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-1,5 "
-     "-3,2,-2,4 -3,2,-2,4"),
-    ('notwinning-hurwitz', 0.764283, 4668, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5"),
-    ('notwinning-hurwitz', 0.810982, 12076, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-1,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
      "-3,2,-2,5 -3,2,-2,5"),
+    ('notwinning-hurwitz', 0.764283, 4668, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,5 -3,2,-2,4"),
+    ('notwinning-hurwitz', 0.810982, 12076, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-2,5"),
     ('notwinning-hurwitz', 0.879031, 16294, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 "
      "-3,2,-2,4 -3,2,-2,4"),
     ('notwinning-hurwitz', 0.882649, 14996, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
-     "-3,2,-2,5 -3,2,-2,5"),
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,5"),
     ('notwinning-hurwitz', 0.929342, 63902, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
      "-3,2,-2,4 -3,2,-2,4"),
     ('notwinning-hurwitz', 0.935297, 48327, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 "
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,4"),
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,4"),
     ('notwinning-hurwitz', 0.949938, 13790, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 "
      "-3,2,-2,5 -3,2,-2,5"),
     ('notwinning-hurwitz', 0.957259, 978, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5"),
-    ('notwinning-hurwitz', 0.967594, 58806, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
-     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 "
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
      "-3,2,-2,5 -3,2,-2,4"),
-    ('notwinning-hurwitz', 0.967901, 27795, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,4"),
-    ('notwinning-hurwitz', 0.975383, 35728, 'verified', 'resolution-exhausted', 16, 14,
+    ('notwinning-hurwitz', 0.967594, 58806, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
      "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 "
      "-3,2,-2,5 -3,2,-2,5"),
+    ('notwinning-hurwitz', 0.967901, 27795, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
+     "-3,2,-2,4 -3,2,-2,5"),
+    ('notwinning-hurwitz', 0.975383, 35728, 'verified', 'resolution-exhausted', 16, 14,
+     "-3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
+     "-3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,4"),
     ('notwinning-hurwitz', 0.975568, 9240, 'verified', 'resolution-exhausted', 16, 14,
-     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,5 "
-     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 -3,2,-2,4 "
+     "-3,2,-2,4 -3,2,-2,4 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 -3,2,-2,5 "
+     "-3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,5 -3,2,-2,4 -3,2,-2,5 "
      "-3,2,-2,5 -3,2,-2,4"),
     ('notwinning-symmetric', None, 0, 'verified', 'resolution-exhausted', 10, 8,
      "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 "
@@ -218,20 +218,20 @@ PINS = [
      "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 "
      "-2,-2,2,2 -2,-2,2,2"),
     ('notwinning-symmetric', 0.550507, 29104, 'verified', 'resolution-exhausted', 10, 8,
-     "-1,-2,2,2 -2,-1,2,2 -2,-2,1,2 -3,-2,2,2 -3,-1,2,2 -3,-2,2,2 "
-     "-1,-2,2,2 -2,-2,2,2"),
+     "-3,-3,2,2 -1,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-3,2,2 -2,-3,2,2 "
+     "-3,-2,2,2 -3,-2,2,2"),
     ('notwinning-symmetric', 0.563474, 13973, 'verified', 'resolution-exhausted', 10, 8,
-     "-2,-2,2,2 -1,-2,2,2 -2,-2,2,1 -2,-3,2,2 -2,-2,2,2 -2,-2,2,2 "
-     "-1,-1,2,1 -3,-2,2,2"),
+     "-2,-2,2,2 -2,-2,3,2 -1,-1,1,1 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 "
+     "-2,-2,1,2 -1,-2,2,2"),
     ('notwinning-symmetric', 0.635815, 46258, 'verified', 'resolution-exhausted', 11, 9,
-     "-2,-3,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,3 -2,-2,2,2 "
+     "-2,-2,3,2 -2,-2,2,3 -2,-2,1,2 -1,-2,2,2 -2,-2,2,2 -2,-2,2,2 "
      "-2,-2,2,2 -2,-2,2,2 -2,-1,2,2"),
     ('notwinning-symmetric', 0.648692, 19849, 'verified', 'resolution-exhausted', 11, 9,
-     "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 "
-     "-1,-2,2,2 -2,-2,2,2 -2,-2,2,3"),
+     "-2,-2,2,2 -2,-2,2,1 -2,-2,2,1 -3,-2,2,2 -2,-3,2,2 -2,-2,2,3 "
+     "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2"),
     ('notwinning-symmetric', 0.698009, 25345, 'verified', 'resolution-exhausted', 11, 9,
-     "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-1,2,2 -2,-2,2,2 "
-     "-2,-2,1,2 -2,-2,2,2 -2,-2,2,2"),
+     "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 "
+     "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2"),
     ('notwinning-symmetric', 0.71892, 42700, 'verified', 'resolution-exhausted', 11, 9,
      "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 "
      "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2"),
@@ -266,77 +266,77 @@ PINS = [
      "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 -2,-2,2,2 "
      "-2,-2,2,2 -2,-2,2,2 -2,-2,2,2"),
     ('notwinning-zeta', None, 0, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-9,0 -11,0,-17,0 -8,0,-10,0 -8,0,-5,0 -9,0,-9,0 -7,0,-1,0 "
-     "-10,0,-9,0 -14,0,-11,0 -10,0,-10,0 -9,0,-6,0"),
+     "-10,0,-9,0 -15,0,-8,0 -10,0,-10,0 -9,0,-4,0 -9,0,-9,0 -9,0,-16,0 "
+     "-8,0,-10,0 -13,0,-7,0 -8,0,-10,0 -9,0,-8,0"),
     ('notwinning-zeta', None, 1, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-8,0 -11,0,-11,0 -10,0,-9,0 -8,0,-7,0 -10,0,-9,0 -9,0,-4,0 "
-     "-9,0,-10,0 -6,0,-11,0 -9,0,-10,0 -9,0,-16,0"),
+     "-9,0,-10,0 -9,0,-12,0 -9,0,-10,0 -10,0,-14,0 -9,0,-8,0 "
+     "-15,0,-12,0 -9,0,-9,0 -3,0,-13,0 -9,0,-10,0 -3,0,-13,0"),
     ('notwinning-zeta', None, 2, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-8,0 -10,0,-8,0 -10,0,-9,0 -3,0,-5,0 -9,0,-9,0 -14,0,-8,0 "
-     "-9,0,-9,0 -10,0,-13,0 -9,0,-10,0 -15,0,-11,0"),
+     "-10,0,-9,0 -15,0,-12,0 -9,0,-10,0 -7,0,-8,0 -10,0,-9,0 "
+     "-7,0,-10,0 -9,0,-8,0 -10,0,-9,0 -9,0,-9,0 -13,0,-4,0"),
     ('notwinning-zeta', None, 3, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-9,0 -12,0,-10,0 -10,0,-10,0 -10,0,-10,0 -9,0,-8,0 "
-     "-11,0,-7,0 -9,0,-8,0 -11,0,-11,0 -11,0,-9,0 -9,0,-12,0"),
+     "-9,0,-10,0 -5,0,-7,0 -8,0,-9,0 -7,0,-9,0 -9,0,-10,0 -9,0,-7,0 "
+     "-10,0,-9,0 -5,0,-3,0 -9,0,-8,0 -4,0,-11,0"),
     ('notwinning-zeta', None, 4, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-10,0 -7,0,-16,0 -10,0,-10,0 -9,0,-9,0 -11,0,-10,0 "
-     "-10,0,-11,0 -10,0,-9,0 -4,0,-7,0 -8,0,-9,0 -4,0,-12,0"),
+     "-8,0,-9,0 -14,0,-10,0 -9,0,-8,0 -13,0,-5,0 -9,0,-9,0 -9,0,-11,0 "
+     "-10,0,-10,0 -11,0,-7,0 -10,0,-9,0 -7,0,-6,0"),
     ('notwinning-zeta', None, 5, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-9,0 -7,0,-9,0 -10,0,-8,0 -8,0,-15,0 -8,0,-10,0 -10,0,-6,0 "
-     "-9,0,-9,0 -13,0,-12,0 -10,0,-9,0 -4,0,-9,0"),
+     "-9,0,-9,0 -9,0,-10,0 -9,0,-9,0 -4,0,-12,0 -10,0,-9,0 -6,0,-10,0 "
+     "-8,0,-9,0 -8,0,-10,0 -10,0,-9,0 -9,0,-9,0"),
     ('notwinning-zeta', None, 6, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-9,0 -12,0,-3,0 -9,0,-9,0 -4,0,-3,0 -9,0,-9,0 -10,0,-7,0 "
-     "-9,0,-9,0 -7,0,-6,0 -9,0,-9,0 -6,0,-10,0"),
+     "-10,0,-9,0 -14,0,-9,0 -8,0,-8,0 -11,0,-13,0 -9,0,-10,0 "
+     "-13,0,-10,0 -9,0,-10,0 -15,0,-4,0 -10,0,-9,0 -6,0,-11,0"),
     ('notwinning-zeta', None, 7, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-8,0 -9,0,-7,0 -9,0,-10,0 -13,0,-4,0 -10,0,-8,0 "
-     "-13,0,-10,0 -10,0,-10,0 -7,0,-11,0 -9,0,-9,0 -6,0,-7,0"),
+     "-9,0,-9,0 -10,0,-1,0 -8,0,-10,0 -7,0,-8,0 -9,0,-9,0 -4,0,-12,0 "
+     "-9,0,-9,0 -6,0,-13,0 -9,0,-10,0 -8,0,-14,0"),
     ('notwinning-zeta', 0.141702, 20308, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-8,0 -6,0,-5,0 -9,0,-12,0 -7,0,-13,0 -13,0,-17,0 "
-     "-11,0,-27,0 -11,0,-14,0 -7,0,-2,0 -15,0,-16,0 -13,0,8,0"),
+     "-9,0,-9,0 -7,0,-18,0 -6,0,-7,0 -15,0,-5,0 -9,0,-7,0 -9,0,-13,0 "
+     "-9,0,-10,0 -12,0,-13,0 -12,0,-10,0 6,0,-12,0"),
     ('notwinning-zeta', 0.147846, 22218, 'verified', 'resolution-exhausted', 7, 10,
-     "-8,0,-9,0 -1,0,0,0 -11,0,-9,0 2,0,-12,0 -11,0,-8,0 -12,0,-17,0 "
-     "-8,0,-10,0 -7,0,1,0 -10,0,-9,0 -18,0,-1,0"),
+     "-8,0,-9,0 -21,0,-4,0 -9,0,-7,0 -9,0,-7,0 -12,0,-8,0 -16,0,-7,0 "
+     "-9,0,-11,0 -10,0,-7,0 -10,0,-9,0 -12,0,-21,0"),
     ('notwinning-zeta', 0.173589, 37028, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-9,0 -3,0,2,0 -16,0,-14,0 -8,0,-15,0 -7,0,-9,0 -10,0,-21,0 "
-     "-12,0,-13,0 -4,0,-2,0 -10,0,-11,0 -11,0,-12,0"),
+     "-8,0,-9,0 0,0,-7,0 -8,0,-9,0 -3,0,-11,0 -10,0,-9,0 -6,0,-17,0 "
+     "-5,0,-11,0 -7,0,-13,0 -11,0,-8,0 -21,0,-10,0"),
     ('notwinning-zeta', 0.177652, 25715, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-9,0 -21,0,-14,0 -9,0,-9,0 0,0,-17,0 -10,0,-8,0 -12,0,-8,0 "
-     "-10,0,-10,0 3,0,-6,0 -9,0,-11,0 2,0,-6,0"),
+     "-9,0,-8,0 -19,0,-7,0 -8,0,-8,0 -8,0,-14,0 -10,0,-11,0 -4,0,-12,0 "
+     "-10,0,-9,0 -5,0,-5,0 -11,0,-8,0 -4,0,-16,0"),
     ('notwinning-zeta', 0.221253, 9537, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-10,0 -6,0,-12,0 -8,0,-8,0 -2,0,-12,0 -9,0,-9,0 -20,0,-14,0 "
-     "-8,0,-10,0 -5,0,-1,0 -7,0,-10,0 -10,0,-7,0"),
+     "-9,0,-8,0 -6,0,-12,0 -8,0,-10,0 -15,0,-10,0 -7,0,-9,0 -14,0,-9,0 "
+     "-10,0,-9,0 -14,0,3,0 -8,0,-8,0 -9,0,-16,0"),
     ('notwinning-zeta', 0.225617, 51659, 'verified', 'resolution-exhausted', 7, 10,
-     "-8,0,-9,0 -6,0,-5,0 -9,0,-11,0 -16,0,-15,0 -10,0,-7,0 "
-     "-13,0,-14,0 -9,0,-9,0 -5,0,3,0 -9,0,-8,0 -9,0,-1,0"),
+     "-10,0,-9,0 -13,0,-19,0 -9,0,-7,0 -7,0,-7,0 -11,0,-9,0 -10,0,-1,0 "
+     "-10,0,-8,0 -11,0,-4,0 -10,0,-9,0 -12,0,-2,0"),
     ('notwinning-zeta', 0.236041, 15462, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-10,0 -6,0,-4,0 -9,0,-9,0 -18,0,1,0 -10,0,-8,0 -2,0,-16,0 "
-     "-10,0,-9,0 -10,0,-12,0 -8,0,-10,0 -14,0,-5,0"),
+     "-9,0,-8,0 2,0,-9,0 -10,0,-11,0 -8,0,-13,0 -9,0,-9,0 -20,0,-13,0 "
+     "-10,0,-8,0 -14,0,-1,0 -8,0,-9,0 -7,0,-9,0"),
     ('notwinning-zeta', 0.262801, 2178, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-9,0 -15,0,-4,0 -9,0,-9,0 -12,0,-21,0 -9,0,-9,0 "
-     "-20,0,-14,0 -10,0,-10,0 -14,0,-4,0 -11,0,-10,0 -15,0,-2,0"),
+     "-9,0,-9,0 -8,0,-5,0 -10,0,-8,0 -8,0,-16,0 -8,0,-9,0 -14,0,1,0 "
+     "-9,0,-10,0 -16,0,-17,0 -8,0,-10,0 -8,0,0,0"),
     ('notwinning-zeta', 0.275294, 571, 'verified', 'resolution-exhausted', 7, 10,
-     "-8,0,-9,0 -4,0,-6,0 -9,0,-10,0 -19,0,-6,0 -8,0,-9,0 -6,0,-9,0 "
-     "-10,0,-8,0 -15,0,-9,0 -10,0,-8,0 -9,0,-8,0"),
+     "-10,0,-11,0 -3,0,-9,0 -10,0,-9,0 -9,0,-4,0 -10,0,-9,0 "
+     "-20,0,-15,0 -8,0,-10,0 -12,0,-9,0 -9,0,-9,0 -12,0,-7,0"),
     ('notwinning-zeta', 0.282837, 1877, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-11,0 -5,0,-3,0 -10,0,-9,0 -15,0,0,0 -9,0,-8,0 -2,0,-15,0 "
-     "-9,0,-8,0 -17,0,-9,0 -7,0,-9,0 -13,0,-7,0"),
+     "-9,0,-9,0 -2,0,-6,0 -10,0,-8,0 -6,0,-1,0 -9,0,-9,0 -15,0,-20,0 "
+     "-11,0,-10,0 -2,0,-10,0 -9,0,-9,0 -6,0,-18,0"),
     ('notwinning-zeta', 0.329038, 10418, 'verified', 'resolution-exhausted', 7, 10,
-     "-8,0,-9,0 -3,0,-1,0 -10,0,-10,0 -3,0,-17,0 -9,0,-9,0 -12,0,-19,0 "
-     "-10,0,-8,0 -11,0,-11,0 -9,0,-9,0 -4,0,-6,0"),
+     "-10,0,-8,0 -13,0,-12,0 -8,0,-8,0 -9,0,-15,0 -9,0,-10,0 -6,0,-3,0 "
+     "-10,0,-8,0 -5,0,-13,0 -9,0,-8,0 -10,0,-8,0"),
     ('notwinning-zeta', 0.340264, 12533, 'verified', 'resolution-exhausted', 7, 10,
-     "-8,0,-9,0 -4,0,-13,0 -10,0,-10,0 -7,0,-13,0 -11,0,-9,0 "
-     "-11,0,-5,0 -9,0,-9,0 -15,0,-1,0 -10,0,-8,0 -6,0,-2,0"),
+     "-10,0,-10,0 -6,0,-13,0 -10,0,-10,0 -7,0,-7,0 -9,0,-8,0 "
+     "-7,0,-15,0 -9,0,-9,0 -18,0,-11,0 -9,0,-8,0 -4,0,-11,0"),
     ('notwinning-zeta', 0.374118, 53867, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-8,0 -10,0,-5,0 -9,0,-8,0 -12,0,-6,0 -9,0,-10,0 -4,0,-15,0 "
-     "-10,0,-9,0 -8,0,-16,0 -9,0,-8,0 -6,0,-3,0"),
+     "-10,0,-9,0 -8,0,-7,0 -10,0,-10,0 -9,0,-3,0 -10,0,-8,0 -11,0,-8,0 "
+     "-8,0,-10,0 -11,0,-3,0 -9,0,-8,0 -6,0,-6,0"),
     ('notwinning-zeta', 0.389768, 3016, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-11,0 -6,0,-10,0 -10,0,-9,0 -3,0,-4,0 -10,0,-9,0 "
-     "-14,0,-4,0 -10,0,-10,0 -12,0,-3,0 -9,0,-9,0 -12,0,-5,0"),
+     "-8,0,-8,0 -10,0,-9,0 -10,0,-8,0 -3,0,-14,0 -8,0,-9,0 -6,0,-8,0 "
+     "-9,0,-11,0 -10,0,-5,0 -10,0,-9,0 -2,0,-12,0"),
     ('notwinning-zeta', 0.43864, 24559, 'verified', 'resolution-exhausted', 7, 10,
-     "-10,0,-10,0 -16,0,-13,0 -8,0,-9,0 -2,0,-10,0 -9,0,-9,0 "
-     "-13,0,-13,0 -10,0,-9,0 -6,0,-10,0 -10,0,-9,0 -14,0,-5,0"),
+     "-9,0,-10,0 -11,0,-12,0 -10,0,-9,0 -8,0,-8,0 -8,0,-9,0 -13,0,-8,0 "
+     "-9,0,-9,0 -18,0,-10,0 -9,0,-10,0 -6,0,-12,0"),
     ('notwinning-zeta', 0.446206, 52534, 'verified', 'resolution-exhausted', 7, 10,
-     "-9,0,-9,0 -11,0,-1,0 -9,0,-9,0 -9,0,-1,0 -10,0,-9,0 -1,0,-9,0 "
-     "-9,0,-10,0 -11,0,-2,0 -9,0,-9,0 -11,0,-5,0"),
+     "-10,0,-10,0 -7,0,-12,0 -8,0,-9,0 -6,0,-11,0 -10,0,-10,0 "
+     "-14,0,-11,0 -10,0,-10,0 -10,0,-6,0 -9,0,-8,0 -7,0,-10,0"),
 ]
 
 

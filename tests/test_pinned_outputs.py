@@ -412,10 +412,10 @@ TRACE_PINS = {
         "1d6d4efb15020dbbcce365f67378f137ac6c2fa5fcff4f5b72894e41794000a4",
     ],
     ("dwinning-golden", "random"): [
-        "d268456bb38e31ec9ada7af899d42889a05c659749e0ecc6a7dad82c5e893393",
-        "b12e0c4532ad94579782f7271848c6a2d648bc116669dcb8a6b29dfcd082a064",
-        "f1eb901f05fd94c18b1842d4f9059b300d5b2f9517a0e6600fa95119d078a7cb",
-        "9ab218f619513a83003f880337955ded99f0debfa6b08e671124311e3c0436d0",
+        "d9f23aeccad31769ab461101e36442f65336ff68d1d3ee66eb9060fac2319b7b",
+        "09d64c2ebae26e080d806f99d39269ce949386e496e7f4aff26a05d4691a1d88",
+        "d3b135a85cb17cf72f471e5302fc862cd4a3b3d2b01a7d065ad5bf27f51af490",
+        "da2b59eeaf1793568910d80ab95298c0cfe1333bc05000094bda682ab1948c5d",
     ],
     ("dwinning-golden", "center-hold"): [
         "d7791c8878423766970839cc7e0c4427af43cd22501b05478fe9b6f65bad0348",
@@ -430,10 +430,10 @@ TRACE_PINS = {
         "fa7a895bb44b3d4f5b73b542f3f80fb23d2d028914eeae9b512fcbe57652e2d7",
     ],
     ("dwinning-silver", "random"): [
-        "2aebc5413e1f0907788f819411127f85e889acc41595e73c2d06f6c34e9813de",
-        "e8ab3e2645244372dd198b20a05bdd935a98980ab7c7bb050839eb31e384e61d",
-        "fdeb7c215f54534043d04dc7b630962595e473517cefa4814afdb35449068420",
-        "3f21e0febcec1462c7d15ce2f2555a8215007a30a7c7d2ab949e92be83fcd088",
+        "b787655f7c126595ee2cfefd4fe6b13b1c136822aff22567d54126380c021ebe",
+        "9855fe00bde662b2a70072ba508a715bccd5048a6c262e219c6a8f7afc3279d1",
+        "1daed085be6d40a8cfc9bbc47ff0d22ec35377609578dbca2d9449e413ff5f9f",
+        "a898098de91fc30a68ab59bcc9938b370cb3a148ad881a82c7aa29af2ee2b723",
     ],
     ("dwinning-silver", "center-hold"): [
         "8e14fad17a79dc94646966e45fb28a24400c653f87369f0b583b578d212a0048",
@@ -448,10 +448,10 @@ TRACE_PINS = {
         "7f9a2db7fc9e012a6f79d3ff43c10f867b98750c71c60fc48b5001d7c492895d",
     ],
     ("cwinning-nine-halves", "random"): [
-        "3103b7d5582296ef74e6a4430c16975f2da5f1e3910ca2e62575f6cacd759c14",
-        "bdfb8d10a4fae2a65b5fed73b67c06deaf40dc3b0728aee5d3903c6b2d24f8c5",
-        "2199af6394f229ec1e4a33383d98b1dee9365c293c61b17eaf92f54e47a77f2f",
-        "d8e6b9e665c8defa18331b1c13157c436412ba7475cca9a928396b95c68abc0e",
+        "e201318b08e66ebfd4e76ea05768fdc90e19f3596d6617b9e729ca06d50b22f0",
+        "93e1e0ed9c475672a988a9a1ff56d47e8a5fbea438d1a20ffbf2e608e8dc1813",
+        "9b9ba33a17232d870b7967910a66c23d5a7e7642b83993f72501935cf17fd565",
+        "4c6aad75e44dd061f74fc739f0920ca7249e90d2dd789e7a7afd08a487c468a5",
     ],
     ("cwinning-nine-halves", "center-hold"): [
         "ba8126e75111ed24da6d38ea3739b509b4667618c4bedddb1ade742420f59224",
@@ -466,10 +466,10 @@ TRACE_PINS = {
         "dd9e8b0e4c773e4c638939db74ccee8dfbf67ff621a1250e79213e9c45307468",
     ],
     ("qwinning-componentwise", "random"): [
-        "22b902cc0fd2d8e99b29a2d38f97ecc172704e5ee38b929fffff019af86f1df0",
-        "926780aadfe676fa0a46d7f243ff7429208ed291b667b36ad599e3ab89a54ea8",
-        "a79cbd9fe8c8a13a9f992dce02d8c523ee70d348e2a21f0fc9ed5997131a3a82",
-        "de80d6926807e774b2f79e3b489ac5009d300796c8d2ba30a4432f0b9a8df07e",
+        "be94d6ae77387f13b7add14523bb1b11ea10c1e155f0a0e2951d9c0af46157ed",
+        "aa11fa8352a45c52e55e17f8ff460909a92974b2725f9dc5cb8bcea579668735",
+        "9522553260c0dd5a23e51161f535c881b95891a96a85f480c0052ba079901fd2",
+        "c8773e6de23a2791a38c769b4a21a26237f503b609f8d0aa5105fcd765e8037b",
     ],
     ("qwinning-componentwise", "center-hold"): [
         "381b95655eca9c2b9f0e23346d34bbc857d467000de41b80ccf2ab3683e50c84",
@@ -478,28 +478,28 @@ TRACE_PINS = {
         "00118a71d0efc7d333acafe603b00ab53a277b4e20540334c7f9c76fe6054b55",
     ],
     ("notwinning-lipschitz", None): [
-        "568c80858b5cbd76c3e33ea25d029d7fe94cbeda51b46415408c079026d47bf6",
-        "ad9e076fc016ca3a305846b1b6248774ff87beef6c1cc84786991f3f0f81c80b",
-        "5bcbdd441a2281e49d716625e000787d24b02a356e8d8e24d1114741d1b92e92",
-        "79be5aaa2795d4f07a3caec15ae5825db11753189d4e37ccb9b97f3949688904",
+        "6ae8fdd69debf56c15816519af2c3b2fa79222d9df740ef4a823f056e158cbcf",
+        "21834d431754754282cf155e3d1da9f5067518d02f6f5090082d5bb63b467a17",
+        "4d81406a6913c64e2196308d23eb373615cedbe6272fc429af56f45d8d943ba8",
+        "1b17e87dff84f64c740222c63f3c7dfcc5809257dc5b48c2c7b1f92af877195d",
     ],
     ("notwinning-hurwitz", None): [
-        "4d800c4b31b75194f13a3ce7b390713cdfada0c03284af7d9f93272fcf6542b7",
-        "9ba2f5ee943dda651d535a637cd971e50ae0cc31d7e1fc43de9fa8cafabd1f0b",
-        "d57b151c8970258c55d1f288625f1051431bccba32c742c4fee6695b6d822082",
-        "b505e36178cc797560ebefadcb2fdd706fdd4e05f43e80b3712eeb3dceeb3d40",
+        "a5e8675245f3c0e65346e0963aba96673d29341fd09fdf2d5dd36ee93d92b626",
+        "9f05464c57b87e0a72ca2a0ca19dca56e2dabadaa98e902de6e700b181c4c565",
+        "c1f26571cf4ea3afe8c7b64c9c9f12703e292511b81b737435dcbd3cd8f64fda",
+        "967cc8bd37bb33943259d2660247a28567cf7646e39cae15f612afefd1271bed",
     ],
     ("notwinning-symmetric", None): [
-        "6d3873ddaee476ac99824d234c5202d1a92245634bf6c93ef980651c956cc3c8",
-        "bfe0f20c3fc52c61f833a98ded28cf76d2e8a0d06b97bbb2bd02301df9adcfac",
-        "b9965ffe6c93d86a58ba802099c40d69e04a0e6fb7115d38c1fd62dcd9bfc4fc",
-        "75d540503574025397b6116b1b6c86c52bc786d6e54be468c74000bc0be38f89",
+        "8112ef2b2b78f9b33580cde5369b46527e6eb4edbd17f2fa2da44bbff9a5d029",
+        "15b24937368d1468439c070ab35956761e6d753e4014081d72f4a9da9b31a113",
+        "3284ed51587c2c57135c6acd6a8fa762c69f4372e0bfc0667a94d5da7847b794",
+        "6149d98094d65fa60c3d8ce34927c2312f3424d938b428eb08c0618e560810f6",
     ],
     ("notwinning-zeta", None): [
-        "b44004fb9666d49cfb80b78fb4cd4a9eac39ff6510eaf13402925b701f65dda4",
-        "e72c773006dffbf4da841f83983789c97f45931f476779c588b03cb7fa2aaa55",
-        "edb3d1bcac14fe00fc918313c24a9e15e28f0117bf9597750c5b681d00869ecd",
-        "c8ace8978b689c17c2964baa575c3dbb52eaa5f801c9741f7dd644866b8be154",
+        "948344673134dd2b924dabbbbe8bd46130debb2b4ee37fedc5acb7e1a5cbed2e",
+        "27206a024864df55a32c833bb4473a753d8c3a280257294fd76705f31721e596",
+        "a3aa1ac654e636d32c68fa81a8171c09ded8f0d35e553bf943ee08aa766c3687",
+        "195ad0e03b3c1f834c58eee1d72622e6d7fd4130b8d60064fa9266cd911d9bd0",
     ],
 }
 

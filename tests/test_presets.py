@@ -57,6 +57,14 @@ def test_winning_presets_beat_random_bob(name):
     assert result.verdict == "verified", (name, result.reason)
 
 
+@pytest.mark.parametrize("name", ["dwinning-golden", "notwinning-lipschitz"])
+def test_play_refuses_a_negative_seed(name):
+    # random.Random(-1) would play random.Random(1)'s stream, and golden's
+    # game draws nothing from its seed: both are refused by name
+    with pytest.raises(ValueError, match="^seed must be at least 0$"):
+        run_setup(build_preset(name), seed=-1)
+
+
 def test_losing_preset_beta_is_pinned():
     setup = build_preset("notwinning-hurwitz")
     p = setup.params

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beta_arena.numeric import Quaternion, metallic_mean
-from beta_arena.quatexp import (C_Omega, LatticeDomain, _exact_inverse, avoid_constant,
+from beta_arena.numeric import Quaternion, _power, metallic_mean
+from beta_arena.quatexp import (C_Omega, LatticeDomain, avoid_constant,
                                 domain_constants,
                                 hurwitz_box, isoclinic_matrix, lipschitz,
                                 losing_parameters, q_expand,
@@ -103,9 +103,8 @@ def test_singular_basis_is_refused(basis):
         LatticeDomain(basis, (0.0,) * 4)
 
 
-def fraction_inverse(M):
-    """M^-1 rounded once per entry by Gauss-Jordan over Fraction, or None
-    when |det M| < 1e-12."""
+def exact_inverse(M):
+    """M^-1 in Fractions by Gauss-Jordan, or None when |det M| < 1e-12."""
     n = len(M)
     rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(M)]
@@ -124,7 +123,13 @@ def fraction_inverse(M):
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
     if abs(det) < 1e-12:
         return None
-    return [[float(x) for x in row[n:]] for row in rows]
+    return [row[n:] for row in rows]
+
+
+def fraction_inverse(M):
+    """M^-1 rounded once per entry, or None when |det M| < 1e-12."""
+    X = exact_inverse(M)
+    return None if X is None else [[float(x) for x in row] for row in X]
 
 
 def hexes_or_none(M):
@@ -138,7 +143,7 @@ STOCK = (lipschitz(), lipschitz(centered=True), hurwitz_box(), symmetric_domain(
 @pytest.mark.parametrize("lattice", STOCK, ids=lambda L: L.name)
 def test_stock_inverse_is_the_fraction_inverse(lattice):
     assert hexes_or_none(lattice.Binv) == hexes_or_none(fraction_inverse(lattice.B))
-    assert hexes_or_none(_exact_inverse(lattice.B)) == hexes_or_none(lattice.Binv)
+    assert hexes_or_none(_power(lattice.B, -1)) == hexes_or_none(lattice.Binv)
 
 
 # dyadic entries of every scale, small integers (singular matrices among
@@ -152,7 +157,7 @@ DYADIC = (st.builds(lambda m, e: m * 2.0 ** e, st.integers(-9, 9), st.integers(-
 @given(st.lists(st.lists(DYADIC, min_size=4, max_size=4), min_size=4, max_size=4))
 def test_integer_inverse_is_the_fraction_inverse(M):
     M = tuple(map(tuple, M))
-    assert hexes_or_none(_exact_inverse(M)) == hexes_or_none(fraction_inverse(M))
+    assert hexes_or_none(_power(M, -1)) == hexes_or_none(fraction_inverse(M))
 
 
 def test_inverse_refuses_below_the_determinant_floor_exactly():
@@ -160,7 +165,32 @@ def test_inverse_refuses_below_the_determinant_floor_exactly():
     for det, kept in ((1e-12, True), (math.nextafter(1e-12, 0.0), False)):
         M = ((det, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
              (0.0, 0.0, 0.0, 1.0))
-        assert (_exact_inverse(M) is not None) is kept
+        assert (_power(M, -1) is not None) is kept
+
+
+def fraction_power(M, j):
+    """M^j rounded once per entry, or None for j < 0 when |det M| < 1e-12."""
+    X = [[Fraction(x) for x in row] for row in M] if j >= 0 else exact_inverse(M)
+    if X is None:
+        return None
+    P = [[Fraction(int(i == k)) for k in range(len(M))] for i in range(len(M))]
+    for _ in range(abs(j)):
+        P = [[sum(a * b for a, b in zip(row, col)) for col in zip(*X)] for row in P]
+    return [[float(x) for x in row] for row in P]
+
+
+SMALL = (st.builds(lambda m, e: m * 2.0 ** e, st.integers(-9, 9), st.integers(-8, 8))
+         | st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 4]).flatmap(
+    lambda n: st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.integers(-4, 4))
+def test_power_is_the_fraction_power(M, j):
+    # 1x1, 2x2 and 4x4 matrices, powers from the inverse's fourth to M^4
+    M = tuple(map(tuple, M))
+    assert hexes_or_none(_power(M, j)) == hexes_or_none(fraction_power(M, j))
 
 
 @pytest.mark.parametrize("x", [math.inf, math.nan])
