@@ -143,18 +143,19 @@ class GameTrace(Record):
 
     def to_dict(self) -> dict:
         """The trace document, schema 2: params, seed, status, notes and the
-        moves, each center as float()s."""
+        moves, each center as float()s; every dict has its keys in sorted order."""
         p = self.params
-        return {"schema": 2, "seed": self.seed, "status": self.status, "notes": list(self.notes),
-                "params": {"alpha": p.alpha, "beta": p.beta, "rho": p.rho,
-                           "dimension": p.dimension, "initial_center": list(p.initial_center)},
-                "moves": [{"player": mv.player, "round": mv.round_no,
-                           "center": [float(c) for c in mv.center], "radius": mv.radius}
-                          for mv in self.moves]}
+        return {"moves": [{"center": [float(c) for c in mv.center], "player": mv.player,
+                           "radius": mv.radius, "round": mv.round_no} for mv in self.moves],
+                "notes": list(self.notes),
+                "params": {"alpha": p.alpha, "beta": p.beta, "dimension": p.dimension,
+                           "initial_center": list(p.initial_center), "rho": p.rho},
+                "schema": 2, "seed": self.seed, "status": self.status}
 
     def to_json(self) -> str:
-        """to_dict in one compact line, keys sorted; json.tool lays it out."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """to_dict in one compact line, keys sorted as to_dict builds them, so that
+        json.dumps neither sorts nor checks for cycles; NaN and inf as sort_keys=True."""
+        return json.dumps(self.to_dict(), separators=(",", ":"), check_circular=False)
 
 
 def game_json(setup, trace, result, violations: list[str]) -> str:

@@ -116,7 +116,21 @@ def ordered_sum(values) -> float:
 def _image(A):
     """The map u -> A u, each row summed left to right from +0.0
     (0.0 + a0*u0 + a1*u1 + ...), which also turns a -0.0 product into +0.0.
-    It is the digit kernel's image and each lattice's two basis changes."""
+    It is the digit kernel's image and each lattice's two basis changes.  A
+    4x4 matrix with one nonzero entry per row (every stock B and Binv; the
+    kernels of 5i, 10k, 6i and real 3 on the unit box) maps with one product
+    per row, 0.0 + a * u[k]: on finite u each skipped product is +-0.0, which
+    changes no row summed from +0.0.  A non-finite u[k] makes the row reading
+    it inf or nan (dense: every row nan), which the floor and box refuse."""
+    nonzero = [[(k, a) for k, a in enumerate(row) if a != 0.0] for row in A]
+    if len(A) == 4 and all(len(row) == 1 for row in nonzero):
+        [(k0, a0)], [(k1, a1)], [(k2, a2)], [(k3, a3)] = nonzero
+
+        def monomial4(u):
+            x0, x1, x2, x3 = u
+            u = x0, x1, x2, x3
+            return 0.0 + a0 * u[k0], 0.0 + a1 * u[k1], 0.0 + a2 * u[k2], 0.0 + a3 * u[k3]
+        return monomial4
     if len(A) == 1:
         (a,), = A
         return lambda u: (0.0 + a * u[0],)
@@ -140,7 +154,7 @@ def _image(A):
     raise ValueError(f"no image for a {len(A)}-row matrix: kernels are 1x1, 2x2 or 4x4")
 
 
-def _power(M, j: int):
+def _power(M, j: int, exact: bool = False):
     """M^j for a square float matrix M and any integer j, each entry of the
     exact power rounded once, or None for j < 0 when |det M| < 1e-12
     (compared exactly): each lattice's Binv, the kernel's inverse and the
@@ -151,7 +165,7 @@ def _power(M, j: int):
     (Bareiss) on [N | I] divides exactly at every step and ends at [d I | X]
     with d = +-det N and X = d N^-1, so M^-1 = D X / d.  One int / int per
     entry of the numerator's power over the denominator's then rounds it, as
-    Fraction's float() does.
+    Fraction's float() does; with exact, (P, den) is returned unrounded.
     """
     n = len(M)
     ratios = [[x.as_integer_ratio() for x in row] for row in M]
@@ -180,7 +194,27 @@ def _power(M, j: int):
         P = [[sum(map(operator.mul, row, col)) for col in zip(*P)] for row in P]
         if bit == "1":
             P = [[sum(map(operator.mul, row, col)) for col in zip(*N)] for row in P]
-    return tuple(tuple(x / den for x in row) for row in P)
+    return (P, den) if exact else tuple(tuple(x / den for x in row) for row in P)
+
+
+def _powers(M):
+    """j -> (M^j, M^-j), j >= 0, for an invertible M, bit for bit _power's:
+    the exact numerators of the highest pair made so far grow by one integer
+    product per step; it keeps only exact (k, N^k, N'^k), so threads agree."""
+    (N, D), (Ninv, Dinv), (eye, _) = (_power(M, j, exact=True) for j in (1, -1, 0))
+    last = [(0, eye, eye)]
+
+    def power(j: int):
+        k, P, Q = last[0]  # read once: another thread may replace it
+        if k > j:
+            k, P, Q = 0, eye, eye
+        for _ in range(k, j):
+            P = [[sum(map(operator.mul, row, col)) for col in zip(*N)] for row in P]
+            Q = [[sum(map(operator.mul, row, col)) for col in zip(*Ninv)] for row in Q]
+        last[0] = max(last[0], (j, P, Q), key=operator.itemgetter(0))
+        return tuple(tuple(tuple(x / den for x in row) for row in X)
+                     for X, den in ((P, D ** j), (Q, Dinv ** j)))
+    return power
 
 
 def _snap(w: float, t: float, f: int, off: float, lo: int, hi: int, nudge: bool):

@@ -9,7 +9,7 @@ through the digit kernel and recenters on the avoided-block-free cylinder
 shifted by xi.  Lengths are math.hypot's and math.dist's, and every move
 spends at most s.reach, which play has already made exact.  Draws come from
 s.rng, a random.Random, and the avoidance play's powers of A are exact
-powers rounded once (numeric._power).
+powers rounded once, grown by one integer product per step (numeric._powers).
 
 The avoidance play keeps a memo beside its table of powers of A: the
 product A^-j d for each digit d pinned at position j, and A^-depth xi for
@@ -29,7 +29,7 @@ from functools import cache, partial
 from typing import Callable, Sequence
 
 from .game import GameState, Strategy, StrategyError, Vector
-from .numeric import _image, _power, ordered_sum
+from .numeric import _image, _powers
 from .realexp import RealBase
 from .systems import QuatSystem, max_step_inside
 
@@ -40,10 +40,14 @@ from .systems import QuatSystem, max_step_inside
 def _ball_sample(rng, dim: int) -> list[float]:
     """A uniform point of the open unit ball: the first point drawn
     uniformly from the cube [-1, 1)^dim, each coordinate 2 rng.random() - 1
-    (exact), whose squares sum below 1."""
+    (exact), whose squares, added left to right from +0.0, sum below 1."""
+    random = rng.random
     while True:
-        v = [2.0 * rng.random() - 1.0 for _ in range(dim)]
-        if ordered_sum(x * x for x in v) < 1.0:
+        v = [2.0 * random() - 1.0 for _ in range(dim)]
+        total = 0.0
+        for x in v:
+            total += x * x
+        if total < 1.0:
             return v
 
 
@@ -195,12 +199,10 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     steps: dict[tuple[int, tuple[int, ...]], Vector] = {}
     shifts: dict[int, Vector] = {}
     fresh = (0, (0.0,) * len(kernel.A))
-
-    @cache
-    def power(j: int):
-        """The maps u -> A^j u and u -> A^-j u, shared by every game on the
-        strategy; a pure function of j, so threads that race on it agree."""
-        return _image(_power(kernel.A, j)), _image(_power(kernel.A, -j))
+    # the maps u -> A^j u and u -> A^-j u by j, shared by every game on the
+    # strategy; a pure function of j, so threads that race on it agree
+    powers = _powers(kernel.A)
+    power = cache(lambda j: tuple(map(_image, powers(j))))
 
     def f(s: GameState) -> Vector:
         y = s.ball.center

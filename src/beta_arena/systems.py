@@ -96,8 +96,6 @@ class QuatSystem:
         self.lattice = lattice
         self.kernel = lattice.digit_map(q)
         self.radix_norm = abs(q)
-        # with a diagonal Binv, coordinate i of coords(p) is Binv[i][i] * p[i]
-        # plus signed zeros, which compare as that product does
         Binv = lattice.Binv
         diagonal = all(x == 0.0 for i, row in enumerate(Binv)
                        for j, x in enumerate(row) if i != j)
@@ -108,7 +106,14 @@ class QuatSystem:
         return self.lattice.Binv_times(map(float, p))
 
     def contains(self, p: Sequence[float]) -> bool:
-        return self.lattice.box_contains(self.coords(p))
+        """Whether coords(p) lies in the lattice's box.  With a box (diagonal Binv),
+        coords(p)[i] is Binv[i][i] * p[i] plus +-0.0 on finite p; inf or nan fails both."""
+        if self.box is None:
+            return self.lattice.box_contains(self.coords(p))
+        (s0, l0), (s1, l1), (s2, l2), (s3, l3) = self.box
+        x0, x1, x2, x3 = p
+        return (l0 <= s0 * float(x0) < l0 + 1.0 and l1 <= s1 * float(x1) < l1 + 1.0
+                and l2 <= s2 * float(x2) < l2 + 1.0 and l3 <= s3 * float(x3) < l3 + 1.0)
 
     def _point(self, u) -> tuple[float, ...]:
         return self.lattice.B_times(map(float, u))
@@ -131,10 +136,8 @@ def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
 
     With a box, membership along the ray is lower <= scale * (a + t * b) <
     upper on every moving coordinate, contains' answer: RealSystem and
-    ComplexSystem compare p[i], and 1.0 * x == x; QuatSystem compares
-    coordinate i of Binv_times(p), which with a diagonal Binv is +0.0 +
-    Binv[i][i] * x plus signed zeros that change no comparison (an overflow
-    fails on both paths).  A fixed coordinate (b == 0) is checked once at
+    ComplexSystem compare p[i], and 1.0 * x == x; QuatSystem's contains
+    reads the same box.  A fixed coordinate (b == 0) is checked once at
     t = step: a + t * b compares as a for every finite t.  Each test is
     monotone in t, as every rounding is, so from a start inside the ray is
     inside exactly for t <= U, U the least of the axes' crossings (_exit)
@@ -145,9 +148,9 @@ def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
     """
     if system is None:
         return step
-    pairs = list(zip(map(float, start), map(float, direction)))
-    if system.contains([a + step * b for a, b in pairs]):
+    if system.contains([float(a) + step * float(b) for a, b in zip(start, direction)]):
         return step
+    pairs = list(zip(map(float, start), map(float, direction)))
     if system.box is None:
         return _halvings(lambda t: system.contains([a + t * b for a, b in pairs]), step)
     moving = []

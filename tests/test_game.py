@@ -722,6 +722,22 @@ def test_to_json_is_json_dumps_of_to_dict(dim, alpha, beta, rho, data, notes, se
     trace = play(params, alice_random(), bob_random(), max_rounds=rounds, seed=seed)
     trace.notes = notes
     assert trace.to_json() == _dumps(trace)
+    # to_dict builds every dict in sorted key order, which to_json writes unsorted
+    doc = trace.to_dict()
+    dicts = list(_dicts(doc))
+    assert len(dicts) == 2 + len(trace.moves)  # the document, params, each move
+    assert all(list(d) == sorted(d) for d in dicts)
+    assert trace.to_json() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _dicts(node):
+    """Every dict in a JSON-ready tree, the root first."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _dicts(child)
 
 
 def test_to_json_is_json_dumps_of_to_dict_on_every_preset():

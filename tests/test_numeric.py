@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -7,7 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from test_kernel_digests import kernels as stock_kernels, on_face
 
 from beta_arena.numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel,
-                                Quaternion, metallic_mean, safe_floor, tol_floor)
+                                Quaternion, _image, metallic_mean, safe_floor, tol_floor)
+from beta_arena.presets import build_preset
+from beta_arena.quatexp import hurwitz_box, lipschitz, symmetric_domain, zeta_lattice
+from beta_arena.systems import QuatSystem
 
 # Hamilton multiplication table, frozen by hand: rows q, columns p, entry q*p.
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -295,3 +299,71 @@ def test_expand_is_n_steps(name, unit, axis, shift, n, nudge):
             digits.append(d)
         return digits
     assert _recorded(kernel, lambda: kernel.expand(u, n, nudge)) == _recorded(kernel, steps)
+
+
+# -- _image: one product per row where the row has one nonzero entry -----------
+
+def _dense(M, u):
+    """M u in doubles, each row added left to right from +0.0."""
+    out = []
+    for row in M:
+        acc = 0.0
+        for m, x in zip(row, u):
+            acc += m * x
+        out.append(acc)
+    return out
+
+
+# signed zeros, subnormals, values near overflow and ordinary ones
+EDGE_VALUES = (0.0, -0.0, 5e-324, -2.5e-310, 1.7e308, -9.0e307, 0.3, -7.25)
+
+
+def _monomial_matrices():
+    """name -> 4x4 matrix with one nonzero entry per row: B and Binv of every
+    stock lattice and the kernels of 5i, 10k, 6i and real 3 on the unit box."""
+    out = {}
+    for lattice in (lipschitz(), lipschitz(centered=True), hurwitz_box(), symmetric_domain(0.25),
+                    zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), J, 0.25)):
+        out[f"B-{lattice.name}"], out[f"Binv-{lattice.name}"] = lattice.B, lattice.Binv
+    for name in ("notwinning-hurwitz", "notwinning-symmetric", "notwinning-zeta",
+                 "qwinning-componentwise"):
+        out[f"A-{name}"] = build_preset(name).system.kernel.A
+    out["A-real-3-unit-box"] = QuatSystem(Quaternion.real(3.0), lipschitz()).kernel.A
+    return out
+
+
+MONOMIAL = _monomial_matrices()
+# one row with two nonzero entries: the whole matrix keeps the dense sums
+SPARSE = ((2.0, 0.0, 0.0, 0.5), (0.0, 3.0, 0.0, 0.0), (0.0, 0.0, 0.0, -1.0),
+          (0.0, 0.0, 1.0, 0.0))
+
+
+def _hexes(v):
+    return [float.hex(x) for x in v]
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL) + ["sparse"])
+def test_image_keeps_the_dense_bits_on_finite_input(name):
+    M = SPARSE if name == "sparse" else MONOMIAL[name]
+    nonzero = [sum(1 for a in row if a != 0.0) for row in M]
+    assert nonzero == ([2, 1, 1, 1] if name == "sparse" else [1, 1, 1, 1]), name
+    image = _image(M)
+    for u in itertools.product(EDGE_VALUES, repeat=4):
+        assert _hexes(image(u)) == _hexes(_dense(M, u)), (name, u)
+        assert _hexes(image(map(float, u))) == _hexes(_dense(M, u)), (name, u)
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL) + ["sparse"])
+def test_image_of_non_finite_input_is_non_finite(name):
+    # a row that reads an inf or a nan is not finite; the dense path (a row
+    # with two nonzero entries) also writes nan for 0 * inf in every row
+    M = SPARSE if name == "sparse" else MONOMIAL[name]
+    for bad in (math.inf, -math.inf, math.nan):
+        for k in range(4):
+            u = [0.25, -0.5, 1.0, 0.0]
+            u[k] = bad
+            got = _image(M)(u)
+            if name == "sparse":
+                assert _hexes(got) == _hexes(_dense(M, u)), u
+            else:
+                assert not all(map(math.isfinite, got)), (name, u)

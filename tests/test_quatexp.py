@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beta_arena.numeric import Quaternion, _power, metallic_mean
+from beta_arena.numeric import Quaternion, _power, _powers, metallic_mean
+from beta_arena.presets import build_preset
 from beta_arena.quatexp import (C_Omega, LatticeDomain, avoid_constant,
                                 domain_constants,
                                 hurwitz_box, isoclinic_matrix, lipschitz,
@@ -191,6 +192,19 @@ def test_power_is_the_fraction_power(M, j):
     # 1x1, 2x2 and 4x4 matrices, powers from the inverse's fourth to M^4
     M = tuple(map(tuple, M))
     assert hexes_or_none(_power(M, j)) == hexes_or_none(fraction_power(M, j))
+
+
+@pytest.mark.parametrize("name", ["notwinning-lipschitz", "notwinning-hurwitz",
+                                  "notwinning-symmetric", "notwinning-zeta"])
+def test_grown_powers_are_power(name):
+    # the avoidance play's powers to depth 130 (64-round games), asked for in
+    # order and then out of it: each grown pair is _power's, bit for bit
+    A = build_preset(name).system.kernel.A
+    powers = _powers(A)
+    for j in [*range(131), 7, 0, 130, 64, 129, 3]:
+        up, down = powers(j)
+        assert hexes_or_none(up) == hexes_or_none(_power(A, j)), (name, j)
+        assert hexes_or_none(down) == hexes_or_none(_power(A, -j)), (name, -j)
 
 
 @pytest.mark.parametrize("x", [math.inf, math.nan])
