@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from beta_arena.complexexp import ComplexBase, F_threshold, find_n_complex
 from beta_arena.game import (RADIUS_FLOOR, Claim, GameParams, GameTrace, IllegalMoveError,
                              Move, StrategyError, _escape, audit_trace, certified_digits,
-                             play, verify_outcome)
+                             game_json, play, verify_outcome)
 from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, metallic_mean
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
@@ -750,6 +750,21 @@ def test_to_json_is_json_dumps_of_to_dict_on_every_preset():
                 except StrategyError:
                     continue
                 assert trace.to_json() == _dumps(trace), (name, bob, seed)
+
+
+def test_game_json_is_json_dumps_of_its_document():
+    # one winning and one losing game, with and without audit violations;
+    # the document's keys are listed out of order, and sort_keys sorts them
+    for name, violations in (("dwinning-golden", []), ("notwinning-lipschitz", ["v1", "v0"])):
+        setup = build_preset(name)
+        trace, result = run_setup(setup, seed=0)
+        claim = setup.claim
+        doc = {"verdict_reason": result.reason, "verdict": result.verdict,
+               "trace": trace_dict(trace), "setup_notes": setup.notes, "preset": setup.name,
+               "claim": {"position": claim.position, "kind": claim.kind, "block": claim.block},
+               "certified_digits": result.certified, "audit_violations": violations}
+        want = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert game_json(setup, trace, result, violations) == want, name
 
 
 def test_random_players_refuse_a_draw_that_escapes_by_rounding():

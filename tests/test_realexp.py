@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_arena.numeric import EPS_CMP, AmbiguousValueError, metallic_mean
-from beta_arena.realexp import MAX_ALPHABET, RealBase
+from beta_arena.realexp import DEPTH, MAX_ALPHABET, RealBase
 from beta_arena.systems import RealSystem, expand_digits
 
 PHI1 = metallic_mean(1)
@@ -288,6 +289,55 @@ def test_golden_v4_frozen_endpoints():
         assert ci.lo == pytest.approx(lo, abs=1e-10)
         assert ci.hi == pytest.approx(hi, abs=1e-10)
         assert ci.full_length  # golden: every zero-digit cylinder is full
+
+
+# (b, d, k) -> sha256 of one line "block lo.hex() hi.hex() full_length" per
+# interval of cylinder_intervals(d, k); the hypothesis test stops at k = 10
+CYLINDER_PINS = {
+    (PHI1, 0, 13):
+        "8cd84f59073758d5e2221199dcc5be633df3c3e2f31648a8ae25587f9b66dfc1",
+    (PHI1, 0, 18):
+        "5c768ab1566172989954affb81a5c2a620cbf49f5c27a0f3ac181d750e6ec31b",
+    (PHI2, 0, 7):
+        "8e2b6b71f164804ba5a52b81d1b2c92a3412d4b5b6ef486b844c6d827426081d",
+    (2.5, 0, 7):
+        "508b31e060b11e3900c304a0df1b9727860377bc305b14606851d07e28fffad5",
+    (3.0, 2, 6):
+        "5519cdec736727598c4a9ad532e71c3bdabe0ab163cd229ed5c3032ffd7e0d6e",
+}
+
+
+def cylinder_digest(b, d, k):
+    h = hashlib.sha256()
+    for ci in RealBase(b).cylinder_intervals(d, k):
+        h.update(f"{ci.block} {ci.lo.hex()} {ci.hi.hex()} {ci.full_length}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("b, d, k", list(CYLINDER_PINS))
+def test_cylinder_intervals_bits_are_pinned(b, d, k):
+    assert cylinder_digest(b, d, k) == CYLINDER_PINS[b, d, k]
+
+
+def test_cylinder_intervals_error_contract():
+    # the target is checked before the automaton: k, then d, then the
+    # alphabet, then the depth; k = DEPTH + 1 is valid and is not tried
+    golden, wide = RealBase(PHI1), RealBase(1e6 + 0.5)
+    for base in (golden, wide):
+        for k in (1, 0, -3):
+            with pytest.raises(ValueError, match="^k must be at least 2$"):
+                base.cylinder_intervals(base.d_prime + 1, k)
+        with pytest.raises(ValueError, match=f"^digit {base.d_prime + 1} exceeds the minimal "
+                                             f"quasi-greedy digit {base.d_prime}$"):
+            base.cylinder_intervals(base.d_prime + 1, DEPTH + 2)
+        with pytest.raises(ValueError, match="^digit -1 exceeds"):
+            base.cylinder_intervals(-1, 2)
+    with pytest.raises(ValueError, match="^block longer than the precomputed expansion depth$"):
+        golden.cylinder_intervals(0, DEPTH + 2)
+    for k in (2, DEPTH + 2):
+        with pytest.raises(ValueError, match=r"^base 1000000\.5: an alphabet of 1e\+06 digits "
+                                             "is too large to tabulate$"):
+            wide.cylinder_intervals(0, k)
 
 
 def test_full_length_iff_not_E():
