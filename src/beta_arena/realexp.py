@@ -7,10 +7,12 @@ automaton decides this with one integer of state, the length of the tight
 prefix of c, so extending blocks one digit at a time lists the admissible
 blocks of length n with one table lookup per node.  The set of points whose
 first k digits form a given block is an interval whose exact endpoints this
-module computes.  Orbits of algebraic bases routinely hit cell boundaries
-head on, so every internal expansion snaps floors inside the ambiguity band
-instead of trusting the last bits of a double.  The real winning threshold
-and (n, k) window close the module.
+module computes; a level-k cylinder decomposition carries each block's
+forward endpoint sums down that same walk, one step per node.  Orbits of
+algebraic bases routinely hit cell boundaries head on, so every internal
+expansion snaps floors inside the ambiguity band instead of trusting the
+last bits of a double.  The real winning threshold and (n, k) window close
+the module.
 """
 
 from __future__ import annotations
@@ -268,13 +270,29 @@ class RealBase:
         """Cylinder decomposition of the set whose k-th digit equals d.
 
         One interval per admissible (k-1)-block, ordered by left endpoint.
+        It costs one walk of the automaton, as _walk makes, plus one O(k)
+        Horner pass per block.  Each partial block carries cylinder_interval's
+        forward sums, its prefix value and the least prefix + b**-j so far
+        (b**-j is shared by a level), so hi is one step from its parent's,
+        with cylinder_interval's float operations in its order and so its
+        bits.  lo is value()'s Horner sum, not the carried prefix, which
+        rounds differently: lo keeps the bits of value(block).
         """
         self.check_target(d, k)
-        bk = self.b ** (-k)
+        nxt, b, bk = self._automaton(k - 1), self.b, self.b ** (-k)
+        # (block, automaton state, prefix value, least prefix + b**-j so far)
+        level: list[tuple[Block, int, float, float]] = [((), 0, 0.0, 1.0)]
+        scale = 1.0
+        for _ in range(k - 1):
+            scale /= b
+            level = [(w + (e,), t, q, min(hi, q + scale)) for w, s, p, hi in level
+                     for e, t in enumerate(nxt[s]) for q in (p + e * scale,)]
+        scale /= b
         out: list[CylinderInterval] = []
-        for blk in self._walk(k - 1):
-            w = blk + (d,)
-            lo, hi = self.cylinder_interval(w)
+        for w, _, p, hi in level:
+            w += (d,)
+            hi = min(hi, p + d * scale + scale)
+            lo = self.value(w)
             out.append(CylinderInterval(w, lo, hi, hi - lo >= bk - EPS_CMP))
         return out
 
