@@ -211,3 +211,72 @@ def test_preset_params_claim_and_depth_are_pinned(name):
     assert (setup.claim.kind, setup.claim.block, setup.claim.position) == claim
     _, result = run_setup(setup, seed=0)
     assert len(result.digits) == depth
+
+
+# preset -> the options among OPTION_VALUES that it takes; build_preset
+# refuses every other one by name
+TAKES = {
+    "dwinning-golden": {"alpha", "beta", "rho", "bob", "max_rounds", "b", "x0"},
+    "dwinning-silver": {"alpha", "beta", "rho", "bob", "max_rounds", "b", "x0"},
+    "cwinning-nine-halves": {"alpha", "beta", "rho", "bob", "max_rounds"},
+    "qwinning-componentwise": {"alpha", "beta", "rho", "bob", "max_rounds"},
+    "notwinning-lipschitz": {"alpha", "beta", "rho", "max_rounds"},
+    "notwinning-hurwitz": {"alpha", "beta", "rho", "max_rounds"},
+    "notwinning-symmetric": {"alpha", "beta", "max_rounds"},
+    "notwinning-zeta": {"alpha", "beta", "rho", "max_rounds"},
+}
+OPTION_VALUES = {"alpha": 0.5, "beta": 0.5, "rho": 0.2, "bob": "random",
+                 "max_rounds": 8, "b": 3.0, "x0": 0.25}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES))
+@pytest.mark.parametrize("option", sorted(OPTION_VALUES))
+def test_preset_options_are_pinned(name, option):
+    value = OPTION_VALUES[option]
+    if option in TAKES[name]:
+        build_preset(name, **{option: value})
+    else:
+        with pytest.raises(ValueError) as exc:
+            build_preset(name, **{option: value})
+        assert str(exc.value) == f"preset {name!r} does not take {option!r}"
+
+
+# (preset, overrides) -> (alpha, beta, rho, dimension, initial center), the
+# setup notes and (claim kind, block, position)
+_ZERO = (0, 0, 0, 0)
+LOSING_BUILDS = {
+    ("notwinning-lipschitz", "alpha", 0.2): (
+        (0.2, 0.8333333333333333, 0.4, 4, (0.5, 0.5, 0.5, 0.5)),
+        ["alpha 0.2 below the avoidance bound 0.833333"], ("avoids", (_ZERO,), 1)),
+    ("notwinning-hurwitz", "rho", 0.2): (
+        (0.93, 0.2150537634408602, 0.2, 4, (0.5, 0.5, 0.5, 0.25)),
+        ["alpha 0.93 below the avoidance bound 1.10139"], ("avoids", (_ZERO,), 1)),
+    ("notwinning-zeta", "rho", 0.4): (
+        (0.5, 0.05555555555555555, 0.4, 4, (0.25, 1.5, 0.25, 1.5)),
+        [], ("avoids", (_ZERO, _ZERO), 1)),
+    ("notwinning-zeta", "beta", 0.3): (
+        (0.5, 0.3, 0.49, 4, (0.25, 1.5, 0.25, 1.5)),
+        ["alpha*beta is not |q|^-n; the pinning radii are off scale"],
+        ("avoids", (_ZERO, _ZERO), 1)),
+    ("notwinning-symmetric", "alpha", 0.5): (
+        (0.5, 0.2, 0.1, 4, (0.1, 0.1, 0.1, 0.1)),
+        ["alpha 0.5 below the avoidance bound 0.8"], ("avoids", (_ZERO,), 1)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LOSING_BUILDS))
+def test_losing_builds_are_pinned(key):
+    name, option, value = key
+    params, notes, claim = LOSING_BUILDS[key]
+    setup = build_preset(name, **{option: value})
+    p = setup.params
+    assert (p.alpha, p.beta, p.rho, p.dimension, p.initial_center) == params
+    assert setup.notes == notes
+    assert (setup.claim.kind, setup.claim.block, setup.claim.position) == claim
+
+
+def test_hurwitz_radius_past_the_center_is_refused():
+    # the center (1/2, 1/2, 1/2, 1/4) has |xi| = 0.901 < 2 rho = 1.2
+    with pytest.raises(ValueError) as exc:
+        build_preset("notwinning-hurwitz", rho=0.6)
+    assert str(exc.value) == "need |xi| > 2 rho"
