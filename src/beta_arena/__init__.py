@@ -16,8 +16,8 @@ _EXPORTS = {
     "complexexp": "ComplexBase F_threshold find_n_complex",
     "quatexp": "COmegaResult DomainConstants LatticeDomain LosingParameters avoid_constant "
                "C_Omega domain_constants hurwitz_box isoclinic_matrix lipschitz losing_parameters "
-               "q_expand rot_balanced_rho rot_constants symmetric_constants symmetric_domain "
-               "zeta_lattice",
+               "q_expand rot_balanced_rho rot_constants stock_lattice symmetric_constants "
+               "symmetric_domain zeta_lattice",
     "systems": "ComplexSystem QuatSystem RealSystem expand_digits",
     "game": "Claim GameParams GameTrace IllegalMoveError Move StrategyError VerifyResult "
             "audit_trace certified_digits game_json play verify_outcome",

@@ -55,27 +55,6 @@ def parse_base(text: str) -> float:
                          f"for an integer J >= 1, got {text!r}") from None
 
 
-def parse_lattice(text: str):
-    from .quatexp import hurwitz_box, lipschitz, symmetric_domain, zeta_lattice
-    if text == "lipschitz":
-        return lipschitz()
-    if text == "lipschitz-centered":
-        return lipschitz(centered=True)
-    if text == "hurwitz-box":
-        return hurwitz_box()
-    name, colon, eps = text.partition(":")
-    if name in ("symmetric", "zeta"):
-        try:
-            eps = float(eps) if colon else 0.25
-        except ValueError:
-            raise ValueError(f"--lattice {name}:EPS needs a number EPS, got {text!r}") from None
-        if name == "symmetric":
-            return symmetric_domain(eps)
-        return zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0),
-                            Quaternion(0.0, 0.0, 1.0, 0.0), eps)
-    raise ValueError(f"unknown lattice {text!r}")
-
-
 MAX_GRID_POINTS = 10 ** 6
 
 
@@ -130,7 +109,8 @@ def cmd_expand(args) -> int:
         system = ComplexSystem(ComplexBase(*args.complex, lo=lo))
         p = args.z or []
     else:
-        system = QuatSystem(Quaternion(*args.quat), parse_lattice(args.lattice))
+        from .quatexp import stock_lattice
+        system = QuatSystem(Quaternion(*args.quat), stock_lattice(args.lattice))
         p = args.z or []
     if len(p) != system.dim:
         raise ValueError(f"the point needs {system.dim} coordinate(s) "

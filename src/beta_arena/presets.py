@@ -17,24 +17,26 @@ game state, which lives in the scratch play keeps for each player of a
 game.  The caches sit here and not in the constructors, which keep building
 afresh on every call.  The complex and quaternion modules are imported only
 by the builders that use them.
+
+PRESETS maps each name to its builder, its arguments and the options a
+caller may override.  One builder, losing_setup, plays the four rows of the
+table LOSING.  Their avoidance constant C is C_Omega of the zero block over
+domain_constants (hurwitz, zeta; cached per rho) or symmetric_constants
+(where |xi| = 2 rho); lipschitz states its sharpened 5.0.  Alpha below
+max(C, 1)/|q|^n is noted, not refused.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from typing import TYPE_CHECKING, NamedTuple
 
 from .game import Claim, GameParams, Strategy, StrategyError, play, verify_outcome
-from .numeric import Quaternion, Record
+from .numeric import Quaternion, Record, metallic_mean
 from .realexp import RealBase, _zero_run_bound, find_nk_real
 from .strategies import (alice_complex_winning, alice_quaternion_componentwise,
                          alice_random, alice_real_winning, bob_avoid_block,
                          bob_center_hold, bob_optimal_drift, bob_random)
 from .systems import ComplexSystem, QuatSystem, RealSystem
-
-if TYPE_CHECKING:
-    from .quatexp import LatticeDomain
 
 HYPOTHESIS_MARGIN = 1e-9
 
@@ -85,8 +87,8 @@ def _complex_system(r: float, theta: float, k: int):
 @functools.cache
 def _unit_box_system(b: float) -> QuatSystem:
     """Real radix b acting on the unit-box integer lattice."""
-    from .quatexp import lipschitz
-    return QuatSystem(Quaternion.real(b), lipschitz())
+    from .quatexp import stock_lattice
+    return QuatSystem(Quaternion.real(b), stock_lattice("lipschitz"))
 
 
 def _real_window(b: float, alpha: float, beta: float, rho: float,
@@ -162,151 +164,95 @@ def quat_componentwise_setup(alpha: float = 0.04, beta: float = 0.5, rho: float 
         max_rounds=max_rounds, notes=notes)
 
 
-class _Avoidance(NamedTuple):
-    """The system part of a losing preset: Bob's avoidance play for the
-    block omega on the system, started from xi, and the avoidance constant."""
-    system: QuatSystem
-    xi: Quaternion
-    constant: float
-    omega: tuple[tuple[int, int, int, int], ...]
-    bob: Strategy
+# lipschitz's sharpened avoidance constant for the unit box around (1/2, ...);
+# domain_constants gives 10 at rho = 0.4, and nothing in quatexp derives 5 yet
+LIPSCHITZ_CONSTANT = 5.0
+
+# name -> (radix q, stock_lattice name, Bob's first center xi, length n of the
+# avoided zero block, the avoidance constant when it is not C_Omega's); no xi
+# means symmetric_constants gives xi, rho and the constant
+LOSING = {
+    "notwinning-lipschitz": (Quaternion(3.0, 3.0, 3.0, 3.0), "lipschitz",
+                             Quaternion(0.5, 0.5, 0.5, 0.5), 1, LIPSCHITZ_CONSTANT),
+    "notwinning-hurwitz": (Quaternion(0.0, 5.0, 0.0, 0.0), "hurwitz-box",
+                           Quaternion(0.5, 0.5, 0.5, 0.25), 1, None),
+    "notwinning-symmetric": (Quaternion(0.0, 0.0, 0.0, 10.0), "symmetric:0.25", None, 1, None),
+    # xi is the lattice point with coordinates (1/4, 1/4, 1/4, 1/4)
+    "notwinning-zeta": (Quaternion(0.0, 6.0, 0.0, 0.0), "zeta:0.25",
+                        Quaternion(0.25, 1.5, 0.25, 1.5), 2, None),
+}
 
 
-def _avoidance(q: Quaternion, lattice: LatticeDomain, xi: Quaternion,
-               constant: float, omega: tuple[tuple[int, int, int, int], ...]
-               ) -> _Avoidance:
+@functools.cache
+def _losing_system(name: str, rho: float | None):
+    """A losing preset's system, Bob's avoidance play, xi, its fixed radius
+    (else rho) and its avoidance constant; rho is None where C ignores it."""
+    from .quatexp import C_Omega, domain_constants, stock_lattice, symmetric_constants
+    q, lattice, xi, n, constant = LOSING[name]
+    lattice = stock_lattice(lattice)
+    if xi is None:  # |xi| = 2 rho, outside the generic constants' reach
+        xi, rho, constant = symmetric_constants(0.25, 0.1, 0.0)
+    elif constant is None:
+        constant = C_Omega(q, (Quaternion(),) * n, domain_constants(lattice, xi, rho)).value
     system = QuatSystem(q, lattice)
-    return _Avoidance(system, xi, constant, omega,
-                      bob_avoid_block(system, xi.components, omega))
+    return system, bob_avoid_block(system, xi.components, ((0, 0, 0, 0),) * n), xi, rho, constant
 
 
-_ZERO_DIGIT = ((0, 0, 0, 0),)
-
-
-def _losing_setup(name: str, av: _Avoidance, rho: float, alpha: float,
-                  beta: float | None, max_rounds: int) -> GameSetup:
-    n = len(av.omega)
-    qn = av.system.radix_norm ** n
+def losing_setup(name: str, alpha: float, beta: float | None = None,
+                 rho: float | None = None, max_rounds: int = 64) -> GameSetup:
+    """Bob avoids the zero block of the losing preset name; beta defaults to
+    1/(alpha |q|^n), which pins alpha beta = |q|^-n."""
+    *_, n, stated = LOSING[name]
+    system, bob, xi, fixed_rho, constant = _losing_system(name, rho if stated is None else None)
+    qn = system.radix_norm ** n
     if not 0.0 < alpha < 1.0:  # checked before beta = 1/(alpha |q|^n) divides by it
         raise ValueError("alpha must lie in (0, 1)")
     if beta is None:
-        beta = 1.0 / (alpha * qn)  # pins alpha beta = |q|^-n
+        beta = 1.0 / (alpha * qn)
     notes = []
-    alpha_min = max(av.constant, 1.0) / qn
+    alpha_min = max(constant, 1.0) / qn
     if alpha < alpha_min - HYPOTHESIS_MARGIN:
         notes.append(f"alpha {alpha:.6g} below the avoidance bound {alpha_min:.6g}")
     if abs(alpha * beta * qn - 1.0) > 1e-9:
         notes.append("alpha*beta is not |q|^-n; the pinning radii are off scale")
+    rho = rho if fixed_rho is None else fixed_rho
     return GameSetup(
-        name=name, params=GameParams(alpha, beta, rho, 4, tuple(av.xi.components)),
-        system=av.system, alice=alice_random(), bob=av.bob,
-        claim=Claim("avoids", av.omega), max_rounds=max_rounds, notes=notes)
+        name=name, params=GameParams(alpha, beta, rho, 4, tuple(xi.components)),
+        system=system, alice=alice_random(), bob=bob,
+        claim=Claim("avoids", ((0, 0, 0, 0),) * n), max_rounds=max_rounds, notes=notes)
 
 
-@functools.cache
-def _lipschitz_avoidance() -> _Avoidance:
-    from .quatexp import lipschitz
-    return _avoidance(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz(),
-                      Quaternion(0.5, 0.5, 0.5, 0.5), 5.0, _ZERO_DIGIT)
+_WINNING_OPTIONS = frozenset({"alpha", "beta", "rho", "bob", "max_rounds"})
+_REAL_OPTIONS = _WINNING_OPTIONS | {"b", "x0"}
+_LOSING_OPTIONS = frozenset({"alpha", "beta", "rho", "max_rounds"})
 
-
-def lipschitz_losing_setup(alpha: float = 0.9, beta: float | None = None,
-                           rho: float = 0.4,
-                           name: str = "notwinning-lipschitz",
-                           max_rounds: int = 64) -> GameSetup:
-    """Avoid digit 0 on the unit-box integer lattice.
-
-    Uses the sharpened constant 5 valid for this particular domain and
-    center (the generic constant would be 10).
-    """
-    return _losing_setup(name, _lipschitz_avoidance(), rho, alpha, beta, max_rounds)
-
-
-@functools.cache
-def _hurwitz_avoidance(rho: float) -> _Avoidance:
-    from .quatexp import domain_constants, hurwitz_box
-    lattice = hurwitz_box()
-    xi = Quaternion(0.5, 0.5, 0.5, 0.25)
-    return _avoidance(Quaternion(0.0, 5.0, 0.0, 0.0), lattice, xi,
-                      domain_constants(lattice, xi, rho).C_X, _ZERO_DIGIT)
-
-
-def hurwitz_losing_setup(alpha: float = 0.93, beta: float | None = None,
-                         rho: float = 0.25, name: str = "notwinning-hurwitz",
-                         max_rounds: int = 64) -> GameSetup:
-    """Avoid digit 0 on the box lattice with halved fourth axis."""
-    return _losing_setup(name, _hurwitz_avoidance(rho), rho, alpha, beta, max_rounds)
-
-
-@functools.cache
-def _symmetric_avoidance() -> _Avoidance:
-    from .quatexp import symmetric_constants, symmetric_domain
-    xi, _, constant = symmetric_constants(0.25, 0.1, 0.0)
-    return _avoidance(Quaternion(0.0, 0.0, 0.0, 10.0), symmetric_domain(0.25), xi,
-                      constant, _ZERO_DIGIT)
-
-
-def symmetric_losing_setup(alpha: float = 0.85, beta: float | None = None,
-                           name: str = "notwinning-symmetric",
-                           max_rounds: int = 64) -> GameSetup:
-    """Avoid digit 0 on the origin-symmetric box [-1/4, 1/4)^4, where
-    |xi| = 2 rho = 0.2 forces the modified constant."""
-    from .quatexp import symmetric_constants
-    _, rho, _ = symmetric_constants(0.25, 0.1, 0.0)
-    return _losing_setup(name, _symmetric_avoidance(), rho, alpha, beta, max_rounds)
-
-
-@functools.cache
-def _zeta_avoidance(rho: float) -> _Avoidance:
-    from .quatexp import domain_constants, zeta_lattice
-    zeta = Quaternion(0.0, 6.0, 0.0, 0.0)
-    lattice = zeta_lattice(zeta, Quaternion(0.0, 0.0, 1.0, 0.0), 0.25)
-    xi = lattice.point((0.25, 0.25, 0.25, 0.25))
-    # block is all zeros, so the block constant reduces to C_X
-    return _avoidance(zeta, lattice, xi, domain_constants(lattice, xi, rho).C_X,
-                      _ZERO_DIGIT * 2)
-
-
-def zeta_losing_setup(alpha: float = 0.5, beta: float | None = None,
-                      rho: float = 0.49, name: str = "notwinning-zeta",
-                      max_rounds: int = 64) -> GameSetup:
-    """Avoid the two-digit zero block on the conjugate-axes lattice.
-
-    A single-digit window is out of reach here (the domain constant exceeds
-    |zeta| for every admissible ball), so the avoided block has length two
-    and alpha beta is pinned to |zeta|^-2.
-    """
-    return _losing_setup(name, _zeta_avoidance(rho), rho, alpha, beta, max_rounds)
-
-
-# name -> (builder, the arguments that make the preset); overrides replace them
+# name -> (builder, the arguments that make the preset, the options a caller
+# may override); an override replaces the argument of its name
 PRESETS = {
-    "dwinning-golden": (real_winning_setup, {"b": (1.0 + math.sqrt(5.0)) / 2.0}),
-    "dwinning-silver": (real_winning_setup,
-                        {"b": 1.0 + math.sqrt(2.0), "beta": 0.6, "x0": 0.3}),
-    "cwinning-nine-halves": (complex_winning_setup, {}),
-    "qwinning-componentwise": (quat_componentwise_setup, {}),
-    "notwinning-lipschitz": (lipschitz_losing_setup, {}),
-    "notwinning-hurwitz": (hurwitz_losing_setup, {}),
-    "notwinning-symmetric": (symmetric_losing_setup, {}),
-    "notwinning-zeta": (zeta_losing_setup, {}),
+    "dwinning-golden": (real_winning_setup, {"b": metallic_mean(1)}, _REAL_OPTIONS),
+    "dwinning-silver": (real_winning_setup, {"b": metallic_mean(2), "beta": 0.6, "x0": 0.3},
+                        _REAL_OPTIONS),
+    "cwinning-nine-halves": (complex_winning_setup, {}, _WINNING_OPTIONS),
+    "qwinning-componentwise": (quat_componentwise_setup, {}, _WINNING_OPTIONS),
+    "notwinning-lipschitz": (losing_setup, {"alpha": 0.9, "rho": 0.4}, _LOSING_OPTIONS),
+    "notwinning-hurwitz": (losing_setup, {"alpha": 0.93, "rho": 0.25}, _LOSING_OPTIONS),
+    # its radius comes from symmetric_constants
+    "notwinning-symmetric": (losing_setup, {"alpha": 0.85}, _LOSING_OPTIONS - {"rho"}),
+    "notwinning-zeta": (losing_setup, {"alpha": 0.5, "rho": 0.49}, _LOSING_OPTIONS),
 }
-# name -> the argument names its builder takes, the first local names of its code
-_TAKES = {name: frozenset(c.co_varnames[:c.co_argcount + c.co_kwonlyargcount])
-          for name, (builder, _) in PRESETS.items() for c in (builder.__code__,)}
 
 
 def build_preset(name: str, **overrides) -> GameSetup:
     """The named preset with the given arguments replaced; None means keep.
 
-    An argument the preset's builder does not take is refused by name.
+    An option the preset does not take is refused by name.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
-    builder, args = PRESETS[name]
+    builder, args, options = PRESETS[name]
     overrides = {k: v for k, v in overrides.items() if v is not None}
     for key in overrides:
-        if key not in _TAKES[name]:
+        if key not in options:
             raise ValueError(f"preset {name!r} does not take {key!r}")
     return builder(**{**args, **overrides, "name": name})
 

@@ -178,6 +178,27 @@ def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float) -> LatticeDo
     return LatticeDomain(basis, (-epsilon,) * 4, name=f"zeta:{epsilon:g}")
 
 
+def stock_lattice(name: str) -> LatticeDomain:
+    """The stock lattice spelled name, the inverse of LatticeDomain.name and
+    the spelling of `expand --lattice`: lipschitz, lipschitz-centered,
+    hurwitz-box, symmetric:EPS or zeta:EPS (zeta = 6i, eta = j), EPS 0.25
+    when bare."""
+    if name in ("lipschitz", "lipschitz-centered"):
+        return lipschitz(centered=name == "lipschitz-centered")
+    if name == "hurwitz-box":
+        return hurwitz_box()
+    kind, colon, eps = name.partition(":")
+    if kind in ("symmetric", "zeta"):
+        try:
+            eps = float(eps) if colon else 0.25
+        except ValueError:
+            raise ValueError(f"--lattice {kind}:EPS needs a number EPS, got {name!r}") from None
+        if kind == "symmetric":
+            return symmetric_domain(eps)
+        return zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.0, 0.0), eps)
+    raise ValueError(f"unknown lattice {name!r}")
+
+
 # -- losing-strategy constants ----------------------------------------------
 
 

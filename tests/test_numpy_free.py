@@ -23,10 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_arena import cli
-from beta_arena.cli import parse_lattice
 from beta_arena.complexexp import _DELTA_POLY, ComplexBase, _delta_root, gamma_constants
 from beta_arena.numeric import DigitKernel, Quaternion, metallic_mean
-from beta_arena.quatexp import isoclinic_matrix
+from beta_arena.quatexp import isoclinic_matrix, stock_lattice
 from beta_arena.realexp import RealBase
 from beta_arena.strategies import _ball_sample
 from beta_arena.systems import QuatSystem
@@ -180,7 +179,7 @@ KERNELS = {
     "two-and-a-half": RealBase(2.5).kernel,
     "nine-halves": ComplexBase(4.5, 0.05).kernel,
     "golden-quarter-turn": ComplexBase(metallic_mean(1), math.pi / 2, lo=(0.0, 0.0)).kernel,
-    **{name: QuatSystem(q, parse_lattice(lattice)).kernel for name, q, lattice in (
+    **{name: QuatSystem(q, stock_lattice(lattice)).kernel for name, q, lattice in (
         ("lipschitz", Quaternion(3.0, 3.0, 3.0, 3.0), "lipschitz"),
         ("hurwitz", Quaternion(0.0, 5.0, 0.0, 0.0), "hurwitz-box"),
         ("zeta", Quaternion(0.0, 6.0, 0.0, 0.0), "zeta:0.25"),
@@ -289,7 +288,7 @@ RADICES = {
 @pytest.mark.parametrize("lattice_name", LATTICES)
 @pytest.mark.parametrize("q", RADICES.values(), ids=RADICES.keys())
 def test_stock_lattice_arithmetic_is_numpys(lattice_name, q):
-    lattice = parse_lattice(lattice_name)
+    lattice = stock_lattice(lattice_name)
     B = np.array([v.components for v in lattice.basis], dtype=float).T
     Binv = np.linalg.inv(B)
     assert hexes(lattice.B) == hexes(B)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from beta_arena import cli, complexexp, presets
+from beta_arena import cli, complexexp, presets, quatexp
 from beta_arena.complexexp import ComplexBase
 from beta_arena.game import StrategyError, audit_trace
 from beta_arena.presets import (PRESETS, build_preset, real_winning_setup,
@@ -280,3 +280,21 @@ def test_hurwitz_radius_past_the_center_is_refused():
     with pytest.raises(ValueError) as exc:
         build_preset("notwinning-hurwitz", rho=0.6)
     assert str(exc.value) == "need |xi| > 2 rho"
+
+
+@pytest.mark.parametrize("name", ["notwinning-hurwitz", "notwinning-zeta"])
+def test_losing_constant_comes_from_the_paper_layer(monkeypatch, name):
+    # C_Omega of the zero block over domain_constants, not a constant copied
+    # into presets
+    clear_preset_caches()
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for fn in (quatexp.C_Omega, quatexp.domain_constants):
+        monkeypatch.setattr(quatexp, fn.__name__, counted(fn))
+    assert cli.main(["game", "--preset", name, "--out", os.devnull]) == 0
+    assert calls == {"C_Omega": 1, "domain_constants": 1}

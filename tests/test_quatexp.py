@@ -12,7 +12,7 @@ from beta_arena.quatexp import (C_Omega, LatticeDomain, avoid_constant,
                                 domain_constants,
                                 hurwitz_box, isoclinic_matrix, lipschitz,
                                 losing_parameters, q_expand,
-                                rot_balanced_rho, rot_constants,
+                                rot_balanced_rho, rot_constants, stock_lattice,
                                 symmetric_constants, symmetric_domain,
                                 zeta_lattice)
 from beta_arena.systems import QuatSystem
@@ -145,6 +145,31 @@ STOCK = (lipschitz(), lipschitz(centered=True), hurwitz_box(), symmetric_domain(
 def test_stock_inverse_is_the_fraction_inverse(lattice):
     assert hexes_or_none(lattice.Binv) == hexes_or_none(fraction_inverse(lattice.B))
     assert hexes_or_none(_power(lattice.B, -1)) == hexes_or_none(lattice.Binv)
+
+
+@pytest.mark.parametrize("lattice", STOCK + (
+    symmetric_domain(0.1), symmetric_domain(0.5), symmetric_domain(0.125),
+    *(zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.0, 0.0), eps)
+      for eps in (0.0, 0.1, 0.5, 0.75))), ids=lambda L: L.name)
+def test_stock_lattice_parses_its_own_name(lattice):
+    # LatticeDomain.name is the spelling of `expand --lattice`
+    parsed = stock_lattice(lattice.name)
+    assert parsed.name == lattice.name
+    assert hexes_or_none(parsed.B) == hexes_or_none(lattice.B)
+    assert hexes_or_none(parsed.Binv) == hexes_or_none(lattice.Binv)
+    assert [x.hex() for x in parsed.offsets] == [x.hex() for x in lattice.offsets]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("zeta:x", "--lattice zeta:EPS needs a number EPS, got 'zeta:x'"),
+    ("symmetric:", "--lattice symmetric:EPS needs a number EPS, got 'symmetric:'"),
+    ("custom", "unknown lattice 'custom'"),
+    ("hurwitz", "unknown lattice 'hurwitz'"),
+])
+def test_stock_lattice_refuses_other_names(name, message):
+    with pytest.raises(ValueError) as exc:
+        stock_lattice(name)
+    assert str(exc.value) == message
 
 
 # dyadic entries of every scale, small integers (singular matrices among
