@@ -28,9 +28,9 @@ Block = tuple[int, ...]
 # block the automaton takes
 DEPTH = 256
 
-# most digits an alphabet may have for Parry's automaton to be built; the
-# CLI's grids take as many points
-MAX_ALPHABET = 10 ** 6
+# most digits an alphabet may have for Parry's automaton to be built, and
+# most blocks a listing may hold; the CLI's grids take as many points
+MAX_ALPHABET = MAX_BLOCKS = 10 ** 6
 
 
 class CylinderInterval(FrozenRecord):
@@ -189,11 +189,28 @@ class RealBase:
             nxt.append(row)
         return nxt
 
+    def _refuse_many(self, nxt: list[list[int]], n: int) -> None:
+        """Refuse to list more than MAX_BLOCKS admissible n-blocks: count the
+        blocks ending in each automaton state, one length at a time."""
+        if (self.s_b + 1) ** n <= MAX_BLOCKS:
+            return
+        counts = [1]  # counts[s]: blocks of the current length ending in state s
+        for j in range(1, n + 1):
+            ext = [0] * (j + 1)
+            for row, m in zip(nxt, counts):
+                for t in row:
+                    ext[t] += m
+            counts = ext
+            if sum(counts) > MAX_BLOCKS:
+                raise ValueError(f"base {self.b!r}: length {n} has more than {MAX_BLOCKS} "
+                                 f"admissible blocks ({sum(counts)} at length {j})")
+
     def _walk(self, n: int) -> list[Block]:
         """Admissible blocks of length n in increasing lexicographic order,
         extended one digit at a time: each level lists its blocks in that
         order, each block's children in order of their last digit."""
         nxt = self._automaton(n)
+        self._refuse_many(nxt, n)
         level: list[tuple[Block, int]] = [((), 0)]  # (block, automaton state)
         for _ in range(n):
             level = [(w + (d,), t) for w, s in level for d, t in enumerate(nxt[s])]
@@ -280,6 +297,7 @@ class RealBase:
         """
         self.check_target(d, k)
         nxt, b, bk = self._automaton(k - 1), self.b, self.b ** (-k)
+        self._refuse_many(nxt, k - 1)
         # (block, automaton state, prefix value, least prefix + b**-j so far)
         level: list[tuple[Block, int, float, float]] = [((), 0, 0.0, 1.0)]
         scale = 1.0

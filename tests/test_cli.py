@@ -302,6 +302,7 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
     ("admissible", "--real", "1e18", "--n", "3"),
     ("admissible", "--real", "1e7", "--n", "3"),
     ("admissible", "--real", "1e12", "--n", "3"),
+    ("admissible", "--real", "2.5", "--n", "200"),
     ("game", "--preset", "dwinning-golden", "--max-rounds", "-3"),
     ("scan", "--preset", "dwinning-golden", "--alpha", "0.5:0.5:0.1", "--seeds", "-1"),
     ("regions", "--curve", "A", "--b", "2.5"),
@@ -317,7 +318,7 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
         "curve-A-without-b", "grid-not-finite", "grid-too-fine", "override-rho-on-symmetric",
         "override-bob-on-losing", "game-without-preset", "alpha-zero",
         "game-out-unwritable", "scan-out-unwritable", "alphabet-past-index-range",
-        "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap",
+        "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap", "blocks-past-cap",
         "game-negative-max-rounds", "scan-negative-seeds", "curve-A-unresolved-base",
         "grid-of-two-values", "metallic-index-not-integer", "zeta-eps-not-number",
         "symmetric-eps-not-number"])

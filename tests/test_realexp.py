@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beta_arena.numeric import EPS_CMP, AmbiguousValueError, metallic_mean
-from beta_arena.realexp import DEPTH, MAX_ALPHABET, RealBase
+from beta_arena.realexp import DEPTH, MAX_ALPHABET, MAX_BLOCKS, RealBase
 from beta_arena.systems import RealSystem, expand_digits
 
 PHI1 = metallic_mean(1)
@@ -338,6 +338,30 @@ def test_cylinder_intervals_error_contract():
         with pytest.raises(ValueError, match=r"^base 1000000\.5: an alphabet of 1e\+06 digits "
                                              "is too large to tabulate$"):
             wide.cylinder_intervals(0, k)
+    # then the block count: 2.5 has 1 195 000 admissible 15-blocks, so every
+    # decomposition from k = 16 on is refused before it lists a block
+    two_half = RealBase(2.5)
+    with pytest.raises(ValueError, match="^digit 3 exceeds"):
+        two_half.cylinder_intervals(3, 16)
+    with pytest.raises(ValueError, match="^block longer than the precomputed expansion depth$"):
+        two_half.cylinder_intervals(0, DEPTH + 2)
+    for k in (16, DEPTH + 1):
+        with pytest.raises(ValueError) as exc:
+            two_half.cylinder_intervals(0, k)
+        assert str(exc.value) == (f"base 2.5: length {k - 1} has more than {MAX_BLOCKS} "
+                                  "admissible blocks (1195000 at length 15)")
+
+
+@pytest.mark.parametrize("b, n, count, at", [
+    (2.5, 15, 1195000, 15), (2.5, 200, 1195000, 15),
+    (PHI1, DEPTH, 1346269, 29),  # the Fibonacci number F(31)
+    (1e6, 2, 10 ** 12, 2),  # one digit short of MAX_ALPHABET
+])
+def test_listings_past_max_blocks_are_refused(b, n, count, at):
+    with pytest.raises(ValueError) as exc:
+        RealBase(b).enumerate_admissible(n)
+    assert str(exc.value) == (f"base {b!r}: length {n} has more than {MAX_BLOCKS} "
+                              f"admissible blocks ({count} at length {at})")
 
 
 def test_full_length_iff_not_E():
