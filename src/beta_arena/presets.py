@@ -177,7 +177,8 @@ LOSING = {
     "notwinning-hurwitz": (Quaternion(0.0, 5.0, 0.0, 0.0), "hurwitz-box",
                            Quaternion(0.5, 0.5, 0.5, 0.25), 1, None),
     "notwinning-symmetric": (Quaternion(0.0, 0.0, 0.0, 10.0), "symmetric:0.25", None, 1, None),
-    # xi is the lattice point with coordinates (1/4, 1/4, 1/4, 1/4)
+    # xi is the lattice point (1/4, 1/4, 1/4, 1/4); the domain constant exceeds
+    # |zeta| for every admissible ball, so a one-digit block is out of reach
     "notwinning-zeta": (Quaternion(0.0, 6.0, 0.0, 0.0), "zeta:0.25",
                         Quaternion(0.25, 1.5, 0.25, 1.5), 2, None),
 }
@@ -200,15 +201,15 @@ def _losing_system(name: str, rho: float | None):
 
 def losing_setup(name: str, alpha: float, beta: float | None = None,
                  rho: float | None = None, max_rounds: int = 64) -> GameSetup:
-    """Bob avoids the zero block of the losing preset name; beta defaults to
-    1/(alpha |q|^n), which pins alpha beta = |q|^-n."""
+    """Bob avoids the zero block of the losing preset name at radius rho (the
+    symmetric preset fixes its own); beta defaults to 1/(alpha |q|^n)."""
     *_, n, stated = LOSING[name]
     system, bob, xi, fixed_rho, constant = _losing_system(name, rho if stated is None else None)
     qn = system.radix_norm ** n
     if not 0.0 < alpha < 1.0:  # checked before beta = 1/(alpha |q|^n) divides by it
         raise ValueError("alpha must lie in (0, 1)")
     if beta is None:
-        beta = 1.0 / (alpha * qn)
+        beta = 1.0 / (alpha * qn)  # pins alpha beta = |q|^-n
     notes = []
     alpha_min = max(constant, 1.0) / qn
     if alpha < alpha_min - HYPOTHESIS_MARGIN:
@@ -243,10 +244,8 @@ PRESETS = {
 
 
 def build_preset(name: str, **overrides) -> GameSetup:
-    """The named preset with the given arguments replaced; None means keep.
-
-    An option the preset does not take is refused by name.
-    """
+    """The named preset with the given options replaced, None keeping one; an
+    option the preset does not take is refused by name."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
     builder, args, options = PRESETS[name]
