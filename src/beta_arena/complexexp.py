@@ -6,7 +6,8 @@ is a filled square of size N exactly when (2N-1)(cos t + sin t) < r and
 r <= (2N+1)/(cos t + sin t), with the angle folded into [0, pi/4] by the
 quarter-turn symmetry of the lattice.  The k-th refinement of the domain
 tiles into rotated squares when the polynomial f below stays positive, and
-everything here reduces to evaluating, inverting, or bounding that family.
+everything here reduces to evaluating, inverting, or bounding that family,
+or the quadratic F in N (written once, in _F) that bounds the region G.
 The complex winning threshold and hold length close the module.
 """
 
@@ -85,8 +86,6 @@ class ComplexBase:
         self.theta = float(theta)
         self.lo = (float(lo[0]), float(lo[1]))
         self.theta_folded = fold_angle(self.theta)
-        self.c = math.cos(self.theta_folded)
-        self.s = math.sin(self.theta_folded)
         self.xi = Quaternion.complex2(r * math.cos(self.theta), r * math.sin(self.theta))
         self.kernel = DigitKernel(((self.xi.a, -self.xi.b), (self.xi.b, self.xi.a)),
                                   self.lo, (1.0, 1.0))
@@ -212,43 +211,44 @@ def check_Ck(base: ComplexBase, k: int) -> CkResult:
         raise ValueError("refinement checks require the centered square")
     if base.N is None:
         raise ValueError("digit set is not square; no refinement structure")
-    if k == 1:
-        holds = base.r >= base.c + base.s - EPS_CMP
-        return CkResult(holds, True)
     v = v_threshold(base.N, k, base.theta_folded)
+    if k == 1:  # v = cos t + sin t
+        return CkResult(base.r >= v - EPS_CMP, True)
     return CkResult(base.r > v, k <= 2)
 
 
-def discriminant(theta: float) -> float:
-    """Discriminant governing whether the size-N region family terminates."""
+def _F(theta: float) -> tuple[float, float, float]:
+    """(a, b, c) of F(N) = 4 sin2t N^2 - 2 (1 - sin2t) N + (cos2t + sin2t)(cos t
+    + sin t)^2 - 1, negative exactly when the size-N interval is nonempty."""
     t = fold_angle(theta)
-    c2 = math.cos(2 * t)
     s2 = math.sin(2 * t)
     cps2 = (math.cos(t) + math.sin(t)) ** 2
-    return 4.0 * (1.0 - s2) ** 2 - 16.0 * s2 * ((c2 + s2) * cps2 - 1.0)
+    return 4.0 * s2, -2.0 * (1.0 - s2), (math.cos(2 * t) + s2) * cps2 - 1.0
+
+
+def discriminant(theta: float) -> float:
+    """b^2 - 4ac of F, b^2 as 4 (b/2)**2: pow, whose last bit differs from
+    b * b's for some b, as it always was."""
+    a, b, c = _F(theta)
+    return 4.0 * (b / 2.0) ** 2 - 4.0 * a * c
 
 
 def F_value(N: float, theta: float) -> float:
-    """Quadratic in N whose negativity makes the size-N interval nonempty."""
-    t = fold_angle(theta)
-    c2 = math.cos(2 * t)
-    s2 = math.sin(2 * t)
-    cps2 = (math.cos(t) + math.sin(t)) ** 2
-    return 4.0 * s2 * N * N - 2.0 * (1.0 - s2) * N + ((c2 + s2) * cps2 - 1.0)
+    """F(N) at the angle theta."""
+    a, b, c = _F(theta)
+    return a * N * N + b * N + c
 
 
 def F_roots(theta: float) -> tuple[float, float]:
-    """Roots L- <= L+ of the quadratic above; requires a positive discriminant."""
-    t = fold_angle(theta)
-    disc = discriminant(t)
+    """Roots L- <= L+ of F; requires a positive discriminant."""
+    disc = discriminant(theta)
     if disc <= 0.0:
         raise ValueError("discriminant is not positive; no real roots")
-    s2 = math.sin(2 * t)
-    if s2 == 0.0:
+    a, b, _ = _F(theta)
+    if a == 0.0:
         raise ValueError("quadratic degenerates at theta = 0")
     root = math.sqrt(disc)
-    return ((2.0 * (1.0 - s2) - root) / (8.0 * s2),
-            (2.0 * (1.0 - s2) + root) / (8.0 * s2))
+    return (-b - root) / (2.0 * a), (-b + root) / (2.0 * a)
 
 
 def _delta_root() -> float:

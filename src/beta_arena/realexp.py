@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .numeric import _BAND, EPS_CMP, EPS_FLOOR, DigitKernel, FrozenRecord, nudge_mode, tol_floor
+from .numeric import _BAND, EPS_CMP, DigitKernel, FrozenRecord, _snap, nudge_mode
 
 Block = tuple[int, ...]
 
@@ -78,13 +78,15 @@ class RealBase:
         """Greedy digits of x0, snapping at boundaries; returns (digits, terminated).
 
         t = b y is floored directly unless it lies within _BAND of an
-        integer, where tol_floor snaps it; outside the band tol_floor's digit
-        is floor(t), as in DigitKernel.step.  The loop does not go through
-        the kernel: the orbit of 1 takes a first digit past the alphabet,
-        which the kernel's range check refuses.  A build takes 0.19-0.30 ms
-        for b = 1.7234, 2.4567, 2.5, against 0.34-0.69 ms when every digit
-        went through tol_floor (two-vCPU Xeon, Python 3.11); perfbench's
-        `tables` workload builds a RealBase for every block and cylinder table.
+        integer, where numeric._snap, the digit kernel's own rule, decides
+        the digit and puts a remainder within EPS_FLOOR of 0 exactly on 0.
+        Outside the band the digit is floor(b y) <= floor(b) = s_b.  The loop
+        does not go through the kernel: the orbit of 1 takes a first digit
+        past the alphabet, which the kernel's range check refuses, and it
+        stops at y == 0.  A build takes 0.19-0.30 ms for b = 1.7234, 2.4567,
+        2.5, against 0.34-0.69 ms when every digit went through tol_floor
+        (two-vCPU Xeon, Python 3.11); perfbench's `tables` workload builds a
+        RealBase for every block and cylinder table.
         """
         digits: list[int] = []
         y = float(x0)
@@ -93,16 +95,11 @@ class RealBase:
                 return digits, True
             t = self.b * y
             d = math.floor(t)
-            if not _BAND < t - d < 1.0 - _BAND:
-                d = tol_floor(t, nudge=True)
-            hi = self.s_b if not (step == 0 and allow_first_overflow) else int(self.b) + 1
-            if not 0 <= d <= hi:  # a snap may not leave the digit range
-                d = math.floor(t)
-            if not 0 <= d <= hi:
-                raise ValueError(f"digit {d} out of range; orbit left [0,1)")
-            y = t - d
-            if abs(y) <= EPS_FLOOR:
-                y = 0.0
+            if _BAND < t - d < 1.0 - _BAND:
+                y = t - d
+            else:
+                hi = self.s_b if not (step == 0 and allow_first_overflow) else int(self.b) + 1
+                d, y = _snap(t, t, d, 0.0, 0, hi, True)
             digits.append(d)
         return digits, False
 
@@ -205,17 +202,6 @@ class RealBase:
                 raise ValueError(f"base {self.b!r}: length {n} has more than {MAX_BLOCKS} "
                                  f"admissible blocks ({sum(counts)} at length {j})")
 
-    def _walk(self, n: int) -> list[Block]:
-        """Admissible blocks of length n in increasing lexicographic order,
-        extended one digit at a time: each level lists its blocks in that
-        order, each block's children in order of their last digit."""
-        nxt = self._automaton(n)
-        self._refuse_many(nxt, n)
-        level: list[tuple[Block, int]] = [((), 0)]  # (block, automaton state)
-        for _ in range(n):
-            level = [(w + (d,), t) for w, s in level for d, t in enumerate(nxt[s])]
-        return [w for w, _ in level]
-
     def is_admissible(self, block: Sequence[int]) -> bool:
         """True when every suffix of the block is lexicographically at most
         the quasi-greedy expansion of 1 truncated to the suffix length; one
@@ -229,32 +215,29 @@ class RealBase:
         return True
 
     def enumerate_admissible(self, n: int) -> list[Block]:
-        """All admissible blocks of length n, in increasing lexicographic order."""
+        """All admissible blocks of length n in increasing lexicographic order,
+        extended one digit at a time: each level lists its blocks in that
+        order, each block's children in order of their last digit."""
         if n < 0:
             raise ValueError("length must be nonnegative")
-        return self._walk(n)
+        nxt = self._automaton(n)
+        self._refuse_many(nxt, n)
+        level: list[tuple[Block, int]] = [((), 0)]  # (block, automaton state)
+        for _ in range(n):
+            level = [(w + (d,), t) for w, s in level for d, t in enumerate(nxt[s])]
+        return [w for w, _ in level]
 
     def in_E(self, block: Sequence[int], d: int) -> bool:
-        """Whether appending d to the block yields a shortened cylinder.
-
-        The block lies in the exceptional set when some suffix, extended by
-        d + 1, has value exceeding 1.
-        """
+        """Whether appending d to the block yields a shortened cylinder: the
+        cylinder of block + (d,) is shorter than b**-(n+1) by more than
+        EPS_CMP, the full-length test of cylinder_intervals negated."""
         if d < 0 or d > self.d_prime:
             raise ValueError(f"digit {d} exceeds the minimal quasi-greedy digit {self.d_prime}")
         w = tuple(block)
         if not self.is_admissible(w):
             raise ValueError("block is not admissible")
-        top = self.value(w) + self.b ** (-(len(w) + 1))
-        prefix = 0.0
-        scale = 1.0
-        for j in range(len(w)):
-            # suffix value > 1 iff the full value exceeds prefix_j + b**-j
-            if top > prefix + scale + EPS_CMP:
-                return True
-            scale /= self.b
-            prefix += w[j] * scale
-        return False
+        lo, hi = self.cylinder_interval(w + (d,))
+        return hi - lo < self.b ** -(len(w) + 1) - EPS_CMP
 
     # -- cylinder intervals ---------------------------------------------------
 
@@ -287,8 +270,8 @@ class RealBase:
         """Cylinder decomposition of the set whose k-th digit equals d.
 
         One interval per admissible (k-1)-block, ordered by left endpoint.
-        It costs one walk of the automaton, as _walk makes, plus one O(k)
-        Horner pass per block.  Each partial block carries cylinder_interval's
+        It costs the walk of enumerate_admissible plus one O(k) Horner pass
+        per block.  Each partial block carries cylinder_interval's
         forward sums, its prefix value and the least prefix + b**-j so far
         (b**-j is shared by a level), so hi is one step from its parent's,
         with cylinder_interval's float operations in its order and so its

@@ -2,11 +2,11 @@
 
 A strategy reads the last ball (s.ball), how far it may move from its
 center (s.reach), s.round_no and its own s.scratch.  The generic ones hold
-Alice's center, drift from it or draw at random.  The
-winning ones hold, lock the target a strategy picks for Bob's center, then
-pull toward it; the losing one (Bob's) reads the digits of Alice's center
-through the digit kernel and recenters on the avoided-block-free cylinder
-shifted by xi.  Lengths are math.hypot's and math.dist's, and every move
+Alice's center, drift from it along the first axis or draw at random.  The
+winning ones hold, lock the target a strategy picks for Bob's center (the
+real ones one coordinate at a time), then pull toward it; the losing one
+(Bob's) reads the digits of Alice's center through the digit kernel and
+recenters on the avoided-block-free cylinder shifted by xi.  Lengths are math.hypot's and math.dist's, and every move
 spends at most s.reach, which play has already made exact.  Draws come from
 s.rng, a random.Random, and the avoidance play's powers of A are exact
 powers rounded once, grown by one integer product per step (numeric._powers).
@@ -73,18 +73,12 @@ def alice_random() -> Strategy:
 bob_random = alice_random
 
 
-def bob_optimal_drift(direction: Sequence[float] | None = None) -> Strategy:
-    """Move maximally away from Alice's center along a fixed unit vector,
+def bob_optimal_drift() -> Strategy:
+    """Move maximally away from Alice's center along the first axis,
     clipped at the domain boundary when a domain is attached."""
-    fixed = None
-    if direction is not None:
-        fixed = tuple(map(float, direction))
-        norm = math.hypot(*fixed)
-        fixed = tuple(c / norm for c in fixed)
-
     def f(s: GameState) -> Vector:
         y = s.ball.center
-        v = fixed if fixed is not None else (1.0,) + (0.0,) * (s.params.dimension - 1)
+        v = (1.0,) + (0.0,) * (s.params.dimension - 1)
         t = max_step_inside(s.system, y, v, s.reach)
         return tuple(a + t * b for a, b in zip(y, v))
     return f
@@ -127,20 +121,27 @@ def _nearest_row(targets: Sequence[Vector]) -> Callable[[Vector], Vector]:
     return lambda p: min(targets, key=partial(math.dist, p))
 
 
-def _nearest_full(base: RealBase, d: int, k: int, x: float) -> float:
-    """Center of the full-length level-k cylinder with k-th digit d nearest x."""
-    center = base.nearest_full_cylinder(x, d, k)
-    if center is None:
-        raise StrategyError(f"no full-length cylinder interval for digit {d}")
-    return center
+def _lock_full(base: RealBase, digits: Sequence[int], n: int, k: int,
+               what: str) -> Strategy:
+    """The real winning play on each coordinate: lock the center of the
+    full-length level-k cylinder with k-th digit digits[j] nearest to
+    coordinate j of Bob's center."""
+    for d in digits:
+        base.check_target(d, k)
+
+    def nearest(x: Vector) -> Vector:
+        centers = tuple(base.nearest_full_cylinder(xj, d, k) for d, xj in zip(digits, x))
+        if None in centers:
+            d = digits[centers.index(None)]
+            raise StrategyError(f"no full-length cylinder interval for digit {d}")
+        return centers
+    return _lock_and_pull(n, nearest, what)
 
 
 def alice_real_winning(base: RealBase, d: int, n: int, k: int) -> Strategy:
     """Steer the outcome's k-th digit to d: hold n rounds, then lock the
     nearest full-length level-k cylinder with last digit d."""
-    base.check_target(d, k)
-    return _lock_and_pull(n, lambda x: (_nearest_full(base, d, k, x[0]),),
-                          "nearest full cylinder target")
+    return _lock_full(base, (d,), n, k, "nearest full cylinder target")
 
 
 def alice_complex_winning(targets, n: int) -> Strategy:
@@ -156,12 +157,7 @@ def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
     strategy, one per coordinate, sharing the hold length n and depth k."""
     if len(digits) != 4:
         raise ValueError("need one target digit per coordinate")
-    for d in digits:
-        base.check_target(d, k)
-
-    def nearest(x: Vector) -> Vector:
-        return tuple(_nearest_full(base, d, k, xj) for d, xj in zip(digits, x))
-    return _lock_and_pull(n, nearest, "componentwise target")
+    return _lock_full(base, digits, n, k, "componentwise target")
 
 
 # -- losing strategy (Bob) -----------------------------------------------------

@@ -485,11 +485,14 @@ def test_real_winning_against_adversarial_directions():
     base = RealBase(PHI)
     n, k = find_nk_real(PHI, 0, 0.05, 0.7, 0.4)
     params = GameParams(0.05, 0.7, 0.4, 1, (0.31,))
-    for direction in ([1.0], [-1.0]):
-        trace = play(params, alice_real_winning(base, 0, n, k),
-                     bob_optimal_drift(direction), system=RealSystem(base))
+
+    def bob_drift_down(s):  # bob_optimal_drift's play along -1
+        t = max_step_inside(s.system, s.ball.center, (-1.0,), s.reach)
+        return (s.ball.center[0] - t,)
+    for bob in (bob_optimal_drift(), bob_drift_down):
+        trace = play(params, alice_real_winning(base, 0, n, k), bob, system=RealSystem(base))
         res = verify_outcome(trace, RealSystem(base), Claim("contains", (0,), k), k)
-        assert res.verdict == "verified", direction
+        assert res.verdict == "verified", bob
 
 
 def test_winning_strategy_survives_all_seeds():
