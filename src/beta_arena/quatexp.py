@@ -152,7 +152,7 @@ def symmetric_domain(eps: float) -> LatticeDomain:
     s = 2.0 * eps
     basis = (Quaternion(s, 0, 0, 0), Quaternion(0, s, 0, 0),
              Quaternion(0, 0, s, 0), Quaternion(0, 0, 0, s))
-    return LatticeDomain(basis, (-0.5,) * 4, name=f"symmetric:{eps:g}")
+    return LatticeDomain(basis, (-0.5,) * 4, name=f"symmetric:{eps!r}")
 
 
 def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float) -> LatticeDomain:
@@ -162,7 +162,8 @@ def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float) -> LatticeDo
     to zeta in R^4.  The basis is taken with the conjugate axes negated
     (which spans the same lattice); in that frame the second and fourth
     coordinates of zeta * z reproduce the first and third of z, so every
-    digit lies in Z + Z eta.
+    digit lies in Z + Z eta.  Named zeta:EPS, the spelling stock_lattice
+    parses, for zeta = 6i and eta = j only; custom otherwise.
     """
     if abs(zeta.b) + abs(zeta.c) + abs(zeta.d) <= EPS_CMP:
         raise ValueError("zeta must not be real")
@@ -175,7 +176,8 @@ def zeta_lattice(zeta: Quaternion, eta: Quaternion, epsilon: float) -> LatticeDo
         raise ValueError("epsilon must lie in [0, 1)")
     zc = zeta.conj()
     basis = (Quaternion(1, 0, 0, 0), -zc, eta, -quat_mul(zc, eta))
-    return LatticeDomain(basis, (-epsilon,) * 4, name=f"zeta:{epsilon:g}")
+    stock = zeta.components == (0.0, 6.0, 0.0, 0.0) and eta.components == (0.0, 0.0, 1.0, 0.0)
+    return LatticeDomain(basis, (-epsilon,) * 4, name=f"zeta:{epsilon!r}" if stock else "custom")
 
 
 def stock_lattice(name: str) -> LatticeDomain:

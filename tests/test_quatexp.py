@@ -149,10 +149,19 @@ def test_stock_inverse_is_the_fraction_inverse(lattice):
 
 @pytest.mark.parametrize("lattice", STOCK + (
     symmetric_domain(0.1), symmetric_domain(0.5), symmetric_domain(0.125),
+    symmetric_domain(0.123456789),
     *(zeta_lattice(Quaternion(0.0, 6.0, 0.0, 0.0), Quaternion(0.0, 0.0, 1.0, 0.0), eps)
-      for eps in (0.0, 0.1, 0.5, 0.75))), ids=lambda L: L.name)
+      for eps in (0.0, 0.1, 0.5, 0.75, 0.123456789)),
+    zeta_lattice(Quaternion(0.0, 3.0, 4.0, 0.0), Quaternion(0.0, 0.0, 0.0, 1.0), 0.25)),
+    ids=lambda L: L.name)
 def test_stock_lattice_parses_its_own_name(lattice):
-    # LatticeDomain.name is the spelling of `expand --lattice`
+    # LatticeDomain.name is the spelling of `expand --lattice`, every digit of
+    # EPS kept; a zeta lattice other than zeta = 6i, eta = j is custom, which
+    # no spelling builds
+    if lattice.name == "custom":
+        with pytest.raises(ValueError, match="unknown lattice 'custom'"):
+            stock_lattice(lattice.name)
+        return
     parsed = stock_lattice(lattice.name)
     assert parsed.name == lattice.name
     assert hexes_or_none(parsed.B) == hexes_or_none(lattice.B)
