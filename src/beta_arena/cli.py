@@ -32,7 +32,7 @@ import sys
 
 from .game import IllegalMoveError, StrategyError, audit_trace, game_json
 from .numeric import AmbiguousValueError, Quaternion, metallic_mean
-from .realexp import A_threshold, RealBase, _zero_run_bound
+from .realexp import MAX_BLOCKS, A_threshold, RealBase, _zero_run_bound
 from .presets import BOBS, PRESETS, build_preset, run_setup
 from .systems import ComplexSystem, QuatSystem, RealSystem, expand_digits
 
@@ -55,9 +55,6 @@ def parse_base(text: str) -> float:
                          f"for an integer J >= 1, got {text!r}") from None
 
 
-MAX_GRID_POINTS = 10 ** 6
-
-
 def parse_grid(text: str) -> list[float]:
     """start:stop:step inclusive of stop up to float slack."""
     try:
@@ -68,8 +65,8 @@ def parse_grid(text: str) -> list[float]:
         raise ValueError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValueError("grid step must be positive")
-    if (stop + 1e-12 - start) / step >= MAX_GRID_POINTS:
-        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+    if (stop + 1e-12 - start) / step >= MAX_BLOCKS:
+        raise ValueError(f"grid has more than {MAX_BLOCKS} points")
     out = []
     k = 0
     while True:
@@ -100,6 +97,8 @@ def _format_digit(d) -> str:
 
 
 def cmd_expand(args) -> int:
+    if args.n > MAX_BLOCKS:
+        raise ValueError(f"--n {args.n} asks for more than {MAX_BLOCKS} digits")
     if args.real is not None:
         system = RealSystem(RealBase(parse_base(args.real)))
         p = [] if args.x is None else [args.x]

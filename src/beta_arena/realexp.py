@@ -8,11 +8,12 @@ prefix of c, so extending blocks one digit at a time lists the admissible
 blocks of length n with one table lookup per node.  The set of points whose
 first k digits form a given block is an interval whose exact endpoints this
 module computes; a level-k cylinder decomposition carries each block's
-forward endpoint sums down that same walk, one step per node.  Orbits of
-algebraic bases routinely hit cell boundaries head on, so every internal
-expansion snaps floors inside the ambiguity band instead of trusting the
-last bits of a double.  The real winning threshold and (n, k) window close
-the module.
+forward endpoint sums down that same walk, one step per node; in_E (Parry's
+exceptional set E) is its full-length test negated.  Orbits of algebraic
+bases routinely hit cell boundaries head on, so every internal expansion,
+the orbits of 1 and of b - floor(b) too, snaps floors inside the ambiguity
+band by the kernel's rule (numeric._snap) instead of trusting the last bits
+of a double.  The real winning threshold and (n, k) window close the module.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ Block = tuple[int, ...]
 # block the automaton takes
 DEPTH = 256
 
-# most digits an alphabet may have for Parry's automaton to be built, and
-# most blocks a listing may hold; the CLI's grids take as many points
+# most digits an alphabet may have for Parry's automaton to be built, most
+# blocks a listing may hold, most digits `expand` writes and most grid points
 MAX_ALPHABET = MAX_BLOCKS = 10 ** 6
 
 

@@ -311,6 +311,7 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
     ("expand", "--quat", "3", "3", "3", "3", "--lattice", "zeta:x", "--z", ".1", ".2", ".3", ".4"),
     ("expand", "--quat", "3", "3", "3", "3", "--lattice", "symmetric:x",
      "--z", ".1", ".2", ".3", ".4"),
+    ("expand", "--real", "golden", "--x", "0.5", "--n", "100000000"),
 ], ids=["x-outside-domain", "base-not-above-1", "negative-length",
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
         "no-system", "two-systems", "real-negative-n", "complex-negative-n",
@@ -321,7 +322,7 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
         "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap", "blocks-past-cap",
         "game-negative-max-rounds", "scan-negative-seeds", "curve-A-unresolved-base",
         "grid-of-two-values", "metallic-index-not-integer", "zeta-eps-not-number",
-        "symmetric-eps-not-number"])
+        "symmetric-eps-not-number", "digits-past-cap"])
 def test_invalid_input_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
@@ -356,6 +357,12 @@ def test_negative_count_is_named(capsys, monkeypatch, argv, message):
     # refused before any game is built, not played as zero rounds or rows
     monkeypatch.setattr(cli, "build_preset", None)
     assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+def test_expansion_past_max_blocks_is_refused_before_expanding(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "expand_digits", None)
+    assert run_cli(capsys, "expand", "--real", "golden", "--x", "0.5", "--n", "1000001") == (
+        3, "", "error: --n 1000001 asks for more than 1000000 digits\n")
 
 
 @pytest.mark.parametrize("argv, message", [
