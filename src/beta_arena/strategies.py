@@ -6,10 +6,11 @@ Alice's center, drift from it along the first axis or draw at random.  The
 winning ones hold, lock the target a strategy picks for Bob's center (the
 real ones one coordinate at a time), then pull toward it; the losing one
 (Bob's) reads the digits of Alice's center through the digit kernel and
-recenters on the avoided-block-free cylinder shifted by xi.  Lengths are math.hypot's and math.dist's, and every move
-spends at most s.reach, which play has already made exact.  Draws come from
-s.rng, a random.Random, and the avoidance play's powers of A are exact
-powers rounded once, grown by one integer product per step (numeric._powers).
+recenters on the avoided-block-free cylinder shifted by xi.  Lengths are
+math.hypot's and math.dist's, and every move spends at most s.reach, which
+play has already made exact.  Draws come from s.rng, a random.Random, and
+the avoidance play's powers of A are exact powers rounded once, grown by
+one integer product per step (numeric._powers).
 
 The avoidance play keeps a memo beside its table of powers of A: the
 product A^-j d for each digit d pinned at position j, and A^-depth xi for
