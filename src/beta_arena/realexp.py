@@ -81,13 +81,13 @@ class RealBase:
         t = b y is floored directly unless it lies within _BAND of an
         integer, where numeric._snap, the digit kernel's own rule, decides
         the digit and puts a remainder within EPS_FLOOR of 0 exactly on 0.
-        Outside the band the digit is floor(b y) <= floor(b) = s_b.  The loop
-        does not go through the kernel: the orbit of 1 takes a first digit
-        past the alphabet, which the kernel's range check refuses, and it
-        stops at y == 0.  A build takes 0.19-0.30 ms for b = 1.7234, 2.4567,
-        2.5, against 0.34-0.69 ms when every digit went through tol_floor
-        (two-vCPU Xeon, Python 3.11); perfbench's `tables` workload builds a
-        RealBase for every block and cylinder table.
+        Outside the band floor(b y) is at most s_b, as b y < b <= s_b + 1 +
+        EPS_CMP.  The loop does not go through the kernel: the orbit of 1
+        takes a first digit past the alphabet, which the kernel's range
+        check refuses, and it stops at y == 0.  A build takes 0.19-0.30 ms
+        for b = 1.7234, 2.4567, 2.5, against 0.34-0.69 ms when every digit
+        went through tol_floor (two-vCPU Xeon, Python 3.11); perfbench's
+        `tables` workload builds a RealBase for every block and cylinder table.
         """
         digits: list[int] = []
         y = float(x0)
