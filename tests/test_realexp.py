@@ -304,6 +304,12 @@ CYLINDER_PINS = {
         "508b31e060b11e3900c304a0df1b9727860377bc305b14606851d07e28fffad5",
     (3.0, 2, 6):
         "5519cdec736727598c4a9ad532e71c3bdabe0ab163cd229ed5c3032ffd7e0d6e",
+    # two bases whose tail expansion does not terminate, at d' and at the
+    # lengths the benchmark's tables take for bases drawn in these ranges
+    (1.7234, 0, 9):
+        "475e0205027c390c5894342ff0524764e7ec0e54c89a70d1934c450f4dfb86ca",
+    (2.4567, 0, 6):
+        "a90648c1a4cb9a7e6ce17380932bd415634bc4bca21d3b34972dd6d5c8650966",
 }
 
 
@@ -317,6 +323,20 @@ def cylinder_digest(b, d, k):
 @pytest.mark.parametrize("b, d, k", list(CYLINDER_PINS))
 def test_cylinder_intervals_bits_are_pinned(b, d, k):
     assert cylinder_digest(b, d, k) == CYLINDER_PINS[b, d, k]
+
+
+# one sha256 over the lines "b.hex() n block" of enumerate_admissible(n) for
+# each (b, n) in turn
+ENUMERATION_BASES = ((PHI1, 14), (PHI2, 7), (2.5, 7), (3.0, 6), (1.7234, 9), (2.4567, 6))
+ENUMERATION_PIN = "9a765c5c759bc93c153ca482d82f3032e77b8a257af415600d868c2fe457674d"
+
+
+def test_enumerate_admissible_bytes_are_pinned():
+    h = hashlib.sha256()
+    for b, n in ENUMERATION_BASES:
+        for w in RealBase(b).enumerate_admissible(n):
+            h.update(f"{b.hex()} {n} {w}\n".encode())
+    assert h.hexdigest() == ENUMERATION_PIN
 
 
 def test_cylinder_intervals_error_contract():
