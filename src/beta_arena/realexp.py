@@ -5,7 +5,9 @@ T x = b x - floor(b x).  A digit block is admissible when every suffix is
 lexicographically at most the quasi-greedy expansion c of 1; Parry's
 automaton decides this with one integer of state, the length of the tight
 prefix of c, so extending blocks one digit at a time lists the admissible
-blocks of length n with one table lookup per node.  The set of points whose
+blocks of length n with one table lookup per node; each walk first turns
+the automaton's rows into (one-digit block, next state) pairs, so a node
+extends its block by one tuple concatenation.  The set of points whose
 first k digits form a given block is an interval whose exact endpoints this
 module computes; a level-k cylinder decomposition carries each block's
 forward endpoint sums down that same walk, one step per node; in_E (Parry's
@@ -13,7 +15,10 @@ exceptional set E) is its full-length test negated.  Orbits of algebraic
 bases routinely hit cell boundaries head on, so every internal expansion,
 the orbits of 1 and of b - floor(b) too, snaps floors inside the ambiguity
 band by the kernel's rule (numeric._snap) instead of trusting the last bits
-of a double.  The real winning threshold and (n, k) window close the module.
+of a double.  A base builds the orbit of 1 at once and the orbit of
+b - floor(b) on the first read of the tail data it gives, which only the
+winning window needs.  The real winning threshold and (n, k) window close
+the module.
 """
 
 from __future__ import annotations
@@ -56,7 +61,11 @@ class RealBase:
 
     Exposes the digit alphabet bound, the quasi-greedy expansion of 1, the
     terminating-index / zero-run pair of the expansion of b - floor(b), and
-    the admissibility and cylinder machinery built on them.
+    the admissibility and cylinder machinery built on them.  That tail data
+    (i_b, K_b, iK_determined) is computed on the first read of any of the
+    three, so a base built for block listings and cylinder tables never runs
+    the orbit of b - floor(b); the walks extend blocks from rows built once
+    per walk.
     """
 
     def __init__(self, b: float):
@@ -71,7 +80,17 @@ class RealBase:
         self._one = self._greedy_orbit(1.0, DEPTH, allow_first_overflow=True)
         self.c_digits = self._quasi_greedy_from_one()
         self.d_prime = min(self.c_digits)
-        self.i_b, self.K_b, self.iK_determined = self._compute_iK()
+
+    def __getattr__(self, name: str):
+        """Compute the tail data i_b, K_b and iK_determined together on the
+        first read of any of them, and store all three on the instance; only
+        the winning window reads them, so a build for a table skips the orbit
+        of b - floor(b)."""
+        if name in ("i_b", "K_b", "iK_determined"):
+            self.i_b, self.K_b, self.iK_determined = self._compute_iK()
+            return vars(self)[name]
+        raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'",
+                             name=name, obj=self)
 
     # -- construction helpers -------------------------------------------------
 
@@ -84,10 +103,11 @@ class RealBase:
         Outside the band floor(b y) is at most s_b, as b y < b <= s_b + 1 +
         EPS_CMP.  The loop does not go through the kernel: the orbit of 1
         takes a first digit past the alphabet, which the kernel's range
-        check refuses, and it stops at y == 0.  A build takes 0.19-0.30 ms
-        for b = 1.7234, 2.4567, 2.5, against 0.34-0.69 ms when every digit
-        went through tol_floor (two-vCPU Xeon, Python 3.11); perfbench's
-        `tables` workload builds a RealBase for every block and cylinder table.
+        check refuses, and it stops at y == 0.  The orbits of 1 and of
+        b - floor(b) take 0.19-0.30 ms together for b = 1.7234, 2.4567, 2.5,
+        against 0.34-0.69 ms when every digit went through tol_floor
+        (two-vCPU Xeon, Python 3.11); perfbench's `tables` workload builds a
+        RealBase for every block and cylinder table, and runs only the first.
         """
         digits: list[int] = []
         y = float(x0)
@@ -148,9 +168,9 @@ class RealBase:
 
     def value(self, block: Sequence[int]) -> float:
         """Value of a digit block: sum of block[i] * b**-(i+1), by Horner."""
-        acc = 0.0
+        acc, b = 0.0, self.b
         for d in reversed(block):
-            acc = (acc + d) / self.b
+            acc = (acc + d) / b
         return acc
 
     # -- admissibility --------------------------------------------------------
@@ -223,9 +243,10 @@ class RealBase:
             raise ValueError("length must be nonnegative")
         nxt = self._automaton(n)
         self._refuse_many(nxt, n)
+        rows = _rows(nxt)
         level: list[tuple[Block, int]] = [((), 0)]  # (block, automaton state)
         for _ in range(n):
-            level = [(w + (d,), t) for w, s in level for d, t in enumerate(nxt[s])]
+            level = [(w + e, t) for w, s in level for e, t in rows[s]]
         return [w for w, _ in level]
 
     def in_E(self, block: Sequence[int], d: int) -> bool:
@@ -282,20 +303,22 @@ class RealBase:
         self.check_target(d, k)
         nxt, b, bk = self._automaton(k - 1), self.b, self.b ** (-k)
         self._refuse_many(nxt, k - 1)
+        rows = _rows(nxt)
         # (block, automaton state, prefix value, least prefix + b**-j so far)
         level: list[tuple[Block, int, float, float]] = [((), 0, 0.0, 1.0)]
         scale = 1.0
         for _ in range(k - 1):
             scale /= b
-            level = [(w + (e,), t, q, min(hi, q + scale)) for w, s, p, hi in level
-                     for e, t in enumerate(nxt[s]) for q in (p + e * scale,)]
+            level = [(w + e, t, q, min(hi, q + scale)) for w, s, p, hi in level
+                     for e, t in rows[s] for q in (p + e[0] * scale,)]
         scale /= b
+        last, step, full, value = (d,), d * scale, bk - EPS_CMP, self.value
         out: list[CylinderInterval] = []
         for w, _, p, hi in level:
-            w += (d,)
-            hi = min(hi, p + d * scale + scale)
-            lo = self.value(w)
-            out.append(CylinderInterval(w, lo, hi, hi - lo >= bk - EPS_CMP))
+            w += last
+            hi = min(hi, p + step + scale)
+            lo = value(w)
+            out.append(CylinderInterval(w, lo, hi, hi - lo >= full))
         return out
 
     def nearest_full_cylinder(self, x: float, d: int, k: int) -> float | None:
@@ -341,6 +364,12 @@ class RealBase:
 
         cands = scan(w[:], states[:], False)[::-1] + scan(w, states, True)
         return min(cands, key=lambda c: abs(c - x), default=None)
+
+
+def _rows(nxt: list[list[int]]) -> list[list[tuple[Block, int]]]:
+    """Each automaton row as (one-digit block, next state) pairs, built once
+    per walk so that a node extends its block by one tuple concatenation."""
+    return [[((d,), t) for d, t in enumerate(row)] for row in nxt]
 
 
 def _zero_run_bound(base: RealBase) -> int:

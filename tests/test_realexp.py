@@ -134,6 +134,35 @@ def test_tail_data():
     assert base.K_b == 6
 
 
+def test_tail_data_is_computed_on_first_read(monkeypatch):
+    def refuse(self):
+        raise AssertionError("tail data computed before it was read")
+
+    monkeypatch.setattr(RealBase, "_compute_iK", refuse)
+    base = RealBase(2.5)
+    base.enumerate_admissible(5)
+    base.cylinder_intervals(0, 5)
+    base.nearest_full_cylinder(0.3, 0, 5)
+    base.digits(0.3, 8)
+    base.value((1, 0, 2))
+    base.is_admissible((1, 0, 2))
+    base.in_E((1, 0), 0)
+    tail = {"i_b", "K_b", "iK_determined"}
+    assert not tail & vars(base).keys()
+    monkeypatch.undo()
+    calls = []
+    compute = RealBase._compute_iK
+    monkeypatch.setattr(RealBase, "_compute_iK", lambda self: calls.append(self) or compute(self))
+    assert base.K_b == 6
+    assert calls == [base]
+    assert {name: vars(base)[name] for name in tail} == {"i_b": None, "K_b": 6,
+                                                         "iK_determined": False}
+    assert base.i_b is None and base.iK_determined is False and calls == [base]
+    with pytest.raises(AttributeError) as exc:
+        base.tail_data
+    assert str(exc.value) == "'RealBase' object has no attribute 'tail_data'"
+
+
 C_2_5 = ("2101110000110121000111112100010020001001201001111100011001200012"
          "0012011110002010020010101101100020100010201002012100000021001120"
          "1100001210101010201111110111100120010100012100010001202010002012"
