@@ -107,7 +107,8 @@ class RealBase:
         b - floor(b) take 0.19-0.30 ms together for b = 1.7234, 2.4567, 2.5,
         against 0.34-0.69 ms when every digit went through tol_floor
         (two-vCPU Xeon, Python 3.11); perfbench's `tables` workload builds a
-        RealBase for every block and cylinder table, and runs only the first.
+        RealBase for every block and cylinder table, which runs the orbit of
+        1 only.
         """
         digits: list[int] = []
         y = float(x0)
