@@ -18,7 +18,9 @@ Errors are reported once, in `main`, and never as a traceback.  Exit codes:
 or ambiguous input, usage errors included, or an `--out` file that cannot
 be written (`error: ...` or `ambiguous input: ...` on stderr), a strategy
 that gave up (`strategy gave up: ...`), or an indeterminate verdict; 4 an
-illegal move or a failed trace audit.
+illegal move or a failed trace audit; 141 (128 + SIGPIPE, as a shell reports
+for `yes | head`) when the reader of stdout closes before the output ends,
+with nothing on stderr.
 Everything that prints is deterministic for a fixed seed: no timestamps,
 sorted JSON keys, fixed float formatting.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .game import IllegalMoveError, StrategyError, audit_trace, game_json
@@ -309,7 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout closed early: not an input error; the output
+        # left in the buffer goes to os.devnull so that exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except AmbiguousValueError as exc:
         print(f"ambiguous input: {exc}", file=sys.stderr)
     except (ValueError, OSError) as exc:  # OSError: an --out file that cannot be written

@@ -2,10 +2,13 @@
 and the fixed-order sums that give the same bits on every Python version.
 
 The digit maps in one, two and four dimensions are one affine map in
-lattice coordinates, DigitKernel, so they share a single arithmetic path.
+lattice coordinates, DigitKernel, so they share a single arithmetic rule.
 Every floor taken near an integer is flagged, and callers decide whether to
 abort or to snap to the boundary.  The kernel and the lattices share
-ordered_sum and _image.
+ordered_sum and _image.  As _image picks its product by the matrix's shape,
+the kernel picks its body at construction: a 1x1 kernel (a real base) steps
+one float, statement for statement the generic body that the 2x2 and 4x4
+kernels run.
 """
 
 from __future__ import annotations
@@ -234,6 +237,53 @@ def _snap(w: float, t: float, f: int, off: float, lo: int, hi: int, nudge: bool)
 _BAND = 2.0 * EPS_FLOOR
 
 
+def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
+    """DigitKernel's step and expand for a 1x1 matrix (a,), statement for
+    statement the generic body on one float: the image is _image's
+    0.0 + a * u[0], and a snap goes through _snap (a module global, so
+    every guarded floor still calls numeric.safe_floor by name)."""
+    (a,) = row
+    floor, inf = math.floor, math.inf
+
+    def step(u, nudge: bool = False):
+        w = 0.0 + a * u[0]
+        t = w - off
+        try:
+            f = floor(t)
+        except (OverflowError, ValueError):
+            tol_floor(t)  # raises tol_floor's error for a non-finite t
+        frac = t - f
+        rest = 1.0 - frac
+        if frac > _BAND and rest > _BAND:
+            d, r = f, w - f
+        else:
+            d, r = _snap(w, t, f, off, lo, hi, nudge)
+        m = (rest if rest < frac else frac) / norm
+        return (d,), (r,), (m if m < inf else inf)
+
+    def expand(u, n: int, nudge: bool = False) -> list[tuple[int]]:
+        if n < 0:
+            raise ValueError("length must be nonnegative")
+        out = []
+        for _ in range(n):
+            w = 0.0 + a * u[0]
+            t = w - off
+            try:
+                f = floor(t)
+            except (OverflowError, ValueError):
+                tol_floor(t)  # raises tol_floor's error for a non-finite t
+            frac = t - f
+            if frac > _BAND and 1.0 - frac > _BAND:
+                out.append((f,))
+                u = (w - f,)
+            else:
+                d, r = _snap(w, t, f, off, lo, hi, nudge)
+                out.append((d,))
+                u = (r,)
+        return out
+    return step, expand
+
+
 class DigitKernel:
     """The digit map u -> A u - d, d = floor(A u - offsets), in lattice coordinates.
 
@@ -254,6 +304,12 @@ class DigitKernel:
     EPS_FLOOR of an integer takes that integer as its digit, unless no point
     of the box has that digit, and its remainder is put exactly on the
     lower face.
+
+    The body is chosen by shape at construction, as _image chooses its
+    product: a 1x1 kernel binds step and expand on the instance to
+    _scalar_body's, which give the same bits and errors on one float with
+    no loop over rows; DigitKernel.step and DigitKernel.expand
+    stay the generic body (tests/test_scalar_kernel.py holds them equal).
     """
 
     def __init__(self, A, offsets, row_norms):
@@ -270,6 +326,8 @@ class DigitKernel:
                            else math.floor(top + EPS_CMP))
         self._rows = tuple(zip(self.A, offsets, row_norms, self.lo, self.hi))
         self._image = _image(self.A)
+        if len(self.A) == 1:  # a real base: the body on one float
+            self.step, self.expand = _scalar_body(*self._rows[0])
 
     def step(self, u, nudge: bool = False):
         """One step from u: (digit, remainder, margin), the margin being the

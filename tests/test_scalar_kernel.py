@@ -14,7 +14,7 @@ import math
 import random
 
 import pytest
-from test_kernel_digests import on_face
+from test_kernel_digests import kernels, on_face
 
 from beta_arena import numeric
 from beta_arena.numeric import _BAND, EPS_FLOOR, DigitKernel, metallic_mean
@@ -123,3 +123,10 @@ def test_real_kernel_refuses_as_the_generic_body(name, nudge, floors):
                 == outcome(floors, DigitKernel.expand, kernel, u, n, nudge)), (name, u, n)
     assert outcome(floors, kernel.expand, (0.5,), -1, nudge)[0] == (
         ValueError, "length must be nonnegative")
+
+
+def test_only_a_1x1_kernel_binds_its_own_body():
+    # the instance's step and expand shadow the class's generic body
+    for name, kernel in kernels().items():
+        own = {"step", "expand"} & set(vars(kernel))
+        assert own == ({"step", "expand"} if len(kernel.A) == 1 else set()), name
