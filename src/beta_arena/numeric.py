@@ -240,8 +240,9 @@ _BAND = 2.0 * EPS_FLOOR
 def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
     """DigitKernel's step and expand for a 1x1 matrix (a,), statement for
     statement the generic body on one float: the image is _image's
-    0.0 + a * u[0], and a snap goes through _snap (a module global, so
-    every guarded floor still calls numeric.safe_floor by name)."""
+    0.0 + a * u[0], and _snap and tol_floor are looked up as module globals,
+    as there, so every guarded floor still calls numeric.safe_floor by name,
+    where the benchmark's tracer counts it."""
     (a,) = row
     floor, inf = math.floor, math.inf
 
@@ -308,8 +309,8 @@ class DigitKernel:
     The body is chosen by shape at construction, as _image chooses its
     product: a 1x1 kernel binds step and expand on the instance to
     _scalar_body's, which give the same bits and errors on one float with
-    no loop over rows; DigitKernel.step and DigitKernel.expand
-    stay the generic body (tests/test_scalar_kernel.py holds them equal).
+    no loop over rows; DigitKernel.step and DigitKernel.expand stay the
+    generic body (tests/test_scalar_kernel.py holds the two equal).
     """
 
     def __init__(self, A, offsets, row_norms):
