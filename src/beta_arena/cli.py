@@ -190,8 +190,13 @@ _EXIT = {"verified": 0, "falsified": 2, "indeterminate": 3}
 def _write(text: str, out: str | None) -> None:
     """Print text, or write it to the --out file when one is given."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except BrokenPipeError as exc:
+            # a FIFO whose reader closed is an --out that cannot be written
+            # (exit 3), not stdout's reader closing early (141)
+            raise OSError(f"[Errno {exc.errno}] {exc.strerror}: {out!r}") from None
     else:
         print(text)
 
@@ -318,7 +323,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader of stdout closed early: not an input error; the output
         # left in the buffer goes to os.devnull so that exit prints nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except AmbiguousValueError as exc:
         print(f"ambiguous input: {exc}", file=sys.stderr)

@@ -244,7 +244,7 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
     as there, so every guarded floor still calls numeric.safe_floor by name,
     where the benchmark's tracer counts it."""
     (a,) = row
-    floor, inf = math.floor, math.inf
+    floor = math.floor
 
     def step(u, nudge: bool = False):
         w = 0.0 + a * u[0]
@@ -259,8 +259,10 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
             d, r = f, w - f
         else:
             d, r = _snap(w, t, f, off, lo, hi, nudge)
+        # the generic body's margin is this m: frac lies in [0, 1] and norm > 0,
+        # so m is never nan, and an m of inf stays inf there too
         m = (rest if rest < frac else frac) / norm
-        return (d,), (r,), (m if m < inf else inf)
+        return (d,), (r,), m
 
     def expand(u, n: int, nudge: bool = False) -> list[tuple[int]]:
         if n < 0:

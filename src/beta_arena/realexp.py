@@ -74,7 +74,6 @@ class RealBase:
         self.b = float(b)
         self.depth = DEPTH
         self.is_integer = abs(self.b - round(self.b)) <= EPS_CMP
-        # a 1x1 kernel: its step and expand are the scalar body on one float
         self.kernel = DigitKernel(((self.b,),), (0.0,), (1.0,))
         # digit alphabet is {0, ..., s_b}, the digits the kernel can produce
         self.s_b = self.kernel.hi[0]

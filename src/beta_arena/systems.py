@@ -54,7 +54,6 @@ class RealSystem:
         return tuple(u)
 
     def step(self, p: Sequence[float]):
-        # the real kernel's scalar step keeps the generic return shape
         (d,), u, margin = self.kernel.step(self.coords(p), nudge=True)
         return d, u, margin
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -417,6 +419,22 @@ def test_reader_closing_early_exits_141_in_silence():
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_out_fifo_closing_early_exits_3(capsys, monkeypatch, tmp_path):
+    # a broken pipe on an --out file is an output that cannot be written,
+    # not stdout's reader closing early: exit 3 and an error on stderr; the
+    # trace is made larger than a pipe's buffer, so the write meets the
+    # closed reader whenever it closes
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(cli, "game_json", lambda *args: "x" * 2 ** 20)
+    reader = threading.Thread(target=lambda: os.close(os.open(fifo, os.O_RDONLY)), daemon=True)
+    reader.start()
+    code, out, err = run_cli(capsys, "game", "--preset", "dwinning-golden", "--out", str(fifo))
+    reader.join(timeout=60)
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 32] Broken pipe: {str(fifo)!r}\n"
 
 
 def test_grid_parse():

@@ -261,19 +261,34 @@ STOCK_KERNELS = stock_kernels()
 
 def _recorded(kernel, run):
     """run() with the kernel's image recording the points it is applied to:
-    (run's result, or its AmbiguousValueError, and those points as float.hex())."""
-    seen, image = [], kernel._image
+    (run's result, or its AmbiguousValueError, and those points as float.hex()).
+    A 1x1 kernel's own body takes 0.0 + a * u[0] in place of calling _image,
+    so there its entry a, shared by step and expand, is swapped for a float
+    that records what it multiplies."""
+    seen = []
+    if len(kernel.A) == 1:
+        cell = kernel.step.__closure__[kernel.step.__code__.co_freevars.index("a")]
+        owner, name, a = cell, "cell_contents", cell.cell_contents
 
-    def recording(u):
-        seen.append([x.hex() for x in u])
-        return image(u)
-    kernel._image = recording
+        class Recording(float):
+            def __mul__(self, x):
+                seen.append([x.hex()])
+                return a * x
+        hook = Recording(a)
+    else:
+        owner, name, image = kernel, "_image", kernel._image
+
+        def hook(u):
+            seen.append([x.hex() for x in u])
+            return image(u)
+    original = getattr(owner, name)
+    setattr(owner, name, hook)
     try:
         out = run()
     except AmbiguousValueError as exc:
         out = (type(exc), str(exc))
     finally:
-        kernel._image = image
+        setattr(owner, name, original)
     return out, seen
 
 
@@ -298,7 +313,9 @@ def test_expand_is_n_steps(name, unit, axis, shift, n, nudge):
             d, cur, _ = kernel.step(cur, nudge)
             digits.append(d)
         return digits
-    assert _recorded(kernel, lambda: kernel.expand(u, n, nudge)) == _recorded(kernel, steps)
+    got = _recorded(kernel, lambda: kernel.expand(u, n, nudge))
+    assert got == _recorded(kernel, steps)
+    assert len(got[1]) >= min(n, 1)  # the recording sees the body that runs
 
 
 # -- _image: one product per row where the row has one nonzero entry -----------
