@@ -1,11 +1,13 @@
-"""The digit kernel of a real base against the generic body, bit for bit.
+"""Every shape's digit kernel against the reference body, bit for bit.
 
-A real base's kernel is DigitKernel with a 1x1 matrix.  Its step and expand
-must give the digits, remainders (float.hex) and margins (float.hex) of the
-class's DigitKernel.step and DigitKernel.expand, the body every shape runs,
-raise the same errors with the same text, and take the same guarded floors:
-each call of numeric.safe_floor, which the benchmark's tracer counts, is
-recorded with its argument.
+DigitKernel binds one straight-line step and expand per shape at
+construction: numeric._scalar_body for a 1x1 matrix (a real base),
+_plane_body for a 2x2 (a complex base) and _space_body for a 4x4 (a
+quaternion on a lattice).  Each must give the digits, remainders
+(float.hex) and margins (float.hex) of the generic row loop that
+tests/kernel_reference.py keeps, raise the same errors with the same text,
+and take the same guarded floors: each call of numeric.safe_floor, which the
+benchmark's tracer counts, is recorded with its argument.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import math
 import random
 
 import pytest
+from kernel_reference import reference_expand, reference_step
 from test_kernel_digests import kernels, on_face
 
 from beta_arena import numeric
-from beta_arena.numeric import _BAND, EPS_FLOOR, DigitKernel, metallic_mean
+from beta_arena.complexexp import ComplexBase
+from beta_arena.numeric import _BAND, EPS_FLOOR, Quaternion, metallic_mean
+from beta_arena.quatexp import zeta_lattice
 from beta_arena.realexp import RealBase
 
 # 2.9999999999 has digits 0..2, and points just below 1 map within the band
@@ -98,13 +103,13 @@ def test_real_kernel_is_the_generic_body(name, nudge, floors):
         u = [x]
         for _ in range(DEPTH):
             got = outcome(floors, kernel.step, u, nudge)
-            assert got == outcome(floors, DigitKernel.step, kernel, u, nudge), (name, u)
+            assert got == outcome(floors, reference_step, kernel, u, nudge), (name, u)
             if not isinstance(got[0][1], tuple):
                 break  # the step raised
             u = kernel.step(u, nudge)[1]
         for n in (1, 2, DEPTH):
             assert (outcome(floors, kernel.expand, [x], n, nudge)
-                    == outcome(floors, DigitKernel.expand, kernel, [x], n, nudge)), (name, x, n)
+                    == outcome(floors, reference_expand, kernel, [x], n, nudge)), (name, x, n)
 
 
 @pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
@@ -113,15 +118,157 @@ def test_real_kernel_refuses_as_the_generic_body(name, nudge, floors):
     kernel = RealBase(BASES[name]).kernel
     for x in (math.nan, math.inf, -math.inf, 1e308, -1e308, 2.0 ** 1023):
         got = outcome(floors, kernel.step, (x,), nudge)
-        assert got == outcome(floors, DigitKernel.step, kernel, (x,), nudge), (name, x)
+        assert got == outcome(floors, reference_step, kernel, (x,), nudge), (name, x)
         for n in (0, 1, 3):
             assert (outcome(floors, kernel.expand, (x,), n, nudge)
-                    == outcome(floors, DigitKernel.expand, kernel, (x,), n, nudge)), (name, x, n)
+                    == outcome(floors, reference_expand, kernel, (x,), n, nudge)), (name, x, n)
     # a length below 0 is refused, and 0 digits read no coordinate
     for u, n in (((0.5,), -1), ((0.5,), 0), ((), 0), ((), -1), ((), 2)):
         assert (outcome(floors, kernel.expand, u, n, nudge)
-                == outcome(floors, DigitKernel.expand, kernel, u, n, nudge)), (name, u, n)
+                == outcome(floors, reference_expand, kernel, u, n, nudge)), (name, u, n)
     assert outcome(floors, kernel.expand, (0.5,), -1, nudge)[0] == (
+        ValueError, "length must be nonnegative")
+
+
+# -- every shape: the 2x2 and 4x4 bodies -----------------------------------------
+
+def body_kernels():
+    """The stock kernels; a complex base whose square has a different offset
+    on each axis, where no stock kernel's does; and 6i on the zeta lattice of
+    perfbench's digits workload: its A has one nonzero entry per row, so its
+    image is _image's monomial4, where every stock 4x4 kernel's is image4."""
+    out = kernels()
+    out["complex-4.5e^0.05i-lo(0,-0.5)"] = ComplexBase(4.5, 0.05, lo=(0.0, -0.5)).kernel
+    six_i = Quaternion(0.0, 6.0, 0.0, 0.0)
+    out["quat-6i-zeta"] = zeta_lattice(six_i, Quaternion(0.0, 0.0, 1.0, 0.0),
+                                       0.25).digit_map(six_i)
+    return out
+
+
+KERNELS = body_kernels()
+
+
+def edge_targets(kernel, axis):
+    """The floats k + _BAND and k + 1 - _BAND, the fast path's edges, for the
+    digits k of one axis nearest the lower face: at k = 0, t = _BAND is
+    exactly the band test's bound."""
+    lo, hi = kernel.lo[axis], kernel.hi[axis]
+    return [k + e for k in sorted({lo, -1, 0, 1, hi}) if lo <= k <= hi
+            for e in (_BAND, 1.0 - _BAND)]
+
+
+def on_edge(kernel, base, axis, j, target):
+    """base moved along coordinate j so that coordinate `axis` of its image,
+    less its offset, is the float target, or the two points that straddle
+    it when no float of u[j] gives it exactly; only points of the box."""
+    off, a = kernel._rows[axis][1], kernel.A[axis][j]
+    t = lambda u: kernel._image(u)[axis] - off
+    u = list(base)
+    u[j] += (target - t(u)) / a
+    toward = math.inf if (t(u) < target) == (a > 0.0) else -math.inf
+    out = []
+    for _ in range(64):
+        if t(u) == target:
+            out = [list(u)]
+            break
+        nxt = list(u)
+        nxt[j] = math.nextafter(u[j], toward)
+        if (t(u) < target) != (t(nxt) < target):
+            out = [list(u), nxt]
+            break
+        u = nxt
+    return [u for u in out if all(o <= x < o + 1.0 for x, (_, o, *_) in zip(u, kernel._rows))]
+
+
+def edge_points(kernel, rng):
+    """Points whose image lies exactly on the fast path's edge on one axis
+    where a float does, beside it where none does: from the origin, where
+    an axis whose offset is 0 reaches t = _BAND exactly, and from a random
+    point of the box."""
+    offsets = [row[1] for row in kernel._rows]
+    origin = [0.0 if o <= 0.0 < o + 1.0 else o for o in offsets]
+    out = []
+    for axis in range(len(offsets)):
+        j = max(range(len(offsets)), key=lambda c: abs(kernel.A[axis][c]))
+        for target in edge_targets(kernel, axis):
+            for base in (origin, [o + rng.random() for o in offsets]):
+                out += on_edge(kernel, base, axis, j, target)
+    return out
+
+
+def box_points(name, kernel):
+    """Uniform points of the box, points whose image lies on or beside a
+    digit-cell face on each axis, the fast path's edges on each axis, and
+    both ends of the box."""
+    rng = random.Random(f"kernel-body:{name}")
+    offsets = [row[1] for row in kernel._rows]
+    out = [[o + rng.random() for o in offsets] for _ in range(8)]
+    for axis in range(len(offsets)):
+        for shift in SHIFTS:
+            for _ in range(4):
+                u = on_face(kernel, [o + rng.random() for o in offsets], axis, shift)
+                if u is not None:
+                    out.append(u)
+                    break
+    out += edge_points(kernel, rng)
+    out += [offsets, [math.nextafter(o + 1.0, o) for o in offsets]]
+    return out
+
+
+def exact_edges(kernel, pts):
+    """The axes on which some point's image, less the offset, is exactly _BAND."""
+    return {axis for u in pts for axis, (w, (_, off, *_)) in
+            enumerate(zip(kernel._image(u), kernel._rows)) if w - off == _BAND}
+
+
+@pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_is_the_reference(name, nudge, floors):
+    kernel = KERNELS[name]
+    pts = box_points(name, kernel)
+    # on an axis whose offset is 0, the band test's bound itself is reached
+    assert {axis for axis, row in enumerate(kernel._rows) if row[1] == 0.0} <= exact_edges(
+        kernel, pts), name
+    for x in pts:
+        u = x
+        for _ in range(DEPTH):
+            got = outcome(floors, kernel.step, u, nudge)
+            assert got == outcome(floors, reference_step, kernel, u, nudge), (name, u)
+            if not isinstance(got[0][1], tuple):
+                break  # the step raised
+            u = kernel.step(u, nudge)[1]
+        for n in (1, 2, DEPTH):
+            assert (outcome(floors, kernel.expand, x, n, nudge)
+                    == outcome(floors, reference_expand, kernel, x, n, nudge)), (name, x, n)
+
+
+@pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_refuses_as_the_reference(name, nudge, floors):
+    kernel = KERNELS[name]
+    dim = len(kernel.A)
+    inside = [row[1] + 0.5 for row in kernel._rows]
+    for j in range(dim):
+        for x in (math.nan, math.inf, -math.inf, 1e308, -1e308):
+            u = tuple(x if c == j else v for c, v in enumerate(inside))
+            got = outcome(floors, kernel.step, u, nudge)
+            assert got == outcome(floors, reference_step, kernel, u, nudge), (name, u)
+            if not math.isfinite(x):  # a huge finite x may still step
+                assert got[0][0] is ValueError, (name, u)
+                assert got[0][1].startswith("cannot floor non-finite value"), (name, u)
+            for n in (0, 1, 3):
+                assert (outcome(floors, kernel.expand, u, n, nudge)
+                        == outcome(floors, reference_expand, kernel, u, n, nudge)), (name, u, n)
+    # a length below 0 is refused, 0 digits read no coordinate, and a u of
+    # the wrong length is refused as the image refuses it
+    for u in (tuple(inside), (), tuple(inside[1:]), (*inside, 0.5)):
+        if len(u) != dim:
+            got = outcome(floors, kernel.step, u, nudge)
+            assert got == outcome(floors, reference_step, kernel, u, nudge), (name, u)
+        for n in (-1, 0, 2):
+            assert (outcome(floors, kernel.expand, u, n, nudge)
+                    == outcome(floors, reference_expand, kernel, u, n, nudge)), (name, u, n)
+    assert outcome(floors, kernel.expand, tuple(inside), -1, nudge)[0] == (
         ValueError, "length must be nonnegative")
 
 
@@ -130,3 +277,7 @@ def test_only_a_1x1_kernel_binds_its_own_body():
     for name, kernel in kernels().items():
         own = {"step", "expand"} & set(vars(kernel))
         assert own == ({"step", "expand"} if len(kernel.A) == 1 else set()), name
+    assert metallic_mean(2) == pytest.approx(1 + math.sqrt(2), abs=1e-15)
+    for j in range(1, 8):
+        x = metallic_mean(j)
+        assert x * x == pytest.approx(j * x + 1, abs=1e-10)
