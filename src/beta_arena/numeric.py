@@ -6,9 +6,11 @@ lattice coordinates, DigitKernel, so they share a single arithmetic rule.
 Every floor taken near an integer is flagged, and callers decide whether to
 abort or to snap to the boundary.  The kernel and the lattices share
 ordered_sum and _image.  As _image picks its product by the matrix's shape,
-the kernel picks its body at construction: a 1x1 kernel (a real base) steps
-one float, statement for statement the generic body that the 2x2 and 4x4
-kernels run.
+the kernel picks its body at construction, one straight-line body per
+shape: _scalar_body (1x1, a real base), _plane_body (2x2, a complex base)
+and _space_body (4x4, a quaternion on a lattice).  Each is statement for
+statement the generic loop over rows, which the package no longer holds:
+tests/kernel_reference.py keeps it as the reference every body is held to.
 """
 
 from __future__ import annotations
@@ -119,7 +121,10 @@ def ordered_sum(values) -> float:
 def _image(A):
     """The map u -> A u, each row summed left to right from +0.0
     (0.0 + a0*u0 + a1*u1 + ...), which also turns a -0.0 product into +0.0.
-    It is the digit kernel's image and each lattice's two basis changes.  A
+    It is each lattice's two basis changes and the image of a 4x4 digit
+    kernel; the 1x1 and 2x2 kernel bodies inline their products as the
+    1x1 lambda and image2 take them, and tests/kernel_reference.py calls it
+    for every shape.  A
     4x4 matrix with one nonzero entry per row (every stock B and Binv; the
     kernels of 5i, 10k, 6i and real 3 on the unit box) maps with one product
     per row, 0.0 + a * u[k]: on finite u each skipped product is +-0.0, which
@@ -239,10 +244,10 @@ _BAND = 2.0 * EPS_FLOOR
 
 def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
     """DigitKernel's step and expand for a 1x1 matrix (a,), statement for
-    statement the generic body on one float: the image is _image's
-    0.0 + a * u[0], and _snap and tol_floor are looked up as module globals,
-    as there, so every guarded floor still calls numeric.safe_floor by name,
-    where the benchmark's tracer counts it."""
+    statement the tests' reference body (tests/kernel_reference.py) on one
+    float: the image is _image's 0.0 + a * u[0], and _snap and tol_floor are
+    looked up as module globals, as there, so every guarded floor still
+    calls numeric.safe_floor by name, where the benchmark's tracer counts it."""
     (a,) = row
     floor = math.floor
 
@@ -259,7 +264,7 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
             d, r = f, w - f
         else:
             d, r = _snap(w, t, f, off, lo, hi, nudge)
-        # the generic body's margin is this m: frac lies in [0, 1] and norm > 0,
+        # the reference's margin is this m: frac lies in [0, 1] and norm > 0,
         # so m is never nan, and an m of inf stays inf there too
         m = (rest if rest < frac else frac) / norm
         return (d,), (r,), m
@@ -287,6 +292,203 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
     return step, expand
 
 
+def _plane_body(row0, row1):
+    """DigitKernel's step and expand for a 2x2 matrix ((a, b), (c, d)): the
+    tests' reference body (tests/kernel_reference.py) with its row loop
+    unrolled and _image's image2 inlined; as in _scalar_body, _snap and
+    tol_floor are module globals, so each guarded floor calls
+    numeric.safe_floor by name."""
+    ((a, b), off0, norm0, lo0, hi0), ((c, d), off1, norm1, lo1, hi1) = row0, row1
+    floor = math.floor
+
+    def step(u, nudge: bool = False):
+        x, y = u
+        w0 = 0.0 + a * x + b * y
+        w1 = 0.0 + c * x + d * y
+        t = w0 - off0
+        try:
+            f = floor(t)
+        except (OverflowError, ValueError):
+            tol_floor(t)  # raises tol_floor's error for a non-finite t
+        frac = t - f
+        rest = 1.0 - frac
+        if frac > _BAND and rest > _BAND:
+            d0, r0 = f, w0 - f
+        else:
+            d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
+        # the reference's running min from inf: frac lies in [0, 1] and
+        # norm > 0, so no m is nan
+        margin = (rest if rest < frac else frac) / norm0
+        t = w1 - off1
+        try:
+            f = floor(t)
+        except (OverflowError, ValueError):
+            tol_floor(t)
+        frac = t - f
+        rest = 1.0 - frac
+        if frac > _BAND and rest > _BAND:
+            d1, r1 = f, w1 - f
+        else:
+            d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
+        m = (rest if rest < frac else frac) / norm1
+        if m < margin:
+            margin = m
+        return (d0, d1), (r0, r1), margin
+
+    def expand(u, n: int, nudge: bool = False) -> list[tuple[int, int]]:
+        if n < 0:
+            raise ValueError("length must be nonnegative")
+        out = []
+        for _ in range(n):
+            x, y = u
+            w0 = 0.0 + a * x + b * y
+            w1 = 0.0 + c * x + d * y
+            t = w0 - off0
+            try:
+                f = floor(t)
+            except (OverflowError, ValueError):
+                tol_floor(t)
+            frac = t - f
+            if frac > _BAND and 1.0 - frac > _BAND:
+                d0, r0 = f, w0 - f
+            else:
+                d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
+            t = w1 - off1
+            try:
+                f = floor(t)
+            except (OverflowError, ValueError):
+                tol_floor(t)
+            frac = t - f
+            if frac > _BAND and 1.0 - frac > _BAND:
+                d1, r1 = f, w1 - f
+            else:
+                d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
+            out.append((d0, d1))
+            u = r0, r1
+        return out
+    return step, expand
+
+
+def _space_body(image, row0, row1, row2, row3):
+    """DigitKernel's step and expand for a 4x4 matrix: the tests' reference
+    body with its row loop unrolled.  The image stays the kernel's own
+    _image, as monomial4 and image4 differ on non-finite input (dense makes
+    every row nan, monomial only the rows that read it), and with them the
+    first error."""
+    ((_, off0, norm0, lo0, hi0), (_, off1, norm1, lo1, hi1),
+     (_, off2, norm2, lo2, hi2), (_, off3, norm3, lo3, hi3)) = row0, row1, row2, row3
+    floor = math.floor
+
+    def step(u, nudge: bool = False):
+        w0, w1, w2, w3 = image(u)
+        t = w0 - off0
+        try:
+            f = floor(t)
+        except (OverflowError, ValueError):
+            tol_floor(t)  # raises tol_floor's error for a non-finite t
+        frac = t - f
+        rest = 1.0 - frac
+        if frac > _BAND and rest > _BAND:
+            d0, r0 = f, w0 - f
+        else:
+            d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
+        margin = (rest if rest < frac else frac) / norm0  # as in _plane_body
+        t = w1 - off1
+        try:
+            f = floor(t)
+        except (OverflowError, ValueError):
+            tol_floor(t)
+        frac = t - f
+        rest = 1.0 - frac
+        if frac > _BAND and rest > _BAND:
+            d1, r1 = f, w1 - f
+        else:
+            d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
+        m = (rest if rest < frac else frac) / norm1
+        if m < margin:
+            margin = m
+        t = w2 - off2
+        try:
+            f = floor(t)
+        except (OverflowError, ValueError):
+            tol_floor(t)
+        frac = t - f
+        rest = 1.0 - frac
+        if frac > _BAND and rest > _BAND:
+            d2, r2 = f, w2 - f
+        else:
+            d2, r2 = _snap(w2, t, f, off2, lo2, hi2, nudge)
+        m = (rest if rest < frac else frac) / norm2
+        if m < margin:
+            margin = m
+        t = w3 - off3
+        try:
+            f = floor(t)
+        except (OverflowError, ValueError):
+            tol_floor(t)
+        frac = t - f
+        rest = 1.0 - frac
+        if frac > _BAND and rest > _BAND:
+            d3, r3 = f, w3 - f
+        else:
+            d3, r3 = _snap(w3, t, f, off3, lo3, hi3, nudge)
+        m = (rest if rest < frac else frac) / norm3
+        if m < margin:
+            margin = m
+        return (d0, d1, d2, d3), (r0, r1, r2, r3), margin
+
+    def expand(u, n: int, nudge: bool = False) -> list[tuple[int, int, int, int]]:
+        if n < 0:
+            raise ValueError("length must be nonnegative")
+        out = []
+        for _ in range(n):
+            w0, w1, w2, w3 = image(u)
+            t = w0 - off0
+            try:
+                f = floor(t)
+            except (OverflowError, ValueError):
+                tol_floor(t)
+            frac = t - f
+            if frac > _BAND and 1.0 - frac > _BAND:
+                d0, r0 = f, w0 - f
+            else:
+                d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
+            t = w1 - off1
+            try:
+                f = floor(t)
+            except (OverflowError, ValueError):
+                tol_floor(t)
+            frac = t - f
+            if frac > _BAND and 1.0 - frac > _BAND:
+                d1, r1 = f, w1 - f
+            else:
+                d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
+            t = w2 - off2
+            try:
+                f = floor(t)
+            except (OverflowError, ValueError):
+                tol_floor(t)
+            frac = t - f
+            if frac > _BAND and 1.0 - frac > _BAND:
+                d2, r2 = f, w2 - f
+            else:
+                d2, r2 = _snap(w2, t, f, off2, lo2, hi2, nudge)
+            t = w3 - off3
+            try:
+                f = floor(t)
+            except (OverflowError, ValueError):
+                tol_floor(t)
+            frac = t - f
+            if frac > _BAND and 1.0 - frac > _BAND:
+                d3, r3 = f, w3 - f
+            else:
+                d3, r3 = _snap(w3, t, f, off3, lo3, hi3, nudge)
+            out.append((d0, d1, d2, d3))
+            u = r0, r1, r2, r3
+        return out
+    return step, expand
+
+
 class DigitKernel:
     """The digit map u -> A u - d, d = floor(A u - offsets), in lattice coordinates.
 
@@ -309,10 +511,13 @@ class DigitKernel:
     lower face.
 
     The body is chosen by shape at construction, as _image chooses its
-    product: a 1x1 kernel binds step and expand on the instance to
-    _scalar_body's, which give the same bits and errors on one float with
-    no loop over rows; DigitKernel.step and DigitKernel.expand stay the
-    generic body (tests/test_scalar_kernel.py holds the two equal).
+    product, and bound on the instance: step(u, nudge) gives (digit,
+    remainder, margin), the margin being the Euclidean distance from A u to
+    the boundary of its digit cell, and expand(u, n, nudge) the digits of n
+    steps.  The class defines neither; each shape has exactly one
+    straight-line body, with no loop over rows, and tests/test_scalar_kernel.py
+    holds every body to the generic row loop of tests/kernel_reference.py,
+    bit for bit and error for error.
     """
 
     def __init__(self, A, offsets, row_norms):
@@ -328,60 +533,13 @@ class DigitKernel:
             self.hi.append(math.ceil(top - EPS_CMP) - 1 if top > corner + EPS_CMP
                            else math.floor(top + EPS_CMP))
         self._rows = tuple(zip(self.A, offsets, row_norms, self.lo, self.hi))
-        self._image = _image(self.A)
-        if len(self.A) == 1:  # a real base: the body on one float
+        self._image = _image(self.A)  # which refuses any other shape
+        if len(self.A) == 1:
             self.step, self.expand = _scalar_body(*self._rows[0])
-
-    def step(self, u, nudge: bool = False):
-        """One step from u: (digit, remainder, margin), the margin being the
-        Euclidean distance from A u to the boundary of its digit cell."""
-        digit, nxt, margin, floor = [], [], math.inf, math.floor
-        for w, (_, off, norm, lo, hi) in zip(self._image(u), self._rows):
-            t = w - off
-            try:
-                f = floor(t)
-            except (OverflowError, ValueError):
-                tol_floor(t)  # raises tol_floor's error for a non-finite t
-            frac = t - f
-            rest = 1.0 - frac
-            if frac > _BAND and rest > _BAND:
-                digit.append(f)
-                nxt.append(w - f)
-            else:
-                d, r = _snap(w, t, f, off, lo, hi, nudge)
-                digit.append(d)
-                nxt.append(r)
-            # min(frac, rest) / norm is min(frac / norm, rest / norm): norm > 0
-            m = (rest if rest < frac else frac) / norm
-            if m < margin:
-                margin = m
-        return tuple(digit), tuple(nxt), margin
-
-    def expand(self, u, n: int, nudge: bool = False) -> list[tuple[int, ...]]:
-        """First n digits of u: the digits of n steps, without their margins."""
-        if n < 0:
-            raise ValueError("length must be nonnegative")
-        image, rows, floor = self._image, self._rows, math.floor
-        out = []
-        for _ in range(n):
-            digit, nxt = [], []
-            for w, (_, off, _, lo, hi) in zip(image(u), rows):
-                t = w - off
-                try:
-                    f = floor(t)
-                except (OverflowError, ValueError):
-                    tol_floor(t)  # raises tol_floor's error for a non-finite t
-                frac = t - f
-                if frac > _BAND and 1.0 - frac > _BAND:
-                    digit.append(f)
-                    nxt.append(w - f)
-                else:
-                    d, r = _snap(w, t, f, off, lo, hi, nudge)
-                    digit.append(d)
-                    nxt.append(r)
-            out.append(tuple(digit))
-            u = nxt
-        return out
+        elif len(self.A) == 2:
+            self.step, self.expand = _plane_body(*self._rows)
+        else:
+            self.step, self.expand = _space_body(self._image, *self._rows)
 
     def reconstruct(self, digits) -> list[float]:
         """Lattice coordinates of sum_j A^-j d_j, the point these digits

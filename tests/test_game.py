@@ -11,7 +11,7 @@ from beta_arena.complexexp import ComplexBase, F_threshold, find_n_complex
 from beta_arena.game import (RADIUS_FLOOR, Claim, GameParams, GameTrace, IllegalMoveError,
                              Move, StrategyError, _escape, audit_trace, certified_digits,
                              game_json, play, verify_outcome)
-from beta_arena.numeric import EPS_CMP, DigitKernel, Quaternion, metallic_mean
+from beta_arena.numeric import EPS_CMP, Quaternion, metallic_mean
 from beta_arena.presets import BOBS, PRESETS, build_preset, run_setup
 from beta_arena.quatexp import LatticeDomain, lipschitz, zeta_lattice
 from beta_arena.realexp import A_threshold, RealBase, find_nk_real, winning_gap
@@ -583,15 +583,16 @@ def test_avoidance_reads_every_block_inside_the_box(monkeypatch, preset, alpha, 
     setup = build_preset(preset, alpha=alpha)
     lattice = setup.system.lattice
     inside = []
-    orig = DigitKernel.expand
+    kernel = setup.system.kernel
+    orig = kernel.expand
 
-    def checked(self, u, n, nudge=False):
+    def checked(u, n, nudge=False):
         inside.append(lattice.box_contains(u))
-        return orig(self, u, n, nudge)
+        return orig(u, n, nudge)
 
     def forbidden(self, n):
         raise AssertionError("Quaternion.powi called during the game")
-    monkeypatch.setattr(DigitKernel, "expand", checked)
+    monkeypatch.setattr(kernel, "expand", checked)
     monkeypatch.setattr(Quaternion, "powi", forbidden)
     trace, _ = run_setup(setup, seed=seed)
     assert any("clipped" in note for note in trace.notes)

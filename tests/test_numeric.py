@@ -262,33 +262,44 @@ STOCK_KERNELS = stock_kernels()
 def _recorded(kernel, run):
     """run() with the kernel's image recording the points it is applied to:
     (run's result, or its AmbiguousValueError, and those points as float.hex()).
-    A 1x1 kernel's own body takes 0.0 + a * u[0] in place of calling _image,
-    so there its entry a, shared by step and expand, is swapped for a float
-    that records what it multiplies."""
+    Each shape's body holds its image in closure cells that its step and
+    expand share.  The 4x4 body calls the kernel's _image from its cell
+    image, which is swapped for one that records its argument.  The 1x1 and
+    2x2 bodies take _image's products inline, 0.0 + a * u[0] and
+    0.0 + a * x + b * y (then c * x + d * y), so there the entries a and b
+    are swapped for floats that record what they multiply: a starts a point,
+    b adds its second coordinate."""
     seen = []
-    if len(kernel.A) == 1:
-        cell = kernel.step.__closure__[kernel.step.__code__.co_freevars.index("a")]
-        owner, name, a = cell, "cell_contents", cell.cell_contents
+    cells = dict(zip(kernel.step.__code__.co_freevars, kernel.step.__closure__))
 
+    def recording(a, first):
         class Recording(float):
             def __mul__(self, x):
-                seen.append([x.hex()])
+                if first:
+                    seen.append([])
+                seen[-1].append(x.hex())
                 return a * x
-        hook = Recording(a)
-    else:
-        owner, name, image = kernel, "_image", kernel._image
+        return Recording(a)
+    if len(kernel.A) == 4:
+        image = cells["image"].cell_contents
 
         def hook(u):
             seen.append([x.hex() for x in u])
             return image(u)
-    original = getattr(owner, name)
-    setattr(owner, name, hook)
+        hooks = {"image": hook}
+    else:
+        hooks = {name: recording(cells[name].cell_contents, name == "a")
+                 for name in ("a", "b")[:len(kernel.A)]}
+    originals = {name: cells[name].cell_contents for name in hooks}
+    for name, hook in hooks.items():
+        cells[name].cell_contents = hook
     try:
         out = run()
     except AmbiguousValueError as exc:
         out = (type(exc), str(exc))
     finally:
-        setattr(owner, name, original)
+        for name, original in originals.items():
+            cells[name].cell_contents = original
     return out, seen
 
 

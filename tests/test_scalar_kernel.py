@@ -21,7 +21,7 @@ from test_kernel_digests import kernels, on_face
 
 from beta_arena import numeric
 from beta_arena.complexexp import ComplexBase
-from beta_arena.numeric import _BAND, EPS_FLOOR, Quaternion, metallic_mean
+from beta_arena.numeric import _BAND, EPS_FLOOR, DigitKernel, Quaternion, metallic_mean
 from beta_arena.quatexp import zeta_lattice
 from beta_arena.realexp import RealBase
 
@@ -272,11 +272,15 @@ def test_kernel_refuses_as_the_reference(name, nudge, floors):
         ValueError, "length must be nonnegative")
 
 
-def test_only_a_1x1_kernel_binds_its_own_body():
-    # the instance's step and expand shadow the class's generic body
-    for name, kernel in kernels().items():
-        own = {"step", "expand"} & set(vars(kernel))
-        assert own == ({"step", "expand"} if len(kernel.A) == 1 else set()), name
+def test_every_shape_binds_its_own_body():
+    # the class defines no step or expand: each instance binds its shape's body
+    assert not {"step", "expand"} & set(vars(DigitKernel))
+    bodies = {1: "_scalar_body", 2: "_plane_body", 4: "_space_body"}
+    for name, kernel in KERNELS.items():
+        assert {"step", "expand"} <= set(vars(kernel)), name
+        for method in (kernel.step, kernel.expand):
+            assert method.__qualname__.split(".")[0] == bodies[len(kernel.A)], name
+    assert KERNELS["quat-6i-zeta"]._image.__name__ == "monomial4"
     assert metallic_mean(2) == pytest.approx(1 + math.sqrt(2), abs=1e-15)
     for j in range(1, 8):
         x = metallic_mean(j)
