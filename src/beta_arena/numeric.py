@@ -121,10 +121,9 @@ def ordered_sum(values) -> float:
 def _image(A):
     """The map u -> A u, each row summed left to right from +0.0
     (0.0 + a0*u0 + a1*u1 + ...), which also turns a -0.0 product into +0.0.
-    It is each lattice's two basis changes and the image of a 4x4 digit
-    kernel; the 1x1 and 2x2 kernel bodies inline their products as the
-    1x1 lambda and image2 take them, and tests/kernel_reference.py calls it
-    for every shape.  A
+    It is each lattice's two basis changes and a 4x4 digit kernel's image;
+    the 1x1 and 2x2 kernel bodies inline the products of its 1x1 lambda and
+    image2, and tests/kernel_reference.py calls it for every shape.  A
     4x4 matrix with one nonzero entry per row (every stock B and Binv; the
     kernels of 5i, 10k, 6i and real 3 on the unit box) maps with one product
     per row, 0.0 + a * u[k]: on finite u each skipped product is +-0.0, which
