@@ -332,9 +332,9 @@ def Vk_squares(base: ComplexBase, k: int) -> list[Quaternion]:
         raise ValueError("k must be positive")
     if base.N is None:
         raise ValueError("digit set is not square; no tile structure")
-    for n in range(1, k + 1):
-        res = check_Ck(base, n)
-        if not res.holds:
+    # level 1 holds once N is set: r > (2N - 1)(cos t + sin t) >= cos t + sin t
+    for n in range(2, k + 1):
+        if not check_Ck(base, n).holds:
             raise ValueError(f"refinement condition fails at level {n}")
     digits = [Quaternion.complex2(da, db) for da, db in snake_order(base.N)]
     # level by level, as component tuples summed the way Quaternion.__add__ sums

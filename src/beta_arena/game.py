@@ -5,8 +5,8 @@ radius alpha times the current one inside it, Bob answers inside hers with
 the radius scaled by beta, and the intersection point of the chain is the
 outcome.  Radii are forced by the schedule rho_n = (alpha beta)^n rho, so a
 move is just a center; the engine holds every ball exactly inside the one
-before it (_escape) and keeps centers inside the expansion domain when one
-is attached (the game is played on the domain as a metric space).
+before it (_escape) and keeps centers inside the expansion domain: every
+game has a domain, a system, and is played on it as a metric space.
 Double precision runs out near radius 1e-12, so games stop there rather
 than pretending to resolve further digits.
 
@@ -92,7 +92,7 @@ class GameState(Record):
     __slots__ = ("params", "system", "seed", "_round_no", "_ball", "_radius", "_reach",
                  "_scratch", "_notes", "_rng")
 
-    def __init__(self, params: GameParams, system: object | None, seed: int = 0):
+    def __init__(self, params: GameParams, system: object, seed: int = 0):
         self.params, self.system, self.seed = params, system, seed
         self._round_no, self._ball, self._radius, self._reach, self._scratch = (
             0, None, 0.0, 0.0, {})
@@ -171,20 +171,21 @@ def game_json(setup, trace, result, violations: list[str]) -> str:
 
 
 def play(params: GameParams, alice: Strategy, bob: Strategy,
-         max_rounds: int = 64, system=None, seed: int = 0) -> GameTrace:
+         max_rounds: int = 64, *, system, seed: int = 0) -> GameTrace:
     """Run the game to max_rounds or to the double-precision radius floor.
 
     Every center is validated against the containment inequality of its
     player before being accepted; a violation raises IllegalMoveError
-    naming the player.  With a system attached, centers must also stay in
-    the fundamental domain.  A negative seed is refused.
+    naming the player.  The game is played on system's domain: a system of
+    another dimension or an initial center outside it is refused, and every
+    center must stay in it.  A negative seed is refused.
     """
     if seed < 0:
         raise ValueError("seed must be at least 0")
-    if system is not None and system.dim != params.dimension:
+    if system.dim != params.dimension:
         raise ValueError("system dimension does not match game dimension")
     x0 = tuple(map(float, params.initial_center))
-    if system is not None and not system.contains(x0):
+    if not system.contains(x0):
         raise ValueError("initial center outside the domain")
     state = GameState(params, system, seed)
     moves = [Move("bob", 0, x0, params.rho)]
@@ -207,7 +208,7 @@ def play(params: GameParams, alice: Strategy, bob: Strategy,
         gap = _escape(ball, center, radius)
         if gap is not None:
             raise IllegalMoveError(player, n, f"ball escapes the previous one by {gap:.3e}")
-        if system is not None and not system.contains(center):
+        if not system.contains(center):
             raise IllegalMoveError(player, n, "center left the domain")
         moves.append(Move(player, n, center, radius))
 
@@ -305,7 +306,8 @@ class Claim(FrozenRecord):
 
     kind "contains": the digits of the outcome match `block` starting at
     1-based `position`.  kind "avoids": no alignment window of length
-    len(block) among the first m digits equals `block`.
+    len(block) among the first m digits equals `block`.  Digits compare by
+    ==, as the adapters' step gives them: ints for a real base, else int tuples.
     """
 
     __slots__ = ("kind", "block", "position")
@@ -339,12 +341,13 @@ def certified_digits(system, center: Sequence[float], radius: float, m: int
 
     Digit j is certified when every point within `radius` of the center
     provably shares it: the pre-floor image at step j sits farther from its
-    cell boundary than the radius grown by |radix|^j.
+    cell boundary than the radius grown by |radix|^j.  The orbit is
+    expand_digits' in nudge mode, bit for bit: one coords, then kernel steps.
     """
     digits: list = []
     certified = 0
     growing = True
-    cur = center
+    cur = system.coords(center)
     growth = 1.0
     for j in range(1, m + 1):
         d, cur, margin = system.step(cur)
@@ -377,7 +380,7 @@ def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResu
                                 "claim extends past the requested depth")
         for i in range(L):
             pos = claim.position + i
-            if pos <= certified and not system.digit_matches(digits[pos - 1], claim.block[i]):
+            if pos <= certified and digits[pos - 1] != claim.block[i]:
                 return VerifyResult("falsified", digits, certified,
                                     f"digit {pos} is {digits[pos - 1]}, "
                                     f"expected {claim.block[i]}")
@@ -392,7 +395,7 @@ def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResu
         lo = w * L
         window = digits[lo:lo + L]
         window_certified = certified >= lo + L
-        if all(system.digit_matches(a, b) for a, b in zip(window, claim.block)):
+        if all(a == b for a, b in zip(window, claim.block)):
             if window_certified:
                 return VerifyResult("falsified", digits, certified,
                                     f"avoided block occurs at window {w + 1}")

@@ -61,7 +61,7 @@ def _random_move(s: GameState, center: Vector, budget: float) -> Vector:
     center itself after 256 draws outside it."""
     for _ in range(256):
         y = tuple(c + budget * u for c, u in zip(center, _ball_sample(s.rng, s.params.dimension)))
-        if s.system is None or s.system.contains(y):
+        if s.system.contains(y):
             return y
     return center
 
@@ -76,7 +76,7 @@ bob_random = alice_random
 
 def bob_optimal_drift() -> Strategy:
     """Move maximally away from Alice's center along the first axis,
-    clipped at the domain boundary when a domain is attached."""
+    clipped at the domain's boundary."""
     def f(s: GameState) -> Vector:
         y = s.ball.center
         v = (1.0,) + (0.0,) * (s.params.dimension - 1)

@@ -14,11 +14,13 @@ beside the contains it agrees with.
 The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
-converts them to the lattice coordinates of its digit kernel (`coords`) and
-back (`_point`).  The quaternion adapter's basis changes are its lattice's
-Binv_times and B_times, plain-Python 4x4 products built once by the digit
-kernel's numeric._image.  This module imports no expansion module, as each
-adapter takes its base ready-built.
+converts one to the lattice coordinates of its digit kernel (`coords`) and
+back (`_point`), crossing the basis once a call.  `step` is the kernel's
+step, in kernel coordinates, so certified_digits and expand_digits convert
+a point once and read the kernel's one orbit.  The quaternion adapter's
+basis changes are its lattice's Binv_times and B_times, plain-Python 4x4
+products built once by the digit kernel's numeric._image.  This module
+imports no expansion module, as each adapter takes its base ready-built.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ if TYPE_CHECKING:
 
 
 class RealSystem:
+    """A real base on [0, 1); kernel coordinates: the point's one float."""
+
     dim = 1
     box = ((1.0, 0.0),)
 
@@ -53,15 +57,14 @@ class RealSystem:
     def _point(self, u) -> tuple[float, ...]:
         return tuple(u)
 
-    def step(self, p: Sequence[float]):
-        (d,), u, margin = self.kernel.step(self.coords(p), nudge=True)
+    def step(self, u: Sequence[float]):
+        (d,), u, margin = self.kernel.step(u, nudge=True)
         return d, u, margin
-
-    def digit_matches(self, a, b) -> bool:
-        return a == b
 
 
 class ComplexSystem:
+    """A complex base on its square; kernel coordinates: the point's two floats."""
+
     dim = 2
 
     def __init__(self, base: ComplexBase):
@@ -80,15 +83,13 @@ class ComplexSystem:
     def _point(self, u) -> tuple[float, ...]:
         return tuple(u)
 
-    def step(self, p: Sequence[float]):
-        d, u, margin = self.kernel.step(self.coords(p), nudge=True)
-        return d, u, margin
-
-    def digit_matches(self, a, b) -> bool:
-        return tuple(a) == tuple(b)
+    def step(self, u: Sequence[float]):
+        return self.kernel.step(u, nudge=True)
 
 
 class QuatSystem:
+    """A quaternion base on a lattice's box; kernel coordinates: Binv_times."""
+
     dim = 4
 
     def __init__(self, q: Quaternion, lattice: LatticeDomain):
@@ -118,21 +119,17 @@ class QuatSystem:
     def _point(self, u) -> tuple[float, ...]:
         return self.lattice.B_times(map(float, u))
 
-    def step(self, p: Sequence[float]):
-        d, u, margin = self.kernel.step(self.coords(p), nudge=True)
-        return d, self.lattice.B_times(u), margin
-
-    def digit_matches(self, a, b) -> bool:
-        return tuple(a) == tuple(b)
+    def step(self, u: Sequence[float]):
+        return self.kernel.step(u, nudge=True)
 
 
 def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
                     step: float) -> float:
     """Largest t <= step with start + t * direction still in the system's
     domain: the point at t is inside and the one at the next float is not.
-    step itself when system is None or the full step stays inside; 0.0 from
-    a start outside, for a step that is not finite and above 0, or along a
-    direction that is not finite.
+    step itself when the full step stays inside, which is the first
+    question asked of contains; 0.0 from a start outside, for a step that
+    is not finite and above 0, or along a direction that is not finite.
 
     With a box, membership along the ray is lower <= scale * (a + t * b) <
     upper on every moving coordinate, contains' answer: RealSystem and
@@ -146,8 +143,6 @@ def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
     contains.  tests/test_systems.py holds each adapter's contains to the
     box formula.
     """
-    if system is None:
-        return step
     if system.contains([float(a) + step * float(b) for a, b in zip(start, direction)]):
         return step
     pairs = list(zip(map(float, start), map(float, direction)))

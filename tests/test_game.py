@@ -29,6 +29,20 @@ def alice_hold(s):
     return s.ball.center
 
 
+class Unbounded:
+    """A domain that is all of R^dim: contains accepts every point, so play
+    on it refuses no center for its place and max_step_inside returns the
+    full step at its first question."""
+
+    box = None
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def contains(self, p):
+        return True
+
+
 # -- parameters and schedule ---------------------------------------------------
 
 def test_params_validation():
@@ -52,7 +66,7 @@ def test_radius_schedule():
 
 def test_hold_play_schedule_and_audit():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(p, alice_hold, bob_center_hold(), max_rounds=10)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=10, system=Unbounded(1))
     assert trace.status == "max-rounds"
     assert trace.rounds_played == 10
     for mv in trace.moves:
@@ -64,7 +78,7 @@ def test_hold_play_schedule_and_audit():
 
 def test_resolution_floor_stops_play():
     p = GameParams(0.1, 0.1, 1.0, 1, (0.5,))
-    trace = play(p, alice_hold, bob_center_hold(), max_rounds=64)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=64, system=Unbounded(1))
     assert trace.status == "resolution-exhausted"
     assert trace.final_radius >= 1e-14
     assert trace.rounds_played < 10
@@ -86,7 +100,7 @@ def test_illegal_alice_is_named():
         return [c + 0.9 for c in state.ball.center]  # escapes x0-ball of radius 1
 
     with pytest.raises(IllegalMoveError) as exc:
-        play(p, cheating_alice, bob_center_hold(), max_rounds=4)
+        play(p, cheating_alice, bob_center_hold(), max_rounds=4, system=Unbounded(1))
     assert exc.value.player == "alice"
     assert exc.value.round_no == 1
 
@@ -98,13 +112,13 @@ def test_illegal_bob_is_named():
         return [c + 0.3 for c in state.ball.center]  # exceeds (1-beta) * 0.3
 
     with pytest.raises(IllegalMoveError) as exc:
-        play(p, alice_hold, cheating_bob, max_rounds=4)
+        play(p, alice_hold, cheating_bob, max_rounds=4, system=Unbounded(1))
     assert exc.value.player == "bob"
 
-    trace = play(EDGE, alice_hold, lambda s: (0.75,), max_rounds=1)
+    trace = play(EDGE, alice_hold, lambda s: (0.75,), max_rounds=1, system=Unbounded(1))
     assert audit_trace(trace) == []
     with pytest.raises(IllegalMoveError, match="escapes the previous one by 1.110e-16"):
-        play(EDGE, alice_hold, lambda s: (ABOVE,), max_rounds=1)
+        play(EDGE, alice_hold, lambda s: (ABOVE,), max_rounds=1, system=Unbounded(1))
 
 
 def test_a_bob_escaping_by_half_the_comparison_slack_is_refused():
@@ -135,14 +149,14 @@ def test_domain_escape_is_illegal():
 def test_malformed_center_rejected():
     p = GameParams(0.3, 0.5, 1.0, 1, (0.5,))
     with pytest.raises(IllegalMoveError):
-        play(p, lambda s: np.array([np.nan]), bob_center_hold())
+        play(p, lambda s: np.array([np.nan]), bob_center_hold(), system=Unbounded(1))
     with pytest.raises(IllegalMoveError):
-        play(p, lambda s: np.array([0.5, 0.5]), bob_center_hold())
+        play(p, lambda s: np.array([0.5, 0.5]), bob_center_hold(), system=Unbounded(1))
 
 
 def test_audit_catches_doctored_radius():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(p, alice_hold, bob_center_hold(), max_rounds=6)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=6, system=Unbounded(1))
     mv = trace.moves[3]
     trace.moves[3] = Move(mv.player, mv.round_no, mv.center, mv.radius * 1.5)
     assert any("radius off schedule" in v for v in audit_trace(trace))
@@ -150,12 +164,12 @@ def test_audit_catches_doctored_radius():
 
 def test_audit_catches_doctored_center():
     p = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(p, alice_hold, bob_center_hold(), max_rounds=6)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=6, system=Unbounded(1))
     mv = trace.moves[4]
     trace.moves[4] = Move(mv.player, mv.round_no, tuple(c + 0.2 for c in mv.center), mv.radius)
     assert any("containment violated" in v for v in audit_trace(trace))
 
-    trace = play(EDGE, alice_hold, bob_center_hold(), max_rounds=1)
+    trace = play(EDGE, alice_hold, bob_center_hold(), max_rounds=1, system=Unbounded(1))
     bob = trace.moves[2]
     trace.moves[2] = Move(bob.player, bob.round_no, (0.75,), bob.radius)
     assert audit_trace(trace) == []
@@ -168,7 +182,7 @@ def test_audit_catches_a_radius_one_ulp_off(index):
     # the schedule holds each radius to play's own expression, bit for bit;
     # a tolerance of 1e-9 of the radius would let a last-bit change through
     p = GameParams(0.3, 0.7, 0.4, 1, (0.5,))
-    trace = play(p, alice_hold, bob_center_hold(), max_rounds=4)
+    trace = play(p, alice_hold, bob_center_hold(), max_rounds=4, system=Unbounded(1))
     assert audit_trace(trace) == []
     mv = trace.moves[index]
     off = math.nextafter(mv.radius, 0.0)
@@ -646,7 +660,7 @@ def test_certified_count_switches_at_the_digit_threshold(system, p, j):
 def test_verify_contains_falsified():
     base = RealBase(PHI)
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(params, alice_hold, bob_center_hold(), max_rounds=40)
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=40, system=Unbounded(1))
     system = RealSystem(base)
     true_digits = base.digits(0.5, 3, on_ambiguous="nudge")
     wrong = 1 - true_digits[2]
@@ -659,7 +673,7 @@ def test_verify_contains_falsified():
 def test_verify_indeterminate_on_fat_ball():
     base = RealBase(PHI)
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(params, alice_hold, bob_center_hold(), max_rounds=2)
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=2, system=Unbounded(1))
     system = RealSystem(base)
     res = verify_outcome(trace, system, Claim("contains", (0,), 8), 8)
     assert res.verdict == "indeterminate"
@@ -668,7 +682,7 @@ def test_verify_indeterminate_on_fat_ball():
 def test_verify_avoids_falsified_when_block_present():
     base = RealBase(PHI)
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(params, alice_hold, bob_center_hold(), max_rounds=40)
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=40, system=Unbounded(1))
     system = RealSystem(base)
     digs = base.digits(0.5, 4, on_ambiguous="nudge")
     res = verify_outcome(trace, system, Claim("avoids", (digs[0],)), 4)
@@ -693,7 +707,7 @@ def trace_dict(trace):
 
 def test_trace_json_round_trip_fields():
     params = GameParams(0.5, 0.5, 0.25, 1, (0.5,))
-    trace = play(params, alice_hold, bob_center_hold(), max_rounds=3)
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=3, system=Unbounded(1))
     doc = json.loads(trace.to_json())
     assert doc["params"]["alpha"] == 0.5
     assert doc["status"] == "max-rounds"
@@ -723,7 +737,8 @@ def test_to_json_is_json_dumps_of_to_dict(dim, alpha, beta, rho, data, notes, se
     params = GameParams(alpha, beta, rho, dim, center)
     # a center that is not finite can only open a game: no move could follow it
     rounds = data.draw(st.integers(0, 6)) if all(map(math.isfinite, center)) else 0
-    trace = play(params, alice_random(), bob_random(), max_rounds=rounds, seed=seed)
+    trace = play(params, alice_random(), bob_random(), max_rounds=rounds, seed=seed,
+                 system=Unbounded(dim))
     trace.notes = notes
     assert trace.to_json() == _dumps(trace)
     # to_dict builds every dict in sorted key order, which to_json writes unsorted
@@ -776,7 +791,8 @@ def test_random_players_refuse_a_draw_that_escapes_by_rounding():
     # (5.4e-6); play's slack of four ulps of the largest coordinate keeps a
     # draw at the edge of Bob's reach inside Alice's ball
     params = GameParams(0.01, 0.01, 53568, 4, (0, 0, 0, 0))
-    trace = play(params, alice_random(), bob_random(), max_rounds=4, seed=49624)
+    trace = play(params, alice_random(), bob_random(), max_rounds=4, seed=49624,
+                 system=Unbounded(4))
     assert (trace.status, trace.rounds_played) == ("max-rounds", 4)
     assert audit_trace(trace) == []
     assert trace.to_json() == _dumps(trace)
@@ -797,7 +813,7 @@ def test_to_json_writes_numpy_floats_and_empty_lists_as_json_does():
     # moves as play records them, with one odd move appended
     for dim in (1, 2, 4):
         played = play(GameParams(0.5, 0.5, 1.0, dim, (0.5,) * dim), alice_random(),
-                      bob_random(), max_rounds=3, seed=dim)
+                      bob_random(), max_rounds=3, seed=dim, system=Unbounded(dim))
         c = played.moves[-1].center
         odd = [Move("bob", 4, c, 1), Move("bob", 4, c, np.float64(0.125)),
                Move("bob", 4, (math.inf,) + c[1:], 0.125),
@@ -912,7 +928,6 @@ def test_max_step_inside_matches_array_bisection(system, u, d, step):
         if system.box is not None:  # only the full step asks contains
             assert counted.calls == 1
         start = start + got * direction
-    assert max_step_inside(None, start, direction, step) is step
 
 
 @settings(max_examples=500, deadline=None)
