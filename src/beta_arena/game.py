@@ -306,8 +306,8 @@ class Claim(FrozenRecord):
 
     kind "contains": the digits of the outcome match `block` starting at
     1-based `position`.  kind "avoids": no alignment window of length
-    len(block) among the first m digits equals `block`.  Digits compare by
-    ==, as the adapters' step gives them: ints for a real base, else int tuples.
+    len(block) among the first m digits equals `block`.  Each digit is an int
+    (real base) or a tuple of ints, as the adapters' step gives them, for ==.
     """
 
     __slots__ = ("kind", "block", "position")
@@ -319,6 +319,9 @@ class Claim(FrozenRecord):
             raise ValueError("claim block must be nonempty")
         if position < 1:
             raise ValueError("position is 1-based")
+        if not all(isinstance(d, int) or isinstance(d, tuple) and all(isinstance(x, int) for x in d)
+                   for d in block):
+            raise ValueError("claim digits must be ints or tuples of ints")
         set_kind, set_block, set_position = self._setters
         set_kind(self, kind)
         set_block(self, block)

@@ -39,7 +39,6 @@ if TYPE_CHECKING:
 
 class RealSystem:
     """A real base on [0, 1); kernel coordinates: the point's one float."""
-
     dim = 1
     box = ((1.0, 0.0),)
 
@@ -64,7 +63,6 @@ class RealSystem:
 
 class ComplexSystem:
     """A complex base on its square; kernel coordinates: the point's two floats."""
-
     dim = 2
 
     def __init__(self, base: ComplexBase):
@@ -89,7 +87,6 @@ class ComplexSystem:
 
 class QuatSystem:
     """A quaternion base on a lattice's box; kernel coordinates: Binv_times."""
-
     dim = 4
 
     def __init__(self, q: Quaternion, lattice: LatticeDomain):

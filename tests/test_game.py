@@ -689,6 +689,24 @@ def test_verify_avoids_falsified_when_block_present():
     assert res.verdict == "falsified"
 
 
+def test_claim_refuses_digits_that_would_never_compare_equal():
+    # a digit written as a list or an array never equals the kernel's int tuple,
+    # so a claim holding one would verify an "avoids" and falsify a "contains"
+    system = QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), lipschitz())
+    params = GameParams(0.5, 0.5, 0.25, 4, (0.31, 0.17, 0.43, 0.12))
+    trace = play(params, alice_hold, bob_center_hold(), max_rounds=40, system=system)
+    digits, certified = certified_digits(system, trace.final_center, trace.final_radius, 4)
+    assert certified == 4
+    claim = Claim("contains", tuple(digits[:2]), 1)
+    assert verify_outcome(trace, system, claim, 4).verdict == "verified"
+    assert verify_outcome(trace, system, Claim("avoids", (digits[0],)), 4).verdict == "falsified"
+    for bad in (list(digits[0]), np.array(digits[0]), tuple(map(np.int64, digits[0])),
+                np.int64(1), 0.5, "ab", (0.0, 1, 0, 0)):
+        with pytest.raises(ValueError, match="claim digits must be ints or tuples of ints"):
+            Claim("avoids", (bad,))
+
+
+
 def trace_dict(trace):
     """A trace as a JSON-ready dict: schema 2, which GameTrace.to_json writes."""
     p = trace.params

@@ -303,8 +303,8 @@ def test_zeta_lattice_digit_containment():
         coords = tuple(rng.uniform(-0.25, 0.75, size=4))
         z = lattice.point(coords)
         assert lattice.contains(z)
-        _, rem, _ = system.step(np.array(z.components))
-        assert lattice.contains(Quaternion(*map(float, rem)))
+        _, rem, _ = system.step(lattice.to_coords(z))
+        assert lattice.box_contains(rem)
 
 
 def test_zeta_lattice_rejects_bad_eta():
