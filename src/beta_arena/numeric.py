@@ -3,8 +3,8 @@ and the fixed-order sums that give the same bits on every Python version.
 
 The digit maps in one, two and four dimensions are one affine map in
 lattice coordinates, DigitKernel, so they share a single arithmetic rule.
-Every floor taken near an integer is flagged, and callers decide whether to
-abort or to snap to the boundary.  The kernel and the lattices share
+Every floor taken near an integer is flagged; the kernel's step snaps to
+the boundary, and its expand aborts or snaps.  The kernel and the lattices share
 ordered_sum and _image.  As _image picks its product by the matrix's shape,
 the kernel picks its body at construction, one straight-line body per
 shape: _scalar_body (1x1, a real base), _plane_body (2x2, a complex base)
@@ -244,13 +244,13 @@ _BAND = 2.0 * EPS_FLOOR
 def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
     """DigitKernel's step and expand for a 1x1 matrix (a,), statement for
     statement the tests' reference body (tests/kernel_reference.py) on one
-    float: the image is _image's 0.0 + a * u[0], and _snap and tol_floor are
-    looked up as module globals, as there, so every guarded floor still
-    calls numeric.safe_floor by name, where the benchmark's tracer counts it."""
+    float, its digit a bare int; its image is 0.0 + a * u[0], and _snap and
+    tol_floor are module globals, as there, so every guarded floor calls
+    numeric.safe_floor by name, where the benchmark's tracer counts it."""
     (a,) = row
     floor = math.floor
 
-    def step(u, nudge: bool = False):
+    def step(u):
         w = 0.0 + a * u[0]
         t = w - off
         try:
@@ -262,13 +262,13 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
         if frac > _BAND and rest > _BAND:
             d, r = f, w - f
         else:
-            d, r = _snap(w, t, f, off, lo, hi, nudge)
+            d, r = _snap(w, t, f, off, lo, hi, True)
         # the reference's margin is this m: frac lies in [0, 1] and norm > 0,
         # so m is never nan, and an m of inf stays inf there too
         m = (rest if rest < frac else frac) / norm
-        return (d,), (r,), m
+        return d, (r,), m
 
-    def expand(u, n: int, nudge: bool = False) -> list[tuple[int]]:
+    def expand(u, n: int, nudge: bool = False) -> list[int]:
         if n < 0:
             raise ValueError("length must be nonnegative")
         out = []
@@ -281,11 +281,11 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
                 tol_floor(t)  # raises tol_floor's error for a non-finite t
             frac = t - f
             if frac > _BAND and 1.0 - frac > _BAND:
-                out.append((f,))
+                out.append(f)
                 u = (w - f,)
             else:
                 d, r = _snap(w, t, f, off, lo, hi, nudge)
-                out.append((d,))
+                out.append(d)
                 u = (r,)
         return out
     return step, expand
@@ -300,7 +300,7 @@ def _plane_body(row0, row1):
     ((a, b), off0, norm0, lo0, hi0), ((c, d), off1, norm1, lo1, hi1) = row0, row1
     floor = math.floor
 
-    def step(u, nudge: bool = False):
+    def step(u):
         x, y = u
         w0 = 0.0 + a * x + b * y
         w1 = 0.0 + c * x + d * y
@@ -314,7 +314,7 @@ def _plane_body(row0, row1):
         if frac > _BAND and rest > _BAND:
             d0, r0 = f, w0 - f
         else:
-            d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
+            d0, r0 = _snap(w0, t, f, off0, lo0, hi0, True)
         # the reference's running min from inf: frac lies in [0, 1] and
         # norm > 0, so no m is nan
         margin = (rest if rest < frac else frac) / norm0
@@ -328,7 +328,7 @@ def _plane_body(row0, row1):
         if frac > _BAND and rest > _BAND:
             d1, r1 = f, w1 - f
         else:
-            d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
+            d1, r1 = _snap(w1, t, f, off1, lo1, hi1, True)
         m = (rest if rest < frac else frac) / norm1
         if m < margin:
             margin = m
@@ -378,7 +378,7 @@ def _space_body(image, row0, row1, row2, row3):
      (_, off2, norm2, lo2, hi2), (_, off3, norm3, lo3, hi3)) = row0, row1, row2, row3
     floor = math.floor
 
-    def step(u, nudge: bool = False):
+    def step(u):
         w0, w1, w2, w3 = image(u)
         t = w0 - off0
         try:
@@ -390,7 +390,7 @@ def _space_body(image, row0, row1, row2, row3):
         if frac > _BAND and rest > _BAND:
             d0, r0 = f, w0 - f
         else:
-            d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
+            d0, r0 = _snap(w0, t, f, off0, lo0, hi0, True)
         margin = (rest if rest < frac else frac) / norm0  # as in _plane_body
         t = w1 - off1
         try:
@@ -402,7 +402,7 @@ def _space_body(image, row0, row1, row2, row3):
         if frac > _BAND and rest > _BAND:
             d1, r1 = f, w1 - f
         else:
-            d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
+            d1, r1 = _snap(w1, t, f, off1, lo1, hi1, True)
         m = (rest if rest < frac else frac) / norm1
         if m < margin:
             margin = m
@@ -416,7 +416,7 @@ def _space_body(image, row0, row1, row2, row3):
         if frac > _BAND and rest > _BAND:
             d2, r2 = f, w2 - f
         else:
-            d2, r2 = _snap(w2, t, f, off2, lo2, hi2, nudge)
+            d2, r2 = _snap(w2, t, f, off2, lo2, hi2, True)
         m = (rest if rest < frac else frac) / norm2
         if m < margin:
             margin = m
@@ -430,7 +430,7 @@ def _space_body(image, row0, row1, row2, row3):
         if frac > _BAND and rest > _BAND:
             d3, r3 = f, w3 - f
         else:
-            d3, r3 = _snap(w3, t, f, off3, lo3, hi3, nudge)
+            d3, r3 = _snap(w3, t, f, off3, lo3, hi3, True)
         m = (rest if rest < frac else frac) / norm3
         if m < margin:
             margin = m
@@ -504,19 +504,17 @@ class DigitKernel:
     so the kernel does not call it, and its digits, remainders and margins
     are the same bits on Python 3.10 to 3.13 (tests/test_kernel_digests.py).
 
-    Snap policy in nudge mode: a coordinate of A u - offsets within
-    EPS_FLOOR of an integer takes that integer as its digit, unless no point
-    of the box has that digit, and its remainder is put exactly on the
-    lower face.
+    Snap policy: a coordinate of A u - offsets within EPS_FLOOR of an
+    integer takes that integer as its digit, unless no point of the box has
+    that digit, and its remainder is put exactly on the lower face.
 
     The body is chosen by shape at construction, as _image chooses its
-    product, and bound on the instance: step(u, nudge) gives (digit,
-    remainder, margin), the margin being the Euclidean distance from A u to
-    the boundary of its digit cell, and expand(u, n, nudge) the digits of n
-    steps.  The class defines neither; each shape has exactly one
-    straight-line body, with no loop over rows, and tests/test_scalar_kernel.py
-    holds every body to the generic row loop of tests/kernel_reference.py,
-    bit for bit and error for error.
+    product, and bound on the instance: step(u) gives (digit, remainder,
+    margin), always snapping, the margin being the Euclidean distance from
+    A u to its digit cell's boundary, and expand(u, n, nudge) the digits of
+    n steps, snapping only with nudge; a 1x1 kernel's digit is an int.  Each
+    shape has one straight-line body, with no loop over rows, which
+    tests/test_scalar_kernel.py holds to tests/kernel_reference.py's row loop.
     """
 
     def __init__(self, A, offsets, row_norms):

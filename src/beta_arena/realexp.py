@@ -158,14 +158,14 @@ class RealBase:
     # -- digit maps -----------------------------------------------------------
 
     def digits(self, x: float, n: int, on_ambiguous: str = "error") -> list[int]:
-        """First n greedy digits of x in [0,1).
+        """First n greedy digits of x in [0,1), ints straight from the kernel.
 
         on_ambiguous is "error" (raise when b T^j x sits within EPS_FLOOR of
         an integer) or "nudge" (snap to that integer and continue).
         """
         if not 0.0 <= x < 1.0:
             raise ValueError("x must lie in [0,1)")
-        return [d for (d,) in self.kernel.expand([float(x)], n, nudge_mode(on_ambiguous))]
+        return self.kernel.expand([float(x)], n, nudge_mode(on_ambiguous))
 
     def value(self, block: Sequence[int]) -> float:
         """Value of a digit block: sum of block[i] * b**-(i+1), by Horner."""

@@ -16,8 +16,9 @@ one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
 converts one to the lattice coordinates of its digit kernel (`coords`) and
 back (`_point`), crossing the basis once a call.  `step` is the kernel's
-step, in kernel coordinates, so certified_digits and expand_digits convert
-a point once and read the kernel's one orbit.  The quaternion adapter's
+own step in kernel coordinates, which snaps at a boundary and gives a real
+digit as an int, so certified_digits and expand_digits convert a point once
+and read the kernel's one orbit.  The quaternion adapter's
 basis changes are its lattice's Binv_times and B_times, plain-Python 4x4
 products built once by the digit kernel's numeric._image.  This module
 imports no expansion module, as each adapter takes its base ready-built.
@@ -57,8 +58,7 @@ class RealSystem:
         return tuple(u)
 
     def step(self, u: Sequence[float]):
-        (d,), u, margin = self.kernel.step(u, nudge=True)
-        return d, u, margin
+        return self.kernel.step(u)
 
 
 class ComplexSystem:
@@ -82,7 +82,7 @@ class ComplexSystem:
         return tuple(u)
 
     def step(self, u: Sequence[float]):
-        return self.kernel.step(u, nudge=True)
+        return self.kernel.step(u)
 
 
 class QuatSystem:
@@ -117,7 +117,7 @@ class QuatSystem:
         return self.lattice.B_times(map(float, u))
 
     def step(self, u: Sequence[float]):
-        return self.kernel.step(u, nudge=True)
+        return self.kernel.step(u)
 
 
 def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
@@ -211,6 +211,5 @@ def _halvings(inside, step: float) -> float:
 
 
 def expand_digits(system, p: Sequence[float], n: int, on_ambiguous: str = "nudge") -> list:
-    """First n digits of p under the system's expansion map."""
-    digits = system.kernel.expand(system.coords(p), n, nudge_mode(on_ambiguous))
-    return [d for (d,) in digits] if system.dim == 1 else digits
+    """First n digits of p under the system's expansion map, as its kernel gives them."""
+    return system.kernel.expand(system.coords(p), n, nudge_mode(on_ambiguous))

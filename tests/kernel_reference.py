@@ -6,7 +6,8 @@ The package no longer holds it; the tests keep it as the reference that
 every body must match digit for digit, float.hex for float.hex, error for
 error and guarded floor for guarded floor (tests/test_scalar_kernel.py).
 It reads the kernel's _image and _rows, and calls numeric's _snap and
-tol_floor, which call numeric.safe_floor by name.
+tol_floor, which call numeric.safe_floor by name.  As the kernel does, the
+step always snaps, and a 1x1 kernel's digit is a bare int.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import math
 from beta_arena.numeric import _BAND, _snap, tol_floor
 
 
-def reference_step(kernel, u, nudge: bool = False):
-    """One step from u: (digit, remainder, margin), the margin being the
-    Euclidean distance from A u to the boundary of its digit cell."""
+def reference_step(kernel, u):
+    """One step from u, snapping at a boundary: (digit, remainder, margin),
+    the margin being the Euclidean distance from A u to the boundary of its
+    digit cell."""
     digit, nxt, margin, floor = [], [], math.inf, math.floor
     for w, (_, off, norm, lo, hi) in zip(kernel._image(u), kernel._rows):
         t = w - off
@@ -32,17 +34,17 @@ def reference_step(kernel, u, nudge: bool = False):
             digit.append(f)
             nxt.append(w - f)
         else:
-            d, r = _snap(w, t, f, off, lo, hi, nudge)
+            d, r = _snap(w, t, f, off, lo, hi, True)
             digit.append(d)
             nxt.append(r)
         # min(frac, rest) / norm is min(frac / norm, rest / norm): norm > 0
         m = (rest if rest < frac else frac) / norm
         if m < margin:
             margin = m
-    return tuple(digit), tuple(nxt), margin
+    return _digit(digit), tuple(nxt), margin
 
 
-def reference_expand(kernel, u, n: int, nudge: bool = False) -> list[tuple[int, ...]]:
+def reference_expand(kernel, u, n: int, nudge: bool = False) -> list:
     """First n digits of u: the digits of n steps, without their margins."""
     if n < 0:
         raise ValueError("length must be nonnegative")
@@ -64,6 +66,11 @@ def reference_expand(kernel, u, n: int, nudge: bool = False) -> list[tuple[int, 
                 d, r = _snap(w, t, f, off, lo, hi, nudge)
                 digit.append(d)
                 nxt.append(r)
-        out.append(tuple(digit))
+        out.append(_digit(digit))
         u = nxt
     return out
+
+
+def _digit(digit: list[int]):
+    """A step's digit: the int itself for a 1x1 kernel, else the tuple."""
+    return digit[0] if len(digit) == 1 else tuple(digit)

@@ -163,14 +163,16 @@ def test_digit_kernel_refuses_other_sizes():
 def test_digit_kernel_snap_policy():
     k = DigitKernel(((3.0,),), (0.0,), (1.0,))
     # 3 u lands just above the integer 1: the remainder goes onto the face
-    assert k.step((1.0 / 3.0 + 1e-12,), nudge=True)[:2] == ((1,), (0.0,))
+    # (step always snaps; expand snaps only with nudge): a 1x1 digit is an int
+    assert k.step((1.0 / 3.0 + 1e-12,))[:2] == (1, (0.0,))
+    assert k.expand((1.0 / 3.0 + 1e-12,), 1, nudge=True) == [1]
     with pytest.raises(AmbiguousValueError):
-        k.step((1.0 / 3.0 + 1e-12,))
+        k.expand((1.0 / 3.0 + 1e-12,), 1)
     # a snap to 3 would leave the digit range, so the floor stands
-    (d,), (r,), margin = k.step((1.0 - 1e-10,), nudge=True)
+    d, (r,), margin = k.step((1.0 - 1e-10,))
     assert d == 2 and 0.0 < r < 1.0 and margin < 1e-9
-    assert k.expand((0.5,), 4) == [(1,), (1,), (1,), (1,)]
-    assert k.reconstruct([(1,), (1,)]) == pytest.approx([4.0 / 9.0])
+    assert k.expand((0.5,), 4) == [1, 1, 1, 1]
+    assert k.reconstruct([(1,), (1,)]) == k.reconstruct([1, 1]) == pytest.approx([4.0 / 9.0])
 
 
 def test_digit_kernel_rejects_negative_length():
@@ -183,7 +185,8 @@ def test_digit_kernel_rejects_negative_length():
 # -- the digit step against tol_floor on every coordinate ------------------------
 
 def tol_floor_step(kernel, u, nudge):
-    """DigitKernel.step as it reads with tol_floor on every coordinate."""
+    """DigitKernel.step as it reads with tol_floor on every coordinate, its
+    digit an int for a 1x1 kernel; nudge=False raises where it would snap."""
     digit, nxt, margin = [], [], math.inf
     for row, off, norm, lo, hi in kernel._rows:
         w = sum(map(operator.mul, row, u))
@@ -196,7 +199,7 @@ def tol_floor_step(kernel, u, nudge):
         nxt.append(off if abs(t - d) <= EPS_FLOOR else w - d)
         frac = t - f
         margin = min(margin, frac / norm, (1.0 - frac) / norm)
-    return tuple(digit), tuple(nxt), margin
+    return digit[0] if len(digit) == 1 else tuple(digit), tuple(nxt), margin
 
 
 def outcome(step, *args):
@@ -205,6 +208,20 @@ def outcome(step, *args):
     except ValueError as exc:
         return type(exc), str(exc)
     return d, [x.hex() for x in u], margin.hex()
+
+
+def kernel_outcome(kernel, u, nudge):
+    """outcome(kernel.step, u), which always snaps; in error mode, the error
+    of expand(u, 1) where it raises, and else step's outcome once expand's
+    digit agrees with it."""
+    got = outcome(kernel.step, u)
+    if not nudge:
+        try:
+            digits = kernel.expand(u, 1)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        assert digits == [got[0]], u
+    return got
 
 
 # digits 0 .. 2^60 - 1 and -2^60 .. 0; u = |t| / 2^60 gives A u = t exactly
@@ -240,9 +257,9 @@ def test_digit_step_is_the_tol_floor_step(nudge):
         u = (abs(t) * 2.0 ** -60,)
         if abs(t) >= 2.0 ** -900:  # A u is t itself above the underflow
             assert math.fsum(kernel.A[0]) * u[0] == t
-        assert outcome(kernel.step, u, nudge) == outcome(tol_floor_step, kernel, u, nudge), t
+        assert kernel_outcome(kernel, u, nudge) == outcome(tol_floor_step, kernel, u, nudge), t
         u = (t / 3.0,)
-        assert outcome(THREE.step, u, nudge) == outcome(tol_floor_step, THREE, u, nudge), t
+        assert kernel_outcome(THREE, u, nudge) == outcome(tol_floor_step, THREE, u, nudge), t
 
 
 @pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
@@ -250,7 +267,7 @@ def test_digit_step_is_the_tol_floor_step(nudge):
                                   (2.0 ** 1000, "inf")])
 def test_digit_step_refuses_a_non_finite_image(nudge, u, t):
     message = f"cannot floor non-finite value {t}"
-    assert outcome(UP.step, (u,), nudge) == (ValueError, message)
+    assert kernel_outcome(UP, (u,), nudge) == (ValueError, message)
     assert outcome(tol_floor_step, UP, (u,), nudge) == (ValueError, message)
 
 
@@ -318,12 +335,13 @@ def test_expand_is_n_steps(name, unit, axis, shift, n, nudge):
         u = on_face(kernel, u, axis % len(u), shift)
         assume(u is not None)
 
-    def steps():
-        digits, cur = [], u
-        for _ in range(n):
-            d, cur, _ = kernel.step(cur, nudge)
-            digits.append(d)
-        return digits
+    orbit = [u]  # step's remainders, taken before the recording starts
+    for _ in range(n):
+        orbit.append(kernel.step(orbit[-1])[1])
+    if nudge:
+        steps = lambda: [kernel.step(cur)[0] for cur in orbit[:-1]]
+    else:  # step always snaps: expand of one digit raises where expand does
+        steps = lambda: [kernel.expand(cur, 1)[0] for cur in orbit[:-1]]
     got = _recorded(kernel, lambda: kernel.expand(u, n, nudge))
     assert got == _recorded(kernel, steps)
     assert len(got[1]) >= min(n, 1)  # the recording sees the body that runs

@@ -7,7 +7,9 @@ quaternion on a lattice).  Each must give the digits, remainders
 (float.hex) and margins (float.hex) of the generic row loop that
 tests/kernel_reference.py keeps, raise the same errors with the same text,
 and take the same guarded floors: each call of numeric.safe_floor, which the
-benchmark's tracer counts, is recorded with its argument.
+benchmark's tracer counts, is recorded with its argument.  step always
+snaps, so the error mode's single steps are expand(u, 1, nudge=False),
+which takes the same floors and raises the same errors.
 """
 
 from __future__ import annotations
@@ -61,6 +63,20 @@ def outcome(floors, run, *args):
     return out, list(floors)
 
 
+def one_step(floors, kernel, u, nudge):
+    """(the body's outcome, the reference's) for one step from u: step's in
+    nudge mode, expand(u, 1, nudge=False)'s in error mode."""
+    if nudge:
+        return outcome(floors, kernel.step, u), outcome(floors, reference_step, kernel, u)
+    return (outcome(floors, kernel.expand, u, 1, False),
+            outcome(floors, reference_expand, kernel, u, 1, False))
+
+
+def raised(got) -> bool:
+    """Whether an outcome is an error's (type, text)."""
+    return isinstance(got[0][0], type)
+
+
 def band_edges(kernel):
     """Points whose image is exactly the float k + _BAND or k + 1 - _BAND
     for a digit k, where one is reachable: the fast path's edges."""
@@ -102,11 +118,11 @@ def test_real_kernel_is_the_generic_body(name, nudge, floors):
     for x in pts:
         u = [x]
         for _ in range(DEPTH):
-            got = outcome(floors, kernel.step, u, nudge)
-            assert got == outcome(floors, reference_step, kernel, u, nudge), (name, u)
-            if not isinstance(got[0][1], tuple):
-                break  # the step raised
-            u = kernel.step(u, nudge)[1]
+            got, want = one_step(floors, kernel, u, nudge)
+            assert got == want, (name, u)
+            if raised(got):
+                break
+            u = kernel.step(u)[1]
         for n in (1, 2, DEPTH):
             assert (outcome(floors, kernel.expand, [x], n, nudge)
                     == outcome(floors, reference_expand, kernel, [x], n, nudge)), (name, x, n)
@@ -117,8 +133,8 @@ def test_real_kernel_is_the_generic_body(name, nudge, floors):
 def test_real_kernel_refuses_as_the_generic_body(name, nudge, floors):
     kernel = RealBase(BASES[name]).kernel
     for x in (math.nan, math.inf, -math.inf, 1e308, -1e308, 2.0 ** 1023):
-        got = outcome(floors, kernel.step, (x,), nudge)
-        assert got == outcome(floors, reference_step, kernel, (x,), nudge), (name, x)
+        got, want = one_step(floors, kernel, (x,), nudge)
+        assert got == want, (name, x)
         for n in (0, 1, 3):
             assert (outcome(floors, kernel.expand, (x,), n, nudge)
                     == outcome(floors, reference_expand, kernel, (x,), n, nudge)), (name, x, n)
@@ -232,11 +248,11 @@ def test_kernel_is_the_reference(name, nudge, floors):
     for x in pts:
         u = x
         for _ in range(DEPTH):
-            got = outcome(floors, kernel.step, u, nudge)
-            assert got == outcome(floors, reference_step, kernel, u, nudge), (name, u)
-            if not isinstance(got[0][1], tuple):
-                break  # the step raised
-            u = kernel.step(u, nudge)[1]
+            got, want = one_step(floors, kernel, u, nudge)
+            assert got == want, (name, u)
+            if raised(got):
+                break
+            u = kernel.step(u)[1]
         for n in (1, 2, DEPTH):
             assert (outcome(floors, kernel.expand, x, n, nudge)
                     == outcome(floors, reference_expand, kernel, x, n, nudge)), (name, x, n)
@@ -251,8 +267,8 @@ def test_kernel_refuses_as_the_reference(name, nudge, floors):
     for j in range(dim):
         for x in (math.nan, math.inf, -math.inf, 1e308, -1e308):
             u = tuple(x if c == j else v for c, v in enumerate(inside))
-            got = outcome(floors, kernel.step, u, nudge)
-            assert got == outcome(floors, reference_step, kernel, u, nudge), (name, u)
+            got, want = one_step(floors, kernel, u, nudge)
+            assert got == want, (name, u)
             if not math.isfinite(x):  # a huge finite x may still step
                 assert got[0][0] is ValueError, (name, u)
                 assert got[0][1].startswith("cannot floor non-finite value"), (name, u)
@@ -263,8 +279,8 @@ def test_kernel_refuses_as_the_reference(name, nudge, floors):
     # the wrong length is refused as the image refuses it
     for u in (tuple(inside), (), tuple(inside[1:]), (*inside, 0.5)):
         if len(u) != dim:
-            got = outcome(floors, kernel.step, u, nudge)
-            assert got == outcome(floors, reference_step, kernel, u, nudge), (name, u)
+            got, want = one_step(floors, kernel, u, nudge)
+            assert got == want, (name, u)
         for n in (-1, 0, 2):
             assert (outcome(floors, kernel.expand, u, n, nudge)
                     == outcome(floors, reference_expand, kernel, u, n, nudge)), (name, u, n)
