@@ -307,7 +307,8 @@ class Claim(FrozenRecord):
     kind "contains": the digits of the outcome match `block` starting at
     1-based `position`.  kind "avoids": no alignment window of length
     len(block) among the first m digits equals `block`.  Each digit is an int
-    (real base) or a tuple of ints, as the adapters' step gives them, for ==.
+    or a tuple of ints, for ==; verify_outcome asks the shape the adapters'
+    step gives: an int on a 1-D system, a tuple of dim ints otherwise.
     """
 
     __slots__ = ("kind", "block", "position")
@@ -368,8 +369,16 @@ def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResu
 
     Verified/falsified verdicts are only issued on digits certified for the
     entire final ball; a ball straddling a needed digit boundary yields
-    indeterminate.
+    indeterminate, and so does a claim that needs more than m digits, an
+    "avoids" block longer than m among them.  A claim digit of another shape
+    than the system's digits (an int on a 1-D system, a tuple of dim ints
+    otherwise) would never compare equal, and is refused with a ValueError.
     """
+    dim = system.dim
+    if not all(isinstance(d, int) if dim == 1 else isinstance(d, tuple) and len(d) == dim
+               for d in claim.block):
+        shape = "an int" if dim == 1 else f"a tuple of {dim} ints"
+        raise ValueError(f"claim digits must each be {shape} on a {dim}-D system")
     center = trace.final_center
     radius = trace.final_radius
     if not system.contains(center):
@@ -394,6 +403,9 @@ def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResu
                             f"only {certified} digits certified, need {last_needed}")
     # avoids: aligned windows of length L
     full_windows = m // L
+    if not full_windows:
+        return VerifyResult("indeterminate", digits, certified,
+                            "claim extends past the requested depth")
     for w in range(full_windows):
         lo = w * L
         window = digits[lo:lo + L]

@@ -706,6 +706,43 @@ def test_claim_refuses_digits_that_would_never_compare_equal():
             Claim("avoids", (bad,))
 
 
+def _held(system, center):
+    """A game that holds its center to the radius floor: the outcome is center."""
+    params = GameParams(0.5, 0.5, 0.25, system.dim, center)
+    return play(params, alice_hold, bob_center_hold(), max_rounds=40, system=system)
+
+
+def test_verify_refuses_claim_digits_of_another_shape():
+    # a 1-D system's digits are ints and every other system's are tuples of dim
+    # ints; any other shape never compares equal, so "avoids" would verify
+    real = RealSystem(RealBase(PHI))
+    trace = _held(real, (0.001,))
+    assert certified_digits(real, (0.001,), trace.final_radius, 4) == ([0, 0, 0, 0], 4)
+    assert verify_outcome(trace, real, Claim("avoids", (0,)), 4).verdict == "falsified"
+    quat = QuatSystem(Quaternion(3.0, 0.0, 0.0, 0.0), lipschitz())
+    complex_ = ComplexSystem(ComplexBase(4.5, 0.05))
+    for system, center, block, shape in (
+            (real, (0.001,), ((0,),), "an int on a 1-D system"),
+            (quat, (0.01,) * 4, (0,), "a tuple of 4 ints on a 4-D system"),
+            (complex_, (0.01, 0.01), ((0,),), "a tuple of 2 ints on a 2-D system")):
+        trace = _held(system, center)
+        with pytest.raises(ValueError, match=f"claim digits must each be {shape}"):
+            verify_outcome(trace, system, Claim("avoids", block), 4)
+
+
+def test_verify_avoids_shorter_than_its_block_is_indeterminate():
+    # with m below the block's length no window is checked at all
+    system = QuatSystem(Quaternion(3.0, 0.0, 0.0, 0.0), lipschitz())
+    trace = _held(system, (0.01,) * 4)
+    claim = Claim("avoids", ((0, 0, 0, 0),) * 2)
+    for m in (0, 1):
+        res = verify_outcome(trace, system, claim, m)
+        assert (res.verdict, res.reason) == ("indeterminate",
+                                             "claim extends past the requested depth"), m
+        assert res.digits == [(0, 0, 0, 0)] * m
+    assert verify_outcome(trace, system, claim, 2).verdict == "falsified"
+
+
 
 def trace_dict(trace):
     """A trace as a JSON-ready dict: schema 2, which GameTrace.to_json writes."""
