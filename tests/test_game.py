@@ -509,6 +509,20 @@ def test_real_winning_against_adversarial_directions():
         assert res.verdict == "verified", bob
 
 
+def test_drift_writes_a_fixed_negative_zero_as_zero():
+    # Bob's center is y + t * e_1, so a -0.0 coordinate off the drift's axis
+    # becomes -0.0 + t * 0.0 == 0.0, and the trace writes 0.0 from then on
+    params = GameParams(0.5, 0.5, 0.1, 2, (0.1, -0.0))
+    trace = play(params, alice_hold, bob_optimal_drift(), max_rounds=3,
+                 system=ComplexSystem(ComplexBase(4.5, 0.05)))
+    alice, bob = trace.moves[1], trace.moves[2]
+    assert (alice.player, bob.player) == ("alice", "bob")
+    assert math.copysign(1.0, alice.center[1]) == -1.0
+    assert math.copysign(1.0, bob.center[1]) == 1.0
+    assert bob.center[0] > alice.center[0]
+    assert '"center":[0.1,-0.0]' in trace.to_json()
+
+
 def test_winning_strategy_survives_all_seeds():
     base = RealBase(PHI)
     n, k = find_nk_real(PHI, 0, 0.05, 0.7, 0.4)

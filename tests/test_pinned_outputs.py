@@ -576,3 +576,26 @@ CLIPPED_ROWS = [pytest.param(preset, alpha, bob, seed, digest,
 def test_clipped_trace_bytes(preset, alpha, bob, seed, digest):
     trace, _ = run_setup(build_preset(preset, alpha=alpha, bob=bob), seed=seed)
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
+
+
+# (preset, x0) -> sha256 of GameTrace.to_json() at seeds 0-3 with the preset's
+# own alpha and Bob.  Started at 0.999, golden's drift meets the face at 1.0
+# and is clipped in one of its 7 rounds in each game: the one 1-D clipped
+# drift pinned here, as no 1-D or 4-D preset game at its default start clips.
+CLIPPED_START_PINS = {
+    ("dwinning-golden", 0.999): [
+        "0dba331bf7184bc11291226f33408076d1acdc12e5983b66204c255cee5be573",
+        "4b1a79ac54d4b89cc58a0964ef629adeba1f30828c8799c1ea2fe489d48ba23d",
+        "897e35dd326d93b88ef45546be0d6b5d9154a8e7b37a986470c104846a2a8d5d",
+        "a80d3fc59f51a219aba62bb02cea6716a6546015fdac7fa6e97e9d960dab78cc",
+    ],
+}
+
+
+@pytest.mark.parametrize("preset, x0, seed, digest", [
+    pytest.param(preset, x0, seed, digest, id=f"{preset}-x0={x0}-{seed}")
+    for (preset, x0), digests in CLIPPED_START_PINS.items()
+    for seed, digest in enumerate(digests)])
+def test_clipped_start_trace_bytes(preset, x0, seed, digest):
+    trace, _ = run_setup(build_preset(preset, x0=x0), seed=seed)
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
