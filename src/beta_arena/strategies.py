@@ -12,14 +12,14 @@ play has already made exact.  Draws come from s.rng, a random.Random, and
 the avoidance play's powers of A are exact powers rounded once, grown by
 one integer product per step (numeric._powers).
 
-The avoidance play keeps a memo beside its table of powers of A: the
-product A^-j d for each digit d pinned at position j, and A^-depth xi for
-each depth, which recur from game to game.  Each entry is the expression
-the play would evaluate in its place, so it has the same bits, and it is a
-pure function of its key, so two threads that race on a key store equal
-values.  The memo grows with the distinct (position, digit) pairs the
-games on one system meet: 32 to 180 entries per system after a 20-s run
-of perfbench's sweep.
+The avoidance play memoises, through functools.cache as it does its table
+of powers of A, the product A^-j d for each digit d pinned at position j
+and A^-depth xi for each depth, which recur from game to game.  Each entry
+is the expression the play would evaluate in its place, so it has the same
+bits, and it is a pure function of its key, so two threads that race on a
+key store equal values.  The memo grows with the distinct (position,
+digit) pairs the games on one system meet: 32 to 180 entries per system
+after a 20-s run of perfbench's sweep.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 from .game import GameState, Strategy, StrategyError, Vector
 from .numeric import _image, _powers
 from .realexp import RealBase
-from .systems import QuatSystem, max_step_inside
+from .systems import ComplexSystem, QuatSystem, max_step_inside
 
 
 # -- generic strategies --------------------------------------------------------
@@ -56,19 +56,18 @@ def bob_center_hold() -> Strategy:
     return lambda s: s.ball.center
 
 
-def _random_move(s: GameState, center: Vector, budget: float) -> Vector:
-    """A uniform point within budget of center that stays in the domain;
-    center itself after 256 draws outside it."""
-    for _ in range(256):
-        y = tuple(c + budget * u for c, u in zip(center, _ball_sample(s.rng, s.params.dimension)))
-        if s.system.contains(y):
-            return y
-    return center
-
-
 def alice_random() -> Strategy:
-    """A uniform point within reach of the last ball's center, for either player."""
-    return lambda s: _random_move(s, s.ball.center, s.reach)
+    """A uniform point within reach of the last ball's center that stays in
+    the domain, for either player; the center itself after 256 draws
+    outside it."""
+    def f(s: GameState) -> Vector:
+        center, reach = s.ball.center, s.reach
+        for _ in range(256):
+            y = tuple(c + reach * u for c, u in zip(center, _ball_sample(s.rng, s.params.dimension)))
+            if s.system.contains(y):
+                return y
+        return center
+    return f
 
 
 bob_random = alice_random
@@ -80,7 +79,7 @@ def bob_optimal_drift() -> Strategy:
     def f(s: GameState) -> Vector:
         y = s.ball.center
         v = (1.0,) + (0.0,) * (s.params.dimension - 1)
-        t = max_step_inside(s.system, y, v, s.reach)
+        t = max_step_inside(s.system, y, s.reach)
         return tuple(a + t * b for a, b in zip(y, v))
     return f
 
@@ -117,11 +116,6 @@ def _lock_and_pull(n: int, nearest: Callable[[Vector], Vector],
     return f
 
 
-def _nearest_row(targets: Sequence[Vector]) -> Callable[[Vector], Vector]:
-    """The (x, y) of targets nearest to the point by math.dist, the first on a tie."""
-    return lambda p: min(targets, key=partial(math.dist, p))
-
-
 def _lock_full(base: RealBase, digits: Sequence[int], n: int, k: int,
                what: str) -> Strategy:
     """The real winning play on each coordinate: lock the center of the
@@ -148,8 +142,10 @@ def alice_real_winning(base: RealBase, d: int, n: int, k: int) -> Strategy:
 def alice_complex_winning(targets, n: int) -> Strategy:
     """Complex analog: targets is a tuple of the (x, y) centers of the
     level-k tiles whose k-th digit is zero, which the strategy only reads,
-    so games may share it."""
-    return _lock_and_pull(n, _nearest_row(targets), "nearest full cylinder target")
+    so games may share it.  It locks the target nearest Bob's center by
+    math.dist, the first on a tie."""
+    return _lock_and_pull(n, lambda p: min(targets, key=partial(math.dist, p)),
+                          "nearest full cylinder target")
 
 
 def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
@@ -164,10 +160,12 @@ def alice_quaternion_componentwise(base: RealBase, digits: Sequence[int],
 # -- losing strategy (Bob) -----------------------------------------------------
 
 
-def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
-                    omega: Sequence[tuple[int, int, int, int]]) -> Strategy:
-    """Digit-pinning avoidance play for quaternion expansions, written in the
-    lattice coordinates of the system's digit kernel u -> A u - d.
+def bob_avoid_block(system: ComplexSystem | QuatSystem, xi: Sequence[float],
+                    omega: Sequence[tuple[int, ...]]) -> Strategy:
+    """Digit-pinning avoidance play, written in the lattice coordinates of
+    the system's digit kernel u -> A u - d.  It takes a quaternion (4-D) or
+    complex (2-D) system, whose digits are tuples of ints; a 1-D system is
+    refused, as its kernel's digits are bare ints.
 
     The state (m, pinned) records that Bob's ball pins the first m digits,
     pinned = sum_{j<=m} A^-j d_j.  At round k the strategy reads the digits
@@ -185,21 +183,22 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
     and only the powers of A and the memo of products outlive a game, so
     one strategy serves every game on its system.
     """
+    if system.dim == 1:
+        raise ValueError("the avoidance play needs a 2-D or 4-D system, not a 1-D one,"
+                         " whose digits are ints")
     win = len(omega)
     if win == 0:
         raise ValueError("avoided block must be nonempty")
     omega_coords = [tuple(int(c) for c in w) for w in omega]
     kernel = system.kernel
     xi_coords = system.coords(xi)
-    # the memo: A^-j d by (j, d) and A^-depth xi by depth, and the pinned
-    # point of a fresh game; every game reads them and none writes into them
-    steps: dict[tuple[int, tuple[int, ...]], Vector] = {}
-    shifts: dict[int, Vector] = {}
-    fresh = (0, (0.0,) * len(kernel.A))
-    # the maps u -> A^j u and u -> A^-j u by j, shared by every game on the
-    # strategy; a pure function of j, so threads that race on it agree
+    fresh = (0, (0.0,) * len(kernel.A))  # the pinned point of a fresh game
+    # the maps u -> A^j u and u -> A^-j u by j, and the memo: A^-j d by
+    # (j, d) and A^-depth xi by depth, shared by every game on the strategy
     powers = _powers(kernel.A)
     power = cache(lambda j: tuple(map(_image, powers(j))))
+    step = cache(lambda j, d: power(j)[1](d))
+    shift = cache(lambda depth: power(depth)[1](xi_coords))
 
     def f(s: GameState) -> Vector:
         y = s.ball.center
@@ -211,14 +210,8 @@ def bob_avoid_block(system: QuatSystem, xi: Sequence[float],
         for i, d in enumerate(digits):
             if i % win == 0 and digits[i:i + win] == omega_coords:
                 s.note(f"round {kk}: pinned window {(m + i) // win + 1} equals the avoided block")
-            step = steps.get((m + i + 1, d))
-            if step is None:
-                step = steps[m + i + 1, d] = power(m + i + 1)[1](d)
-            pinned = tuple(map(operator.add, pinned, step))
-        shift = shifts.get(depth)
-        if shift is None:
-            shift = shifts[depth] = power(depth)[1](xi_coords)
-        proposal = system._point(map(operator.add, pinned, shift))
+            pinned = tuple(map(operator.add, pinned, step(m + i + 1, d)))
+        proposal = system._point(map(operator.add, pinned, shift(depth)))
         gap = math.dist(proposal, y)
         if gap > s.reach:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")

@@ -8,8 +8,8 @@ Each adapter's `box` describes its domain axis by axis where it can: one
 (scale, lower) pair per ambient coordinate, with contains(p) exactly when
 lower <= scale * p[i] < lower + 1 for every i, or None when the domain is
 not a box along the ambient axes (a sheared lattice).  max_step_inside,
-which clips a drift at the domain's edge, reads the box to find where a ray
-crosses it, one exact crossing per moving coordinate, so it lives here
+which clips Bob's drift along the first axis at the domain's edge, reads
+the box to find the one exact crossing on that axis, so it lives here
 beside the contains it agrees with.
 The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
@@ -120,46 +120,39 @@ class QuatSystem:
         return self.kernel.step(u)
 
 
-def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
-                    step: float) -> float:
-    """Largest t <= step with start + t * direction still in the system's
-    domain: the point at t is inside and the one at the next float is not.
-    step itself when the full step stays inside, which is the first
-    question asked of contains; 0.0 from a start outside, for a step that
-    is not finite and above 0, or along a direction that is not finite.
+def max_step_inside(system, start: Sequence[float], step: float) -> float:
+    """Largest t <= step with start + t * e_1 still in the system's domain:
+    the point at t is inside and the one at the next float is not.  step
+    itself when the full step stays inside, which is the first question
+    asked of contains; 0.0 from a start outside or for a step that is not
+    finite and above 0.
 
-    With a box, membership along the ray is lower <= scale * (a + t * b) <
-    upper on every moving coordinate, contains' answer: RealSystem and
-    ComplexSystem compare p[i], and 1.0 * x == x; QuatSystem's contains
-    reads the same box.  A fixed coordinate (b == 0) is checked once at
-    t = step: a + t * b compares as a for every finite t.  Each test is
-    monotone in t, as every rounding is, so from a start inside the ray is
-    inside exactly for t <= U, U the least of the axes' crossings (_exit)
-    or a float next to it.  Where it is not, as near a face at subnormal
-    scale, _halvings bisects the box test, and without a box it bisects
-    contains.  tests/test_systems.py holds each adapter's contains to the
-    box formula.
+    With a box, the other coordinates stay where they are and are tested
+    once, and membership along the ray is lower <= scale * (a + t) < upper
+    on the first, contains' answer: RealSystem and ComplexSystem compare
+    p[i], and 1.0 * x == x; QuatSystem's contains reads the same box.  The
+    test is monotone in t, as every rounding is, so from a start inside the
+    ray is inside exactly for t <= U, U the crossing _exit gives or a float
+    next to it.  Where it is not, _halvings bisects the box test, and
+    without a box it bisects contains.  tests/test_systems.py holds each
+    adapter's contains to the box formula.
     """
-    if system.contains([float(a) + step * float(b) for a, b in zip(start, direction)]):
+    a, *rest = map(float, start)
+    if system.contains([a + step, *rest]):
         return step
-    pairs = list(zip(map(float, start), map(float, direction)))
     if system.box is None:
-        return _halvings(lambda t: system.contains([a + t * b for a, b in pairs]), step)
-    moving = []
-    for (a, b), (scale, lower) in zip(pairs, system.box):
-        if b:
-            moving.append((a, b, scale, lower, lower + 1.0))
-        elif not lower <= scale * (a + step * b) < lower + 1.0:
+        return _halvings(lambda t: system.contains([a + t, *rest]), step)
+    (scale, lower), *others = system.box
+    for x, (s, lo) in zip(rest, others):
+        if not lo <= s * x < lo + 1.0:
             return 0.0
+    upper = lower + 1.0
 
     def inside(t):
-        for a, b, scale, lower, upper in moving:
-            if not lower <= scale * (a + t * b) < upper:
-                return False
-        return True
+        return lower <= scale * (a + t) < upper
 
     if 0.0 < step < math.inf and inside(0.0):
-        t = min(_exit(*axis) for axis in moving)
+        t = _exit(a, scale, lower, upper)
         for _ in range(2):  # t is U, or a float next to it: step onto U
             if not inside(t):
                 t = math.nextafter(t, -math.inf)
@@ -171,26 +164,22 @@ def max_step_inside(system, start: Sequence[float], direction: Sequence[float],
     return 0.0
 
 
-def _exit(a: float, b: float, scale: float, lower: float, upper: float) -> float:
-    """The largest t with lower <= scale * (a + t * b) < upper from a start
-    a inside, or a float next to it: t = y / b, y the largest float with
-    a + y rounding to at most z, the last value of a + t * b the axis admits.
-    That is z + h - a, h half the gap above z, rounded by fsum, or the float
-    below as the sum a + y decides.  Where y is subnormal its rounding
-    leaves t further off.  (Walking t by nextafter from (z - a) / b
-    would not do: a + t * b keeps one value for about ulp(a) / |b| of t.)
+def _exit(a: float, scale: float, lower: float, upper: float) -> float:
+    """The largest t with lower <= scale * (a + t) < upper from a start a
+    inside, or a float next to it: the largest float t with a + t rounding
+    to at most z, the last value of a + t the axis admits.  That is
+    z + h - a, h half the gap above z, rounded by fsum, or the float below
+    as the sum a + t decides.  Where t is subnormal its rounding leaves it
+    further off.  (Walking t by nextafter from z - a would not do: a + t
+    keeps one value for about ulp(a) of t.)
     """
-    if b < 0.0:  # mirrored: every product and sum only changes sign
-        a, b, scale = -a, -b, -scale
     z = (upper if scale > 0.0 else lower) / scale
     if not lower <= scale * z < upper:
         z = math.nextafter(z, -math.inf)
     elif lower <= scale * math.nextafter(z, math.inf) < upper:
         z = math.nextafter(z, math.inf)
-    y = math.fsum((z, (math.nextafter(z, math.inf) - z) / 2.0, -a))
-    if a + y > z:
-        y = math.nextafter(y, -math.inf)
-    return y / b
+    t = math.fsum((z, (math.nextafter(z, math.inf) - z) / 2.0, -a))
+    return math.nextafter(t, -math.inf) if a + t > z else t
 
 
 def _halvings(inside, step: float) -> float:

@@ -70,7 +70,7 @@ ALLOWED = {
     "realexp.RealBase.cylinder_intervals": "perfbench calls it",
     "realexp.RealBase.digits": "perfbench calls it",
     "realexp.RealBase.is_admissible": "perfbench calls it",
-    # paper formulas that the presets should state (ROADMAP items 1 and 3)
+    # paper formulas that the presets should state (ROADMAP item 7)
     "complexexp.F_value": "paper formula",
     "quatexp.LosingParameters.__init__": "paper formula",
     "quatexp.LosingParameters.beta": "paper formula",
