@@ -498,17 +498,22 @@ def test_real_winning_game_verifies():
 def test_real_winning_against_adversarial_directions():
     base = RealBase(PHI)
     n, k = find_nk_real(PHI, 0, 0.05, 0.7, 0.4)
-    params = GameParams(0.05, 0.7, 0.4, 1, (0.31,))
+    clipped = []
 
     def bob_drift_down(s):  # bob_optimal_drift's play along -1, clipped by halvings
         a, reach = s.ball.center[0], s.reach
-        t = (reach if s.system.contains((a - reach,))
-             else _halvings(lambda t: s.system.contains((a - t,)), reach))
-        return (a - t,)
-    for bob in (bob_optimal_drift(), bob_drift_down):
-        trace = play(params, alice_real_winning(base, 0, n, k), bob, system=RealSystem(base))
-        res = verify_outcome(trace, RealSystem(base), Claim("contains", (0,), k), k)
-        assert res.verdict == "verified", bob
+        if s.system.contains((a - reach,)):
+            return (a - reach,)
+        clipped.append(a)
+        return (a - _halvings(lambda t: s.system.contains((a - t,)), reach),)
+    # from 0.001 the down drift meets the face at 0.0 once
+    for x0 in (0.31, 0.001):
+        params = GameParams(0.05, 0.7, 0.4, 1, (x0,))
+        for bob in (bob_optimal_drift(), bob_drift_down):
+            trace = play(params, alice_real_winning(base, 0, n, k), bob, system=RealSystem(base))
+            res = verify_outcome(trace, RealSystem(base), Claim("contains", (0,), k), k)
+            assert res.verdict == "verified", (x0, bob)
+    assert len(clipped) == 1
 
 
 def test_drift_writes_a_fixed_negative_zero_as_zero():
