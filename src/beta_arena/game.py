@@ -345,23 +345,27 @@ def certified_digits(system, center: Sequence[float], radius: float, m: int
 
     Digit j is certified when every point within `radius` of the center
     provably shares it: the pre-floor image at step j sits farther from its
-    cell boundary than the radius grown by |radix|^j.  The orbit is
+    cell boundary than the radius grown by |radix|^j.  The certified digits
+    are a prefix, so the adapter's step, which reports that margin, runs for
+    them and for the first digit that fails; the kernel's expand in nudge
+    mode gives the rest without margins.  Both snap alike, so the orbit is
     expand_digits' in nudge mode, bit for bit: one coords, then kernel steps.
+    m <= 0 gives ([], 0) and steps nothing.
     """
     digits: list = []
-    certified = 0
-    growing = True
     cur = system.coords(center)
+    if m <= 0:
+        return digits, 0
+    step, norm = system.step, system.radix_norm
     growth = 1.0
     for j in range(1, m + 1):
-        d, cur, margin = system.step(cur)
+        d, cur, margin = step(cur)
         digits.append(d)
-        growth *= system.radix_norm
-        if growing and radius * growth < margin * (1.0 - 1e-9):
-            certified = j
-        else:
-            growing = False
-    return digits, certified
+        growth *= norm
+        if not radius * growth < margin * (1.0 - 1e-9):
+            digits += system.kernel.expand(cur, m - j, True)
+            return digits, j - 1
+    return digits, m
 
 
 def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResult:
@@ -372,8 +376,11 @@ def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResu
     indeterminate, and so does a claim that needs more than m digits, an
     "avoids" block longer than m among them.  A claim digit of another shape
     than the system's digits (an int on a 1-D system, a tuple of dim ints
-    otherwise) would never compare equal, and is refused with a ValueError.
+    otherwise) would never compare equal, and is refused with a ValueError,
+    as is a negative depth m, which reads no digit and so decides nothing.
     """
+    if m < 0:
+        raise ValueError(f"verification depth must be nonnegative, not {m}")
     dim = system.dim
     if not all(isinstance(d, int) if dim == 1 else isinstance(d, tuple) and len(d) == dim
                for d in claim.block):

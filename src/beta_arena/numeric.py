@@ -8,9 +8,11 @@ the boundary, and its expand aborts or snaps.  The kernel and the lattices share
 ordered_sum and _image.  As _image picks its product by the matrix's shape,
 the kernel picks its body at construction, one straight-line body per
 shape: _scalar_body (1x1, a real base), _plane_body (2x2, a complex base)
-and _space_body (4x4, a quaternion on a lattice).  Each is statement for
-statement the generic loop over rows, which the package no longer holds:
-tests/kernel_reference.py keeps it as the reference every body is held to.
+and _space_body (4x4, a quaternion on a lattice).  Each does the float
+operations of the generic loop over rows in its order, which the package
+no longer holds: tests/kernel_reference.py keeps it as the reference every
+body is held to.  Their expand loops carry the remainder from digit to
+digit in local floats (the 4x4 loop as its image's argument tuple).
 """
 
 from __future__ import annotations
@@ -242,9 +244,10 @@ _BAND = 2.0 * EPS_FLOOR
 
 
 def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
-    """DigitKernel's step and expand for a 1x1 matrix (a,), statement for
-    statement the tests' reference body (tests/kernel_reference.py) on one
-    float, its digit a bare int; its image is 0.0 + a * u[0], and _snap and
+    """DigitKernel's step and expand for a 1x1 matrix (a,): the tests'
+    reference body (tests/kernel_reference.py) on one float, its digit a
+    bare int, with expand's remainder kept in one local float; its image is
+    0.0 + a * u[0], read from u only when a digit is asked for, and _snap and
     tol_floor are module globals, as there, so every guarded floor calls
     numeric.safe_floor by name, where the benchmark's tracer counts it."""
     (a,) = row
@@ -272,8 +275,11 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
         if n < 0:
             raise ValueError("length must be nonnegative")
         out = []
+        if not n:
+            return out
+        append, x = out.append, u[0]
         for _ in range(n):
-            w = 0.0 + a * u[0]
+            w = 0.0 + a * x
             t = w - off
             try:
                 f = floor(t)
@@ -281,12 +287,11 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
                 tol_floor(t)  # raises tol_floor's error for a non-finite t
             frac = t - f
             if frac > _BAND and 1.0 - frac > _BAND:
-                out.append(f)
-                u = (w - f,)
+                append(f)
+                x = w - f
             else:
-                d, r = _snap(w, t, f, off, lo, hi, nudge)
-                out.append(d)
-                u = (r,)
+                d, x = _snap(w, t, f, off, lo, hi, nudge)
+                append(d)
         return out
     return step, expand
 
@@ -294,9 +299,10 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
 def _plane_body(row0, row1):
     """DigitKernel's step and expand for a 2x2 matrix ((a, b), (c, d)): the
     tests' reference body (tests/kernel_reference.py) with its row loop
-    unrolled and _image's image2 inlined; as in _scalar_body, _snap and
-    tol_floor are module globals, so each guarded floor calls
-    numeric.safe_floor by name."""
+    unrolled and _image's image2 inlined, expand's remainder kept in the
+    local floats x and y, which both rows' images read before either row
+    floors; as in _scalar_body, _snap and tol_floor are module globals, so
+    each guarded floor calls numeric.safe_floor by name."""
     ((a, b), off0, norm0, lo0, hi0), ((c, d), off1, norm1, lo1, hi1) = row0, row1
     floor = math.floor
 
@@ -338,8 +344,10 @@ def _plane_body(row0, row1):
         if n < 0:
             raise ValueError("length must be nonnegative")
         out = []
+        if not n:
+            return out
+        append, (x, y) = out.append, u
         for _ in range(n):
-            x, y = u
             w0 = 0.0 + a * x + b * y
             w1 = 0.0 + c * x + d * y
             t = w0 - off0
@@ -349,9 +357,9 @@ def _plane_body(row0, row1):
                 tol_floor(t)
             frac = t - f
             if frac > _BAND and 1.0 - frac > _BAND:
-                d0, r0 = f, w0 - f
+                d0, x = f, w0 - f
             else:
-                d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
+                d0, x = _snap(w0, t, f, off0, lo0, hi0, nudge)
             t = w1 - off1
             try:
                 f = floor(t)
@@ -359,11 +367,10 @@ def _plane_body(row0, row1):
                 tol_floor(t)
             frac = t - f
             if frac > _BAND and 1.0 - frac > _BAND:
-                d1, r1 = f, w1 - f
+                d1, y = f, w1 - f
             else:
-                d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
-            out.append((d0, d1))
-            u = r0, r1
+                d1, y = _snap(w1, t, f, off1, lo1, hi1, nudge)
+            append((d0, d1))
         return out
     return step, expand
 
@@ -440,6 +447,7 @@ def _space_body(image, row0, row1, row2, row3):
         if n < 0:
             raise ValueError("length must be nonnegative")
         out = []
+        append = out.append
         for _ in range(n):
             w0, w1, w2, w3 = image(u)
             t = w0 - off0
@@ -482,7 +490,7 @@ def _space_body(image, row0, row1, row2, row3):
                 d3, r3 = f, w3 - f
             else:
                 d3, r3 = _snap(w3, t, f, off3, lo3, hi3, nudge)
-            out.append((d0, d1, d2, d3))
+            append((d0, d1, d2, d3))
             u = r0, r1, r2, r3
         return out
     return step, expand

@@ -56,6 +56,7 @@ class LatticeDomain:
         # Euclidean distance to the plane {coord_i = c} is |coord_i - c| / row_norm_i
         self.row_norms = tuple(math.sqrt(ordered_sum(x * x for x in row))
                                for row in self.Binv)
+        self._kernels: dict = {}  # digit_map's, by (q, abs(q))
 
     def to_coords(self, z: Quaternion) -> tuple[float, ...]:
         return self.Binv_times(map(float, z.components))
@@ -64,11 +65,23 @@ class LatticeDomain:
         return Quaternion(*self.B_times(map(float, coords)))
 
     def digit_map(self, q: Quaternion) -> DigitKernel:
-        """The map z -> q z - d written in this lattice's coordinates."""
+        """The map z -> q z - d written in this lattice's coordinates, built
+        on the first call for q and kept on this lattice, so q_expand and
+        every QuatSystem on it share one kernel per q.
+
+        The key is (q, abs(q)).  Quaternions equal by value and by norm give
+        the same kernel: a -0.0 component changes only the sign of zero
+        products, which each row of A, summed from +0.0, drops, and an int
+        component divides by abs(q) as its float does.  The norm is in the
+        key because an int component squares exactly where its float rounds,
+        so above 2^26 an int q and its equal float q can differ in abs(q)."""
         n = abs(q)
-        scaled = tuple(tuple(n * m for m in row) for row in isoclinic_matrix(q))
-        A = _mat_mul(_image(_mat_mul(self.Binv_times, scaled)), self.B)
-        return DigitKernel(A, self.offsets, self.row_norms)
+        kernel = self._kernels.get((q, n))
+        if kernel is None:
+            scaled = tuple(tuple(n * m for m in row) for row in isoclinic_matrix(q))
+            A = _mat_mul(_image(_mat_mul(self.Binv_times, scaled)), self.B)
+            kernel = self._kernels[q, n] = DigitKernel(A, self.offsets, self.row_norms)
+        return kernel
 
     def contains(self, z: Quaternion) -> bool:
         return self.box_contains(self.to_coords(z))
@@ -106,6 +119,8 @@ class LatticeDomain:
 
 def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
              on_ambiguous: str = "error") -> list[Coords]:
+    """First n digits of z in base q on the lattice, through the lattice's one
+    kernel for q (digit_map), which the first call builds."""
     if not lattice.contains(z):
         raise ValueError("point outside the fundamental box")
     return lattice.digit_map(q).expand(lattice.to_coords(z), n,

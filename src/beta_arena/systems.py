@@ -17,11 +17,14 @@ float sequence is taken) regardless of the underlying system; each adapter
 converts one to the lattice coordinates of its digit kernel (`coords`) and
 back (`_point`), crossing the basis once a call.  `step` is the kernel's
 own step in kernel coordinates, which snaps at a boundary and gives a real
-digit as an int, so certified_digits and expand_digits convert a point once
-and read the kernel's one orbit.  The quaternion adapter's
-basis changes are its lattice's Binv_times and B_times, plain-Python 4x4
-products built once by the digit kernel's numeric._image.  This module
-imports no expansion module, as each adapter takes its base ready-built.
+digit as an int.  certified_digits converts a point once, calls `step` for
+the digits it certifies and the first that fails, and reads the rest from
+the kernel's expand in nudge mode, as expand_digits reads them all: one
+orbit.  The quaternion adapter's kernel is its lattice's digit_map(q),
+which the lattice builds once per q, and its basis changes are the
+lattice's Binv_times and B_times, plain-Python 4x4 products built once by
+the digit kernel's numeric._image.  This module imports no expansion
+module, as each adapter takes its base ready-built.
 """
 
 from __future__ import annotations

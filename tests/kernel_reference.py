@@ -8,6 +8,10 @@ error and guarded floor for guarded floor (tests/test_scalar_kernel.py).
 It reads the kernel's _image and _rows, and calls numeric's _snap and
 tol_floor, which call numeric.safe_floor by name.  As the kernel does, the
 step always snaps, and a 1x1 kernel's digit is a bare int.
+
+reference_certified is the verifier's loop that game.certified_digits ran
+before it stopped stepping at the first uncertified digit: one adapter
+step per digit, all m of them.
 """
 
 from __future__ import annotations
@@ -69,6 +73,26 @@ def reference_expand(kernel, u, n: int, nudge: bool = False) -> list:
         out.append(_digit(digit))
         u = nxt
     return out
+
+
+def reference_certified(system, center, radius: float, m: int) -> tuple[list, int]:
+    """certified_digits as one loop of adapter steps over all m digits: each
+    step's margin against the radius grown by |radix|^j, the certified count
+    frozen at the first digit that fails (tests/test_certified_reference.py)."""
+    digits: list = []
+    certified = 0
+    growing = True
+    cur = system.coords(center)
+    growth = 1.0
+    for j in range(1, m + 1):
+        d, cur, margin = system.step(cur)
+        digits.append(d)
+        growth *= system.radix_norm
+        if growing and radius * growth < margin * (1.0 - 1e-9):
+            certified = j
+        else:
+            growing = False
+    return digits, certified
 
 
 def _digit(digit: list[int]):

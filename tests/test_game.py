@@ -777,6 +777,18 @@ def test_verify_avoids_shorter_than_its_block_is_indeterminate():
     assert verify_outcome(trace, system, claim, 2).verdict == "falsified"
 
 
+def test_verify_refuses_a_negative_depth():
+    # a negative m reads no digit: an "avoids" claim once came out verified
+    # ("first -4 windows avoid the block"), a verdict on no digits at all
+    setup = build_preset("notwinning-lipschitz")
+    trace, _ = run_setup(setup, seed=0)
+    for claim in (setup.claim, Claim("contains", setup.claim.block)):
+        for m in (-1, -4):
+            with pytest.raises(ValueError, match=f"depth must be nonnegative, not {m}"):
+                verify_outcome(trace, setup.system, claim, m)
+        res = verify_outcome(trace, setup.system, claim, 0)
+        assert (res.verdict, res.digits, res.certified) == ("indeterminate", [], 0)
+
 
 def trace_dict(trace):
     """A trace as a JSON-ready dict: schema 2, which GameTrace.to_json writes."""

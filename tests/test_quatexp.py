@@ -1,12 +1,15 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_kernel_digests import on_face
 
-from beta_arena.numeric import Quaternion, _power, _powers, metallic_mean
+from beta_arena import quatexp
+from beta_arena.numeric import DigitKernel, Quaternion, _power, _powers, metallic_mean
 from beta_arena.presets import build_preset
 from beta_arena.quatexp import (C_Omega, LatticeDomain, avoid_constant,
                                 domain_constants,
@@ -268,6 +271,74 @@ def test_q_expand_reconstruction():
     for j, d in enumerate(digs):
         acc = acc + q.powi(-(j + 1)) * box.point(d)
     assert abs(z - acc) <= abs(q) ** -16 * 4.0
+
+
+# the benchmark's two quaternion systems: lattice name -> base
+Q_EXPAND_CASES = {"lipschitz": Quaternion(3.0, 3.0, 3.0, 3.0),
+                  "zeta:0.25": Quaternion(0.0, 6.0, 0.0, 0.0)}
+
+
+def _outcome(expand):
+    """The digits, or the error's type and text."""
+    try:
+        return expand()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(Q_EXPAND_CASES))
+def test_q_expand_builds_one_kernel_per_q(name, monkeypatch):
+    # q_expand's digits and errors are a freshly built kernel's, in both
+    # modes, and only its first call builds a kernel
+    q = Q_EXPAND_CASES[name]
+    lattice, fresh = stock_lattice(name), stock_lattice(name).digit_map(q)
+    rng = random.Random(f"q-expand:{name}")
+    zs = []
+    while len(zs) < 16:
+        u = [lo + rng.random() for lo in lattice.offsets]
+        if len(zs) % 4 == 0:
+            u = on_face(fresh, u, rng.randrange(4))
+        if u is not None and lattice.contains(lattice.point(u)):
+            zs.append(lattice.point(u))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return DigitKernel(*args)
+    monkeypatch.setattr(quatexp, "DigitKernel", counted)
+    errors = 0
+    for mode in ("error", "nudge"):
+        for z in zs:
+            got = _outcome(lambda: q_expand(q, lattice, z, 32, on_ambiguous=mode))
+            want = _outcome(lambda: fresh.expand(lattice.to_coords(z), 32, mode == "nudge"))
+            assert got == want, (mode, z)
+            errors += isinstance(got, tuple)
+    assert lattice.digit_map(q) is lattice.digit_map(q)
+    assert errors > 0 and len(built) == 1
+
+
+# the last q: an int q whose norm, squared exactly, rounds to another float
+# than its float's, and whose kernel is another
+KEY_CASES = (((3.0, 3.0, 3.0, 3.0), (3, 3, 3, 3)),
+             ((0.0, 6.0, 0.0, 0.0), (-0.0, 6.0, -0.0, 0.0)),
+             ((0.0, 6.0, 0.0, 0.0), (0, 6, 0, -0.0)),
+             ((-624881550059.0, -378908703773.0, 529969995193.0, 962199697798.0),
+              (-624881550059, -378908703773, 529969995193, 962199697798)))
+
+
+@pytest.mark.parametrize("name", sorted(Q_EXPAND_CASES))
+def test_digit_map_gives_an_equal_q_a_fresh_build(name):
+    # a q with int or -0.0 components, asked after an equal q, maps to the
+    # kernel a fresh lattice builds for it
+    lattice = stock_lattice(name)
+    for first, second in KEY_CASES:
+        lattice.digit_map(Quaternion(*first))
+        got, want = (L.digit_map(Quaternion(*second)) for L in (lattice, stock_lattice(name)))
+        assert ((hexes_or_none(got.A), got.lo, got.hi)
+                == (hexes_or_none(want.A), want.lo, want.hi)), second
+    int_q, float_q = (Quaternion(*c) for c in KEY_CASES[-1][::-1])
+    assert (hexes_or_none(stock_lattice(name).digit_map(int_q).A)
+            != hexes_or_none(stock_lattice(name).digit_map(float_q).A))
 
 
 def test_worked_example_digits_and_periodicity():

@@ -84,12 +84,10 @@ ALLOWED = {
     "quatexp.LatticeDomain.box_contains": "the box test of a sheared lattice (box is None)",
     "systems._halvings": "max_step_inside on a sheared lattice (box is None)",
     # record and module protocol methods
-    "numeric.FrozenRecord.__hash__": "record protocol",
     "numeric.FrozenRecord.__reduce__": "record protocol (copy and pickle)",
     "numeric.FrozenRecord.__setattr__": "record protocol (refuses writes)",
     "numeric.Record.__eq__": "record protocol",
     "numeric.Record.__repr__": "record protocol",
-    "numeric.Record._values": "record protocol (__eq__, __hash__, __reduce__)",
     "__init__.__dir__": "module protocol (PEP 562)",
     "__init__.__getattr__": "module protocol (PEP 562), for `import beta_arena` users",
 }
