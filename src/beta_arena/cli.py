@@ -120,7 +120,7 @@ def cmd_expand(args) -> int:
     if not system.contains(p):
         raise ValueError("point outside the fundamental domain")
     digits = expand_digits(system, p, args.n, args.on_ambiguous)
-    err = math.dist(p, system._point(system.kernel.reconstruct(digits)))
+    err = math.dist(p, system.point(system.kernel.reconstruct(digits)))
 
     if args.format == "json":
         print(json.dumps({"digits": digits, "reconstruction_error": err}, sort_keys=True))

@@ -307,8 +307,8 @@ class Claim(FrozenRecord):
     kind "contains": the digits of the outcome match `block` starting at
     1-based `position`.  kind "avoids": no alignment window of length
     len(block) among the first m digits equals `block`.  Each digit is an int
-    or a tuple of ints, for ==; verify_outcome asks the shape the adapters'
-    step gives: an int on a 1-D system, a tuple of dim ints otherwise.
+    or a tuple of ints, for ==; verify_outcome asks the shape the digit
+    kernel gives: an int on a 1-D system, a tuple of dim ints otherwise.
     """
 
     __slots__ = ("kind", "block", "position")
@@ -345,27 +345,17 @@ def certified_digits(system, center: Sequence[float], radius: float, m: int
 
     Digit j is certified when every point within `radius` of the center
     provably shares it: the pre-floor image at step j sits farther from its
-    cell boundary than the radius grown by |radix|^j.  The certified digits
-    are a prefix, so the adapter's step, which reports that margin, runs for
-    them and for the first digit that fails; the kernel's expand in nudge
-    mode gives the rest without margins.  Both snap alike, so the orbit is
-    expand_digits' in nudge mode, bit for bit: one coords, then kernel steps.
-    m <= 0 gives ([], 0) and steps nothing.
+    cell boundary than the radius grown by |radix|^j, with the kernel's
+    safety factor numeric._CERTIFIED on top.  The certified digits are a
+    prefix.  One coords, then one adapter step, the kernel's walk in nudge
+    mode, gives both the digits and the count, so the orbit is
+    expand_digits' in nudge mode, bit for bit.  m <= 0 gives ([], 0) and
+    steps nothing.
     """
-    digits: list = []
     cur = system.coords(center)
     if m <= 0:
-        return digits, 0
-    step, norm = system.step, system.radix_norm
-    growth = 1.0
-    for j in range(1, m + 1):
-        d, cur, margin = step(cur)
-        digits.append(d)
-        growth *= norm
-        if not radius * growth < margin * (1.0 - 1e-9):
-            digits += system.kernel.expand(cur, m - j, True)
-            return digits, j - 1
-    return digits, m
+        return [], 0
+    return system.step(cur, m, radius)
 
 
 def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResult:

@@ -3,16 +3,17 @@ and the fixed-order sums that give the same bits on every Python version.
 
 The digit maps in one, two and four dimensions are one affine map in
 lattice coordinates, DigitKernel, so they share a single arithmetic rule.
-Every floor taken near an integer is flagged; the kernel's step snaps to
-the boundary, and its expand aborts or snaps.  The kernel and the lattices share
-ordered_sum and _image.  As _image picks its product by the matrix's shape,
-the kernel picks its body at construction, one straight-line body per
-shape: _scalar_body (1x1, a real base), _plane_body (2x2, a complex base)
-and _space_body (4x4, a quaternion on a lattice).  Each does the float
+Every floor taken near an integer is flagged; the kernel's walk aborts or
+snaps to the boundary.  The kernel and the lattices share ordered_sum and
+_image.  As _image picks its product by the matrix's shape, the kernel
+picks its body at construction, one straight-line walk per shape:
+_scalar_body (1x1, a real base), _plane_body (2x2, a complex base) and
+_space_body (4x4, a quaternion on a lattice).  Each does the float
 operations of the generic loop over rows in its order, which the package
 no longer holds: tests/kernel_reference.py keeps it as the reference every
-body is held to.  Their expand loops carry the remainder from digit to
-digit in local floats (the 4x4 loop as its image's argument tuple).
+body is held to.  A walk carries the remainder from digit to digit in local
+floats (the 4x4 walk as its image's argument tuple) and, while a ball about
+its start certifies its digits, the ball's growth and each digit's margin.
 """
 
 from __future__ import annotations
@@ -243,41 +244,32 @@ def _snap(w: float, t: float, f: int, off: float, lo: int, hi: int, nudge: bool)
 _BAND = 2.0 * EPS_FLOOR
 
 
+# the verifier's safety factor: digit j is certified when the ball's radius
+# grown by |radix|^j stays below this share of the digit's margin; a policy
+# that no bound on the orbit's rounding derives yet
+_CERTIFIED = 1.0 - 1e-9
+
+
 def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
-    """DigitKernel's step and expand for a 1x1 matrix (a,): the tests'
-    reference body (tests/kernel_reference.py) on one float, its digit a
-    bare int, with expand's remainder kept in one local float; its image is
-    0.0 + a * u[0], read from u only when a digit is asked for, and _snap and
-    tol_floor are module globals, as there, so every guarded floor calls
-    numeric.safe_floor by name, where the benchmark's tracer counts it."""
+    """DigitKernel's walk for a 1x1 matrix (a,): the tests' reference body
+    (tests/kernel_reference.py) on one float, its digit a bare int, with
+    the remainder, and while the ball certifies its growth, kept in local
+    floats; its image is 0.0 + a * u[0], read from u only when a digit is
+    asked for, and _snap and tol_floor are module globals, as there, so every
+    guarded floor calls numeric.safe_floor by name, where the benchmark's
+    tracer counts it."""
     (a,) = row
     floor = math.floor
 
-    def step(u):
-        w = 0.0 + a * u[0]
-        t = w - off
-        try:
-            f = floor(t)
-        except (OverflowError, ValueError):
-            tol_floor(t)  # raises tol_floor's error for a non-finite t
-        frac = t - f
-        rest = 1.0 - frac
-        if frac > _BAND and rest > _BAND:
-            d, r = f, w - f
-        else:
-            d, r = _snap(w, t, f, off, lo, hi, True)
-        # the reference's margin is this m: frac lies in [0, 1] and norm > 0,
-        # so m is never nan, and an m of inf stays inf there too
-        m = (rest if rest < frac else frac) / norm
-        return d, (r,), m
-
-    def expand(u, n: int, nudge: bool = False) -> list[int]:
+    def walk(u, n: int, nudge: bool = False, radius=None, radix=None
+             ) -> tuple[list[int], int]:
         if n < 0:
             raise ValueError("length must be nonnegative")
         out = []
         if not n:
-            return out
+            return out, 0
         append, x = out.append, u[0]
+        certified, certifying, growth = 0, radius is not None, 1.0
         for _ in range(n):
             w = 0.0 + a * x
             t = w - off
@@ -286,67 +278,44 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
             except (OverflowError, ValueError):
                 tol_floor(t)  # raises tol_floor's error for a non-finite t
             frac = t - f
-            if frac > _BAND and 1.0 - frac > _BAND:
+            rest = 1.0 - frac
+            if frac > _BAND and rest > _BAND:
                 append(f)
                 x = w - f
             else:
                 d, x = _snap(w, t, f, off, lo, hi, nudge)
                 append(d)
-        return out
-    return step, expand
+            if certifying:
+                # the reference's margin: frac lies in [0, 1] and norm > 0,
+                # so it is never nan, and a margin of inf stays inf there too
+                growth *= radix
+                if radius * growth < (rest if rest < frac else frac) / norm * _CERTIFIED:
+                    certified += 1
+                else:
+                    certifying = False
+        return out, certified
+    return walk
 
 
 def _plane_body(row0, row1):
-    """DigitKernel's step and expand for a 2x2 matrix ((a, b), (c, d)): the
-    tests' reference body (tests/kernel_reference.py) with its row loop
-    unrolled and _image's image2 inlined, expand's remainder kept in the
-    local floats x and y, which both rows' images read before either row
-    floors; as in _scalar_body, _snap and tol_floor are module globals, so
-    each guarded floor calls numeric.safe_floor by name."""
+    """DigitKernel's walk for a 2x2 matrix ((a, b), (c, d)): the tests'
+    reference body (tests/kernel_reference.py) with its row loop unrolled
+    and _image's image2 inlined, the remainder kept in the local floats x
+    and y, which both rows' images read before either row floors; as in
+    _scalar_body, _snap and tol_floor are module globals, so each guarded
+    floor calls numeric.safe_floor by name."""
     ((a, b), off0, norm0, lo0, hi0), ((c, d), off1, norm1, lo1, hi1) = row0, row1
     floor = math.floor
 
-    def step(u):
-        x, y = u
-        w0 = 0.0 + a * x + b * y
-        w1 = 0.0 + c * x + d * y
-        t = w0 - off0
-        try:
-            f = floor(t)
-        except (OverflowError, ValueError):
-            tol_floor(t)  # raises tol_floor's error for a non-finite t
-        frac = t - f
-        rest = 1.0 - frac
-        if frac > _BAND and rest > _BAND:
-            d0, r0 = f, w0 - f
-        else:
-            d0, r0 = _snap(w0, t, f, off0, lo0, hi0, True)
-        # the reference's running min from inf: frac lies in [0, 1] and
-        # norm > 0, so no m is nan
-        margin = (rest if rest < frac else frac) / norm0
-        t = w1 - off1
-        try:
-            f = floor(t)
-        except (OverflowError, ValueError):
-            tol_floor(t)
-        frac = t - f
-        rest = 1.0 - frac
-        if frac > _BAND and rest > _BAND:
-            d1, r1 = f, w1 - f
-        else:
-            d1, r1 = _snap(w1, t, f, off1, lo1, hi1, True)
-        m = (rest if rest < frac else frac) / norm1
-        if m < margin:
-            margin = m
-        return (d0, d1), (r0, r1), margin
-
-    def expand(u, n: int, nudge: bool = False) -> list[tuple[int, int]]:
+    def walk(u, n: int, nudge: bool = False, radius=None, radix=None
+             ) -> tuple[list[tuple[int, int]], int]:
         if n < 0:
             raise ValueError("length must be nonnegative")
         out = []
         if not n:
-            return out
+            return out, 0
         append, (x, y) = out.append, u
+        certified, certifying, growth = 0, radius is not None, 1.0
         for _ in range(n):
             w0 = 0.0 + a * x + b * y
             w1 = 0.0 + c * x + d * y
@@ -354,9 +323,10 @@ def _plane_body(row0, row1):
             try:
                 f = floor(t)
             except (OverflowError, ValueError):
-                tol_floor(t)
-            frac = t - f
-            if frac > _BAND and 1.0 - frac > _BAND:
+                tol_floor(t)  # raises tol_floor's error for a non-finite t
+            frac0 = t - f
+            rest0 = 1.0 - frac0
+            if frac0 > _BAND and rest0 > _BAND:
                 d0, x = f, w0 - f
             else:
                 d0, x = _snap(w0, t, f, off0, lo0, hi0, nudge)
@@ -365,98 +335,55 @@ def _plane_body(row0, row1):
                 f = floor(t)
             except (OverflowError, ValueError):
                 tol_floor(t)
-            frac = t - f
-            if frac > _BAND and 1.0 - frac > _BAND:
+            frac1 = t - f
+            rest1 = 1.0 - frac1
+            if frac1 > _BAND and rest1 > _BAND:
                 d1, y = f, w1 - f
             else:
                 d1, y = _snap(w1, t, f, off1, lo1, hi1, nudge)
             append((d0, d1))
-        return out
-    return step, expand
+            if certifying:
+                # the reference's running min from inf: no row's margin is nan
+                growth *= radix
+                margin = (rest0 if rest0 < frac0 else frac0) / norm0
+                m = (rest1 if rest1 < frac1 else frac1) / norm1
+                if m < margin:
+                    margin = m
+                if radius * growth < margin * _CERTIFIED:
+                    certified += 1
+                else:
+                    certifying = False
+        return out, certified
+    return walk
 
 
 def _space_body(image, row0, row1, row2, row3):
-    """DigitKernel's step and expand for a 4x4 matrix: the tests' reference
-    body with its row loop unrolled.  The image stays the kernel's own
-    _image, as monomial4 and image4 differ on non-finite input (dense makes
-    every row nan, monomial only the rows that read it), and with them the
-    first error."""
+    """DigitKernel's walk for a 4x4 matrix: the tests' reference body with
+    its row loop unrolled.  The image stays the kernel's own _image, as
+    monomial4 and image4 differ on non-finite input (dense makes every row
+    nan, monomial only the rows that read it), and with them the first
+    error; so the remainder passes to it as a tuple."""
     ((_, off0, norm0, lo0, hi0), (_, off1, norm1, lo1, hi1),
      (_, off2, norm2, lo2, hi2), (_, off3, norm3, lo3, hi3)) = row0, row1, row2, row3
     floor = math.floor
 
-    def step(u):
-        w0, w1, w2, w3 = image(u)
-        t = w0 - off0
-        try:
-            f = floor(t)
-        except (OverflowError, ValueError):
-            tol_floor(t)  # raises tol_floor's error for a non-finite t
-        frac = t - f
-        rest = 1.0 - frac
-        if frac > _BAND and rest > _BAND:
-            d0, r0 = f, w0 - f
-        else:
-            d0, r0 = _snap(w0, t, f, off0, lo0, hi0, True)
-        margin = (rest if rest < frac else frac) / norm0  # as in _plane_body
-        t = w1 - off1
-        try:
-            f = floor(t)
-        except (OverflowError, ValueError):
-            tol_floor(t)
-        frac = t - f
-        rest = 1.0 - frac
-        if frac > _BAND and rest > _BAND:
-            d1, r1 = f, w1 - f
-        else:
-            d1, r1 = _snap(w1, t, f, off1, lo1, hi1, True)
-        m = (rest if rest < frac else frac) / norm1
-        if m < margin:
-            margin = m
-        t = w2 - off2
-        try:
-            f = floor(t)
-        except (OverflowError, ValueError):
-            tol_floor(t)
-        frac = t - f
-        rest = 1.0 - frac
-        if frac > _BAND and rest > _BAND:
-            d2, r2 = f, w2 - f
-        else:
-            d2, r2 = _snap(w2, t, f, off2, lo2, hi2, True)
-        m = (rest if rest < frac else frac) / norm2
-        if m < margin:
-            margin = m
-        t = w3 - off3
-        try:
-            f = floor(t)
-        except (OverflowError, ValueError):
-            tol_floor(t)
-        frac = t - f
-        rest = 1.0 - frac
-        if frac > _BAND and rest > _BAND:
-            d3, r3 = f, w3 - f
-        else:
-            d3, r3 = _snap(w3, t, f, off3, lo3, hi3, True)
-        m = (rest if rest < frac else frac) / norm3
-        if m < margin:
-            margin = m
-        return (d0, d1, d2, d3), (r0, r1, r2, r3), margin
-
-    def expand(u, n: int, nudge: bool = False) -> list[tuple[int, int, int, int]]:
+    def walk(u, n: int, nudge: bool = False, radius=None, radix=None
+             ) -> tuple[list[tuple[int, int, int, int]], int]:
         if n < 0:
             raise ValueError("length must be nonnegative")
         out = []
         append = out.append
+        certified, certifying, growth = 0, radius is not None, 1.0
         for _ in range(n):
             w0, w1, w2, w3 = image(u)
             t = w0 - off0
             try:
                 f = floor(t)
             except (OverflowError, ValueError):
-                tol_floor(t)
-            frac = t - f
-            if frac > _BAND and 1.0 - frac > _BAND:
+                tol_floor(t)  # raises tol_floor's error for a non-finite t
+            frac0 = t - f
+            rest0 = 1.0 - frac0
+            if frac0 > _BAND and rest0 > _BAND:
                 d0, r0 = f, w0 - f
             else:
                 d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
@@ -465,8 +392,9 @@ def _space_body(image, row0, row1, row2, row3):
                 f = floor(t)
             except (OverflowError, ValueError):
                 tol_floor(t)
-            frac = t - f
-            if frac > _BAND and 1.0 - frac > _BAND:
+            frac1 = t - f
+            rest1 = 1.0 - frac1
+            if frac1 > _BAND and rest1 > _BAND:
                 d1, r1 = f, w1 - f
             else:
                 d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
@@ -475,8 +403,9 @@ def _space_body(image, row0, row1, row2, row3):
                 f = floor(t)
             except (OverflowError, ValueError):
                 tol_floor(t)
-            frac = t - f
-            if frac > _BAND and 1.0 - frac > _BAND:
+            frac2 = t - f
+            rest2 = 1.0 - frac2
+            if frac2 > _BAND and rest2 > _BAND:
                 d2, r2 = f, w2 - f
             else:
                 d2, r2 = _snap(w2, t, f, off2, lo2, hi2, nudge)
@@ -485,15 +414,32 @@ def _space_body(image, row0, row1, row2, row3):
                 f = floor(t)
             except (OverflowError, ValueError):
                 tol_floor(t)
-            frac = t - f
-            if frac > _BAND and 1.0 - frac > _BAND:
+            frac3 = t - f
+            rest3 = 1.0 - frac3
+            if frac3 > _BAND and rest3 > _BAND:
                 d3, r3 = f, w3 - f
             else:
                 d3, r3 = _snap(w3, t, f, off3, lo3, hi3, nudge)
             append((d0, d1, d2, d3))
             u = r0, r1, r2, r3
-        return out
-    return step, expand
+            if certifying:  # as in _plane_body
+                growth *= radix
+                margin = (rest0 if rest0 < frac0 else frac0) / norm0
+                m = (rest1 if rest1 < frac1 else frac1) / norm1
+                if m < margin:
+                    margin = m
+                m = (rest2 if rest2 < frac2 else frac2) / norm2
+                if m < margin:
+                    margin = m
+                m = (rest3 if rest3 < frac3 else frac3) / norm3
+                if m < margin:
+                    margin = m
+                if radius * growth < margin * _CERTIFIED:
+                    certified += 1
+                else:
+                    certifying = False
+        return out, certified
+    return walk
 
 
 class DigitKernel:
@@ -517,12 +463,17 @@ class DigitKernel:
     that digit, and its remainder is put exactly on the lower face.
 
     The body is chosen by shape at construction, as _image chooses its
-    product, and bound on the instance: step(u) gives (digit, remainder,
-    margin), always snapping, the margin being the Euclidean distance from
-    A u to its digit cell's boundary, and expand(u, n, nudge) the digits of
-    n steps, snapping only with nudge; a 1x1 kernel's digit is an int.  Each
-    shape has one straight-line body, with no loop over rows, which
-    tests/test_scalar_kernel.py holds to tests/kernel_reference.py's row loop.
+    product, and bound on the instance as walk(u, n, nudge, radius, radix):
+    the digits of n steps from u, snapping only with nudge (a 1x1 kernel's
+    digit is an int), and how many of them a ball of that radius about u
+    certifies.  Digit j is certified when radius * radix^j is below
+    _CERTIFIED times its margin, the Euclidean distance from A u to its digit
+    cell's boundary; the certified digits are a prefix, so once one fails
+    the walk only floors, and without a radius it never tracks a margin
+    (radix is read only with a radius).  expand is the walk's digits with
+    no ball.  Each shape has one straight-line body, with no loop over rows,
+    which tests/test_scalar_kernel.py holds to tests/kernel_reference.py's
+    row loop.
     """
 
     def __init__(self, A, offsets, row_norms):
@@ -540,11 +491,15 @@ class DigitKernel:
         self._rows = tuple(zip(self.A, offsets, row_norms, self.lo, self.hi))
         self._image = _image(self.A)  # which refuses any other shape
         if len(self.A) == 1:
-            self.step, self.expand = _scalar_body(*self._rows[0])
+            self.walk = _scalar_body(*self._rows[0])
         elif len(self.A) == 2:
-            self.step, self.expand = _plane_body(*self._rows)
+            self.walk = _plane_body(*self._rows)
         else:
-            self.step, self.expand = _space_body(self._image, *self._rows)
+            self.walk = _space_body(self._image, *self._rows)
+
+    def expand(self, u, n: int, nudge: bool = False) -> list:
+        """The first n digits of u: walk(u, n, nudge)'s, with no ball."""
+        return self.walk(u, n, nudge)[0]
 
     def reconstruct(self, digits) -> list[float]:
         """Lattice coordinates of sum_j A^-j d_j, the point these digits

@@ -74,10 +74,17 @@ class LatticeDomain:
         products, which each row of A, summed from +0.0, drops, and an int
         component divides by abs(q) as its float does.  The norm is in the
         key because an int component squares exactly where its float rounds,
-        so above 2^26 an int q and its equal float q can differ in abs(q)."""
+        so above 2^26 an int q and its equal float q can differ in abs(q).
+
+        A q of norm at most 1 is refused, as RealBase and ComplexBase refuse
+        a radix at most 1: its map does not expand, so no digit string
+        describes a point (0.5 gives digits 0, 0, ... for every point).  A q
+        of norm 0, inf or nan gets isoclinic_matrix's refusal."""
         n = abs(q)
         kernel = self._kernels.get((q, n))
         if kernel is None:
+            if 0.0 < n <= 1.0:
+                raise ValueError(f"quaternion base must have norm above 1, got {n!r}")
             scaled = tuple(tuple(n * m for m in row) for row in isoclinic_matrix(q))
             A = _mat_mul(_image(_mat_mul(self.Binv_times, scaled)), self.B)
             kernel = self._kernels[q, n] = DigitKernel(A, self.offsets, self.row_norms)
@@ -120,11 +127,12 @@ class LatticeDomain:
 def q_expand(q: Quaternion, lattice: LatticeDomain, z: Quaternion, n: int,
              on_ambiguous: str = "error") -> list[Coords]:
     """First n digits of z in base q on the lattice, through the lattice's one
-    kernel for q (digit_map), which the first call builds."""
-    if not lattice.contains(z):
+    kernel for q (digit_map), which the first call builds; z crosses into
+    lattice coordinates once, for the box test and the kernel alike."""
+    u = lattice.to_coords(z)
+    if not lattice.box_contains(u):
         raise ValueError("point outside the fundamental box")
-    return lattice.digit_map(q).expand(lattice.to_coords(z), n,
-                                       nudge_mode(on_ambiguous))
+    return lattice.digit_map(q).expand(u, n, nudge_mode(on_ambiguous))
 
 
 def isoclinic_matrix(q: Quaternion) -> Matrix:

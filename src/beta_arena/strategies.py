@@ -211,7 +211,7 @@ def bob_avoid_block(system: ComplexSystem | QuatSystem, xi: Sequence[float],
             if i % win == 0 and digits[i:i + win] == omega_coords:
                 s.note(f"round {kk}: pinned window {(m + i) // win + 1} equals the avoided block")
             pinned = tuple(map(operator.add, pinned, step(m + i + 1, d)))
-        proposal = system._point(map(operator.add, pinned, shift(depth)))
+        proposal = system.point(map(operator.add, pinned, shift(depth)))
         gap = math.dist(proposal, y)
         if gap > s.reach:
             s.note(f"round {kk}: formula move exceeds the legal step; clipped")

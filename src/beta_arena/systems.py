@@ -15,12 +15,15 @@ The `expand` command uses the same adapters, so each system is described in
 one place.  Points travel as float tuples of the ambient dimension (any
 float sequence is taken) regardless of the underlying system; each adapter
 converts one to the lattice coordinates of its digit kernel (`coords`) and
-back (`_point`), crossing the basis once a call.  `step` is the kernel's
-own step in kernel coordinates, which snaps at a boundary and gives a real
-digit as an int.  certified_digits converts a point once, calls `step` for
-the digits it certifies and the first that fails, and reads the rest from
-the kernel's expand in nudge mode, as expand_digits reads them all: one
-orbit.  The quaternion adapter's kernel is its lattice's digit_map(q),
+back (`point`), crossing the basis once a call.  `step(u, n, radius)` is
+the kernel's walk from u in kernel coordinates, snapping at a boundary and
+giving a real digit as an int: n digits and how many a ball of that radius
+certifies at the adapter's radix_norm.  certified_digits converts a point
+once and makes that one call, so its digits are expand_digits' in nudge
+mode: one orbit.  Each adapter defines its own step, although all three
+read alike, because perfbench's tracer patches RealSystem.step,
+ComplexSystem.step and QuatSystem.step by name, one span per system.
+The quaternion adapter's kernel is its lattice's digit_map(q),
 which the lattice builds once per q, and its basis changes are the
 lattice's Binv_times and B_times, plain-Python 4x4 products built once by
 the digit kernel's numeric._image.  This module imports no expansion
@@ -57,11 +60,11 @@ class RealSystem:
     def contains(self, p: Sequence[float]) -> bool:
         return 0.0 <= p[0] < 1.0
 
-    def _point(self, u) -> tuple[float, ...]:
+    def point(self, u) -> tuple[float, ...]:
         return tuple(u)
 
-    def step(self, u: Sequence[float]):
-        return self.kernel.step(u)
+    def step(self, u: Sequence[float], n: int, radius: float) -> tuple[list, int]:
+        return self.kernel.walk(u, n, True, radius, self.radix_norm)
 
 
 class ComplexSystem:
@@ -81,11 +84,11 @@ class ComplexSystem:
         return (self.base.lo[0] <= p[0] < self.base.lo[0] + 1.0
                 and self.base.lo[1] <= p[1] < self.base.lo[1] + 1.0)
 
-    def _point(self, u) -> tuple[float, ...]:
+    def point(self, u) -> tuple[float, ...]:
         return tuple(u)
 
-    def step(self, u: Sequence[float]):
-        return self.kernel.step(u)
+    def step(self, u: Sequence[float], n: int, radius: float) -> tuple[list, int]:
+        return self.kernel.walk(u, n, True, radius, self.radix_norm)
 
 
 class QuatSystem:
@@ -116,11 +119,11 @@ class QuatSystem:
         return (l0 <= s0 * float(x0) < l0 + 1.0 and l1 <= s1 * float(x1) < l1 + 1.0
                 and l2 <= s2 * float(x2) < l2 + 1.0 and l3 <= s3 * float(x3) < l3 + 1.0)
 
-    def _point(self, u) -> tuple[float, ...]:
+    def point(self, u) -> tuple[float, ...]:
         return self.lattice.B_times(map(float, u))
 
-    def step(self, u: Sequence[float]):
-        return self.kernel.step(u)
+    def step(self, u: Sequence[float], n: int, radius: float) -> tuple[list, int]:
+        return self.kernel.walk(u, n, True, radius, self.radix_norm)
 
 
 def max_step_inside(system, start: Sequence[float], step: float) -> float:

@@ -1,17 +1,20 @@
 """The digit kernel's generic body: one loop over the rows of A u.
 
 This is the body every DigitKernel ran before each shape got its own
-straight-line body in numeric (_scalar_body, _plane_body, _space_body).
+straight-line walk in numeric (_scalar_body, _plane_body, _space_body).
 The package no longer holds it; the tests keep it as the reference that
-every body must match digit for digit, float.hex for float.hex, error for
-error and guarded floor for guarded floor (tests/test_scalar_kernel.py).
-It reads the kernel's _image and _rows, and calls numeric's _snap and
-tol_floor, which call numeric.safe_floor by name.  As the kernel does, the
-step always snaps, and a 1x1 kernel's digit is a bare int.
+every walk must match digit for digit, certified count for certified count,
+error for error and guarded floor for guarded floor
+(tests/test_scalar_kernel.py).  It reads the kernel's _image and _rows, and
+calls numeric's _snap and tol_floor, which call numeric.safe_floor by name.
+As the kernel does, a 1x1 kernel's digit is a bare int.
 
-reference_certified is the verifier's loop that game.certified_digits ran
-before it stopped stepping at the first uncertified digit: one adapter
-step per digit, all m of them.
+reference_step is one step with its remainder and margin, which the walk
+keeps to itself: tests that read a digit's (digit, remainder, margin) read
+them here.  reference_walk is n such steps with the verifier's
+certification test, and reference_expand and reference_certified (the loop
+game.certified_digits ran before it made one walk per call) are its digits
+and its walk from a system's point.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import math
 from beta_arena.numeric import _BAND, _snap, tol_floor
 
 
-def reference_step(kernel, u):
-    """One step from u, snapping at a boundary: (digit, remainder, margin),
-    the margin being the Euclidean distance from A u to the boundary of its
-    digit cell."""
+def reference_step(kernel, u, nudge: bool = True):
+    """One step from u, snapping at a boundary unless nudge is False (then
+    a digit within the band raises): (digit, remainder, margin), the margin
+    being the Euclidean distance from A u to the boundary of its digit cell."""
     digit, nxt, margin, floor = [], [], math.inf, math.floor
     for w, (_, off, norm, lo, hi) in zip(kernel._image(u), kernel._rows):
         t = w - off
@@ -38,7 +41,7 @@ def reference_step(kernel, u):
             digit.append(f)
             nxt.append(w - f)
         else:
-            d, r = _snap(w, t, f, off, lo, hi, True)
+            d, r = _snap(w, t, f, off, lo, hi, nudge)
             digit.append(d)
             nxt.append(r)
         # min(frac, rest) / norm is min(frac / norm, rest / norm): norm > 0
@@ -48,51 +51,37 @@ def reference_step(kernel, u):
     return _digit(digit), tuple(nxt), margin
 
 
-def reference_expand(kernel, u, n: int, nudge: bool = False) -> list:
-    """First n digits of u: the digits of n steps, without their margins."""
+def reference_walk(kernel, u, n: int, nudge: bool = False, radius=None, radix=None
+                   ) -> tuple[list, int]:
+    """n steps from u: their digits, and how many of them a ball of radius
+    about u certifies, digit j while radius * radix^j < margin_j * (1 - 1e-9);
+    the count stops at the first digit that fails, and with no radius it is 0."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    image, rows, floor = kernel._image, kernel._rows, math.floor
-    out = []
+    digits, certified, certifying, growth = [], 0, radius is not None, 1.0
     for _ in range(n):
-        digit, nxt = [], []
-        for w, (_, off, _, lo, hi) in zip(image(u), rows):
-            t = w - off
-            try:
-                f = floor(t)
-            except (OverflowError, ValueError):
-                tol_floor(t)  # raises tol_floor's error for a non-finite t
-            frac = t - f
-            if frac > _BAND and 1.0 - frac > _BAND:
-                digit.append(f)
-                nxt.append(w - f)
+        d, u, margin = reference_step(kernel, u, nudge)
+        digits.append(d)
+        if certifying:
+            growth *= radix
+            if radius * growth < margin * (1.0 - 1e-9):
+                certified += 1
             else:
-                d, r = _snap(w, t, f, off, lo, hi, nudge)
-                digit.append(d)
-                nxt.append(r)
-        out.append(_digit(digit))
-        u = nxt
-    return out
+                certifying = False
+    return digits, certified
+
+
+def reference_expand(kernel, u, n: int, nudge: bool = False) -> list:
+    """First n digits of u: the digits of n steps, without their margins."""
+    return reference_walk(kernel, u, n, nudge)[0]
 
 
 def reference_certified(system, center, radius: float, m: int) -> tuple[list, int]:
-    """certified_digits as one loop of adapter steps over all m digits: each
-    step's margin against the radius grown by |radix|^j, the certified count
-    frozen at the first digit that fails (tests/test_certified_reference.py)."""
-    digits: list = []
-    certified = 0
-    growing = True
-    cur = system.coords(center)
-    growth = 1.0
-    for j in range(1, m + 1):
-        d, cur, margin = system.step(cur)
-        digits.append(d)
-        growth *= system.radix_norm
-        if growing and radius * growth < margin * (1.0 - 1e-9):
-            certified = j
-        else:
-            growing = False
-    return digits, certified
+    """certified_digits as reference steps over all m digits, from the
+    system's coordinates of the center, snapping at a boundary
+    (tests/test_certified_reference.py); m <= 0 steps nothing."""
+    return reference_walk(system.kernel, system.coords(center), max(m, 0), True,
+                          radius, system.radix_norm)
 
 
 def _digit(digit: list[int]):

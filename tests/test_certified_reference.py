@@ -1,13 +1,14 @@
-"""certified_digits against the verifier's one-step-per-digit loop.
+"""certified_digits and expand against the reference's one-step-per-digit loop.
 
-certified_digits steps the adapter through the digits it certifies and the
-first one that fails, then reads the rest of the orbit from the kernel's
-expand in nudge mode.  reference_certified (tests/kernel_reference.py) steps
-the adapter for all m digits.  The two must give the same digits and the
-same certified count on every preset's system and every `expand` system,
-for radii from 1e-14 to 1e-1 and depths from -1 to 64, at uniform centers
-and at centers whose image lies on a digit-cell face; and certified_digits
-must call the adapter's step min(m, certified + 1) times, never for m <= 0.
+certified_digits makes one adapter step, the kernel's walk, for all m
+digits.  reference_certified (tests/kernel_reference.py) makes m reference
+steps.  The two must give the same digits and the same certified count on
+every preset's system and every `expand` system, for radii from 1e-14 to
+1e-1 and depths from -1 to 64, at uniform centers and at centers whose image
+lies on a digit-cell face; and certified_digits must call the adapter's
+step once for m >= 1, never for m <= 0.  On the same points and depths the
+kernel's expand, the walk with no ball, must give reference_expand's digits
+in both snap modes, or raise its error with its text.
 
 The module imports neither numpy nor pytest, so a bare interpreter runs it:
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from kernel_reference import reference_certified
+from kernel_reference import reference_certified, reference_expand
 from test_kernel_digests import on_face
 
 from beta_arena.complexexp import ComplexBase
@@ -61,7 +62,7 @@ def points(system, rng, count):
         u = [o + rng.random() for o in offsets]
         if len(out) % 4 == 0:
             u = on_face(system.kernel, u, rng.randrange(len(u)))
-        p = None if u is None else system._point(u)
+        p = None if u is None else system.point(u)
         if p is not None and system.contains(p):
             out.append(p)
     return out
@@ -76,24 +77,40 @@ class Counted:
     def __getattr__(self, name):
         return getattr(self.system, name)
 
-    def step(self, u):
+    def step(self, u, n, radius):
         self.steps += 1
-        return self.system.step(u)
+        return self.system.step(u, n, radius)
+
+
+def outcome(run, *args):
+    """run's result, or its error's type and text."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def problems(name):
-    """Each case of one system where certified_digits differs from the
-    reference loop or steps other than min(m, certified + 1) times, and a
-    note if no ball certified nothing or no ball certified all m >= 1 digits."""
+    """Each case of one system where expand or certified_digits differs from
+    the reference loop or certified_digits steps other than once for m >= 1,
+    and a note if no ball certified nothing or no ball certified all m >= 1
+    digits."""
     system = SYSTEMS[name]
     out, certified_counts = [], set()
     for p in points(system, random.Random(f"certified:{name}"), POINTS):
+        u = system.coords(p)
+        for m in DEPTHS:
+            for nudge in (True, False):
+                got = outcome(system.kernel.expand, u, m, nudge)
+                want = outcome(reference_expand, system.kernel, u, m, nudge)
+                if got != want:
+                    out.append(f"expand {p} m {m} nudge {nudge}: {got} against {want}")
         for radius in RADII:
             for m in DEPTHS:
                 counted = Counted(system)
                 got = certified_digits(counted, p, radius, m)
                 want = reference_certified(system, p, radius, m)
-                steps = min(m, got[1] + 1) if m >= 1 else 0
+                steps = 1 if m >= 1 else 0
                 if got != want or counted.steps != steps:
                     out.append(f"{p} radius {radius!r} m {m}: {got} against {want}, "
                                f"{counted.steps} steps against {steps}")

@@ -50,6 +50,16 @@ def test_expand_quat(capsys):
     assert out.splitlines()[0] == "digits: 0, -2-2j, i+k, -1-j, i+k, -1-j"
 
 
+@pytest.mark.parametrize("q, norm", [(("0.5", "0", "0", "0"), "0.5"),
+                                     (("0", "1", "0", "0"), "1.0")])
+def test_expand_refuses_a_quaternion_of_norm_at_most_1(capsys, q, norm):
+    # such a map does not expand, so its digits describe no point
+    code, out, err = run_cli(capsys, "expand", "--quat", *q, "--z", "0.1", "0.1", "0.1", "0.1",
+                             "--n", "3")
+    assert (code, out) == (3, "")
+    assert err == f"error: quaternion base must have norm above 1, got {norm}\n"
+
+
 def test_expand_ambiguous_input_exits_3(capsys):
     # orbit of this point hits a digit boundary under the default policy
     code, _, err = run_cli(capsys, "expand", "--quat", "0", "1.618033988749895",

@@ -4,8 +4,12 @@ DigitKernel sums each row of A u left to right from +0.0.  Python 3.12 made
 sum() of floats compensated, so a kernel that summed with sum() gave other
 bits there, in the 4-D kernels first.  Each pin below is the sha256 of the
 depth-32 orbits of one kernel: its rows, then per step the digit (an int
-for a real kernel), the remainder and the margin as float.hex().  The pins
-were taken under Python 3.11, whose sum() adds in this order.
+for a real kernel), the remainder and the margin as float.hex().  The
+kernel's walk keeps its remainders and margins to itself, so the orbits are
+stepped by tests/kernel_reference.py's reference_step on the kernel's rows
+and image, which tests/test_scalar_kernel.py holds the walk to; the walk's
+own digits must be the orbit's.  The pins were taken under Python 3.11,
+whose sum() adds in this order.
 
 The module imports neither numpy nor pytest, so a bare interpreter runs it:
 
@@ -17,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+
+from kernel_reference import reference_step
 
 from beta_arena.complexexp import ComplexBase
 from beta_arena.numeric import Quaternion, metallic_mean
@@ -108,7 +114,7 @@ def orbit_digests():
         for u in starts(kernel, rng):
             digits, first = [], u
             for _ in range(DEPTH):
-                d, u, margin = kernel.step(u)
+                d, u, margin = reference_step(kernel, u)
                 digits.append(d)
                 h.update(f"{d} {[x.hex() for x in u]} {margin.hex()};".encode())
             assert kernel.expand(first, DEPTH, nudge=True) == digits, name

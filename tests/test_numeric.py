@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from kernel_reference import reference_step
 from test_kernel_digests import kernels as stock_kernels, on_face
 
 from beta_arena.numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel,
@@ -162,15 +163,20 @@ def test_digit_kernel_refuses_other_sizes():
 
 def test_digit_kernel_snap_policy():
     k = DigitKernel(((3.0,),), (0.0,), (1.0,))
-    # 3 u lands just above the integer 1: the remainder goes onto the face
-    # (step always snaps; expand snaps only with nudge): a 1x1 digit is an int
-    assert k.step((1.0 / 3.0 + 1e-12,))[:2] == (1, (0.0,))
+    # 3 u lands just above the integer 1: the remainder goes onto the face,
+    # so the next digit is 0 (the walk snaps only with nudge): a 1x1 digit
+    # is an int, and a face point's margin is 0, which no ball clears
+    assert reference_step(k, (1.0 / 3.0 + 1e-12,))[:2] == (1, (0.0,))
+    assert k.walk((1.0 / 3.0 + 1e-12,), 2, True, 0.0, 3.0) == ([1, 0], 1)
     assert k.expand((1.0 / 3.0 + 1e-12,), 1, nudge=True) == [1]
     with pytest.raises(AmbiguousValueError):
         k.expand((1.0 / 3.0 + 1e-12,), 1)
-    # a snap to 3 would leave the digit range, so the floor stands
-    d, (r,), margin = k.step((1.0 - 1e-10,))
+    # a snap to 3 would leave the digit range, so the floor stands, 3e-10
+    # below the cell's top
+    d, (r,), margin = reference_step(k, (1.0 - 1e-10,))
     assert d == 2 and 0.0 < r < 1.0 and margin < 1e-9
+    assert k.walk((1.0 - 1e-10,), 1, True, 5e-11, 3.0) == ([2], 1)
+    assert k.walk((1.0 - 1e-10,), 1, True, 2e-10, 3.0) == ([2], 0)
     assert k.expand((0.5,), 4) == [1, 1, 1, 1]
     assert k.reconstruct([(1,), (1,)]) == k.reconstruct([1, 1]) == pytest.approx([4.0 / 9.0])
 
@@ -185,7 +191,7 @@ def test_digit_kernel_rejects_negative_length():
 # -- the digit step against tol_floor on every coordinate ------------------------
 
 def tol_floor_step(kernel, u, nudge):
-    """DigitKernel.step as it reads with tol_floor on every coordinate, its
+    """One kernel step as it reads with tol_floor on every coordinate, its
     digit an int for a 1x1 kernel; nudge=False raises where it would snap."""
     digit, nxt, margin = [], [], math.inf
     for row, off, norm, lo, hi in kernel._rows:
@@ -211,16 +217,20 @@ def outcome(step, *args):
 
 
 def kernel_outcome(kernel, u, nudge):
-    """outcome(kernel.step, u), which always snaps; in error mode, the error
-    of expand(u, 1) where it raises, and else step's outcome once expand's
-    digit agrees with it."""
-    got = outcome(kernel.step, u)
-    if not nudge:
-        try:
-            digits = kernel.expand(u, 1)
-        except ValueError as exc:
-            return type(exc), str(exc)
-        assert digits == [got[0]], u
+    """The error of the kernel's walk of one digit where it raises, and else
+    outcome(reference_step, kernel, u), which always snaps, once the walk's
+    digit agrees with it and its certified count flips exactly at the
+    reference's margin: a ball of radius r at radix 1 certifies the digit
+    when r < margin * (1 - 1e-9)."""
+    try:
+        digits, _ = kernel.walk(u, 1, nudge)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    got = outcome(reference_step, kernel, u)
+    assert digits == [got[0]], u
+    r = float.fromhex(got[2]) * (1.0 - 1e-9)
+    assert [kernel.walk(u, 1, nudge, x, 1.0)[1] for x in (math.nextafter(r, -math.inf), r)
+            ] == [1, 0], u
     return got
 
 
@@ -279,15 +289,14 @@ STOCK_KERNELS = stock_kernels()
 def _recorded(kernel, run):
     """run() with the kernel's image recording the points it is applied to:
     (run's result, or its AmbiguousValueError, and those points as float.hex()).
-    Each shape's body holds its image in closure cells that its step and
-    expand share.  The 4x4 body calls the kernel's _image from its cell
+    Each shape's walk holds its image in closure cells.  The 4x4 walk calls the kernel's _image from its cell
     image, which is swapped for one that records its argument.  The 1x1 and
-    2x2 bodies take _image's products inline, 0.0 + a * u[0] and
+    2x2 walks take _image's products inline, 0.0 + a * u[0] and
     0.0 + a * x + b * y (then c * x + d * y), so there the entries a and b
     are swapped for floats that record what they multiply: a starts a point,
     b adds its second coordinate."""
     seen = []
-    cells = dict(zip(kernel.step.__code__.co_freevars, kernel.step.__closure__))
+    cells = dict(zip(kernel.walk.__code__.co_freevars, kernel.walk.__closure__))
 
     def recording(a, first):
         class Recording(float):
@@ -324,26 +333,26 @@ def _recorded(kernel, run):
 @given(st.sampled_from(sorted(STOCK_KERNELS)), st.lists(st.floats(0.0, 1.0, exclude_max=True),
                                                        min_size=4, max_size=4),
        st.integers(0, 4), st.sampled_from([None, 0.0, 5e-10, -5e-10, 1.5e-9, -1.5e-9, 2.5e-9]),
-       st.integers(0, 40), st.booleans())
-def test_expand_is_n_steps(name, unit, axis, shift, n, nudge):
-    # expand feeds each remainder forward as step returns it, and raises the
-    # same AmbiguousValueError at the same digit; a shift puts the image on
-    # (or beside) a digit-cell face, the snap path
+       st.integers(0, 40), st.booleans(), st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+def test_expand_is_n_steps(name, unit, axis, shift, n, nudge, radius):
+    # expand feeds each remainder forward as the reference step returns it,
+    # and raises the same AmbiguousValueError at the same digit, and so does
+    # a walk with a ball, whose certifying digits take the same path; a
+    # shift puts the image on (or beside) a digit-cell face, the snap path
     kernel = STOCK_KERNELS[name]
     u = [row[1] + x for row, x in zip(kernel._rows, unit)]
     if shift is not None:
         u = on_face(kernel, u, axis % len(u), shift)
         assume(u is not None)
 
-    orbit = [u]  # step's remainders, taken before the recording starts
+    orbit = [u]  # the snapping remainders, taken before the recording starts
     for _ in range(n):
-        orbit.append(kernel.step(orbit[-1])[1])
-    if nudge:
-        steps = lambda: [kernel.step(cur)[0] for cur in orbit[:-1]]
-    else:  # step always snaps: expand of one digit raises where expand does
-        steps = lambda: [kernel.expand(cur, 1)[0] for cur in orbit[:-1]]
+        orbit.append(reference_step(kernel, orbit[-1])[1])
+    # without nudge, a walk of one digit raises where the walk of n does
+    steps = lambda: [kernel.expand(cur, 1, nudge)[0] for cur in orbit[:-1]]
     got = _recorded(kernel, lambda: kernel.expand(u, n, nudge))
     assert got == _recorded(kernel, steps)
+    assert got == _recorded(kernel, lambda: kernel.walk(u, n, nudge, radius, 2.0)[0])
     assert len(got[1]) >= min(n, 1)  # the recording sees the body that runs
 
 

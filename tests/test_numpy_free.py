@@ -301,4 +301,4 @@ def test_stock_lattice_arithmetic_is_numpys(lattice_name, q):
     for _ in range(200):
         p = rng.uniform(-2.0, 2.0, size=4)
         assert hexes(system.coords(p)) == hexes(Binv @ p)
-        assert hexes(system._point(p)) == hexes(B @ p)
+        assert hexes(system.point(p)) == hexes(B @ p)

@@ -38,7 +38,7 @@ def test_a_quaternion_orbit_crosses_the_basis_once():
     for name in LATTICES:
         system = QuatSystem(Quaternion(3.0, 3.0, 3.0, 3.0), stock_lattice(name))
         lattice = system.lattice
-        p = system._point([row[1] + 0.4 for row in system.kernel._rows])
+        p = system.point([row[1] + 0.4 for row in system.kernel._rows])
         calls = {"Binv_times": 0, "B_times": 0}
 
         def counted(key, fn):

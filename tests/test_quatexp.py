@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from kernel_reference import reference_step
 from test_kernel_digests import on_face
 
 from beta_arena import quatexp
@@ -257,7 +258,7 @@ def test_quat_step_remainder_in_box():
     system = QuatSystem(q, box)
     for _ in range(50):
         z = rng.uniform(0.0, 1.0, size=4)
-        digit, rem, _ = system.step(z)
+        digit, rem, _ = reference_step(system.kernel, z)
         assert box.contains(Quaternion(*map(float, rem)))
         assert all(float(c).is_integer() for c in digit)
 
@@ -289,7 +290,8 @@ def _outcome(expand):
 @pytest.mark.parametrize("name", sorted(Q_EXPAND_CASES))
 def test_q_expand_builds_one_kernel_per_q(name, monkeypatch):
     # q_expand's digits and errors are a freshly built kernel's, in both
-    # modes, and only its first call builds a kernel
+    # modes, only its first call builds a kernel, and each call converts z
+    # to lattice coordinates once, for the box test and the kernel alike
     q = Q_EXPAND_CASES[name]
     lattice, fresh = stock_lattice(name), stock_lattice(name).digit_map(q)
     rng = random.Random(f"q-expand:{name}")
@@ -306,12 +308,16 @@ def test_q_expand_builds_one_kernel_per_q(name, monkeypatch):
         built.append(args)
         return DigitKernel(*args)
     monkeypatch.setattr(quatexp, "DigitKernel", counted)
+    assert q_expand(q, lattice, zs[0], 0) == []  # builds the kernel
+    conversions, Binv_times = [], lattice.Binv_times
+    lattice.Binv_times = lambda v: conversions.append(v) or Binv_times(v)
     errors = 0
     for mode in ("error", "nudge"):
         for z in zs:
-            got = _outcome(lambda: q_expand(q, lattice, z, 32, on_ambiguous=mode))
             want = _outcome(lambda: fresh.expand(lattice.to_coords(z), 32, mode == "nudge"))
-            assert got == want, (mode, z)
+            conversions.clear()
+            got = _outcome(lambda: q_expand(q, lattice, z, 32, on_ambiguous=mode))
+            assert got == want and len(conversions) == 1, (mode, z)
             errors += isinstance(got, tuple)
     assert lattice.digit_map(q) is lattice.digit_map(q)
     assert errors > 0 and len(built) == 1
@@ -324,6 +330,24 @@ KEY_CASES = (((3.0, 3.0, 3.0, 3.0), (3, 3, 3, 3)),
              ((0.0, 6.0, 0.0, 0.0), (0, 6, 0, -0.0)),
              ((-624881550059.0, -378908703773.0, 529969995193.0, 962199697798.0),
               (-624881550059, -378908703773, 529969995193, 962199697798)))
+
+
+@pytest.mark.parametrize("q", [Quaternion(0.5, 0.0, 0.0, 0.0), Quaternion(0.0, 1.0, 0.0, 0.0),
+                               Quaternion(0.6, 0.0, 0.8, 0.0), Quaternion(1e-150, 0.0, 0.0, 0.0)])
+def test_a_quaternion_base_of_norm_at_most_1_is_refused(q):
+    # its map does not expand, so no digit string describes a point; the
+    # adapter and q_expand both build their kernel through digit_map
+    lattice = lipschitz()
+    z = Quaternion(0.1, 0.1, 0.1, 0.1)
+    for build in (lambda: lattice.digit_map(q), lambda: QuatSystem(q, lattice),
+                  lambda: q_expand(q, lattice, z, 3, on_ambiguous="nudge")):
+        with pytest.raises(ValueError, match=r"^quaternion base must have norm above 1, got "):
+            build()
+    # a norm of 0, inf or nan keeps its own refusal
+    for bad in (Quaternion(0.0, 0.0, 0.0, 0.0), Quaternion(math.inf, 0.0, 0.0, 0.0),
+                Quaternion(math.nan, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match=r"^quaternion must be nonzero and finite$"):
+            lattice.digit_map(bad)
 
 
 @pytest.mark.parametrize("name", sorted(Q_EXPAND_CASES))
@@ -358,7 +382,7 @@ def test_snapped_remainder_lands_on_the_face():
                   0.41020280313417234, 0.3840486016332271])
     on_face = []
     for j in range(1, 11):
-        _, p, margin = system.step(p)
+        _, p, margin = reference_step(system.kernel, p)
         if margin == 0.0:
             on_face.append(j)
     assert on_face == [4, 7, 10]
@@ -374,7 +398,7 @@ def test_zeta_lattice_digit_containment():
         coords = tuple(rng.uniform(-0.25, 0.75, size=4))
         z = lattice.point(coords)
         assert lattice.contains(z)
-        _, rem, _ = system.step(lattice.to_coords(z))
+        _, rem, _ = reference_step(system.kernel, lattice.to_coords(z))
         assert lattice.box_contains(rem)
 
 

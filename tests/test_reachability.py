@@ -63,8 +63,8 @@ ALLOWED = {
     "complexexp.ComplexBase.contains": "ComplexBase.expand, which perfbench calls, calls it",
     "complexexp.ComplexBase.expand": "perfbench calls it",
     "game.GameTrace.to_json": "perfbench calls it",
-    "quatexp.LatticeDomain.cell_margin": "perfbench calls it",
-    "quatexp.LatticeDomain.contains": "perfbench calls it",
+    "quatexp.LatticeDomain.cell_margin": "perfbench's tracer patches it; nothing calls it",
+    "quatexp.LatticeDomain.contains": "perfbench's tracer patches it; no package code calls it",
     "quatexp.q_expand": "perfbench calls it",
     "realexp.CylinderInterval.__init__": "cylinder_intervals, which perfbench calls, builds it",
     "realexp.RealBase.cylinder_intervals": "perfbench calls it",
@@ -81,7 +81,8 @@ ALLOWED = {
     "realexp.RealBase.in_E": "paper formula",
     # safety fallbacks that no stock system needs
     "game.IllegalMoveError.__init__": "an illegal move, which the stock strategies never make",
-    "quatexp.LatticeDomain.box_contains": "the box test of a sheared lattice (box is None)",
+    "quatexp.LatticeDomain.box_contains": ("the box test of a sheared lattice (box is None) "
+                                           "and of q_expand, which perfbench calls"),
     "systems._halvings": "max_step_inside on a sheared lattice (box is None)",
     # record and module protocol methods
     "numeric.FrozenRecord.__reduce__": "record protocol (copy and pickle)",

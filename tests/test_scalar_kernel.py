@@ -1,15 +1,16 @@
 """Every shape's digit kernel against the reference body, bit for bit.
 
-DigitKernel binds one straight-line step and expand per shape at
-construction: numeric._scalar_body for a 1x1 matrix (a real base),
-_plane_body for a 2x2 (a complex base) and _space_body for a 4x4 (a
-quaternion on a lattice).  Each must give the digits, remainders
-(float.hex) and margins (float.hex) of the generic row loop that
-tests/kernel_reference.py keeps, raise the same errors with the same text,
+DigitKernel binds one straight-line walk per shape at construction:
+numeric._scalar_body for a 1x1 matrix (a real base), _plane_body for a 2x2
+(a complex base) and _space_body for a 4x4 (a quaternion on a lattice).
+Each walk must give the digits and certified counts of the generic row loop
+that tests/kernel_reference.py keeps (reference_walk), in both snap modes,
+with no ball and with balls whose radius sits on, just below and just above
+the one where a digit's certification flips, so each margin is held to the
+reference's bit for bit; it must raise the same errors with the same text,
 and take the same guarded floors: each call of numeric.safe_floor, which the
-benchmark's tracer counts, is recorded with its argument.  step always
-snaps, so the error mode's single steps are expand(u, 1, nudge=False),
-which takes the same floors and raises the same errors.
+benchmark's tracer counts, is recorded with its argument.  expand is the
+walk's digits with no ball.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import random
 
 import pytest
-from kernel_reference import reference_expand, reference_step
+from kernel_reference import reference_expand, reference_step, reference_walk
 from test_kernel_digests import kernels, on_face
 
 from beta_arena import numeric
@@ -34,6 +35,9 @@ BASES = {"golden": metallic_mean(1), "silver": metallic_mean(2), "2.5": 2.5, "3"
 SHIFTS = (0.0, 1e-12, -1e-12, 5e-10, -5e-10, EPS_FLOOR, -EPS_FLOOR, 1.5e-9, -1.5e-9,
           _BAND, -_BAND, 2.5e-9, -2.5e-9)
 DEPTH = 24
+# the walk only multiplies its growth by the radix, so one radix above 1
+# serves every kernel
+RADIX = 2.5
 
 
 @pytest.fixture
@@ -49,32 +53,41 @@ def floors(monkeypatch):
 
 
 def outcome(floors, run, *args):
-    """(run's result with each float as float.hex(), or its error's type and
-    text; the guarded floors it took)."""
+    """(run's result, or its error's type and text; the guarded floors it took)."""
     floors.clear()
     try:
         out = run(*args)
     except (ValueError, OverflowError, TypeError, IndexError) as exc:
         out = type(exc), str(exc)
-    else:
-        if isinstance(out, tuple):  # step: (digit, remainder, margin)
-            d, u, margin = out
-            out = d, tuple(x.hex() for x in u), margin.hex()
     return out, list(floors)
 
 
-def one_step(floors, kernel, u, nudge):
-    """(the body's outcome, the reference's) for one step from u: step's in
-    nudge mode, expand(u, 1, nudge=False)'s in error mode."""
-    if nudge:
-        return outcome(floors, kernel.step, u), outcome(floors, reference_step, kernel, u)
-    return (outcome(floors, kernel.expand, u, 1, False),
-            outcome(floors, reference_expand, kernel, u, 1, False))
+def radii(kernel, u):
+    """No ball, a point, an infinite ball, and for digits 1, 2 and DEPTH of
+    u's orbit the radius at which that digit's certification flips under
+    RADIX, with the floats on each side of it."""
+    out, growth = [None, 0.0, math.inf], 1.0
+    for j in range(1, DEPTH + 1):
+        try:
+            _, u, margin = reference_step(kernel, u)
+        except (ValueError, OverflowError, IndexError):
+            break
+        growth *= RADIX
+        if j in (1, 2, DEPTH):
+            r = margin * (1.0 - 1e-9) / growth
+            out += [math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)]
+    return out
 
 
-def raised(got) -> bool:
-    """Whether an outcome is an error's (type, text)."""
-    return isinstance(got[0][0], type)
+def walks(floors, kernel, u, nudge, lengths=(1, 2, DEPTH)):
+    """(the walk's outcome, the reference's) for each length and radius,
+    and expand's against reference_expand with no ball."""
+    for n in lengths:
+        yield (outcome(floors, kernel.expand, u, n, nudge),
+               outcome(floors, reference_expand, kernel, u, n, nudge))
+        for radius in radii(kernel, u):
+            yield (outcome(floors, kernel.walk, u, n, nudge, radius, RADIX),
+                   outcome(floors, reference_walk, kernel, u, n, nudge, radius, RADIX))
 
 
 def band_edges(kernel):
@@ -116,16 +129,8 @@ def test_real_kernel_is_the_generic_body(name, nudge, floors):
     pts = points(name, kernel)
     assert band_edges(kernel), name  # the edges are reachable in every base here
     for x in pts:
-        u = [x]
-        for _ in range(DEPTH):
-            got, want = one_step(floors, kernel, u, nudge)
-            assert got == want, (name, u)
-            if raised(got):
-                break
-            u = kernel.step(u)[1]
-        for n in (1, 2, DEPTH):
-            assert (outcome(floors, kernel.expand, [x], n, nudge)
-                    == outcome(floors, reference_expand, kernel, [x], n, nudge)), (name, x, n)
+        for got, want in walks(floors, kernel, [x], nudge):
+            assert got == want, (name, x)
 
 
 @pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
@@ -133,16 +138,15 @@ def test_real_kernel_is_the_generic_body(name, nudge, floors):
 def test_real_kernel_refuses_as_the_generic_body(name, nudge, floors):
     kernel = RealBase(BASES[name]).kernel
     for x in (math.nan, math.inf, -math.inf, 1e308, -1e308, 2.0 ** 1023):
-        got, want = one_step(floors, kernel, (x,), nudge)
-        assert got == want, (name, x)
-        for n in (0, 1, 3):
-            assert (outcome(floors, kernel.expand, (x,), n, nudge)
-                    == outcome(floors, reference_expand, kernel, (x,), n, nudge)), (name, x, n)
+        for got, want in walks(floors, kernel, (x,), nudge, (0, 1, 3)):
+            assert got == want, (name, x)
     # a length below 0 is refused, and 0 digits read no coordinate
     for u, n in (((0.5,), -1), ((0.5,), 0), ((), 0), ((), -1), ((), 2)):
-        assert (outcome(floors, kernel.expand, u, n, nudge)
-                == outcome(floors, reference_expand, kernel, u, n, nudge)), (name, u, n)
+        for got, want in walks(floors, kernel, u, nudge, (n,)):
+            assert got == want, (name, u, n)
     assert outcome(floors, kernel.expand, (0.5,), -1, nudge)[0] == (
+        ValueError, "length must be nonnegative")
+    assert outcome(floors, kernel.walk, (0.5,), -1, nudge, 0.1, RADIX)[0] == (
         ValueError, "length must be nonnegative")
 
 
@@ -150,11 +154,16 @@ def test_real_kernel_refuses_as_the_generic_body(name, nudge, floors):
 
 def body_kernels():
     """The stock kernels; a complex base whose square has a different offset
-    on each axis, where no stock kernel's does; and 6i on the zeta lattice of
-    perfbench's digits workload: its A has one nonzero entry per row, so its
-    image is _image's monomial4, where every stock 4x4 kernel's is image4."""
+    on each axis, where no stock kernel's does, and the same map with another
+    norm on each row, where a complex base's are both 1.0; and 6i on the
+    zeta lattice of perfbench's digits workload: its A has one nonzero entry
+    per row, so its image is _image's monomial4, where every stock 4x4
+    kernel's is image4."""
     out = kernels()
-    out["complex-4.5e^0.05i-lo(0,-0.5)"] = ComplexBase(4.5, 0.05, lo=(0.0, -0.5)).kernel
+    plane = ComplexBase(4.5, 0.05, lo=(0.0, -0.5)).kernel
+    out["complex-4.5e^0.05i-lo(0,-0.5)"] = plane
+    out["complex-4.5e^0.05i-lo(0,-0.5)-norms(1,0.3)"] = DigitKernel(
+        plane.A, (0.0, -0.5), (1.0, 0.3))
     six_i = Quaternion(0.0, 6.0, 0.0, 0.0)
     out["quat-6i-zeta"] = zeta_lattice(six_i, Quaternion(0.0, 0.0, 1.0, 0.0),
                                        0.25).digit_map(six_i)
@@ -246,16 +255,8 @@ def test_kernel_is_the_reference(name, nudge, floors):
     assert {axis for axis, row in enumerate(kernel._rows) if row[1] == 0.0} <= exact_edges(
         kernel, pts), name
     for x in pts:
-        u = x
-        for _ in range(DEPTH):
-            got, want = one_step(floors, kernel, u, nudge)
-            assert got == want, (name, u)
-            if raised(got):
-                break
-            u = kernel.step(u)[1]
-        for n in (1, 2, DEPTH):
-            assert (outcome(floors, kernel.expand, x, n, nudge)
-                    == outcome(floors, reference_expand, kernel, x, n, nudge)), (name, x, n)
+        for got, want in walks(floors, kernel, x, nudge):
+            assert got == want, (name, x)
 
 
 @pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
@@ -267,35 +268,29 @@ def test_kernel_refuses_as_the_reference(name, nudge, floors):
     for j in range(dim):
         for x in (math.nan, math.inf, -math.inf, 1e308, -1e308):
             u = tuple(x if c == j else v for c, v in enumerate(inside))
-            got, want = one_step(floors, kernel, u, nudge)
-            assert got == want, (name, u)
+            for got, want in walks(floors, kernel, u, nudge, (0, 1, 3)):
+                assert got == want, (name, u)
             if not math.isfinite(x):  # a huge finite x may still step
-                assert got[0][0] is ValueError, (name, u)
-                assert got[0][1].startswith("cannot floor non-finite value"), (name, u)
-            for n in (0, 1, 3):
-                assert (outcome(floors, kernel.expand, u, n, nudge)
-                        == outcome(floors, reference_expand, kernel, u, n, nudge)), (name, u, n)
+                got = outcome(floors, kernel.walk, u, 1, nudge, 0.1, RADIX)[0]
+                assert got[0] is ValueError, (name, u)
+                assert got[1].startswith("cannot floor non-finite value"), (name, u)
     # a length below 0 is refused, 0 digits read no coordinate, and a u of
     # the wrong length is refused as the image refuses it
     for u in (tuple(inside), (), tuple(inside[1:]), (*inside, 0.5)):
-        if len(u) != dim:
-            got, want = one_step(floors, kernel, u, nudge)
+        for got, want in walks(floors, kernel, u, nudge, (-1, 0, 1, 2)):
             assert got == want, (name, u)
-        for n in (-1, 0, 2):
-            assert (outcome(floors, kernel.expand, u, n, nudge)
-                    == outcome(floors, reference_expand, kernel, u, n, nudge)), (name, u, n)
     assert outcome(floors, kernel.expand, tuple(inside), -1, nudge)[0] == (
         ValueError, "length must be nonnegative")
 
 
 def test_every_shape_binds_its_own_body():
-    # the class defines no step or expand: each instance binds its shape's body
-    assert not {"step", "expand"} & set(vars(DigitKernel))
+    # the class defines no walk and no step: each instance binds its shape's
+    # walk, and expand is that walk's digits
+    assert not {"walk", "step"} & set(vars(DigitKernel))
     bodies = {1: "_scalar_body", 2: "_plane_body", 4: "_space_body"}
     for name, kernel in KERNELS.items():
-        assert {"step", "expand"} <= set(vars(kernel)), name
-        for method in (kernel.step, kernel.expand):
-            assert method.__qualname__.split(".")[0] == bodies[len(kernel.A)], name
+        assert "walk" in vars(kernel) and not hasattr(kernel, "step"), name
+        assert kernel.walk.__qualname__.split(".")[0] == bodies[len(kernel.A)], name
     assert KERNELS["quat-6i-zeta"]._image.__name__ == "monomial4"
     assert metallic_mean(2) == pytest.approx(1 + math.sqrt(2), abs=1e-15)
     for j in range(1, 8):
