@@ -82,10 +82,11 @@ def radii(kernel, u):
 def walks(floors, kernel, u, nudge, lengths=(1, 2, DEPTH)):
     """(the walk's outcome, the reference's) for each length and radius,
     and expand's against reference_expand with no ball."""
+    balls = radii(kernel, u)
     for n in lengths:
         yield (outcome(floors, kernel.expand, u, n, nudge),
                outcome(floors, reference_expand, kernel, u, n, nudge))
-        for radius in radii(kernel, u):
+        for radius in balls:
             yield (outcome(floors, kernel.walk, u, n, nudge, radius, RADIX),
                    outcome(floors, reference_walk, kernel, u, n, nudge, radius, RADIX))
 
