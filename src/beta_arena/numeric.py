@@ -14,12 +14,15 @@ no longer holds: tests/kernel_reference.py keeps it as the reference every
 body is held to.  A walk carries the remainder from digit to digit in local
 floats (the 4x4 walk as its image's argument tuple) and, while a ball about
 its start certifies its digits, the ball's growth and each digit's margin.
+The 1x1 walk skips the steps after a fixed point reached by a snap, which
+would only repeat it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 
 
 class Record:
@@ -256,8 +259,16 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
     the remainder, and while the ball certifies its growth, kept in local
     floats; its image is 0.0 + a * u[0], read from u only when a digit is
     asked for, and _snap and tol_floor are module globals, as there, so every
-    guarded floor calls numeric.safe_floor by name, where the benchmark's
-    tracer counts it."""
+    guarded floor the walk takes calls numeric.safe_floor by name, where the
+    benchmark's tracer counts it.
+
+    A snap whose remainder equals the step's input (==, so +-0.0 agree: the
+    image is summed from +0.0, and nan never does) is a fixed point, such as
+    the zero tail of a terminating expansion: each later step would repeat
+    this one's image, floor, digit, remainder and margin, so the walk
+    appends the digit for the steps left and, while it certifies, runs only
+    their growth test.  Only the snap path compares, so the fast path gains
+    no operation; a fixed point off the snap path steps on."""
     (a,) = row
     floor = math.floor
 
@@ -270,7 +281,7 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
             return out, 0
         append, x = out.append, u[0]
         certified, certifying, growth = 0, radius is not None, 1.0
-        for _ in range(n):
+        for i in range(n):
             w = 0.0 + a * x
             t = w - off
             try:
@@ -283,8 +294,22 @@ def _scalar_body(row, off: float, norm: float, lo: int, hi: int):
                 append(f)
                 x = w - f
             else:
-                d, x = _snap(w, t, f, off, lo, hi, nudge)
+                d, r = _snap(w, t, f, off, lo, hi, nudge)
+                if r == x:
+                    # a fixed point, as a terminating expansion's zero tail
+                    # is: every step left repeats this one's digit and
+                    # margin, so only the growth test runs on
+                    out += [d] * (n - i)
+                    while certifying and i < n:
+                        i += 1
+                        growth *= radix
+                        if radius * growth < (rest if rest < frac else frac) / norm * _CERTIFIED:
+                            certified += 1
+                        else:
+                            certifying = False
+                    return out, certified
                 append(d)
+                x = r
             if certifying:
                 # the reference's margin: frac lies in [0, 1] and norm > 0,
                 # so it is never nan, and a margin of inf stays inf there too
@@ -471,21 +496,30 @@ class DigitKernel:
     cell's boundary; the certified digits are a prefix, so once one fails
     the walk only floors, and without a radius it never tracks a margin
     (radix is read only with a radius).  expand is the walk's digits with
-    no ball.  Each shape has one straight-line body, with no loop over rows,
-    which tests/test_scalar_kernel.py holds to tests/kernel_reference.py's
-    row loop.
+    no ball.  The 1x1 walk stops stepping at a fixed point reached by a
+    snap (_scalar_body), so a terminating real expansion costs its prefix;
+    the 2x2 and 4x4 walks step every digit, since their zero orbits take
+    the fast path (the centered square sends 0 to t = 0.5), where a test
+    would need every row's last remainder at every step.  Each shape has
+    one straight-line body, with no loop over rows, which
+    tests/test_scalar_kernel.py holds to tests/kernel_reference.py's row
+    loop.
     """
 
     def __init__(self, A, offsets, row_norms):
         self.A = tuple(map(tuple, A))
         # digits per coordinate: the cells [d, d + 1) that the image of the box
         # meets, up to EPS_CMP; the box is open above, so the image reaches
-        # its top only when no entry of the row is positive
+        # its top only when no entry of the row is positive; a range that
+        # overflows (or is nan) has no digits to name
         self.lo, self.hi = [], []
         for row, off in zip(self.A, offsets):
             corner = ordered_sum(map(operator.mul, row, offsets)) - off
             top = corner + ordered_sum(a for a in row if a > 0.0)
-            self.lo.append(math.floor(corner + ordered_sum(a for a in row if a < 0.0)))
+            bottom = corner + ordered_sum(a for a in row if a < 0.0)
+            if not -math.inf < bottom <= top < math.inf:
+                raise ValueError(f"radix too large: a digit range runs from {bottom!r} to {top!r}")
+            self.lo.append(math.floor(bottom))
             self.hi.append(math.ceil(top - EPS_CMP) - 1 if top > corner + EPS_CMP
                            else math.floor(top + EPS_CMP))
         self._rows = tuple(zip(self.A, offsets, row_norms, self.lo, self.hi))
@@ -511,6 +545,10 @@ class DigitKernel:
         for d in reversed(digits):
             acc = inverse([a + x for a, x in zip(acc, (d,) if isinstance(d, int) else d)])
         return list(acc)
+
+
+# the least positive normal float: a sum of squares below it has lost bits
+_NORMAL = sys.float_info.min
 
 
 class Quaternion(FrozenRecord):
@@ -561,13 +599,25 @@ class Quaternion(FrozenRecord):
         return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
 
     def __abs__(self) -> float:
-        return math.sqrt(self.norm2())
+        """The norm: the root of norm2() where that sum of squares is a
+        normal float, else math.hypot, which neither overflows nor
+        underflows (1e200 and 1e-200 are their own norms)."""
+        n2 = self.norm2()
+        if _NORMAL <= n2 < math.inf:
+            return math.sqrt(n2)
+        return math.hypot(*self.components)
 
     def inverse(self) -> "Quaternion":
+        """conj() / norm2(), scaled by 1 / norm2() where that sum is a
+        normal float, else divided by abs() twice, so the inverse of a
+        finite nonzero quaternion is neither zero nor refused."""
         n2 = self.norm2()
-        if n2 == 0.0:
+        if _NORMAL <= n2 < math.inf:
+            return self.conj().scale(1.0 / n2)
+        n = abs(self)
+        if n == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conj().scale(1.0 / n2)
+        return Quaternion(*(x / n / n for x in self.conj().components))
 
     def powi(self, n: int) -> "Quaternion":
         """Integer power, negative exponents via the inverse."""

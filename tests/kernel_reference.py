@@ -14,7 +14,9 @@ keeps to itself: tests that read a digit's (digit, remainder, margin) read
 them here.  reference_walk is n such steps with the verifier's
 certification test, and reference_expand and reference_certified (the loop
 game.certified_digits ran before it made one walk per call) are its digits
-and its walk from a system's point.
+and its walk from a system's point.  reference_fixed_point finds the step
+of a 1x1 orbit after which the package's walk steps no more, and
+terminating_blocks gives real points whose orbits reach one.
 """
 
 from __future__ import annotations
@@ -82,6 +84,34 @@ def reference_certified(system, center, radius: float, m: int) -> tuple[list, in
     (tests/test_certified_reference.py); m <= 0 steps nothing."""
     return reference_walk(system.kernel, system.coords(center), max(m, 0), True,
                           radius, system.radix_norm)
+
+
+def reference_fixed_point(kernel, u, n: int, nudge: bool = False):
+    """For a 1x1 kernel, the index of the first of n reference steps from u
+    that takes the snap path and whose remainder equals its input, a fixed
+    point after which every step repeats that one: the 1x1 walk stops
+    stepping there.  None when no such step comes first, or a step raises
+    before it (each step after a fixed point repeats it, so none raises)."""
+    (_, off, *_), = kernel._rows
+    for i in range(n):
+        try:
+            t = kernel._image(u)[0] - off
+            frac = t - math.floor(t)
+            _, r, _ = reference_step(kernel, u, nudge)
+        except (ValueError, OverflowError, IndexError):
+            return None
+        if not (frac > _BAND and 1.0 - frac > _BAND) and r[0] == u[0]:
+            return i
+        u = r
+    return None
+
+
+def terminating_blocks(base) -> list:
+    """(block, value) for each admissible block of the RealBase of length 1
+    to 3 that ends in a nonzero digit: a terminating expansion, whose orbit
+    snaps to 0 at the block's last digit and stays there, so the step after
+    the block is its first at the fixed point."""
+    return [(b, base.value(b)) for k in (1, 2, 3) for b in base.enumerate_admissible(k) if b[-1]]
 
 
 def _digit(digit: list[int]):

@@ -4,8 +4,11 @@ certified_digits makes one adapter step, the kernel's walk, for all m
 digits.  reference_certified (tests/kernel_reference.py) makes m reference
 steps.  The two must give the same digits and the same certified count on
 every preset's system and every `expand` system, for radii from 1e-14 to
-1e-1 and depths from -1 to 64, at uniform centers and at centers whose image
-lies on a digit-cell face; and certified_digits must call the adapter's
+1e-1 and depths from -1 to 64, at uniform centers, at centers whose image
+lies on a digit-cell face and, on the real bases golden, 3 and 2.5, at
+centers with a terminating expansion, where the 1x1 walk stops stepping at
+the zero fixed point: block values, +-0.0 and 1e-300 (whose first snap puts
+it on 0); and certified_digits must call the adapter's
 step once for m >= 1, never for m <= 0.  On the same points and depths the
 kernel's expand, the walk with no ball, must give reference_expand's digits
 in both snap modes, or raise its error with its text.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import random
 
-from kernel_reference import reference_certified, reference_expand
+from kernel_reference import reference_certified, reference_expand, terminating_blocks
 from test_kernel_digests import on_face
 
 from beta_arena.complexexp import ComplexBase
@@ -34,6 +37,7 @@ LATTICES = ("lipschitz", "lipschitz-centered", "hurwitz-box", "symmetric:0.25", 
 RADII = tuple(10.0 ** -k for k in range(14, 0, -1))  # 1e-14 to 1e-1
 DEPTHS = (-1, 0, 1, 2, 32, 64)
 POINTS = 24  # per system; every fourth is a face point
+TERMINATING = ("real-golden", "real-3", "real-2.5")  # systems with terminating centers too
 
 
 def expand_systems():
@@ -68,6 +72,12 @@ def points(system, rng, count):
     return out
 
 
+def terminating_points(system):
+    """+-0.0, 1e-300 and the values of kernel_reference.terminating_blocks:
+    the orbit of each ends in 0."""
+    return [(0.0,), (-0.0,), (1e-300,)] + [(x,) for _, x in terminating_blocks(system.base)]
+
+
 class Counted:
     """The system with a step that counts its calls."""
 
@@ -97,7 +107,10 @@ def problems(name):
     digits."""
     system = SYSTEMS[name]
     out, certified_counts = [], set()
-    for p in points(system, random.Random(f"certified:{name}"), POINTS):
+    centers = points(system, random.Random(f"certified:{name}"), POINTS)
+    if name in TERMINATING:
+        centers += terminating_points(system)
+    for p in centers:
         u = system.coords(p)
         for m in DEPTHS:
             for nudge in (True, False):

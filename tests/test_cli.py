@@ -60,6 +60,39 @@ def test_expand_refuses_a_quaternion_of_norm_at_most_1(capsys, q, norm):
     assert err == f"error: quaternion base must have norm above 1, got {norm}\n"
 
 
+@pytest.mark.parametrize("on_ambiguous", ["error", "nudge"])
+def test_expand_takes_a_quaternion_base_of_huge_norm_as_the_real_one(capsys, on_ambiguous):
+    # the norm of 1e200 overflows a plain sum of squares; the base is
+    # finite and expands, as the real base 1e200 does
+    z = ("0.1",) * 4
+    quat = run_cli(capsys, "expand", "--quat", "1e200", "0", "0", "0", "--z", *z, "--n", "2",
+                   "--on-ambiguous", on_ambiguous)
+    real = run_cli(capsys, "expand", "--real", "1e200", "--x", "0.1", "--n", "2",
+                   "--on-ambiguous", on_ambiguous)
+    if on_ambiguous == "error":
+        assert quat == real == (3, "", "ambiguous input: 1e+199 is within 1e-09 of an integer\n")
+    else:
+        assert quat[0] == real[0] == 0 and quat[2] == real[2] == ""
+
+
+def test_expand_refuses_a_quaternion_base_of_tiny_norm_by_its_norm(capsys):
+    # the norm of 1e-200 underflows a plain sum of squares to 0
+    code, out, err = run_cli(capsys, "expand", "--quat", "1e-200", "0", "0", "0",
+                             "--z", "0.1", "0.1", "0.1", "0.1", "--n", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: quaternion base must have norm above 1, got 1e-200\n"
+
+
+@pytest.mark.parametrize("system", [("--quat", "1e308", "1e308", "0", "0"),
+                                    ("--complex", "1.7e308", "0.7")])
+def test_expand_refuses_a_radix_whose_digit_range_overflows(capsys, system):
+    # the norm is finite, but a row of the digit map sums to inf
+    z = ("0.1",) * (4 if system[0] == "--quat" else 2)
+    code, out, err = run_cli(capsys, "expand", *system, "--z", *z, "--n", "2")
+    assert (code, out) == (3, "")
+    assert err == "error: radix too large: a digit range runs from 0.0 to inf\n"
+
+
 def test_expand_ambiguous_input_exits_3(capsys):
     # orbit of this point hits a digit boundary under the default policy
     code, _, err = run_cli(capsys, "expand", "--quat", "0", "1.618033988749895",

@@ -1,11 +1,12 @@
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from kernel_reference import reference_step
+from kernel_reference import reference_fixed_point, reference_step
 from test_kernel_digests import kernels as stock_kernels, on_face
 
 from beta_arena.numeric import (EPS_CMP, EPS_FLOOR, AmbiguousValueError, DigitKernel,
@@ -73,6 +74,34 @@ def test_conjugate_and_inverse():
     assert abs(q * q.conj() - Quaternion.real(q.norm2())) <= 1e-12
     assert abs(q * q.inverse() - ONE) <= 1e-12
     assert abs(q.inverse() * q - ONE) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300, 2.0 ** -1070])
+def test_norm_and_inverse_at_extreme_magnitudes(scale):
+    # the sum of squares overflows or underflows here: the norm and the
+    # inverse are still those of a finite nonzero quaternion
+    assert abs(Quaternion.real(scale)) == scale
+    assert abs(Quaternion(0.0, 0.0, -scale, 0.0)) == scale
+    q = Quaternion(3.0 * scale, 0.0, 4.0 * scale, 0.0)
+    assert abs(q) == pytest.approx(5.0 * scale, rel=1e-15)
+    if scale >= 2.0 ** -1000:  # 1 / scale is a float
+        assert Quaternion.real(scale).inverse() == Quaternion.real(1.0 / scale)
+        inv = Quaternion(0.0, -scale, 0.0, 0.0).inverse()
+        assert inv == Quaternion(0.0, 1.0 / scale, 0.0, 0.0)
+        assert abs(q * q.inverse() - ONE) <= 1e-15
+    with pytest.raises(ZeroDivisionError, match="zero quaternion has no inverse"):
+        Quaternion().inverse()
+
+
+@settings(max_examples=300)
+@given(quats)
+def test_norm_and_inverse_keep_their_bits_on_a_normal_sum_of_squares(q):
+    # where norm2() is a finite normal float, abs and inverse are its root
+    # and conj() scaled by its reciprocal, bit for bit
+    n2 = q.norm2()
+    assume(n2 >= sys.float_info.min)
+    assert abs(q) == math.sqrt(n2)
+    assert q.inverse() == q.conj().scale(1.0 / n2)
 
 
 def test_powi_matches_repeated_multiplication():
@@ -153,6 +182,18 @@ def test_digit_kernel_range():
     # a row with no positive entry reaches its top on the closed lower face
     k = DigitKernel(((0.0, -1.5), (1.5, 0.0)), (0.0, 0.0), (1.0, 1.0))
     assert (k.lo, k.hi) == ([-2, 0], [0, 1])
+
+
+@pytest.mark.parametrize("A, offsets, message", [
+    (((math.inf,),), (0.0,), "nan to nan"),
+    (((math.nan,),), (0.5,), "nan to nan"),
+    (((1.7e308, -1.1e308), (1.1e308, 1.7e308)), (0.0, 0.0), "0.0 to inf"),
+    (((-1e308, -1e308), (1.0, 0.0)), (0.0, 0.0), "-inf to 0.0"),
+    (((1e308, 0.0), (0.0, 1e308)), (-0.5, 3e307), "inf to inf")])
+def test_digit_kernel_refuses_a_digit_range_that_overflows(A, offsets, message):
+    # its lo and hi would be the floor of inf or nan, which has no int
+    with pytest.raises(ValueError, match=f"radix too large: a digit range runs from {message}"):
+        DigitKernel(A, offsets, (1.0,) * len(A))
 
 
 def test_digit_kernel_refuses_other_sizes():
@@ -338,7 +379,8 @@ def test_expand_is_n_steps(name, unit, axis, shift, n, nudge, radius):
     # expand feeds each remainder forward as the reference step returns it,
     # and raises the same AmbiguousValueError at the same digit, and so does
     # a walk with a ball, whose certifying digits take the same path; a
-    # shift puts the image on (or beside) a digit-cell face, the snap path
+    # shift puts the image on (or beside) a digit-cell face, the snap path;
+    # a 1x1 walk steps no more after a step that snaps to its own input
     kernel = STOCK_KERNELS[name]
     u = [row[1] + x for row, x in zip(kernel._rows, unit)]
     if shift is not None:
@@ -351,7 +393,16 @@ def test_expand_is_n_steps(name, unit, axis, shift, n, nudge, radius):
     # without nudge, a walk of one digit raises where the walk of n does
     steps = lambda: [kernel.expand(cur, 1, nudge)[0] for cur in orbit[:-1]]
     got = _recorded(kernel, lambda: kernel.expand(u, n, nudge))
-    assert got == _recorded(kernel, steps)
+    want = _recorded(kernel, steps)
+    i = reference_fixed_point(kernel, u, n, nudge) if len(kernel.A) == 1 else None
+    if i is not None:
+        # the walk records the images up to and including the fixed point's;
+        # each later step records its remainder, which equals its input
+        out, seen = want
+        assert orbit[i + 1][0] == orbit[i][0]
+        assert seen[i + 1:] == [[orbit[i + 1][0].hex()]] * (n - 1 - i)
+        want = out, seen[:i + 1]
+    assert got == want
     assert got == _recorded(kernel, lambda: kernel.walk(u, n, nudge, radius, 2.0)[0])
     assert len(got[1]) >= min(n, 1)  # the recording sees the body that runs
 

@@ -9,8 +9,12 @@ with no ball and with balls whose radius sits on, just below and just above
 the one where a digit's certification flips, so each margin is held to the
 reference's bit for bit; it must raise the same errors with the same text,
 and take the same guarded floors: each call of numeric.safe_floor, which the
-benchmark's tracer counts, is recorded with its argument.  expand is the
-walk's digits with no ball.
+benchmark's tracer counts, is recorded with its argument.  The one
+difference is past a fixed point reached by a snap, a step whose remainder
+equals its input: there the 1x1 walk stops stepping, so it takes the
+reference's floors up to that step's and none after, and every floor the
+reference takes after it must repeat that step's.  expand is the walk's
+digits with no ball.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import math
 import random
 
 import pytest
-from kernel_reference import reference_expand, reference_step, reference_walk
+from kernel_reference import (reference_expand, reference_fixed_point, reference_step,
+                              reference_walk, terminating_blocks)
 from test_kernel_digests import kernels, on_face
 
 from beta_arena import numeric
@@ -62,33 +67,54 @@ def outcome(floors, run, *args):
     return out, list(floors)
 
 
-def radii(kernel, u):
-    """No ball, a point, an infinite ball, and for digits 1, 2 and DEPTH of
-    u's orbit the radius at which that digit's certification flips under
-    RADIX, with the floats on each side of it."""
+def radii(kernel, u, flips=(1, 2, DEPTH), radix=RADIX):
+    """No ball, a point, an infinite ball, and for each digit j in flips
+    (by default digits 1, 2 and DEPTH) of u's orbit the radius at which that
+    digit's certification flips under radix, with the floats on each side of it."""
     out, growth = [None, 0.0, math.inf], 1.0
-    for j in range(1, DEPTH + 1):
+    for j in range(1, max(flips) + 1):
         try:
             _, u, margin = reference_step(kernel, u)
         except (ValueError, OverflowError, IndexError):
             break
-        growth *= RADIX
-        if j in (1, 2, DEPTH):
+        growth *= radix
+        if j in flips:
             r = margin * (1.0 - 1e-9) / growth
             out += [math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)]
     return out
 
 
-def walks(floors, kernel, u, nudge, lengths=(1, 2, DEPTH)):
-    """(the walk's outcome, the reference's) for each length and radius,
-    and expand's against reference_expand with no ball."""
-    balls = radii(kernel, u)
+def to_fixed_point(floors, kernel, u, n, nudge, want):
+    """want, the reference's outcome of n steps from u, as the walk must
+    give it.  A 1x1 walk takes the reference's guarded floors up to and
+    including the first step that snaps to its own input, and none after:
+    every later step repeats that one, so each floor the reference takes
+    after it must repeat that step's t.hex(), and want's floors are cut
+    there.  2x2 and 4x4 walks take every floor the reference takes."""
+    i = reference_fixed_point(kernel, u, n, nudge) if len(kernel.A) == 1 else None
+    if i is None:
+        return want
+    result, seen = want
+    k = len(outcome(floors, reference_expand, kernel, u, i + 1, nudge)[1])
+    assert k and seen[k:] == [seen[k - 1]] * (len(seen) - k), (u, n, seen)
+    return result, seen[:k]
+
+
+def walks(floors, kernel, u, nudge, lengths=(1, 2, DEPTH), flips=(1, 2, DEPTH), radix=RADIX):
+    """(the walk's outcome, the reference's) for each length and each
+    radius of radii(kernel, u, flips, radix), and expand's against
+    reference_expand with no ball; the reference's guarded floors end at a
+    1x1 orbit's fixed point (to_fixed_point)."""
+    balls = radii(kernel, u, flips, radix)
     for n in lengths:
         yield (outcome(floors, kernel.expand, u, n, nudge),
-               outcome(floors, reference_expand, kernel, u, n, nudge))
+               to_fixed_point(floors, kernel, u, n, nudge,
+                              outcome(floors, reference_expand, kernel, u, n, nudge)))
         for radius in balls:
-            yield (outcome(floors, kernel.walk, u, n, nudge, radius, RADIX),
-                   outcome(floors, reference_walk, kernel, u, n, nudge, radius, RADIX))
+            yield (outcome(floors, kernel.walk, u, n, nudge, radius, radix),
+                   to_fixed_point(floors, kernel, u, n, nudge,
+                                  outcome(floors, reference_walk, kernel, u, n, nudge,
+                                          radius, radix)))
 
 
 def band_edges(kernel):
@@ -149,6 +175,78 @@ def test_real_kernel_refuses_as_the_generic_body(name, nudge, floors):
         ValueError, "length must be nonnegative")
     assert outcome(floors, kernel.walk, (0.5,), -1, nudge, 0.1, RADIX)[0] == (
         ValueError, "length must be nonnegative")
+
+
+# -- a fixed point: the 1x1 walk stops stepping ----------------------------------
+
+def zero_tails(base):
+    """(point, index of its orbit's fixed point) for +-0.0 and each of
+    kernel_reference.terminating_blocks."""
+    return [(0.0, 0), (-0.0, 0)] + [(x, len(b)) for b, x in terminating_blocks(base)]
+
+
+@pytest.mark.parametrize("nudge", [True, False], ids=["nudge", "error"])
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_a_zero_tail_ends_the_walk(name, nudge, floors):
+    # at lengths 1, 2, through the fixed point's step, one past it and DEPTH;
+    # in error mode 0's image t = 0 is ambiguous, so the walk raises there
+    # (at the block's last digit already) as the reference does
+    base = RealBase(BASES[name])
+    kernel = base.kernel
+    for x, at in zero_tails(base):
+        u = (x,)
+        assert reference_fixed_point(kernel, u, DEPTH, True) == at, (name, x)
+        lengths = sorted({1, 2, at + 1, at + 2, DEPTH})
+        for got, want in walks(floors, kernel, u, nudge, lengths, (1, 2, at + 1, at + 2)):
+            assert got == want, (name, x)
+        if nudge:
+            # DEPTH digits, zero after the fixed point, and no guarded floor
+            # after the one of the fixed point's step
+            (digits, _), seen = outcome(floors, kernel.walk, u, DEPTH, True, 0.0, RADIX)
+            assert len(digits) == DEPTH and digits[at:] == [0] * (DEPTH - at), (name, x)
+            assert seen == outcome(floors, reference_expand, kernel, u, at + 1, True)[1]
+            assert seen[-1] == (0.0).hex()
+
+
+def test_a_certifying_fixed_point_counts_on(floors):
+    # x -> 2x on [1e-10, 1 + 1e-10) maps 1e-10 to t = 1e-10, which snaps to
+    # digit 0 with its remainder put on the lower face, 1e-10 itself: every
+    # step has margin 1e-10, so a ball keeps certifying past the fixed point
+    kernel = DigitKernel(((2.0,),), (1e-10,), (1.0,))
+    u, n = (1e-10,), 64
+    assert reference_fixed_point(kernel, u, n, True) == 0
+    assert reference_step(kernel, u) == (0, u, 1e-10)
+    flips = (1, 2, 6, 29, 30, 33, 34, 36, 37, 49, 50, 63, 64)
+    for nudge in (True, False):
+        for got, want in walks(floors, kernel, u, nudge, (1, 2, 7, n), flips, 2.0):
+            assert got == want, nudge
+    counts = [kernel.walk(u, n, True, radius, 2.0)[1]
+              for radius in (1e-30, 1e-25, 1e-21, 1e-20, 1e-19, 1e-12)]
+    assert counts == [64, 49, 36, 33, 29, 6]
+    assert outcome(floors, kernel.walk, u, n, False, 1e-20, 2.0)[0] == (
+        numeric.AmbiguousValueError, "1e-10 is within 1e-09 of an integer")
+
+
+@pytest.mark.parametrize("off", [-1.5e-9, -_BAND, math.nextafter(-EPS_FLOOR, -math.inf),
+                                 -EPS_FLOOR])
+def test_an_error_mode_fixed_point_inside_the_band(off, floors):
+    # x -> 2x on [off, off + 1) maps 0 to t = -off: in (EPS_FLOOR, _BAND] the
+    # step takes the snap path, but its floor is not ambiguous, so error
+    # mode steps on with digit 0 and remainder 0; at t = EPS_FLOOR it raises
+    kernel = DigitKernel(((2.0,),), (off,), (1.0,))
+    u = (0.0,)
+    flips = (1, 2, 10, 11, 37, 38, DEPTH)
+    for nudge in (True, False):
+        for got, want in walks(floors, kernel, u, nudge, (1, 2, DEPTH, 64), flips, 2.0):
+            assert got == want, nudge
+    if off < -EPS_FLOOR:
+        assert reference_fixed_point(kernel, u, 64, False) == 0
+        assert kernel.walk(u, 64, False)[0] == [0] * 64
+    else:
+        assert outcome(floors, kernel.walk, u, 1, False)[0] == (
+            numeric.AmbiguousValueError, "1e-09 is within 1e-09 of an integer")
+    if off == -1.5e-9:
+        assert [kernel.walk(u, 64, False, radius, 2.0)[1] for radius in (1e-20, 1e-12)] == [37, 10]
 
 
 # -- every shape: the 2x2 and 4x4 bodies -----------------------------------------
