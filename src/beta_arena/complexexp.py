@@ -149,7 +149,12 @@ def refinement_poly(N: int, k: int, theta: float):
     once; each call subtracts the terms in order of increasing j."""
     if k < 1:
         raise ValueError("k must be positive")
-    t = fold_angle(theta)
+    return _refinement(N, k, fold_angle(theta))[0]
+
+
+def _refinement(N: int, k: int, t: float):
+    """refinement_poly's function at the folded angle t, with its coefficients
+    for Horner's rule: (f, (c_1, ..., c_(k-1), w_k)), c_j = 2N w_j."""
     w = [abs(math.cos(j * t)) + abs(math.sin(j * t)) for j in range(1, k + 1)]
     two_n, tail, terms = 2.0 * N, w.pop(), tuple(zip(range(k - 1, 0, -1), w))
 
@@ -161,7 +166,42 @@ def refinement_poly(N: int, k: int, theta: float):
         except OverflowError:
             raise ValueError(f"r**{k} at r = {r!r} is beyond double precision") from None
         return acc - tail
-    return f
+    return f, (*(two_n * wj for wj in w), tail)
+
+
+def _newton_step(coefs: tuple[float, ...], r: float) -> float:
+    """r - F(r)/F'(r) for F(r) = r^k - c_1 r^(k-1) - ... - c_(k-1) r - c_k,
+    F and F' by one Horner pass; nan unless F'(r) > 0."""
+    p, dp = 1.0, 0.0
+    for c in coefs:
+        dp = dp * r + p
+        p = p * r - c
+    return r - p / dp if dp > 0.0 else math.nan
+
+
+def _newton_root(coefs: tuple[float, ...], hi: float) -> float:
+    """An approximation of F's positive root by Newton's method from the right.
+
+    F(r)/r^(k-2) = r^2 - c_1 r - c_2 - c_3/r - ... - c_k/r^(k-2).  Its root
+    r* lies at or right of s, the root of r^2 - c_1 r - c_2, where F <= 0.
+    The start is the root of r^2 - c_1 r - C, C = c_2 + c_3/s + ... +
+    c_k/s^(k-2) (or hi if that is smaller): that quadratic is below
+    F/r^(k-2) on r >= s, so the start lies right of r*, where F is
+    increasing and convex.  Stops once a step moves r by at most 2^-30 of
+    r, or after 12 steps; nan where a step fails.  Nothing rests on its
+    accuracy: v_threshold certifies whatever it returns, or does without
+    it."""
+    c1, c2 = coefs[0], coefs[1]
+    s, acc = 0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * c2)), 0.0
+    for c in reversed(coefs[1:]):
+        acc = acc / s + c
+    r = min(0.5 * (c1 + math.sqrt(c1 * c1 + 4.0 * acc)), hi)
+    for _ in range(12):
+        nxt = _newton_step(coefs, r)
+        if not abs(r - nxt) > r * 2.0 ** -30:
+            return nxt
+        r = nxt
+    return r
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -169,7 +209,9 @@ def _bisect(below, lo: float, hi: float) -> float:
     ends straddle the point where below(x) turns from True to False.  Each
     halving is a function of (lo, hi) alone, so once one leaves them as they
     were every later one does too, and the loop stops there (after about 60
-    halvings on the brackets used here) with the bits that 200 give."""
+    halvings on the brackets used here) with the bits that 200 give.  It
+    serves gamma1 and gamma2, and v_threshold, whose below(x) calls its
+    polynomial only where the sign is in doubt."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if below(mid):
@@ -188,17 +230,48 @@ def v_threshold(N: int, k: int, theta: float) -> float:
 
     For k = 1 this is cos t + sin t; for k = 2 it agrees with the closed form
     N(c+s) + sqrt(N^2 (c+s)^2 + cos 2t + sin 2t).
+
+    The bisection (_bisect) halves [1, hi], where hi starts at
+    2 sqrt(2) N k + 2 and doubles while f(hi) <= 0 (f is refinement_poly's
+    function, which refuses an r**k beyond double precision), and it calls f
+    only where f's sign is in doubt.  Write F(r) = r^k - sum_j c_j r^(k-j) -
+    tau with the coefficients f holds (c_j = 2N w_j >= 0, tau = w_k >= 1)
+    and S(r) = r^k + sum_j c_j r^(k-j) + tau = 2 r^k - F(r).
+    g = F/r^k = 1 - sum_j c_j r^-j - tau r^-k is strictly increasing on
+    r > 0.  f rounds k subtractions and two products per term and takes k
+    pows, so |f(r) - F(r)| <= gamma S(r) for r >= 1 with gamma = (k + 8)
+    2^-50, room for pows far worse than 1 ulp.  If f(a) < -8 gamma a**k
+    (at least 7 gamma a^k once that product is rounded), then F(a) < -5
+    gamma a^k / (1 + gamma), so g(r) < g(a) gives F(r) < -5 gamma r^k /
+    (1 + gamma) for every r in [1, a), and there f(r) <= (1 - gamma) F(r) +
+    2 gamma r^k < 0.  Likewise, f(b) > 8 gamma b**k gives f(r) > 0 for
+    every r > b.
+    Newton's method (_newton_root) gives the root to about 2^-45, a and b
+    sit 2^-40 of it to either side, and two calls of f certify them: a
+    midpoint below a counts as below, one above b as not, so every halving
+    keeps the half that f's own sign would keep, and the result has the bits
+    of the bisection that calls f at every midpoint.  If the certificate
+    fails (or a, b leave (1, hi)), a = 1 and b = hi, which is that
+    bisection.  About 18 calls of f and 2-4 Newton steps replace about 56
+    calls.
     """
     if N < 1:
         raise ValueError("N must be positive")
     t = fold_angle(theta)
     if k == 1:
         return math.cos(t) + math.sin(t)
-    f = refinement_poly(N, k, t)
+    if k < 1:
+        raise ValueError("k must be positive")
+    f, coefs = _refinement(N, k, t)
     hi = 2.0 * math.sqrt(2.0) * N * k + 2.0
     while f(hi) <= 0.0:
         hi *= 2.0
-    return _bisect(lambda r: f(r) <= 0.0, 1.0, hi)
+    root = _newton_root(coefs, hi)
+    a, b = root * (1.0 - 2.0 ** -40), root * (1.0 + 2.0 ** -40)
+    slack = (k + 8) * 2.0 ** -47  # 8 gamma
+    if not (1.0 < a and b < hi and f(a) < -slack * a ** k and f(b) > slack * b ** k):
+        a, b = 1.0, hi
+    return _bisect(lambda r: r < a or (r <= b and f(r) <= 0.0), 1.0, hi)
 
 
 def check_Ck(base: ComplexBase, k: int) -> CkResult:
@@ -324,7 +397,14 @@ def Vk_squares(base: ComplexBase, k: int) -> list[Quaternion]:
 
     Tiles are translates of xi^-k times the centered square, one per digit
     block of length k-1, ordered snake-lexicographically.  Every tile is
-    constructively checked to sit inside the domain by mapping its corners.
+    constructively checked to sit inside the domain by mapping its corners:
+    no |fl(a + c_a)| or |fl(b + c_b)| over centers (a, b) and corner
+    offsets (c_a, c_b) may pass 1/2 + EPS_FLOOR.  The offsets come in exact
+    negative pairs (shrink * -z is -(shrink * z) exactly), and rounding is
+    monotone and odd, so the largest |fl(a + c_a)| over offsets is
+    fl(|a| + max |c_a|), and over centers fl(max |a| + max |c_a|): the
+    extreme coordinates decide the test, with the same floats, in place of
+    every pair.
     """
     if not base.is_centered:
         raise ValueError("tile decompositions require the centered square")
@@ -347,7 +427,9 @@ def Vk_squares(base: ComplexBase, k: int) -> list[Quaternion]:
     shrink, lim = base.xi.powi(-k), 0.5 + EPS_FLOOR
     corners = [(shrink * Quaternion.complex2(sx, sy)).components[:2]
                for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)]
-    if any(abs(a + ca) > lim or abs(b + cb) > lim for a, b, _, _ in centers for ca, cb in corners):
+    xs, ys, _, _ = zip(*centers)
+    if (max(map(abs, xs)) + max(abs(ca) for ca, _ in corners) > lim
+            or max(map(abs, ys)) + max(abs(cb) for _, cb in corners) > lim):
         raise ValueError("tile corner escaped the domain; refinement not established")
     return [Quaternion(*ctr) for ctr in centers]
 

@@ -132,10 +132,7 @@ class RealBase:
         # finite expansion d_1..d_m of 1: decrement the last digit and cycle
         period = list(digits)
         period[-1] -= 1
-        out: list[int] = []
-        while len(out) < DEPTH:
-            out.extend(period)
-        return out[:DEPTH]
+        return (period * (DEPTH // len(period) + 1))[:DEPTH]
 
     def _compute_iK(self) -> tuple[int | None, int, bool]:
         frac = self.b - int(self.b) if not self.is_integer else 0.0
@@ -298,8 +295,9 @@ class RealBase:
         forward sums, its prefix value and the least prefix + b**-j so far
         (b**-j is shared by a level), so hi is one step from its parent's,
         with cylinder_interval's float operations in its order and so its
-        bits.  lo is value()'s Horner sum, not the carried prefix, which
-        rounds differently: lo keeps the bits of value(block).
+        bits.  lo is value()'s Horner sum, written out in the loop, not the
+        carried prefix, which rounds differently: lo keeps the bits of
+        value(block).
         """
         self.check_target(d, k)
         nxt, b, bk = self._automaton(k - 1), self.b, self.b ** (-k)
@@ -313,12 +311,14 @@ class RealBase:
             level = [(w + e, t, q, min(hi, q + scale)) for w, s, p, hi in level
                      for e, t in rows[s] for q in (p + e[0] * scale,)]
         scale /= b
-        last, step, full, value = (d,), d * scale, bk - EPS_CMP, self.value
+        last, step, full = (d,), d * scale, bk - EPS_CMP
         out: list[CylinderInterval] = []
         for w, _, p, hi in level:
             w += last
             hi = min(hi, p + step + scale)
-            lo = value(w)
+            lo = 0.0
+            for e in reversed(w):  # value(w), inline
+                lo = (lo + e) / b
             out.append(CylinderInterval(w, lo, hi, hi - lo >= full))
         return out
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from kernel_reference import reference_step
+from test_region_reference import bisect_200
 
 from beta_arena import complexexp
 from beta_arena.complexexp import (QUARTER, CkResult, ComplexBase, F_roots, F_value, G_region,
@@ -234,19 +235,8 @@ def test_F_roots_bracket_integer_levels():
 
 # -- the bisection and the refinement polynomial --------------------------------
 
-def bisect_200(below, lo, hi):
-    """Reference: the bisection run for all of its 200 halvings."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def v_threshold_bisections():
-    """(predicate, lo, hi) of each bisection v_threshold runs, N <= 12, k <= 9."""
+    """(predicate, lo, hi) of the bisection v_threshold replays, N <= 12, k <= 9."""
     for theta in (-0.3, 0.0, 0.05, 0.3, QUARTER, 2.0):
         for N in range(1, 13):
             for k in range(2, 10):
@@ -281,27 +271,34 @@ def test_bisect_gives_the_bits_of_200_halvings():
         assert complexexp._bisect(below, lo, hi).hex() == bisect_200(below, lo, hi).hex()
 
 
-def test_v_threshold_evaluates_its_polynomial_at_most_80_times(monkeypatch):
-    calls = []
-    make = complexexp.refinement_poly
+def test_v_threshold_makes_at_most_24_polynomial_passes(monkeypatch):
+    # a pass is one evaluation of the polynomial or one Newton step (a
+    # Horner pass for F and F'); the bisection alone made about 56
+    passes = []
+    make, step = complexexp._refinement, complexexp._newton_step
 
-    def counted(N, k, theta):
-        f = make(N, k, theta)
+    def counted(N, k, t):
+        f, coefs = make(N, k, t)
 
         def g(r):
-            calls.append(r)
+            passes.append(r)
             return f(r)
-        return g
+        return g, coefs
 
-    monkeypatch.setattr(complexexp, "refinement_poly", counted)
+    def counted_step(coefs, r):
+        passes.append(r)
+        return step(coefs, r)
+
+    monkeypatch.setattr(complexexp, "_refinement", counted)
+    monkeypatch.setattr(complexexp, "_newton_step", counted_step)
     most = 0
     for theta in (-0.3, 0.0, 0.05, 0.3, QUARTER, 2.0):
         for N in range(1, 13):
             for k in range(1, 10):
-                calls.clear()
+                passes.clear()
                 v_threshold(N, k, theta)
-                most = max(most, len(calls))
-    assert 0 < most <= 80
+                most = max(most, len(passes))
+    assert 0 < most <= 24
 
 
 @pytest.mark.parametrize("N, k, bits", [(1, 121, "0x1.a12e0603babd6p+1"),

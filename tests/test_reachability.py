@@ -72,6 +72,8 @@ ALLOWED = {
     "realexp.RealBase.is_admissible": "perfbench calls it",
     # paper formulas that the presets should state (ROADMAP item 7)
     "complexexp.F_value": "paper formula",
+    "complexexp.refinement_poly": "paper formula; v_threshold builds the same function with its "
+                                  "coefficients through complexexp._refinement",
     "quatexp.LosingParameters.__init__": "paper formula",
     "quatexp.LosingParameters.beta": "paper formula",
     "quatexp.avoid_constant": "paper formula",
