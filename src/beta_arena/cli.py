@@ -59,7 +59,9 @@ def parse_base(text: str) -> float:
 
 
 def parse_grid(text: str) -> list[float]:
-    """start:stop:step inclusive of stop up to float slack."""
+    """start:stop:step inclusive of stop up to float slack, of at most
+    MAX_BLOCKS points: the loop counts them too, as a step too small to move
+    the start (1e300:1e300:1e-300) passes the size check and never ends."""
     try:
         start, stop, step = map(float, text.split(":"))
     except ValueError:
@@ -76,6 +78,8 @@ def parse_grid(text: str) -> list[float]:
         v = start + k * step
         if v > stop + 1e-12:
             break
+        if k == MAX_BLOCKS:
+            raise ValueError(f"grid has more than {MAX_BLOCKS} points")
         out.append(v)
         k += 1
     return out

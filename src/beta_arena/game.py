@@ -350,8 +350,11 @@ def certified_digits(system, center: Sequence[float], radius: float, m: int
     prefix.  One coords, then one adapter step, the kernel's walk in nudge
     mode, gives both the digits and the count, so the orbit is
     expand_digits' in nudge mode, bit for bit.  m <= 0 gives ([], 0) and
-    steps nothing.
+    steps nothing.  A negative radius, which would pass the test at every
+    digit, and a nan one are refused with a ValueError; radius 0 is a point.
     """
+    if not radius >= 0.0:
+        raise ValueError(f"ball radius must be nonnegative, not {radius!r}")
     cur = system.coords(center)
     if m <= 0:
         return [], 0
@@ -367,7 +370,8 @@ def verify_outcome(trace: GameTrace, system, claim: Claim, m: int) -> VerifyResu
     "avoids" block longer than m among them.  A claim digit of another shape
     than the system's digits (an int on a 1-D system, a tuple of dim ints
     otherwise) would never compare equal, and is refused with a ValueError,
-    as is a negative depth m, which reads no digit and so decides nothing.
+    as is a negative depth m, which reads no digit and so decides nothing,
+    and a final radius that certified_digits refuses.
     """
     if m < 0:
         raise ValueError(f"verification depth must be nonnegative, not {m}")

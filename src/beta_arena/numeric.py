@@ -5,15 +5,15 @@ The digit maps in one, two and four dimensions are one affine map in
 lattice coordinates, DigitKernel, so they share a single arithmetic rule.
 Every floor taken near an integer is flagged; the kernel's walk aborts or
 snaps to the boundary.  The kernel and the lattices share ordered_sum and
-_image.  As _image picks its product by the matrix's shape, the kernel
-picks its body at construction, one straight-line walk per shape:
+_image, which has one product per matrix shape.  The kernel picks its body
+by shape at construction, one straight-line walk that inlines that product:
 _scalar_body (1x1, a real base), _plane_body (2x2, a complex base) and
 _space_body (4x4, a quaternion on a lattice).  Each does the float
 operations of the generic loop over rows in its order, which the package
 no longer holds: tests/kernel_reference.py keeps it as the reference every
 body is held to.  A walk carries the remainder from digit to digit in local
-floats (the 4x4 walk as its image's argument tuple) and, while a ball about
-its start certifies its digits, the ball's growth and each digit's margin.
+floats and, while a ball about its start certifies its digits, the ball's
+growth and each digit's margin.
 The 1x1 walk skips the steps after a fixed point reached by a snap, which
 would only repeat it.
 """
@@ -126,24 +126,9 @@ def ordered_sum(values) -> float:
 
 def _image(A):
     """The map u -> A u, each row summed left to right from +0.0
-    (0.0 + a0*u0 + a1*u1 + ...), which also turns a -0.0 product into +0.0.
-    It is each lattice's two basis changes and a 4x4 digit kernel's image;
-    the 1x1 and 2x2 kernel bodies inline the products of its 1x1 lambda and
-    image2, and tests/kernel_reference.py calls it for every shape.  A
-    4x4 matrix with one nonzero entry per row (every stock B and Binv; the
-    kernels of 5i, 10k, 6i and real 3 on the unit box) maps with one product
-    per row, 0.0 + a * u[k]: on finite u each skipped product is +-0.0, which
-    changes no row summed from +0.0.  A non-finite u[k] makes the row reading
-    it inf or nan (dense: every row nan), which the floor and box refuse."""
-    nonzero = [[(k, a) for k, a in enumerate(row) if a != 0.0] for row in A]
-    if len(A) == 4 and all(len(row) == 1 for row in nonzero):
-        [(k0, a0)], [(k1, a1)], [(k2, a2)], [(k3, a3)] = nonzero
-
-        def monomial4(u):
-            x0, x1, x2, x3 = u
-            u = x0, x1, x2, x3
-            return 0.0 + a0 * u[k0], 0.0 + a1 * u[k1], 0.0 + a2 * u[k2], 0.0 + a3 * u[k3]
-        return monomial4
+    (0.0 + a0*u0 + a1*u1 + ...), which also turns a -0.0 product into +0.0:
+    each lattice's basis changes and the kernel's inverse.  Each kernel body
+    inlines its shape's product, and tests/kernel_reference.py calls it."""
     if len(A) == 1:
         (a,), = A
         return lambda u: (0.0 + a * u[0],)
@@ -382,14 +367,13 @@ def _plane_body(row0, row1):
     return walk
 
 
-def _space_body(image, row0, row1, row2, row3):
-    """DigitKernel's walk for a 4x4 matrix: the tests' reference body with
-    its row loop unrolled.  The image stays the kernel's own _image, as
-    monomial4 and image4 differ on non-finite input (dense makes every row
-    nan, monomial only the rows that read it), and with them the first
-    error; so the remainder passes to it as a tuple."""
-    ((_, off0, norm0, lo0, hi0), (_, off1, norm1, lo1, hi1),
-     (_, off2, norm2, lo2, hi2), (_, off3, norm3, lo3, hi3)) = row0, row1, row2, row3
+def _space_body(row0, row1, row2, row3):
+    """DigitKernel's walk for a 4x4 matrix: _plane_body's walk on four rows,
+    the remainder kept in the local floats x0 to x3 and _image's image4
+    inlined, every row's image read before any row floors."""
+    (((a0, a1, a2, a3), off0, norm0, lo0, hi0), ((b0, b1, b2, b3), off1, norm1, lo1, hi1),
+     ((c0, c1, c2, c3), off2, norm2, lo2, hi2), ((d0, d1, d2, d3), off3, norm3, lo3, hi3)
+     ) = row0, row1, row2, row3
     floor = math.floor
 
     def walk(u, n: int, nudge: bool = False, radius=None, radix=None
@@ -397,10 +381,15 @@ def _space_body(image, row0, row1, row2, row3):
         if n < 0:
             raise ValueError("length must be nonnegative")
         out = []
-        append = out.append
+        if not n:
+            return out, 0
+        append, (x0, x1, x2, x3) = out.append, u
         certified, certifying, growth = 0, radius is not None, 1.0
         for _ in range(n):
-            w0, w1, w2, w3 = image(u)
+            w0 = 0.0 + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
+            w1 = 0.0 + b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3
+            w2 = 0.0 + c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3
+            w3 = 0.0 + d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3
             t = w0 - off0
             try:
                 f = floor(t)
@@ -409,9 +398,9 @@ def _space_body(image, row0, row1, row2, row3):
             frac0 = t - f
             rest0 = 1.0 - frac0
             if frac0 > _BAND and rest0 > _BAND:
-                d0, r0 = f, w0 - f
+                k0, x0 = f, w0 - f
             else:
-                d0, r0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
+                k0, x0 = _snap(w0, t, f, off0, lo0, hi0, nudge)
             t = w1 - off1
             try:
                 f = floor(t)
@@ -420,9 +409,9 @@ def _space_body(image, row0, row1, row2, row3):
             frac1 = t - f
             rest1 = 1.0 - frac1
             if frac1 > _BAND and rest1 > _BAND:
-                d1, r1 = f, w1 - f
+                k1, x1 = f, w1 - f
             else:
-                d1, r1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
+                k1, x1 = _snap(w1, t, f, off1, lo1, hi1, nudge)
             t = w2 - off2
             try:
                 f = floor(t)
@@ -431,9 +420,9 @@ def _space_body(image, row0, row1, row2, row3):
             frac2 = t - f
             rest2 = 1.0 - frac2
             if frac2 > _BAND and rest2 > _BAND:
-                d2, r2 = f, w2 - f
+                k2, x2 = f, w2 - f
             else:
-                d2, r2 = _snap(w2, t, f, off2, lo2, hi2, nudge)
+                k2, x2 = _snap(w2, t, f, off2, lo2, hi2, nudge)
             t = w3 - off3
             try:
                 f = floor(t)
@@ -442,11 +431,10 @@ def _space_body(image, row0, row1, row2, row3):
             frac3 = t - f
             rest3 = 1.0 - frac3
             if frac3 > _BAND and rest3 > _BAND:
-                d3, r3 = f, w3 - f
+                k3, x3 = f, w3 - f
             else:
-                d3, r3 = _snap(w3, t, f, off3, lo3, hi3, nudge)
-            append((d0, d1, d2, d3))
-            u = r0, r1, r2, r3
+                k3, x3 = _snap(w3, t, f, off3, lo3, hi3, nudge)
+            append((k0, k1, k2, k3))
             if certifying:  # as in _plane_body
                 growth *= radix
                 margin = (rest0 if rest0 < frac0 else frac0) / norm0
@@ -501,7 +489,7 @@ class DigitKernel:
     the 2x2 and 4x4 walks step every digit, since their zero orbits take
     the fast path (the centered square sends 0 to t = 0.5), where a test
     would need every row's last remainder at every step.  Each shape has
-    one straight-line body, with no loop over rows, which
+    one straight-line body, its product inline and no loop over rows, which
     tests/test_scalar_kernel.py holds to tests/kernel_reference.py's row
     loop.
     """
@@ -529,7 +517,7 @@ class DigitKernel:
         elif len(self.A) == 2:
             self.walk = _plane_body(*self._rows)
         else:
-            self.walk = _space_body(self._image, *self._rows)
+            self.walk = _space_body(*self._rows)
 
     def expand(self, u, n: int, nudge: bool = False) -> list:
         """The first n digits of u: walk(u, n, nudge)'s, with no ball."""

@@ -338,6 +338,8 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
     ("regions", "--curve", "A"),
     ("regions", "--curve", "F", "--alpha", "nan:1:0.1"),
     ("regions", "--curve", "F", "--alpha", "0:1:1e-300"),
+    ("regions", "--curve", "F", "--alpha", "1e300:1e300:1e-300"),
+    ("scan", "--preset", "dwinning-golden", "--alpha", "1e5:1e5:1e-20"),
     ("game", "--preset", "notwinning-symmetric", "--rho", ".1"),
     ("game", "--preset", "notwinning-lipschitz", "--bob", "random"),
     ("game",),
@@ -363,7 +365,8 @@ def test_regions_ignore_the_floor_outside_curve_A(capsys, monkeypatch, argv):
         "real-without-x", "complex-with-four-coordinates", "quat-with-two-coordinates",
         "no-system", "two-systems", "real-negative-n", "complex-negative-n",
         "quat-negative-n", "infinite-real-base", "infinite-modulus",
-        "curve-A-without-b", "grid-not-finite", "grid-too-fine", "override-rho-on-symmetric",
+        "curve-A-without-b", "grid-not-finite", "grid-too-fine",
+        "grid-step-below-start-ulp", "scan-grid-step-below-start-ulp", "override-rho-on-symmetric",
         "override-bob-on-losing", "game-without-preset", "alpha-zero",
         "game-out-unwritable", "scan-out-unwritable", "alphabet-past-index-range",
         "alphabet-past-memory", "alphabet-past-cap", "alphabet-far-past-cap", "blocks-past-cap",
@@ -487,6 +490,12 @@ def test_grid_parse():
     assert len(cli.parse_grid("1:1000000:1")) == 10 ** 6
     with pytest.raises(ValueError, match="more than 1000000 points"):
         cli.parse_grid("0:1000000:1")
+    # a step too small to move the start passes the size check, (stop +
+    # 1e-12 - start) / step, and once appended 1e300 until memory ran out;
+    # 1e5:1e5:1e-20 would have built about 7e8 points
+    for text in ("1e300:1e300:1e-300", "1e5:1e5:1e-20"):
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            cli.parse_grid(text)
 
 
 def test_base_parse():

@@ -20,7 +20,7 @@ from beta_arena.strategies import (alice_quaternion_componentwise, alice_random,
                                    alice_real_winning, bob_avoid_block, bob_center_hold,
                                    bob_optimal_drift, bob_random)
 from beta_arena.systems import (ComplexSystem, QuatSystem, RealSystem, _exit, _halvings,
-                                max_step_inside)
+                                expand_digits, max_step_inside)
 
 PHI = metallic_mean(1)
 
@@ -789,6 +789,25 @@ def test_verify_refuses_a_negative_depth():
                 verify_outcome(trace, setup.system, claim, m)
         res = verify_outcome(trace, setup.system, claim, 0)
         assert (res.verdict, res.digits, res.certified) == ("indeterminate", [], 0)
+
+
+def test_certified_digits_refuses_a_negative_or_nan_radius():
+    # radius * |radix|^j < margin holds at every digit for a negative radius:
+    # all 10 digits of 0.4 came out certified, and a trace whose last ball has
+    # radius -1.0 verified its claim while audit_trace flagged the radius
+    real = RealSystem(RealBase(3.0))
+    for radius in (-1.0, -1e-300, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"ball radius must be nonnegative, not {radius!r}"):
+            certified_digits(real, (0.4,), radius, 10)
+    digits = expand_digits(real, (0.4,), 10, "nudge")
+    for radius in (0.0, -0.0):  # a point certifies every digit off a face
+        assert certified_digits(real, (0.4,), radius, 10) == (digits, 10)
+    trace = _held(real, (0.4,))
+    mv = trace.moves[-1]
+    trace.moves[-1] = Move(mv.player, mv.round_no, mv.center, -1.0)
+    assert any("radius off schedule" in v for v in audit_trace(trace))
+    with pytest.raises(ValueError, match="ball radius must be nonnegative, not -1.0"):
+        verify_outcome(trace, real, Claim("contains", (digits[0],), 1), 10)
 
 
 def trace_dict(trace):

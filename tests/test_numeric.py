@@ -330,12 +330,11 @@ STOCK_KERNELS = stock_kernels()
 def _recorded(kernel, run):
     """run() with the kernel's image recording the points it is applied to:
     (run's result, or its AmbiguousValueError, and those points as float.hex()).
-    Each shape's walk holds its image in closure cells.  The 4x4 walk calls the kernel's _image from its cell
-    image, which is swapped for one that records its argument.  The 1x1 and
-    2x2 walks take _image's products inline, 0.0 + a * u[0] and
-    0.0 + a * x + b * y (then c * x + d * y), so there the entries a and b
-    are swapped for floats that record what they multiply: a starts a point,
-    b adds its second coordinate."""
+    Each shape's walk takes _image's product inline, 0.0 + a * u[0],
+    0.0 + a * x + b * y and 0.0 + a0 * x0 + ... + a3 * x3, first row first,
+    and holds the first row's entries in closure cells; they are swapped for
+    floats that record what they multiply: a (a0) starts a point, and each
+    later entry adds its coordinate."""
     seen = []
     cells = dict(zip(kernel.walk.__code__.co_freevars, kernel.walk.__closure__))
 
@@ -347,16 +346,8 @@ def _recorded(kernel, run):
                 seen[-1].append(x.hex())
                 return a * x
         return Recording(a)
-    if len(kernel.A) == 4:
-        image = cells["image"].cell_contents
-
-        def hook(u):
-            seen.append([x.hex() for x in u])
-            return image(u)
-        hooks = {"image": hook}
-    else:
-        hooks = {name: recording(cells[name].cell_contents, name == "a")
-                 for name in ("a", "b")[:len(kernel.A)]}
+    names = ("a0", "a1", "a2", "a3") if len(kernel.A) == 4 else ("a", "b")[:len(kernel.A)]
+    hooks = {name: recording(cells[name].cell_contents, name == names[0]) for name in names}
     originals = {name: cells[name].cell_contents for name in hooks}
     for name, hook in hooks.items():
         cells[name].cell_contents = hook
@@ -407,7 +398,7 @@ def test_expand_is_n_steps(name, unit, axis, shift, n, nudge, radius):
     assert len(got[1]) >= min(n, 1)  # the recording sees the body that runs
 
 
-# -- _image: one product per row where the row has one nonzero entry -----------
+# -- _image: the dense product, also where a row has one nonzero entry ---------
 
 def _dense(M, u):
     """M u in doubles, each row added left to right from +0.0."""
@@ -439,7 +430,7 @@ def _monomial_matrices():
 
 
 MONOMIAL = _monomial_matrices()
-# one row with two nonzero entries: the whole matrix keeps the dense sums
+# not monomial: one row has two nonzero entries
 SPARSE = ((2.0, 0.0, 0.0, 0.5), (0.0, 3.0, 0.0, 0.0), (0.0, 0.0, 0.0, -1.0),
           (0.0, 0.0, 1.0, 0.0))
 
@@ -461,15 +452,13 @@ def test_image_keeps_the_dense_bits_on_finite_input(name):
 
 @pytest.mark.parametrize("name", sorted(MONOMIAL) + ["sparse"])
 def test_image_of_non_finite_input_is_non_finite(name):
-    # a row that reads an inf or a nan is not finite; the dense path (a row
-    # with two nonzero entries) also writes nan for 0 * inf in every row
+    # a row that reads an inf or a nan is not finite, and a row that does not
+    # read it is nan, 0 * inf, as in the dense sums
     M = SPARSE if name == "sparse" else MONOMIAL[name]
     for bad in (math.inf, -math.inf, math.nan):
         for k in range(4):
             u = [0.25, -0.5, 1.0, 0.0]
             u[k] = bad
             got = _image(M)(u)
-            if name == "sparse":
-                assert _hexes(got) == _hexes(_dense(M, u)), u
-            else:
-                assert not all(map(math.isfinite, got)), (name, u)
+            assert _hexes(got) == _hexes(_dense(M, u)), (name, u)
+            assert not any(map(math.isfinite, got)), (name, u)

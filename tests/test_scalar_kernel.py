@@ -256,8 +256,8 @@ def body_kernels():
     on each axis, where no stock kernel's does, and the same map with another
     norm on each row, where a complex base's are both 1.0; and 6i on the
     zeta lattice of perfbench's digits workload: its A has one nonzero entry
-    per row, so its image is _image's monomial4, where every stock 4x4
-    kernel's is image4."""
+    per row, where every stock 4x4 kernel's has more, and its body sums the
+    zero products all the same."""
     out = kernels()
     plane = ComplexBase(4.5, 0.05, lo=(0.0, -0.5)).kernel
     out["complex-4.5e^0.05i-lo(0,-0.5)"] = plane
@@ -390,7 +390,8 @@ def test_every_shape_binds_its_own_body():
     for name, kernel in KERNELS.items():
         assert "walk" in vars(kernel) and not hasattr(kernel, "step"), name
         assert kernel.walk.__qualname__.split(".")[0] == bodies[len(kernel.A)], name
-    assert KERNELS["quat-6i-zeta"]._image.__name__ == "monomial4"
+    # no body calls an image: each inlines its shape's product
+    assert not any("image" in kernel.walk.__code__.co_freevars for kernel in KERNELS.values())
     assert metallic_mean(2) == pytest.approx(1 + math.sqrt(2), abs=1e-15)
     for j in range(1, 8):
         x = metallic_mean(j)
